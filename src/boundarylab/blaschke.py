@@ -396,8 +396,13 @@ def _zero_chase_path(product: BlaschkeProduct, angle: float) -> ApproachPath | N
     zs = seq.zeros
     # zeros whose deficit is below float resolution collapse onto the circle
     # in complex form; they are not valid evaluation points, so the chain
-    # stops before them
-    inside = np.abs(zs) < 1.0
+    # stops before them.  The evaluator measures |z| with Python's abs, which
+    # can round a modulus just below 1 up to 1.0 where numpy's does not, so
+    # zeros within a few ulps of the circle are rechecked with it.
+    modulus = np.abs(zs)
+    inside = modulus < 1.0
+    for j in np.flatnonzero(inside & (modulus > 1.0 - 2.0 ** -50)):
+        inside[j] = abs(complex(zs[j])) < 1.0
     dist = np.abs(zs - zeta)
     chain: list[complex] = []
     best = math.inf

@@ -22,7 +22,6 @@ import cmath
 import contextlib
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import acceptance, config
 from .blaschke import (
@@ -55,26 +54,7 @@ _INT_OVERRIDES = {
     "window": "oscillation_window",
     "growth_window": "frostman_growth_window",
     "seed": "seed",
-    "threads": "threads",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: subcommand, files, and validated overrides."""
-
-    subcommand: str
-    input_paths: tuple[str, ...]
-    output_path: str | None
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for key, value in self.tolerance_overrides.items():
-            if not value > 0.0:
-                raise ValidationError(f"override {key} must be positive, got {value!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def _d(key: str) -> str:
@@ -89,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path, - for standard output (default -)")
     common.add_argument("--seed", type=int, metavar="N",
                         help=f"seed for randomized fixtures {_d('seed')}")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help=f"worker threads; output never depends on it {_d('threads')}")
 
     parser = argparse.ArgumentParser(
         prog="boundarylab",
@@ -195,25 +173,15 @@ def _effective(args: argparse.Namespace) -> dict:
         if value is not None:
             overrides[key] = value
     cfg = config.effective_config(getattr(args, "config", None), overrides)
-    for key in ("radius_levels", "oscillation_window", "frostman_growth_window", "threads"):
+    for key in ("radius_levels", "oscillation_window", "frostman_growth_window"):
         if int(cfg[key]) < 1:
             raise ValidationError(f"config key {key} must be at least 1, got {cfg[key]!r}")
+    for key in _FLOAT_OVERRIDES.values():
+        if not float(cfg[key]) > 0.0:
+            raise ValidationError(f"config key {key} must be positive, got {cfg[key]!r}")
+    if int(cfg["seed"]) < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     return cfg
-
-
-def _run_config(args: argparse.Namespace, cfg: dict) -> RunConfig:
-    paths = [getattr(args, name, None) for name in ("zeros", "spec", "grid", "config")]
-    tolerances = {
-        key: float(cfg[key])
-        for key in _FLOAT_OVERRIDES.values()
-    }
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_paths=tuple(p for p in paths if p is not None),
-        output_path=args.out,
-        tolerance_overrides=tolerances,
-        seed=int(cfg["seed"]),
-    )
 
 
 def _read_text(path: str) -> str:
@@ -439,7 +407,6 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _effective(args)
-        _run_config(args, cfg)
         return _HANDLERS[args.subcommand](args, cfg)
     except ValidationError as exc:
         print(f"boundarylab {args.subcommand}: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ DEFAULTS: dict[str, Any] = {
     "series_tolerance": 1e-9,
     # misc
     "seed": 0,
-    "threads": 1,
 }
 
 
@@ -79,6 +78,8 @@ def load_config_file(path: str) -> dict[str, Any]:
         if key not in DEFAULTS:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         overrides[key] = _coerce(value)
+        if isinstance(overrides[key], str):  # every setting is a number
+            raise ValidationError(f"{path}:{lineno}: {key} needs a number, got {value.strip()!r}")
     return overrides
 
 

@@ -2,9 +2,10 @@
 
 A grid window samples a domain G: cells are outside G, free G cells, members
 of one or two closed sets (F and E), or probe cells.  Complement components of
-a subject set within G are labeled by 4-connected flood fill; the subject
-itself is treated with 8-connectivity where adjacency of the set matters (the
-standard dual pairing, so thin diagonal curves still separate).
+a subject set within G are 4-connected; the subject itself is treated with
+8-connectivity where adjacency of the set matters (the standard dual pairing,
+so thin diagonal curves still separate).  One array routine, ``_label``,
+finds the components for both connectivities.
 
 A component of G minus the subject is a G-hole when it could be enclosed in a
 compact subset of G at raster fidelity: it must not touch the window frame
@@ -24,10 +25,8 @@ A clean run is reported as "passes-probes", never as a proof.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,14 +41,24 @@ class CellClass(IntEnum):
     K_PROBE = 4
 
 
-_CHAR_TO_CLASS = {
-    " ": CellClass.OUTSIDE_G,
-    ".": CellClass.G_FREE,
-    "#": CellClass.F_SET,
-    "E": CellClass.E_SET,
-    "K": CellClass.K_PROBE,
-}
-_CLASS_TO_CHAR = {v: k for k, v in _CHAR_TO_CLASS.items()}
+# text-format character of each cell class, indexed by class code
+_CELL_CHARS = " .#EK"
+_CHAR_CODES = np.frombuffer(_CELL_CHARS.encode("ascii"), dtype=np.uint8)
+_CODE_OF_CHAR = np.zeros(128, dtype=np.uint8)
+_CODE_OF_CHAR[_CHAR_CODES] = np.arange(len(_CELL_CHARS))
+
+# Largest grid accepted (4096 x 4096); the parsers check it before allocating,
+# and it keeps every flat cell index within int32.
+MAX_GRID_CELLS = 1 << 24
+
+
+def _check_dimensions(width: int, height: int) -> None:
+    if width < 1 or height < 1:
+        raise ValidationError("grid dimensions must be positive")
+    if width * height > MAX_GRID_CELLS:
+        raise ValidationError(
+            f"grid of {width} x {height} cells exceeds the limit of {MAX_GRID_CELLS} cells"
+        )
 
 
 @dataclass(eq=False)
@@ -65,6 +74,7 @@ class GridPlane:
         cells = np.asarray(self.cells)
         if cells.ndim != 2 or cells.size == 0:
             raise ValidationError("grid cells must form a nonempty 2-d array")
+        _check_dimensions(cells.shape[1], cells.shape[0])
         if not np.all((cells >= 0) & (cells <= 4)):
             raise ValidationError("grid cells must carry class codes 0..4")
         self.cells = cells.astype(np.uint8)
@@ -150,8 +160,7 @@ class GridPlane:
             width, height, unbounded = int(head[1]), int(head[2]), int(head[3])
         except ValueError as exc:
             raise ValidationError("grid header fields must be integers") from exc
-        if width < 1 or height < 1:
-            raise ValidationError("grid dimensions must be positive")
+        _check_dimensions(width, height)
         if unbounded not in (0, 1):
             raise ValidationError("unbounded flag must be 0 or 1")
         body = lines[1:]
@@ -162,16 +171,17 @@ class GridPlane:
             row = body[r]
             if len(row) > width:
                 raise ValidationError(f"grid row {r} longer than width {width}")
-            for c, ch in enumerate(row):
-                if ch not in _CHAR_TO_CLASS:
-                    raise ValidationError(f"unknown grid character {ch!r} at row {r}")
-                cells[r, c] = _CHAR_TO_CLASS[ch]
+            unknown = set(row).difference(_CELL_CHARS)
+            if unknown:
+                ch = min(unknown, key=row.index)
+                raise ValidationError(f"unknown grid character {ch!r} at row {r}")
+            codes = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
+            cells[r, :len(row)] = _CODE_OF_CHAR[codes]
         return cls(cells=cells, frame_is_unbounded=bool(unbounded))
 
     def format_text(self) -> str:
         lines = [f"grid {self.width} {self.height} {1 if self.frame_is_unbounded else 0}"]
-        for r in range(self.height):
-            lines.append("".join(_CLASS_TO_CHAR[CellClass(v)] for v in self.cells[r]))
+        lines += [row.tobytes().decode("ascii") for row in _CHAR_CODES[self.cells]]
         return "\n".join(lines) + "\n"
 
     # --- JSON format ------------------------------------------------------
@@ -183,7 +193,7 @@ class GridPlane:
             "unbounded": self.frame_is_unbounded,
             "cell_size": float(self.cell_size),
             "origin": [float(self.origin[0]), float(self.origin[1])],
-            "cells": [int(v) for v in self.cells.reshape(-1)],
+            "cells": self.cells.reshape(-1).tolist(),
         }
 
     @classmethod
@@ -193,11 +203,16 @@ class GridPlane:
         for key in ("width", "height", "unbounded", "cells"):
             if key not in data:
                 raise ValidationError(f"grid JSON missing field {key!r}")
-        width, height = int(data["width"]), int(data["height"])
+        width, height = data["width"], data["height"]
+        if type(width) is not int or type(height) is not int:
+            raise ValidationError("grid 'width' and 'height' must be integers")
+        _check_dimensions(width, height)
         flat = data["cells"]
         if not isinstance(flat, list) or len(flat) != width * height:
             raise ValidationError("grid 'cells' must list width*height codes")
-        cells = np.asarray(flat, dtype=np.int64).reshape(height, width)
+        if not set(map(type, flat)) <= {int}:
+            raise ValidationError("grid 'cells' must be integer class codes")
+        cells = np.asarray(flat).reshape(height, width)
         origin = data.get("origin", [0.0, 0.0])
         return cls(
             cells=cells,
@@ -207,22 +222,67 @@ class GridPlane:
         )
 
 
-def _dilate4(mask: np.ndarray) -> np.ndarray:
+def _neighbour_slices(diagonal: bool) -> list[tuple]:
+    """Slice pairs (a, b) such that mask[a] and mask[b] are neighbouring cells."""
+    pairs = [(np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :])]
+    if diagonal:
+        pairs += [(np.s_[:-1, :-1], np.s_[1:, 1:]), (np.s_[:-1, 1:], np.s_[1:, :-1])]
+    return pairs
+
+
+def _dilate(mask: np.ndarray, diagonal: bool) -> np.ndarray:
     out = mask.copy()
-    out[1:, :] |= mask[:-1, :]
-    out[:-1, :] |= mask[1:, :]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
+    for a, b in _neighbour_slices(diagonal):
+        out[a] |= mask[b]
+        out[b] |= mask[a]
     return out
 
 
-def _dilate8(mask: np.ndarray) -> np.ndarray:
-    out = _dilate4(mask)
-    out[1:, 1:] |= mask[:-1, :-1]
-    out[1:, :-1] |= mask[:-1, 1:]
-    out[:-1, 1:] |= mask[1:, :-1]
-    out[:-1, :-1] |= mask[1:, 1:]
-    return out
+def _label(mask: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of a boolean mask, 4- or (diagonal) 8-connected.
+
+    Returns the int32 label array (-1 off the mask) and the flat index of each
+    component's first cell; components are numbered in row-major order of
+    those first cells.  Every cell starts out pointing at the first cell of
+    its horizontal run.  Each round then hooks the larger root of every edge
+    that still joins two trees onto the smaller one and shortcuts every
+    pointer to its root (Shiloach & Vishkin, J. Algorithms 3, 1982).  Roots
+    only hook onto smaller indices, so each final root is its component's
+    first cell.
+    """
+    h, w = mask.shape
+    index = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    parent = np.where(starts, index, 0)
+    np.maximum.accumulate(parent, axis=1, out=parent)
+    np.copyto(parent, index, where=~mask)
+    parent = parent.reshape(-1)
+    heads, tails = [], []
+    # Horizontal neighbours already share a run.  An edge is skipped when the
+    # left neighbours of its two cells form an edge too: both link the same
+    # two runs.
+    for a, b in _neighbour_slices(diagonal)[1:]:
+        both = mask[a] & mask[b]
+        both[:, 1:] &= ~(mask[a][:, :-1] & mask[b][:, :-1])
+        heads.append(index[a][both])
+        tails.append(index[b][both])
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    while heads.size:
+        roots_a, roots_b = parent[heads], parent[tails]
+        live = roots_a != roots_b
+        heads, tails = heads[live], tails[live]
+        roots_a, roots_b = roots_a[live], roots_b[live]
+        np.minimum.at(parent, np.maximum(roots_a, roots_b), np.minimum(roots_a, roots_b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    first = np.flatnonzero(mask.reshape(-1) & (parent == index.reshape(-1)))
+    number = np.full(h * w, -1, dtype=np.int32)
+    number[first] = np.arange(first.size)
+    return number[parent].reshape(h, w), first
 
 
 @dataclass(frozen=True)
@@ -247,57 +307,36 @@ class ComponentLabeling:
 
 
 def label_components(grid: GridPlane, subject) -> ComponentLabeling:
-    """4-connected components of G minus the subject, in row-major seed order."""
-    subject_mask = grid.subject_mask(subject)
-    complement = grid.g_mask & ~subject_mask
-    outside = grid.outside_mask
-    h, w = complement.shape
-    labels = np.full((h, w), -1, dtype=np.int32)
-    components: list[Component] = []
-    for r0 in range(h):
-        for c0 in range(w):
-            if not complement[r0, c0] or labels[r0, c0] >= 0:
-                continue
-            cid = len(components)
-            queue = deque([(r0, c0)])
-            labels[r0, c0] = cid
-            count = 0
-            touches = False
-            adjacent = False
-            rmin = rmax = r0
-            cmin = cmax = c0
-            while queue:
-                r, c = queue.popleft()
-                count += 1
-                if r < rmin:
-                    rmin = r
-                if r > rmax:
-                    rmax = r
-                if c < cmin:
-                    cmin = c
-                if c > cmax:
-                    cmax = c
-                if r == 0 or r == h - 1 or c == 0 or c == w - 1:
-                    touches = True
-                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if not (0 <= rr < h and 0 <= cc < w):
-                        continue
-                    if outside[rr, cc]:
-                        adjacent = True
-                    elif complement[rr, cc] and labels[rr, cc] < 0:
-                        labels[rr, cc] = cid
-                        queue.append((rr, cc))
-            components.append(
-                Component(
-                    component_id=cid,
-                    cell_count=count,
-                    touches_frame=touches,
-                    adjacent_to_boundary_of_g=adjacent,
-                    bbox=(rmin, cmin, rmax, cmax),
-                    first_cell=(r0, c0),
-                )
-            )
-    return ComponentLabeling(labels=labels, components=tuple(components))
+    """4-connected components of G minus the subject.
+
+    Components are numbered in row-major order of their first cells.  Each
+    records its cell count, bounding box, contact with the window frame and
+    4-adjacency to a cell outside G.
+    """
+    complement = grid.g_mask & ~grid.subject_mask(subject)
+    labels, first = _label(complement, diagonal=False)
+    w = labels.shape[1]
+    n = first.size
+    ids = labels[complement]
+    rows, cols = np.nonzero(complement)
+    frame_ids = np.concatenate((labels[0], labels[-1], labels[:, 0], labels[:, -1]))
+    near_outside_ids = labels[_dilate(grid.outside_mask, diagonal=False)]
+    # the first cell lies in the top row of its component
+    row_min, first_col = np.divmod(first, w)
+    col_min, row_max, col_max = np.full(n, w), np.full(n, -1), np.full(n, -1)
+    np.minimum.at(col_min, ids, cols)
+    np.maximum.at(row_max, ids, rows)
+    np.maximum.at(col_max, ids, cols)
+    # per component, in Component field order after the id
+    facts = zip(
+        np.bincount(ids, minlength=n).tolist(),
+        (np.bincount(frame_ids[frame_ids >= 0], minlength=n) > 0).tolist(),
+        (np.bincount(near_outside_ids[near_outside_ids >= 0], minlength=n) > 0).tolist(),
+        zip(row_min.tolist(), col_min.tolist(), row_max.tolist(), col_max.tolist()),
+        zip(row_min.tolist(), first_col.tolist()),
+    )
+    components = tuple(Component(cid, *fact) for cid, fact in enumerate(facts))
+    return ComponentLabeling(labels=labels, components=components)
 
 
 @dataclass(frozen=True)
@@ -312,33 +351,28 @@ class HoleReport:
     is_strict_hole: bool
 
     def to_json(self) -> dict:
-        return {
-            "component_id": self.component_id,
-            "cell_count": self.cell_count,
-            "touches_frame": self.touches_frame,
-            "adjacent_to_boundary_of_g": self.adjacent_to_boundary_of_g,
-            "is_g_hole": self.is_g_hole,
-            "is_strict_hole": self.is_strict_hole,
-        }
+        return asdict(self)
 
 
-def _report_for(grid: GridPlane, comp: Component) -> HoleReport:
-    disqualified = (grid.frame_is_unbounded and comp.touches_frame) or \
-        comp.adjacent_to_boundary_of_g
-    return HoleReport(
-        component_id=comp.component_id,
-        cell_count=comp.cell_count,
-        touches_frame=comp.touches_frame,
-        adjacent_to_boundary_of_g=comp.adjacent_to_boundary_of_g,
-        is_g_hole=not disqualified,
-        is_strict_hole=disqualified,
-    )
+def _reports(grid: GridPlane, labeling: ComponentLabeling) -> list[HoleReport]:
+    reports = []
+    for comp in labeling.components:
+        disqualified = (grid.frame_is_unbounded and comp.touches_frame) or \
+            comp.adjacent_to_boundary_of_g
+        reports.append(HoleReport(
+            component_id=comp.component_id,
+            cell_count=comp.cell_count,
+            touches_frame=comp.touches_frame,
+            adjacent_to_boundary_of_g=comp.adjacent_to_boundary_of_g,
+            is_g_hole=not disqualified,
+            is_strict_hole=disqualified,
+        ))
+    return reports
 
 
 def classify_holes(grid: GridPlane, subject) -> list[HoleReport]:
     """Classify every complement component as G-hole or strict hole."""
-    labeling = label_components(grid, subject)
-    return [_report_for(grid, comp) for comp in labeling.components]
+    return _reports(grid, label_components(grid, subject))
 
 
 # --- probes ---------------------------------------------------------------
@@ -353,28 +387,7 @@ class Probe:
 
 
 def _connected(mask: np.ndarray, *, diagonal: bool) -> bool:
-    h, w = mask.shape
-    total = int(mask.sum())
-    if total == 0:
-        return True
-    start = tuple(np.argwhere(mask)[0])
-    seen = np.zeros_like(mask)
-    seen[start] = True
-    queue = deque([start])
-    reached = 0
-    if diagonal:
-        steps = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-    else:
-        steps = ((-1, 0), (1, 0), (0, -1), (0, 1))
-    while queue:
-        r, c = queue.popleft()
-        reached += 1
-        for dr, dc in steps:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < h and 0 <= cc < w and mask[rr, cc] and not seen[rr, cc]:
-                seen[rr, cc] = True
-                queue.append((rr, cc))
-    return reached == total
+    return _label(mask, diagonal)[1].size <= 1
 
 
 def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe") -> Probe:
@@ -391,7 +404,7 @@ def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe") -> Pr
         raise ValidationError(f"{name}: empty probe mask")
     if np.any(mask & grid.outside_mask):
         raise ValidationError(f"{name}: probe leaves G")
-    if np.any(_dilate8(mask) & grid.outside_mask):
+    if np.any(_dilate(mask, diagonal=True) & grid.outside_mask):
         raise ValidationError(f"{name}: probe touches the boundary of G")
     if not _connected(mask, diagonal=True):
         raise ValidationError(f"{name}: probe mask is disconnected")
@@ -413,15 +426,14 @@ def auto_probes(grid: GridPlane) -> list[Probe]:
     with punctures or narrow windows simply get a smaller family.
     """
     h, w = grid.cells.shape
-    r0, c0 = h // 2, w // 2
+    # Chebyshev distance of every cell from the window's center cell
+    distance = np.maximum(np.abs(np.arange(h)[:, None] - h // 2), np.abs(np.arange(w) - w // 2))
     probes: list[Probe] = []
     max_radius = (min(h, w) - 1) // 2 - 1
     radius = 2
     index = 0
     while radius <= max_radius:
-        rows = np.abs(np.arange(h)[:, None] - r0)
-        cols = np.abs(np.arange(w)[None, :] - c0)
-        ring = np.maximum(rows, cols) == radius
+        ring = distance == radius
         try:
             probes.append(validate_probe(grid, ring, name=f"auto-ring-{index}"))
             index += 1
@@ -434,7 +446,6 @@ def auto_probes(grid: GridPlane) -> list[Probe]:
 
 
 def _gather_probes(grid: GridPlane, probes) -> list[Probe]:
-    family: list[Probe]
     if probes is None or (isinstance(probes, str) and probes == "auto"):
         family = auto_probes(grid)
     elif isinstance(probes, str):
@@ -482,52 +493,35 @@ class ArakeljanVerdict:
         }
 
 
+def _verdict(
+    grid: GridPlane, subject_mask: np.ndarray, labeling: ComponentLabeling, family: list[Probe]
+) -> ArakeljanVerdict:
+    """Both hole conditions, given the subject's own labeling and its probes."""
+    names = tuple(p.name for p in family)
+    g_holes = tuple(rep for rep in _reports(grid, labeling) if rep.is_g_hole)
+    if g_holes:
+        return ArakeljanVerdict("fails", 1, g_holes, names)
+    # Closed cell squares meet exactly when cells are 8-adjacent, so a hole
+    # with a cell in this band is the raster reading of "the hole's closure
+    # meets the boundary of G".  4-adjacent contact cannot occur here: it
+    # would have disqualified the component as a G-hole already.
+    near_boundary = _dilate(grid.outside_mask, diagonal=True)
+    for probe in family:
+        trapped = label_components(grid, subject_mask | probe.mask)
+        reaching = set(trapped.labels[near_boundary].tolist())
+        offenders = tuple(
+            rep for rep in _reports(grid, trapped) if rep.is_g_hole and rep.component_id in reaching
+        )
+        if offenders:
+            return ArakeljanVerdict("fails", 2, offenders, names, failing_probe=probe.name)
+    return ArakeljanVerdict("passes-probes", None, (), names)
+
+
 def is_arakeljan(grid: GridPlane, subject, probes="auto") -> ArakeljanVerdict:
     """Check both hole conditions for the subject set at raster fidelity."""
     subject_mask = grid.subject_mask(subject)
     family = _gather_probes(grid, probes)
-    names = tuple(p.name for p in family)
-
-    reports = classify_holes(grid, subject_mask)
-    g_holes = [rep for rep in reports if rep.is_g_hole]
-    if g_holes:
-        return ArakeljanVerdict(
-            label="fails",
-            failed_condition=1,
-            witnesses=tuple(g_holes),
-            probe_names=names,
-        )
-
-    outside = grid.outside_mask
-    for probe in family:
-        union_mask = subject_mask | probe.mask
-        labeling = label_components(grid, union_mask)
-        offenders: list[HoleReport] = []
-        for comp in labeling.components:
-            rep = _report_for(grid, comp)
-            if not rep.is_g_hole:
-                continue
-            hole = labeling.component_mask(comp.component_id)
-            # Closed cell squares meet exactly when cells are 8-adjacent, so
-            # this is the raster reading of "the hole's closure meets the
-            # boundary of G".  4-adjacent contact cannot occur here: it would
-            # have disqualified the component as a G-hole already.
-            if np.any(_dilate8(hole) & outside):
-                offenders.append(rep)
-        if offenders:
-            return ArakeljanVerdict(
-                label="fails",
-                failed_condition=2,
-                witnesses=tuple(offenders),
-                probe_names=names,
-                failing_probe=probe.name,
-            )
-    return ArakeljanVerdict(
-        label="passes-probes",
-        failed_condition=None,
-        witnesses=(),
-        probe_names=names,
-    )
+    return _verdict(grid, subject_mask, label_components(grid, subject_mask), family)
 
 
 # --- independence and the union law ----------------------------------------
@@ -550,6 +544,31 @@ class IndependenceReport:
         }
 
 
+def _labelings(grid: GridPlane, e_mask: np.ndarray, f_mask: np.ndarray) -> tuple:
+    """Labelings of G minus E, G minus F and G minus their union."""
+    if np.any(e_mask & f_mask):
+        raise ValidationError("E and F overlap; independence needs disjoint sets")
+    return tuple(label_components(grid, mask) for mask in (e_mask, f_mask, e_mask | f_mask))
+
+
+def _independence(
+    grid: GridPlane, lab_e: ComponentLabeling, lab_f: ComponentLabeling, lab_u: ComponentLabeling
+) -> IndependenceReport:
+    strict_e = [rep.is_strict_hole for rep in _reports(grid, lab_e)]
+    strict_f = [rep.is_strict_hole for rep in _reports(grid, lab_f)]
+    for comp, rep in zip(lab_u.components, _reports(grid, lab_u)):
+        if not rep.is_g_hole:
+            continue
+        # a union component lies inside one component of each complement
+        e_id = int(lab_e.labels[comp.first_cell])
+        f_id = int(lab_f.labels[comp.first_cell])
+        if strict_e[e_id] and strict_f[f_id]:
+            return IndependenceReport(
+                independent=False, witness=rep, witness_pair=(e_id, f_id)
+            )
+    return IndependenceReport(independent=True, witness=None, witness_pair=None)
+
+
 def hole_independence(grid: GridPlane, e_subject="E", f_subject="F") -> IndependenceReport:
     """Check that no strict hole of E meets a strict hole of F in a G-hole.
 
@@ -561,31 +580,7 @@ def hole_independence(grid: GridPlane, e_subject="E", f_subject="F") -> Independ
     """
     e_mask = grid.subject_mask(e_subject)
     f_mask = grid.subject_mask(f_subject)
-    if np.any(e_mask & f_mask):
-        raise ValidationError("E and F overlap; independence needs disjoint sets")
-    lab_e = label_components(grid, e_mask)
-    lab_f = label_components(grid, f_mask)
-    strict_e = {
-        comp.component_id: _report_for(grid, comp).is_strict_hole
-        for comp in lab_e.components
-    }
-    strict_f = {
-        comp.component_id: _report_for(grid, comp).is_strict_hole
-        for comp in lab_f.components
-    }
-    union_lab = label_components(grid, e_mask | f_mask)
-    for comp in union_lab.components:
-        rep = _report_for(grid, comp)
-        if not rep.is_g_hole:
-            continue
-        r, c = comp.first_cell
-        e_id = int(lab_e.labels[r, c])
-        f_id = int(lab_f.labels[r, c])
-        if strict_e.get(e_id, False) and strict_f.get(f_id, False):
-            return IndependenceReport(
-                independent=False, witness=rep, witness_pair=(e_id, f_id)
-            )
-    return IndependenceReport(independent=True, witness=None, witness_pair=None)
+    return _independence(grid, *_labelings(grid, e_mask, f_mask))
 
 
 @dataclass(frozen=True)
@@ -616,20 +611,21 @@ class UnionCheckReport:
 
 
 def union_check(grid: GridPlane, e_subject="E", f_subject="F", probes="auto") -> UnionCheckReport:
-    e_verdict = is_arakeljan(grid, e_subject, probes)
-    f_verdict = is_arakeljan(grid, f_subject, probes)
-    independence = hole_independence(grid, e_subject, f_subject)
+    """Verdicts for E, F and E union F from one probe family and one labeling each."""
     e_mask = grid.subject_mask(e_subject)
+    family = _gather_probes(grid, probes)
     f_mask = grid.subject_mask(f_subject)
-    union_verdict = is_arakeljan(grid, e_mask | f_mask, probes)
+    lab_e, lab_f, lab_union = _labelings(grid, e_mask, f_mask)
+    e_verdict = _verdict(grid, e_mask, lab_e, family)
+    f_verdict = _verdict(grid, f_mask, lab_f, family)
+    independence = _independence(grid, lab_e, lab_f, lab_union)
+    union_verdict = _verdict(grid, e_mask | f_mask, lab_union, family)
     premises = e_verdict.passed and f_verdict.passed and independence.independent
     consistent = (not premises) or union_verdict.passed
-    note = None
-    if not consistent:
-        note = (
-            "inconsistency: union fails although both parts pass probes and "
-            "are independent; this indicates a defect in the hole logic"
-        )
+    note = None if consistent else (
+        "inconsistency: union fails although both parts pass probes and "
+        "are independent; this indicates a defect in the hole logic"
+    )
     return UnionCheckReport(
         e_verdict=e_verdict,
         f_verdict=f_verdict,

@@ -278,14 +278,16 @@ def _adaptive_mean(
     """Double a uniform circle grid until the mean stabilizes within tolerance."""
     n = start_points
     prev = None
+    achieved = math.inf  # change made by the last refinement
     while n <= max_points:
         t = TWO_PI * np.arange(n, dtype=np.float64) / n
         current = complex(np.mean(integrand(t)))
-        if prev is not None and abs(current - prev) <= tolerance:
-            return current
+        if prev is not None:
+            achieved = abs(current - prev)
+            if achieved <= tolerance:
+                return current
         prev = current
         n *= 2
-    achieved = math.inf if prev is None else abs(current - prev)
     raise ResolutionError(
         f"quadrature did not stabilize within {tolerance:g} below {max_points} points "
         f"(last refinement moved {achieved:.3g})",

@@ -78,6 +78,30 @@ def test_validation_failures_exit_2(tmp_path, deep_zeros):
     assert run([]) == 2  # no subcommand
 
 
+def test_settings_are_range_checked(tmp_path, deep_zeros):
+    assert run(["trace", "--zeros", deep_zeros, "--seed", "-1"]) == 2
+    assert run(["trace", "--zeros", deep_zeros, "--verdict-tolerance", "0"]) == 2
+    assert run(["trace", "--zeros", deep_zeros, "--threads", "2"]) == 2  # removed flag
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("threads = 2\n")  # removed key
+    assert run(["trace", "--zeros", deep_zeros, "--config", str(cfg)]) == 2
+    cfg.write_text("verdict_tolerance = abc\n")
+    assert run(["trace", "--zeros", deep_zeros, "--config", str(cfg)]) == 2
+
+
+def test_probe_at_a_zero_angle_of_a_deep_radial_set(tmp_path, capsys):
+    # the deepest zeros of this set have a modulus that numpy rounds below 1
+    # and Python's abs rounds to exactly 1; the zero-chase path must skip them
+    angle = 0.03155778894472362
+    path = tmp_path / "radial.json"
+    path.write_text(json.dumps(
+        {"generator": {"kind": "radial", "angle": angle, "rate": 0.5, "count": 60}}
+    ))
+    assert run(["probe", "--zeros", str(path), "--angle", repr(angle)]) == 0
+    names = [p["name"] for p in json.loads(capsys.readouterr().out)["paths"]]
+    assert "zero-chase" in names
+
+
 def test_trace_csv_header(deep_zeros, tmp_path):
     out = tmp_path / "trace.csv"
     code = run(["trace", "--zeros", deep_zeros, "--angle", "3.14159",

@@ -1,6 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
+from boundarylab import grid as grid_module
 from boundarylab.errors import ValidationError
 from boundarylab.fixtures import (
     annulus_window_plane,
@@ -10,7 +13,9 @@ from boundarylab.fixtures import (
     radial_segment_plane,
 )
 from boundarylab.grid import (
+    MAX_GRID_CELLS,
     CellClass,
+    Component,
     GridPlane,
     auto_probes,
     classify_holes,
@@ -265,3 +270,213 @@ def test_iter_random_pairs_deterministic():
         assert not np.any((cells == CellClass.E_SET) & (cells == CellClass.F_SET))
         assert np.any(cells == CellClass.E_SET)
         assert np.any(cells == CellClass.F_SET)
+
+
+def test_json_rejects_malformed_fields():
+    good = {"width": 2, "height": 1, "unbounded": 0, "cells": [1, 1]}
+    GridPlane.from_json(good)
+    for bad in (
+        {"width": -1, "height": -1, "cells": [1]},
+        {"width": "a"},
+        {"width": 2.0},
+        {"width": True, "height": True, "cells": [1]},
+        {"cells": [1, "x"]},
+        {"cells": [1, 1.5]},
+        {"cells": [1, None]},
+        {"cells": [1, [1]]},
+        {"cells": [1, True]},
+    ):
+        with pytest.raises(ValidationError):
+            GridPlane.from_json({**good, **bad})
+
+
+def test_grid_size_limit_is_checked_before_allocating():
+    with pytest.raises(ValidationError, match="limit"):
+        GridPlane.parse_text(f"grid {MAX_GRID_CELLS + 1} 1 0\n")
+    with pytest.raises(ValidationError, match="limit"):
+        GridPlane.from_json(
+            {"width": MAX_GRID_CELLS + 1, "height": 1, "unbounded": 0, "cells": []}
+        )
+
+
+# --- the array labeler against a breadth-first reference and scipy ----------
+
+
+def _bfs_labeling(grid, subject):
+    """Per-cell breadth-first search: the labeler's reference implementation."""
+    complement = grid.g_mask & ~grid.subject_mask(subject)
+    outside = grid.outside_mask
+    h, w = complement.shape
+    labels = np.full((h, w), -1, dtype=np.int32)
+    components = []
+    for r0 in range(h):
+        for c0 in range(w):
+            if not complement[r0, c0] or labels[r0, c0] >= 0:
+                continue
+            cid = len(components)
+            labels[r0, c0] = cid
+            queue = deque([(r0, c0)])
+            count, touches, adjacent = 0, False, False
+            rmin = rmax = r0
+            cmin = cmax = c0
+            while queue:
+                r, c = queue.popleft()
+                count += 1
+                rmin, rmax, cmin, cmax = min(rmin, r), max(rmax, r), min(cmin, c), max(cmax, c)
+                touches |= r == 0 or r == h - 1 or c == 0 or c == w - 1
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if not (0 <= rr < h and 0 <= cc < w):
+                        continue
+                    if outside[rr, cc]:
+                        adjacent = True
+                    elif complement[rr, cc] and labels[rr, cc] < 0:
+                        labels[rr, cc] = cid
+                        queue.append((rr, cc))
+            components.append(Component(
+                component_id=cid,
+                cell_count=count,
+                touches_frame=touches,
+                adjacent_to_boundary_of_g=adjacent,
+                bbox=(rmin, cmin, rmax, cmax),
+                first_cell=(r0, c0),
+            ))
+    return labels, tuple(components)
+
+
+def _bfs_connected(mask, diagonal):
+    cells = list(zip(*np.nonzero(mask)))
+    if not cells:
+        return True
+    steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+             if (dr or dc) and (diagonal or not (dr and dc))]
+    seen = {cells[0]}
+    queue = deque([cells[0]])
+    while queue:
+        r, c = queue.popleft()
+        for dr, dc in steps:
+            nxt = (r + dr, c + dc)
+            if nxt not in seen and 0 <= nxt[0] < mask.shape[0] and 0 <= nxt[1] < mask.shape[1] \
+                    and mask[nxt]:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen) == len(cells)
+
+
+def _scipy_labels(mask):
+    """scipy's 4-connected labels, renumbered in row-major first-cell order."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    labels, count = ndimage.label(mask)
+    flat = labels.reshape(-1)
+    first = np.full(count + 1, flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    renumber = np.full(count + 1, -1)
+    renumber[1 + np.argsort(first[1:])] = np.arange(count)
+    return renumber[labels]
+
+
+def _assert_matches_references(grid, subject):
+    got = label_components(grid, subject)
+    labels, components = _bfs_labeling(grid, subject)
+    assert got.labels.dtype == np.int32
+    assert np.array_equal(got.labels, labels)
+    assert got.components == components
+    complement = grid.g_mask & ~grid.subject_mask(subject)
+    assert np.array_equal(got.labels, _scipy_labels(complement))
+
+
+def _serpentine_plane(size):
+    cells = _all_plane(size)
+    for r in range(1, size - 1, 2):
+        wall = slice(0, size - 1) if r % 4 == 1 else slice(1, size)
+        cells[r, wall] = int(CellClass.F_SET)
+    return GridPlane(cells=cells, frame_is_unbounded=True)
+
+
+def _spiral_plane(size):
+    cells = _all_plane(size)
+    top, left, bottom, right = 1, 1, size - 2, size - 2
+    while top < bottom and left < right:
+        cells[top, left:right + 1] = int(CellClass.F_SET)
+        cells[top:bottom + 1, right] = int(CellClass.F_SET)
+        cells[bottom, left:right + 1] = int(CellClass.F_SET)
+        cells[top + 2:bottom + 1, left] = int(CellClass.F_SET)
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+    return GridPlane(cells=cells, frame_is_unbounded=True)
+
+
+@pytest.mark.parametrize("name", ["annulus", "punctured-disc", "radial-segment"])
+@pytest.mark.parametrize("resolution", [48, 96, 192])
+def test_labeler_matches_references_on_fixtures(name, resolution):
+    grid = get_fixture(name, resolution)
+    for subject in ("E", "F", "E+F", "none"):
+        _assert_matches_references(grid, subject)
+
+
+def test_labeler_matches_references_on_random_pairs():
+    for grid in iter_random_pairs(2024, 100, 48):
+        probe = auto_probes(grid)[0].mask
+        for subject in ("E", "F", "E+F", "none"):
+            mask = grid.subject_mask(subject)
+            _assert_matches_references(grid, mask)
+            _assert_matches_references(grid, mask | probe)
+
+
+def test_labeler_matches_references_on_random_cells():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        shape = tuple(int(n) for n in rng.integers(1, 30, size=2))
+        cells = rng.choice(5, size=shape, p=[0.2, 0.35, 0.25, 0.1, 0.1]).astype(np.uint8)
+        cells.flat[0] = int(CellClass.G_FREE)
+        grid = GridPlane(cells=cells, frame_is_unbounded=bool(rng.integers(2)))
+        for subject in ("E", "F", "E+F", "none"):
+            _assert_matches_references(grid, subject)
+
+
+def test_labeler_on_serpentine_and_spiral():
+    serpentine = _serpentine_plane(192)
+    _assert_matches_references(serpentine, "F")
+    assert len(label_components(serpentine, "F").components) == 1
+    spiral = _spiral_plane(192)
+    _assert_matches_references(spiral, "F")
+    _assert_matches_references(spiral, "none")
+
+
+def test_connected_matches_reference():
+    rng = np.random.default_rng(11)
+    for density in (0.3, 0.5, 0.7):
+        for _ in range(60):
+            shape = tuple(int(n) for n in rng.integers(1, 16, size=2))
+            mask = rng.random(shape) < density
+            for diagonal in (False, True):
+                assert grid_module._connected(mask, diagonal=diagonal) == \
+                    _bfs_connected(mask, diagonal)
+    stair = np.eye(6, dtype=bool)
+    assert grid_module._connected(stair, diagonal=True)
+    assert not grid_module._connected(stair, diagonal=False)
+
+
+def test_union_check_validates_probes_once_and_labels_each_subject_once(monkeypatch):
+    grid = punctured_disc_plane(96)
+    calls = {"label": 0, "validate": 0}
+    label, validate = grid_module.label_components, grid_module.validate_probe
+
+    def counting_label(*args):
+        calls["label"] += 1
+        return label(*args)
+
+    def counting_validate(*args, **kwargs):
+        calls["validate"] += 1
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "label_components", counting_label)
+    monkeypatch.setattr(grid_module, "validate_probe", counting_validate)
+    family = auto_probes(grid)
+    validations_per_family = calls["validate"]
+    calls.update(label=0, validate=0)
+    report = union_check(grid)
+    assert calls["validate"] == validations_per_family
+    # E and F pass after one labeling plus one per probe; the union fails
+    # condition 1 on its own labeling
+    assert report.e_verdict.passed and report.f_verdict.passed
+    assert report.union_verdict.failed_condition == 1
+    assert calls["label"] == 3 + 2 * len(family)

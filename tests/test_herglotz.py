@@ -77,6 +77,13 @@ def test_poisson_integral_resolution_error():
         poisson_integral(f, 0.5, 32)  # below the 64-point floor
 
 
+def test_kernel_mass_resolution_error_reports_last_change():
+    with pytest.raises(ResolutionError) as exc:
+        kernel_mass(0.9999999999)
+    assert exc.value.achieved > 0.0
+    assert "moved 0)" not in str(exc.value)
+
+
 def test_indicator_closed_form():
     f = BoundaryFunction.form("indicator-arc", arc=(0.0, math.pi))
     # at the origin the integral is the normalized arc length
