@@ -26,24 +26,9 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import config
-from .errors import PoleError, PrefixExhaustedError, ValidationError
-from .textio import write_csv
-from .unitdisc import TWO_PI, ZeroSequence, normalize_angle
-
-
-def eval_factor(a: complex, z: complex) -> complex:
-    """One Blaschke factor; a = 0 degenerates to z."""
-    a = complex(a)
-    z = complex(z)
-    mod = abs(a)
-    if mod >= 1.0:
-        raise ValidationError(f"factor zero {a!r} has modulus {mod} >= 1")
-    if mod == 0.0:
-        return z
-    den = 1.0 - a.conjugate() * z
-    if den == 0.0:
-        raise PoleError(f"evaluation point {z!r} is the pole of the factor at {a!r}")
-    return -(a.conjugate() / mod) * (z - a) / den
+from .errors import BoundaryLabError, PoleError, PrefixExhaustedError, ValidationError
+from .textio import write_values
+from .unitdisc import ZeroSequence, circle_points, normalize_angle, uniform_angles
 
 
 # Factor block size for long products: one chunk evaluates strictly in
@@ -56,6 +41,14 @@ class TruncatedEval(NamedTuple):
     value: complex
     factors_used: int
     tail_bound: float
+
+
+class BatchEval(NamedTuple):
+    """Per-point results of BlaschkeProduct.eval_many, one array entry per point."""
+
+    values: np.ndarray
+    factors_used: np.ndarray
+    tail_bounds: np.ndarray
 
 
 @dataclass
@@ -102,6 +95,36 @@ class BlaschkeProduct:
             )
         return num / den
 
+    def _products(self, z: np.ndarray, n: int) -> np.ndarray:
+        """Product of the first n factors at each point of z, with a one-point
+        product's bits: (points x n) blocks of at most _EVAL_CHUNK elements,
+        each row reduced left to right; past one chunk, point by point in
+        fixed chunks.  A pole leaves a non-finite value.
+        """
+        out = np.empty(z.size, dtype=np.complex128)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if n <= _EVAL_CHUNK:
+                rows = _EVAL_CHUNK // max(n, 1)
+                for lo in range(0, z.size, rows):
+                    col = z[lo:lo + rows, None]
+                    block = (self._absa[:n] - self._rot[:n] * col) / (1.0 - self._conj_a[:n] * col)
+                    out[lo:lo + rows] = np.multiply.reduce(block, axis=1)
+                return out
+            num = np.empty(_EVAL_CHUNK, dtype=np.complex128)
+            den = np.empty(_EVAL_CHUNK, dtype=np.complex128)
+            for i, zi in enumerate(z.tolist()):
+                acc = 1.0 + 0.0j
+                for lo in range(0, n, _EVAL_CHUNK):
+                    m = min(lo + _EVAL_CHUNK, n) - lo
+                    np.multiply(self._rot[lo:lo + m], zi, out=num[:m])
+                    np.subtract(self._absa[lo:lo + m], num[:m], out=num[:m])
+                    np.multiply(self._conj_a[lo:lo + m], zi, out=den[:m])
+                    np.subtract(1.0, den[:m], out=den[:m])
+                    np.divide(num[:m], den[:m], out=num[:m])
+                    acc *= complex(np.multiply.reduce(num[:m]))
+                out[i] = acc
+        return out
+
     def eval_partial(self, n: int, z: complex) -> complex:
         """Product of the first n stored factors, in stored order.
 
@@ -117,23 +140,8 @@ class BlaschkeProduct:
             raise ValidationError(
                 f"insufficient prefix: {n} factors requested, {len(self)} stored"
             )
-        if n == 0:
-            return 1.0 + 0.0j
         z = complex(z)
-        if n <= _EVAL_CHUNK:
-            return complex(np.multiply.reduce(self._factors(z, n)))
-        acc = 1.0 + 0.0j
-        num = np.empty(_EVAL_CHUNK, dtype=np.complex128)
-        den = np.empty(_EVAL_CHUNK, dtype=np.complex128)
-        for lo in range(0, n, _EVAL_CHUNK):
-            m = min(lo + _EVAL_CHUNK, n) - lo
-            np.multiply(self._rot[lo:lo + m], z, out=num[:m])
-            np.subtract(self._absa[lo:lo + m], num[:m], out=num[:m])
-            np.multiply(self._conj_a[lo:lo + m], z, out=den[:m])
-            np.subtract(1.0, den[:m], out=den[:m])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(num[:m], den[:m], out=num[:m])
-            acc *= complex(np.multiply.reduce(num[:m]))
+        acc = complex(self._products(np.array([z]), n)[0])
         if not cmath.isfinite(acc):
             self._factors(z, n)  # locates the pole and raises with its index
         return acc
@@ -165,47 +173,84 @@ class BlaschkeProduct:
         used = self._cumulative_mass[n - 1] if n > 0 else 0.0
         return (1.0 + r) / (1.0 - r) * (total - used + seq.extension_mass)
 
-    def eval_truncated(self, z: complex, tol: float | None = None) -> TruncatedEval:
-        """Evaluate with a certified tail bound below tol, or fail loudly."""
-        z = complex(z)
-        tol = self.truncation_tolerance if tol is None else tol
-        r = abs(z)
+    def _prefix(self, r: float, tol: float, strict: bool) -> tuple[int, float]:
+        """Factor count and tail bound for |z| = r: certified, else the whole prefix."""
         n = self.factors_needed(r, tol)
         if n < 0:
-            achieved = self.tail_bound(r, len(self))
-            raise PrefixExhaustedError(
-                f"stored prefix of {len(self)} zeros cannot reach tolerance "
-                f"{tol:g} at |z| = {r:.6g} (achieved tail bound {achieved:.6g})",
-                tail_bound=achieved,
-            )
-        return TruncatedEval(self.eval_partial(n, z), n, self.tail_bound(r, n))
+            if strict:
+                achieved = self.tail_bound(r, len(self))
+                raise PrefixExhaustedError(
+                    f"stored prefix of {len(self)} zeros cannot reach tolerance "
+                    f"{tol:g} at |z| = {r:.6g} (achieved tail bound {achieved:.6g})",
+                    tail_bound=achieved,
+                )
+            n = len(self)
+        return n, self.tail_bound(r, n)
+
+    def eval_many(self, points, *, strict: bool, tol: float | None = None) -> BatchEval:
+        """Value, factor count and tail bound at each point, bit for bit what
+        eval_truncated (strict) or eval_best_effort gives for that point.
+
+        |z| is taken with Python's abs, the count chosen once per distinct
+        modulus, and the points sharing a count are evaluated together.  A
+        failure is raised as the first failing point in input order raises it.
+        """
+        tol = self.truncation_tolerance if tol is None else tol
+        z = np.asarray(points, dtype=np.complex128).reshape(-1)
+        moduli = [abs(p) for p in z.tolist()]
+        slot: dict[float, int] = {}  # distinct modulus -> its entry in prefixes
+        prefixes: list[tuple[int, float]] = []
+        failure = None
+        for r in dict.fromkeys(moduli):  # in order of first occurrence
+            try:
+                prefixes.append(self._prefix(r, tol, strict))
+            except BoundaryLabError as exc:
+                failure = exc  # points from its first occurrence on stay unevaluated
+                break
+            slot[r] = len(prefixes) - 1
+        stop = z.size if failure is None else moduli.index(r)
+        where = np.fromiter(map(slot.__getitem__, moduli[:stop]), dtype=np.intp, count=stop)
+        counts = np.array([n for n, _ in prefixes], dtype=np.int64)[where]
+        bounds = np.array([b for _, b in prefixes], dtype=np.float64)[where]
+        values = np.empty(stop, dtype=np.complex128)
+        for n in set(counts.tolist()):
+            at = np.flatnonzero(counts == n)
+            values[at] = self._products(z[at], n)
+        poles = np.flatnonzero(~np.isfinite(values))
+        if poles.size:  # locate the first pole and raise with its index
+            self._factors(complex(z[poles[0]]), int(counts[poles[0]]))
+        if failure is not None:
+            raise failure
+        return BatchEval(values, counts, bounds)
+
+    def eval_truncated(self, z: complex, tol: float | None = None) -> TruncatedEval:
+        """Evaluate with a certified tail bound below tol, or fail loudly."""
+        one = self.eval_many([complex(z)], strict=True, tol=tol)
+        return TruncatedEval(*(field.item() for field in one))
 
     def eval(self, z: complex, tol: float | None = None) -> complex:
         return self.eval_truncated(z, tol).value
 
     def eval_best_effort(self, z: complex) -> TruncatedEval:
         """Like eval_truncated, but falls back to the full stored prefix."""
-        try:
-            return self.eval_truncated(z)
-        except PrefixExhaustedError:
-            n = len(self)
-            return TruncatedEval(self.eval_partial(n, complex(z)), n, self.tail_bound(abs(z), n))
+        one = self.eval_many([complex(z)], strict=False)
+        return TruncatedEval(*(field.item() for field in one))
 
 
-Evaluator = Callable[[complex], complex]
+def evaluate_points(fn, points, *, strict: bool = False) -> np.ndarray:
+    """Values of fn at the points, as a complex array.
 
-
-def as_evaluator(fn, *, strict: bool = False) -> Evaluator:
-    """Accept a BlaschkeProduct, anything with .eval(z), or a plain callable."""
+    A BlaschkeProduct is evaluated in one eval_many call (strict or best
+    effort); anything with .eval(z), or a plain callable, point by point.
+    """
     if isinstance(fn, BlaschkeProduct):
-        if strict:
-            return lambda z: fn.eval(z)
-        return lambda z: fn.eval_best_effort(z).value
+        return fn.eval_many(points, strict=strict).values
     if hasattr(fn, "eval"):
-        return lambda z: fn.eval(z)
-    if callable(fn):
-        return fn
-    raise ValidationError(f"cannot evaluate object of type {type(fn).__name__}")
+        fn = fn.eval
+    elif not callable(fn):
+        raise ValidationError(f"cannot evaluate object of type {type(fn).__name__}")
+    zs = np.asarray(points, dtype=np.complex128).reshape(-1).tolist()
+    return np.array([fn(z) for z in zs], dtype=np.complex128)
 
 
 def default_radius_schedule(levels: int | None = None) -> np.ndarray:
@@ -217,17 +262,19 @@ def default_radius_schedule(levels: int | None = None) -> np.ndarray:
     return 1.0 - np.power(2.0, -n)
 
 
-def _window_samples(values: Sequence[complex], window: int) -> list[complex]:
-    w = min(window, len(values))
-    return list(values[len(values) - w:])
-
-
 def _max_pairwise_distance(samples: Sequence[complex]) -> float:
     arr = np.asarray(samples, dtype=np.complex128)
     if arr.size < 2:
         return 0.0
     diff = np.abs(arr[:, None] - arr[None, :])
     return float(diff.max())
+
+
+def _late_window(values: np.ndarray, window: int, tol: float):
+    """The last `window` values, their diameter, and their mean if that is below tol."""
+    tail = values[len(values) - min(window, len(values)):].tolist()
+    osc = _max_pairwise_distance(tail)
+    return tail, osc, (complex(np.mean(tail)) if osc < tol else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,11 +293,7 @@ class RadialTrace:
     oscillation: float
 
     def write_csv(self, handle: TextIO) -> None:
-        rows = (
-            (float(r), float(v.real), float(v.imag), float(abs(v)))
-            for r, v in zip(self.radii, self.values)
-        )
-        write_csv(handle, ("radius", "re", "im", "modulus"), rows)
+        write_values(handle, "radius", self.radii, self.values)
 
 
 def radial_trace(
@@ -263,7 +306,6 @@ def radial_trace(
     strict: bool = False,
 ) -> RadialTrace:
     """Sample fn along the ray of the given angle and judge the radial limit."""
-    evaluator = as_evaluator(fn, strict=strict)
     radii_arr = default_radius_schedule() if radii is None else np.asarray(radii, dtype=np.float64)
     if radii_arr.size == 0:
         raise ValidationError("radial trace needs at least one radius")
@@ -274,11 +316,8 @@ def radial_trace(
     tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
     win = config.DEFAULTS["oscillation_window"] if window is None else window
     angle = normalize_angle(angle)
-    direction = cmath.exp(1j * angle)
-    values = np.array([evaluator(r * direction) for r in radii_arr], dtype=np.complex128)
-    tail = _window_samples(values, win)
-    osc = _max_pairwise_distance(tail)
-    estimate = complex(np.mean(tail)) if osc < tol else None
+    values = evaluate_points(fn, radii_arr * cmath.exp(1j * angle), strict=strict)
+    _, osc, estimate = _late_window(values, win, tol)
     return RadialTrace(angle=angle, radii=radii_arr, values=values,
                        limit_estimate=estimate, oscillation=osc)
 
@@ -297,11 +336,7 @@ class BoundaryScan:
     fraction_near_one: float
 
     def write_csv(self, handle: TextIO) -> None:
-        rows = (
-            (float(t), float(v.real), float(v.imag), float(abs(v)))
-            for t, v in zip(self.angles, self.values)
-        )
-        write_csv(handle, ("angle", "re", "im", "modulus"), rows)
+        write_values(handle, "angle", self.angles, self.values)
 
 
 def boundary_scan(
@@ -319,14 +354,11 @@ def boundary_scan(
     """
     if not (0.0 < r < 1.0):
         raise ValidationError(f"scan radius must lie in (0, 1), got {r!r}")
-    if not isinstance(angle_count, int) or isinstance(angle_count, bool) or angle_count < 1:
-        raise ValidationError(f"angle_count must be a positive integer, got {angle_count!r}")
+    angles = uniform_angles(angle_count)
     delta = config.DEFAULTS["scan_delta"] if delta is None else delta
     if not (0.0 < delta < 1.0):
         raise ValidationError(f"delta must lie in (0, 1), got {delta!r}")
-    evaluator = as_evaluator(fn, strict=strict)
-    angles = TWO_PI * np.arange(angle_count, dtype=np.float64) / angle_count
-    values = np.array([evaluator(r * cmath.exp(1j * t)) for t in angles], dtype=np.complex128)
+    values = evaluate_points(fn, circle_points(r, angles), strict=strict)
     moduli = np.abs(values)
     return BoundaryScan(
         r=r,
@@ -488,20 +520,18 @@ def limit_probe(
             raise ValidationError(
                 "path family must include a radial path and at least two tangential paths"
             )
-    evaluator = as_evaluator(fn, strict=False)
     radii_arr = default_radius_schedule() if radii is None else np.asarray(radii, dtype=np.float64)
     tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
     win = config.DEFAULTS["oscillation_window"] if window is None else window
 
+    points = [path.sample_points(angle, radii_arr) for path in family]
+    values = evaluate_points(fn, np.concatenate(points), strict=False)
+    ends = np.cumsum([p.size for p in points]).tolist()
     path_limits: list[PathLimit] = []
     pooled: list[complex] = []
     radial_exists = False
-    for path in family:
-        points = path.sample_points(angle, radii_arr)
-        values = [evaluator(complex(z)) for z in points]
-        tail = _window_samples(values, win)
-        osc = _max_pairwise_distance(tail)
-        estimate = complex(np.mean(tail)) if osc < tol else None
+    for path, lo, hi in zip(family, [0] + ends, ends):
+        tail, osc, estimate = _late_window(values[lo:hi], win, tol)
         path_limits.append(PathLimit(path.name, estimate, osc))
         pooled.extend(tail)
         if path.role == "radial":

@@ -18,7 +18,6 @@ failure with a diagnostic naming the offending input.
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
 import json
 import sys
@@ -36,8 +35,8 @@ from .frostman import FrostmanPolicy, frostman_classify, frostman_profile
 from .grid import GridPlane, hole_independence, is_arakeljan, union_check
 from .herglotz import approx_identity_report
 from .series import SeriesSpec, eval_series
-from .textio import json_text, write_csv
-from .unitdisc import TWO_PI, ZeroSequence
+from .textio import json_text, write_values
+from .unitdisc import ZeroSequence, circle_points, uniform_angles
 
 # flag destination -> config key, for every override the CLI accepts
 _FLOAT_OVERRIDES = {
@@ -70,53 +69,42 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="N",
                         help=f"seed for randomized fixtures {_d('seed')}")
 
+    zeros = argparse.ArgumentParser(add_help=False)
+    zeros.add_argument("--zeros", metavar="FILE", required=True,
+                       help="zero-sequence JSON ({'zeros': [...]} or {'generator': {...}})")
+    truncation = argparse.ArgumentParser(add_help=False)
+    truncation.add_argument("--truncation-tolerance", type=float, metavar="TOL",
+                            help=f"certified truncation tail bound {_d('truncation_tolerance')}")
+    ray = argparse.ArgumentParser(add_help=False)
+    ray.add_argument("--angle", type=float, default=0.0,
+                     help="boundary angle in radians (default 0.0)")
+    ray.add_argument("--radius-levels", type=int, metavar="N",
+                     help=f"radii 1 - 2^-n for n = 1..N {_d('radius_levels')}")
+    ray.add_argument("--window", type=int, metavar="N",
+                     help=f"trailing samples judged for oscillation {_d('oscillation_window')}")
+    ray.add_argument("--verdict-tolerance", type=float, metavar="TOL",
+                     help=f"oscillation below this counts as a limit {_d('verdict_tolerance')}")
+
     parser = argparse.ArgumentParser(
         prog="boundarylab",
         description="Boundary behaviour of bounded analytic functions on the unit disc.",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[common, zeros, truncation],
                        help="sample a Blaschke product on the circle |z| = r (CSV)")
-    p.add_argument("--zeros", metavar="FILE", required=True,
-                   help="zero-sequence JSON ({'zeros': [...]} or {'generator': {...}})")
     p.add_argument("--r", type=float, default=0.999, help="scan radius in (0, 1) (default 0.999)")
     p.add_argument("--angles", type=int, default=4096,
                    help="number of uniform sample angles (default 4096)")
     p.add_argument("--delta", type=float, metavar="X",
                    help=f"'near modulus one' means modulus > 1 - X {_d('scan_delta')}")
-    p.add_argument("--truncation-tolerance", type=float, metavar="TOL",
-                   help=f"certified truncation tail bound {_d('truncation_tolerance')}")
+    sub.add_parser("trace", parents=[common, zeros, ray, truncation],
+                   help="sample a Blaschke product along one radial ray (CSV)")
+    sub.add_parser("probe", parents=[common, zeros, ray],
+                   help="boundary-limit probe along several approach paths (JSON)")
 
-    p = sub.add_parser("trace", parents=[common],
-                       help="sample a Blaschke product along one radial ray (CSV)")
-    p.add_argument("--zeros", metavar="FILE", required=True, help="zero-sequence JSON")
-    p.add_argument("--angle", type=float, default=0.0,
-                   help="ray angle in radians (default 0.0)")
-    p.add_argument("--radius-levels", type=int, metavar="N",
-                   help=f"radii 1 - 2^-n for n = 1..N {_d('radius_levels')}")
-    p.add_argument("--window", type=int, metavar="N",
-                   help=f"trailing samples judged for oscillation {_d('oscillation_window')}")
-    p.add_argument("--verdict-tolerance", type=float, metavar="TOL",
-                   help=f"oscillation below this counts as a limit {_d('verdict_tolerance')}")
-    p.add_argument("--truncation-tolerance", type=float, metavar="TOL",
-                   help=f"certified truncation tail bound {_d('truncation_tolerance')}")
-
-    p = sub.add_parser("probe", parents=[common],
-                       help="boundary-limit probe along several approach paths (JSON)")
-    p.add_argument("--zeros", metavar="FILE", required=True, help="zero-sequence JSON")
-    p.add_argument("--angle", type=float, default=0.0,
-                   help="boundary angle in radians (default 0.0)")
-    p.add_argument("--radius-levels", type=int, metavar="N",
-                   help=f"radii 1 - 2^-n for n = 1..N {_d('radius_levels')}")
-    p.add_argument("--window", type=int, metavar="N",
-                   help=f"trailing samples judged for oscillation {_d('oscillation_window')}")
-    p.add_argument("--verdict-tolerance", type=float, metavar="TOL",
-                   help=f"oscillation below this counts as a limit {_d('verdict_tolerance')}")
-
-    p = sub.add_parser("frostman", parents=[common],
+    p = sub.add_parser("frostman", parents=[common, zeros],
                        help="Frostman sum classification at one angle (JSON) or a grid (CSV)")
-    p.add_argument("--zeros", metavar="FILE", required=True, help="zero-sequence JSON")
     p.add_argument("--theta", type=float, metavar="T",
                    help="classify this single angle instead of a grid (default none)")
     p.add_argument("--angles", type=int, default=256,
@@ -249,29 +237,21 @@ def _cmd_scan(args: argparse.Namespace, cfg: dict) -> int:
     return code
 
 
+def _ray_settings(cfg: dict) -> dict:
+    return dict(radii=default_radius_schedule(int(cfg["radius_levels"])),
+                verdict_tolerance=float(cfg["verdict_tolerance"]),
+                window=int(cfg["oscillation_window"]))
+
+
 def _cmd_trace(args: argparse.Namespace, cfg: dict) -> int:
-    product = _load_product(args, cfg)
-    trace = radial_trace(
-        product,
-        args.angle,
-        radii=default_radius_schedule(int(cfg["radius_levels"])),
-        verdict_tolerance=float(cfg["verdict_tolerance"]),
-        window=int(cfg["oscillation_window"]),
-    )
+    trace = radial_trace(_load_product(args, cfg), args.angle, **_ray_settings(cfg))
     with _out_handle(args.out) as fh:
         trace.write_csv(fh)
     return 0
 
 
 def _cmd_probe(args: argparse.Namespace, cfg: dict) -> int:
-    product = _load_product(args, cfg)
-    report = limit_probe(
-        product,
-        args.angle,
-        radii=default_radius_schedule(int(cfg["radius_levels"])),
-        verdict_tolerance=float(cfg["verdict_tolerance"]),
-        window=int(cfg["oscillation_window"]),
-    )
+    report = limit_probe(_load_product(args, cfg), args.angle, **_ray_settings(cfg))
     with _out_handle(args.out) as fh:
         fh.write(json_text(report.to_json()))
     return 0
@@ -322,17 +302,10 @@ def _cmd_series(args: argparse.Namespace, cfg: dict) -> int:
         return 0
     if not (0.0 < args.r < 1.0):
         raise ValidationError(f"--r must lie in (0, 1), got {args.r!r}")
-    if args.angles < 1:
-        raise ValidationError(f"--angles must be positive, got {args.angles!r}")
-
-    def rows():
-        for k in range(args.angles):
-            t = TWO_PI * k / args.angles
-            v = eval_series(spec, args.r * cmath.exp(1j * t), tol=tol).value
-            yield (float(t), float(v.real), float(v.imag), float(abs(v)))
-
+    angles = uniform_angles(args.angles)
+    values = eval_series(spec, circle_points(args.r, angles), tol=tol).value
     with _out_handle(args.out) as fh:
-        write_csv(fh, ("angle", "re", "im", "modulus"), rows())
+        write_values(fh, "angle", angles, values)
     return 0
 
 

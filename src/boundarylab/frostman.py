@@ -28,7 +28,7 @@ import numpy as np
 from . import config
 from .errors import ValidationError
 from .textio import write_csv
-from .unitdisc import TWO_PI, ZeroSequence, normalize_angle
+from .unitdisc import ZeroSequence, normalize_angle, uniform_angles
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -175,8 +175,7 @@ def frostman_profile(
     policy: FrostmanPolicy | None = None,
 ) -> FrostmanProfile:
     """Classify every angle of a uniform grid; sums computed by brute force."""
-    if not isinstance(angle_count, int) or isinstance(angle_count, bool) or angle_count < 1:
-        raise ValidationError(f"angle_count must be a positive integer, got {angle_count!r}")
+    angles = uniform_angles(angle_count)
     policy = FrostmanPolicy() if policy is None else policy
     if prefix_schedule is None:
         schedule = doubling_schedule(len(seq))
@@ -190,7 +189,6 @@ def frostman_profile(
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ValidationError("prefix schedule must be strictly increasing")
 
-    angles = TWO_PI * np.arange(angle_count, dtype=np.float64) / angle_count
     n_zeros = len(seq)
     sums = np.zeros((angle_count, len(schedule)), dtype=np.float64)
     if n_zeros:

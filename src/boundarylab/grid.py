@@ -31,6 +31,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ValidationError
+from .unitdisc import _require_number
 
 
 class CellClass(IntEnum):
@@ -217,8 +218,8 @@ class GridPlane:
         return cls(
             cells=cells,
             frame_is_unbounded=bool(data["unbounded"]),
-            cell_size=float(data.get("cell_size", 1.0)),
-            origin=(float(origin[0]), float(origin[1])),
+            cell_size=_require_number(data, "cell_size") if "cell_size" in data else 1.0,
+            origin=(_require_number(origin, 0, "origin"), _require_number(origin, 1, "origin")),
         )
 
 

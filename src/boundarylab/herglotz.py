@@ -26,7 +26,7 @@ import numpy as np
 
 from . import config
 from .errors import PoleError, ResolutionError, ValidationError
-from .unitdisc import TWO_PI, normalize_angle
+from .unitdisc import TWO_PI, _require_number, normalize_angle
 
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
 _MIN_SAMPLE_COUNT = 16
@@ -135,18 +135,14 @@ class BoundaryFunction:
             raise ValidationError("boundary function JSON must be an object with a 'kind'")
         kind = data["kind"]
         if kind == "constant":
-            if "re" not in data or "im" not in data:
-                raise ValidationError("constant boundary function needs 're' and 'im'")
-            return cls.constant(complex(float(data["re"]), float(data["im"])))
+            return cls.constant(complex(_require_number(data, "re"), _require_number(data, "im")))
         if kind == "samples":
             samples = data.get("samples")
             if not isinstance(samples, list) or not samples:
                 raise ValidationError("field 'samples' must be a nonempty list")
-            try:
-                angles = [float(row[0]) for row in samples]
-                values = [complex(float(row[1]), float(row[2])) for row in samples]
-            except (TypeError, ValueError, IndexError) as exc:
-                raise ValidationError("each sample must be [angle, re, im]") from exc
+            angles = [_require_number(row, 0, "sample") for row in samples]
+            values = [complex(_require_number(row, 1, "sample"), _require_number(row, 2, "sample"))
+                      for row in samples]
             return cls.from_samples(angles, values)
         if kind == "form":
             name = data.get("name")
@@ -155,8 +151,9 @@ class BoundaryFunction:
             arc = data.get("arc")
             return cls.form(
                 name,
-                arc=None if arc is None else (float(arc[0]), float(arc[1])),
-                scale=float(data.get("scale", 1.0)),
+                arc=None if arc is None else (_require_number(arc, 0, "arc"),
+                                              _require_number(arc, 1, "arc")),
+                scale=_require_number(data, "scale") if "scale" in data else 1.0,
             )
         raise ValidationError(f"unknown boundary function kind {kind!r}")
 
@@ -193,12 +190,9 @@ class SingularAtoms:
     def from_json(cls, data: dict) -> "SingularAtoms":
         if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
             raise ValidationError("singular atoms JSON needs a list field 'atoms'")
-        try:
-            angles = tuple(float(row[0]) for row in data["atoms"])
-            masses = tuple(float(row[1]) for row in data["atoms"])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValidationError("each atom must be [angle, mass]") from exc
-        return cls(angles=angles, masses=masses)
+        rows = data["atoms"]
+        return cls(angles=tuple(_require_number(row, 0, "atom") for row in rows),
+                   masses=tuple(_require_number(row, 1, "atom") for row in rows))
 
 
 @dataclass(frozen=True)
@@ -230,11 +224,9 @@ class OuterDensity:
         if not isinstance(data, dict) or "k" not in data:
             raise ValidationError("outer density JSON needs field 'k'")
         lam = data.get("lambda", {"re": 1.0, "im": 0.0})
-        if not isinstance(lam, dict) or "re" not in lam or "im" not in lam:
-            raise ValidationError("field 'lambda' must be {re, im}")
         return cls(
             k=BoundaryFunction.from_json(data["k"]),
-            lam=complex(float(lam["re"]), float(lam["im"])),
+            lam=complex(_require_number(lam, "re", "lambda"), _require_number(lam, "im", "lambda")),
         )
 
 
@@ -246,12 +238,6 @@ def poisson_kernel(r: float, theta) -> np.ndarray | float:
     s = np.sin(0.5 * t)
     out = (1.0 - r * r) / ((1.0 - r) ** 2 + 4.0 * r * s * s)
     return float(out) if np.isscalar(theta) or out.ndim == 0 else out
-
-
-def _sample_count_floor(f: BoundaryFunction) -> int:
-    if f.kind == "samples":
-        return 4 * int(f.sample_values.size)
-    return 0
 
 
 def _herglotz_indicator(arc: tuple[float, float], scale: float, z: complex) -> complex:
@@ -275,13 +261,21 @@ def _adaptive_mean(
     tolerance: float,
     max_points: int,
 ) -> complex:
-    """Double a uniform circle grid until the mean stabilizes within tolerance."""
+    """Double a uniform circle grid until the mean stabilizes within tolerance.
+
+    The even points TWO_PI*(2j)/(2n) of a doubled grid are bit for bit the
+    previous grid's TWO_PI*j/n, so a refinement evaluates only the odd points.
+    """
     n = start_points
-    prev = None
+    prev = values = None
     achieved = math.inf  # change made by the last refinement
     while n <= max_points:
-        t = TWO_PI * np.arange(n, dtype=np.float64) / n
-        current = complex(np.mean(integrand(t)))
+        if values is None:
+            values = integrand(TWO_PI * np.arange(n, dtype=np.float64) / n)
+        else:
+            odd = integrand(TWO_PI * np.arange(1, n, 2, dtype=np.float64) / n)
+            values = np.stack((values, odd), axis=1).reshape(-1)
+        current = complex(np.mean(values))
         if prev is not None:
             achieved = abs(current - prev)
             if achieved <= tolerance:
@@ -293,6 +287,23 @@ def _adaptive_mean(
         f"(last refinement moved {achieved:.3g})",
         achieved=achieved,
     )
+
+
+def _circle_mean(integrand, f: BoundaryFunction, quad_points: int | None,
+                 tolerance: float, max_points: int) -> complex:
+    """Mean of the integrand over a fixed grid of quad_points, else adaptively;
+    grids have at least quad_min_points points and four per boundary sample."""
+    floor = config.DEFAULTS["quad_min_points"]
+    if f.kind == "samples":
+        floor = max(floor, 4 * int(f.sample_values.size))
+    if quad_points is None:
+        return _adaptive_mean(integrand, floor, tolerance, max_points)
+    if quad_points < floor:
+        raise ValidationError(
+            f"quad_points must be >= {floor} for this boundary data, got {quad_points}"
+        )
+    t = TWO_PI * np.arange(quad_points, dtype=np.float64) / quad_points
+    return complex(np.mean(integrand(t)))
 
 
 def poisson_integral(
@@ -327,28 +338,17 @@ def poisson_integral(
     def integrand(t: np.ndarray) -> np.ndarray:
         return f.evaluate(t) * poisson_kernel(r, theta - t)
 
-    if quad_points is not None:
-        floor = max(config.DEFAULTS["quad_min_points"], _sample_count_floor(f))
-        if quad_points < floor:
-            raise ValidationError(
-                f"quad_points must be >= {floor} for this boundary data, got {quad_points}"
-            )
-        t = TWO_PI * np.arange(quad_points, dtype=np.float64) / quad_points
-        value = complex(np.mean(integrand(t)))
-        if tolerance is not None:
-            t2 = TWO_PI * np.arange(2 * quad_points, dtype=np.float64) / (2 * quad_points)
-            refined = complex(np.mean(integrand(t2)))
-            if abs(refined - value) > tolerance:
-                raise ResolutionError(
-                    f"{quad_points}-point quadrature is {abs(refined - value):.3g} away "
-                    f"from its refinement, above tolerance {tolerance:g}",
-                    achieved=abs(refined - value),
-                )
-            return refined
+    value = _circle_mean(integrand, f, quad_points, tol, cap)
+    if quad_points is None or tolerance is None:
         return value
-
-    start = max(config.DEFAULTS["quad_min_points"], _sample_count_floor(f))
-    return _adaptive_mean(integrand, start, tol, cap)
+    refined = _circle_mean(integrand, f, 2 * quad_points, tol, cap)
+    if abs(refined - value) > tolerance:
+        raise ResolutionError(
+            f"{quad_points}-point quadrature is {abs(refined - value):.3g} away "
+            f"from its refinement, above tolerance {tolerance:g}",
+            achieved=abs(refined - value),
+        )
+    return refined
 
 
 def kernel_mass(r: float, *, tolerance: float | None = None) -> float:
@@ -431,18 +431,7 @@ def eval_outer(
         zeta = np.exp(1j * t)
         return (zeta + z) / (zeta - z) * density.k.evaluate(t)
 
-    if quad_points is not None:
-        floor = max(config.DEFAULTS["quad_min_points"], _sample_count_floor(density.k))
-        if quad_points < floor:
-            raise ValidationError(
-                f"quad_points must be >= {floor} for this density, got {quad_points}"
-            )
-        t = TWO_PI * np.arange(quad_points, dtype=np.float64) / quad_points
-        mean = complex(np.mean(integrand(t)))
-    else:
-        start = max(config.DEFAULTS["quad_min_points"], _sample_count_floor(density.k))
-        mean = _adaptive_mean(integrand, start, tol, cap)
-    return density.lam * cmath.exp(mean)
+    return density.lam * cmath.exp(_circle_mean(integrand, density.k, quad_points, tol, cap))
 
 
 @dataclass
@@ -483,8 +472,6 @@ class InnerFunctionSpec:
         if self.outer is not None:
             return False
         if self.series is not None:
-            from .series import SeriesSpec  # for type clarity only
-
             spec = self.series
             if spec.total_weight > 1.0 + 1e-12:
                 return False
@@ -540,9 +527,3 @@ class InnerFunctionSpec:
             series = SeriesSpec.from_json(data["series"])
         return cls(blaschke=blaschke, atoms=atoms, outer=outer, series=series)
 
-
-def eval_inner_outer(spec: InnerFunctionSpec, z: complex) -> complex:
-    """Product of the parts of an inner-outer spec at z."""
-    if not isinstance(spec, InnerFunctionSpec):
-        raise ValidationError("expected an InnerFunctionSpec")
-    return spec.eval(z)

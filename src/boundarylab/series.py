@@ -16,11 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from . import config
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, evaluate_points
 from .errors import ValidationError
 from .herglotz import InnerFunctionSpec
-from .unitdisc import ClosedSetSpec, gen_accumulation_sequence
+from .unitdisc import ClosedSetSpec, _require_number, gen_accumulation_sequence
 
 _WEIGHT_RULES = ("inverse-square", "inverse-power-2", "custom")
 _PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -90,7 +92,7 @@ class SeriesSpec:
                 raise ValidationError(f"terms[{i}] must have 'weight' and 'component'")
             terms.append(
                 SeriesTerm(
-                    float(entry["weight"]),
+                    _require_number(entry, "weight", f"terms[{i}]"),
                     InnerFunctionSpec.from_json(entry["component"]),
                 )
             )
@@ -103,11 +105,14 @@ class SeriesEvaluation(NamedTuple):
     tail_bound: float
 
 
-def eval_series(spec: SeriesSpec, z: complex, tol: float | None = None) -> SeriesEvaluation:
+def eval_series(spec: SeriesSpec, z, tol: float | None = None) -> SeriesEvaluation:
     """Partial sum with unused weight mass at most tol (default 1e-9).
 
     Terms are consumed in stored order; since each component is bounded by 1,
     the reported tail_bound (the unused mass) bounds the truncation error.
+    z is one point, or a 1-d array of points for which ``value`` is an array.
+    A Blaschke-only component is evaluated at all points in one batched call,
+    any other point by point; the weighted sum is accumulated in term order.
     """
     if not isinstance(spec, SeriesSpec):
         raise ValidationError("expected a SeriesSpec")
@@ -115,14 +120,21 @@ def eval_series(spec: SeriesSpec, z: complex, tol: float | None = None) -> Serie
     if tol <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol!r}")
     remaining = spec.total_weight
-    value = 0.0 + 0.0j
     used = 0
     for term in spec.terms:
         if remaining <= tol:
             break
-        value += term.weight * term.component.eval(z)
         remaining -= term.weight
         used += 1
+    points = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    value = np.zeros(points.shape, dtype=np.complex128)
+    for term in spec.terms[:used]:
+        part = term.component
+        if part.atoms is None and part.outer is None and part.series is None:
+            part = part.blaschke  # 1 * B(z) is B(z)
+        value += term.weight * evaluate_points(part, points)
+    if np.ndim(z) == 0:
+        value = complex(value[0])
     return SeriesEvaluation(value=value, terms_used=used, tail_bound=max(remaining, 0.0))
 
 

@@ -6,6 +6,7 @@ cell and the same value printed in a JSON report are byte-identical.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Any, Iterable, TextIO
 
@@ -27,11 +28,16 @@ def write_csv(handle: TextIO, header: Iterable[str], rows: Iterable[Iterable[Any
                 cells.append("true" if cell else "false")
             elif isinstance(cell, float):
                 cells.append(fmt_float(cell))
-            elif isinstance(cell, int):
-                cells.append(str(cell))
             else:
                 cells.append(str(cell))
         handle.write(",".join(cells) + "\n")
+
+
+def write_values(handle: TextIO, first: str, xs: Iterable[float],
+                 values: Iterable[complex]) -> None:
+    """CSV of (x, re, im, modulus) rows under the header first,re,im,modulus."""
+    rows = ((float(x), float(v.real), float(v.imag), float(abs(v))) for x, v in zip(xs, values))
+    write_csv(handle, (first, "re", "im", "modulus"), rows)
 
 
 def json_text(obj: Any, indent: int = 2) -> str:
@@ -53,7 +59,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
     elif isinstance(obj, float):
         out.append(fmt_float(obj))
     elif isinstance(obj, str):
-        out.append(_quote(obj))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -62,7 +68,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(inner + _quote(key) + ": ")
+            out.append(inner + json.dumps(key, ensure_ascii=False) + ": ")
             _emit(value, out, indent, depth + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
@@ -79,24 +85,3 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
         out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-
-
-def _quote(s: str) -> str:
-    body = []
-    for ch in s:
-        if ch in _ESCAPES:
-            body.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            body.append(f"\\u{ord(ch):04x}")
-        else:
-            body.append(ch)
-    return '"' + "".join(body) + '"'

@@ -25,6 +25,9 @@ TWO_PI = 2.0 * math.pi
 # Hard cap on the number of zeros any generator may materialize.
 MAX_GENERATED_ZEROS = 1_000_000
 
+# Hard cap on the size of a uniform angle grid (scans, profiles, series circles).
+MAX_ANGLES = 2 ** 22
+
 
 def normalize_angle(theta: float) -> float:
     """Map an angle to [0, 2*pi)."""
@@ -32,6 +35,20 @@ def normalize_angle(theta: float) -> float:
     if t < 0.0:
         t += TWO_PI
     return 0.0 if t >= TWO_PI else t
+
+
+def uniform_angles(count: int) -> np.ndarray:
+    """The grid 2*pi*k/count, k = 0..count-1; the count is checked before allocating."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValidationError(f"angle_count must be a positive integer, got {count!r}")
+    if count > MAX_ANGLES:
+        raise ValidationError(f"angle_count {count} exceeds the {MAX_ANGLES} angle cap")
+    return TWO_PI * np.arange(count, dtype=np.float64) / count
+
+
+def circle_points(r: float, angles: np.ndarray) -> np.ndarray:
+    """The points r e^(it), each computed with cmath.exp as a scalar caller would."""
+    return np.array([r * cmath.exp(1j * t) for t in angles.tolist()], dtype=np.complex128)
 
 
 def circular_gap(a: float, b: float) -> float:
@@ -156,17 +173,23 @@ class ZeroSequence:
         for k, entry in enumerate(zeros):
             if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
                 raise ValidationError(f"zeros[{k}] must be an object with 're' and 'im'")
-            out.append(complex(float(entry["re"]), float(entry["im"])))
+            out.append(complex(_require_number(entry, "re", f"zeros[{k}]"),
+                               _require_number(entry, "im", f"zeros[{k}]")))
         return cls.from_zeros(out)
 
 
-def _require_number(obj: dict, key: str) -> float:
-    if key not in obj:
-        raise ValidationError(f"missing field {key!r}")
+def _require_number(obj, key, where: str = "") -> float:
+    """obj[key] (a dict field or a list entry) as a finite float."""
+    name = f"{where}[{key}]" if isinstance(key, int) else f"{where} field {key!r}".lstrip()
     try:
-        return float(obj[key])
+        value = float(obj[key])
+    except (KeyError, IndexError) as exc:
+        raise ValidationError(f"missing {name}") from exc
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field {key!r} must be a number") from exc
+        raise ValidationError(f"{name} must be a number") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite")
+    return value
 
 
 def _require_int(obj: dict, key: str) -> int:
@@ -309,10 +332,11 @@ class ClosedSetSpec:
             raise ValidationError("'cantor_level' must be an integer")
         return cls(
             kind=data["kind"],
-            points=tuple(float(p) for p in points),
-            arcs=tuple((float(s), float(e)) for (s, e) in arcs),
+            points=tuple(_require_number(points, k, "points") for k in range(len(points))),
+            arcs=tuple((_require_number(arc, 0, f"arcs[{k}]"),
+                        _require_number(arc, 1, f"arcs[{k}]")) for k, arc in enumerate(arcs)),
             cantor_level=level,
-            base_arc=(float(base[0]), float(base[1])),
+            base_arc=(_require_number(base, 0, "base_arc"), _require_number(base, 1, "base_arc")),
         )
 
 

@@ -1,4 +1,6 @@
 import cmath
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -7,31 +9,44 @@ import pytest
 
 from boundarylab.blaschke import (
     BlaschkeProduct,
+    _zero_chase_path,
     boundary_scan,
     default_radius_schedule,
-    eval_factor,
     limit_probe,
     radial_trace,
     standard_paths,
 )
-from boundarylab.errors import PoleError, PrefixExhaustedError, ValidationError
+from boundarylab.cli import run
+from boundarylab.errors import BoundaryLabError, PoleError, PrefixExhaustedError, ValidationError
+from boundarylab.series import SeriesSpec
+from boundarylab.textio import json_text, write_csv
 from boundarylab.unitdisc import (
+    MAX_ANGLES,
+    TWO_PI,
     ClosedSetSpec,
     ZeroSequence,
+    circle_points,
     gen_accumulation_sequence,
     gen_radial_sequence,
+    normalize_angle,
+    uniform_angles,
 )
+
+
+def _one_factor(a):
+    return BlaschkeProduct(ZeroSequence.from_zeros([a]))
 
 
 def test_eval_factor_basics():
     a = 0.3 + 0.4j
-    assert abs(eval_factor(a, a)) < 1e-15
+    factor = _one_factor(a)
+    assert abs(factor.eval_partial(1, a)) < 1e-15
     for t in np.linspace(0.0, 2.0 * math.pi, 17):
         z = cmath.exp(1j * t)
-        assert abs(abs(eval_factor(a, z)) - 1.0) < 1e-14
+        assert abs(abs(factor.eval_partial(1, z)) - 1.0) < 1e-14
     # the zero at the origin degenerates to the identity factor
     z = 0.2 - 0.7j
-    assert eval_factor(0.0, z) == z
+    assert _one_factor(0.0).eval_partial(1, z) == z
 
 
 def test_product_at_zero_matches_rational_oracle():
@@ -228,3 +243,364 @@ def test_limit_probe_zero_chase_path():
         "cluster_diameter_estimate",
         "radial_exists",
     }
+
+
+# --- eval_many against the per-point loop it replaced ------------------------
+#
+# _reference_eval is the one-point evaluation as it was before eval_many:
+# every batched value must carry exactly its bits, and every failure its
+# exception type and message.
+
+_CHUNK = 65536
+
+RADIAL30 = {"generator": {"kind": "radial", "angle": 4.002148315014479, "rate": 0.4, "count": 30}}
+RADIAL60 = {"generator": {"kind": "radial", "angle": 1.6951199159934145, "rate": 0.5, "count": 60}}
+CANTOR8 = {"generator": {"kind": "accumulation", "depth": 8, "target": {
+    "kind": "cantor", "cantor_level": 3, "base_arc": [0.25744424357926954, 1.2574442435792696]}}}
+FULL10 = {"generator": {"kind": "accumulation", "depth": 10, "target": {
+    "kind": "arc-union", "arcs": [[0.10384619671527331, 6.3870315038948595]]}}}
+
+
+_THREE_SETS = pytest.mark.parametrize("spec", [RADIAL30, RADIAL60, CANTOR8],
+                                      ids=["radial30", "radial60", "cantor8"])
+
+
+def _product(spec):
+    return BlaschkeProduct(ZeroSequence.from_json(spec))
+
+
+def _reference_partial(prod, n, z):
+    if n == 0:
+        return 1.0 + 0.0j
+    if n <= _CHUNK:
+        num = prod._absa[:n] - prod._rot[:n] * z
+        den = 1.0 - prod._conj_a[:n] * z
+        if np.any(den == 0.0):
+            k = int(np.argmin(np.abs(den)))
+            raise PoleError(f"evaluation point {z!r} is the pole of the factor at zero #{k}")
+        return complex(np.multiply.reduce(num / den))
+    acc = 1.0 + 0.0j
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        num = prod._absa[lo:hi] - prod._rot[lo:hi] * z
+        den = 1.0 - prod._conj_a[lo:hi] * z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            acc *= complex(np.multiply.reduce(num / den))
+    if not cmath.isfinite(acc):
+        _reference_partial(prod, min(n, _CHUNK), z)
+    return acc
+
+
+def _reference_eval(prod, z, strict, tol=None):
+    z = complex(z)
+    tol = prod.truncation_tolerance if tol is None else tol
+    r = abs(z)
+    n = prod.factors_needed(r, tol)
+    if n < 0:
+        if strict:
+            achieved = prod.tail_bound(r, len(prod))
+            raise PrefixExhaustedError(
+                f"stored prefix of {len(prod)} zeros cannot reach tolerance "
+                f"{tol:g} at |z| = {r:.6g} (achieved tail bound {achieved:.6g})",
+                tail_bound=achieved,
+            )
+        n = len(prod)
+    return _reference_partial(prod, n, z), n, prod.tail_bound(r, n)
+
+
+def _outcome(call):
+    """(values, factor counts, tail bounds) as arrays, or (type, message) of the failure."""
+    try:
+        values, counts, bounds = call()
+    except BoundaryLabError as exc:
+        return type(exc), str(exc)
+    return (np.asarray(values, dtype=np.complex128), np.asarray(counts, dtype=np.int64),
+            np.asarray(bounds, dtype=np.float64))
+
+
+def _reference_many(prod, points, strict, tol=None):
+    def call():
+        rows = [_reference_eval(prod, z, strict, tol) for z in points]
+        return tuple(zip(*rows)) if rows else ([], [], [])
+    return _outcome(call)
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def _check_many(prod, points, strict, tol=None):
+    points = np.asarray(points, dtype=np.complex128)
+    got = _outcome(lambda: prod.eval_many(points, strict=strict, tol=tol))
+    want = _reference_many(prod, points.tolist(), strict, tol)
+    _assert_same(got, want)
+    return got
+
+
+def _old_circle(r, count):
+    angles = TWO_PI * np.arange(count, dtype=np.float64) / count
+    return np.array([r * cmath.exp(1j * t) for t in angles], dtype=np.complex128)
+
+
+@_THREE_SETS
+@pytest.mark.parametrize("strict", [True, False])
+def test_eval_many_matches_the_per_point_loop_on_scans(spec, strict):
+    prod = _product(spec)
+    for r in (0.5, 0.99, 0.995, 0.999, 0.9999):
+        points = _old_circle(r, 512)
+        assert np.array_equal(circle_points(r, uniform_angles(512)).view(np.uint8),
+                              points.view(np.uint8))
+        got = _check_many(prod, points, strict)
+        scan = _outcome(lambda: (boundary_scan(prod, r, 512, strict=strict).values, [], []))
+        if isinstance(got[0], type):
+            assert scan == got
+        else:
+            assert np.array_equal(scan[0].view(np.uint8), got[0].view(np.uint8))
+
+
+@_THREE_SETS
+def test_eval_many_matches_the_per_point_loop_on_traces(spec):
+    prod = _product(spec)
+    zero_angle = float(prod.zeros.angles[0])
+    radii = default_radius_schedule()
+    for angle in (zero_angle, zero_angle + 1e-9, 0.3, math.pi, 5.5):
+        direction = cmath.exp(1j * normalize_angle(angle))
+        old_points = [r * direction for r in radii]
+        assert np.array_equal((radii * direction).view(np.uint8),
+                              np.array(old_points, dtype=np.complex128).view(np.uint8))
+        for strict in (True, False):
+            got = _check_many(prod, old_points, strict)
+            trace = _outcome(lambda: (radial_trace(prod, angle, strict=strict).values, [], []))
+            if isinstance(got[0], type):
+                assert trace == got
+            else:
+                assert np.array_equal(trace[0].view(np.uint8), got[0].view(np.uint8))
+
+
+def _probe_family(prod, angle):
+    family = standard_paths()
+    chase = _zero_chase_path(prod, normalize_angle(angle))
+    return family + ([chase] if chase is not None else [])
+
+
+@_THREE_SETS
+def test_eval_many_matches_the_per_point_loop_on_probe_paths(spec):
+    prod = _product(spec)
+    radii = default_radius_schedule()
+    angles = [float(prod.zeros.angles[0]), float(prod.zeros.angles[-1]), 2.0, 4.5]
+    for angle in angles:
+        family = _probe_family(prod, angle)
+        if angle == prod.zeros.angles[0] and spec is not RADIAL30:
+            assert family[-1].name == "zero-chase"
+        points = np.concatenate([p.sample_points(normalize_angle(angle), radii) for p in family])
+        _check_many(prod, points, strict=False)
+        # the report equals one built point by point from the reference loop
+        reference = limit_probe(lambda z: _reference_eval(prod, z, False)[0], angle, paths=family)
+        assert json_text(limit_probe(prod, angle).to_json()) == json_text(reference.to_json())
+
+
+def test_eval_many_past_one_chunk():
+    prod = _product(FULL10)
+    assert len(prod) == 88575
+    theta = 0.7
+    # the whole prefix (88,575 factors) goes point by point, chunk by chunk
+    points = [r * cmath.exp(1j * theta) for r in (0.5, 0.99, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -40)]
+    got = _check_many(prod, points, strict=False)
+    assert set(got[1].tolist()) == {88575}
+    # looser tolerances certify prefixes of one, a few and many rows per block
+    for tol in (0.5, 0.03, 0.01, 0.003):
+        pts = [r * cmath.exp(1j * (theta + k)) for k, r in enumerate((0.1, 0.5, 0.5, 0.7, 0.9))]
+        got = _check_many(prod, pts, strict=True, tol=tol)
+        _check_many(prod, pts, strict=False, tol=tol)
+        if not isinstance(got[0], type):
+            assert np.all(got[1] > 0)
+
+
+def test_eval_many_block_footprint():
+    # one (points x factors) block holds at most 65,536 complex elements (1 MiB);
+    # the unblocked products below would need over 32 MiB per temporary
+    import tracemalloc
+
+    cantor8, full10 = _product(CANTOR8), _product(FULL10)
+    scan_points = circle_points(0.995, uniform_angles(4096))
+    ring = circle_points(0.9, uniform_angles(64))
+    assert len(cantor8) * scan_points.size > 32 * _CHUNK
+    counts = full10.eval_many(ring, strict=False, tol=0.03).factors_used
+    assert np.all((counts > _CHUNK // 2) & (counts <= _CHUNK))
+    assert counts.size * counts[0] > 32 * _CHUNK
+    tracemalloc.start()
+    try:
+        for prod, points, tol in ((cantor8, scan_points, None), (full10, ring, 0.03),
+                                  (full10, ring, None)):
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            prod.eval_many(points, strict=False, tol=tol)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - base < 8 * _CHUNK * 16
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_many_near_zeros_and_at_the_origin_factor():
+    prod = _product(RADIAL60)
+    eps = np.finfo(np.float64).eps
+    points = []
+    for a in prod.zeros.zeros[:50:7]:
+        for k in (-3, -1, 0, 1, 3):
+            points += [a * (1.0 + k * eps), a + k * eps, a + 1j * k * eps]
+    for strict in (True, False):
+        _check_many(prod, points, strict)
+    # a zero at the origin (deficit 1) makes the factor z itself
+    seq = ZeroSequence(angles=[0.0, 1.0, 2.0], deficits=[1.0, 0.5, 1.0])
+    prod = BlaschkeProduct(seq)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 0.9, 64) * np.exp(1j * rng.uniform(0.0, TWO_PI, 64))
+    pts = np.concatenate([pts, [0.0, 1e-300, -0.0]])
+    for strict in (True, False):
+        _check_many(prod, pts, strict)
+    want = pts * pts * BlaschkeProduct(ZeroSequence(angles=[1.0], deficits=[0.5])).eval_many(
+        pts, strict=False).values
+    assert np.allclose(prod.eval_many(pts, strict=False).values, want, rtol=1e-14, atol=1e-300)
+
+
+def test_eval_many_mixed_moduli_and_first_failure_in_input_order():
+    prod = _product(RADIAL30)
+    rng = np.random.default_rng(11)
+    r = np.concatenate([rng.uniform(0.0, 0.999, 60), [0.9999999, 0.3, 0.9999999]])
+    pts = r * np.exp(1j * rng.uniform(0.0, TWO_PI, r.size))
+    for strict in (True, False):
+        for tol in (None, 1e-3):
+            _check_many(prod, pts, strict, tol)
+            _check_many(prod, pts[::-1], strict, tol)
+    # |z| >= 1 fails in both modes, at its place in the input
+    _check_many(prod, [0.5, 1.0, 0.9999999], strict=False)
+    _check_many(prod, [0.5, 0.9999999, 2.0], strict=True)
+    _check_many(prod, [], strict=True)
+
+
+def test_eval_many_poles_raise_like_the_per_point_loop(monkeypatch):
+    # a deficit below float resolution puts the factor's pole at z = 1 (and at
+    # 1 - 0j, which prints differently); the truncation rule is bypassed so
+    # that points on the circle are evaluated
+    seq = ZeroSequence(angles=[0.0, 0.0], deficits=[0.5, 2.0 ** -54])
+    prod = BlaschkeProduct(seq)
+    monkeypatch.setattr(prod, "factors_needed", lambda r, tol: -1 if r == 0.75 else 2)
+    monkeypatch.setattr(prod, "tail_bound", lambda r, n: 0.0)
+    for points in ([0.5, 1.0, 0.3], [0.75j, 1.0], [1.0, 0.75], [0.2, complex(1.0, -0.0), 1.0]):
+        for strict in (True, False):
+            got = _check_many(prod, points, strict)
+            assert isinstance(got[0], type)
+    assert _outcome(lambda: prod.eval_many([0.5, 1.0], strict=False))[0] is PoleError
+
+
+def test_one_point_calls_match_the_reference():
+    prod = _product(CANTOR8)
+    for z in (0.0, 0.3 + 0.4j, 0.999j, -0.5):
+        want = _reference_eval(prod, z, False)
+        assert tuple(prod.eval_best_effort(z)) == want
+        assert _outcome(lambda: prod.eval_truncated(z)) == _reference_many(prod, [z], True)
+    prod = _product(RADIAL60)
+    for z in (0.0, 0.3 + 0.4j, 0.999j, -0.5):
+        assert tuple(prod.eval_truncated(z)) == _reference_eval(prod, z, True)
+        assert prod.eval_partial(7, z) == _reference_partial(prod, 7, complex(z))
+
+
+def _reference_series(spec, z):
+    """The weighted sum as evaluated point by point before the batched path."""
+    value = 0.0 + 0.0j
+    for term in spec.terms:
+        part = _reference_eval(term.component.blaschke, z, False)[0]
+        value += term.weight * ((1.0 + 0.0j) * part)
+    return value
+
+
+def _cli(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_output_matches_the_reference_loop(tmp_path, capsys):
+    files = {}
+    for name, spec in (("radial60", RADIAL60), ("cantor8", CANTOR8)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(spec))
+    radial60, cantor8 = _product(RADIAL60), _product(CANTOR8)
+
+    def table(header, rows):
+        buf = io.StringIO()
+        write_csv(buf, header, rows)
+        return buf.getvalue()
+
+    def scan_rows(prod, r, count, strict):
+        values = [_reference_eval(prod, z, strict)[0] for z in _old_circle(r, count)]
+        angles = TWO_PI * np.arange(count, dtype=np.float64) / count
+        return [(float(t), v.real, v.imag, float(abs(np.complex128(v))))
+                for t, v in zip(angles, values)]
+
+    code, out, _ = _cli(capsys, ["scan", "--zeros", str(files["radial60"]),
+                                 "--r", "0.999", "--angles", "1024"])
+    assert code == 0
+    assert out == table(("angle", "re", "im", "modulus"), scan_rows(radial60, 0.999, 1024, True))
+
+    code, out, err = _cli(capsys, ["scan", "--zeros", str(files["cantor8"]),
+                                   "--r", "0.999", "--angles", "256"])
+    assert code == 1
+    failure = _reference_many(cantor8, _old_circle(0.999, 256).tolist(), True)
+    assert err == f"boundarylab scan: {failure[1]}; writing best-effort samples\n"
+    assert out == table(("angle", "re", "im", "modulus"), scan_rows(cantor8, 0.999, 256, False))
+
+    angle = float(radial60.zeros.angles[0])
+    code, out, _ = _cli(capsys, ["trace", "--zeros", str(files["radial60"]),
+                                 "--angle", repr(angle)])
+    assert code == 0
+    direction = cmath.exp(1j * angle)
+    radii = default_radius_schedule()
+    values = np.array([_reference_eval(radial60, r * direction, False)[0] for r in radii])
+    rows = [(float(r), float(v.real), float(v.imag), float(abs(v))) for r, v in zip(radii, values)]
+    assert out == table(("radius", "re", "im", "modulus"), rows)
+
+    for name, prod, angle in (("radial60", radial60, angle), ("cantor8", cantor8, 0.3)):
+        code, out, _ = _cli(capsys, ["probe", "--zeros", str(files[name]), "--angle", repr(angle)])
+        assert code == 0
+        reference = limit_probe(lambda z, p=prod: _reference_eval(p, z, False)[0], angle,
+                                paths=_probe_family(prod, angle))
+        assert out == json_text(reference.to_json())
+
+    series = {"weight_rule": "inverse-square", "terms": [
+        {"weight": w, "component": {"blaschke": spec, "atoms": None, "outer": None, "series": None}}
+        for w, spec in ((1.0, RADIAL60), (0.25, CANTOR8), (1.0 / 9.0, RADIAL30))]}
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(series))
+    spec = SeriesSpec.from_json(series)
+    code, out, _ = _cli(capsys, ["series", "--spec", str(path), "--r", "0.999", "--angles", "128"])
+    assert code == 0
+    rows = []
+    for k in range(128):
+        t = TWO_PI * k / 128
+        v = _reference_series(spec, 0.999 * cmath.exp(1j * t))
+        rows.append((float(t), float(v.real), float(v.imag), float(abs(v))))
+    assert out == table(("angle", "re", "im", "modulus"), rows)
+    code, out, _ = _cli(capsys, ["series", "--spec", str(path), "--at", "0.3", "-0.8"])
+    v = _reference_series(spec, complex(0.3, -0.8))
+    assert json.loads(out)["re"] == v.real and json.loads(out)["im"] == v.imag
+
+
+def test_scan_refuses_too_many_angles_before_allocating():
+    import tracemalloc
+
+    prod = _product(RADIAL30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="angle cap"):
+            boundary_scan(prod, 0.9, MAX_ANGLES + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -4,6 +4,7 @@ import pytest
 
 from boundarylab.cli import run
 from boundarylab.fixtures import punctured_disc_plane
+from boundarylab.unitdisc import MAX_ANGLES
 
 
 @pytest.fixture
@@ -240,3 +241,57 @@ def test_help_exits_zero(capsys):
     assert run(["scan", "--help"]) == 0
     out = capsys.readouterr().out
     assert "(default" in out
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def _series_of(blaschke, weight=0.5):
+    return {"weight_rule": "inverse-power-2", "terms": [{"weight": weight, "component": {
+        "blaschke": blaschke, "atoms": None, "outer": None, "series": None}}]}
+
+
+_RADIAL = {"generator": {"kind": "radial", "angle": 0.0, "rate": 0.5, "count": 40}}
+
+
+@pytest.mark.parametrize("subcommand,text", [
+    ("scan", json.dumps({"zeros": [{"re": "x", "im": 0.0}]})),
+    ("scan", json.dumps({"zeros": [{"re": 0.1, "im": 0.2}, {"re": None, "im": 0.0}]})),
+    ("scan", '{"generator": {"kind": "radial", "angle": 1e999, "rate": 0.5, "count": 4}}'),
+    ("scan", json.dumps({"generator": {"kind": "accumulation", "depth": 3, "target": {
+        "kind": "finite-points", "points": [0.5, "x"]}}})),
+    ("series", json.dumps(_series_of({"zeros": [{"re": "x", "im": 0.0}]}))),
+    ("series", json.dumps(_series_of(_RADIAL, weight="half"))),
+], ids=["re-string", "re-null", "infinite-angle", "finite-points-string", "series-zeros",
+        "series-weight"])
+def test_malformed_evaluation_inputs_exit_2(tmp_path, capsys, subcommand, text):
+    path = _write(tmp_path, "input.json", text)
+    flag = "--zeros" if subcommand == "scan" else "--spec"
+    assert run([subcommand, flag, path, "--angles", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"boundarylab {subcommand}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [{"cell_size": "x"}, {"origin": 5}],
+                         ids=["cell-size-string", "origin-number"])
+def test_malformed_grid_geometry_exits_2(tmp_path, capsys, extra):
+    grid = {"width": 2, "height": 2, "unbounded": 0, "cells": [1, 1, 1, 1], **extra}
+    assert run(["arakeljan", "--grid", _write(tmp_path, "g.json", grid)]) == 2
+    assert capsys.readouterr().err.startswith("boundarylab arakeljan: ")
+
+
+def test_angle_counts_above_the_cap_exit_2(tmp_path, capsys):
+    zeros = _write(tmp_path, "zeros.json", _RADIAL)
+    spec = _write(tmp_path, "spec.json", _series_of(_RADIAL))
+    too_many = str(MAX_ANGLES + 1)
+    assert run(["scan", "--zeros", zeros, "--angles", "100000000"]) == 2
+    assert run(["scan", "--zeros", zeros, "--angles", too_many]) == 2
+    assert run(["frostman", "--zeros", zeros, "--angles", too_many]) == 2
+    assert run(["series", "--spec", spec, "--angles", too_many]) == 2
+    assert run(["series", "--spec", spec, "--angles", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"exceeds the {MAX_ANGLES} angle cap") == 4

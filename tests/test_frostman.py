@@ -16,7 +16,7 @@ from boundarylab.frostman import (
     frostman_profile,
     frostman_terms,
 )
-from boundarylab.unitdisc import TWO_PI, ZeroSequence, gen_radial_sequence
+from boundarylab.unitdisc import MAX_ANGLES, TWO_PI, ZeroSequence, gen_radial_sequence
 
 
 def _naive_terms(seq, theta):
@@ -133,3 +133,17 @@ def test_profile_csv_shape():
     assert first[0] == "0"
     assert first[1] == "1"
     assert first[3] in (CONVERGENT, DIVERGENT, UNDECIDED)
+
+
+def test_profile_refuses_too_many_angles_before_allocating():
+    import tracemalloc
+
+    seq = gen_radial_sequence(0.0, 0.5, 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="angle cap"):
+            frostman_profile(seq, MAX_ANGLES + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from boundarylab.blaschke import BlaschkeProduct
+from boundarylab.config import DEFAULTS
 from boundarylab.errors import ResolutionError, ValidationError
 from boundarylab.herglotz import (
     BoundaryFunction,
+    _adaptive_mean,
     InnerFunctionSpec,
     OuterDensity,
     SingularAtoms,
@@ -228,3 +230,85 @@ def test_inner_function_spec_json_round_trip():
     assert abs(back.eval(z) - spec.eval(z)) < 1e-12
     with pytest.raises(ValidationError):
         InnerFunctionSpec()
+
+
+def _full_recompute_mean(integrand, start_points, tolerance, max_points):
+    """The refinement loop before grid reuse: every level evaluates its whole grid."""
+    n = start_points
+    prev = None
+    achieved = math.inf
+    while n <= max_points:
+        t = TWO_PI * np.arange(n, dtype=np.float64) / n
+        current = complex(np.mean(integrand(t)))
+        if prev is not None:
+            achieved = abs(current - prev)
+            if achieved <= tolerance:
+                return current
+        prev = current
+        n *= 2
+    raise ResolutionError(
+        f"quadrature did not stabilize within {tolerance:g} below {max_points} points "
+        f"(last refinement moved {achieved:.3g})",
+        achieved=achieved,
+    )
+
+
+def _mean_outcome(mean, integrand, *args):
+    try:
+        return complex(mean(integrand, *args))
+    except ResolutionError as exc:
+        return str(exc), exc.achieved
+
+
+def _same(a, b):
+    if isinstance(a, complex) and isinstance(b, complex):
+        return np.array([a]).view(np.uint64).tolist() == np.array([b]).view(np.uint64).tolist()
+    return a == b
+
+
+def test_adaptive_mean_reuses_the_grid_bit_for_bit():
+    rng = np.random.default_rng(20230420)
+    n = 64
+    grid = TWO_PI * np.arange(n) / n
+    density = BoundaryFunction.from_samples(grid, rng.normal(size=n))
+    cos = BoundaryFunction.form("cos")
+    start = 256
+    cases = []
+    for f in (cos, density):
+        for z in (0.3 + 0.1j, 0.6 * cmath.exp(2.2j), 0.9 * cmath.exp(5.0j), 0.99j):
+            r, theta = abs(z), cmath.phase(z)
+            cases.append(lambda t, f=f, r=r, theta=theta:
+                         f.evaluate(t) * poisson_kernel(r, theta - t))
+            cases.append(lambda t, f=f, z=z:
+                         (np.exp(1j * t) + z) / (np.exp(1j * t) - z) * f.evaluate(t))
+    for r in (0.5, 0.99, 0.9999, 0.9999999999):
+        cases.append(lambda t, r=r: poisson_kernel(r, t) + 0.0j)
+    evaluated = []
+
+    def counting(integrand):
+        def wrapped(t):
+            evaluated.append(t.size)
+            return integrand(t)
+        return wrapped
+
+    for integrand in cases:
+        for tol, cap in ((1e-10, 2 ** 20), (1e-14, 2 ** 12)):
+            want = _mean_outcome(_full_recompute_mean, integrand, start, tol, cap)
+            evaluated.clear()
+            got = _mean_outcome(_adaptive_mean, counting(integrand), start, tol, cap)
+            assert _same(got, want)
+            # each level evaluates only the points the previous one lacked
+            assert sum(evaluated) == start * 2 ** (len(evaluated) - 1)
+    # the public entry points give the same bits as the full-recompute loop
+    tol, low, cap = (DEFAULTS[k] for k in ("quad_tolerance", "quad_min_points", "quad_max_points"))
+    z = 0.6 * cmath.exp(2.2j)
+    want = _full_recompute_mean(
+        lambda t: density.evaluate(t) * poisson_kernel(abs(z), cmath.phase(z) - t), 4 * n, tol, cap)
+    assert _same(poisson_integral(density, z), want)
+    want = _full_recompute_mean(lambda t: poisson_kernel(0.99, t) + 0.0j, low, tol, cap)
+    assert _same(complex(kernel_mass(0.99)), complex(want.real))
+    with pytest.raises(ResolutionError) as exc:
+        kernel_mass(0.9999999999)
+    want = _mean_outcome(_full_recompute_mean, lambda t: poisson_kernel(0.9999999999, t) + 0.0j,
+                         low, tol, cap)
+    assert (str(exc.value), exc.value.achieved) == want
