@@ -57,6 +57,27 @@ def circular_gap(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
+# Largest offset, measured in float64, that a full-circle block's stored angles
+# may have from angle + 2*pi*j/count; the generator's are within 1.4 ulp of
+# the exact angles, and the closed form's error bound assumes a few ulps.
+BLOCK_ANGLE_SLACK = 4.0 * math.ulp(TWO_PI)
+
+
+class LevelBlock(NamedTuple):
+    """One full-circle generator level: ``count`` zeros at one radius.
+
+    Zeros ``start`` to ``start + count - 1`` have deficit ``deficit`` and
+    angles ``angle + 2*pi*j/count`` (j = 0..count-1, reduced to [0, 2*pi)),
+    up to BLOCK_ANGLE_SLACK.  Their product is one Blaschke factor in z^count,
+    which BlaschkeProduct evaluates in closed form.
+    """
+
+    start: int
+    count: int
+    angle: float
+    deficit: float
+
+
 @dataclass(frozen=True, eq=False)
 class ZeroSequence:
     """A finite prefix of a disc zero sequence, stored in polar form.
@@ -68,7 +89,9 @@ class ZeroSequence:
     ``extension_mass`` bounds sum(1 - |a_k|) over the unmaterialized tail.
     Explicit finite lists have extension_mass 0 and no guarantee flag, so
     convergence questions about their hypothetical extension fall back to a
-    heuristic (see blaschke_condition_sum).
+    heuristic (see blaschke_condition_sum).  ``blocks`` lists the full-circle
+    levels (LevelBlock, in index order) that gen_accumulation_sequence
+    records; every other sequence has none.
     """
 
     angles: np.ndarray
@@ -76,6 +99,7 @@ class ZeroSequence:
     convergent: bool = True
     tail_guarantee: bool = False
     extension_mass: float = 0.0
+    blocks: tuple[LevelBlock, ...] = ()
 
     def __post_init__(self) -> None:
         angles = np.array(self.angles, dtype=np.float64, copy=True).reshape(-1)
@@ -100,6 +124,11 @@ class ZeroSequence:
         object.__setattr__(self, "deficits", deficits)
         if self.extension_mass < 0.0 or not math.isfinite(self.extension_mass):
             raise ValidationError("extension_mass must be finite and >= 0")
+        object.__setattr__(self, "blocks", tuple(LevelBlock(*b) for b in self.blocks))
+        end = 0
+        for b in self.blocks:
+            _check_block(b, end, angles, deficits)
+            end = b.start + b.count
 
     def __len__(self) -> int:
         return int(self.angles.size)
@@ -178,11 +207,29 @@ class ZeroSequence:
         return cls.from_zeros(out)
 
 
+def _check_block(b: LevelBlock, end: int, angles: np.ndarray, deficits: np.ndarray) -> None:
+    """A block must follow the previous one (ending at ``end``) and describe its zeros."""
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (b.start, b.count)):
+        raise ValidationError(f"{b} needs integer start and count")
+    if b.start < end or b.count < 1 or b.start + b.count > angles.size:
+        raise ValidationError(f"{b} overlaps another block or lies outside the sequence")
+    span = slice(b.start, b.start + b.count)
+    if not 0.0 < 1.0 - b.deficit < 1.0 or np.any(deficits[span] != b.deficit):
+        raise ValidationError(f"{b} has a deficit outside (0, 1) or unlike its zeros'")
+    offset = angles[span] - (b.angle + np.arange(b.count) * (TWO_PI / b.count))
+    offset -= TWO_PI * np.round(offset / TWO_PI)
+    if not np.max(np.abs(offset)) <= BLOCK_ANGLE_SLACK:
+        raise ValidationError(f"{b} does not match its zeros' angles")
+
+
 def _require_number(obj, key, where: str = "") -> float:
-    """obj[key] (a dict field or a list entry) as a finite float."""
+    """obj[key] (a dict field or a list entry) as a finite float; booleans are refused."""
     name = f"{where}[{key}]" if isinstance(key, int) else f"{where} field {key!r}".lstrip()
     try:
-        value = float(obj[key])
+        value = obj[key]
+        if isinstance(value, bool):  # JSON true/false are not numbers
+            raise TypeError(name)
+        value = float(value)
     except (KeyError, IndexError) as exc:
         raise ValidationError(f"missing {name}") from exc
     except (TypeError, ValueError) as exc:
@@ -422,25 +469,36 @@ def gen_radial_sequence(angle: float, rate: float, count: int) -> ZeroSequence:
     )
 
 
-def _level_angles(target: ClosedSetSpec, level: int) -> list[float]:
-    """Angles for one generator level: gap at most 2*pi*3^-level on each arc."""
+def _spaced(runs: list[tuple[float, float, int, bool]]) -> np.ndarray:
+    """normalize_angle(s + j*step) for j = 0..m-1 of each run (s, step, m, _),
+    one run after another, with the same bits."""
+    starts, steps, counts, _ = zip(*runs)
+    counts = np.array(counts, dtype=np.int64)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    t = np.fmod(np.repeat(starts, counts) + j * np.repeat(steps, counts), TWO_PI)
+    t[t < 0.0] += TWO_PI
+    t[t >= TWO_PI] = 0.0
+    return t
+
+
+def _level_runs(target: ClosedSetSpec, level: int) -> list[tuple[float, float, int, bool]]:
+    """One generator level as runs (start, step, count, full circle?), one per
+    arc, with angular gap at most 2*pi*3^-level on each arc."""
     if target.kind == "finite-points":
-        return list(target.points)
+        return [(p, 0.0, 1, False) for p in target.points]
     gap = TWO_PI * (3.0 ** -level)
-    out: list[float] = []
+    runs = []
     for s, e in target.closure_arcs():
         length = e - s
         if length >= TWO_PI - _FULL_CIRCLE_SLACK:
             m = max(int(math.ceil(TWO_PI / gap)), 3)
-            step = TWO_PI / m
-            out.extend(normalize_angle(s + j * step) for j in range(m))
+            runs.append((s, TWO_PI / m, m, True))
         elif length == 0.0:
-            out.append(s)
+            runs.append((s, 0.0, 1, False))
         else:
             m = max(int(math.ceil(length / gap)) + 1, 2)
-            step = length / (m - 1)
-            out.extend(normalize_angle(s + j * step) for j in range(m))
-    return out
+            runs.append((s, length / (m - 1), m, False))
+    return runs
 
 
 def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence:
@@ -453,29 +511,39 @@ def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence
     satisfies the Blaschke condition with tail mass at most 2^-depth beyond
     the stored prefix.  Every angle of the target has a level-l zero within
     angular distance 2*pi*3^-l, which pins the accumulation set to the target
-    closure and nothing else (all zero angles lie on the target).
+    closure and nothing else (all zero angles lie on the target).  Each
+    level of a full-circle arc (its count need not be 3^l: the count is
+    rounded up) is recorded as a LevelBlock.
     """
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
         raise ValidationError(f"depth must be a positive integer, got {depth!r}")
-    angles: list[np.ndarray] = []
-    deficits: list[np.ndarray] = []
+    runs: list[tuple[float, float, int, bool]] = []
+    sizes: list[int] = []
+    level_deficits: list[float] = []
+    full: list[tuple[int, int, float]] = []  # (start, count, deficit) of full-circle runs
     total = 0
     for level in range(1, depth + 1):
-        level_angles = _level_angles(target, level)
-        n = len(level_angles)
-        total += n
-        if total > MAX_GENERATED_ZEROS:
+        level_runs = _level_runs(target, level)
+        n = sum(m for _, _, m, _ in level_runs)
+        if total + n > MAX_GENERATED_ZEROS:
             raise ValidationError(
                 f"level {level} pushes the zero count past {MAX_GENERATED_ZEROS}; "
                 "reduce depth or the target resolution"
             )
         d = min(3.0 ** -level, (2.0 ** -level) / n)
-        angles.append(np.asarray(level_angles, dtype=np.float64))
-        deficits.append(np.full(n, d, dtype=np.float64))
+        for _, _, m, full_circle in level_runs:
+            if full_circle:
+                full.append((total, m, d))
+            total += m
+        runs += level_runs
+        sizes.append(n)
+        level_deficits.append(d)
+    angles = _spaced(runs)
     return ZeroSequence(
-        angles=np.concatenate(angles),
-        deficits=np.concatenate(deficits),
+        angles=angles,
+        deficits=np.repeat(np.array(level_deficits, dtype=np.float64), sizes),
         convergent=True,
         tail_guarantee=True,
         extension_mass=2.0 ** -depth,
+        blocks=tuple(LevelBlock(at, m, float(angles[at]), d) for at, m, d in full),
     )

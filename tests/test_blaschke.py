@@ -405,9 +405,16 @@ def test_eval_many_matches_the_per_point_loop_on_probe_paths(spec):
         assert json_text(limit_probe(prod, angle).to_json()) == json_text(reference.to_json())
 
 
+def _without_blocks(spec):
+    """The generated zeros of spec as an explicit sequence, evaluated factor by factor."""
+    seq = ZeroSequence.from_json(spec)
+    return BlaschkeProduct(ZeroSequence(angles=seq.angles, deficits=seq.deficits,
+                                        tail_guarantee=True, extension_mass=seq.extension_mass))
+
+
 def test_eval_many_past_one_chunk():
-    prod = _product(FULL10)
-    assert len(prod) == 88575
+    prod = _without_blocks(FULL10)
+    assert len(prod) == 88575 and not prod.zeros.blocks
     theta = 0.7
     # the whole prefix (88,575 factors) goes point by point, chunk by chunk
     points = [r * cmath.exp(1j * theta) for r in (0.5, 0.99, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -40)]
@@ -604,3 +611,196 @@ def test_scan_refuses_too_many_angles_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# --- closed-form full-circle blocks -------------------------------------------
+
+FULL12 = {"generator": {"kind": "accumulation", "depth": 12, "target": {
+    "kind": "arc-union", "arcs": [[0.10384619671527331, 6.3870315038948595]]}}}
+DEEP_RADII = (0.5, 0.9, 0.99, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -30,
+              1.0 - 2.0 ** -40)
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _full_circle(depth, start=0.4):
+    target = ClosedSetSpec(kind="arc-union", arcs=((start, start + TWO_PI),))
+    return BlaschkeProduct(gen_accumulation_sequence(target, depth))
+
+
+def _phase(prod, z, n):
+    return float(prod._phase_bounds(np.array([abs(z)]), np.array([n]))[0])
+
+
+def _direct_slack(plain, z, n):
+    """A factor-by-factor product's rounding slack, as the benchmark's oracle takes it."""
+    conj_a = plain._conj_a[:n]
+    near_zero = float(np.sum(1.0 / np.abs(z - np.conj(conj_a))))
+    near_pole = float(np.sum(1.0 / np.abs(1.0 - conj_a * z)))
+    value = plain.eval_partial(n, z)
+    return 16.0 * _EPS * min((n + 4.0 * near_zero) * abs(value), n + 4.0 * near_pole) + 64.0 * _EPS
+
+
+def test_full12_stays_within_the_direct_products_slack():
+    prod, plain = _product(FULL12), _without_blocks(FULL12)
+    assert len(prod) == 797163 and len(prod.zeros.blocks) == 12
+    rng = np.random.default_rng(12)
+    points = [r * cmath.exp(1j * t) for t in rng.uniform(0.0, TWO_PI, 4) for r in DEEP_RADII]
+    got = prod.eval_many(points, strict=False)
+    assert np.all(got.factors_used == len(prod))
+    for z, value, bound in zip(points, got.values.tolist(), got.tail_bounds.tolist()):
+        direct = plain.eval_partial(len(prod), z)
+        assert abs(value - direct) <= _direct_slack(plain, z, len(prod))
+        assert bound >= prod.tail_bound(abs(z), len(prod))
+        # a value does not depend on the other points of the call
+        assert prod.eval_best_effort(z) == (value, len(prod), bound)
+
+
+def test_prefixes_ending_inside_a_level_mix_blocks_and_factors():
+    prod, plain = _product(FULL10), _without_blocks(FULL10)
+    rng = np.random.default_rng(10)
+    points = rng.uniform(0.05, 0.95, 40) * np.exp(1j * rng.uniform(0.0, TWO_PI, 40))
+    ends = [b.start + b.count for b in prod.zeros.blocks]
+    inside = 0
+    for tol in (0.3, 0.05, 0.01, 0.002):
+        got = prod.eval_many(points, strict=False, tol=tol)
+        for z, value, n, bound in zip(points.tolist(), got.values.tolist(),
+                                      got.factors_used.tolist(), got.tail_bounds.tolist()):
+            inside += n not in ends
+            direct = plain.eval_partial(n, z)
+            assert abs(value - direct) <= _direct_slack(plain, z, n) + _phase(prod, z, n)
+            assert bound == prod.tail_bound(abs(z), n) + _phase(prod, z, n)
+            assert prod.eval_partial(n, z) == value
+    assert inside > 20
+
+
+def test_closed_form_is_within_its_bound_of_an_mpmath_product():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    rng = np.random.default_rng(2024)
+    # depth, random angles and their radii, stored zeros approached within 1e-12 and radii
+    cases = ((6, 3, DEEP_RADII, 4, None), (7, 1, DEEP_RADII, 2, None),
+             (8, 1, (0.99, 1.0 - 2.0 ** -40), 1, (None, 1.0 - 2.0 ** -40)))
+    for depth, thetas, radii, near, near_radii in cases:
+        prod = _full_circle(depth)
+        seq = prod.zeros
+        # the stored zeros exactly: modulus fl(1 - d) (the evaluator's) and the stored angle
+        rho = [mp.mpf(float(x)) for x in prod._absa]
+        turn = [mp.expj(-mp.mpf(float(t))) for t in seq.angles]
+        points = [r * cmath.exp(1j * t) for t in rng.uniform(0.0, TWO_PI, thetas) for r in radii]
+        for j in rng.integers(0, len(seq), near):
+            t = float(seq.angles[j]) + float(rng.uniform(-1e-12, 1e-12))
+            on_zero = float(prod._absa[j])
+            points += [(on_zero if r is None else r) * cmath.exp(1j * t)
+                       for r in (near_radii or (None, 0.999, 1.0 - 2.0 ** -40))]
+        got = prod.eval_many(points, strict=False)
+        for z, value, n in zip(points, got.values.tolist(), got.factors_used.tolist()):
+            w = mp.mpc(z.real, z.imag)
+            num, den = mp.mpc(1), mp.mpc(1)
+            for k in range(n):
+                v = turn[k] * w
+                num *= rho[k] - v
+                den *= 1 - rho[k] * v
+            error = float(abs(mp.mpc(value.real, value.imag) - num / den))
+            # one closed-form factor per block, each a few rounding errors
+            rounding = 16.0 * _EPS * len(seq.blocks) * abs(value) + 64.0 * _EPS
+            assert error <= _phase(prod, z, n) + rounding
+
+
+def test_phase_terms_enter_the_tail_bounds_and_strict_mode():
+    prod = _full_circle(5)
+    z = 0.3 * cmath.exp(0.9j)
+    n = prod.factors_needed(0.3, 0.5)
+    assert 0 < n < len(prod)
+    phase = _phase(prod, z, n)
+    assert phase > 0.0
+    got = prod.eval_truncated(z, 0.5)
+    assert got.factors_used == n
+    assert got.tail_bound == prod.tail_bound(0.3, n) + phase
+    # a tolerance that the truncation bound meets but truncation plus phase does not
+    tight = prod.tail_bound(0.3, n)
+    assert prod.factors_needed(0.3, tight) == n
+    with pytest.raises(PrefixExhaustedError) as info:
+        prod.eval_truncated(z, tight)
+    assert info.value.tail_bound == got.tail_bound
+    assert prod.eval_many([z], strict=False, tol=tight).tail_bounds[0] == got.tail_bound
+    # later points are not evaluated; the first failing point in input order raises
+    with pytest.raises(PrefixExhaustedError, match=r"\|z\| = 0\.3 "):
+        prod.eval_many([0.1, z, 0.9999999], strict=True, tol=tight)
+    # the phase term grows with |z| and vanishes at the origin
+    radii = np.array([0.0, 0.5, 0.9, 0.999, 1.0 - 2.0 ** -40])
+    bounds = prod._phase_bounds(radii, np.full(radii.size, len(prod)))
+    assert bounds[0] == 0.0 and np.all(np.diff(bounds) > 0.0)
+
+
+def _reference_zero_chase(product, angle):
+    """The zero-chase chain as it was built before blocks: every level scanned."""
+    seq = product.zeros
+    zeta = cmath.exp(1j * angle)
+    zs = seq.zeros
+    modulus = np.abs(zs)
+    inside = modulus < 1.0
+    for j in np.flatnonzero(inside & (modulus > 1.0 - 2.0 ** -50)):
+        inside[j] = abs(complex(zs[j])) < 1.0
+    dist = np.abs(zs - zeta)
+    chain, best = [], math.inf
+    for d in sorted(set(seq.deficits.tolist()), reverse=True):
+        idx = np.nonzero((seq.deficits == d) & inside)[0]
+        if idx.size == 0:
+            continue
+        j = idx[int(np.argmin(dist[idx]))]
+        if dist[j] < best:
+            best = float(dist[j])
+            chain.append(complex(zs[j]))
+    if len(chain) < 2 or best > 0.05:
+        return None
+    return chain
+
+
+@pytest.mark.parametrize("spec,count", [
+    (FULL10, 24), (FULL12, 4), ({"generator": {"kind": "accumulation", "depth": 6, "target": {
+        "kind": "arc-union", "arcs": [[5.0, 5.0 + TWO_PI]]}}}, 60),
+    (RADIAL60, 10), (CANTOR8, 20)], ids=["full10", "full12", "full6", "radial60", "cantor8"])
+def test_zero_chase_reads_the_blocks(spec, count):
+    prod = _product(spec)
+    seq = prod.zeros
+    rng = np.random.default_rng(count)
+    stored = seq.angles[rng.integers(0, len(seq), count)]
+    order = np.sort(seq.angles)
+    between = order[:-1] + 0.5 * np.diff(order)  # halfway between neighbouring zeros
+    angles = np.concatenate([rng.uniform(0.0, TWO_PI, count), stored,
+                             between[rng.integers(0, between.size, count)],
+                             [0.0, math.nextafter(TWO_PI, 0.0)]])
+    for block in seq.blocks[-3:]:  # halfway inside one level, from its own spacing
+        angles = np.append(angles, [normalize_angle(block.angle + (j + 0.5) * TWO_PI / block.count)
+                                    for j in rng.integers(0, block.count, 4)])
+    for angle in angles.tolist():
+        path = _zero_chase_path(prod, angle)
+        want = _reference_zero_chase(prod, angle)
+        assert (None if path is None else list(path.points)) == want
+
+
+def test_mixed_levels_chase_like_the_scan():
+    # a full-circle arc next to a short arc: each level is one block plus
+    # more zeros of the same deficit, so the chase scans those levels
+    target = ClosedSetSpec(kind="arc-union",
+                           arcs=((1.0, 1.0 + TWO_PI - 5e-10), (1.0 - 4e-10, 1.0 - 1e-10)))
+    seq = gen_accumulation_sequence(target, 5)
+    assert len(seq.blocks) == 5 and len(seq) > sum(b.count for b in seq.blocks)
+    prod = BlaschkeProduct(seq)
+    for angle in np.linspace(0.0, TWO_PI, 40, endpoint=False).tolist() + [1.0, 1.0 - 2e-10]:
+        path = _zero_chase_path(prod, angle)
+        want = _reference_zero_chase(prod, angle)
+        assert (None if path is None else list(path.points)) == want
+
+
+def test_reference_product_at_zero_is_the_rational_product():
+    from boundarylab.acceptance import REFERENCE_PRODUCT_AT_ZERO
+
+    # the product over zeros 1 - 2^-k, k = 1..200, exactly; the factors left
+    # out change it by less than sum_{k > 200} 2^-k = 2^-200
+    exact = Fraction(1)
+    for k in range(1, 201):
+        exact *= 1 - Fraction(1, 2 ** k)
+    assert abs(exact - Fraction(REFERENCE_PRODUCT_AT_ZERO)) <= Fraction(5, 10 ** 11)
+    assert round(float(exact), 10) == REFERENCE_PRODUCT_AT_ZERO

@@ -265,8 +265,11 @@ _RADIAL = {"generator": {"kind": "radial", "angle": 0.0, "rate": 0.5, "count": 4
         "kind": "finite-points", "points": [0.5, "x"]}}})),
     ("series", json.dumps(_series_of({"zeros": [{"re": "x", "im": 0.0}]}))),
     ("series", json.dumps(_series_of(_RADIAL, weight="half"))),
+    ("scan", json.dumps({"generator": {"kind": "radial", "angle": True, "rate": 0.5,
+                                       "count": 4}})),
+    ("scan", json.dumps({"zeros": [{"re": False, "im": 0.5}]})),
 ], ids=["re-string", "re-null", "infinite-angle", "finite-points-string", "series-zeros",
-        "series-weight"])
+        "series-weight", "angle-true", "re-false"])
 def test_malformed_evaluation_inputs_exit_2(tmp_path, capsys, subcommand, text):
     path = _write(tmp_path, "input.json", text)
     flag = "--zeros" if subcommand == "scan" else "--spec"
@@ -274,6 +277,8 @@ def test_malformed_evaluation_inputs_exit_2(tmp_path, capsys, subcommand, text):
     err = capsys.readouterr().err
     assert err.startswith(f"boundarylab {subcommand}: ")
     assert "Traceback" not in err
+    if "true" in text or "false" in text:
+        assert "must be a number" in err
 
 
 @pytest.mark.parametrize("extra", [{"cell_size": "x"}, {"origin": 5}],

@@ -7,7 +7,9 @@ from boundarylab.errors import InvalidZeroError, ValidationError
 from boundarylab.unitdisc import (
     TWO_PI,
     ClosedSetSpec,
+    LevelBlock,
     ZeroSequence,
+    _require_number,
     blaschke_condition_sum,
     circular_gap,
     gen_accumulation_sequence,
@@ -207,3 +209,106 @@ def test_gen_accumulation_level_mass_is_summable():
     # level mass is capped at 2^-level, so the whole prefix stays below 1
     assert seq.blaschke_sum < 1.0
     assert np.all(seq.deficits > 0.0)
+
+
+# The generator as it was before its levels were built with numpy: every
+# angle and deficit must keep its bits.
+def _reference_level_angles(target, level):
+    if target.kind == "finite-points":
+        return list(target.points)
+    gap = TWO_PI * (3.0 ** -level)
+    out = []
+    for s, e in target.closure_arcs():
+        length = e - s
+        if length >= TWO_PI - 1e-9:
+            m = max(int(math.ceil(TWO_PI / gap)), 3)
+            out.extend(normalize_angle(s + j * (TWO_PI / m)) for j in range(m))
+        elif length == 0.0:
+            out.append(s)
+        else:
+            m = max(int(math.ceil(length / gap)) + 1, 2)
+            out.extend(normalize_angle(s + j * (length / (m - 1))) for j in range(m))
+    return out
+
+
+def _reference_accumulation(target, depth):
+    angles, deficits = [], []
+    for level in range(1, depth + 1):
+        level_angles = _reference_level_angles(target, level)
+        d = min(3.0 ** -level, (2.0 ** -level) / len(level_angles))
+        angles += level_angles
+        deficits += [d] * len(level_angles)
+    seq = ZeroSequence(angles=np.array(angles, dtype=np.float64),
+                       deficits=np.array(deficits, dtype=np.float64))
+    return seq.angles, seq.deficits
+
+
+_FULL12 = ClosedSetSpec(kind="arc-union", arcs=((0.10384619671527331, 6.3870315038948595),))
+
+
+@pytest.mark.parametrize("target,depth", [
+    (_FULL12, 12),
+    (ClosedSetSpec(kind="arc-union", arcs=((5.0, 5.0 + TWO_PI),)), 9),
+    (ClosedSetSpec(kind="arc-union", arcs=((0.3, 1.9), (4.0, 6.5))), 8),
+    (ClosedSetSpec(kind="cantor", cantor_level=3,
+                   base_arc=(0.25744424357926954, 1.2574442435792696)), 8),
+    (ClosedSetSpec(kind="finite-points", points=(5.590393700586498, 0.0, 3.0, -0.0)), 10),
+], ids=["full12", "full9-wrapping", "two-arcs", "cantor", "finite-points"])
+def test_generator_levels_keep_their_bits(target, depth):
+    seq = gen_accumulation_sequence(target, depth)
+    angles, deficits = _reference_accumulation(target, depth)
+    assert np.array_equal(seq.angles.view(np.uint64), angles.view(np.uint64))
+    assert np.array_equal(seq.deficits.view(np.uint64), deficits.view(np.uint64))
+
+
+def test_full_circle_levels_are_recorded_as_blocks():
+    seq = gen_accumulation_sequence(_FULL12, 12)
+    counts = [b.count for b in seq.blocks]
+    # ceil(2 pi / (2 pi 3^-l)) rounds 3^l up at levels 3, 6 and 10
+    assert counts == [3, 9, 28, 81, 243, 730, 2187, 6561, 19683, 59050, 177147, 531441]
+    start = 0
+    for b in seq.blocks:
+        assert b.start == start and b.angle == seq.angles[start] == _FULL12.arcs[0][0]
+        assert np.all(seq.deficits[start:start + b.count] == b.deficit)
+        start += b.count
+    assert start == len(seq)
+    # only generated full-circle levels are blocks
+    others = [
+        seq.prefix(1000),
+        ZeroSequence(angles=seq.angles, deficits=seq.deficits),
+        ZeroSequence.from_zeros([0.5, 0.25j]),
+        gen_radial_sequence(1.0, 0.5, 20),
+        gen_accumulation_sequence(ClosedSetSpec(kind="arc-union", arcs=((0.3, 1.9),)), 6),
+        gen_accumulation_sequence(ClosedSetSpec(kind="cantor", cantor_level=2), 5),
+        gen_accumulation_sequence(ClosedSetSpec(kind="finite-points", points=(1.0,)), 5),
+    ]
+    assert all(other.blocks == () for other in others)
+
+
+def test_blocks_must_describe_their_zeros():
+    seq = gen_accumulation_sequence(_FULL12, 4)
+    angles, deficits = seq.angles, seq.deficits
+    # a block rebuilt from its fields is accepted
+    assert ZeroSequence(angles=angles, deficits=deficits, blocks=seq.blocks).blocks == seq.blocks
+    first, second = seq.blocks[:2]
+    bad = [
+        (first._replace(count=4),),                      # wrong count: angles disagree
+        (first._replace(deficit=first.deficit / 2),),    # deficit unlike its zeros'
+        (first._replace(angle=first.angle + 1e-12),),    # shifted start angle
+        (second, first),                                 # out of order
+        (first._replace(start=len(seq) - 1),),           # runs past the end
+        (first._replace(count=1.5),),                    # not an integer
+        (LevelBlock(0, 3, 0.0, 1.0),),                   # deficit 1: zeros at the origin
+    ]
+    for blocks in bad:
+        with pytest.raises(ValidationError):
+            ZeroSequence(angles=angles, deficits=deficits, blocks=blocks)
+
+
+def test_booleans_are_not_numbers():
+    assert _require_number({"x": 1}, "x") == 1.0
+    for value in (True, False):
+        with pytest.raises(ValidationError, match="must be a number"):
+            _require_number({"x": value}, "x")
+        with pytest.raises(ValidationError, match=r"points\[0\] must be a number"):
+            _require_number([value], 0, "points")
