@@ -132,34 +132,26 @@ class BlaschkeProduct:
 
     def _products(self, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Product of factors lo..hi-1 at each point of z, with a one-point
-        product's bits: (points x factors) blocks of at most _EVAL_CHUNK
-        elements, each row reduced left to right; past one chunk, point by
-        point in fixed chunks.  A pole leaves a non-finite value.
+        product's bits: each chunk of at most _EVAL_CHUNK factors is evaluated
+        as (points x factors) blocks of at most _EVAL_CHUNK elements, each row
+        reduced left to right, and past one chunk a point's chunk products are
+        reduced left to right in turn.  A pole leaves a non-finite value.
         """
-        n = hi - lo
-        absa, rot, conj_a = self._absa[lo:hi], self._rot[lo:hi], self._conj_a[lo:hi]
+        rows = _EVAL_CHUNK // max(min(hi - lo, _EVAL_CHUNK), 1)
         out = np.empty(z.size, dtype=np.complex128)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if n <= _EVAL_CHUNK:
-                rows = _EVAL_CHUNK // max(n, 1)
-                for at in range(0, z.size, rows):
-                    col = z[at:at + rows, None]
-                    block = (absa - rot * col) / (1.0 - conj_a * col)
-                    out[at:at + rows] = np.multiply.reduce(block, axis=1)
-                return out
-            num = np.empty(_EVAL_CHUNK, dtype=np.complex128)
-            den = np.empty(_EVAL_CHUNK, dtype=np.complex128)
-            for i, zi in enumerate(z.tolist()):
-                acc = 1.0 + 0.0j
-                for c in range(0, n, _EVAL_CHUNK):
-                    m = min(c + _EVAL_CHUNK, n) - c
-                    np.multiply(rot[c:c + m], zi, out=num[:m])
-                    np.subtract(absa[c:c + m], num[:m], out=num[:m])
-                    np.multiply(conj_a[c:c + m], zi, out=den[:m])
-                    np.subtract(1.0, den[:m], out=den[:m])
-                    np.divide(num[:m], den[:m], out=num[:m])
-                    acc *= complex(np.multiply.reduce(num[:m]))
-                out[i] = acc
+            for at in range(0, z.size, rows):
+                col = z[at:at + rows, None]
+                parts = []
+                for c in range(lo, max(hi, lo + 1), _EVAL_CHUNK):
+                    span = slice(c, min(c + _EVAL_CHUNK, hi))
+                    num = self._rot[span] * col  # then in place: two temporaries per chunk
+                    np.subtract(self._absa[span], num, out=num)
+                    den = self._conj_a[span] * col
+                    np.subtract(1.0, den, out=den)
+                    parts.append(np.multiply.reduce(np.divide(num, den, out=num), axis=1))
+                out[at:at + rows] = parts[0] if len(parts) == 1 else \
+                    np.multiply.reduce(np.stack(parts, axis=1), axis=1)
         return out
 
     def _closed_forms(self, z: np.ndarray, k: int) -> np.ndarray:
@@ -360,9 +352,6 @@ class BlaschkeProduct:
         """Evaluate with a certified tail bound below tol, or fail loudly."""
         values, counts, bounds = self.eval_many([complex(z)], strict=True, tol=tol)
         return TruncatedEval(values.item(), counts.item(), bounds.item())
-
-    def eval(self, z: complex, tol: float | None = None) -> complex:
-        return self.eval_truncated(z, tol).value
 
     def eval_best_effort(self, z: complex) -> TruncatedEval:
         """Like eval_truncated, but falls back to the full stored prefix."""

@@ -52,11 +52,16 @@ class FrostmanPolicy:
             raise ValidationError("cauchy_tolerance must be positive")
 
 
-def frostman_terms(seq: ZeroSequence, theta: float) -> np.ndarray:
-    """Per-zero summands (1 - |a_k|) / |e^(i theta) - a_k| in stored order."""
-    theta = normalize_angle(theta)
+def frostman_terms(seq: ZeroSequence, theta: float | np.ndarray) -> np.ndarray:
+    """Per-zero summands (1 - |a_k|) / |e^(i theta) - a_k| in stored order.
+
+    An array of angles in [0, 2 pi) gives one row per angle.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim == 0:
+        theta = np.float64(normalize_angle(float(theta)))
     d = seq.deficits
-    half_gap = 0.5 * (seq.angles - theta)
+    half_gap = 0.5 * (seq.angles - theta[..., None])
     chord = 2.0 * np.sqrt(1.0 - d) * np.abs(np.sin(half_gap))
     return d / np.hypot(d, chord)
 
@@ -121,11 +126,7 @@ def frostman_classify(
     policy = FrostmanPolicy() if policy is None else policy
     theta = normalize_angle(theta)
     schedule = doubling_schedule(len(seq))
-    if len(seq) == 0:
-        sums: tuple[float, ...] = (0.0,)
-    else:
-        cumulative = np.cumsum(frostman_terms(seq, theta))
-        sums = tuple(float(cumulative[n - 1]) for n in schedule)
+    sums = tuple(_schedule_sums(seq, np.array([theta]), schedule)[0].tolist())
     classification, tail = _classify_sums(sums, policy)
     return FrostmanReport(
         theta=theta,
@@ -168,6 +169,19 @@ class FrostmanProfile:
 _PROFILE_CHUNK_ELEMENTS = 4_000_000
 
 
+def _schedule_sums(seq: ZeroSequence, angles: np.ndarray, schedule: Sequence[int]) -> np.ndarray:
+    """f_n at each angle (rows) for each n of the schedule (columns); f_0 = 0."""
+    sums = np.zeros((angles.size, len(schedule)), dtype=np.float64)
+    if len(seq):
+        first = int(schedule[0] == 0)  # an increasing schedule has 0 first if at all
+        cols = np.subtract(schedule[first:], 1)
+        chunk = max(1, _PROFILE_CHUNK_ELEMENTS // len(seq))
+        for lo in range(0, angles.size, chunk):
+            cumulative = np.cumsum(frostman_terms(seq, angles[lo:lo + chunk]), axis=1)
+            sums[lo:lo + chunk, first:] = cumulative[:, cols]
+    return sums
+
+
 def frostman_profile(
     seq: ZeroSequence,
     angle_count: int,
@@ -189,33 +203,12 @@ def frostman_profile(
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ValidationError("prefix schedule must be strictly increasing")
 
-    n_zeros = len(seq)
-    sums = np.zeros((angle_count, len(schedule)), dtype=np.float64)
-    if n_zeros:
-        cols = np.asarray(schedule, dtype=np.int64)
-        chunk = max(1, _PROFILE_CHUNK_ELEMENTS // max(n_zeros, 1))
-        d = seq.deficits[None, :]
-        chord_base = 2.0 * np.sqrt(1.0 - seq.deficits)[None, :]
-        for lo in range(0, angle_count, chunk):
-            hi = min(lo + chunk, angle_count)
-            half_gap = 0.5 * (seq.angles[None, :] - angles[lo:hi, None])
-            terms = d / np.hypot(d, chord_base * np.abs(np.sin(half_gap)))
-            cumulative = np.cumsum(terms, axis=1)
-            padded = np.concatenate(
-                [np.zeros((hi - lo, 1)), cumulative], axis=1
-            )
-            sums[lo:hi, :] = padded[:, cols]
-    classifications = []
-    for i in range(angle_count):
-        cls, _ = _classify_sums(sums[i, :].tolist(), policy)
-        classifications.append(cls)
-    divergent_fraction = float(
-        sum(1 for c in classifications if c == DIVERGENT) / angle_count
-    )
+    sums = _schedule_sums(seq, angles, schedule)
+    classifications = tuple(_classify_sums(row, policy)[0] for row in sums.tolist())
     return FrostmanProfile(
         angles=angles,
         schedule=schedule,
         partial_sums=sums,
-        classifications=tuple(classifications),
-        divergent_fraction=divergent_fraction,
+        classifications=classifications,
+        divergent_fraction=classifications.count(DIVERGENT) / angle_count,
     )

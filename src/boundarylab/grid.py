@@ -303,9 +303,6 @@ class ComponentLabeling:
     labels: np.ndarray  # int32, -1 where not in the complement
     components: tuple[Component, ...]
 
-    def component_mask(self, component_id: int) -> np.ndarray:
-        return self.labels == component_id
-
 
 def label_components(grid: GridPlane, subject) -> ComponentLabeling:
     """4-connected components of G minus the subject.

@@ -289,19 +289,29 @@ def _adaptive_mean(
     )
 
 
-def _circle_mean(integrand, f: BoundaryFunction, quad_points: int | None,
-                 tolerance: float, max_points: int) -> complex:
-    """Mean of the integrand over a fixed grid of quad_points, else adaptively;
-    grids have at least quad_min_points points and four per boundary sample."""
+def _circle_mean(integrand, f: BoundaryFunction, z: complex, quad_points: int | None,
+                 tolerance: float | None, max_points: int | None, *, harmonic: bool) -> complex:
+    """Circle mean of the integrand, f times the Herglotz kernel at z or, if
+    harmonic, times the Poisson kernel (its real part), by the rules stated in
+    poisson_integral.  Grids have at least quad_min_points points and four
+    per boundary sample; a cross-check is one step of _adaptive_mean.
+    """
+    if quad_points is None and f.kind == "form" and f.form_name == "indicator-arc":
+        mean = _herglotz_indicator(f.arc, f.scale, z)
+        return complex(mean.real) if harmonic else mean
     floor = config.DEFAULTS["quad_min_points"]
     if f.kind == "samples":
         floor = max(floor, 4 * int(f.sample_values.size))
     if quad_points is None:
-        return _adaptive_mean(integrand, floor, tolerance, max_points)
+        tol = config.DEFAULTS["quad_tolerance"] if tolerance is None else tolerance
+        cap = config.DEFAULTS["quad_max_points"] if max_points is None else max_points
+        return _adaptive_mean(integrand, floor, tol, cap)
     if quad_points < floor:
         raise ValidationError(
             f"quad_points must be >= {floor} for this boundary data, got {quad_points}"
         )
+    if tolerance is not None:
+        return _adaptive_mean(integrand, quad_points, tolerance, 2 * quad_points)
     t = TWO_PI * np.arange(quad_points, dtype=np.float64) / quad_points
     return complex(np.mean(integrand(t)))
 
@@ -330,37 +340,21 @@ def poisson_integral(
     if not isinstance(f, BoundaryFunction):
         raise ValidationError("boundary data must be a BoundaryFunction")
     theta = cmath.phase(z)
-    tol = config.DEFAULTS["quad_tolerance"] if tolerance is None else tolerance
-    cap = config.DEFAULTS["quad_max_points"] if max_points is None else max_points
-    if quad_points is None and f.kind == "form" and f.form_name == "indicator-arc":
-        return complex(_herglotz_indicator(f.arc, f.scale, z).real)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return f.evaluate(t) * poisson_kernel(r, theta - t)
 
-    value = _circle_mean(integrand, f, quad_points, tol, cap)
-    if quad_points is None or tolerance is None:
-        return value
-    refined = _circle_mean(integrand, f, 2 * quad_points, tol, cap)
-    if abs(refined - value) > tolerance:
-        raise ResolutionError(
-            f"{quad_points}-point quadrature is {abs(refined - value):.3g} away "
-            f"from its refinement, above tolerance {tolerance:g}",
-            achieved=abs(refined - value),
-        )
-    return refined
+    return _circle_mean(integrand, f, z, quad_points, tolerance, max_points, harmonic=True)
+
+
+_ONE = BoundaryFunction.constant(1.0)
 
 
 def kernel_mass(r: float, *, tolerance: float | None = None) -> float:
     """Mean of the Poisson kernel over the circle (should be 1)."""
-    tol = config.DEFAULTS["quad_tolerance"] if tolerance is None else tolerance
-    value = _adaptive_mean(
-        lambda t: poisson_kernel(r, t) + 0.0j,
-        config.DEFAULTS["quad_min_points"],
-        tol,
-        config.DEFAULTS["quad_max_points"],
-    )
-    return value.real
+    mean = _circle_mean(lambda t: poisson_kernel(r, t) + 0.0j, _ONE, r, None, tolerance, None,
+                        harmonic=True)
+    return mean.real
 
 
 @dataclass(frozen=True)
@@ -416,22 +410,21 @@ def eval_outer(
     tolerance: float | None = None,
     max_points: int | None = None,
 ) -> complex:
-    """lambda * exp(mean of (e^it + z)/(e^it - z) k(t)); boundary modulus e^k."""
+    """lambda * exp(mean of (e^it + z)/(e^it - z) k(t)); boundary modulus e^k.
+
+    Grids, closed form and cross-check follow the rules of poisson_integral.
+    """
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValidationError(f"outer functions are evaluated for |z| < 1, got {z!r}")
-    tol = config.DEFAULTS["quad_tolerance"] if tolerance is None else tolerance
-    cap = config.DEFAULTS["quad_max_points"] if max_points is None else max_points
-    if quad_points is None and density.k.kind == "form" and \
-            density.k.form_name == "indicator-arc":
-        mean = _herglotz_indicator(density.k.arc, density.k.scale, z)
-        return density.lam * cmath.exp(mean)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         zeta = np.exp(1j * t)
         return (zeta + z) / (zeta - z) * density.k.evaluate(t)
 
-    return density.lam * cmath.exp(_circle_mean(integrand, density.k, quad_points, tol, cap))
+    mean = _circle_mean(integrand, density.k, z, quad_points, tolerance, max_points,
+                        harmonic=False)
+    return density.lam * cmath.exp(mean)
 
 
 @dataclass
@@ -479,13 +472,10 @@ class InnerFunctionSpec:
                 return False
         return True
 
-    def eval(self, z: complex, *, strict: bool = False) -> complex:
+    def eval(self, z: complex) -> complex:
         value = 1.0 + 0.0j
         if self.blaschke is not None:
-            if strict:
-                value *= self.blaschke.eval(z)
-            else:
-                value *= self.blaschke.eval_best_effort(z).value
+            value *= self.blaschke.eval_best_effort(z).value
         if self.atoms is not None:
             value *= eval_singular_inner(self.atoms, z)
         if self.outer is not None:

@@ -673,6 +673,47 @@ def test_prefixes_ending_inside_a_level_mix_blocks_and_factors():
     assert inside > 20
 
 
+def _chunkwise_products(self, z, lo, hi):
+    """The factor-range product as it was written with a per-point loop past one chunk."""
+    n = hi - lo
+    absa, rot, conj_a = self._absa[lo:hi], self._rot[lo:hi], self._conj_a[lo:hi]
+    out = np.empty(z.size, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n <= _CHUNK:
+            rows = _CHUNK // max(n, 1)
+            for at in range(0, z.size, rows):
+                col = z[at:at + rows, None]
+                block = (absa - rot * col) / (1.0 - conj_a * col)
+                out[at:at + rows] = np.multiply.reduce(block, axis=1)
+            return out
+        for i, zi in enumerate(z.tolist()):
+            acc = 1.0 + 0.0j
+            for c in range(0, n, _CHUNK):
+                num = absa[c:c + _CHUNK] - rot[c:c + _CHUNK] * zi
+                den = 1.0 - conj_a[c:c + _CHUNK] * zi
+                acc *= complex(np.multiply.reduce(num / den))
+            out[i] = acc
+    return out
+
+
+def test_blocks_then_a_range_past_one_chunk_keep_the_per_point_bits():
+    prod = _product(FULL12)
+    ends = [b.start + b.count for b in prod.zeros.blocks]
+    angles = np.random.default_rng(5).uniform(0.0, TWO_PI, 16)
+    for tol, r in ((1e-3, 0.5), (3e-4, 0.05)):
+        points = r * np.exp(1j * angles)
+        got = prod.eval_many(points, strict=True, tol=tol)
+        n = int(got.factors_used[0])
+        k = sum(end <= n for end in ends)
+        # whole blocks, then more than four chunks of the next level
+        assert n - ends[k - 1] > 4 * _CHUNK
+        # each block's closed form, then the range's product as one column
+        parts = np.hstack([prod._closed_forms(points, k),
+                           _chunkwise_products(prod, points, ends[k - 1], n)[:, None]])
+        want = np.multiply.reduce(parts, axis=1)
+        assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+
+
 def test_closed_form_is_within_its_bound_of_an_mpmath_product():
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()

@@ -120,6 +120,28 @@ def test_profile_grid():
         assert frostman_classify(seq, float(theta)).classification == cls
 
 
+def test_classify_and_profile_share_their_sums(monkeypatch):
+    import boundarylab.frostman as frostman
+
+    rng = np.random.default_rng(41)
+    seq = ZeroSequence(angles=rng.uniform(0.0, TWO_PI, 1050),
+                       deficits=rng.uniform(1e-9, 0.3, 1050))
+    # a small chunk cap splits the profile's term matrix into many chunks
+    monkeypatch.setattr(frostman, "_PROFILE_CHUNK_ELEMENTS", 3000)
+    schedule = doubling_schedule(len(seq))
+    profile = frostman_profile(seq, 16)
+    from_zero = frostman_profile(seq, 16, prefix_schedule=(0,) + schedule)
+    assert np.all(from_zero.partial_sums[:, 0] == 0.0)
+    rows = frostman_terms(seq, profile.angles)
+    for i, theta in enumerate(profile.angles.tolist()):
+        report = frostman_classify(seq, theta)
+        assert report.partial_sums == tuple(profile.partial_sums[i].tolist())
+        assert report.partial_sums == tuple(from_zero.partial_sums[i, 1:].tolist())
+        assert np.array_equal(rows[i], frostman_terms(seq, theta))
+    assert frostman_profile(ZeroSequence(angles=[], deficits=[]), 4).partial_sums.tolist() == \
+        [[0.0]] * 4
+
+
 def test_profile_csv_shape():
     seq = gen_radial_sequence(0.0, 0.5, 40)
     profile = frostman_profile(seq, 8)

@@ -79,6 +79,19 @@ def test_poisson_integral_resolution_error():
         poisson_integral(f, 0.5, 32)  # below the 64-point floor
 
 
+def test_outer_fixed_grid_is_cross_checked_like_the_poisson_integral():
+    density = OuterDensity(k=BoundaryFunction.form("cos"))
+    with pytest.raises(ResolutionError) as exc:
+        eval_outer(density, 0.99, 64, tolerance=1e-10)
+    assert exc.value.achieved > 0.0
+    # a check that passes returns the doubled grid's value
+    assert _same(eval_outer(density, 0.5, 64, tolerance=1e-3), eval_outer(density, 0.5, 128))
+    assert _same(poisson_integral(density.k, 0.5, 64, tolerance=1e-3),
+                 poisson_integral(density.k, 0.5, 128))
+    with pytest.raises(ValidationError):
+        eval_outer(density, 0.5, 32, tolerance=1e-3)  # below the 64-point floor
+
+
 def test_kernel_mass_resolution_error_reports_last_change():
     with pytest.raises(ResolutionError) as exc:
         kernel_mass(0.9999999999)
@@ -305,6 +318,9 @@ def test_adaptive_mean_reuses_the_grid_bit_for_bit():
     want = _full_recompute_mean(
         lambda t: density.evaluate(t) * poisson_kernel(abs(z), cmath.phase(z) - t), 4 * n, tol, cap)
     assert _same(poisson_integral(density, z), want)
+    want = _full_recompute_mean(
+        lambda t: (np.exp(1j * t) + z) / (np.exp(1j * t) - z) * density.evaluate(t), 4 * n, tol, cap)
+    assert _same(eval_outer(OuterDensity(k=density), z), cmath.exp(want))
     want = _full_recompute_mean(lambda t: poisson_kernel(0.99, t) + 0.0j, low, tol, cap)
     assert _same(complex(kernel_mass(0.99)), complex(want.real))
     with pytest.raises(ResolutionError) as exc:
