@@ -38,6 +38,8 @@ from .unitdisc import (
     uniform_angles,
 )
 
+# Radius schedules stop at 1 - 2^-53, the float just below 1.
+MAX_RADIUS_LEVELS = 53
 
 # Factor block size for long products: one chunk evaluates strictly in
 # sequence, and chunk boundaries are fixed, so values never depend on timing
@@ -376,10 +378,16 @@ def evaluate_points(fn, points, *, strict: bool = False) -> np.ndarray:
 
 
 def default_radius_schedule(levels: int | None = None) -> np.ndarray:
-    """Radii 1 - 2^-n for n = 1..levels (default from config)."""
+    """Radii 1 - 2^-n for n = 1..levels (default from config).
+
+    At most MAX_RADIUS_LEVELS levels: 1 - 2^-54 rounds to 1.0.
+    """
     levels = config.DEFAULTS["radius_levels"] if levels is None else levels
-    if levels < 1:
-        raise ValidationError("radius schedule needs at least one level")
+    if not 1 <= levels <= MAX_RADIUS_LEVELS:
+        raise ValidationError(
+            f"radius_levels must lie in 1..{MAX_RADIUS_LEVELS} (1 - 2^-54 rounds to 1), "
+            f"got {levels!r}"
+        )
     n = np.arange(1, levels + 1, dtype=np.float64)
     return 1.0 - np.power(2.0, -n)
 

@@ -38,26 +38,12 @@ from .series import SeriesSpec, eval_series
 from .textio import json_text, write_values
 from .unitdisc import ZeroSequence, circle_points, uniform_angles
 
-# flag destination -> config key, for every override the CLI accepts
-_FLOAT_OVERRIDES = {
-    "truncation_tolerance": "truncation_tolerance",
-    "verdict_tolerance": "verdict_tolerance",
-    "quad_tolerance": "quad_tolerance",
-    "series_tolerance": "series_tolerance",
-    "delta": "scan_delta",
-    "divergence_threshold": "frostman_divergence_threshold",
-    "cauchy_tolerance": "frostman_cauchy_tolerance",
-}
-_INT_OVERRIDES = {
-    "radius_levels": "radius_levels",
-    "window": "oscillation_window",
-    "growth_window": "frostman_growth_window",
-    "seed": "seed",
-}
-
-
-def _d(key: str) -> str:
-    return f"(default {config.DEFAULTS[key]})"
+def _setting(parser: argparse.ArgumentParser, flag: str, key: str, metavar: str,
+             text: str) -> None:
+    """A flag that overrides config key ``key``; type and default come from DEFAULTS."""
+    default = config.DEFAULTS[key]
+    parser.add_argument(flag, dest=key, type=type(default), metavar=metavar,
+                        help=f"{text} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,24 +52,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key = value config file; flags win over it (default none)")
     common.add_argument("--out", metavar="PATH", default="-",
                         help="output path, - for standard output (default -)")
-    common.add_argument("--seed", type=int, metavar="N",
-                        help=f"seed for randomized fixtures {_d('seed')}")
 
     zeros = argparse.ArgumentParser(add_help=False)
     zeros.add_argument("--zeros", metavar="FILE", required=True,
                        help="zero-sequence JSON ({'zeros': [...]} or {'generator': {...}})")
     truncation = argparse.ArgumentParser(add_help=False)
-    truncation.add_argument("--truncation-tolerance", type=float, metavar="TOL",
-                            help=f"certified truncation tail bound {_d('truncation_tolerance')}")
+    _setting(truncation, "--truncation-tolerance", "truncation_tolerance", "TOL",
+             "certified truncation tail bound")
     ray = argparse.ArgumentParser(add_help=False)
     ray.add_argument("--angle", type=float, default=0.0,
                      help="boundary angle in radians (default 0.0)")
-    ray.add_argument("--radius-levels", type=int, metavar="N",
-                     help=f"radii 1 - 2^-n for n = 1..N {_d('radius_levels')}")
-    ray.add_argument("--window", type=int, metavar="N",
-                     help=f"trailing samples judged for oscillation {_d('oscillation_window')}")
-    ray.add_argument("--verdict-tolerance", type=float, metavar="TOL",
-                     help=f"oscillation below this counts as a limit {_d('verdict_tolerance')}")
+    _setting(ray, "--radius-levels", "radius_levels", "N", "radii 1 - 2^-n for n = 1..N")
+    _setting(ray, "--window", "oscillation_window", "N", "trailing samples judged for oscillation")
+    _setting(ray, "--verdict-tolerance", "verdict_tolerance", "TOL",
+             "oscillation below this counts as a limit")
 
     parser = argparse.ArgumentParser(
         prog="boundarylab",
@@ -96,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.999, help="scan radius in (0, 1) (default 0.999)")
     p.add_argument("--angles", type=int, default=4096,
                    help="number of uniform sample angles (default 4096)")
-    p.add_argument("--delta", type=float, metavar="X",
-                   help=f"'near modulus one' means modulus > 1 - X {_d('scan_delta')}")
+    _setting(p, "--delta", "scan_delta", "X", "'near modulus one' means modulus > 1 - X")
     sub.add_parser("trace", parents=[common, zeros, ray, truncation],
                    help="sample a Blaschke product along one radial ray (CSV)")
     sub.add_parser("probe", parents=[common, zeros, ray],
@@ -109,12 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="classify this single angle instead of a grid (default none)")
     p.add_argument("--angles", type=int, default=256,
                    help="grid size when --theta is absent (default 256)")
-    p.add_argument("--divergence-threshold", type=float, metavar="X",
-                   help=f"partial sums this large mean divergent {_d('frostman_divergence_threshold')}")
-    p.add_argument("--growth-window", type=int, metavar="N",
-                   help=f"prefix doublings inspected for the tail {_d('frostman_growth_window')}")
-    p.add_argument("--cauchy-tolerance", type=float, metavar="TOL",
-                   help=f"tail below this means convergent {_d('frostman_cauchy_tolerance')}")
+    _setting(p, "--divergence-threshold", "frostman_divergence_threshold", "X",
+             "partial sums this large mean divergent")
+    _setting(p, "--growth-window", "frostman_growth_window", "N",
+             "prefix doublings inspected for the tail")
+    _setting(p, "--cauchy-tolerance", "frostman_cauchy_tolerance", "TOL",
+             "tail below this means convergent")
 
     p = sub.add_parser("series", parents=[common],
                        help="evaluate a weighted inner-function series (JSON or CSV)")
@@ -125,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="circle radius for the CSV mode (default 0.999)")
     p.add_argument("--angles", type=int, default=256,
                    help="sample angles for the CSV mode (default 256)")
-    p.add_argument("--series-tolerance", type=float, metavar="TOL",
-                   help=f"unused weight mass allowed in the tail {_d('series_tolerance')}")
+    _setting(p, "--series-tolerance", "series_tolerance", "TOL",
+             "unused weight mass allowed in the tail")
 
     p = sub.add_parser("arakeljan", parents=[common],
                        help="raster hole checks: verdict, independence, union law (JSON)")
@@ -150,26 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the bundled acceptance criteria; exit 0 iff all pass")
     p.add_argument("--only", metavar="LIST",
                    help="comma-separated criterion indices, e.g. 1,5,13 (default all)")
+    _setting(p, "--seed", "seed", "N", "seed for randomized fixtures")
 
     return parser
 
 
 def _effective(args: argparse.Namespace) -> dict:
-    overrides: dict[str, object] = {}
-    for dest, key in {**_FLOAT_OVERRIDES, **_INT_OVERRIDES}.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[key] = value
-    cfg = config.effective_config(getattr(args, "config", None), overrides)
-    for key in ("radius_levels", "oscillation_window", "frostman_growth_window"):
-        if int(cfg[key]) < 1:
-            raise ValidationError(f"config key {key} must be at least 1, got {cfg[key]!r}")
-    for key in _FLOAT_OVERRIDES.values():
-        if not float(cfg[key]) > 0.0:
-            raise ValidationError(f"config key {key} must be positive, got {cfg[key]!r}")
-    if int(cfg["seed"]) < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
-    return cfg
+    """Every flag whose destination is a config key overrides it when given."""
+    overrides = {k: v for k, v in vars(args).items() if k in config.DEFAULTS and v is not None}
+    return config.effective_config(args.config, overrides)
 
 
 def _read_text(path: str) -> str:
@@ -205,7 +175,7 @@ def _out_handle(path: str | None):
 
 def _load_product(args: argparse.Namespace, cfg: dict) -> BlaschkeProduct:
     seq = ZeroSequence.from_json(_read_json(args.zeros))
-    return BlaschkeProduct(seq, truncation_tolerance=float(cfg["truncation_tolerance"]))
+    return BlaschkeProduct(seq, truncation_tolerance=cfg["truncation_tolerance"])
 
 
 def _load_grid(path: str) -> GridPlane:
@@ -223,7 +193,7 @@ def _load_grid(path: str) -> GridPlane:
 
 def _cmd_scan(args: argparse.Namespace, cfg: dict) -> int:
     product = _load_product(args, cfg)
-    kwargs = dict(r=args.r, angle_count=args.angles, delta=float(cfg["scan_delta"]))
+    kwargs = dict(r=args.r, angle_count=args.angles, delta=cfg["scan_delta"])
     code = 0
     try:
         scan = boundary_scan(product, strict=True, **kwargs)
@@ -238,9 +208,9 @@ def _cmd_scan(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _ray_settings(cfg: dict) -> dict:
-    return dict(radii=default_radius_schedule(int(cfg["radius_levels"])),
-                verdict_tolerance=float(cfg["verdict_tolerance"]),
-                window=int(cfg["oscillation_window"]))
+    return dict(radii=default_radius_schedule(cfg["radius_levels"]),
+                verdict_tolerance=cfg["verdict_tolerance"],
+                window=cfg["oscillation_window"])
 
 
 def _cmd_trace(args: argparse.Namespace, cfg: dict) -> int:
@@ -260,9 +230,9 @@ def _cmd_probe(args: argparse.Namespace, cfg: dict) -> int:
 def _cmd_frostman(args: argparse.Namespace, cfg: dict) -> int:
     seq = ZeroSequence.from_json(_read_json(args.zeros))
     policy = FrostmanPolicy(
-        divergence_threshold=float(cfg["frostman_divergence_threshold"]),
-        growth_window=int(cfg["frostman_growth_window"]),
-        cauchy_tolerance=float(cfg["frostman_cauchy_tolerance"]),
+        divergence_threshold=cfg["frostman_divergence_threshold"],
+        growth_window=cfg["frostman_growth_window"],
+        cauchy_tolerance=cfg["frostman_cauchy_tolerance"],
     )
     if args.theta is not None:
         report = frostman_classify(seq, args.theta, policy)
@@ -284,7 +254,7 @@ def _cmd_frostman(args: argparse.Namespace, cfg: dict) -> int:
 
 def _cmd_series(args: argparse.Namespace, cfg: dict) -> int:
     spec = SeriesSpec.from_json(_read_json(args.spec))
-    tol = float(cfg["series_tolerance"])
+    tol = cfg["series_tolerance"]
     if args.at is not None:
         z = complex(args.at[0], args.at[1])
         if abs(z) >= 1.0:
@@ -349,7 +319,7 @@ def _parse_only(text: str | None) -> list[int] | None:
 
 def _cmd_selftest(args: argparse.Namespace, cfg: dict) -> int:
     indices = _parse_only(args.only)
-    results = acceptance.run_acceptance(seed=int(cfg["seed"]), indices=indices)
+    results = acceptance.run_acceptance(seed=cfg["seed"], indices=indices)
     with _out_handle(args.out) as fh:
         fh.write(acceptance.format_table(results) + "\n")
     return 0 if acceptance.all_passed(results) else 1

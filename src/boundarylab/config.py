@@ -1,13 +1,16 @@
-"""Single source of truth for numeric defaults.
+"""Single source of truth for the settings a user can change.
 
-Every tolerance, schedule length and threshold that the computational modules
-consult lives in DEFAULTS.  The CLI builds an effective mapping by layering,
-in increasing precedence: DEFAULTS, an optional ``boundarylab.toml``-style
-key = value file, then command-line flags.
+DEFAULTS holds every setting the CLI accepts, as a flag whose destination is
+the key or as a config-file line.  The CLI layers, in increasing precedence:
+DEFAULTS, an optional ``boundarylab.toml``-style key = value file, then flags.
+A value takes the type of its default and one bound: integers at least 1
+(``seed`` at least 0), floats finite and positive.  Constants that no setting
+exposes (quadrature limits, size caps) live in the modules that use them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from .errors import ValidationError
@@ -21,10 +24,6 @@ DEFAULTS: dict[str, Any] = {
     "verdict_tolerance": 1e-4,      # oscillation below this => "limit exists"
     # boundary scans
     "scan_delta": 0.05,             # "near modulus one" means modulus > 1 - delta
-    # Poisson / Herglotz quadrature
-    "quad_tolerance": 1e-10,        # stop doubling when successive values agree
-    "quad_min_points": 64,
-    "quad_max_points": 1 << 22,
     # Frostman classifier policy
     "frostman_divergence_threshold": 1e3,
     "frostman_growth_window": 4,    # prefix doublings inspected for the tail
@@ -36,22 +35,28 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-def _coerce(text: str) -> Any:
-    """Parse a config-file value: bool, int, float, else bare string."""
-    t = text.strip()
-    if t.lower() in ("true", "false"):
-        return t.lower() == "true"
+def _check(key: str, value: Any) -> Any:
+    """A setting as the type of its default, within its bound.
+
+    Text is parsed by that type, so an integer key refuses ``7.9``; booleans,
+    quoted strings and non-finite floats are refused for every key.
+    """
+    if key not in DEFAULTS:
+        raise ValidationError(f"unknown config key {key!r}")
+    kind = type(DEFAULTS[key])
     try:
-        return int(t)
+        if isinstance(value, bool) or not isinstance(value, (str, int, kind)):
+            raise ValueError
+        number = kind(value)
     except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    if len(t) >= 2 and t[0] == t[-1] and t[0] in "'\"":
-        return t[1:-1]
-    return t
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"config key {key} needs {noun}, got {value!r}") from None
+    low = 0 if key == "seed" else 1
+    if kind is int and number < low:
+        raise ValidationError(f"config key {key} must be at least {low}, got {number}")
+    if kind is float and not (math.isfinite(number) and number > 0.0):
+        raise ValidationError(f"config key {key} must be finite and positive, got {number!r}")
+    return number
 
 
 def load_config_file(path: str) -> dict[str, Any]:
@@ -73,13 +78,11 @@ def load_config_file(path: str) -> dict[str, Any]:
             raise ValidationError(
                 f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}"
             )
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = _coerce(value)
-        if isinstance(overrides[key], str):  # every setting is a number
-            raise ValidationError(f"{path}:{lineno}: {key} needs a number, got {value.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        try:
+            overrides[key] = _check(key, value)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return overrides
 
 
@@ -91,9 +94,6 @@ def effective_config(
     cfg = dict(DEFAULTS)
     if file_path is not None:
         cfg.update(load_config_file(file_path))
-    if overrides:
-        for key, value in overrides.items():
-            if key not in DEFAULTS:
-                raise ValidationError(f"unknown config key {key!r}")
-            cfg[key] = value
+    for key, value in (overrides or {}).items():
+        cfg[key] = _check(key, value)
     return cfg

@@ -57,11 +57,14 @@ def frostman_terms(seq: ZeroSequence, theta: float | np.ndarray) -> np.ndarray:
 
     An array of angles in [0, 2 pi) gives one row per angle.
     """
+    return _terms(seq.angles, seq.deficits, theta)
+
+
+def _terms(angles: np.ndarray, d: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 0:
         theta = np.float64(normalize_angle(float(theta)))
-    d = seq.deficits
-    half_gap = 0.5 * (seq.angles - theta[..., None])
+    half_gap = 0.5 * (angles - theta[..., None])
     chord = 2.0 * np.sqrt(1.0 - d) * np.abs(np.sin(half_gap))
     return d / np.hypot(d, chord)
 
@@ -72,9 +75,7 @@ def frostman_partial(seq: ZeroSequence, theta: float, n: int) -> float:
         raise ValidationError(f"prefix length must be a nonnegative integer, got {n!r}")
     if n > len(seq):
         raise ValidationError(f"prefix length {n} exceeds the {len(seq)} stored zeros")
-    if n == 0:
-        return 0.0
-    return float(np.sum(frostman_terms(seq, theta)[:n]))
+    return float(np.sum(_terms(seq.angles[:n], seq.deficits[:n], theta)))
 
 
 def doubling_schedule(count: int) -> tuple[int, ...]:

@@ -24,12 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .errors import PoleError, ResolutionError, ValidationError
 from .unitdisc import TWO_PI, _require_number, normalize_angle
 
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
 _MIN_SAMPLE_COUNT = 16
+
+# adaptive circle quadrature: stop doubling once two successive grids agree
+# within QUAD_TOLERANCE; grids start at QUAD_MIN_POINTS (and four points per
+# boundary sample) and stop at QUAD_MAX_POINTS
+QUAD_TOLERANCE = 1e-10
+QUAD_MIN_POINTS = 64
+QUAD_MAX_POINTS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,18 +299,18 @@ def _circle_mean(integrand, f: BoundaryFunction, z: complex, quad_points: int | 
                  tolerance: float | None, max_points: int | None, *, harmonic: bool) -> complex:
     """Circle mean of the integrand, f times the Herglotz kernel at z or, if
     harmonic, times the Poisson kernel (its real part), by the rules stated in
-    poisson_integral.  Grids have at least quad_min_points points and four
+    poisson_integral.  Grids have at least QUAD_MIN_POINTS points and four
     per boundary sample; a cross-check is one step of _adaptive_mean.
     """
     if quad_points is None and f.kind == "form" and f.form_name == "indicator-arc":
         mean = _herglotz_indicator(f.arc, f.scale, z)
         return complex(mean.real) if harmonic else mean
-    floor = config.DEFAULTS["quad_min_points"]
+    floor = QUAD_MIN_POINTS
     if f.kind == "samples":
         floor = max(floor, 4 * int(f.sample_values.size))
     if quad_points is None:
-        tol = config.DEFAULTS["quad_tolerance"] if tolerance is None else tolerance
-        cap = config.DEFAULTS["quad_max_points"] if max_points is None else max_points
+        tol = QUAD_TOLERANCE if tolerance is None else tolerance
+        cap = QUAD_MAX_POINTS if max_points is None else max_points
         return _adaptive_mean(integrand, floor, tol, cap)
     if quad_points < floor:
         raise ValidationError(
@@ -329,7 +335,7 @@ def poisson_integral(
     With quad_points given, the grid is fixed (must be >= 64 and >= 4x the
     sample count) and the result is cross-checked against a doubled grid when
     a tolerance is supplied.  Without quad_points the grid doubles until two
-    refinements agree within the tolerance (default from config); arc
+    refinements agree within the tolerance (default QUAD_TOLERANCE); arc
     indicators skip quadrature and integrate in closed form, since uniform
     grids cannot stabilize across a jump.
     """

@@ -113,7 +113,7 @@ class ZeroSequence:
         if deficits.size and (not np.all(deficits > 0.0) or not np.all(deficits <= 1.0)):
             bad = int(np.argmin((deficits > 0.0) & (deficits <= 1.0)))
             raise InvalidZeroError(
-                f"zero #{bad} has modulus {1.0 - deficits[bad]!r}; every zero "
+                f"zero #{bad} has modulus {float(1.0 - deficits[bad])!r}; every zero "
                 "must lie strictly inside the unit disc"
             )
         angles = np.mod(angles, TWO_PI)
@@ -456,6 +456,10 @@ def gen_radial_sequence(angle: float, rate: float, count: int) -> ZeroSequence:
         raise ValidationError(
             f"count {count} exceeds the {MAX_GENERATED_ZEROS} generated-zero cap"
         )
+    if rate ** count == 0.0:
+        raise ValidationError(
+            f"count {count} is too large for rate {rate!r}: the deficit rate^count underflows to 0"
+        )
     k = np.arange(1, count + 1, dtype=np.float64)
     deficits = np.power(rate, k)
     angles = np.full(count, normalize_angle(angle), dtype=np.float64)
@@ -531,6 +535,10 @@ def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence
                 "reduce depth or the target resolution"
             )
         d = min(3.0 ** -level, (2.0 ** -level) / n)
+        if d == 0.0:
+            raise ValidationError(
+                f"depth {depth} is too deep: the level-{level} deficit underflows to 0"
+            )
         for _, _, m, full_circle in level_runs:
             if full_circle:
                 full.append((total, m, d))

@@ -124,8 +124,11 @@ def test_default_radius_schedule():
     assert len(radii) == 10
     assert np.allclose(radii, 1.0 - np.power(0.5, np.arange(1, 11)), rtol=0.0)
     assert np.all(np.diff(radii) > 0.0)
-    with pytest.raises(ValidationError):
-        default_radius_schedule(0)
+    # 1 - 2^-53 is the float just below 1; 1 - 2^-54 rounds to 1.0
+    assert default_radius_schedule(53)[-1] == 1.0 - 2.0 ** -53
+    for levels in (0, 54, 100, 10 ** 6):
+        with pytest.raises(ValidationError, match="radius_levels"):
+            default_radius_schedule(levels)
 
 
 def test_chunked_eval_matches_direct_product():

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from boundarylab.cli import run
+from boundarylab import config
+from boundarylab.cli import build_parser, run
 from boundarylab.fixtures import punctured_disc_plane
 from boundarylab.unitdisc import MAX_ANGLES
 
@@ -80,7 +82,7 @@ def test_validation_failures_exit_2(tmp_path, deep_zeros):
 
 
 def test_settings_are_range_checked(tmp_path, deep_zeros):
-    assert run(["trace", "--zeros", deep_zeros, "--seed", "-1"]) == 2
+    assert run(["selftest", "--seed", "-1", "--only", "2"]) == 2
     assert run(["trace", "--zeros", deep_zeros, "--verdict-tolerance", "0"]) == 2
     assert run(["trace", "--zeros", deep_zeros, "--threads", "2"]) == 2  # removed flag
     cfg = tmp_path / "cfg.txt"
@@ -88,6 +90,81 @@ def test_settings_are_range_checked(tmp_path, deep_zeros):
     assert run(["trace", "--zeros", deep_zeros, "--config", str(cfg)]) == 2
     cfg.write_text("verdict_tolerance = abc\n")
     assert run(["trace", "--zeros", deep_zeros, "--config", str(cfg)]) == 2
+
+
+# flag destinations that are inputs of one run, not settings
+_INPUT_DESTS = {"help", "subcommand", "config", "out", "zeros", "spec", "grid", "angle", "r",
+                "angles", "theta", "at", "subject", "independence", "union", "delta", "only"}
+
+
+def test_every_setting_is_one_flag_whose_dest_is_its_key():
+    owners, types = {}, {}
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            owners.setdefault(action.dest, []).append(name)
+            types.setdefault(action.dest, set()).add(action.type)
+    settings = set(owners) - _INPUT_DESTS
+    assert settings == set(config.DEFAULTS)
+    for key in settings:
+        assert types[key] == {type(config.DEFAULTS[key])}
+    assert owners["seed"] == ["selftest"]
+
+
+@pytest.mark.parametrize("line,key", [
+    ("verdict_tolerance = true", "verdict_tolerance"),
+    ("radius_levels = 7.9", "radius_levels"),
+    ("seed = 2.7", "seed"),
+    ("scan_delta = nan", "scan_delta"),
+    ("frostman_divergence_threshold = inf", "frostman_divergence_threshold"),
+    ("truncation_tolerance = '1e-6'", "truncation_tolerance"),
+    ('oscillation_window = "8"', "oscillation_window"),
+    ("frostman_growth_window = 0", "frostman_growth_window"),
+    ("quad_tolerance = 1e-2", "quad_tolerance"),
+    ("quad_min_points = 0", "quad_min_points"),
+    ("quad_max_points = 64", "quad_max_points"),
+])
+def test_bad_config_file_values_exit_2_naming_the_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    assert run(["kernels", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"boundarylab kernels: {cfg}:1: ")
+    assert key in captured.err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--verdict-tolerance", "inf", "config key verdict_tolerance must be finite and positive"),
+    ("--window", "0", "config key oscillation_window must be at least 1"),
+    ("--radius-levels", "54", "radius_levels must lie in 1..53"),
+    ("--radius-levels", "1000000", "radius_levels must lie in 1..53"),
+])
+def test_bad_flag_values_exit_2_naming_the_key(deep_zeros, capsys, flag, value, message):
+    assert run(["trace", "--zeros", deep_zeros, flag, value]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_probe_refuses_radius_levels_past_53(deep_zeros, capsys):
+    assert run(["probe", "--zeros", deep_zeros, "--radius-levels", "53"]) == 0
+    capsys.readouterr()
+    assert run(["probe", "--zeros", deep_zeros, "--radius-levels", "100"]) == 2
+    assert "radius_levels must lie in 1..53" in capsys.readouterr().err
+
+
+def test_kernels_delta_is_not_the_scan_delta(capsys):
+    assert run(["kernels", "--delta", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boundarylab kernels: delta must lie in (0, pi]")
+    assert "scan_delta" not in err
+
+
+def test_seed_is_a_selftest_flag_only(deep_zeros, capsys):
+    assert run(["scan", "--zeros", deep_zeros, "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert run(["selftest", "--seed", "-1", "--only", "2"]) == 2
+    assert "config key seed must be at least 0" in capsys.readouterr().err
 
 
 def test_probe_at_a_zero_angle_of_a_deep_radial_set(tmp_path, capsys):
@@ -268,8 +345,12 @@ _RADIAL = {"generator": {"kind": "radial", "angle": 0.0, "rate": 0.5, "count": 4
     ("scan", json.dumps({"generator": {"kind": "radial", "angle": True, "rate": 0.5,
                                        "count": 4}})),
     ("scan", json.dumps({"zeros": [{"re": False, "im": 0.5}]})),
+    ("scan", json.dumps({"generator": {"kind": "accumulation", "depth": 100000, "target": {
+        "kind": "finite-points", "points": [0.5]}}})),
+    ("scan", json.dumps({"generator": {"kind": "radial", "angle": 0.0, "rate": 0.5,
+                                       "count": 2000}})),
 ], ids=["re-string", "re-null", "infinite-angle", "finite-points-string", "series-zeros",
-        "series-weight", "angle-true", "re-false"])
+        "series-weight", "angle-true", "re-false", "depth-underflow", "count-underflow"])
 def test_malformed_evaluation_inputs_exit_2(tmp_path, capsys, subcommand, text):
     path = _write(tmp_path, "input.json", text)
     flag = "--zeros" if subcommand == "scan" else "--spec"
@@ -277,6 +358,7 @@ def test_malformed_evaluation_inputs_exit_2(tmp_path, capsys, subcommand, text):
     err = capsys.readouterr().err
     assert err.startswith(f"boundarylab {subcommand}: ")
     assert "Traceback" not in err
+    assert "np." not in err
     if "true" in text or "false" in text:
         assert "must be a number" in err
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from boundarylab import frostman
 from boundarylab.errors import ValidationError
 from boundarylab.frostman import (
     CONVERGENT,
@@ -64,6 +65,36 @@ def test_on_ray_partial_sums_are_exact():
     seq = gen_radial_sequence(0.0, 0.5, 1050)
     for n in (1, 2, 7, 64, 1000, 1050):
         assert frostman_partial(seq, 0.0, n) == float(n)
+
+
+class _CountingNumpy:
+    """numpy, with the size of every hypot result recorded."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def hypot(self, a, b):
+        out = np.hypot(a, b)
+        self.sizes.append(out.size)
+        return out
+
+
+def test_partial_sums_build_only_the_first_n_terms(monkeypatch):
+    rng = np.random.default_rng(12)
+    seq = ZeroSequence(angles=rng.uniform(0.0, TWO_PI, 5000),
+                       deficits=rng.uniform(1e-9, 1e-2, 5000))
+    terms = frostman_terms(seq, 1.0)
+    spy = _CountingNumpy()
+    monkeypatch.setattr(frostman, "np", spy)
+    for n in (0, 1, 100, len(seq)):
+        spy.sizes.clear()
+        got = frostman_partial(seq, 1.0, n)
+        # the same bits as summing the first n entries of the full term row
+        assert np.float64(got).tobytes() == np.sum(terms[:n]).tobytes()
+        assert spy.sizes == [n]
 
 
 def test_doubling_schedule():

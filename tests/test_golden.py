@@ -1,0 +1,29 @@
+"""Replay the recorded CLI runs in tests/golden byte for byte.
+
+An intentional output change is recorded with ``tests/golden/regen.py``.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regen", _GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+_CODES = json.loads((regen.EXPECTED / "exit_codes.json").read_text())
+
+
+def test_every_case_is_recorded():
+    assert set(_CODES) == set(regen.CASES)
+
+
+@pytest.mark.parametrize("name", sorted(regen.CASES))
+def test_cli_output_matches_the_recording(name):
+    code, text = regen.replay(regen.CASES[name])
+    expected = (regen.EXPECTED / f"{name}.out").read_bytes()
+    assert code == _CODES[name]
+    assert text.encode("utf-8") == expected

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from boundarylab.blaschke import BlaschkeProduct
-from boundarylab.config import DEFAULTS
 from boundarylab.errors import ResolutionError, ValidationError
 from boundarylab.herglotz import (
+    QUAD_MAX_POINTS,
+    QUAD_MIN_POINTS,
+    QUAD_TOLERANCE,
     BoundaryFunction,
     _adaptive_mean,
     InnerFunctionSpec,
@@ -313,7 +315,7 @@ def test_adaptive_mean_reuses_the_grid_bit_for_bit():
             # each level evaluates only the points the previous one lacked
             assert sum(evaluated) == start * 2 ** (len(evaluated) - 1)
     # the public entry points give the same bits as the full-recompute loop
-    tol, low, cap = (DEFAULTS[k] for k in ("quad_tolerance", "quad_min_points", "quad_max_points"))
+    tol, low, cap = QUAD_TOLERANCE, QUAD_MIN_POINTS, QUAD_MAX_POINTS
     z = 0.6 * cmath.exp(2.2j)
     want = _full_recompute_mean(
         lambda t: density.evaluate(t) * poisson_kernel(abs(z), cmath.phase(z) - t), 4 * n, tol, cap)

@@ -28,6 +28,21 @@ def test_normalize_angle():
         assert 0.0 <= n < TWO_PI
 
 
+def test_generators_refuse_deficits_that_underflow():
+    # 3^-678 is the smallest positive level deficit of a one-point target
+    target = ClosedSetSpec(kind="finite-points", points=(0.5,))
+    assert gen_accumulation_sequence(target, 678).deficits[-1] > 0.0
+    for depth in (679, 100000):
+        with pytest.raises(ValidationError, match=f"depth {depth} is too deep"):
+            gen_accumulation_sequence(target, depth)
+    # 2^-1074 is the smallest positive float
+    assert gen_radial_sequence(0.0, 0.5, 1074).deficits[-1] == 2.0 ** -1074
+    with pytest.raises(ValidationError, match="count 2000 is too large"):
+        gen_radial_sequence(0.0, 0.5, 2000)
+    with pytest.raises(InvalidZeroError, match=r"zero #1 has modulus 1\.0;"):
+        ZeroSequence(angles=[0.0, 0.0], deficits=[0.5, 0.0])
+
+
 def test_circular_gap():
     assert circular_gap(0.1, 0.1) == 0.0
     assert abs(circular_gap(0.0, math.pi) - math.pi) < 1e-15
