@@ -383,10 +383,13 @@ def all_passed(results: Sequence[CriterionResult]) -> bool:
 
 
 def format_table(results: Sequence[CriterionResult]) -> str:
-    """One PASS/FAIL line per criterion plus a summary line."""
+    """One PASS/FAIL line per criterion plus a summary line.
+
+    Wall times are left out, so a table depends only on the seed and the
+    selection.
+    """
     lines = [
-        f"[{res.index:2d}] {'PASS' if res.passed else 'FAIL'} "
-        f"{res.name:<30} {res.elapsed:7.2f}s  {res.detail}"
+        f"[{res.index:2d}] {'PASS' if res.passed else 'FAIL'} {res.name:<30} {res.detail}"
         for res in results
     ]
     count = sum(1 for res in results if res.passed)

@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--delta", "scan_delta", "X", "'near modulus one' means modulus > 1 - X")
     sub.add_parser("trace", parents=[common, zeros, ray, truncation],
                    help="sample a Blaschke product along one radial ray (CSV)")
-    sub.add_parser("probe", parents=[common, zeros, ray],
+    sub.add_parser("probe", parents=[common, zeros, ray, truncation],
                    help="boundary-limit probe along several approach paths (JSON)")
 
     p = sub.add_parser("frostman", parents=[common, zeros],
@@ -320,6 +320,9 @@ def _parse_only(text: str | None) -> list[int] | None:
 def _cmd_selftest(args: argparse.Namespace, cfg: dict) -> int:
     indices = _parse_only(args.only)
     results = acceptance.run_acceptance(seed=cfg["seed"], indices=indices)
+    for res in results:  # wall times vary by run, so they stay off the report
+        print(f"boundarylab selftest: [{res.index:2d}] {res.name} took {res.elapsed:.2f}s",
+              file=sys.stderr)
     with _out_handle(args.out) as fh:
         fh.write(acceptance.format_table(results) + "\n")
     return 0 if acceptance.all_passed(results) else 1

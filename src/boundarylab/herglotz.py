@@ -6,14 +6,15 @@ The Poisson kernel is evaluated as
 
 which is the textbook (1 - r^2)/(1 - 2 r cos t + r^2) rearranged so the
 denominator never cancels catastrophically as r -> 1.  The kernel maximum
-(1+r)/(1-r) stays finite for every float r < 1, so there is no extra floor;
-callers pay for r near 1 in quadrature points instead (the adaptive loop
-doubles the grid until two refinements agree).
+(1+r)/(1-r) stays finite for every float r < 1, so there is no extra floor.
 
-Integrals over the circle use the uniform trapezoid rule, which for periodic
-integrands is spectrally accurate: the error decays like r^n for the Poisson
-kernel at radius r, so doubling converges fast until the boundary data itself
-limits smoothness.
+Poisson and Herglotz integrals of boundary data are computed in closed form
+(``_herglotz``): every boundary kind has an exact transform, down to a sum of
+dilogarithms for sampled data, so the cost does not grow as |z| -> 1.  The
+uniform trapezoid rule remains for an explicit fixed grid and for
+``kernel_mass``; for periodic integrands it is spectrally accurate, its error
+decaying like r^n for the Poisson kernel at radius r until the boundary data
+itself limits smoothness.
 """
 
 from __future__ import annotations
@@ -30,12 +31,23 @@ from .unitdisc import TWO_PI, _require_number, normalize_angle
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
 _MIN_SAMPLE_COUNT = 16
 
-# adaptive circle quadrature: stop doubling once two successive grids agree
-# within QUAD_TOLERANCE; grids start at QUAD_MIN_POINTS (and four points per
-# boundary sample) and stop at QUAD_MAX_POINTS
+# circle quadrature: fixed grids have at least QUAD_MIN_POINTS points (and four
+# per boundary sample); kernel_mass doubles its grid from QUAD_MIN_POINTS until
+# two successive grids agree within QUAD_TOLERANCE, at most QUAD_MAX_POINTS
 QUAD_TOLERANCE = 1e-10
 QUAD_MIN_POINTS = 64
 QUAD_MAX_POINTS = 1 << 22
+
+# B_2k / (2k+1)! for k = 1..11: the even terms of the Bernoulli series
+# Li_2(w) = sum_n B_n u^(n+1) / (n+1)!, u = -log(1 - w).  _li2 keeps
+# |u| <= pi/3, where the term ratio is at most (1/6)^2, so the first dropped
+# term is below 1e-18.
+_LI2_BERNOULLI = (
+    0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
+    -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
+    8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
+    -1.0356517612181247e-17, 2.395218621026187e-19,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,19 +258,74 @@ def poisson_kernel(r: float, theta) -> np.ndarray | float:
     return float(out) if np.isscalar(theta) or out.ndim == 0 else out
 
 
-def _herglotz_indicator(arc: tuple[float, float], scale: float, z: complex) -> complex:
-    """Closed-form mean of (e^it + z)/(e^it - z) scale over the arc.
+def _li2_series(u: np.ndarray) -> np.ndarray:
+    """Li_2(1 - e^-u) by its Bernoulli series, for |u| <= pi/3."""
+    u2 = u * u
+    acc = np.full(u.shape, _LI2_BERNOULLI[-1], dtype=np.complex128)
+    for c in _LI2_BERNOULLI[-2::-1]:
+        acc = acc * u2 + c
+    return u - 0.25 * u2 + u * u2 * acc
 
-    The antiderivative is scale (t - 2i log(1 - z e^{-it})) / (2 pi), and
-    Re(1 - z e^{-it}) >= 1 - |z| > 0, so the principal branch is continuous
-    along the arc and no unwinding is needed.  Quadrature would be the wrong
-    tool here: the integrand jumps at the arc endpoints.
+
+def _li2(w: np.ndarray) -> np.ndarray:
+    """The dilogarithm sum_k w^k / k^2 on |w| <= 1, elementwise.
+
+    Points with Re w <= 1/2 take the series in u = -log(1 - w) directly; the
+    others take the reflection Li_2(w) = pi^2/6 - log(w) log(1 - w)
+    - Li_2(1 - w), whose series variable -log(w) is small near w = 1.  Either
+    way |u| <= pi/3.
     """
-    s, e = float(arc[0]), float(arc[1])
-    e = min(e, s + TWO_PI)
-    ws = cmath.log(1.0 - z * cmath.exp(-1j * s))
-    we = cmath.log(1.0 - z * cmath.exp(-1j * e))
-    return scale * ((e - s) - 2j * (we - ws)) / TWO_PI
+    w = np.asarray(w, dtype=np.complex128)
+    log1mw = np.log(1.0 - w)
+    out = np.empty_like(w)
+    near = w.real > 0.5
+    far = ~near
+    out[far] = _li2_series(-log1mw[far])
+    logw = np.log(w[near])
+    out[near] = math.pi ** 2 / 6.0 - logw * log1mw[near] - _li2_series(-logw)
+    return out
+
+
+def _herglotz(f: BoundaryFunction, z: np.ndarray, *, harmonic: bool) -> np.ndarray:
+    """H[f](z) = mean of (e^it + z)/(e^it - z) f(t), exactly, at each point of z.
+
+    Expanding the kernel as 1 + 2 sum_k z^k e^(-ikt) gives
+    H[f] = mean(f) + 2 sum_k>=1 fhat_k z^k, so a constant c gives c, s cos
+    gives s z and s sin gives -i s z.  An arc indicator integrates through
+    the antiderivative t - 2i log(1 - z e^(-it)): Re(1 - z e^(-it)) >= 1 - |z|
+    > 0, so the principal branch is continuous along the arc.  For n samples
+    v_j the linear interpolant's second derivative is the slope jumps
+    (v_j+1 - 2 v_j + v_j-1) n / (2 pi) at the nodes, so fhat_k is -1/k^2 times
+    their Fourier coefficient, and
+
+        H = mean(v) + n / (2 pi^2) sum_j (2 v_j - v_j+1 - v_j-1) Li_2(z e^(-2 pi i j/n)).
+
+    With harmonic the result is the Poisson integral (H[f] + conj H[conj f])/2:
+    each kind is a complex coefficient times a real function, and the real
+    function's transform is replaced by its real part.
+    """
+    if f.kind == "constant":
+        return np.full(z.shape, f.value, dtype=np.complex128)
+    if f.kind == "samples":
+        v = f.sample_values
+        n = v.size
+        jumps = 2.0 * v - np.roll(v, 1) - np.roll(v, -1)
+        li2 = _li2(z[:, None] * np.exp(-1j * TWO_PI * np.arange(n) / n))
+        if harmonic:
+            li2 = li2.real
+        return np.mean(v) + n / (2.0 * math.pi ** 2) * (li2 @ jumps)
+    if f.form_name == "cos":
+        h = z
+    elif f.form_name == "sin":
+        h = -1j * z
+    else:
+        s, e = f.arc
+        e = min(e, s + TWO_PI)
+        ws = np.log(1.0 - z * cmath.exp(-1j * s))
+        we = np.log(1.0 - z * cmath.exp(-1j * e))
+        h = ((e - s) - 2j * (we - ws)) / TWO_PI
+    h = f.scale * h
+    return h.real.astype(np.complex128) if harmonic else h
 
 
 def _adaptive_mean(
@@ -296,22 +363,19 @@ def _adaptive_mean(
 
 
 def _circle_mean(integrand, f: BoundaryFunction, z: complex, quad_points: int | None,
-                 tolerance: float | None, max_points: int | None, *, harmonic: bool) -> complex:
+                 tolerance: float | None, *, harmonic: bool) -> complex:
     """Circle mean of the integrand, f times the Herglotz kernel at z or, if
     harmonic, times the Poisson kernel (its real part), by the rules stated in
-    poisson_integral.  Grids have at least QUAD_MIN_POINTS points and four
-    per boundary sample; a cross-check is one step of _adaptive_mean.
+    poisson_integral.  Fixed grids have at least QUAD_MIN_POINTS points and
+    four per boundary sample; a cross-check is one step of _adaptive_mean.
     """
-    if quad_points is None and f.kind == "form" and f.form_name == "indicator-arc":
-        mean = _herglotz_indicator(f.arc, f.scale, z)
-        return complex(mean.real) if harmonic else mean
+    if quad_points is None:
+        if tolerance is not None:
+            raise ValidationError("tolerance cross-checks a fixed grid; give quad_points too")
+        return complex(_herglotz(f, np.array([z]), harmonic=harmonic)[0])
     floor = QUAD_MIN_POINTS
     if f.kind == "samples":
         floor = max(floor, 4 * int(f.sample_values.size))
-    if quad_points is None:
-        tol = QUAD_TOLERANCE if tolerance is None else tolerance
-        cap = QUAD_MAX_POINTS if max_points is None else max_points
-        return _adaptive_mean(integrand, floor, tol, cap)
     if quad_points < floor:
         raise ValidationError(
             f"quad_points must be >= {floor} for this boundary data, got {quad_points}"
@@ -328,16 +392,16 @@ def poisson_integral(
     quad_points: int | None = None,
     *,
     tolerance: float | None = None,
-    max_points: int | None = None,
 ) -> complex:
     """Harmonic extension of f at z: mean of f(t) p_|z|(arg z - t).
 
-    With quad_points given, the grid is fixed (must be >= 64 and >= 4x the
-    sample count) and the result is cross-checked against a doubled grid when
-    a tolerance is supplied.  Without quad_points the grid doubles until two
-    refinements agree within the tolerance (default QUAD_TOLERANCE); arc
-    indicators skip quadrature and integrate in closed form, since uniform
-    grids cannot stabilize across a jump.
+    Without quad_points the integral is exact up to rounding: the closed-form
+    transform (H[f] + conj H[conj f]) / 2 of _herglotz, for every boundary
+    kind.  With quad_points the trapezoid rule runs on that fixed grid (which
+    must have >= 64 points and >= 4 per sample); a tolerance, allowed only
+    with quad_points, cross-checks it against the doubled grid, returns the
+    doubled grid's value and raises ResolutionError when the two differ by
+    more than the tolerance.
     """
     z = complex(z)
     r = abs(z)
@@ -350,16 +414,19 @@ def poisson_integral(
     def integrand(t: np.ndarray) -> np.ndarray:
         return f.evaluate(t) * poisson_kernel(r, theta - t)
 
-    return _circle_mean(integrand, f, z, quad_points, tolerance, max_points, harmonic=True)
-
-
-_ONE = BoundaryFunction.constant(1.0)
+    return _circle_mean(integrand, f, z, quad_points, tolerance, harmonic=True)
 
 
 def kernel_mass(r: float, *, tolerance: float | None = None) -> float:
-    """Mean of the Poisson kernel over the circle (should be 1)."""
-    mean = _circle_mean(lambda t: poisson_kernel(r, t) + 0.0j, _ONE, r, None, tolerance, None,
-                        harmonic=True)
+    """Mean of the Poisson kernel over the circle (should be 1), by quadrature.
+
+    The grid doubles from QUAD_MIN_POINTS until two refinements agree within
+    the tolerance (default QUAD_TOLERANCE), at most QUAD_MAX_POINTS points;
+    the quadrature itself is what this measures.
+    """
+    tol = QUAD_TOLERANCE if tolerance is None else tolerance
+    mean = _adaptive_mean(lambda t: poisson_kernel(r, t) + 0.0j, QUAD_MIN_POINTS, tol,
+                          QUAD_MAX_POINTS)
     return mean.real
 
 
@@ -414,11 +481,11 @@ def eval_outer(
     quad_points: int | None = None,
     *,
     tolerance: float | None = None,
-    max_points: int | None = None,
 ) -> complex:
-    """lambda * exp(mean of (e^it + z)/(e^it - z) k(t)); boundary modulus e^k.
+    """lambda * exp(H[k](z)); boundary modulus e^k.
 
-    Grids, closed form and cross-check follow the rules of poisson_integral.
+    H[k] is the closed-form transform of _herglotz; quad_points and tolerance
+    select a fixed grid and its cross-check by the rules of poisson_integral.
     """
     z = complex(z)
     if abs(z) >= 1.0:
@@ -428,8 +495,7 @@ def eval_outer(
         zeta = np.exp(1j * t)
         return (zeta + z) / (zeta - z) * density.k.evaluate(t)
 
-    mean = _circle_mean(integrand, density.k, z, quad_points, tolerance, max_points,
-                        harmonic=False)
+    mean = _circle_mean(integrand, density.k, z, quad_points, tolerance, harmonic=False)
     return density.lam * cmath.exp(mean)
 
 

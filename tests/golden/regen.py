@@ -3,9 +3,8 @@
 Each case in CASES runs ``boundarylab.cli.run`` in process on the inputs in
 ``tests/golden/inputs``; its standard output is written to
 ``tests/golden/expected/<name>.out`` and every exit code to
-``tests/golden/expected/exit_codes.json``.  The wall-time column of the
-``selftest`` table is masked, since it varies from run to run.  Rerun after an
-intentional output change and commit the diff:
+``tests/golden/expected/exit_codes.json``.  Rerun after an intentional output
+change and commit the diff:
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import re
 from pathlib import Path
 
 from boundarylab.cli import run
@@ -46,6 +44,9 @@ CASES: dict[str, list[str]] = {
     "probe-config-flag-wins": ["probe", "--zeros", "{in}/radial30.json", "--angle", "1.0",
                                "--config", "{in}/settings.conf", "--verdict-tolerance", "1e-18",
                                "--window", "6"],
+    "probe-config-truncation-flag-wins": ["probe", "--zeros", "{in}/radial30.json", "--angle",
+                                          "1.0", "--config", "{in}/settings.conf",
+                                          "--truncation-tolerance", "1e-12"],
     "frostman-theta": ["frostman", "--zeros", "{in}/radial60.json", "--theta", "1.0"],
     "frostman-theta-flags": ["frostman", "--zeros", "{in}/cantor8.json", "--theta", "0.7",
                              "--divergence-threshold", "100", "--growth-window", "3",
@@ -70,16 +71,12 @@ CASES: dict[str, list[str]] = {
 }
 
 
-# the "  12.34s" column of a selftest row
-_ELAPSED = re.compile(r"(?m)^(\[[ \d]\d\] (?:PASS|FAIL) .{30}) *\d+\.\d\ds")
-
-
 def replay(argv: list[str]) -> tuple[int, str]:
     """Run one case in process; return (exit code, standard output)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run([arg.replace("{in}", str(INPUTS)) for arg in argv])
-    return code, _ELAPSED.sub(r"\1<elapsed>s", out.getvalue())
+    return code, out.getvalue()
 
 
 def main() -> None:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -305,10 +306,15 @@ def test_kernels_report(capsys):
 def test_selftest_subset(capsys):
     code = run(["selftest", "--only", "2,5"])
     assert code == 0
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "[ 2] PASS" in out
     assert "[ 5] PASS" in out
     assert "2/2 criteria passed" in out
+    # wall times go to stderr, one line per criterion, and never to the report
+    assert re.findall(r"(?m)^boundarylab selftest: \[ (\d)\] \S+ took \d+\.\d\ds$",
+                      captured.err) == ["2", "5"]
+    assert not re.search(r"\d\.\d\ds", out)
     assert run(["selftest", "--only", "0"]) == 2
     assert run(["selftest", "--only", "banana"]) == 2
 

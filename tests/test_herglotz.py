@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from boundarylab.herglotz import (
     QUAD_TOLERANCE,
     BoundaryFunction,
     _adaptive_mean,
+    _li2,
     InnerFunctionSpec,
     OuterDensity,
     SingularAtoms,
@@ -79,6 +81,8 @@ def test_poisson_integral_resolution_error():
     assert exc.value.achieved > 0.0
     with pytest.raises(ValidationError):
         poisson_integral(f, 0.5, 32)  # below the 64-point floor
+    with pytest.raises(ValidationError):
+        poisson_integral(f, 0.5, tolerance=1e-10)  # no grid to cross-check
 
 
 def test_outer_fixed_grid_is_cross_checked_like_the_poisson_integral():
@@ -268,11 +272,15 @@ def _full_recompute_mean(integrand, start_points, tolerance, max_points):
     )
 
 
-def _mean_outcome(mean, integrand, *args):
+def _outcome(call):
     try:
-        return complex(mean(integrand, *args))
+        return complex(call())
     except ResolutionError as exc:
         return str(exc), exc.achieved
+
+
+def _mean_outcome(mean, integrand, *args):
+    return _outcome(lambda: mean(integrand, *args))
 
 
 def _same(a, b):
@@ -314,15 +322,20 @@ def test_adaptive_mean_reuses_the_grid_bit_for_bit():
             assert _same(got, want)
             # each level evaluates only the points the previous one lacked
             assert sum(evaluated) == start * 2 ** (len(evaluated) - 1)
-    # the public entry points give the same bits as the full-recompute loop
+    # a cross-checked fixed grid gives the bits (or the error) of the
+    # full-recompute loop's one refinement step
     tol, low, cap = QUAD_TOLERANCE, QUAD_MIN_POINTS, QUAD_MAX_POINTS
     z = 0.6 * cmath.exp(2.2j)
-    want = _full_recompute_mean(
-        lambda t: density.evaluate(t) * poisson_kernel(abs(z), cmath.phase(z) - t), 4 * n, tol, cap)
-    assert _same(poisson_integral(density, z), want)
-    want = _full_recompute_mean(
-        lambda t: (np.exp(1j * t) + z) / (np.exp(1j * t) - z) * density.evaluate(t), 4 * n, tol, cap)
-    assert _same(eval_outer(OuterDensity(k=density), z), cmath.exp(want))
+    for f in (cos, density):
+        want = _mean_outcome(_full_recompute_mean, lambda t: f.evaluate(t) * poisson_kernel(
+            abs(z), cmath.phase(z) - t), 4 * n, tol, 8 * n)
+        assert _same(_outcome(lambda: poisson_integral(f, z, 4 * n, tolerance=tol)), want)
+        want = _mean_outcome(_full_recompute_mean, lambda t: (np.exp(1j * t) + z) / (
+            np.exp(1j * t) - z) * f.evaluate(t), 4 * n, tol, 8 * n)
+        if isinstance(want, complex):
+            want = cmath.exp(want)
+        got = _outcome(lambda: eval_outer(OuterDensity(k=f), z, 4 * n, tolerance=tol))
+        assert _same(got, want)
     want = _full_recompute_mean(lambda t: poisson_kernel(0.99, t) + 0.0j, low, tol, cap)
     assert _same(complex(kernel_mass(0.99)), complex(want.real))
     with pytest.raises(ResolutionError) as exc:
@@ -330,3 +343,177 @@ def test_adaptive_mean_reuses_the_grid_bit_for_bit():
     want = _mean_outcome(_full_recompute_mean, lambda t: poisson_kernel(0.9999999999, t) + 0.0j,
                          low, tol, cap)
     assert (str(exc.value), exc.value.achieved) == want
+
+
+# --- closed-form transforms against 30-digit mpmath -----------------------
+
+_RADII = (0.0, 0.5, 0.99, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -30)
+
+
+@functools.cache
+def _mp():
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 30
+    return mp
+
+
+def _mp_antiderivative(mp, z, t):
+    """G(t) = t - 2i log(1 - z e^-it), an antiderivative of K(t) = (e^it + z)/(e^it - z).
+
+    Re(1 - z e^-it) > 0 for |z| < 1, so the principal branch is continuous in t.
+    """
+    return t - 2j * mp.log(1 - z * mp.expj(-t))
+
+
+@functools.cache
+def _mp_sample_tables(n, z):
+    """G and Li_2(z e^-it) at the nodes 2 pi j / n, j = 0..n."""
+    mp = _mp()
+    z = mp.mpc(z)
+    nodes = [2 * mp.pi * j / n for j in range(n + 1)]
+    li2 = [mp.polylog(2, z * mp.expj(-t)) for t in nodes[:n]]
+    return nodes, [_mp_antiderivative(mp, z, t) for t in nodes], li2 + li2[:1]
+
+
+def _mp_samples_herglotz(mp, values, z):
+    """Mean of K(t) f(t), f the periodic linear interpolant of the real samples.
+
+    On the piece [a, b] = [jh, (j+1)h], f = v_j + m_j (t - a), and
+    (t - a) G(t) - t^2/2 + 2 Li_2(z e^-it) is an antiderivative of (t - a) K(t).
+    """
+    n = len(values)
+    nodes, g, li2 = _mp_sample_tables(n, complex(z))
+    h = 2 * mp.pi / n
+    total = mp.mpc(0)
+    for j in range(n):
+        a, b = nodes[j], nodes[j + 1]
+        v = mp.mpf(float(values[j]))
+        slope = (mp.mpf(float(values[(j + 1) % n])) - v) / h
+        total += v * (g[j + 1] - g[j])
+        total += slope * (h * g[j + 1] - (b * b - a * a) / 2 + 2 * (li2[j + 1] - li2[j]))
+    return total / (2 * mp.pi)
+
+
+def test_mpmath_oracles_match_quadrature():
+    # the antiderivative oracles below, against direct 30-digit quadrature
+    mp = _mp()
+    rng = np.random.default_rng(5)
+    n = 16
+    values = rng.normal(size=n)
+    z = 0.9 * cmath.exp(0.7j)
+    h = 2 * mp.pi / n
+    total = mp.mpc(0)
+    for j in range(n):
+        v0, v1 = mp.mpf(values[j]), mp.mpf(values[(j + 1) % n])
+        total += mp.quad(lambda t, j=j, v0=v0, v1=v1: (mp.expj(t) + z) / (mp.expj(t) - z)
+                         * (v0 + (v1 - v0) * (t - j * h) / h), [j * h, (j + 1) * h])
+    assert abs(_mp_samples_herglotz(mp, values, z) - total / (2 * mp.pi)) < 1e-25
+    s, e = 0.25, 2.0
+    quad = mp.quad(lambda t: (mp.expj(t) + z) / (mp.expj(t) - z), [s, e]) / (2 * mp.pi)
+    closed = (_mp_antiderivative(mp, z, e) - _mp_antiderivative(mp, z, s)) / (2 * mp.pi)
+    assert abs(closed - quad) < 1e-25
+
+
+def _check_against(mp, f, points, parts, bound):
+    """poisson_integral and, for real f, eval_outer against mpmath at each point.
+
+    parts(z) gives the transforms H[Re f](z) and H[Im f](z); the Poisson
+    integral is Re H[Re f] + i Re H[Im f], and for real f the outer value is
+    lambda exp(H[f]), compared relatively.
+    """
+    lam = cmath.exp(0.3j)
+    for z in points:
+        hr, hi = parts(z)
+        want = complex(mp.re(hr), mp.re(hi))
+        got = poisson_integral(f, z)
+        assert abs(got - want) <= bound, (z, got, want)
+        if f.is_real():
+            want = complex(lam * mp.exp(hr))
+            got = eval_outer(OuterDensity(k=f, lam=lam), z)
+            assert abs(got - want) <= bound * abs(want), (z, got, want)
+
+
+def _points(angles, radii=_RADII):
+    return [r * cmath.exp(1j * a) for r in radii for a in angles]
+
+
+def test_forms_and_constants_match_mpmath():
+    mp = _mp()
+    rng = np.random.default_rng(11)
+    arc = (0.25, 2.0)
+    points = _points((arc[0], 0.5 * (arc[0] + arc[1]), arc[1], float(rng.uniform(0.0, TWO_PI))))
+    c = math.log(3.0) - 0.5j
+    _check_against(mp, BoundaryFunction.constant(c.real), points,
+                   lambda z: (mp.mpf(c.real), 0), 1e-13 * c.real)
+    _check_against(mp, BoundaryFunction.constant(c), points,
+                   lambda z: (mp.mpf(c.real), mp.mpf(c.imag)), 1e-13 * abs(c))
+    _check_against(mp, BoundaryFunction.form("cos", scale=0.7), points,
+                   lambda z: (0.7 * mp.mpc(z), 0), 1e-13 * 0.7)
+    _check_against(mp, BoundaryFunction.form("sin", scale=-1.5), points,
+                   lambda z: (1.5j * mp.mpc(z), 0), 1e-13 * 1.5)
+    scale = math.log(2.0)
+
+    def arc_parts(z):
+        z = mp.mpc(z)
+        g = _mp_antiderivative(mp, z, arc[1]) - _mp_antiderivative(mp, z, arc[0])
+        return scale * g / (2 * mp.pi), 0
+    indicator = BoundaryFunction.form("indicator-arc", arc=arc, scale=scale)
+    for z in points:
+        # the transform jumps across the arc ends: a rounding of z e^-is
+        # (about 2^-51 |z|) moves it by up to 2^-51 |z| / (pi |e^is - z|)
+        near = min(abs(cmath.exp(1j * end) - z) for end in arc)
+        _check_against(mp, indicator, [z], arc_parts,
+                       scale * (1e-13 + 2.0 ** -51 * abs(z) / (math.pi * near)))
+
+
+@pytest.mark.parametrize("n, radii, bound", [
+    (16, _RADII, 1e-13),
+    (64, _RADII, 1e-13),
+    (1024, (0.0, 0.99, 1.0 - 2.0 ** -30), 1e-11),
+])
+def test_samples_match_mpmath(n, radii, bound):
+    mp = _mp()
+    rng = np.random.default_rng(n)
+    grid = TWO_PI * np.arange(n) / n
+    j = int(rng.integers(n))
+    # on a sample, halfway between two samples, and at random
+    angles = (grid[j], grid[j] + 0.5 * TWO_PI / n, float(rng.uniform(0.0, TWO_PI)))
+    if n == 1024:  # the mpmath tables cost seconds per point here: one angle per radius
+        points = [r * cmath.exp(1j * a) for r, a in zip(radii, angles)]
+    else:
+        points = _points(angles, radii)
+    real, imag = rng.normal(size=n), rng.normal(size=n)
+    _check_against(mp, BoundaryFunction.from_samples(grid, real), points,
+                   lambda z: (_mp_samples_herglotz(mp, real, z), 0),
+                   bound * np.abs(real).max())
+    _check_against(mp, BoundaryFunction.from_samples(grid, real + 1j * imag), points,
+                   lambda z: (_mp_samples_herglotz(mp, real, z), _mp_samples_herglotz(mp, imag, z)),
+                   bound * np.abs(real + 1j * imag).max())
+
+
+def test_li2_matches_mpmath():
+    mp = _mp()
+    rng = np.random.default_rng(2)
+    w = np.concatenate((
+        [0.0, 1e-300, -1.0, 0.5, 0.5 + 1e-16, 0.5 - 1e-16],
+        0.5 + 1j * np.linspace(-0.86, 0.86, 41),  # the branch line Re w = 1/2
+        1.0 - 10.0 ** -rng.uniform(1, 12, 40) * np.exp(1j * rng.uniform(-1.5, 1.5, 40)),
+        (1.0 - 10.0 ** -rng.uniform(0, 12, 200)) * np.exp(1j * rng.uniform(-math.pi, math.pi, 200)),
+    ))
+    got = _li2(w)
+    for x, y in zip(w, got):
+        want = complex(mp.polylog(2, mp.mpc(complex(x))))
+        assert abs(y - want) <= 1e-15, (x, y, want)
+
+
+def test_sampled_poisson_integral_near_the_circle_returns_a_value():
+    # 64 complex samples at r = 0.99: adaptive quadrature raised ResolutionError
+    # here after 4,194,304 points; the closed form returns the integral
+    mp = _mp()
+    n = 64
+    rng = np.random.default_rng(0)
+    real, imag = rng.normal(size=n), rng.normal(size=n)
+    f = BoundaryFunction.from_samples(TWO_PI * np.arange(n) / n, real + 1j * imag)
+    want = complex(mp.re(_mp_samples_herglotz(mp, real, 0.99)),
+                   mp.re(_mp_samples_herglotz(mp, imag, 0.99)))
+    assert abs(poisson_integral(f, 0.99) - want) <= 1e-12
