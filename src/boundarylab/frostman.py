@@ -63,10 +63,24 @@ def frostman_terms(seq: ZeroSequence, theta: float | np.ndarray) -> np.ndarray:
 def _terms(angles: np.ndarray, d: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 0:
-        theta = np.float64(normalize_angle(float(theta)))
-    half_gap = 0.5 * (angles - theta[..., None])
-    chord = 2.0 * np.sqrt(1.0 - d) * np.abs(np.sin(half_gap))
-    return d / np.hypot(d, chord)
+        theta = np.asarray(normalize_angle(float(theta)))
+    theta = theta[..., None]
+    out = np.empty(np.broadcast_shapes(theta.shape, angles.shape))
+    return _fill_terms(angles, d, 2.0 * np.sqrt(1.0 - d), theta, out)
+
+
+def _fill_terms(angles: np.ndarray, d: np.ndarray, scale: np.ndarray, theta: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """out = d / hypot(d, scale sin(0.5 (angles - theta))) in place, scale = 2 sqrt(1 - d).
+
+    The chord is scale |sin|; hypot ignores the sign, so the abs is not taken.
+    """
+    np.subtract(angles, theta, out=out)
+    np.multiply(out, 0.5, out=out)
+    np.sin(out, out=out)
+    np.multiply(scale, out, out=out)
+    np.hypot(d, out, out=out)
+    return np.divide(d, out, out=out)
 
 
 def frostman_partial(seq: ZeroSequence, theta: float, n: int) -> float:
@@ -166,20 +180,48 @@ class FrostmanProfile:
         write_csv(handle, ("angle", "n", "partial_sum", "classification"), rows())
 
 
-# chunk cap for the (angles x zeros) term matrix, in elements
-_PROFILE_CHUNK_ELEMENTS = 4_000_000
+# working set of the Frostman kernel in float64 elements (1 MiB): one tile of
+# (angles x zeros) terms; a single angle on up to this many zeros is one tile
+_TILE_ELEMENTS = 1 << 17
 
 
 def _schedule_sums(seq: ZeroSequence, angles: np.ndarray, schedule: Sequence[int]) -> np.ndarray:
-    """f_n at each angle (rows) for each n of the schedule (columns); f_0 = 0."""
+    """f_n at each angle (rows) for each n of the schedule (columns); f_0 = 0.
+
+    The terms are computed tile by tile in one reused buffer. A row's running
+    sum enters each tile through the tile's first term before the in-place
+    cumsum, so every f_n is the left-to-right sum of its terms in stored
+    order, as one cumsum over the whole row would give.
+    """
     sums = np.zeros((angles.size, len(schedule)), dtype=np.float64)
-    if len(seq):
-        first = int(schedule[0] == 0)  # an increasing schedule has 0 first if at all
-        cols = np.subtract(schedule[first:], 1)
-        chunk = max(1, _PROFILE_CHUNK_ELEMENTS // len(seq))
-        for lo in range(0, angles.size, chunk):
-            cumulative = np.cumsum(frostman_terms(seq, angles[lo:lo + chunk]), axis=1)
-            sums[lo:lo + chunk, first:] = cumulative[:, cols]
+    first = int(schedule[0] == 0)  # an increasing schedule has 0 first if at all
+    cols = np.subtract(schedule[first:], 1)
+    if not cols.size or not angles.size:
+        return sums
+    count = int(cols[-1]) + 1  # the terms past the last schedule entry are never needed
+    width = min(count, _TILE_ELEMENTS)
+    rows = max(1, min(angles.size, _TILE_ELEMENTS // width))
+    buf, scale_buf = np.empty(rows * width), np.empty(width)
+    carry = np.zeros(angles.size)
+    theta = angles[:, None]
+    starts = range(0, count, width)
+    split = np.searchsorted(cols, [*starts, count]).tolist()
+    for t, lo in enumerate(starts):
+        hi = min(lo + width, count)
+        a, d = seq.angles[lo:hi], seq.deficits[lo:hi]
+        scale = np.subtract(1.0, d, out=scale_buf[:hi - lo])
+        np.sqrt(scale, out=scale)
+        scale *= 2.0
+        here = cols[split[t]:split[t + 1]] - lo
+        dest = slice(first + split[t], first + split[t + 1])
+        for r0 in range(0, angles.size, rows):
+            r1 = min(r0 + rows, angles.size)
+            b = buf[:(r1 - r0) * (hi - lo)].reshape(r1 - r0, -1)
+            _fill_terms(a, d, scale, theta[r0:r1], b)
+            b[:, 0] += carry[r0:r1]
+            np.cumsum(b, axis=1, out=b)
+            carry[r0:r1] = b[:, -1]
+            sums[r0:r1, dest] = b[:, here]
     return sums
 
 

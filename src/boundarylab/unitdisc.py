@@ -30,7 +30,9 @@ MAX_ANGLES = 2 ** 22
 
 
 def normalize_angle(theta: float) -> float:
-    """Map an angle to [0, 2*pi)."""
+    """Map an angle to [0, 2*pi); a non-finite angle is a ValidationError."""
+    if not math.isfinite(theta):
+        raise ValidationError(f"angle must be finite, got {theta}")
     t = math.fmod(theta, TWO_PI)
     if t < 0.0:
         t += TWO_PI

@@ -388,3 +388,15 @@ def test_angle_counts_above_the_cap_exit_2(tmp_path, capsys):
     assert run(["series", "--spec", spec, "--angles", "0"]) == 2
     err = capsys.readouterr().err
     assert err.count(f"exceeds the {MAX_ANGLES} angle cap") == 4
+
+
+@pytest.mark.parametrize("subcommand,flag,value", [
+    ("frostman", "--theta", "nan"), ("frostman", "--theta", "inf"),
+    ("trace", "--angle", "nan"), ("trace", "--angle", "inf"),
+    ("probe", "--angle", "nan"), ("probe", "--angle", "inf"),
+])
+def test_non_finite_angles_exit_2(deep_zeros, capsys, subcommand, flag, value):
+    assert run([subcommand, "--zeros", deep_zeros, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"boundarylab {subcommand}: angle must be finite, got {value}\n"

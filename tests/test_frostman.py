@@ -17,7 +17,13 @@ from boundarylab.frostman import (
     frostman_profile,
     frostman_terms,
 )
-from boundarylab.unitdisc import MAX_ANGLES, TWO_PI, ZeroSequence, gen_radial_sequence
+from boundarylab.unitdisc import (
+    MAX_ANGLES,
+    TWO_PI,
+    ZeroSequence,
+    gen_radial_sequence,
+    uniform_angles,
+)
 
 
 def _naive_terms(seq, theta):
@@ -76,8 +82,8 @@ class _CountingNumpy:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def hypot(self, a, b):
-        out = np.hypot(a, b)
+    def hypot(self, a, b, out=None):
+        out = np.hypot(a, b, out=out)
         self.sizes.append(out.size)
         return out
 
@@ -157,8 +163,8 @@ def test_classify_and_profile_share_their_sums(monkeypatch):
     rng = np.random.default_rng(41)
     seq = ZeroSequence(angles=rng.uniform(0.0, TWO_PI, 1050),
                        deficits=rng.uniform(1e-9, 0.3, 1050))
-    # a small chunk cap splits the profile's term matrix into many chunks
-    monkeypatch.setattr(frostman, "_PROFILE_CHUNK_ELEMENTS", 3000)
+    # a small tile budget splits the profile's sums into many tiles
+    monkeypatch.setattr(frostman, "_TILE_ELEMENTS", 3000)
     schedule = doubling_schedule(len(seq))
     profile = frostman_profile(seq, 16)
     from_zero = frostman_profile(seq, 16, prefix_schedule=(0,) + schedule)
@@ -200,3 +206,90 @@ def test_profile_refuses_too_many_angles_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _generated(generator):
+    return ZeroSequence.from_json({"generator": generator})
+
+
+def _full_circle(depth):
+    return _generated({"kind": "accumulation", "depth": depth, "target": {
+        "kind": "arc-union", "arcs": [[0.10384619671527331, 6.3870315038948595]]}})
+
+
+def _whole_row_sums(seq, angles, schedule):
+    """The untiled kernel: all terms of a row in one array, then one cumsum over the row."""
+    a, d = seq.angles, seq.deficits
+    sums = np.zeros((angles.size, len(schedule)))
+    if len(seq):
+        first = int(schedule[0] == 0)
+        cols = np.subtract(schedule[first:], 1)
+        for i, theta in enumerate(angles.tolist()):
+            chord = 2.0 * np.sqrt(1.0 - d) * np.abs(np.sin(0.5 * (a - theta)))
+            sums[i, first:] = np.cumsum(d / np.hypot(d, chord))[cols]
+    return sums
+
+
+def _tile_edge_schedule(count, width):
+    """0, then n on the first and the last column of every tile, and count."""
+    edges = {0, count}
+    for lo in range(0, count, max(width, 1)):
+        edges.update((lo + 1, min(lo + width, count)))
+    return tuple(sorted(edges))
+
+
+def test_tiled_sums_match_whole_row_cumsum_bit_for_bit(monkeypatch):
+    budget = 3000
+    monkeypatch.setattr(frostman, "_TILE_ELEMENTS", budget)
+    rng = np.random.default_rng(43)
+    seqs = {
+        "full10": _full_circle(10),
+        "cantor8": _generated({"kind": "accumulation", "depth": 8, "target": {
+            "kind": "cantor", "cantor_level": 3,
+            "base_arc": [0.25744424357926954, 1.2574442435792696]}}),
+        "radial60": _generated({"kind": "radial", "angle": 1.6951199159934145, "rate": 0.5,
+                                "count": 60}),
+        "random5000": ZeroSequence(angles=rng.uniform(0.0, TWO_PI, 5000),
+                                   deficits=rng.uniform(1e-12, 0.5, 5000)),
+        "one": ZeroSequence(angles=[2.0], deficits=[0.25]),
+        "empty": ZeroSequence(angles=[], deficits=[]),
+    }
+    assert len(seqs["full10"]) > 20 * budget  # many column tiles
+    assert 2 * len(seqs["cantor8"]) < budget  # several angles per row group
+    for name, seq in seqs.items():
+        count = len(seq)
+        edges = _tile_edge_schedule(count, min(count, budget))
+        schedules = {doubling_schedule(count), edges, edges[:len(edges) // 2 + 1]}
+        if count:
+            schedules.add((0,) + doubling_schedule(count))
+        for angle_count in (1, 7, 33, 64):
+            angles = uniform_angles(angle_count)
+            if count:
+                angles[0] = seq.angles[-1]  # a term exactly 1
+            for schedule in schedules:
+                got = frostman._schedule_sums(seq, angles, schedule)
+                assert np.array_equal(got, _whole_row_sums(seq, angles, schedule)), \
+                    (name, angle_count, schedule)
+        if count:
+            theta = float(seq.angles[0])
+            want = seq.deficits / np.hypot(seq.deficits, 2.0 * np.sqrt(1.0 - seq.deficits)
+                                           * np.abs(np.sin(0.5 * (seq.angles - theta))))
+            assert np.array_equal(frostman_terms(seq, theta), want)
+
+
+def test_kernel_memory_does_not_grow_with_the_zero_count():
+    import tracemalloc
+
+    full12 = _full_circle(12)
+    assert len(full12) == 797163
+    tracemalloc.start()
+    try:
+        frostman_profile(full12, 8)
+        _, profile_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        frostman_classify(full12, 1.0)
+        _, classify_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile_peak < 8 << 20
+    assert classify_peak < 8 << 20

@@ -26,6 +26,9 @@ def test_normalize_angle():
     for t in np.linspace(-20.0, 20.0, 101):
         n = normalize_angle(float(t))
         assert 0.0 <= n < TWO_PI
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="angle must be finite"):
+            normalize_angle(bad)
 
 
 def test_generators_refuse_deficits_that_underflow():
