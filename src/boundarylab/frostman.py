@@ -57,16 +57,13 @@ def frostman_terms(seq: ZeroSequence, theta: float | np.ndarray) -> np.ndarray:
 
     An array of angles in [0, 2 pi) gives one row per angle.
     """
-    return _terms(seq.angles, seq.deficits, theta)
-
-
-def _terms(angles: np.ndarray, d: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 0:
         theta = np.asarray(normalize_angle(float(theta)))
     theta = theta[..., None]
-    out = np.empty(np.broadcast_shapes(theta.shape, angles.shape))
-    return _fill_terms(angles, d, 2.0 * np.sqrt(1.0 - d), theta, out)
+    a, d = seq.angles, seq.deficits
+    return _fill_terms(a, d, 2.0 * np.sqrt(1.0 - d), theta,
+                       np.empty(np.broadcast_shapes(theta.shape, a.shape)))
 
 
 def _fill_terms(angles: np.ndarray, d: np.ndarray, scale: np.ndarray, theta: np.ndarray,
@@ -84,12 +81,12 @@ def _fill_terms(angles: np.ndarray, d: np.ndarray, scale: np.ndarray, theta: np.
 
 
 def frostman_partial(seq: ZeroSequence, theta: float, n: int) -> float:
-    """f_n(theta) over the first n stored zeros."""
+    """f_n(theta) over the first n stored zeros, with the bits of the classifier's f_n."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValidationError(f"prefix length must be a nonnegative integer, got {n!r}")
     if n > len(seq):
         raise ValidationError(f"prefix length {n} exceeds the {len(seq)} stored zeros")
-    return float(np.sum(_terms(seq.angles[:n], seq.deficits[:n], theta)))
+    return float(_schedule_sums(seq, np.array([normalize_angle(theta)]), (n,))[0, 0])
 
 
 def doubling_schedule(count: int) -> tuple[int, ...]:

@@ -4,8 +4,8 @@ A grid window samples a domain G: cells are outside G, free G cells, members
 of one or two closed sets (F and E), or probe cells.  Complement components of
 a subject set within G are 4-connected; the subject itself is treated with
 8-connectivity where adjacency of the set matters (the standard dual pairing,
-so thin diagonal curves still separate).  One array routine, ``_label``,
-finds the components for both connectivities.
+so thin diagonal curves still separate).  One array routine, ``_runs``,
+finds the components for both connectivities by joining horizontal runs.
 
 A component of G minus the subject is a G-hole when it could be enclosed in a
 compact subset of G at raster fidelity: it must not touch the window frame
@@ -147,7 +147,7 @@ class GridPlane:
         """Parse "grid <w> <h> <unbounded>" plus h rows of cell characters.
 
         Rows shorter than the width are padded with spaces (outside G), since
-        trailing blanks rarely survive editors; longer rows are an error.
+        trailing blanks rarely survive editors; longer or extra rows are errors.
         """
         lines = text.splitlines()
         if not lines:
@@ -167,6 +167,8 @@ class GridPlane:
         body = lines[1:]
         if len(body) < height:
             raise ValidationError(f"expected {height} grid rows, found {len(body)}")
+        if any(line.strip() for line in body[height:]):
+            raise ValidationError(f"grid text has rows past the height {height}")
         cells = np.zeros((height, width), dtype=np.uint8)
         for r in range(height):
             row = body[r]
@@ -213,6 +215,8 @@ class GridPlane:
             raise ValidationError("grid 'cells' must list width*height codes")
         if not set(map(type, flat)) <= {int}:
             raise ValidationError("grid 'cells' must be integer class codes")
+        if type(data["unbounded"]) not in (bool, int) or data["unbounded"] not in (0, 1):
+            raise ValidationError("grid 'unbounded' must be true, false, 0 or 1")
         cells = np.asarray(flat).reshape(height, width)
         origin = data.get("origin", [0.0, 0.0])
         return cls(
@@ -223,67 +227,61 @@ class GridPlane:
         )
 
 
-def _neighbour_slices(diagonal: bool) -> list[tuple]:
-    """Slice pairs (a, b) such that mask[a] and mask[b] are neighbouring cells."""
+def _dilate(mask: np.ndarray, diagonal: bool) -> np.ndarray:
     pairs = [(np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :])]
     if diagonal:
         pairs += [(np.s_[:-1, :-1], np.s_[1:, 1:]), (np.s_[:-1, 1:], np.s_[1:, :-1])]
-    return pairs
-
-
-def _dilate(mask: np.ndarray, diagonal: bool) -> np.ndarray:
     out = mask.copy()
-    for a, b in _neighbour_slices(diagonal):
+    for a, b in pairs:
         out[a] |= mask[b]
         out[b] |= mask[a]
     return out
 
 
-def _label(mask: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Connected components of a boolean mask, 4- or (diagonal) 8-connected.
+def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
+    """Run table of a mask's components, 4- or (diagonal) 8-connected.
 
-    Returns the int32 label array (-1 off the mask) and the flat index of each
-    component's first cell; components are numbered in row-major order of
-    those first cells.  Every cell starts out pointing at the first cell of
-    its horizontal run.  Each round then hooks the larger root of every edge
-    that still joins two trees onto the smaller one and shortcuts every
-    pointer to its root (Shiloach & Vishkin, J. Algorithms 3, 1982).  Roots
-    only hook onto smaller indices, so each final root is its component's
-    first cell.
+    Per maximal horizontal run of mask cells, in row-major order: the flat
+    indices of its first cell and one past its last, and its component; then
+    each component's first flat index.  Union-find joins runs holding vertical
+    (or diagonal) neighbours: each round hooks the larger root of every edge
+    still joining two trees onto the smaller one and jumps every pointer to
+    its root (Shiloach & Vishkin, J. Algorithms 3, 1982).  So a component's
+    root is its first run, and components number in row-major order.
     """
-    h, w = mask.shape
-    index = np.arange(h * w, dtype=np.int32).reshape(h, w)
-    starts = mask.copy()
-    starts[:, 1:] &= ~mask[:, :-1]
-    parent = np.where(starts, index, 0)
-    np.maximum.accumulate(parent, axis=1, out=parent)
-    np.copyto(parent, index, where=~mask)
-    parent = parent.reshape(-1)
-    heads, tails = [], []
-    # Horizontal neighbours already share a run.  An edge is skipped when the
-    # left neighbours of its two cells form an edge too: both link the same
-    # two runs.
-    for a, b in _neighbour_slices(diagonal)[1:]:
-        both = mask[a] & mask[b]
-        both[:, 1:] &= ~(mask[a][:, :-1] & mask[b][:, :-1])
-        heads.append(index[a][both])
-        tails.append(index[b][both])
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    while heads.size:
-        roots_a, roots_b = parent[heads], parent[tails]
-        live = roots_a != roots_b
-        heads, tails = heads[live], tails[live]
-        roots_a, roots_b = roots_a[live], roots_b[live]
-        np.minimum.at(parent, np.maximum(roots_a, roots_b), np.minimum(roots_a, roots_b))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
+    w = mask.shape[1]
+    # a row's changes, with False on both sides, alternate start and stop
+    r, c = np.divmod(np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False)), w + 1)
+    start, stop = (r * w + c).reshape(-1, 2).T
+    edges = []
+    # Cell (r, c) meets cell (r + 1, c + shift).  An edge is skipped when the
+    # left neighbours of its cells form one too: both link the same two runs.
+    for shift in (0, 1, -1) if diagonal else (0,):
+        lo, hi = max(0, -shift), w - max(0, shift)
+        both = mask[:-1, lo:hi] & mask[1:, lo + shift:hi + shift]
+        both[:, 1:] &= ~both[:, :-1]
+        r, c = np.divmod(np.flatnonzero(both), hi - lo)
+        edges.append(r * w + c + lo + np.array([[0], [w + shift]]))
+    # the run of a cell is the last run starting at or before it
+    edges = np.searchsorted(start, np.concatenate(edges, axis=1), side="right") - 1
+    parent = np.arange(start.size)
+    while edges.size:
+        roots = parent[edges]
+        live = roots[0] != roots[1]
+        edges, roots = edges[:, live], roots[:, live]
+        np.minimum.at(parent, roots.max(axis=0), roots.min(axis=0))
+        while not np.array_equal(parent, jumped := parent[parent]):
             parent = jumped
-    first = np.flatnonzero(mask.reshape(-1) & (parent == index.reshape(-1)))
-    number = np.full(h * w, -1, dtype=np.int32)
-    number[first] = np.arange(first.size)
-    return number[parent].reshape(h, w), first
+    roots = parent == np.arange(start.size)
+    return start, stop, (np.cumsum(roots, dtype=np.int32) - 1)[parent], start[roots]
+
+
+def _label(mask: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Int32 component labels (-1 off the mask) and first flat indices; see ``_runs``."""
+    start, stop, comp, first = _runs(mask, diagonal)
+    labels = np.full(mask.shape, -1, dtype=np.int32)
+    labels[mask] = np.repeat(comp, stop - start)
+    return labels, first
 
 
 @dataclass(frozen=True)
@@ -308,27 +306,28 @@ def label_components(grid: GridPlane, subject) -> ComponentLabeling:
     """4-connected components of G minus the subject.
 
     Components are numbered in row-major order of their first cells.  Each
-    records its cell count, bounding box, contact with the window frame and
-    4-adjacency to a cell outside G.
+    records its cell count, bounding box and contact with the window frame,
+    all read off its runs, and its 4-adjacency to a cell outside G.
     """
     complement = grid.g_mask & ~grid.subject_mask(subject)
-    labels, first = _label(complement, diagonal=False)
-    w = labels.shape[1]
-    n = first.size
-    ids = labels[complement]
-    rows, cols = np.nonzero(complement)
-    frame_ids = np.concatenate((labels[0], labels[-1], labels[:, 0], labels[:, -1]))
+    start, stop, comp, first = _runs(complement, diagonal=False)
+    labels = np.full(complement.shape, -1, dtype=np.int32)
+    labels[complement] = np.repeat(comp, stop - start)
+    (h, w), n = labels.shape, first.size
+    row, start_col = np.divmod(start, w)
+    stop_col = (stop - 1) % w
+    touches = (row == 0) | (row == h - 1) | (start_col == 0) | (stop_col == w - 1)
     near_outside_ids = labels[_dilate(grid.outside_mask, diagonal=False)]
     # the first cell lies in the top row of its component
     row_min, first_col = np.divmod(first, w)
     col_min, row_max, col_max = np.full(n, w), np.full(n, -1), np.full(n, -1)
-    np.minimum.at(col_min, ids, cols)
-    np.maximum.at(row_max, ids, rows)
-    np.maximum.at(col_max, ids, cols)
+    np.minimum.at(col_min, comp, start_col)
+    np.maximum.at(row_max, comp, row)
+    np.maximum.at(col_max, comp, stop_col)
     # per component, in Component field order after the id
     facts = zip(
-        np.bincount(ids, minlength=n).tolist(),
-        (np.bincount(frame_ids[frame_ids >= 0], minlength=n) > 0).tolist(),
+        np.bincount(comp, weights=stop - start, minlength=n).astype(np.int64).tolist(),
+        (np.bincount(comp[touches], minlength=n) > 0).tolist(),
         (np.bincount(near_outside_ids[near_outside_ids >= 0], minlength=n) > 0).tolist(),
         zip(row_min.tolist(), col_min.tolist(), row_max.tolist(), col_max.tolist()),
         zip(row_min.tolist(), first_col.tolist()),
@@ -385,7 +384,7 @@ class Probe:
 
 
 def _connected(mask: np.ndarray, *, diagonal: bool) -> bool:
-    return _label(mask, diagonal)[1].size <= 1
+    return _runs(mask, diagonal)[3].size <= 1
 
 
 def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe") -> Probe:

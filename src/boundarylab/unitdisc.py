@@ -225,17 +225,19 @@ def _check_block(b: LevelBlock, end: int, angles: np.ndarray, deficits: np.ndarr
 
 
 def _require_number(obj, key, where: str = "") -> float:
-    """obj[key] (a dict field or a list entry) as a finite float; booleans are refused."""
+    """obj[key] (a dict field or a list entry) as a finite float; only JSON numbers pass."""
     name = f"{where}[{key}]" if isinstance(key, int) else f"{where} field {key!r}".lstrip()
     try:
         value = obj[key]
-        if isinstance(value, bool):  # JSON true/false are not numbers
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise TypeError(name)
         value = float(value)
     except (KeyError, IndexError) as exc:
         raise ValidationError(f"missing {name}") from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ValidationError(f"{name} must be a number") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValidationError(f"{name} must be finite") from exc
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite")
     return value

@@ -62,6 +62,7 @@ CASES: dict[str, list[str]] = {
     "arakeljan-independence": ["arakeljan", "--grid", "{in}/grid48.txt",
                                "--independence", "E", "F"],
     "arakeljan-union": ["arakeljan", "--grid", "{in}/grid48.txt", "--union"],
+    "arakeljan-union-192": ["arakeljan", "--grid", "{in}/grid192.txt", "--union"],
     "kernels-default": ["kernels"],
     "kernels-flags": ["kernels", "--r", "0.9", "--delta", "0.5"],
     "selftest-seed": ["selftest", "--only", "2,5", "--seed", "3"],

@@ -369,12 +369,49 @@ def test_malformed_evaluation_inputs_exit_2(tmp_path, capsys, subcommand, text):
         assert "must be a number" in err
 
 
+_GRID = {"width": 2, "height": 2, "unbounded": 0, "cells": [1, 1, 1, 1]}
+
+
 @pytest.mark.parametrize("extra", [{"cell_size": "x"}, {"origin": 5}],
                          ids=["cell-size-string", "origin-number"])
 def test_malformed_grid_geometry_exits_2(tmp_path, capsys, extra):
-    grid = {"width": 2, "height": 2, "unbounded": 0, "cells": [1, 1, 1, 1], **extra}
-    assert run(["arakeljan", "--grid", _write(tmp_path, "g.json", grid)]) == 2
+    assert run(["arakeljan", "--grid", _write(tmp_path, "g.json", {**_GRID, **extra})]) == 2
     assert capsys.readouterr().err.startswith("boundarylab arakeljan: ")
+
+
+@pytest.mark.parametrize("subcommand,data", [
+    ("scan", {"zeros": [{"re": "0.5", "im": 0.1}]}),
+    ("scan", {"zeros": [{"re": 0.5, "im": "0.1"}]}),
+    ("scan", {"generator": {"kind": "radial", "angle": 0.0, "rate": "0.5", "count": 4}}),
+    ("series", _series_of(_RADIAL, weight="0.5")),
+    ("arakeljan", {**_GRID, "cell_size": "2"}),
+    ("arakeljan", {**_GRID, "origin": ["0", 0.0]}),
+    ("arakeljan", {**_GRID, "origin": [0.0, "0"]}),
+], ids=["re", "im", "rate", "weight", "cell-size", "origin-x", "origin-y"])
+def test_numeric_strings_are_not_numbers(tmp_path, capsys, subcommand, data):
+    flag = {"scan": "--zeros", "series": "--spec", "arakeljan": "--grid"}[subcommand]
+    assert run([subcommand, flag, _write(tmp_path, "input.json", data)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"boundarylab {subcommand}: ")
+    assert err.rstrip().endswith("must be a number")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,text", [
+    ("g.json", json.dumps({**_GRID, "unbounded": "false"})),
+    ("g.json", json.dumps({**_GRID, "unbounded": 2})),
+    ("g.json", json.dumps({**_GRID, "unbounded": None})),
+    ("g.json", json.dumps({**_GRID, "unbounded": 1.0})),
+    ("g.txt", "grid 2 1 0\n..\n##\n"),
+], ids=["unbounded-string", "unbounded-2", "unbounded-null", "unbounded-float", "extra-row"])
+def test_malformed_grid_frame_and_rows_exit_2(tmp_path, capsys, name, text):
+    assert run(["arakeljan", "--grid", _write(tmp_path, name, text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("boundarylab arakeljan: ")
+    assert ("unbounded" if name == "g.json" else "past the height") in err
+    assert "Traceback" not in err
 
 
 def test_angle_counts_above_the_cap_exit_2(tmp_path, capsys):

@@ -95,12 +95,13 @@ def test_partial_sums_build_only_the_first_n_terms(monkeypatch):
     terms = frostman_terms(seq, 1.0)
     spy = _CountingNumpy()
     monkeypatch.setattr(frostman, "np", spy)
+    running = np.concatenate(([0.0], np.cumsum(terms)))
     for n in (0, 1, 100, len(seq)):
         spy.sizes.clear()
         got = frostman_partial(seq, 1.0, n)
-        # the same bits as summing the first n entries of the full term row
-        assert np.float64(got).tobytes() == np.sum(terms[:n]).tobytes()
-        assert spy.sizes == [n]
+        # the same bits as the left-to-right running sum of the full term row
+        assert np.float64(got).tobytes() == running[n].tobytes()
+        assert sum(spy.sizes) == n
 
 
 def test_doubling_schedule():
@@ -217,6 +218,12 @@ def _full_circle(depth):
         "kind": "arc-union", "arcs": [[0.10384619671527331, 6.3870315038948595]]}})
 
 
+def _cantor8():
+    return _generated({"kind": "accumulation", "depth": 8, "target": {
+        "kind": "cantor", "cantor_level": 3,
+        "base_arc": [0.25744424357926954, 1.2574442435792696]}})
+
+
 def _whole_row_sums(seq, angles, schedule):
     """The untiled kernel: all terms of a row in one array, then one cumsum over the row."""
     a, d = seq.angles, seq.deficits
@@ -244,9 +251,7 @@ def test_tiled_sums_match_whole_row_cumsum_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(43)
     seqs = {
         "full10": _full_circle(10),
-        "cantor8": _generated({"kind": "accumulation", "depth": 8, "target": {
-            "kind": "cantor", "cantor_level": 3,
-            "base_arc": [0.25744424357926954, 1.2574442435792696]}}),
+        "cantor8": _cantor8(),
         "radial60": _generated({"kind": "radial", "angle": 1.6951199159934145, "rate": 0.5,
                                 "count": 60}),
         "random5000": ZeroSequence(angles=rng.uniform(0.0, TWO_PI, 5000),
@@ -275,6 +280,14 @@ def test_tiled_sums_match_whole_row_cumsum_bit_for_bit(monkeypatch):
             want = seq.deficits / np.hypot(seq.deficits, 2.0 * np.sqrt(1.0 - seq.deficits)
                                            * np.abs(np.sin(0.5 * (seq.angles - theta))))
             assert np.array_equal(frostman_terms(seq, theta), want)
+
+
+def test_partial_has_the_bits_of_the_classifier_sums():
+    for seq in (_full_circle(10), _cantor8()):
+        for theta in (1.0, 1.0 + TWO_PI, float(seq.angles[-1])):
+            report = frostman_classify(seq, theta)
+            got = [frostman_partial(seq, theta, n) for n in report.schedule]
+            assert np.array(got).tobytes() == np.array(report.partial_sums).tobytes()
 
 
 def test_kernel_memory_does_not_grow_with_the_zero_count():

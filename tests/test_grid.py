@@ -66,6 +66,10 @@ def test_text_rejects_malformed_input():
         GridPlane.parse_text("grid 2 2 0\n.x\n..\n")  # unknown character
     with pytest.raises(ValidationError):
         GridPlane.parse_text("grid 2 2 0\n..\n")  # missing row
+    with pytest.raises(ValidationError, match="past the height"):
+        GridPlane.parse_text("grid 2 1 0\n..\n##\n")  # extra row
+    # blank lines after the last row are not rows
+    assert GridPlane.parse_text("grid 2 1 0\n..\n\n  \n").height == 1
 
 
 def test_json_round_trip():
@@ -285,9 +289,53 @@ def test_json_rejects_malformed_fields():
         {"cells": [1, None]},
         {"cells": [1, [1]]},
         {"cells": [1, True]},
+        {"unbounded": "false"},
+        {"unbounded": 2},
+        {"unbounded": None},
+        {"unbounded": 1.0},
     ):
         with pytest.raises(ValidationError):
             GridPlane.from_json({**good, **bad})
+    for flag, unbounded in ((True, True), (False, False), (1, True), (0, False)):
+        assert GridPlane.from_json({**good, "unbounded": flag}).frame_is_unbounded is unbounded
+
+
+def test_parsers_raise_only_validation_errors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.none() | st.booleans() | st.integers(-3, 6) | st.just(2 ** 1024) | st.floats() \
+        | st.text(max_size=3)
+    json_values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=6), max_leaves=12)
+    # a valid grid with some fields replaced by arbitrary JSON values or left out
+    good = {"width": 2, "height": 2, "unbounded": 0, "cells": [1, 2, 0, 1],
+            "cell_size": 1.5, "origin": [0.0, 1.0]}
+    grids = st.builds(
+        lambda changed, dropped: {k: v for k, v in {**good, **changed}.items() if k not in dropped},
+        st.dictionaries(st.sampled_from(sorted(good)), json_values, max_size=2),
+        st.sets(st.sampled_from(sorted(good)), max_size=1),
+    )
+    rows = st.lists(st.text(alphabet=" .#EKx\t", max_size=6), max_size=6)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(data=grids | json_values)
+    def check_json(data):
+        try:
+            GridPlane.from_json(data)
+        except ValidationError:
+            pass
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(head=st.text(max_size=12) | st.builds(
+        "grid {} {} {}".format, st.integers(-1, 5), st.integers(-1, 5), st.integers(-1, 2)),
+        body=rows)
+    def check_text(head, body):
+        try:
+            GridPlane.parse_text("\n".join([head, *body]))
+        except ValidationError:
+            pass
+
+    check_json()
+    check_text()
 
 
 def test_grid_size_limit_is_checked_before_allocating():
@@ -362,10 +410,10 @@ def _bfs_connected(mask, diagonal):
     return len(seen) == len(cells)
 
 
-def _scipy_labels(mask):
-    """scipy's 4-connected labels, renumbered in row-major first-cell order."""
+def _scipy_labels(mask, diagonal=False):
+    """scipy's 4- (diagonal: 8-) connected labels, renumbered in row-major first-cell order."""
     ndimage = pytest.importorskip("scipy.ndimage")
-    labels, count = ndimage.label(mask)
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3)) if diagonal else None)
     flat = labels.reshape(-1)
     first = np.full(count + 1, flat.size)
     np.minimum.at(first, flat, np.arange(flat.size))
@@ -439,6 +487,31 @@ def test_labeler_on_serpentine_and_spiral():
     spiral = _spiral_plane(192)
     _assert_matches_references(spiral, "F")
     _assert_matches_references(spiral, "none")
+
+
+def _assert_8_connected_matches_scipy(mask):
+    labels, first = grid_module._label(mask, diagonal=True)
+    want = _scipy_labels(mask, diagonal=True)
+    values, first_cells = np.unique(want, return_index=True)
+    assert labels.dtype == np.int32
+    assert np.array_equal(labels, want)
+    assert np.array_equal(first, first_cells[values >= 0])
+
+
+def test_8_connected_labeler_matches_scipy():
+    for name in ("annulus", "punctured-disc", "radial-segment"):
+        grid = get_fixture(name, 192)
+        for subject in ("E", "F", "E+F", "none"):
+            mask = grid.subject_mask(subject)
+            _assert_8_connected_matches_scipy(mask)
+            _assert_8_connected_matches_scipy(grid.g_mask & ~mask)
+    rng = np.random.default_rng(19)
+    for density in (0.3, 0.4, 0.5, 0.6, 0.7):
+        for _ in range(8):
+            shape = tuple(int(n) for n in rng.integers(1, 201, size=2))
+            _assert_8_connected_matches_scipy(rng.random(shape) < density)
+    for mask in (np.zeros((5, 7), dtype=bool), np.ones((7, 5), dtype=bool), np.eye(9, dtype=bool)):
+        _assert_8_connected_matches_scipy(mask)
 
 
 def test_connected_matches_reference():
