@@ -46,6 +46,11 @@ MAX_RADIUS_LEVELS = 53
 # or thread count.
 _EVAL_CHUNK = 65536
 
+# Complex elements per (points x factors) tile of _products (256 KiB per
+# buffer).  The tile only sets how many rows are evaluated together; a row's
+# bits do not depend on it.
+_TILE_ELEMENTS = 2 ** 14
+
 
 class TruncatedEval(NamedTuple):
     value: complex
@@ -135,25 +140,38 @@ class BlaschkeProduct:
     def _products(self, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Product of factors lo..hi-1 at each point of z, with a one-point
         product's bits: each chunk of at most _EVAL_CHUNK factors is evaluated
-        as (points x factors) blocks of at most _EVAL_CHUNK elements, each row
+        as (points x factors) tiles of about _TILE_ELEMENTS elements, each row
         reduced left to right, and past one chunk a point's chunk products are
         reduced left to right in turn.  A pole leaves a non-finite value.
         """
-        rows = _EVAL_CHUNK // max(min(hi - lo, _EVAL_CHUNK), 1)
         out = np.empty(z.size, dtype=np.complex128)
+        if hi <= lo:
+            out.fill(1.0)
+            return out
+        starts = range(lo, hi, _EVAL_CHUNK)
+        width = min(hi - lo, _EVAL_CHUNK)
+        # past one chunk a tile is one point, whose chunk products are reduced
+        # in turn; buffers hold the rows actually used
+        step = 1 if len(starts) > 1 else max(1, _TILE_ELEMENTS // width)
+        rows = min(step, z.size)
+        num_buf = np.empty((rows, width), dtype=np.complex128)
+        den_buf = np.empty((rows, width), dtype=np.complex128)
+        parts = np.empty((1, len(starts)), dtype=np.complex128) if len(starts) > 1 else None
         with np.errstate(divide="ignore", invalid="ignore"):
-            for at in range(0, z.size, rows):
-                col = z[at:at + rows, None]
-                parts = []
-                for c in range(lo, max(hi, lo + 1), _EVAL_CHUNK):
-                    span = slice(c, min(c + _EVAL_CHUNK, hi))
-                    num = self._rot[span] * col  # then in place: two temporaries per chunk
-                    np.subtract(self._absa[span], num, out=num)
-                    den = self._conj_a[span] * col
+            for at in range(0, z.size, step):
+                col = z[at:at + step, None]
+                k = col.shape[0]
+                dest = out[at:at + k, None] if parts is None else parts
+                for j, c in enumerate(starts):
+                    w = min(c + _EVAL_CHUNK, hi) - c
+                    num, den = num_buf[:k, :w], den_buf[:k, :w]
+                    np.multiply(self._rot[c:c + w], col, out=num)
+                    np.subtract(self._absa[c:c + w], num, out=num)
+                    np.multiply(self._conj_a[c:c + w], col, out=den)
                     np.subtract(1.0, den, out=den)
-                    parts.append(np.multiply.reduce(np.divide(num, den, out=num), axis=1))
-                out[at:at + rows] = parts[0] if len(parts) == 1 else \
-                    np.multiply.reduce(np.stack(parts, axis=1), axis=1)
+                    np.multiply.reduce(np.divide(num, den, out=num), axis=1, out=dest[:, j])
+                if parts is not None:
+                    np.multiply.reduce(parts, axis=1, out=out[at:at + 1])
         return out
 
     def _closed_forms(self, z: np.ndarray, k: int) -> np.ndarray:

@@ -180,7 +180,8 @@ def _load_product(args: argparse.Namespace, cfg: dict) -> BlaschkeProduct:
 
 def _load_grid(path: str) -> GridPlane:
     text = _read_text(path)
-    if text.lstrip().startswith("grid "):
+    # a text grid's first word is "grid", as GridPlane.parse_text reads its header
+    if text.split(None, 1)[:1] == ["grid"]:
         return GridPlane.parse_text(text)
     try:
         data = json.loads(text)

@@ -164,17 +164,14 @@ class FrostmanProfile:
     divergent_fraction: float
 
     def write_csv(self, handle: TextIO) -> None:
-        def rows():
-            for i, angle in enumerate(self.angles):
-                for j, n in enumerate(self.schedule):
-                    yield (
-                        float(angle),
-                        int(n),
-                        float(self.partial_sums[i, j]),
-                        self.classifications[i],
-                    )
-
-        write_csv(handle, ("angle", "n", "partial_sum", "classification"), rows())
+        """One row per (angle, schedule entry), angles outermost."""
+        per_angle = len(self.schedule)
+        write_csv(handle, ("angle", "n", "partial_sum", "classification"), (
+            np.repeat(self.angles, per_angle),
+            np.tile(np.asarray(self.schedule, dtype=np.int64), self.angles.size),
+            self.partial_sums.ravel(),
+            np.repeat(np.asarray(self.classifications, dtype=object), per_angle),
+        ))
 
 
 # working set of the Frostman kernel in float64 elements (1 MiB): one tile of

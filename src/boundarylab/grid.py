@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -111,12 +112,7 @@ class GridPlane:
         CellClass codes, or a boolean mask (which must stay inside G).
         """
         if isinstance(selector, np.ndarray):
-            mask = selector.astype(bool)
-            if mask.shape != self.cells.shape:
-                raise ValidationError("subject mask shape does not match the grid")
-            if np.any(mask & self.outside_mask):
-                raise ValidationError("subject mask leaves G")
-            return mask
+            return _inside_g(selector, self.outside_mask)
         if isinstance(selector, str):
             key = selector.strip().lower()
             classes = {
@@ -146,13 +142,16 @@ class GridPlane:
     def parse_text(cls, text: str) -> "GridPlane":
         """Parse "grid <w> <h> <unbounded>" plus h rows of cell characters.
 
+        Blank lines before the header are skipped.
         Rows shorter than the width are padded with spaces (outside G), since
         trailing blanks rarely survive editors; longer or extra rows are errors.
         """
         lines = text.splitlines()
-        if not lines:
+        # the header is the first nonblank line, as the CLI's format sniffing reads it
+        top = next((i for i, line in enumerate(lines) if line.strip()), None)
+        if top is None:
             raise ValidationError("empty grid text")
-        head = lines[0].split()
+        head = lines[top].split()
         if len(head) != 4 or head[0] != "grid":
             raise ValidationError(
                 "grid header must be 'grid <width> <height> <unbounded:0|1>'"
@@ -164,7 +163,7 @@ class GridPlane:
         _check_dimensions(width, height)
         if unbounded not in (0, 1):
             raise ValidationError("unbounded flag must be 0 or 1")
-        body = lines[1:]
+        body = lines[top + 1:]
         if len(body) < height:
             raise ValidationError(f"expected {height} grid rows, found {len(body)}")
         if any(line.strip() for line in body[height:]):
@@ -238,6 +237,43 @@ def _dilate(mask: np.ndarray, diagonal: bool) -> np.ndarray:
     return out
 
 
+def _inside_g(selector: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """A boolean subject mask, refused if it has the wrong shape or leaves G."""
+    mask = selector.astype(bool)
+    if mask.shape != outside.shape:
+        raise ValidationError("subject mask shape does not match the grid")
+    if np.any(mask & outside):
+        raise ValidationError("subject mask leaves G")
+    return mask
+
+
+class GridMasks:
+    """Masks fixed by a grid's cells, for one public call.
+
+    Each is built on first use and then shared by every labeling, probe and
+    verdict of the call.  GridPlane is mutable, so they are not cached on it;
+    a caller that passes them along must not change the cells in between.
+    """
+
+    def __init__(self, grid: GridPlane) -> None:
+        self.outside = grid.outside_mask  # the complement of G
+
+    @cached_property
+    def near_outside(self) -> np.ndarray:  # outside G or 4-adjacent to it
+        return _dilate(self.outside, diagonal=False)
+
+    @cached_property
+    def near_boundary(self) -> np.ndarray:  # outside G or 8-adjacent to it
+        return _dilate(self.outside, diagonal=True)
+
+
+def _subject(grid: GridPlane, masks: GridMasks, selector) -> np.ndarray:
+    """grid.subject_mask(selector), checking a mask selector against masks.outside."""
+    if isinstance(selector, np.ndarray):
+        return _inside_g(selector, masks.outside)
+    return grid.subject_mask(selector)
+
+
 def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
     """Run table of a mask's components, 4- or (diagonal) 8-connected.
 
@@ -302,14 +338,16 @@ class ComponentLabeling:
     components: tuple[Component, ...]
 
 
-def label_components(grid: GridPlane, subject) -> ComponentLabeling:
+def label_components(grid: GridPlane, subject, masks: GridMasks | None = None) -> ComponentLabeling:
     """4-connected components of G minus the subject.
 
     Components are numbered in row-major order of their first cells.  Each
     records its cell count, bounding box and contact with the window frame,
-    all read off its runs, and its 4-adjacency to a cell outside G.
+    all read off its runs, and its 4-adjacency to a cell outside G.  masks,
+    when given, are GridMasks(grid).
     """
-    complement = grid.g_mask & ~grid.subject_mask(subject)
+    masks = GridMasks(grid) if masks is None else masks
+    complement = ~(masks.outside | _subject(grid, masks, subject))
     start, stop, comp, first = _runs(complement, diagonal=False)
     labels = np.full(complement.shape, -1, dtype=np.int32)
     labels[complement] = np.repeat(comp, stop - start)
@@ -317,7 +355,7 @@ def label_components(grid: GridPlane, subject) -> ComponentLabeling:
     row, start_col = np.divmod(start, w)
     stop_col = (stop - 1) % w
     touches = (row == 0) | (row == h - 1) | (start_col == 0) | (stop_col == w - 1)
-    near_outside_ids = labels[_dilate(grid.outside_mask, diagonal=False)]
+    near_outside_ids = labels[masks.near_outside]
     # the first cell lies in the top row of its component
     row_min, first_col = np.divmod(first, w)
     col_min, row_max, col_max = np.full(n, w), np.full(n, -1), np.full(n, -1)
@@ -387,21 +425,25 @@ def _connected(mask: np.ndarray, *, diagonal: bool) -> bool:
     return _runs(mask, diagonal)[3].size <= 1
 
 
-def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe") -> Probe:
+def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe",
+                   masks: GridMasks | None = None) -> Probe:
     """Probes must be nonempty, strictly inside G, 8-connected, with
     4-connected complement inside their bounding box (the raster stand-in for
     a compact with Jordan boundary).  Strictly inside means no cell is even
     8-adjacent to the complement of G: a compact subset of an open set keeps
     positive distance from its boundary, and on the raster two closed cell
-    squares meet exactly when the cells are 8-adjacent."""
+    squares meet exactly when the cells are 8-adjacent.  masks, when given,
+    are GridMasks(grid)."""
+    masks = GridMasks(grid) if masks is None else masks
     mask = mask.astype(bool)
     if mask.shape != grid.cells.shape:
         raise ValidationError(f"{name}: mask shape does not match the grid")
     if not mask.any():
         raise ValidationError(f"{name}: empty probe mask")
-    if np.any(mask & grid.outside_mask):
+    if np.any(mask & masks.outside):
         raise ValidationError(f"{name}: probe leaves G")
-    if np.any(_dilate(mask, diagonal=True) & grid.outside_mask):
+    # 8-adjacency is symmetric: the probe meets the band around the outside
+    if np.any(mask & masks.near_boundary):
         raise ValidationError(f"{name}: probe touches the boundary of G")
     if not _connected(mask, diagonal=True):
         raise ValidationError(f"{name}: probe mask is disconnected")
@@ -416,12 +458,14 @@ def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe") -> Pr
     return Probe(name=name, mask=mask)
 
 
-def auto_probes(grid: GridPlane) -> list[Probe]:
+def auto_probes(grid: GridPlane, masks: GridMasks | None = None) -> list[Probe]:
     """Expanding concentric square annuli centered on the window.
 
     Candidates that leave G or fail probe validation are dropped, so domains
-    with punctures or narrow windows simply get a smaller family.
+    with punctures or narrow windows simply get a smaller family.  masks,
+    when given, are GridMasks(grid).
     """
+    masks = GridMasks(grid) if masks is None else masks
     h, w = grid.cells.shape
     # Chebyshev distance of every cell from the window's center cell
     distance = np.maximum(np.abs(np.arange(h)[:, None] - h // 2), np.abs(np.arange(w) - w // 2))
@@ -432,7 +476,7 @@ def auto_probes(grid: GridPlane) -> list[Probe]:
     while radius <= max_radius:
         ring = distance == radius
         try:
-            probes.append(validate_probe(grid, ring, name=f"auto-ring-{index}"))
+            probes.append(validate_probe(grid, ring, name=f"auto-ring-{index}", masks=masks))
             index += 1
         except ValidationError:
             pass
@@ -442,21 +486,21 @@ def auto_probes(grid: GridPlane) -> list[Probe]:
     return probes
 
 
-def _gather_probes(grid: GridPlane, probes) -> list[Probe]:
+def _gather_probes(grid: GridPlane, masks: GridMasks, probes) -> list[Probe]:
     if probes is None or (isinstance(probes, str) and probes == "auto"):
-        family = auto_probes(grid)
+        family = auto_probes(grid, masks)
     elif isinstance(probes, str):
         raise ValidationError(f"unknown probe policy {probes!r}")
     else:
         family = []
         for i, p in enumerate(probes):
             if isinstance(p, Probe):
-                family.append(validate_probe(grid, p.mask, p.name))
+                family.append(validate_probe(grid, p.mask, p.name, masks=masks))
             else:
-                family.append(validate_probe(grid, np.asarray(p), name=f"probe-{i}"))
+                family.append(validate_probe(grid, np.asarray(p), name=f"probe-{i}", masks=masks))
     marked = grid.class_mask(CellClass.K_PROBE)
     if marked.any():
-        family.append(validate_probe(grid, marked, name="grid-K"))
+        family.append(validate_probe(grid, marked, name="grid-K", masks=masks))
     return family
 
 
@@ -491,7 +535,8 @@ class ArakeljanVerdict:
 
 
 def _verdict(
-    grid: GridPlane, subject_mask: np.ndarray, labeling: ComponentLabeling, family: list[Probe]
+    grid: GridPlane, masks: GridMasks, subject_mask: np.ndarray, labeling: ComponentLabeling,
+    family: list[Probe],
 ) -> ArakeljanVerdict:
     """Both hole conditions, given the subject's own labeling and its probes."""
     names = tuple(p.name for p in family)
@@ -502,10 +547,9 @@ def _verdict(
     # with a cell in this band is the raster reading of "the hole's closure
     # meets the boundary of G".  4-adjacent contact cannot occur here: it
     # would have disqualified the component as a G-hole already.
-    near_boundary = _dilate(grid.outside_mask, diagonal=True)
     for probe in family:
-        trapped = label_components(grid, subject_mask | probe.mask)
-        reaching = set(trapped.labels[near_boundary].tolist())
+        trapped = label_components(grid, subject_mask | probe.mask, masks)
+        reaching = set(trapped.labels[masks.near_boundary].tolist())
         offenders = tuple(
             rep for rep in _reports(grid, trapped) if rep.is_g_hole and rep.component_id in reaching
         )
@@ -516,9 +560,10 @@ def _verdict(
 
 def is_arakeljan(grid: GridPlane, subject, probes="auto") -> ArakeljanVerdict:
     """Check both hole conditions for the subject set at raster fidelity."""
-    subject_mask = grid.subject_mask(subject)
-    family = _gather_probes(grid, probes)
-    return _verdict(grid, subject_mask, label_components(grid, subject_mask), family)
+    masks = GridMasks(grid)
+    subject_mask = _subject(grid, masks, subject)
+    family = _gather_probes(grid, masks, probes)
+    return _verdict(grid, masks, subject_mask, label_components(grid, subject_mask, masks), family)
 
 
 # --- independence and the union law ----------------------------------------
@@ -541,11 +586,11 @@ class IndependenceReport:
         }
 
 
-def _labelings(grid: GridPlane, e_mask: np.ndarray, f_mask: np.ndarray) -> tuple:
+def _labelings(grid: GridPlane, masks: GridMasks, e_mask: np.ndarray, f_mask: np.ndarray) -> tuple:
     """Labelings of G minus E, G minus F and G minus their union."""
     if np.any(e_mask & f_mask):
         raise ValidationError("E and F overlap; independence needs disjoint sets")
-    return tuple(label_components(grid, mask) for mask in (e_mask, f_mask, e_mask | f_mask))
+    return tuple(label_components(grid, mask, masks) for mask in (e_mask, f_mask, e_mask | f_mask))
 
 
 def _independence(
@@ -575,9 +620,10 @@ def hole_independence(grid: GridPlane, e_subject="E", f_subject="F") -> Independ
     G-hole while sitting inside strict holes of both E and F is a witness of
     dependence.
     """
-    e_mask = grid.subject_mask(e_subject)
-    f_mask = grid.subject_mask(f_subject)
-    return _independence(grid, *_labelings(grid, e_mask, f_mask))
+    masks = GridMasks(grid)
+    e_mask = _subject(grid, masks, e_subject)
+    f_mask = _subject(grid, masks, f_subject)
+    return _independence(grid, *_labelings(grid, masks, e_mask, f_mask))
 
 
 @dataclass(frozen=True)
@@ -609,14 +655,15 @@ class UnionCheckReport:
 
 def union_check(grid: GridPlane, e_subject="E", f_subject="F", probes="auto") -> UnionCheckReport:
     """Verdicts for E, F and E union F from one probe family and one labeling each."""
-    e_mask = grid.subject_mask(e_subject)
-    family = _gather_probes(grid, probes)
-    f_mask = grid.subject_mask(f_subject)
-    lab_e, lab_f, lab_union = _labelings(grid, e_mask, f_mask)
-    e_verdict = _verdict(grid, e_mask, lab_e, family)
-    f_verdict = _verdict(grid, f_mask, lab_f, family)
+    masks = GridMasks(grid)
+    e_mask = _subject(grid, masks, e_subject)
+    family = _gather_probes(grid, masks, probes)
+    f_mask = _subject(grid, masks, f_subject)
+    lab_e, lab_f, lab_union = _labelings(grid, masks, e_mask, f_mask)
+    e_verdict = _verdict(grid, masks, e_mask, lab_e, family)
+    f_verdict = _verdict(grid, masks, f_mask, lab_f, family)
     independence = _independence(grid, lab_e, lab_f, lab_union)
-    union_verdict = _verdict(grid, e_mask | f_mask, lab_union, family)
+    union_verdict = _verdict(grid, masks, e_mask | f_mask, lab_union, family)
     premises = e_verdict.passed and f_verdict.passed and independence.independent
     consistent = (not premises) or union_verdict.passed
     note = None if consistent else (

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable, TextIO
+from typing import Any, Sequence, TextIO
+
+import numpy as np
 
 
 def fmt_float(x: float) -> str:
@@ -19,25 +21,64 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(handle: TextIO, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
+# Rows formatted by one '%' call in write_csv: enough to amortize the call,
+# few enough that the text of one block stays small up to MAX_ANGLES rows.
+_CSV_BLOCK = 4096
+
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def write_csv(handle: TextIO, header: Sequence[str], columns: Sequence[Any]) -> None:
+    """Write equal-length columns as CSV rows under header.
+
+    A float column is printed like fmt_float (%.17g), an int column with %d,
+    a bool column as true/false and any other column with %s.  Rows are
+    formatted a block at a time with one '%' call.  A non-finite float cell
+    raises fmt_float's ValueError for the first such cell in row order, after
+    every complete row before it has been written.
+    """
+    cols = []
+    for col in columns:
+        arr = np.asarray(col)
+        cols.append(np.where(arr, "true", "false") if arr.dtype.kind == "b" else arr)
+    lengths = {len(c) for c in cols}
+    if len(lengths) > 1:
+        raise ValueError("CSV columns differ in length")
+    n = lengths.pop() if lengths else 0
+    formats = [_CELL_FORMATS.get(c.dtype.kind, "%s") for c in cols]
+    floats = [c for c, f in zip(cols, formats) if f == "%.17g"]
+    row = ",".join(formats) + "\n"
     handle.write(",".join(header) + "\n")
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, float):
-                cells.append(fmt_float(cell))
-            else:
-                cells.append(str(cell))
-        handle.write(",".join(cells) + "\n")
+    for at in range(0, n, _CSV_BLOCK):
+        stop = min(at + _CSV_BLOCK, n)
+        bad = None
+        if floats:
+            finite = np.isfinite(np.array([c[at:stop] for c in floats]))
+            if not finite.all():
+                first = int(np.argmin(finite.all(axis=0)))
+                bad = floats[int(np.argmin(finite[:, first]))][at + first]
+                stop = at + first
+        cells: list[Any] = [None] * ((stop - at) * len(cols))
+        for j, c in enumerate(cols):
+            cells[j::len(cols)] = c[at:stop].tolist()
+        handle.write((row * (stop - at)) % tuple(cells))
+        if bad is not None:
+            fmt_float(float(bad))  # raises the non-finite ValueError
 
 
-def write_values(handle: TextIO, first: str, xs: Iterable[float],
-                 values: Iterable[complex]) -> None:
-    """CSV of (x, re, im, modulus) rows under the header first,re,im,modulus."""
-    rows = ((float(x), float(v.real), float(v.imag), float(abs(v))) for x, v in zip(xs, values))
-    write_csv(handle, (first, "re", "im", "modulus"), rows)
+def write_values(handle: TextIO, first: str, xs: Sequence[float],
+                 values: np.ndarray) -> None:
+    """CSV of (x, re, im, modulus) rows under the header first,re,im,modulus.
+
+    The modulus is np.hypot(re, im), the C hypot behind Python's abs(complex)
+    and numpy's scalar abs; np.abs on an array rounds differently.  Unlike
+    Python's abs it gives inf, not OverflowError, past the float range.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = np.hypot(values.real, values.imag)
+    write_csv(handle, (first, "re", "im", "modulus"),
+              (np.asarray(xs, dtype=np.float64), values.real, values.imag, modulus))
 
 
 def json_text(obj: Any, indent: int = 2) -> str:

@@ -29,6 +29,7 @@ CASES: dict[str, list[str]] = {
                               "--angles", "16", "--out", "-"],
     "scan-cantor8-flags": ["scan", "--zeros", "{in}/cantor8.json", "--r", "0.5", "--angles", "16",
                            "--delta", "0.2", "--truncation-tolerance", "1e-6"],
+    "scan-cantor8-512": ["scan", "--zeros", "{in}/cantor8.json", "--r", "0.9", "--angles", "512"],
     "scan-config": ["scan", "--zeros", "{in}/cantor8.json", "--r", "0.5", "--angles", "8",
                     "--config", "{in}/settings.conf"],
     "trace-radial60": ["trace", "--zeros", "{in}/radial60.json", "--angle", "1.6951199159934145",
@@ -54,6 +55,9 @@ CASES: dict[str, list[str]] = {
     "frostman-grid": ["frostman", "--zeros", "{in}/radial30.json", "--angles", "16"],
     "frostman-grid-config": ["frostman", "--zeros", "{in}/cantor8.json", "--angles", "8",
                              "--config", "{in}/settings.conf"],
+    "frostman-grid-cantor8-mixed": ["frostman", "--zeros", "{in}/cantor8.json", "--angles", "48",
+                                    "--divergence-threshold", "1", "--growth-window", "2",
+                                    "--cauchy-tolerance", "1e-2"],
     "series-point": ["series", "--spec", "{in}/lp6.json", "--at", "0.1", "0.2"],
     "series-circle-flags": ["series", "--spec", "{in}/lp6.json", "--r", "0.9", "--angles", "16",
                             "--series-tolerance", "1e-6"],

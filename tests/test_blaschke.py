@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boundarylab import blaschke
 from boundarylab.blaschke import (
     BlaschkeProduct,
     _zero_chase_path,
@@ -545,7 +546,7 @@ def test_cli_output_matches_the_reference_loop(tmp_path, capsys):
 
     def table(header, rows):
         buf = io.StringIO()
-        write_csv(buf, header, rows)
+        write_csv(buf, header, list(zip(*rows)))
         return buf.getvalue()
 
     def scan_rows(prod, r, count, strict):
@@ -848,3 +849,102 @@ def test_reference_product_at_zero_is_the_rational_product():
         exact *= 1 - Fraction(1, 2 ** k)
     assert abs(exact - Fraction(REFERENCE_PRODUCT_AT_ZERO)) <= Fraction(5, 10 ** 11)
     assert round(float(exact), 10) == REFERENCE_PRODUCT_AT_ZERO
+
+
+# --- tiled factor products --------------------------------------------------
+
+def _untiled_products(self, z, lo, hi, chunk=_CHUNK):
+    """The factor-range product as it was written before the row tiles: blocks
+    of chunk // width rows, two fresh temporaries per block."""
+    rows = chunk // max(min(hi - lo, chunk), 1)
+    out = np.empty(z.size, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for at in range(0, z.size, rows):
+            col = z[at:at + rows, None]
+            parts = []
+            for c in range(lo, max(hi, lo + 1), chunk):
+                span = slice(c, min(c + chunk, hi))
+                num = self._rot[span] * col
+                np.subtract(self._absa[span], num, out=num)
+                den = self._conj_a[span] * col
+                np.subtract(1.0, den, out=den)
+                parts.append(np.multiply.reduce(np.divide(num, den, out=num), axis=1))
+            out[at:at + rows] = parts[0] if len(parts) == 1 else \
+                np.multiply.reduce(np.stack(parts, axis=1), axis=1)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def _circle(count, r=0.9, seed=0):
+    return r * np.exp(1j * np.random.default_rng(seed).uniform(0.0, TWO_PI, count))
+
+
+def test_products_keep_their_bits_across_tile_edges(monkeypatch):
+    prod = _product(CANTOR8)
+    n = len(prod)
+    assert blaschke._TILE_ELEMENTS // n == 28  # rows per default tile of the full range
+    ranges = ((0, n), (3, n - 5), (0, 1), (7, 9), (4, 4))
+    # the default tile, then tiles of 3 rows of the full range
+    for budget in (blaschke._TILE_ELEMENTS, 3 * n):
+        monkeypatch.setattr(blaschke, "_TILE_ELEMENTS", budget)
+        for count in (0, 1, 2, 3, 4, 5, 6, 7, 28, 29, 513):
+            z = _circle(count, seed=count)
+            for lo, hi in ranges:
+                assert _same_bits(prod._products(z, lo, hi), _untiled_products(prod, z, lo, hi))
+
+
+def test_products_across_two_factor_chunks(monkeypatch):
+    prod = _product(CANTOR8)
+    n = len(prod)
+    for chunk in (300, 567, 64):
+        monkeypatch.setattr(blaschke, "_EVAL_CHUNK", chunk)
+        for count in (0, 1, 5):
+            z = _circle(count, r=0.97, seed=chunk)
+            for lo, hi in ((0, n), (n - chunk - 1, n), (1, 1 + chunk)):
+                want = _untiled_products(prod, z, lo, hi, chunk)
+                assert _same_bits(prod._products(z, lo, hi), want)
+    # past one chunk every point has its one-point product's bits
+    z = _circle(6, r=0.97, seed=1)
+    got = prod._products(z, 0, n)
+    assert _same_bits(got, np.array([prod._products(z[i:i + 1], 0, n)[0] for i in range(6)]))
+
+
+def test_products_allocate_only_the_rows_they_use(monkeypatch):
+    prod, z = _product(CANTOR8), _circle(1)
+    sizes = []
+    real_empty = np.empty
+
+    def spy_empty(shape, *args, **kwargs):
+        sizes.append(int(np.prod(shape)))
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(blaschke.np, "empty", spy_empty)
+    prod._products(z, 0, len(prod))
+    # the output and two one-row buffers of the factor range
+    assert sorted(sizes) == [1, len(prod), len(prod)]
+
+
+def test_boundary_pole_names_its_zero_at_any_tile(monkeypatch):
+    angles = np.linspace(0.1, 6.0, 40)
+    angles[17] = 0.0
+    deficits = np.full(40, 0.25)
+    deficits[17] = 2.0 ** -54  # |a| rounds to 1: a pole at z = 1
+    prod = BlaschkeProduct(ZeroSequence(angles=angles, deficits=deficits))
+    # every point, the pole on the circle included, takes all 40 factors
+    monkeypatch.setattr(prod, "factors_needed", lambda r, tol: 40)
+    monkeypatch.setattr(prod, "tail_bound", lambda r, n: 0.0)
+    pole = 1.0 + 0.0j
+    messages = {_outcome(lambda: prod.eval_many([pole], strict=False))[1]}
+    for budget in (blaschke._TILE_ELEMENTS, 40, 80, 120):
+        monkeypatch.setattr(blaschke, "_TILE_ELEMENTS", budget)
+        for at in (0, 1, 2, 3, 5):
+            points = list(_circle(6, r=0.5, seed=at))
+            points.insert(at, pole)
+            assert not np.isfinite(prod._products(np.array(points), 0, 40)[at])
+            with pytest.raises(PoleError, match="zero #17") as info:
+                prod.eval_many(points, strict=False)
+            messages.add(str(info.value))
+    assert len(messages) == 1

@@ -293,6 +293,25 @@ def test_arakeljan_subcommands(tmp_path, capsys):
     assert union["union"]["failed_condition"] == 1
 
 
+def test_text_grid_after_blank_lines(tmp_path, capsys):
+    text = punctured_disc_plane(48).format_text()
+    outputs = []
+    variants = (("plain", text), ("blank", "\n" + text), ("blanks", "\n  \n\t\n" + text),
+                ("tab", text.replace("grid ", "grid\t", 1)))
+    for name, content in variants:
+        path = tmp_path / f"{name}.grid"
+        path.write_text(content)
+        code = run(["arakeljan", "--grid", str(path), "--union"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        outputs.append(captured.out)
+    assert outputs == [outputs[0]] * len(variants)
+    path = tmp_path / "small.grid"
+    path.write_text("\ngrid 2 1 0\n..\n")
+    assert run(["arakeljan", "--grid", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["failed_condition"] == 1
+
+
 def test_kernels_report(capsys):
     code = run(["kernels", "--r", "0.5", "--delta", "3.141592653589793"])
     assert code == 0

@@ -72,6 +72,19 @@ def test_text_rejects_malformed_input():
     assert GridPlane.parse_text("grid 2 1 0\n..\n\n  \n").height == 1
 
 
+def test_text_header_is_the_first_nonblank_line():
+    plain = GridPlane.parse_text("grid 3 2 1\n.E.\n .#\n")
+    for lead in ("\n", "\n\n", "  \n\t\n", "\r\n"):
+        grid = GridPlane.parse_text(lead + "grid 3 2 1\n.E.\n .#\n")
+        assert np.array_equal(grid.cells, plain.cells)
+        assert grid.frame_is_unbounded
+    for blank in ("\n", "  \n \n"):
+        with pytest.raises(ValidationError, match="empty grid text"):
+            GridPlane.parse_text(blank)
+    with pytest.raises(ValidationError, match="expected 2 grid rows, found 1"):
+        GridPlane.parse_text("\ngrid 3 2 1\n.E.\n")
+
+
 def test_json_round_trip():
     grid = punctured_disc_plane(32)
     back = GridPlane.from_json(grid.to_json())
@@ -169,6 +182,10 @@ def test_probe_must_stay_off_boundary_of_g():
     block[10, 10] = False
     with pytest.raises(ValidationError):
         validate_probe(grid, block)  # 8-adjacent to the puncture
+    corner = np.zeros((size, size), dtype=bool)
+    corner[7:10, 7:10] = True
+    with pytest.raises(ValidationError, match="touches the boundary"):
+        validate_probe(grid, corner)  # only its corner cell is diagonal to the puncture
     shifted = np.zeros((size, size), dtype=bool)
     shifted[2:5, 2:5] = True
     validate_probe(grid, shifted)
@@ -553,3 +570,80 @@ def test_union_check_validates_probes_once_and_labels_each_subject_once(monkeypa
     assert report.e_verdict.passed and report.f_verdict.passed
     assert report.union_verdict.failed_condition == 1
     assert calls["label"] == 3 + 2 * len(family)
+
+
+def _old_dilate(mask, diagonal):
+    """The 4- or 8-neighbourhood of a mask, written out cell by cell."""
+    out = mask.copy()
+    h, w = mask.shape
+    steps = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+    if diagonal:
+        steps += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    for r, c in zip(*np.nonzero(mask)):
+        for dr, dc in steps:
+            if 0 <= r + dr < h and 0 <= c + dc < w:
+                out[r + dr, c + dc] = True
+    return out
+
+
+def test_grid_masks_are_the_dilations_of_the_outside():
+    for grid in (punctured_disc_plane(48), annulus_window_plane(40), radial_segment_plane(32)):
+        masks = grid_module.GridMasks(grid)
+        outside = grid.cells == CellClass.OUTSIDE_G
+        assert np.array_equal(masks.outside, outside)
+        assert np.array_equal(masks.near_outside, _old_dilate(outside, diagonal=False))
+        assert np.array_equal(masks.near_boundary, _old_dilate(outside, diagonal=True))
+
+
+def test_probe_band_check_is_the_dilated_probe_check():
+    # a probe meets the 8-band around the outside exactly when its own
+    # 8-dilation meets the outside
+    rng = np.random.default_rng(11)
+    grid = punctured_disc_plane(40)
+    masks = grid_module.GridMasks(grid)
+    seen = set()
+    for _ in range(300):
+        mask = (rng.random(grid.cells.shape) < rng.uniform(0.001, 0.02)) & grid.g_mask
+        touches = bool(np.any(_old_dilate(mask, diagonal=True) & masks.outside))
+        assert bool(np.any(mask & masks.near_boundary)) == touches
+        seen.add(touches)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: label_components(g, "F"),
+    lambda g: label_components(g, g.cells == CellClass.F_SET),
+    lambda g: is_arakeljan(g, "E"),
+    lambda g: is_arakeljan(g, g.cells == CellClass.E_SET),
+    lambda g: hole_independence(g, "E", "F"),
+    lambda g: union_check(g),
+    lambda g: auto_probes(g),
+], ids=["label", "label-mask", "arakeljan", "arakeljan-mask", "independence", "union", "probes"])
+def test_public_calls_build_the_grid_masks_once(monkeypatch, call):
+    grid = punctured_disc_plane(96)
+    want = call(grid)
+    counts = {"outside": 0, False: 0, True: 0}
+    outside, dilate = GridPlane.outside_mask.fget, grid_module._dilate
+
+    def counting_outside(self):
+        counts["outside"] += 1
+        return outside(self)
+
+    def counting_dilate(mask, diagonal):
+        counts[diagonal] += 1
+        return dilate(mask, diagonal)
+
+    monkeypatch.setattr(GridPlane, "outside_mask", property(counting_outside))
+    monkeypatch.setattr(grid_module, "_dilate", counting_dilate)
+    got = call(grid)
+    # each mask at most once, and only the masks the call reads
+    assert counts["outside"] == 1 and counts[False] <= 1 and counts[True] <= 1
+
+    def summary(result):
+        if isinstance(result, list):
+            return [p.name for p in result]
+        if hasattr(result, "to_json"):
+            return result.to_json()
+        return result.components, result.labels.tolist()
+
+    assert summary(got) == summary(want)
