@@ -312,14 +312,6 @@ def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
     return start, stop, (np.cumsum(roots, dtype=np.int32) - 1)[parent], start[roots]
 
 
-def _label(mask: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Int32 component labels (-1 off the mask) and first flat indices; see ``_runs``."""
-    start, stop, comp, first = _runs(mask, diagonal)
-    labels = np.full(mask.shape, -1, dtype=np.int32)
-    labels[mask] = np.repeat(comp, stop - start)
-    return labels, first
-
-
 @dataclass(frozen=True)
 class Component:
     """One 4-connected component of G minus the subject."""

@@ -11,10 +11,8 @@ denominator never cancels catastrophically as r -> 1.  The kernel maximum
 Poisson and Herglotz integrals of boundary data are computed in closed form
 (``_herglotz``): every boundary kind has an exact transform, down to a sum of
 dilogarithms for sampled data, so the cost does not grow as |z| -> 1.  The
-uniform trapezoid rule remains for an explicit fixed grid and for
-``kernel_mass``; for periodic integrands it is spectrally accurate, its error
-decaying like r^n for the Poisson kernel at radius r until the boundary data
-itself limits smoothness.
+uniform trapezoid rule remains only in ``kernel_mass``, which measures it: for
+the Poisson kernel at radius r its error decays like r^n on n points.
 """
 
 from __future__ import annotations
@@ -31,9 +29,8 @@ from .unitdisc import TWO_PI, _require_number, normalize_angle
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
 _MIN_SAMPLE_COUNT = 16
 
-# circle quadrature: fixed grids have at least QUAD_MIN_POINTS points (and four
-# per boundary sample); kernel_mass doubles its grid from QUAD_MIN_POINTS until
-# two successive grids agree within QUAD_TOLERANCE, at most QUAD_MAX_POINTS
+# kernel_mass doubles its circle grid from QUAD_MIN_POINTS until two successive
+# grids agree within QUAD_TOLERANCE, at most QUAD_MAX_POINTS
 QUAD_TOLERANCE = 1e-10
 QUAD_MIN_POINTS = 64
 QUAD_MAX_POINTS = 1 << 22
@@ -362,46 +359,11 @@ def _adaptive_mean(
     )
 
 
-def _circle_mean(integrand, f: BoundaryFunction, z: complex, quad_points: int | None,
-                 tolerance: float | None, *, harmonic: bool) -> complex:
-    """Circle mean of the integrand, f times the Herglotz kernel at z or, if
-    harmonic, times the Poisson kernel (its real part), by the rules stated in
-    poisson_integral.  Fixed grids have at least QUAD_MIN_POINTS points and
-    four per boundary sample; a cross-check is one step of _adaptive_mean.
-    """
-    if quad_points is None:
-        if tolerance is not None:
-            raise ValidationError("tolerance cross-checks a fixed grid; give quad_points too")
-        return complex(_herglotz(f, np.array([z]), harmonic=harmonic)[0])
-    floor = QUAD_MIN_POINTS
-    if f.kind == "samples":
-        floor = max(floor, 4 * int(f.sample_values.size))
-    if quad_points < floor:
-        raise ValidationError(
-            f"quad_points must be >= {floor} for this boundary data, got {quad_points}"
-        )
-    if tolerance is not None:
-        return _adaptive_mean(integrand, quad_points, tolerance, 2 * quad_points)
-    t = TWO_PI * np.arange(quad_points, dtype=np.float64) / quad_points
-    return complex(np.mean(integrand(t)))
-
-
-def poisson_integral(
-    f: BoundaryFunction,
-    z: complex,
-    quad_points: int | None = None,
-    *,
-    tolerance: float | None = None,
-) -> complex:
+def poisson_integral(f: BoundaryFunction, z: complex) -> complex:
     """Harmonic extension of f at z: mean of f(t) p_|z|(arg z - t).
 
-    Without quad_points the integral is exact up to rounding: the closed-form
-    transform (H[f] + conj H[conj f]) / 2 of _herglotz, for every boundary
-    kind.  With quad_points the trapezoid rule runs on that fixed grid (which
-    must have >= 64 points and >= 4 per sample); a tolerance, allowed only
-    with quad_points, cross-checks it against the doubled grid, returns the
-    doubled grid's value and raises ResolutionError when the two differ by
-    more than the tolerance.
+    Exact up to rounding: the closed-form transform (H[f] + conj H[conj f]) / 2
+    of _herglotz, for every boundary kind.
     """
     z = complex(z)
     r = abs(z)
@@ -409,12 +371,7 @@ def poisson_integral(
         raise ValidationError(f"Poisson integral needs |z| < 1, got |z| = {r}")
     if not isinstance(f, BoundaryFunction):
         raise ValidationError("boundary data must be a BoundaryFunction")
-    theta = cmath.phase(z)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return f.evaluate(t) * poisson_kernel(r, theta - t)
-
-    return _circle_mean(integrand, f, z, quad_points, tolerance, harmonic=True)
+    return complex(_herglotz(f, np.array([z]), harmonic=True)[0])
 
 
 def kernel_mass(r: float, *, tolerance: float | None = None) -> float:
@@ -475,28 +432,15 @@ def eval_singular_inner(atoms: SingularAtoms, z: complex) -> complex:
     return cmath.exp(expo)
 
 
-def eval_outer(
-    density: OuterDensity,
-    z: complex,
-    quad_points: int | None = None,
-    *,
-    tolerance: float | None = None,
-) -> complex:
+def eval_outer(density: OuterDensity, z: complex) -> complex:
     """lambda * exp(H[k](z)); boundary modulus e^k.
 
-    H[k] is the closed-form transform of _herglotz; quad_points and tolerance
-    select a fixed grid and its cross-check by the rules of poisson_integral.
+    H[k] is the closed-form transform of _herglotz.
     """
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValidationError(f"outer functions are evaluated for |z| < 1, got {z!r}")
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * t)
-        return (zeta + z) / (zeta - z) * density.k.evaluate(t)
-
-    mean = _circle_mean(integrand, density.k, z, quad_points, tolerance, harmonic=False)
-    return density.lam * cmath.exp(mean)
+    return density.lam * cmath.exp(_herglotz(density.k, np.array([z]), harmonic=False)[0])
 
 
 @dataclass

@@ -150,7 +150,10 @@ class ZeroSequence:
         """Build from explicit complex zeros; rejects modulus >= 1."""
         zs = [complex(z) for z in zeros]
         angles = np.array([cmath.phase(z) for z in zs], dtype=np.float64)
-        moduli = np.array([abs(z) for z in zs], dtype=np.float64)
+        try:
+            moduli = np.array([abs(z) for z in zs], dtype=np.float64)
+        except OverflowError as exc:
+            raise InvalidZeroError("a zero's modulus overflows the float range") from exc
         for k, m in enumerate(moduli):
             if m >= 1.0:
                 raise InvalidZeroError(
@@ -393,9 +396,9 @@ class ClosedSetSpec:
 
 def _normalize_arc(start: float, end: float) -> tuple[float, float]:
     """Normalize to (s, s + length) with s in [0, 2*pi) and 0 < length <= 2*pi."""
-    if not (math.isfinite(start) and math.isfinite(end)):
-        raise ValidationError("arc endpoints must be finite")
     length = end - start
+    if not math.isfinite(length):  # also finite endpoints whose difference overflows
+        raise ValidationError("arc endpoints must be finite, with a finite difference")
     if length <= 0.0 or length > TWO_PI:
         length = length % TWO_PI
     if length == 0.0:

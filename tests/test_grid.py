@@ -507,7 +507,9 @@ def test_labeler_on_serpentine_and_spiral():
 
 
 def _assert_8_connected_matches_scipy(mask):
-    labels, first = grid_module._label(mask, diagonal=True)
+    start, stop, comp, first = grid_module._runs(mask, diagonal=True)
+    labels = np.full(mask.shape, -1, dtype=np.int32)
+    labels[mask] = np.repeat(comp, stop - start)
     want = _scipy_labels(mask, diagonal=True)
     values, first_cells = np.unique(want, return_index=True)
     assert labels.dtype == np.int32

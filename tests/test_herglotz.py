@@ -73,31 +73,6 @@ def test_poisson_integral_sampled_cos():
     assert abs(got - 0.5 * math.cos(0.9)) < 1e-3
 
 
-def test_poisson_integral_resolution_error():
-    f = BoundaryFunction.form("cos")
-    # 64 points cannot resolve the kernel spike at r = 0.99
-    with pytest.raises(ResolutionError) as exc:
-        poisson_integral(f, 0.99, 64, tolerance=1e-10)
-    assert exc.value.achieved > 0.0
-    with pytest.raises(ValidationError):
-        poisson_integral(f, 0.5, 32)  # below the 64-point floor
-    with pytest.raises(ValidationError):
-        poisson_integral(f, 0.5, tolerance=1e-10)  # no grid to cross-check
-
-
-def test_outer_fixed_grid_is_cross_checked_like_the_poisson_integral():
-    density = OuterDensity(k=BoundaryFunction.form("cos"))
-    with pytest.raises(ResolutionError) as exc:
-        eval_outer(density, 0.99, 64, tolerance=1e-10)
-    assert exc.value.achieved > 0.0
-    # a check that passes returns the doubled grid's value
-    assert _same(eval_outer(density, 0.5, 64, tolerance=1e-3), eval_outer(density, 0.5, 128))
-    assert _same(poisson_integral(density.k, 0.5, 64, tolerance=1e-3),
-                 poisson_integral(density.k, 0.5, 128))
-    with pytest.raises(ValidationError):
-        eval_outer(density, 0.5, 32, tolerance=1e-3)  # below the 64-point floor
-
-
 def test_kernel_mass_resolution_error_reports_last_change():
     with pytest.raises(ResolutionError) as exc:
         kernel_mass(0.9999999999)
@@ -112,7 +87,8 @@ def test_indicator_closed_form():
     # closed form agrees with brute quadrature away from the jump
     z = 0.3 * cmath.exp(0.7j)
     closed = poisson_integral(f, z)
-    brute = poisson_integral(f, z, 16384)
+    t = TWO_PI * np.arange(16384) / 16384
+    brute = np.mean(f.evaluate(t) * poisson_kernel(abs(z), cmath.phase(z) - t))
     assert abs(closed - brute) < 1e-3
 
 
@@ -322,20 +298,7 @@ def test_adaptive_mean_reuses_the_grid_bit_for_bit():
             assert _same(got, want)
             # each level evaluates only the points the previous one lacked
             assert sum(evaluated) == start * 2 ** (len(evaluated) - 1)
-    # a cross-checked fixed grid gives the bits (or the error) of the
-    # full-recompute loop's one refinement step
     tol, low, cap = QUAD_TOLERANCE, QUAD_MIN_POINTS, QUAD_MAX_POINTS
-    z = 0.6 * cmath.exp(2.2j)
-    for f in (cos, density):
-        want = _mean_outcome(_full_recompute_mean, lambda t: f.evaluate(t) * poisson_kernel(
-            abs(z), cmath.phase(z) - t), 4 * n, tol, 8 * n)
-        assert _same(_outcome(lambda: poisson_integral(f, z, 4 * n, tolerance=tol)), want)
-        want = _mean_outcome(_full_recompute_mean, lambda t: (np.exp(1j * t) + z) / (
-            np.exp(1j * t) - z) * f.evaluate(t), 4 * n, tol, 8 * n)
-        if isinstance(want, complex):
-            want = cmath.exp(want)
-        got = _outcome(lambda: eval_outer(OuterDensity(k=f), z, 4 * n, tolerance=tol))
-        assert _same(got, want)
     want = _full_recompute_mean(lambda t: poisson_kernel(0.99, t) + 0.0j, low, tol, cap)
     assert _same(complex(kernel_mass(0.99)), complex(want.real))
     with pytest.raises(ResolutionError) as exc:
