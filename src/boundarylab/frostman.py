@@ -16,10 +16,68 @@ The distance in the denominator is evaluated from the polar representation:
 
 which is exact at gap = 0 (the term is exactly 1 there, for any positive d,
 subnormals included) and never cancels.
+
+Two routes compute f_n. A sequence whose ``blocks`` cover every stored zero
+(a full-circle generator set) takes the block route; any other sequence is
+summed term by term, left to right in stored order.
+
+The block route. A LevelBlock holds m zeros at one deficit d and angles
+s + j h, h = 2 pi / m, so its term of index j is
+
+    g(j) = 1 / sqrt(1 + c sin^2 u_j),   u_j = (s + j h - theta) / 2,   c = 4 (1 - d) / d^2,
+
+a smooth function of j away from theta's index position j0 = ((theta - s) / h)
+mod m. For a range [0, q) of a block with q > _FRAME, the indices within
+K = _WINDOW of j0, and runs of fewer than p + 1 nodes next to them, are summed
+directly from the stored angles; each other run [a, b] (at most two) goes by
+Gregory's end-corrected trapezoid rule of order p = len(_GREGORY) (Fornberg,
+"Improving the accuracy of the trapezoidal rule", SIAM Review 63, 2021):
+
+    sum_a^b g = (2/h) (F(u_b | -c) - F(u_a | -c)) + (g_a + g_b) / 2
+                + sum_k=1..p G_k (nabla^k g_b + (-1)^k Delta^k g_a),
+
+F(u | -c) = int_0^u dt / sqrt(1 + c sin^2 t) being the incomplete elliptic
+integral of the first kind, from Carlson's R_F. Ranges of at most _FRAME terms
+and blocks of at most _FRAME zeros are summed term by term. A range costs
+O(K + p) terms whatever m is, so an angle costs O(K + p) per level instead of
+O(zeros). A block's modulus 1 - d is below 1 in floating point, so d >= 2^-54
+and c < 2^110: d^2 does not underflow and c does not overflow.
+
+Error bound of a range sum against the sum over the stored angles. Let
+tau = 2 / (h sqrt(c)) = d / (h sqrt(1 - d)), about the term at index distance
+1 from j0 when d is small; every run node is at index distance delta >= K
+from j0.
+
+1. Gregory remainder. In the half angle v, 1 + c sin^2 v = c sin(v + ib)
+   sin(v - ib) with sinh b = 1 / sqrt(c), and |sin w| >= (2/pi) dist(w, pi Z),
+   so Cauchy's estimate on the disc of radius delta k / (k + 1) gives
+   |g^(k)(j)| <= (pi/2) e (k + 1) k! tau / delta^(k+1). The rule is exact on
+   polynomials of degree p, and its Peano kernel is at most kappa = 0.0026515
+   for p = 13 on runs of p + 1 or more nodes (computed in exact rational
+   arithmetic). A range's runs meet each delta at most twice, so
+       E1 = kappa pi e (p + 2) p! tau / K^(p+1) = 1.09e-16 tau.
+   K and p are chosen from E1: it is below the unit roundoff 2^-53 times tau
+   at K = 64 from p = 13 on (p = 12 gives 3.1e-16 tau), and at K = 32 for no
+   order.
+2. Angles. The stored angles are within BLOCK_ANGLE_SLACK of s + j h, and the
+   angles the rule evaluates, its node values and its run ends, are computed
+   within 8 ulp(2 pi) of it; eps is the sum of the two. With
+   |dg/dangle| <= pi e tau / (h delta^2), and the end weights of the rule
+   summing to Lambda = sum_i |_END_WEIGHTS[i]| = 79.7 in magnitude,
+       E2 = (2 pi (e + 1) + 4 pi e Lambda / K) eps tau / (h K).
+3. Cancellation. The computed F is within 16 * 2^-53 (|F(r)| + 2 |k| K(-c))
+   <= 48 * 2^-53 K(-c) of F at its reduced argument r = u - k pi, so the four
+   run ends add at most E3 = 384 * 2^-53 K(-c) / h.
+
+Past these, the sums round like any floating-point sum: a few units of 2^-53
+per term for the directly summed terms and the end values (times Lambda), and
+one per addition. Values on full-circle sets therefore differ from the
+term-by-term sums at rounding level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -28,7 +86,7 @@ import numpy as np
 from . import config
 from .errors import ValidationError
 from .textio import write_csv
-from .unitdisc import ZeroSequence, normalize_angle, uniform_angles
+from .unitdisc import TWO_PI, ZeroSequence, normalize_angle, uniform_angles
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -174,25 +232,41 @@ class FrostmanProfile:
         ))
 
 
-# working set of the Frostman kernel in float64 elements (1 MiB): one tile of
-# (angles x zeros) terms; a single angle on up to this many zeros is one tile
+# working set of the Frostman kernels in float64 elements (1 MiB): one tile of
+# (angles x zeros) terms, or of (angles x ranges x _FRAME) block-route terms;
+# a single angle on up to this many zeros is one tile
 _TILE_ELEMENTS = 1 << 17
 
 
 def _schedule_sums(seq: ZeroSequence, angles: np.ndarray, schedule: Sequence[int]) -> np.ndarray:
     """f_n at each angle (rows) for each n of the schedule (columns); f_0 = 0.
 
-    The terms are computed tile by tile in one reused buffer. A row's running
-    sum enters each tile through the tile's first term before the in-place
-    cumsum, so every f_n is the left-to-right sum of its terms in stored
-    order, as one cumsum over the whole row would give.
+    A sequence whose blocks cover every stored zero takes the block route
+    (_block_sums); any other is summed term by term (_tiled_sums).
     """
     sums = np.zeros((angles.size, len(schedule)), dtype=np.float64)
     first = int(schedule[0] == 0)  # an increasing schedule has 0 first if at all
-    cols = np.subtract(schedule[first:], 1)
-    if not cols.size or not angles.size:
+    ends = np.asarray(schedule[first:], dtype=np.int64)
+    if not ends.size or not angles.size:
         return sums
-    count = int(cols[-1]) + 1  # the terms past the last schedule entry are never needed
+    if seq.blocks and sum(b.count for b in seq.blocks) == len(seq):
+        _block_sums(seq, angles, ends, sums[:, first:])
+    else:
+        _tiled_sums(seq.angles, seq.deficits, angles, ends - 1, sums[:, first:])
+    return sums
+
+
+def _tiled_sums(a_all: np.ndarray, d_all: np.ndarray, angles: np.ndarray, cols: np.ndarray,
+                sums: np.ndarray) -> None:
+    """sums[i, c] = the running sum of the terms of zeros (a_all, d_all) at angle
+    i up to column cols[c]; cols is increasing.
+
+    The terms are computed tile by tile in one reused buffer. A row's running
+    sum enters each tile through the tile's first term before the in-place
+    cumsum, so every sum is the left-to-right sum of its terms in stored
+    order, as one cumsum over the whole row would give.
+    """
+    count = int(cols[-1]) + 1  # the terms past the last column are never needed
     width = min(count, _TILE_ELEMENTS)
     rows = max(1, min(angles.size, _TILE_ELEMENTS // width))
     buf, scale_buf = np.empty(rows * width), np.empty(width)
@@ -202,12 +276,12 @@ def _schedule_sums(seq: ZeroSequence, angles: np.ndarray, schedule: Sequence[int
     split = np.searchsorted(cols, [*starts, count]).tolist()
     for t, lo in enumerate(starts):
         hi = min(lo + width, count)
-        a, d = seq.angles[lo:hi], seq.deficits[lo:hi]
+        a, d = a_all[lo:hi], d_all[lo:hi]
         scale = np.subtract(1.0, d, out=scale_buf[:hi - lo])
         np.sqrt(scale, out=scale)
         scale *= 2.0
         here = cols[split[t]:split[t + 1]] - lo
-        dest = slice(first + split[t], first + split[t + 1])
+        dest = slice(split[t], split[t + 1])
         for r0 in range(0, angles.size, rows):
             r1 = min(r0 + rows, angles.size)
             b = buf[:(r1 - r0) * (hi - lo)].reshape(r1 - r0, -1)
@@ -216,7 +290,183 @@ def _schedule_sums(seq: ZeroSequence, angles: np.ndarray, schedule: Sequence[int
             np.cumsum(b, axis=1, out=b)
             carry[r0:r1] = b[:, -1]
             sums[r0:r1, dest] = b[:, here]
-    return sums
+
+
+# --- the block route (see the module docstring for the error bound) ----------
+#
+# K: the terms within index distance K of theta's position in a block are summed
+# directly; p = len(_GREGORY) = 13: the order of the Gregory end corrections
+_WINDOW = 64
+_GREGORY = (1 / 12, 1 / 24, 19 / 720, 3 / 160, 863 / 60480, 275 / 24192, 33953 / 3628800,
+            8183 / 1036800, 3250433 / 479001600, 4671 / 788480,
+            13695779093 / 2615348736000, 2224234463 / 475517952000,
+            132282840127 / 31384184832000)
+# runs with fewer nodes than this (p + 1) are summed directly
+_RUN_MIN = len(_GREGORY) + 1
+# width of a range's direct frame: the window and a short run on each side; a
+# range of at most this many terms is summed directly as a whole
+_FRAME = 2 * _WINDOW + 1 + 2 * (_RUN_MIN - 1)
+# the weight of g(a + i) (and of g(b - i)) in (g_a + g_b) / 2 + sum_k G_k (nabla^k g_b
+# + (-1)^k Delta^k g_a): both ends expand to (-1)^i sum_k>=i G_k C(k, i)
+_END_WEIGHTS = np.array([(i == 0) / 2 + (-1) ** i * math.fsum(
+    g * math.comb(k, i) for k, g in enumerate(_GREGORY, start=1) if k >= i)
+    for i in range(_RUN_MIN)])
+# Carlson's duplication stops when max |A - x| <= (3 r)^(1/6) A, r the unit roundoff:
+# the series R_F = A^(-1/2) (1 - E2/10 + E3/14 + E2^2/24 - 3 E2 E3/44) is then within r
+_RF_SPREAD = (3.0 * 2.0 ** -53) ** (1.0 / 6.0)
+
+
+def _carlson_rf(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Carlson's R_F(x, y, z) elementwise (Carlson, Numer. Algorithms 10, 1995).
+
+    Each element runs the duplication steps until its own spread is below
+    _RF_SPREAD and then stops, so its bits do not depend on the other
+    elements.
+    """
+    x, y, z = (np.array(v, dtype=np.float64).reshape(-1) for v in np.broadcast_arrays(x, y, z))
+    a = (x + y + z) / 3.0
+    todo = np.arange(a.size)
+    xs, ys, zs, at = x, y, z, a  # the elements still going
+    while True:
+        spread = np.maximum(np.maximum(np.abs(at - xs), np.abs(at - ys)), np.abs(at - zs))
+        going = spread > _RF_SPREAD * at
+        if not going.all():
+            x[todo], y[todo], a[todo] = xs, ys, at
+            todo, xs, ys, zs, at = todo[going], xs[going], ys[going], zs[going], at[going]
+            if not todo.size:
+                break
+        sx, sy, sz = np.sqrt(xs), np.sqrt(ys), np.sqrt(zs)
+        lam = sx * sy + sy * sz + sz * sx
+        xs, ys, zs, at = 0.25 * (xs + lam), 0.25 * (ys + lam), 0.25 * (zs + lam), 0.25 * (at + lam)
+    dx, dy = (a - x) / a, (a - y) / a
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a)
+
+
+def _ellipf(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """F(u | -c) = int_0^u dt / sqrt(1 + c sin^2 t) for real u.
+
+    F(u | -c) = sin u R_F(cos^2 u, 1 + c sin^2 u, 1) on [-pi/2, pi/2], and
+    F(u + k pi) = F(u) + 2 k K(-c) with K(-c) = R_F(0, 1 + c, 1); both R_F
+    go through one duplication loop.
+    """
+    k = np.round(u / np.pi)
+    r = u - k * np.pi
+    sin = np.sin(r)
+    rf = _carlson_rf(np.concatenate([np.cos(r) ** 2, np.zeros(u.size)]),
+                     np.concatenate([1.0 + c * sin * sin, 1.0 + c]), 1.0)
+    return sin * rf[:u.size] + 2.0 * k * rf[u.size:]
+
+
+def _block_sums(seq: ZeroSequence, angles: np.ndarray, ends: np.ndarray,
+                out: np.ndarray) -> None:
+    """out[i, c] = f_n at angle i for n = ends[c] (n >= 1), on a sequence its
+    blocks cover.
+
+    The blocks are grouped into segments: each block of more than _FRAME zeros
+    is a segment, and so is each longest run of the other blocks. Each f_n is
+    the sum of the whole segments before n's segment, prefix-summed once per
+    angle, plus the range [0, q) of n's segment (q = n - its start), unless q
+    is the whole segment. A run of small blocks is summed term by term
+    (_tiled_sums), a large block by _range_sums. Every range sum depends only
+    on its angle and range, so f_n does not depend on what else is in the
+    batch. The angles are tiled so that each tile's work arrays hold at most
+    about _TILE_ELEMENTS elements.
+    """
+    blocks = seq.blocks
+    big = [b.count > _FRAME for b in blocks]
+    heads = [k for k in range(len(blocks)) if k == 0 or big[k] or big[k - 1]]
+    first = np.array([blocks[k].start for k in heads], dtype=np.int64)  # segment starts
+    stops = np.append(first[1:], len(seq))
+    at = np.searchsorted(stops, ends)  # the segment holding zero n - 1
+    q = ends - first[at]
+    whole = q == stops[at] - first[at]
+    nwhole = int(at[-1]) + int(whole[-1])  # segments 0..nwhole-1 are summed whole
+    rs = np.concatenate([np.arange(nwhole), at[~whole]])  # each range's segment
+    rq = np.concatenate([stops[:nwhole] - first[:nwhole], q[~whole]])
+    gregory = np.array([big[heads[k]] for k in rs.tolist()], dtype=bool)
+    plain = []  # (zeros, columns by increasing q) of each segment summed term by term
+    for k in np.unique(rs[~gregory]).tolist():
+        cols = np.flatnonzero(rs == k)
+        plain.append((slice(first[k], stops[k]), cols[np.argsort(rq[cols])]))
+    cols = np.flatnonzero(gregory)
+    if cols.size:
+        blk = [blocks[heads[k]] for k in rs[cols].tolist()]
+        start, count, angle, deficit = map(np.array, zip(*blk))
+    width = _TILE_ELEMENTS // _FRAME  # ranges per _range_sums call
+    step = max(1, _TILE_ELEMENTS // (_FRAME * rs.size))
+    for r0 in range(0, angles.size, step):
+        theta = angles[r0:r0 + step]
+        sums = np.empty((theta.size, rs.size))
+        for span, c in plain:
+            part = np.empty((theta.size, c.size))
+            _tiled_sums(seq.angles[span], seq.deficits[span], theta, rq[c] - 1, part)
+            sums[:, c] = part
+        for c0 in range(0, cols.size, width):
+            c = slice(c0, c0 + width)
+            sums[:, cols[c]] = _range_sums(seq.angles, theta, start[c], count[c], rq[cols[c]],
+                                           angle[c], deficit[c])
+        prefix = np.cumsum(np.concatenate([np.zeros((theta.size, 1)), sums[:, :nwhole]], axis=1),
+                           axis=1)
+        rows = out[r0:r0 + step]
+        rows[:, whole] = prefix[:, at[whole] + 1]
+        rows[:, ~whole] = prefix[:, at[~whole]] + sums[:, nwhole:]
+
+
+def _range_sums(stored: np.ndarray, theta: np.ndarray, start: np.ndarray, count: np.ndarray,
+                q: np.ndarray, angle: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Sum of the terms of zeros start..start+q-1 of each range (columns) of a
+    block of more than _FRAME zeros, at each angle (rows); stored holds the
+    sequence's angles.
+
+    A range of more than _FRAME terms sums the indices within _WINDOW of
+    theta's position, and runs shorter than _RUN_MIN next to them, directly;
+    each longer run goes by Gregory's rule. A shorter range is summed directly.
+    """
+    greg = q > _FRAME
+    theta = theta[:, None]
+    h = TWO_PI / count
+    # the window [w0, w1] around the index nearest theta's position, possibly
+    # wrapping past 0 or count - 1; the rest of [0, q) is at most two runs [lo, hi)
+    j0 = np.mod((theta - angle) / h, count)
+    jc = np.floor(j0 + 0.5).astype(np.int64)
+    w0, w1 = jc - _WINDOW, jc + _WINDOW
+    left, right = w0 < 0, w1 >= count
+    lo = np.stack([np.where(left, w1 + 1, np.where(right, w1 - count + 1, 0)),
+                   np.where(left | right, q, w1 + 1)], axis=-1)
+    hi = np.stack([np.minimum(np.where(left, w0 + count, w0), q),
+                   np.broadcast_to(q, jc.shape)], axis=-1)
+    long = greg[:, None] & (hi - lo >= _RUN_MIN)
+    # the direct frame: from the window's start less a short run, or from 0
+    pos = np.arange(_FRAME)
+    first = np.where(greg, w0 - (_RUN_MIN - 1), 0)
+    idx = np.mod(first[..., None] + pos, count[:, None])
+    keep = (idx < q[:, None]) & (pos < q[:, None])
+    for r in (0, 1):
+        keep &= ~(long[..., r, None] & (idx >= lo[..., r, None]) & (idx < hi[..., r, None]))
+    terms = stored[start[:, None] + idx]
+    _fill_terms(terms, d[:, None], 2.0 * np.sqrt(1.0 - d)[:, None], theta[..., None], terms)
+    terms *= keep
+    total = terms.sum(axis=-1)
+    if not long.any():
+        return total
+    row, col, side = np.nonzero(long)
+    a, b = lo[row, col, side], hi[row, col, side] - 1
+    p = np.arange(_RUN_MIN)
+    nodes = np.concatenate([a[:, None] + p, b[:, None] - p], axis=1)
+    hr, dr = h[col][:, None], d[col][:, None]
+    # half the angle from theta to the closed-form angle of each node; j - j0
+    # is exact near j0, so the rounding of u does not vary from node to node
+    u = (0.5 * hr) * (nodes - j0[row, col][:, None])
+    g = dr / np.hypot(dr, 2.0 * np.sqrt(1.0 - dr) * np.sin(u))
+    ends = ((g[:, :_RUN_MIN] * _END_WEIGHTS).sum(axis=1)
+            + (g[:, _RUN_MIN:] * _END_WEIGHTS).sum(axis=1))
+    c = 4.0 * (1.0 - d[col]) / (d[col] * d[col])
+    f = _ellipf(np.concatenate([u[:, 0], u[:, _RUN_MIN]]), np.tile(c, 2))
+    runs = np.zeros(long.shape)
+    runs[row, col, side] = (2.0 / hr[:, 0]) * (f[a.size:] - f[:a.size]) + ends
+    return total + runs[..., 0] + runs[..., 1]
 
 
 def frostman_profile(
@@ -225,7 +475,11 @@ def frostman_profile(
     prefix_schedule: Sequence[int] | None = None,
     policy: FrostmanPolicy | None = None,
 ) -> FrostmanProfile:
-    """Classify every angle of a uniform grid; sums computed by brute force."""
+    """Classify every angle of a uniform grid.
+
+    The partial sums are frostman_classify's, row for row and bit for bit: the
+    block route on a full-circle sequence, term by term on any other.
+    """
     angles = uniform_angles(angle_count)
     policy = FrostmanPolicy() if policy is None else policy
     if prefix_schedule is None:

@@ -95,6 +95,11 @@ class BoundaryFunction:
             s, e = float(arc[0]), float(arc[1])
             if not (math.isfinite(s) and math.isfinite(e) and e > s):
                 raise ValidationError("indicator arc must satisfy end > start")
+            if e - s >= TWO_PI:
+                # the whole circle, stored as one turn from s mod 2 pi: for a huge s,
+                # s + 2 pi would round back to s
+                s = normalize_angle(s)
+                e = s + TWO_PI
             return cls(kind="form", form_name=name, arc=(s, e), scale=float(scale))
         return cls(kind="form", form_name=name, scale=float(scale))
 

@@ -18,6 +18,7 @@ from boundarylab.frostman import (
     frostman_terms,
 )
 from boundarylab.unitdisc import (
+    BLOCK_ANGLE_SLACK,
     MAX_ANGLES,
     TWO_PI,
     ZeroSequence,
@@ -249,8 +250,11 @@ def test_tiled_sums_match_whole_row_cumsum_bit_for_bit(monkeypatch):
     budget = 3000
     monkeypatch.setattr(frostman, "_TILE_ELEMENTS", budget)
     rng = np.random.default_rng(43)
+    full10 = _full_circle(10)
     seqs = {
-        "full10": _full_circle(10),
+        # the full-circle zeros without their blocks, so the term-by-term
+        # kernel (not the block route) sums them
+        "full10": ZeroSequence(angles=full10.angles, deficits=full10.deficits),
         "cantor8": _cantor8(),
         "radial60": _generated({"kind": "radial", "angle": 1.6951199159934145, "rate": 0.5,
                                 "count": 60}),
@@ -302,7 +306,225 @@ def test_kernel_memory_does_not_grow_with_the_zero_count():
         tracemalloc.reset_peak()
         frostman_classify(full12, 1.0)
         _, classify_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        # the block route tiles over angles: 4,096 angles fit the same ceiling
+        frostman_profile(full12, 4096)
+        _, wide_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert profile_peak < 8 << 20
     assert classify_peak < 8 << 20
+    assert wide_peak < 8 << 20
+
+
+# --- the block route ---------------------------------------------------------
+
+UNIT = 2.0 ** -53
+
+
+def _block_ends(seq):
+    return [b.start + b.count for b in seq.blocks]
+
+
+def test_block_route_sums_do_not_depend_on_the_batch(monkeypatch):
+    seq = _full_circle(10)
+    ends = _block_ends(seq)
+    assert ends[-1] == len(seq)
+    tiles = []
+    range_sums = frostman._range_sums
+
+    def spy(stored, theta, *rest):
+        tiles.append(theta.size)
+        return range_sums(stored, theta, *rest)
+    monkeypatch.setattr(frostman, "_range_sums", spy)
+    # a small budget splits the angles into tiles of two
+    monkeypatch.setattr(frostman, "_TILE_ELEMENTS", 5000)
+    on_zero = [float(seq.angles[-1]), float(seq.angles[ends[-2]]), float(seq.angles[0])]
+    angles = np.concatenate([uniform_angles(24), on_zero])
+    doubling = doubling_schedule(len(seq))
+    mids = [e - 1 for e in ends[5:]] + [e + 300 for e in ends[5:-1]]
+    schedule = tuple(sorted(set(doubling) | set(ends) | set(mids)))
+    batch = frostman._schedule_sums(seq, angles, schedule)
+    assert len(tiles) > 1 and max(tiles) < angles.size
+    assert np.all(batch[-3:, -1] >= 1.0)  # each on-zero row holds a term of exactly 1
+    profile = frostman_profile(seq, 24)
+    cols = [schedule.index(n) for n in doubling]
+    for i, theta in enumerate(angles.tolist()):
+        alone = frostman._schedule_sums(seq, angles[i:i + 1], schedule)[0]
+        assert alone.tobytes() == batch[i].tobytes()
+        report = frostman_classify(seq, theta)
+        assert np.array(report.partial_sums).tobytes() == batch[i, cols].tobytes()
+        if i < 24:
+            assert profile.partial_sums[i].tobytes() == batch[i, cols].tobytes()
+        for n in ends + mids:
+            got = frostman_partial(seq, theta, n)
+            assert np.float64(got).tobytes() == batch[i, schedule.index(n)].tobytes()
+
+
+def _segments(seq):
+    """(start, stop, gregory?) of the block route's segments."""
+    big = [b.count > frostman._FRAME for b in seq.blocks]
+    out = []
+    for k, b in enumerate(seq.blocks):
+        if k and not big[k] and not big[k - 1]:
+            out[-1][1] = b.start + b.count
+        else:
+            out.append([b.start, b.start + b.count, big[k]])
+    return out
+
+
+def _route_bound(seq, n, value):
+    """The module docstring's bound on |f_n - sum over the stored angles| for the
+    block route, with the rounding of its sums; value is about f_n."""
+    mpmath = pytest.importorskip("mpmath")
+    p, k = len(frostman._GREGORY), frostman._WINDOW
+    kappa, lam = 0.0026515, float(np.sum(np.abs(frostman._END_WEIGHTS)))
+    assert p == 13 and lam < 79.8
+    eps = BLOCK_ANGLE_SLACK + 8.0 * math.ulp(TWO_PI)
+    segments = [s for s in _segments(seq) if s[0] < n]
+    longest = 0
+    total = 0.0
+    for start, stop, gregory in segments:
+        q = min(stop, n) - start
+        if not gregory or q <= frostman._FRAME:
+            longest = max(longest, q)
+            continue
+        block = next(b for b in seq.blocks if b.start == start)
+        d, h = block.deficit, TWO_PI / block.count
+        tau = d / (h * math.sqrt(1.0 - d))
+        c = 4.0 * (1.0 - d) / (d * d)
+        e1 = kappa * math.pi * math.e * (p + 2) * math.factorial(p) / k ** (p + 1) * tau
+        e2 = (2.0 * math.pi * (math.e + 1.0) + 4.0 * math.pi * math.e * lam / k) \
+            * eps * tau / (h * k)
+        e3 = 384.0 * UNIT * float(mpmath.ellipk(-c)) / h
+        rounding = 8.0 * math.pi * lam * UNIT * tau / k
+        total += e1 + e2 + e3 + rounding
+    return total + UNIT * abs(value) * (32 + len(segments) + longest)
+
+
+def _reference_sums(seq, theta, ends, near=256):
+    """f_n over the stored angles, and the reference's own error bound.
+
+    Within `near` indices of theta's position in each block the terms are
+    summed in 30-digit mpmath; every other term is computed in float64 and
+    the runs between consecutive ends are summed exactly rounded by
+    math.fsum. A float64 term is within 4 units of 2^-53 of the exact term
+    at its rounded a - theta, which is within ulp(2 pi) / 2 of the exact
+    difference; the docstring's |dg/dangle| bound turns that into `shift`.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    a, d = seq.angles, seq.deficits
+    close = np.zeros(len(seq), dtype=bool)
+    shift = 0.0
+    for b in seq.blocks:
+        if b.count > 2 * near + 1:
+            h = TWO_PI / b.count
+            tau = b.deficit / (h * math.sqrt(1.0 - b.deficit))
+            shift += 2.0 * math.pi * math.e * tau * math.ulp(TWO_PI) / (2.0 * h * near)
+        j = np.arange(b.count)
+        j0 = ((theta - b.angle) / (TWO_PI / b.count)) % b.count
+        gap = np.abs(j - j0)
+        close[b.start:b.start + b.count] = np.minimum(gap, b.count - gap) <= near
+    terms = d / np.hypot(d, 2.0 * np.sqrt(1.0 - d) * np.sin(0.5 * (a - theta)))
+    with mpmath.workdps(30):
+        exact = np.zeros(len(seq), dtype=object)
+        th = mpmath.mpf(theta)
+        for i in np.flatnonzero(close).tolist():
+            di = mpmath.mpf(float(d[i]))
+            sin = mpmath.sin((mpmath.mpf(float(a[i])) - th) / 2)
+            exact[i] = di / mpmath.sqrt(di * di + 4 * (1 - di) * sin * sin)
+        sums, errors = [], []
+        acc, err, lo = mpmath.mpf(0), 0.0, 0
+        for n in ends:
+            far = terms[lo:n][~close[lo:n]]
+            part = math.fsum(far.tolist())
+            acc += mpmath.fsum(exact[lo:n][close[lo:n]].tolist()) + part
+            err += 4.0 * UNIT * part + UNIT * part
+            sums.append(acc)
+            errors.append(err + shift)
+            lo = n
+    return sums, errors
+
+
+@pytest.mark.parametrize("depth", [10, 12])
+def test_block_route_is_within_its_bound_of_an_mpmath_sum(depth):
+    pytest.importorskip("mpmath")
+    seq = _full_circle(depth)
+    ends = sorted(set(doubling_schedule(len(seq))) | set(_block_ends(seq)))
+    last = seq.blocks[-1]
+    assert abs(last.deficit - 4.6e-10) < 1e-11 or depth == 10
+    between = last.angle + (0.5 + 1000) * TWO_PI / last.count  # midway between two deepest zeros
+    for theta in (float(seq.angles[-1]), 2.0, between % TWO_PI):
+        got = frostman._schedule_sums(seq, np.array([theta]), ends)[0]
+        want, slack = _reference_sums(seq, theta, ends)
+        for n, g, w, s in zip(ends, got.tolist(), want, slack):
+            bound = _route_bound(seq, n, g) + s
+            assert abs(g - w) <= bound, (theta, n, float(abs(g - w)), bound)
+
+
+def test_elliptic_integral_is_within_the_stated_accuracy():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(8)
+    u = np.concatenate([rng.uniform(-math.pi, math.pi, 200),
+                        [math.pi / 2, -math.pi / 2, 1e-9, 0.0]])
+    # a block's deficit is at least 2^-54, so c = 4 (1 - d) / d^2 < 2^110
+    c = 10.0 ** rng.uniform(-1.0, 33.0, u.size)
+    got = frostman._ellipf(u, c)
+    with mpmath.workdps(30):
+        for ui, ci, g in zip(u.tolist(), c.tolist(), got.tolist()):
+            kc = mpmath.ellipk(-ci)
+            want = mpmath.ellipf(ui, -ci)
+            # 48 units of 2^-53 of K(-c), plus the rounding of u - k pi moving the argument
+            slope = 1.0 / math.sqrt(1.0 + ci * math.sin(ui) ** 2)
+            assert abs(g - want) <= 48.0 * UNIT * kc + slope * 2.0 * math.ulp(TWO_PI)
+
+
+def _hand_built(levels, start):
+    """Full-circle blocks of (count, deficit), spaced as the generator spaces them."""
+    angles, deficits, blocks = [], [], []
+    for count, deficit in levels:
+        step = TWO_PI / count
+        t = np.fmod(start + np.arange(count) * step, TWO_PI)
+        t[t < 0.0] += TWO_PI
+        blocks.append((len(angles), count, float(t[0]), deficit))
+        angles += t.tolist()
+        deficits += [deficit] * count
+    return ZeroSequence(angles=angles, deficits=deficits, blocks=blocks)
+
+
+def test_block_route_agrees_with_the_kernel_on_hand_built_blocks():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(
+        levels=st.lists(st.tuples(st.integers(1, 700), st.floats(-300.0, math.log10(0.5))),
+                        min_size=1, max_size=4),
+        start=st.floats(0.0, TWO_PI, exclude_max=True),
+        where=st.floats(0.0, 1.0),
+        on_zero=st.booleans())
+    def check(levels, start, where, on_zero):
+        levels = [(m, 10.0 ** e) for m, e in levels]
+        if any(1.0 - d == 1.0 for _, d in levels):
+            # a block at modulus 1 is refused, so the route never sees d < 2^-54
+            with pytest.raises(ValidationError, match="deficit"):
+                _hand_built(levels, start)
+            levels = [(m, max(d, 2.0 ** -53)) for m, d in levels]
+        seq = _hand_built(levels, start)
+        theta = float(seq.angles[int(where * (len(seq) - 1))]) if on_zero else where * TWO_PI
+        theta = np.array([theta % TWO_PI])
+        ends = tuple(sorted(set(doubling_schedule(len(seq))) | set(_block_ends(seq))))
+        got = frostman._schedule_sums(seq, theta, ends)[0]
+        plain = ZeroSequence(angles=seq.angles, deficits=seq.deficits)
+        want = frostman._schedule_sums(plain, theta, ends)[0]
+        for n, g, w in zip(ends, got.tolist(), want.tolist()):
+            # the bound, and the kernel's own left-to-right rounding
+            assert abs(g - w) <= _route_bound(seq, n, w) + (n + 4) * UNIT * w, (n, g, w)
+        # blocks that leave a zero uncovered: the term-by-term kernel, bit for bit
+        extra = ZeroSequence(angles=np.append(seq.angles, 1.0),
+                             deficits=np.append(seq.deficits, 0.25), blocks=seq.blocks)
+        schedule = doubling_schedule(len(extra))
+        assert np.array_equal(frostman._schedule_sums(extra, theta, schedule),
+                              _whole_row_sums(extra, theta, schedule))
+
+    check()

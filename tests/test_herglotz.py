@@ -92,6 +92,21 @@ def test_indicator_closed_form():
     assert abs(closed - brute) < 1e-3
 
 
+def test_indicator_of_the_whole_circle_with_huge_endpoints():
+    # an arc of 2 pi or more is the whole circle, stored as one turn from its
+    # start mod 2 pi, so s + 2 pi cannot round back to s
+    for arc in ((-1e17, 1e17), (1e16, 1e16 + 8.0), (3.0, 3.0 + TWO_PI), (-2.0, 40.0)):
+        f = BoundaryFunction.form("indicator-arc", arc=arc, scale=2.5)
+        s, e = f.arc
+        assert 0.0 <= s < TWO_PI and e == s + TWO_PI
+        assert np.all(f.evaluate(TWO_PI * np.arange(4096) / 4096) == 2.5)
+        for z in (0.0, 0.3 * cmath.exp(0.7j), 0.999 * cmath.exp(-2.0j)):
+            assert abs(poisson_integral(f, z) - 2.5) < 1e-12
+    # a shorter arc is stored as given
+    assert BoundaryFunction.form("indicator-arc", arc=(1e16, 1e16 + 6.0)).arc == (1e16, 1e16 + 6.0)
+    assert BoundaryFunction.form("indicator-arc", arc=(-7.5, -1.5)).arc == (-7.5, -1.5)
+
+
 def test_singular_atom_closed_form():
     atoms = SingularAtoms(angles=(0.0,), masses=(1.0,))
     rng = np.random.default_rng(17)
