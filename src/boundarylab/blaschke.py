@@ -28,11 +28,13 @@ import numpy as np
 
 from . import config
 from .errors import BoundaryLabError, PoleError, PrefixExhaustedError, ValidationError
+from .herglotz import InnerFunctionSpec
 from .textio import write_values
 from .unitdisc import (
     TWO_PI,
     LevelBlock,
     ZeroSequence,
+    _cmul,
     circle_points,
     normalize_angle,
     uniform_angles,
@@ -148,6 +150,10 @@ class BlaschkeProduct:
         if hi <= lo:
             out.fill(1.0)
             return out
+        if hi - lo == 1:  # a (points x 1) tile would multiply down the column, with other bits
+            with np.errstate(divide="ignore", invalid="ignore"):
+                num = self._absa[lo] - _cmul(self._rot[lo], z)
+                return np.divide(num, 1.0 - _cmul(self._conj_a[lo], z), out=out)
         starts = range(lo, hi, _EVAL_CHUNK)
         width = min(hi - lo, _EVAL_CHUNK)
         # past one chunk a tile is one point, whose chunk products are reduced
@@ -382,14 +388,14 @@ class BlaschkeProduct:
 def evaluate_points(fn, points, *, strict: bool = False) -> np.ndarray:
     """Values of fn at the points, as a complex array.
 
-    A BlaschkeProduct is evaluated in one eval_many call (strict or best
-    effort); anything with .eval(z), or a plain callable, point by point.
+    A BlaschkeProduct or InnerFunctionSpec is evaluated in one eval_many
+    call (the spec's Blaschke part best effort), a plain callable point by point.
     """
     if isinstance(fn, BlaschkeProduct):
         return fn.eval_many(points, strict=strict).values
-    if hasattr(fn, "eval"):
-        fn = fn.eval
-    elif not callable(fn):
+    if isinstance(fn, InnerFunctionSpec):
+        return fn.eval_many(points)
+    if not callable(fn):
         raise ValidationError(f"cannot evaluate object of type {type(fn).__name__}")
     zs = np.asarray(points, dtype=np.complex128).reshape(-1).tolist()
     return np.array([fn(z) for z in zs], dtype=np.complex128)

@@ -18,13 +18,14 @@ the Poisson kernel at radius r its error decays like r^n on n points.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoleError, ResolutionError, ValidationError
-from .unitdisc import TWO_PI, _require_number, normalize_angle
+from .unitdisc import TWO_PI, _cmul, _require_number, normalize_angle
 
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
 _MIN_SAMPLE_COUNT = 16
@@ -304,7 +305,9 @@ def _herglotz(f: BoundaryFunction, z: np.ndarray, *, harmonic: bool) -> np.ndarr
 
     With harmonic the result is the Poisson integral (H[f] + conj H[conj f])/2:
     each kind is a complex coefficient times a real function, and the real
-    function's transform is replaced by its real part.
+    function's transform is replaced by its real part.  The sample sum is
+    taken one point at a time: over a batch it rounds differently and holds
+    points x n elements.  Every other kind is elementwise.
     """
     if f.kind == "constant":
         return np.full(z.shape, f.value, dtype=np.complex128)
@@ -312,10 +315,13 @@ def _herglotz(f: BoundaryFunction, z: np.ndarray, *, harmonic: bool) -> np.ndarr
         v = f.sample_values
         n = v.size
         jumps = 2.0 * v - np.roll(v, 1) - np.roll(v, -1)
-        li2 = _li2(z[:, None] * np.exp(-1j * TWO_PI * np.arange(n) / n))
-        if harmonic:
-            li2 = li2.real
-        return np.mean(v) + n / (2.0 * math.pi ** 2) * (li2 @ jumps)
+        roots = np.exp(-1j * TWO_PI * np.arange(n) / n)
+        out = np.empty(z.shape, dtype=np.complex128)
+        for i in range(z.size):
+            li2 = _li2(z[i:i + 1, None] * roots)
+            li2 = li2.real if harmonic else li2
+            out[i] = (np.mean(v) + n / (2.0 * math.pi ** 2) * (li2 @ jumps))[0]
+        return out
     if f.form_name == "cos":
         h = z
     elif f.form_name == "sin":
@@ -364,19 +370,28 @@ def _adaptive_mean(
     )
 
 
+def _in_disc(z, message: str) -> np.ndarray:
+    """z as a 1-d complex array.  Its first point with |z| >= 1 raises
+    ValidationError(message) formatted with the point as z and |z| as r; |z|
+    is np.hypot of the parts, bit for bit Python's abs (np.abs is not)."""
+    points = np.asarray(z, dtype=np.complex128).reshape(-1)
+    outside = np.hypot(points.real, points.imag) >= 1.0
+    if np.count_nonzero(outside):
+        bad = complex(points[outside.argmax()])
+        raise ValidationError(message.format(z=bad, r=abs(bad)))
+    return points
+
+
 def poisson_integral(f: BoundaryFunction, z: complex) -> complex:
     """Harmonic extension of f at z: mean of f(t) p_|z|(arg z - t).
 
     Exact up to rounding: the closed-form transform (H[f] + conj H[conj f]) / 2
     of _herglotz, for every boundary kind.
     """
-    z = complex(z)
-    r = abs(z)
-    if r >= 1.0:
-        raise ValidationError(f"Poisson integral needs |z| < 1, got |z| = {r}")
+    points = _in_disc(complex(z), "Poisson integral needs |z| < 1, got |z| = {r}")
     if not isinstance(f, BoundaryFunction):
         raise ValidationError("boundary data must be a BoundaryFunction")
-    return complex(_herglotz(f, np.array([z]), harmonic=True)[0])
+    return complex(_herglotz(f, points, harmonic=True)[0])
 
 
 def kernel_mass(r: float, *, tolerance: float | None = None) -> float:
@@ -422,30 +437,33 @@ def approx_identity_report(r: float, delta: float) -> ApproxIdentityReport:
     )
 
 
-def eval_singular_inner(atoms: SingularAtoms, z: complex) -> complex:
-    """exp(-sum m_j (zeta_j + z)/(zeta_j - z)) for atoms (theta_j, m_j)."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValidationError(f"singular inner functions are evaluated for |z| < 1, got {z!r}")
-    expo = 0.0 + 0.0j
-    for angle, mass in zip(atoms.angles, atoms.masses):
-        zeta = cmath.exp(1j * angle)
-        den = zeta - z
-        if den == 0.0:
-            raise PoleError(f"evaluation point {z!r} coincides with the atom at angle {angle}")
-        expo -= mass * (zeta + z) / den
-    return cmath.exp(expo)
+def eval_singular_inner(atoms: SingularAtoms, z):
+    """exp(-sum m_j (zeta_j + z)/(zeta_j - z)) for atoms (theta_j, m_j), summed in atom
+    order at one point (a complex is returned) or at each point of a 1-d array."""
+    zetas = [cmath.exp(1j * angle) for angle in atoms.angles]
+    points = np.asarray(z, dtype=np.complex128).reshape(-1)
+    poles = np.flatnonzero(np.isin(points, zetas))  # zeta - z is 0 exactly where z == zeta
+    _in_disc(points[:poles[0] + 1] if poles.size else points,  # moduli up to the first pole
+             "singular inner functions are evaluated for |z| < 1, got {z!r}")
+    if poles.size:
+        bad = complex(points[poles[0]])
+        raise PoleError(f"evaluation point {bad!r} coincides with the atom at angle "
+                        f"{atoms.angles[zetas.index(bad)]}")
+    expo = np.zeros(points.shape, dtype=np.complex128)
+    for zeta, mass in zip(zetas, atoms.masses):
+        expo -= mass * (zeta + points) / (zeta - points)
+    values = np.exp(expo)
+    return complex(values[0]) if np.ndim(z) == 0 else values
 
 
-def eval_outer(density: OuterDensity, z: complex) -> complex:
-    """lambda * exp(H[k](z)); boundary modulus e^k.
+def eval_outer(density: OuterDensity, z):
+    """lambda * exp(H[k](z)) at one point (a complex is returned) or a 1-d array.
 
     H[k] is the closed-form transform of _herglotz.
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValidationError(f"outer functions are evaluated for |z| < 1, got {z!r}")
-    return density.lam * cmath.exp(_herglotz(density.k, np.array([z]), harmonic=False)[0])
+    points = _in_disc(z, "outer functions are evaluated for |z| < 1, got {z!r}")
+    values = _cmul(density.lam, np.exp(_herglotz(density.k, points, harmonic=False)))
+    return complex(values[0]) if np.ndim(z) == 0 else values
 
 
 @dataclass
@@ -493,19 +511,29 @@ class InnerFunctionSpec:
                 return False
         return True
 
-    def eval(self, z: complex) -> complex:
-        value = 1.0 + 0.0j
+    def eval_many(self, points, tol: float | None = None) -> np.ndarray:
+        """Values at each point, bit for bit those of one-point calls.
+
+        Each part present is evaluated once over all points (the Blaschke
+        product best effort, a nested series at tolerance tol) and the parts
+        are multiplied in field order; a failure is the first failing part's.
+        """
+        z = np.asarray(points, dtype=np.complex128).reshape(-1)
+        parts = []
         if self.blaschke is not None:
-            value *= self.blaschke.eval_best_effort(z).value
+            parts.append(self.blaschke.eval_many(z, strict=False).values)
         if self.atoms is not None:
-            value *= eval_singular_inner(self.atoms, z)
+            parts.append(eval_singular_inner(self.atoms, z))
         if self.outer is not None:
-            value *= eval_outer(self.outer, z)
+            parts.append(eval_outer(self.outer, z))
         if self.series is not None:
             from .series import eval_series
 
-            value *= eval_series(self.series, z).value
-        return value
+            parts.append(eval_series(self.series, z, tol).value)
+        return functools.reduce(_cmul, parts)
+
+    def eval(self, z: complex) -> complex:
+        return self.eval_many(complex(z)).item()
 
     def to_json(self) -> dict:
         return {

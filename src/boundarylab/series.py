@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import config
-from .blaschke import BlaschkeProduct, evaluate_points
+from .blaschke import BlaschkeProduct
 from .errors import ValidationError
 from .herglotz import InnerFunctionSpec
 from .unitdisc import ClosedSetSpec, _require_number, gen_accumulation_sequence
@@ -105,20 +105,9 @@ class SeriesEvaluation(NamedTuple):
     tail_bound: float
 
 
-def eval_series(spec: SeriesSpec, z, tol: float | None = None) -> SeriesEvaluation:
-    """Partial sum with unused weight mass at most tol (default 1e-9).
-
-    Terms are consumed in stored order; since each component is bounded by 1,
-    the reported tail_bound (the unused mass) bounds the truncation error.
-    z is one point, or a 1-d array of points for which ``value`` is an array.
-    A Blaschke-only component is evaluated at all points in one batched call,
-    any other point by point; the weighted sum is accumulated in term order.
-    """
-    if not isinstance(spec, SeriesSpec):
-        raise ValidationError("expected a SeriesSpec")
-    tol = config.DEFAULTS["series_tolerance"] if tol is None else tol
-    if tol <= 0.0:
-        raise ValidationError(f"tolerance must be positive, got {tol!r}")
+def _truncation(spec: SeriesSpec, tol: float) -> tuple[int, float]:
+    """Terms used at tol, and the truncation bound: the unused weight plus each used
+    nested series' own bound times its weight (the other parts have modulus <= 1)."""
     remaining = spec.total_weight
     used = 0
     for term in spec.terms:
@@ -126,16 +115,35 @@ def eval_series(spec: SeriesSpec, z, tol: float | None = None) -> SeriesEvaluati
             break
         remaining -= term.weight
         used += 1
+    bound = max(remaining, 0.0)
+    for term in spec.terms[:used]:
+        if term.component.series is not None:
+            bound += term.weight * _truncation(term.component.series, tol)[1]
+    return used, bound
+
+
+def eval_series(spec: SeriesSpec, z, tol: float | None = None) -> SeriesEvaluation:
+    """Partial sum with unused weight mass at most tol (default 1e-9).
+
+    Terms are consumed in stored order; since each component is bounded by 1,
+    the reported tail_bound (the unused mass, plus the weighted bounds of
+    nested series, evaluated at the same tol) bounds the truncation error.
+    z is one point, or a 1-d array of points for which ``value`` is an array.
+    Each component takes one eval_many call over all points.
+    """
+    if not isinstance(spec, SeriesSpec):
+        raise ValidationError("expected a SeriesSpec")
+    tol = config.DEFAULTS["series_tolerance"] if tol is None else tol
+    if tol <= 0.0:
+        raise ValidationError(f"tolerance must be positive, got {tol!r}")
+    used, bound = _truncation(spec, tol)
     points = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     value = np.zeros(points.shape, dtype=np.complex128)
     for term in spec.terms[:used]:
-        part = term.component
-        if part.atoms is None and part.outer is None and part.series is None:
-            part = part.blaschke  # 1 * B(z) is B(z)
-        value += term.weight * evaluate_points(part, points)
+        value += term.weight * term.component.eval_many(points, tol)
     if np.ndim(z) == 0:
         value = complex(value[0])
-    return SeriesEvaluation(value=value, terms_used=used, tail_bound=max(remaining, 0.0))
+    return SeriesEvaluation(value=value, terms_used=used, tail_bound=bound)
 
 
 def _blaschke_term(target: ClosedSetSpec, depth: int) -> InnerFunctionSpec:

@@ -53,6 +53,17 @@ def circle_points(r: float, angles: np.ndarray) -> np.ndarray:
     return np.array([r * cmath.exp(1j * t) for t in angles.tolist()], dtype=np.complex128)
 
 
+def _cmul(a, b) -> np.ndarray:
+    """a b elementwise with the bits of Python's complex product.  numpy's own
+    product fuses multiply-adds in its vectorized loop, which a one-point call
+    of some layouts (a (points x 1) column) does not take."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def circular_gap(a: float, b: float) -> float:
     """Shortest angular distance between two angles."""
     d = abs(a - b) % TWO_PI

@@ -61,6 +61,9 @@ CASES: dict[str, list[str]] = {
     "series-point": ["series", "--spec", "{in}/lp6.json", "--at", "0.1", "0.2"],
     "series-circle-flags": ["series", "--spec", "{in}/lp6.json", "--r", "0.9", "--angles", "16",
                             "--series-tolerance", "1e-6"],
+    "series-nested-point": ["series", "--spec", "{in}/nested.json", "--at", "0.35", "0.6"],
+    "series-nested-circle": ["series", "--spec", "{in}/nested.json", "--r", "0.95",
+                             "--angles", "64"],
     "arakeljan-f": ["arakeljan", "--grid", "{in}/grid48.txt"],
     "arakeljan-e-plus-f": ["arakeljan", "--grid", "{in}/grid48.txt", "--subject", "E+F"],
     "arakeljan-independence": ["arakeljan", "--grid", "{in}/grid48.txt",

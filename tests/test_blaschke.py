@@ -855,8 +855,10 @@ def test_reference_product_at_zero_is_the_rational_product():
 
 def _untiled_products(self, z, lo, hi, chunk=_CHUNK):
     """The factor-range product as it was written before the row tiles: blocks
-    of chunk // width rows, two fresh temporaries per block."""
-    rows = chunk // max(min(hi - lo, chunk), 1)
+    of chunk // width rows, two fresh temporaries per block.  A one-factor
+    range takes one point per block, since a (points x 1) block multiplies
+    down the column and loses the one-point bits."""
+    rows = 1 if hi - lo == 1 else chunk // max(min(hi - lo, chunk), 1)
     out = np.empty(z.size, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
         for at in range(0, z.size, rows):
@@ -910,6 +912,21 @@ def test_products_across_two_factor_chunks(monkeypatch):
     z = _circle(6, r=0.97, seed=1)
     got = prod._products(z, 0, n)
     assert _same_bits(got, np.array([prod._products(z[i:i + 1], 0, n)[0] for i in range(6)]))
+
+
+def test_one_factor_ranges_keep_the_one_point_bits():
+    # a (points x 1) tile used to multiply down the column with numpy's
+    # vectorized complex loop, which rounds differently from a one-point call
+    rng = np.random.default_rng(8)
+    z = (1.0 - rng.uniform(0.0, 1.0, 1000) ** 4) * np.exp(1j * rng.uniform(0.0, TWO_PI, 1000))
+    one = _one_factor(0.3 - 0.4j)
+    want = np.array([one.eval_best_effort(p).value for p in z.tolist()])
+    assert _same_bits(one.eval_many(z, strict=False).values, want)
+    # a prefix ending one factor past a full-circle block ends in a one-factor range
+    prod = _product(FULL10)
+    n = prod.zeros.blocks[3].start + prod.zeros.blocks[3].count + 1
+    want = np.array([prod.eval_partial(n, p) for p in z.tolist()])
+    assert _same_bits(prod._value(z, n), want)
 
 
 def test_products_allocate_only_the_rows_they_use(monkeypatch):

@@ -1,18 +1,20 @@
 import cmath
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from boundarylab.blaschke import BlaschkeProduct
-from boundarylab.errors import ResolutionError, ValidationError
+from boundarylab.errors import PoleError, ResolutionError, ValidationError
 from boundarylab.herglotz import (
     QUAD_MAX_POINTS,
     QUAD_MIN_POINTS,
     QUAD_TOLERANCE,
     BoundaryFunction,
     _adaptive_mean,
+    _herglotz,
     _li2,
     InnerFunctionSpec,
     OuterDensity,
@@ -24,8 +26,8 @@ from boundarylab.herglotz import (
     poisson_integral,
     poisson_kernel,
 )
-from boundarylab.series import build_bgh_sum, build_lohwater_piranian
-from boundarylab.unitdisc import TWO_PI, ClosedSetSpec, gen_radial_sequence
+from boundarylab.series import SeriesSpec, SeriesTerm, build_bgh_sum, build_lohwater_piranian
+from boundarylab.unitdisc import TWO_PI, ClosedSetSpec, ZeroSequence, gen_radial_sequence
 
 
 def test_poisson_kernel_values():
@@ -495,3 +497,230 @@ def test_sampled_poisson_integral_near_the_circle_returns_a_value():
     want = complex(mp.re(_mp_samples_herglotz(mp, real, 0.99)),
                    mp.re(_mp_samples_herglotz(mp, imag, 0.99)))
     assert abs(poisson_integral(f, 0.99) - want) <= 1e-12
+
+
+# --- batched evaluation -------------------------------------------------------
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def _disc_points(count, seed, deepest=1.0 - 2.0 ** -40):
+    """Random points out to |z| = deepest, with radii crowding toward it."""
+    rng = np.random.default_rng(seed)
+    radii = deepest * (1.0 - rng.uniform(0.0, 1.0, count) ** 4)
+    return radii * np.exp(1j * rng.uniform(0.0, TWO_PI, count))
+
+
+_ATOMS = SingularAtoms(angles=(0.3, 2.0, 4.0), masses=(0.5, 1.0, 0.25))
+_SAMPLE_GRID = TWO_PI * np.arange(64) / 64
+_DENSITIES = {
+    "constant": BoundaryFunction.constant(-0.4),
+    "cos": BoundaryFunction.form("cos", scale=0.7),
+    "sin": BoundaryFunction.form("sin", scale=-1.3),
+    "arc": BoundaryFunction.form("indicator-arc", arc=(0.5, 2.0), scale=math.log(2.0)),
+    "samples": BoundaryFunction.from_samples(_SAMPLE_GRID, np.cos(3.0 * _SAMPLE_GRID) + 0.2),
+}
+
+
+def _nested_series():
+    one = BlaschkeProduct(ZeroSequence.from_zeros([0.3 - 0.4j]))
+    radial = BlaschkeProduct(gen_radial_sequence(1.0, 0.5, 30))
+    return SeriesSpec(terms=(SeriesTerm(0.5, InnerFunctionSpec(blaschke=one)),
+                             SeriesTerm(0.25, InnerFunctionSpec(blaschke=radial, atoms=_ATOMS))))
+
+
+def _specs():
+    radial = BlaschkeProduct(gen_radial_sequence(1.0, 0.5, 30))
+    specs = {
+        "blaschke": InnerFunctionSpec(blaschke=radial),
+        "atoms": InnerFunctionSpec(atoms=_ATOMS),
+        "series": InnerFunctionSpec(series=_nested_series()),
+        "mixed": InnerFunctionSpec(blaschke=radial, atoms=_ATOMS,
+                                   outer=OuterDensity(k=_DENSITIES["arc"], lam=cmath.exp(0.3j)),
+                                   series=_nested_series()),
+    }
+    for name, k in _DENSITIES.items():
+        specs[f"outer-{name}"] = InnerFunctionSpec(outer=OuterDensity(k=k, lam=cmath.exp(0.3j)))
+    return specs
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 513])
+@pytest.mark.parametrize("name", sorted(_specs()))
+def test_eval_many_has_the_bits_of_one_point_calls(name, count):
+    spec = _specs()[name]
+    z = _disc_points(count, seed=count)
+    got = spec.eval_many(z)
+    want = [spec.eval(p) for p in z.tolist()]
+    assert all(type(v) is complex for v in want)
+    assert _same_bits(got, np.array(want))
+    if spec.blaschke is not None and spec.atoms is None:
+        assert _same_bits(got, [spec.blaschke.eval_best_effort(p).value for p in z.tolist()])
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 513])
+def test_array_evaluators_have_the_bits_of_scalar_calls(count):
+    z = _disc_points(count, seed=100 + count)
+    got = eval_singular_inner(_ATOMS, z)
+    assert _same_bits(got, [eval_singular_inner(_ATOMS, p) for p in z.tolist()])
+    for k in _DENSITIES.values():
+        density = OuterDensity(k=k, lam=cmath.exp(-1.1j))
+        assert _same_bits(eval_outer(density, z), [eval_outer(density, p) for p in z.tolist()])
+    assert type(eval_singular_inner(_ATOMS, 0.5)) is complex
+    assert type(eval_outer(OuterDensity(k=_DENSITIES["cos"]), 0.5)) is complex
+
+
+def test_outer_values_keep_the_python_product_bits():
+    # lambda exp(H) as one Python complex product, as the scalar evaluator gave it
+    lam = cmath.exp(-1.1j)
+    z = _disc_points(64, seed=9)
+    for k in _DENSITIES.values():
+        got = eval_outer(OuterDensity(k=k, lam=lam), z)
+        h = [complex(_herglotz(k, np.array([p]), harmonic=False)[0]) for p in z.tolist()]
+        assert _same_bits(got, [lam * cmath.exp(v) for v in h])
+
+
+def _mp_singular(mp, z):
+    z = mp.mpc(z)
+    expo = mp.mpc(0)
+    for angle, mass in zip(_ATOMS.angles, _ATOMS.masses):
+        zeta = mp.expj(mp.mpf(angle))
+        expo -= mass * (zeta + z) / (zeta - z)
+    return mp.exp(expo)
+
+
+def _singular_slack(z):
+    """Relative error allowed in exp(-sum m (zeta + z)/(zeta - z)): a few ulps of
+    each term, whose rounded zeta moves it by 2 m |z| |dzeta| / |zeta - z|^2."""
+    eps = np.finfo(np.float64).eps
+    total = 1.0
+    for angle, mass in zip(_ATOMS.angles, _ATOMS.masses):
+        gap = abs(cmath.exp(1j * angle) - z)
+        total += mass * (2.0 / gap + 2.0 / gap ** 2)
+    return 16.0 * eps * total
+
+
+def _oracle_points():
+    """Points on rays toward the atoms, next to them and at random, out to 1 - 2^-40."""
+    radii = (0.0, 0.5, 0.99, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -40)
+    angles = [a + d for a in _ATOMS.angles for d in (0.0, 1e-3)] + [1.0, 5.5]
+    return np.array([r * cmath.exp(1j * a) for r in radii for a in angles])
+
+
+def test_singular_inner_batches_match_mpmath():
+    mp = _mp()
+    z = _oracle_points()
+    got = eval_singular_inner(_ATOMS, z)
+    for p, v in zip(z.tolist(), got.tolist()):
+        want = complex(_mp_singular(mp, p))
+        assert abs(v - want) <= _singular_slack(p) * abs(want) + 1e-300, (p, v, want)
+
+
+def test_outer_batches_match_mpmath():
+    mp = _mp()
+    z = _oracle_points()
+    lam = cmath.exp(0.3j)
+    arc, scale = _DENSITIES["arc"].arc, _DENSITIES["arc"].scale
+
+    def arc_transform(p):
+        g = _mp_antiderivative(mp, mp.mpc(p), arc[1]) - _mp_antiderivative(mp, mp.mpc(p), arc[0])
+        return scale * g / (2 * mp.pi)
+
+    cases = (
+        ("constant", lambda p: mp.mpf(-0.4), lambda p: 1e-13),
+        ("cos", lambda p: 0.7 * mp.mpc(p), lambda p: 1e-13),
+        ("sin", lambda p: 1.3j * mp.mpc(p), lambda p: 2e-13),
+        # the arc transform jumps across the arc ends (see the forms test above)
+        ("arc", arc_transform, lambda p: scale * (1e-13 + 2.0 ** -51 * abs(p) / (
+            math.pi * min(abs(cmath.exp(1j * end) - p) for end in arc)))),
+    )
+    for name, transform, slack in cases:
+        got = eval_outer(OuterDensity(k=_DENSITIES[name], lam=lam), z)
+        for p, v in zip(z.tolist(), got.tolist()):
+            want = complex(lam * mp.exp(transform(p)))
+            assert abs(v - want) <= slack(p) * abs(want), (name, p, v, want)
+    samples = np.cos(3.0 * _SAMPLE_GRID[::4]) + 0.2  # 16 samples keep the mpmath tables cheap
+    density = OuterDensity(k=BoundaryFunction.from_samples(_SAMPLE_GRID[::4], samples), lam=lam)
+    picks = z[[1, 15, 22, 30, 38, 39]]  # one or two per radius
+    for p, v in zip(picks.tolist(), eval_outer(density, picks).tolist()):
+        want = complex(lam * mp.exp(_mp_samples_herglotz(mp, samples, p)))
+        assert abs(v - want) <= 1e-13 * np.abs(samples).max() * abs(want), (p, v, want)
+
+
+def _mp_blaschke(mp, prod, z):
+    value = mp.mpc(1)
+    for angle, deficit in zip(prod.zeros.angles.tolist(), prod.zeros.deficits.tolist()):
+        a = (1 - mp.mpf(deficit)) * mp.expj(mp.mpf(angle))
+        value *= -(mp.conj(a) / abs(a)) * (z - a) / (1 - mp.conj(a) * z)
+    return value
+
+
+def test_mixed_spec_batches_match_mpmath():
+    mp = _mp()
+
+    def product(*zeros):
+        return BlaschkeProduct(ZeroSequence.from_zeros(zeros))
+
+    outer_b, b1, b2 = product(0.5j, -0.3 + 0.2j), product(0.3 - 0.4j), product(0.6, -0.1j, 0.2 + 0.7j)
+    nested = SeriesSpec(terms=(SeriesTerm(0.5, InnerFunctionSpec(blaschke=b1)),
+                               SeriesTerm(0.25, InnerFunctionSpec(blaschke=b2))))
+    lam = cmath.exp(-0.7j)
+    spec = InnerFunctionSpec(blaschke=outer_b, atoms=_ATOMS,
+                             outer=OuterDensity(k=_DENSITIES["cos"], lam=lam), series=nested)
+    z = _oracle_points()
+    got = spec.eval_many(z)
+    for p, v in zip(z.tolist(), got.tolist()):
+        q = mp.mpc(p)
+        head = _mp_blaschke(mp, outer_b, q) * _mp_singular(mp, p) * lam * mp.exp(0.7 * q)
+        tail = 0.5 * _mp_blaschke(mp, b1, q) + 0.25 * _mp_blaschke(mp, b2, q)
+        want = complex(head * tail)
+        # relative errors of the factors add; the series adds an absolute 1e-13 of its weight
+        slack = (_singular_slack(p) + 1e-13) * abs(want) + 1e-13 * 0.75 * abs(complex(head))
+        assert abs(v - want) <= slack + 1e-300, (p, v, want)
+
+
+def _pole_angle():
+    """An atom angle whose float e^(i angle) lies inside the disc, so it is a
+    valid evaluation point at the atom's pole."""
+    return next(t for t in np.arange(1, 2000) * 1e-3 if abs(cmath.exp(1j * t)) < 1.0)
+
+
+def test_failures_name_the_first_bad_point_in_input_order():
+    t = float(_pole_angle())
+    s = float(next(u for u in np.arange(2001, 6000) * 1e-3 if abs(cmath.exp(1j * u)) < 1.0))
+    atoms = SingularAtoms(angles=(t, s), masses=(1.0, 0.5))
+    pole_t, pole_s = cmath.exp(1j * t), cmath.exp(1j * s)
+    spec = InnerFunctionSpec(atoms=atoms)
+    for evaluate in (lambda z: eval_singular_inner(atoms, np.array(z)), spec.eval_many):
+        # poles in input order, whatever the atom order
+        with pytest.raises(PoleError, match=re.escape(f"{pole_s!r} coincides with the atom at angle {s}")):
+            evaluate([0.1, pole_s, pole_t, 1.5])
+        with pytest.raises(ValidationError, match=re.escape("got (1.5+0j)")):
+            evaluate([0.1, 1.5, pole_t, 2.0])
+        with pytest.raises(PoleError, match=re.escape(repr(pole_t))):
+            evaluate([pole_t, -1.0])
+    density = OuterDensity(k=_DENSITIES["arc"])
+    with pytest.raises(ValidationError, match=re.escape("got (-1+0j)")):
+        eval_outer(density, np.array([0.1, 0.9j, -1.0, 2j]))
+    with pytest.raises(ValidationError, match=re.escape("|z| = 1.0")):
+        poisson_integral(_DENSITIES["cos"], 1j)
+    with pytest.raises(ValidationError, match="truncation requires"):
+        _specs()["mixed"].eval_many([0.5, 1.0])
+
+
+def test_the_disc_check_agrees_with_pythons_abs():
+    # np.abs rounds some moduli next to 1 the other way from Python's abs
+    rng = np.random.default_rng(4)
+    z = np.exp(1j * rng.uniform(0.0, TWO_PI, 4000)) * (1.0 - rng.integers(0, 3, 4000) * 2.0 ** -53)
+    inside = np.array([abs(p) < 1.0 for p in z.tolist()])
+    assert ((np.abs(z) < 1.0) != inside).any()
+    density = OuterDensity(k=_DENSITIES["cos"])
+    for p, ok in zip(z[:400].tolist(), inside[:400]):
+        if ok:
+            eval_outer(density, p)
+        else:
+            with pytest.raises(ValidationError):
+                eval_outer(density, p)
+    values = eval_outer(density, z[inside])
+    assert values.shape == (int(inside.sum()),)

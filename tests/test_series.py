@@ -1,10 +1,12 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
 from boundarylab.blaschke import BlaschkeProduct
+from boundarylab.cli import run
 from boundarylab.errors import ValidationError
 from boundarylab.herglotz import BoundaryFunction, InnerFunctionSpec, OuterDensity
 from boundarylab.series import (
@@ -14,7 +16,7 @@ from boundarylab.series import (
     build_lohwater_piranian,
     eval_series,
 )
-from boundarylab.unitdisc import TWO_PI, ClosedSetSpec, gen_radial_sequence
+from boundarylab.unitdisc import TWO_PI, ClosedSetSpec, ZeroSequence, gen_radial_sequence
 
 
 def _targets(n):
@@ -120,3 +122,59 @@ def test_json_round_trip():
     assert abs(eval_series(back, z, 1e-12).value - eval_series(spec, z, 1e-12).value) < 1e-12
     with pytest.raises(ValidationError):
         SeriesSpec.from_json({"terms": [{"weight": 0.5}]})
+
+
+def _nested_spec_json(tmp_path, inner_weights):
+    """Weight 1 on a nested series of Blaschke factors with zeros 0.5 and -0.5."""
+    def factor(a):
+        return {"blaschke": {"zeros": [{"re": a, "im": 0.0}]}}
+    nested = {"terms": [{"weight": w, "component": factor(a)}
+                        for w, a in zip(inner_weights, (0.5, -0.5))]}
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"terms": [{"weight": 1.0, "component": {"series": nested}}]}))
+    return str(path)
+
+
+def _series_at(capsys, argv):
+    assert run(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_nested_series_take_the_tolerance_and_report_their_tail(tmp_path, capsys):
+    spec = _nested_spec_json(tmp_path, (0.5, 1e-10))
+    # the first factor vanishes at 0.5 and the second is 0.8 there: the true value is 8e-11
+    argv = ["series", "--spec", spec, "--at", "0.5", "0"]
+    tight = _series_at(capsys, argv + ["--series-tolerance", "1e-14"])
+    assert abs(complex(tight["re"], tight["im"]) - 8e-11) <= 1e-24
+    assert tight["tail_bound"] <= 1e-14
+    # at the default 1e-9 the nested series drops its second term, and says so
+    loose = _series_at(capsys, argv)
+    assert abs(complex(loose["re"], loose["im"]) - 8e-11) <= loose["tail_bound"]
+    assert loose["tail_bound"] == pytest.approx(1e-10, rel=1e-6)
+
+
+def test_nested_tail_bounds_are_weighted_sums():
+    unit = InnerFunctionSpec(blaschke=BlaschkeProduct(gen_radial_sequence(0.0, 0.5, 4)))
+    inner = SeriesSpec(terms=(SeriesTerm(0.5, unit), SeriesTerm(0.25, unit), SeriesTerm(1e-3, unit)))
+    outer = SeriesSpec(terms=(SeriesTerm(0.5, InnerFunctionSpec(series=inner)),
+                              SeriesTerm(0.25, InnerFunctionSpec(blaschke=unit.blaschke, series=inner)),
+                              SeriesTerm(0.01, unit)))
+    got = eval_series(outer, 0.3j, 0.02)
+    # the outer series leaves 0.01 unused; each nested one leaves 1e-3
+    assert got.terms_used == 2
+    assert got.tail_bound == pytest.approx(0.01 + 0.75 * 1e-3, rel=1e-12)
+    full = eval_series(outer, 0.3j, 1e-15)
+    assert full.tail_bound <= 1e-15
+    assert abs(full.value - got.value) <= got.tail_bound
+
+
+def test_series_batches_have_the_bits_of_scalar_calls():
+    unit = InnerFunctionSpec(blaschke=BlaschkeProduct(gen_radial_sequence(2.0, 0.5, 12)))
+    inner = SeriesSpec(terms=(SeriesTerm(0.5, unit), SeriesTerm(0.25, InnerFunctionSpec(
+        blaschke=BlaschkeProduct(ZeroSequence.from_zeros([0.1 + 0.6j]))))))
+    spec = SeriesSpec(terms=(SeriesTerm(0.5, InnerFunctionSpec(series=inner)), SeriesTerm(0.25, unit)))
+    rng = np.random.default_rng(3)
+    z = (1.0 - rng.uniform(0.0, 1.0, 257) ** 3) * np.exp(1j * rng.uniform(0.0, TWO_PI, 257))
+    batch = eval_series(spec, z).value
+    one = np.array([eval_series(spec, p).value for p in z.tolist()])
+    assert np.array_equal(batch.view(np.float64), one.view(np.float64))
