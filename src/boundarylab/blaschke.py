@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TextIO
@@ -107,31 +108,33 @@ class BlaschkeProduct:
                 f"truncation_tolerance must lie in (0, 1), got {self.truncation_tolerance!r}"
             )
         seq = self.zeros
-        absa = 1.0 - seq.deficits
-        a = absa * np.exp(1j * seq.angles)
-        conj_a = np.conj(a)
-        # rot = conj(a)/|a|; the -1 placeholder at |a| = 0 makes the generic
-        # formula (|a| - rot z)/(1 - conj(a) z) evaluate to z there.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rot = np.where(absa > 0.0, conj_a / np.where(absa > 0.0, absa, 1.0), -1.0)
-        self._absa = absa
-        self._conj_a = conj_a
-        self._rot = rot
         self._cumulative_mass = np.cumsum(seq.deficits)
         self._block_ends = [b.start + b.count for b in seq.blocks]
-        if seq.blocks:  # count m, start angle s, log rho and m log rho, rho = fl(1 - d) as in _absa
+        if seq.blocks:  # count m, start angle s, log rho and m log rho, rho = fl(1 - d)
             self._block_m = np.array([b.count for b in seq.blocks], dtype=np.float64)
             self._block_s = np.array([b.angle for b in seq.blocks], dtype=np.float64)
-            self._block_log_rho = np.log1p(-(1.0 - absa[[b.start for b in seq.blocks]]))
+            rho = 1.0 - seq.deficits[[b.start for b in seq.blocks]]
+            self._block_log_rho = np.log1p(-(1.0 - rho))
             self._block_lrho = self._block_m * self._block_log_rho
         self._chase = None  # zero-chase levels, built on first use
+
+    @functools.cached_property
+    def _factor_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|a|, conj(a) and rot = conj(a)/|a| per zero, built for the first factor range
+        or pole rescan; rot is -1 at |a| = 0, where (|a| - rot z)/(1 - conj(a) z) is z."""
+        absa = 1.0 - self.zeros.deficits
+        conj_a = np.conj(absa * np.exp(1j * self.zeros.angles))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rot = np.where(absa > 0.0, conj_a / np.where(absa > 0.0, absa, 1.0), -1.0)
+        return absa, conj_a, rot
 
     def __len__(self) -> int:
         return len(self.zeros)
 
     def _factors(self, z: complex, n: int) -> np.ndarray:
-        num = self._absa[:n] - self._rot[:n] * z
-        den = 1.0 - self._conj_a[:n] * z
+        absa, conj_a, rot = self._factor_arrays
+        num = absa[:n] - rot[:n] * z
+        den = 1.0 - conj_a[:n] * z
         if np.any(den == 0.0):
             k = int(np.argmin(np.abs(den)))
             raise PoleError(
@@ -150,10 +153,11 @@ class BlaschkeProduct:
         if hi <= lo:
             out.fill(1.0)
             return out
+        absa, conj_a, rot = self._factor_arrays
         if hi - lo == 1:  # a (points x 1) tile would multiply down the column, with other bits
             with np.errstate(divide="ignore", invalid="ignore"):
-                num = self._absa[lo] - _cmul(self._rot[lo], z)
-                return np.divide(num, 1.0 - _cmul(self._conj_a[lo], z), out=out)
+                num = absa[lo] - _cmul(rot[lo], z)
+                return np.divide(num, 1.0 - _cmul(conj_a[lo], z), out=out)
         starts = range(lo, hi, _EVAL_CHUNK)
         width = min(hi - lo, _EVAL_CHUNK)
         # past one chunk a tile is one point, whose chunk products are reduced
@@ -171,9 +175,9 @@ class BlaschkeProduct:
                 for j, c in enumerate(starts):
                     w = min(c + _EVAL_CHUNK, hi) - c
                     num, den = num_buf[:k, :w], den_buf[:k, :w]
-                    np.multiply(self._rot[c:c + w], col, out=num)
-                    np.subtract(self._absa[c:c + w], num, out=num)
-                    np.multiply(self._conj_a[c:c + w], col, out=den)
+                    np.multiply(rot[c:c + w], col, out=num)
+                    np.subtract(absa[c:c + w], num, out=num)
+                    np.multiply(conj_a[c:c + w], col, out=den)
                     np.subtract(1.0, den, out=den)
                     np.multiply.reduce(np.divide(num, den, out=num), axis=1, out=dest[:, j])
                 if parts is not None:
@@ -567,37 +571,44 @@ def standard_paths() -> list[ApproachPath]:
 _ZERO_CHASE_REACH = 0.05
 
 
+def _zeros_at(seq: ZeroSequence, idx) -> np.ndarray:
+    """The stored zeros at the given indices, with the bits of seq.zeros."""
+    return (1.0 - seq.deficits[idx]) * np.exp(1j * seq.angles[idx])
+
+
 def _chase_levels(product: BlaschkeProduct) -> list:
     """The deficit levels of the stored zeros, deepest last, built once per product.
 
-    A level is a LevelBlock when it is exactly one block whose zeros all lie
-    inside the circle, else the ascending indices of its zeros inside.  Zeros
-    whose deficit is below float resolution collapse onto the circle in
+    A level is a LevelBlock when it is exactly one block of deficit d >= 2^-48,
+    else the complex zeros of the level inside the circle, in index order.
+    Zeros whose deficit is below float resolution collapse onto the circle in
     complex form; they are not valid evaluation points, so the chain stops
     before them.  The evaluator measures |z| with Python's abs, which can
     round a modulus just below 1 up to 1.0 where numpy's does not, so zeros
-    within a few ulps of the circle are rechecked with it.
+    within 2^-50 of the circle are rechecked with it.  A block's zeros lie
+    below 1 - 2^-50: fl(1 - d) is within eps/2 of 1 - d, and rounding e^(it),
+    the product and the modulus adds at most 6 eps.
     """
     if product._chase is None:
         seq = product.zeros
-        zs = np.conj(product._conj_a)  # the bits of seq.zeros
+        levels: dict[float, object] = {}
+        rest = np.ones(len(seq), dtype=bool)
+        for b in seq.blocks:
+            if b.deficit >= 2.0 ** -48 and np.count_nonzero(seq.deficits == b.deficit) == b.count:
+                levels[b.deficit] = b
+                rest[b.start:b.start + b.count] = False
+        idx = np.flatnonzero(rest)
+        zs = _zeros_at(seq, idx)
         modulus = np.abs(zs)
         inside = modulus < 1.0
         for j in np.flatnonzero(inside & (modulus > 1.0 - 2.0 ** -50)):
             inside[j] = abs(complex(zs[j])) < 1.0
-        levels: dict[float, object] = {}
-        rest = inside.copy()
-        for b in seq.blocks:
-            span = slice(b.start, b.start + b.count)
-            if inside[span].all() and np.count_nonzero(seq.deficits == b.deficit) == b.count:
-                levels[b.deficit] = b
-                rest[span] = False
-        idx = np.flatnonzero(rest)
+        idx, zs = idx[inside], zs[inside]
         order = np.argsort(-seq.deficits[idx], kind="stable")  # ties keep index order
-        idx = idx[order]
+        idx, zs = idx[order], zs[order]
         cuts = np.flatnonzero(np.diff(seq.deficits[idx])) + 1
-        for group in np.split(idx, cuts) if idx.size else ():
-            levels[float(seq.deficits[group[0]])] = group
+        for group, level in zip(np.split(idx, cuts), np.split(zs, cuts)) if idx.size else ():
+            levels[float(seq.deficits[group[0]])] = level
         product._chase = [levels[d] for d in sorted(levels, reverse=True)]
     return product._chase
 
@@ -615,12 +626,11 @@ def _zero_chase_path(product: BlaschkeProduct, angle: float) -> ApproachPath | N
     chain: list[complex] = []
     best = math.inf
     # descending deficit = shallow levels first, so the chain walks outward
-    for level in _chase_levels(product):
-        if isinstance(level, LevelBlock):
-            m = level.count
-            j = round((angle - level.angle) / (TWO_PI / m))
-            level = level.start + np.unique(np.array([j - 1, j, j + 1]) % m)
-        zs = np.conj(product._conj_a[level])
+    for zs in _chase_levels(product):
+        if isinstance(zs, LevelBlock):
+            m = zs.count
+            j = round((angle - zs.angle) / (TWO_PI / m))
+            zs = _zeros_at(product.zeros, sorted({zs.start + (j + i) % m for i in (-1, 0, 1)}))
         dist = np.abs(zs - zeta)
         k = int(np.argmin(dist))
         if dist[k] < best:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError, ResolutionError, ValidationError
+from .errors import BoundaryLabError, PoleError, ResolutionError, ValidationError
 from .unitdisc import TWO_PI, _cmul, _require_number, normalize_angle
 
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
@@ -516,20 +516,25 @@ class InnerFunctionSpec:
 
         Each part present is evaluated once over all points (the Blaschke
         product best effort, a nested series at tolerance tol) and the parts
-        are multiplied in field order; a failure is the first failing part's.
+        are multiplied in field order; a failure is the first failing point's.
         """
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
         parts = []
-        if self.blaschke is not None:
-            parts.append(self.blaschke.eval_many(z, strict=False).values)
-        if self.atoms is not None:
-            parts.append(eval_singular_inner(self.atoms, z))
-        if self.outer is not None:
-            parts.append(eval_outer(self.outer, z))
-        if self.series is not None:
-            from .series import eval_series
+        try:
+            if self.blaschke is not None:
+                parts.append(self.blaschke.eval_many(z, strict=False).values)
+            if self.atoms is not None:
+                parts.append(eval_singular_inner(self.atoms, z))
+            if self.outer is not None:
+                parts.append(eval_outer(self.outer, z))
+            if self.series is not None:
+                from .series import eval_series
 
-            parts.append(eval_series(self.series, z, tol).value)
+                parts.append(eval_series(self.series, z, tol).value)
+        except BoundaryLabError:  # a later part may fail first at an earlier point
+            for point in z.tolist() if z.size > 1 else ():
+                self.eval_many(point, tol)
+            raise
         return functools.reduce(_cmul, parts)
 
     def eval(self, z: complex) -> complex:

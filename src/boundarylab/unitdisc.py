@@ -49,8 +49,8 @@ def uniform_angles(count: int) -> np.ndarray:
 
 
 def circle_points(r: float, angles: np.ndarray) -> np.ndarray:
-    """The points r e^(it), each computed with cmath.exp as a scalar caller would."""
-    return np.array([r * cmath.exp(1j * t) for t in angles.tolist()], dtype=np.complex128)
+    """The points r e^(it), bit for bit r * cmath.exp(1j * t) as a scalar caller computes them."""
+    return r * np.exp(1j * angles)
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -129,7 +129,7 @@ class ZeroSequence:
                 f"zero #{bad} has modulus {float(1.0 - deficits[bad])!r}; every zero "
                 "must lie strictly inside the unit disc"
             )
-        angles = np.mod(angles, TWO_PI)
+        np.mod(angles, TWO_PI, out=angles)
         angles[angles >= TWO_PI] = 0.0
         angles.flags.writeable = False
         deficits.flags.writeable = False
@@ -232,10 +232,12 @@ def _check_block(b: LevelBlock, end: int, angles: np.ndarray, deficits: np.ndarr
     span = slice(b.start, b.start + b.count)
     if not 0.0 < 1.0 - b.deficit < 1.0 or np.any(deficits[span] != b.deficit):
         raise ValidationError(f"{b} has a deficit outside (0, 1) or unlike its zeros'")
-    offset = angles[span] - (b.angle + np.arange(b.count) * (TWO_PI / b.count))
-    offset -= TWO_PI * np.round(offset / TWO_PI)
-    if not np.max(np.abs(offset)) <= BLOCK_ANGLE_SLACK:
-        raise ValidationError(f"{b} does not match its zeros' angles")
+    for lo in range(0, b.count, 2 ** 14):  # in chunks, with temporaries of 128 KiB
+        j = np.arange(lo, min(lo + 2 ** 14, b.count))
+        offset = angles[b.start + lo:b.start + lo + j.size] - (b.angle + j * (TWO_PI / b.count))
+        offset -= TWO_PI * np.round(offset / TWO_PI)
+        if not np.max(np.abs(offset)) <= BLOCK_ANGLE_SLACK:
+            raise ValidationError(f"{b} does not match its zeros' angles")
 
 
 def _require_number(obj, key, where: str = "") -> float:
@@ -493,11 +495,14 @@ def gen_radial_sequence(angle: float, rate: float, count: int) -> ZeroSequence:
 
 def _spaced(runs: list[tuple[float, float, int, bool]]) -> np.ndarray:
     """normalize_angle(s + j*step) for j = 0..m-1 of each run (s, step, m, _),
-    one run after another, with the same bits."""
-    starts, steps, counts, _ = zip(*runs)
-    counts = np.array(counts, dtype=np.int64)
-    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    t = np.fmod(np.repeat(starts, counts) + j * np.repeat(steps, counts), TWO_PI)
+    one run after another, with the same bits; each run is written in place."""
+    t = np.empty(sum(m for _, _, m, _ in runs), dtype=np.float64)
+    at = 0
+    for s, step, m, _ in runs:
+        run = t[at:at + m]
+        np.multiply(np.arange(m, dtype=np.float64), step, out=run)
+        np.fmod(np.add(s, run, out=run), TWO_PI, out=run)
+        at += m
     t[t < 0.0] += TWO_PI
     t[t >= TWO_PI] = 0.0
     return t

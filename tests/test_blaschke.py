@@ -273,12 +273,24 @@ def _product(spec):
     return BlaschkeProduct(ZeroSequence.from_json(spec))
 
 
+def _eager_arrays(seq):
+    """|a|, rot = conj(a)/|a| and conj(a) of every zero, as the product built
+    them at construction before they were built on first read."""
+    absa = 1.0 - seq.deficits
+    a = absa * np.exp(1j * seq.angles)
+    conj_a = np.conj(a)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rot = np.where(absa > 0.0, conj_a / np.where(absa > 0.0, absa, 1.0), -1.0)
+    return absa, rot, conj_a
+
+
 def _reference_partial(prod, n, z):
     if n == 0:
         return 1.0 + 0.0j
+    absa, rot, conj_a = _eager_arrays(prod.zeros)
     if n <= _CHUNK:
-        num = prod._absa[:n] - prod._rot[:n] * z
-        den = 1.0 - prod._conj_a[:n] * z
+        num = absa[:n] - rot[:n] * z
+        den = 1.0 - conj_a[:n] * z
         if np.any(den == 0.0):
             k = int(np.argmin(np.abs(den)))
             raise PoleError(f"evaluation point {z!r} is the pole of the factor at zero #{k}")
@@ -286,8 +298,8 @@ def _reference_partial(prod, n, z):
     acc = 1.0 + 0.0j
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        num = prod._absa[lo:hi] - prod._rot[lo:hi] * z
-        den = 1.0 - prod._conj_a[lo:hi] * z
+        num = absa[lo:hi] - rot[lo:hi] * z
+        den = 1.0 - conj_a[lo:hi] * z
         with np.errstate(divide="ignore", invalid="ignore"):
             acc *= complex(np.multiply.reduce(num / den))
     if not cmath.isfinite(acc):
@@ -347,9 +359,19 @@ def _check_many(prod, points, strict, tol=None):
     return got
 
 
-def _old_circle(r, count):
-    angles = TWO_PI * np.arange(count, dtype=np.float64) / count
+def _old_circle(r, count, angles=None):
+    angles = TWO_PI * np.arange(count, dtype=np.float64) / count if angles is None else angles
     return np.array([r * cmath.exp(1j * t) for t in angles], dtype=np.complex128)
+
+
+def test_circle_points_have_the_scalar_bits():
+    # numpy's exp and product against one cmath.exp call per point, on the
+    # scan grid and at random angles far outside [0, 2 pi), out to 1 - 2^-40
+    random = np.random.default_rng(4096).uniform(-1e3, 1e3, 200_000)
+    for r in (0.1, 0.5, 0.9, 0.999, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -40):
+        for angles in (uniform_angles(4096), random):
+            want = _old_circle(r, 0, angles.tolist())
+            assert np.array_equal(circle_points(r, angles).view(np.uint64), want.view(np.uint64))
 
 
 @_THREE_SETS
@@ -637,7 +659,7 @@ def _phase(prod, z, n):
 
 def _direct_slack(plain, z, n):
     """A factor-by-factor product's rounding slack, as the benchmark's oracle takes it."""
-    conj_a = plain._conj_a[:n]
+    conj_a = plain._factor_arrays[1][:n]
     near_zero = float(np.sum(1.0 / np.abs(z - np.conj(conj_a))))
     near_pole = float(np.sum(1.0 / np.abs(1.0 - conj_a * z)))
     value = plain.eval_partial(n, z)
@@ -680,7 +702,7 @@ def test_prefixes_ending_inside_a_level_mix_blocks_and_factors():
 def _chunkwise_products(self, z, lo, hi):
     """The factor-range product as it was written with a per-point loop past one chunk."""
     n = hi - lo
-    absa, rot, conj_a = self._absa[lo:hi], self._rot[lo:hi], self._conj_a[lo:hi]
+    absa, rot, conj_a = (x[lo:hi] for x in _eager_arrays(self.zeros))
     out = np.empty(z.size, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
         if n <= _CHUNK:
@@ -730,12 +752,12 @@ def test_closed_form_is_within_its_bound_of_an_mpmath_product():
         prod = _full_circle(depth)
         seq = prod.zeros
         # the stored zeros exactly: modulus fl(1 - d) (the evaluator's) and the stored angle
-        rho = [mp.mpf(float(x)) for x in prod._absa]
+        rho = [mp.mpf(float(x)) for x in prod._factor_arrays[0]]
         turn = [mp.expj(-mp.mpf(float(t))) for t in seq.angles]
         points = [r * cmath.exp(1j * t) for t in rng.uniform(0.0, TWO_PI, thetas) for r in radii]
         for j in rng.integers(0, len(seq), near):
             t = float(seq.angles[j]) + float(rng.uniform(-1e-12, 1e-12))
-            on_zero = float(prod._absa[j])
+            on_zero = float(1.0 - seq.deficits[j])
             points += [(on_zero if r is None else r) * cmath.exp(1j * t)
                        for r in (near_radii or (None, 0.999, 1.0 - 2.0 ** -40))]
         got = prod.eval_many(points, strict=False)
@@ -859,6 +881,7 @@ def _untiled_products(self, z, lo, hi, chunk=_CHUNK):
     range takes one point per block, since a (points x 1) block multiplies
     down the column and loses the one-point bits."""
     rows = 1 if hi - lo == 1 else chunk // max(min(hi - lo, chunk), 1)
+    absa, rot, conj_a = _eager_arrays(self.zeros)
     out = np.empty(z.size, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
         for at in range(0, z.size, rows):
@@ -866,9 +889,9 @@ def _untiled_products(self, z, lo, hi, chunk=_CHUNK):
             parts = []
             for c in range(lo, max(hi, lo + 1), chunk):
                 span = slice(c, min(c + chunk, hi))
-                num = self._rot[span] * col
-                np.subtract(self._absa[span], num, out=num)
-                den = self._conj_a[span] * col
+                num = rot[span] * col
+                np.subtract(absa[span], num, out=num)
+                den = conj_a[span] * col
                 np.subtract(1.0, den, out=den)
                 parts.append(np.multiply.reduce(np.divide(num, den, out=num), axis=1))
             out[at:at + rows] = parts[0] if len(parts) == 1 else \
@@ -965,3 +988,111 @@ def test_boundary_pole_names_its_zero_at_any_tile(monkeypatch):
                 prod.eval_many(points, strict=False)
             messages.add(str(info.value))
     assert len(messages) == 1
+
+
+# --- per-zero data built on first read ----------------------------------------
+
+def _bits_equal(got, want):
+    """Each pair has one dtype and the same bytes."""
+    pairs = [(np.atleast_1d(g), np.atleast_1d(w)) for g, w in zip(got, want)]
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in pairs)
+
+
+def test_factor_arrays_are_built_on_first_read_with_the_eager_bits():
+    prod = _product(FULL10)
+    absa, rot, conj_a = _eager_arrays(prod.zeros)
+    # whole-prefix evaluations and probes read only the blocks
+    prod.eval_many(circle_points(0.9, uniform_angles(64)), strict=False)
+    limit_probe(prod, 1.0, radii=default_radius_schedule()[30:])
+    assert "_factor_arrays" not in vars(prod)
+    # prefixes ending inside a level, batched and one point at a time
+    ends = [b.start + b.count for b in prod.zeros.blocks]
+    rng = np.random.default_rng(14)
+    points = rng.uniform(0.05, 0.9, 24) * np.exp(1j * rng.uniform(0.0, TWO_PI, 24))
+    inside = 0
+    for tol in (0.3, 0.05, 0.01, 0.002):
+        got = prod.eval_many(points, strict=False, tol=tol)
+        for z, value, n in zip(points.tolist(), got.values.tolist(), got.factors_used.tolist()):
+            k = sum(end <= n for end in ends)
+            if n in ends or k == 0:
+                continue
+            inside += 1
+            col = np.array([z])
+            parts = np.hstack([prod._closed_forms(col, k),
+                               _untiled_products(prod, col, ends[k - 1], n)[:, None]])
+            want = complex(np.multiply.reduce(parts, axis=1)[0])
+            assert _bits_equal([value, prod.eval_partial(n, z)], [want, want])
+            assert prod.eval_truncated(z, tol).value == value
+    assert inside > 10
+    assert _bits_equal(prod._factor_arrays, (absa, conj_a, rot))
+
+
+def test_a_pole_rescan_reads_the_factor_arrays_with_the_eager_bits():
+    # a block-covered sequence and one zero whose modulus rounds to 1: z = 1 is its pole
+    full = _product(FULL10).zeros
+    n = len(full)
+    seq = ZeroSequence(angles=np.append(full.angles, 0.0), deficits=np.append(full.deficits, 2.0 ** -54),
+                       blocks=full.blocks)
+    prod = BlaschkeProduct(seq)
+    assert "_factor_arrays" not in vars(prod)
+    with pytest.raises(PoleError, match=f"zero #{n}$"):
+        prod.eval_partial(n + 1, 1.0 + 0.0j)
+    absa, rot, conj_a = _eager_arrays(seq)
+    assert _bits_equal(prod._factor_arrays, (absa, conj_a, rot))
+
+
+def test_zero_chase_rechecks_a_block_next_to_the_circle():
+    # a hand-built level of zeros within 2^-50 of the circle, some of whose
+    # moduli round to 1 or need Python's abs to decide
+    shallow = gen_accumulation_sequence(
+        ClosedSetSpec(kind="arc-union", arcs=((0.4, 0.4 + TWO_PI),)), 4)
+    angles, deficits, blocks = [shallow.angles], [shallow.deficits], list(shallow.blocks)
+    start = len(shallow)
+    for m, d in ((97, 2.0 ** -49), (211, 2.0 ** -51), (389, 2.0 ** -52), (997, 2.0 ** -53)):
+        s = 0.4 + 0.01 * m
+        angles.append(np.array([normalize_angle(s + j * (TWO_PI / m)) for j in range(m)]))
+        deficits.append(np.full(m, d))
+        blocks.append((start, m, float(angles[-1][0]), d))
+        start += m
+    seq = ZeroSequence(angles=np.concatenate(angles), deficits=np.concatenate(deficits),
+                       blocks=blocks)
+    # the recheck runs on the band; some zeros round onto the circle
+    modulus = np.abs(seq.zeros[len(shallow):])
+    band = (modulus < 1.0) & (modulus > 1.0 - 2.0 ** -50)
+    assert band.any() and (modulus >= 1.0).any()
+    prod = BlaschkeProduct(seq)
+    rng = np.random.default_rng(50)
+    for angle in rng.uniform(0.0, TWO_PI, 60).tolist() + seq.angles[-40:].tolist():
+        path = _zero_chase_path(prod, angle)
+        want = _reference_zero_chase(prod, angle)
+        assert (None if path is None else list(path.points)) == want
+
+
+def _traced_peak(call):
+    """Bytes allocated by call at its peak, and bytes it left allocated."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, kept - base
+
+
+def test_full12_product_evaluation_and_probe_stay_small():
+    seq = ZeroSequence.from_json(FULL12)
+    # construction keeps the deficit cumsum (6.1 MiB) and block scalars only
+    prod, peak, _ = _traced_peak(lambda: BlaschkeProduct(seq))
+    assert peak <= 7 << 20
+    theta = 2.2
+
+    def evaluate():
+        return [prod.eval_best_effort(r * cmath.exp(1j * theta)) for r in DEEP_RADII]
+    values, peak, _ = _traced_peak(evaluate)
+    assert peak <= 4 << 20 and all(v.factors_used == len(prod) for v in values)
+    _, peak, _ = _traced_peak(lambda: limit_probe(prod, theta, radii=default_radius_schedule()[30:]))
+    assert peak <= 4 << 20
+    assert "_factor_arrays" not in vars(prod)

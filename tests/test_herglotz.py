@@ -709,6 +709,27 @@ def test_failures_name_the_first_bad_point_in_input_order():
         _specs()["mixed"].eval_many([0.5, 1.0])
 
 
+def test_spec_failures_are_the_first_failing_points_not_the_first_failing_parts():
+    # the Blaschke part fails at 1.5 before the atom part runs, but in input
+    # order the atom's pole at the first point fails first
+    t = 0.259
+    assert abs(cmath.exp(1j * t)) < 1.0
+    spec = InnerFunctionSpec(blaschke=BlaschkeProduct(ZeroSequence.from_zeros([0.5])),
+                             atoms=SingularAtoms(angles=(t,), masses=(1.0,)))
+    pole = cmath.exp(1j * t)
+    with pytest.raises(PoleError) as one:
+        spec.eval(pole)
+    for points in ([pole, 1.5], [0.2, pole, 1.5, 0.3j]):
+        with pytest.raises(PoleError) as many:
+            spec.eval_many(points)
+        assert str(many.value) == str(one.value)
+    with pytest.raises(ValidationError, match="truncation requires"):
+        spec.eval_many([0.2, 1.5, pole])
+    nested = InnerFunctionSpec(series=SeriesSpec(terms=(SeriesTerm(1.0, spec),)))
+    with pytest.raises(PoleError):
+        nested.eval_many([0.1, pole, 2.0])
+
+
 def test_the_disc_check_agrees_with_pythons_abs():
     # np.abs rounds some moduli next to 1 the other way from Python's abs
     rng = np.random.default_rng(4)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from boundarylab.errors import InvalidZeroError, ValidationError
+from boundarylab import unitdisc
 from boundarylab.unitdisc import (
+    BLOCK_ANGLE_SLACK,
     TWO_PI,
     ClosedSetSpec,
     LevelBlock,
@@ -330,3 +332,91 @@ def test_booleans_are_not_numbers():
             _require_number({"x": value}, "x")
         with pytest.raises(ValidationError, match=r"points\[0\] must be a number"):
             _require_number([value], 0, "points")
+
+
+# The generator as it was with whole-sequence temporaries: every run through
+# one np.repeat pass, and the constructor's reduction into a second array.
+def _repeat_spaced(runs):
+    starts, steps, counts, _ = zip(*runs)
+    counts = np.array(counts, dtype=np.int64)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    t = np.fmod(np.repeat(starts, counts) + j * np.repeat(steps, counts), TWO_PI)
+    t[t < 0.0] += TWO_PI
+    t[t >= TWO_PI] = 0.0
+    return t
+
+
+def _repeat_accumulation(target, depth):
+    runs, deficits, blocks = [], [], []
+    for level in range(1, depth + 1):
+        level_runs = unitdisc._level_runs(target, level)
+        n = sum(m for _, _, m, _ in level_runs)
+        d = min(3.0 ** -level, (2.0 ** -level) / n)
+        for _, _, m, full_circle in level_runs:
+            if full_circle:
+                blocks.append((len(deficits), m, d))
+            deficits += [d] * m
+        runs += level_runs
+    angles = np.mod(np.array(_repeat_spaced(runs), dtype=np.float64, copy=True), TWO_PI)
+    angles[angles >= TWO_PI] = 0.0
+    blocks = tuple(LevelBlock(at, m, float(angles[at]), d) for at, m, d in blocks)
+    return angles, np.array(deficits), blocks, runs
+
+
+@pytest.mark.parametrize("target,depth", [
+    (_FULL12, 12),
+    (ClosedSetSpec(kind="arc-union", arcs=((5.0, 5.0 + TWO_PI),)), 10),
+    (ClosedSetSpec(kind="arc-union", arcs=((0.3, 1.9), (4.0, 6.5))), 9),
+    (ClosedSetSpec(kind="cantor", cantor_level=4), 9),
+], ids=["full12", "full10-wrapping", "two-arcs", "cantor"])
+def test_generator_writes_each_run_in_place_with_the_same_bits(target, depth):
+    seq = gen_accumulation_sequence(target, depth)
+    angles, deficits, blocks, runs = _repeat_accumulation(target, depth)
+    assert np.array_equal(unitdisc._spaced(runs).view(np.uint64), _repeat_spaced(runs).view(np.uint64))
+    assert np.array_equal(seq.angles.view(np.uint64), angles.view(np.uint64))
+    assert np.array_equal(seq.deficits.view(np.uint64), deficits.view(np.uint64))
+    assert seq.blocks == blocks
+
+
+def _whole_block_accepts(block, angles):
+    """The block angle check over the whole block at once."""
+    span = slice(block.start, block.start + block.count)
+    offset = angles[span] - (block.angle + np.arange(block.count) * (TWO_PI / block.count))
+    offset -= TWO_PI * np.round(offset / TWO_PI)
+    return bool(np.max(np.abs(offset)) <= BLOCK_ANGLE_SLACK)
+
+
+def test_block_angles_are_checked_in_chunks_with_the_whole_block_decisions():
+    seq = gen_accumulation_sequence(ClosedSetSpec(kind="arc-union", arcs=((5.0, 5.0 + TWO_PI),)), 10)
+    block = seq.blocks[-1]
+    assert block.count > 3 * 2 ** 14
+    ulp = math.ulp(TWO_PI)
+    decisions = set()
+    for at in (0, 2 ** 14 - 1, 2 ** 14, 40000, block.count - 1):
+        for shift in (-6 * ulp, -2 * ulp, 3 * ulp, 5 * ulp, 1e-9, TWO_PI):
+            angles = seq.angles.copy()
+            angles[block.start + at] += shift
+            plain = ZeroSequence(angles=angles, deficits=seq.deficits)
+            want = _whole_block_accepts(block, plain.angles)
+            try:
+                ZeroSequence(angles=angles, deficits=seq.deficits, blocks=seq.blocks)
+                got = True
+            except ValidationError:
+                got = False
+            assert got == want, (at, shift)
+            decisions.add(got)
+    assert decisions == {True, False}
+
+
+def test_generation_peaks_at_most_two_and_a_quarter_times_what_it_keeps():
+    import tracemalloc
+
+    spec = {"generator": {"kind": "accumulation", "depth": 12, "target": _FULL12.to_json()}}
+    tracemalloc.start()
+    try:
+        seq = ZeroSequence.from_json(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 797163 and kept >= seq.angles.nbytes + seq.deficits.nbytes
+    assert peak <= 2.25 * kept
