@@ -18,7 +18,6 @@ fails loudly with the best bound it could achieve.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import math
@@ -28,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import config
-from .errors import BoundaryLabError, PoleError, PrefixExhaustedError, ValidationError
+from .errors import PoleError, PrefixExhaustedError, ValidationError
 from .herglotz import InnerFunctionSpec
 from .textio import write_values
 from .unitdisc import (
@@ -75,13 +74,25 @@ _PHASE_KAPPA = 8.0
 _ULP_2PI = math.ulp(TWO_PI)
 
 
-def _expm1j(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """e^(x + iy) - 1 with relative accuracy: expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y."""
-    half = np.sin(0.5 * y)
-    out = np.empty(np.broadcast(x, y).shape, dtype=np.complex128)
-    out.real = np.expm1(x) * np.cos(y) - 2.0 * half * half
-    out.imag = np.exp(x) * np.sin(y)
+def _expm1j(x: np.ndarray, half: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """e^(x + iy) - 1 with relative accuracy, from half = sin(y/2), cos y and
+    sin y (broadcast against x): expm1(x) cos y - 2 half^2 + i e^x sin y."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    out.real = np.expm1(x) * cos - 2.0 * half * half
+    out.imag = np.exp(x) * sin
     return out
+
+
+def _row_products(tile: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+    """Each row of a C-contiguous tile multiplied left to right, over its first
+    min(lengths[i], width) >= 1 entries where lengths are given.  A shorter
+    row is never padded with 1 instead: x (1 + 0i) can flip the sign of a zero part."""
+    rows, width = tile.shape
+    if lengths is None or lengths.min() >= width:
+        return np.multiply.reduce(tile, axis=1)
+    cuts = np.arange(rows) * width  # each row's start, then its end
+    cuts = np.column_stack([cuts, cuts + lengths]).reshape(-1)[:-1]
+    return np.multiply.reduceat(tile.reshape(-1)[:cuts[-1] + max(lengths[-1], 1)], cuts)[::2]
 
 
 @dataclass
@@ -108,14 +119,21 @@ class BlaschkeProduct:
                 f"truncation_tolerance must lie in (0, 1), got {self.truncation_tolerance!r}"
             )
         seq = self.zeros
-        self._cumulative_mass = np.cumsum(seq.deficits)
-        self._block_ends = [b.start + b.count for b in seq.blocks]
+        self._mass = np.zeros(len(seq) + 1)  # _mass[n]: deficit sum of the first n zeros
+        np.cumsum(seq.deficits, out=self._mass[1:])
+        self._block_ends = np.array([b.start + b.count for b in seq.blocks], dtype=np.int64)
+        self._gaps = [(lo, b.start) for lo, b in zip([0, *self._block_ends.tolist()], seq.blocks)
+                      if b.start > lo]  # factor ranges before a block
         if seq.blocks:  # count m, start angle s, log rho and m log rho, rho = fl(1 - d)
-            self._block_m = np.array([b.count for b in seq.blocks], dtype=np.float64)
+            m = self._block_m = np.array([b.count for b in seq.blocks], dtype=np.float64)
             self._block_s = np.array([b.angle for b in seq.blocks], dtype=np.float64)
             rho = 1.0 - seq.deficits[[b.start for b in seq.blocks]]
-            self._block_log_rho = np.log1p(-(1.0 - rho))
-            self._block_lrho = self._block_m * self._block_log_rho
+            log_rho = self._block_log_rho = np.log1p(-(1.0 - rho))
+            lrho = self._block_lrho = m * log_rho
+            self._block_period, self._block_rho_m = TWO_PI / m, np.exp(lrho)
+            # m (1 - rho^2m) and m (1 - rho^2), the phase bounds' numerators
+            self._block_common = m * -np.expm1(2.0 * lrho)
+            self._block_spread = m * -np.expm1(2.0 * log_rho)
         self._chase = None  # zero-chase levels, built on first use
 
     @functools.cached_property
@@ -142,46 +160,46 @@ class BlaschkeProduct:
             )
         return num / den
 
-    def _products(self, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Product of factors lo..hi-1 at each point of z, with a one-point
-        product's bits: each chunk of at most _EVAL_CHUNK factors is evaluated
-        as (points x factors) tiles of about _TILE_ELEMENTS elements, each row
-        reduced left to right, and past one chunk a point's chunk products are
-        reduced left to right in turn.  A pole leaves a non-finite value.
+    def _products(self, z: np.ndarray, lo: int, hi) -> np.ndarray:
+        """Product of factors lo..hi[i]-1 at each point z[i] (hi an array, or
+        one end for all), with a one-point product's bits: each chunk of at
+        most _EVAL_CHUNK factors is evaluated as (points x factors) tiles of
+        about _TILE_ELEMENTS elements, each row reduced left to right up to
+        its own end, and past one chunk a point's chunk products are reduced
+        left to right in turn.  A pole leaves a non-finite value.
         """
+        lengths = np.subtract(hi, lo, out=np.zeros(z.size, dtype=np.int64))
         out = np.empty(z.size, dtype=np.complex128)
-        if hi <= lo:
+        width = int(lengths.max(initial=0))
+        if width == 0:
             out.fill(1.0)
             return out
+        short = int(lengths.min())
         absa, conj_a, rot = self._factor_arrays
-        if hi - lo == 1:  # a (points x 1) tile would multiply down the column, with other bits
-            with np.errstate(divide="ignore", invalid="ignore"):
-                num = absa[lo] - _cmul(rot[lo], z)
-                return np.divide(num, 1.0 - _cmul(conj_a[lo], z), out=out)
-        starts = range(lo, hi, _EVAL_CHUNK)
-        width = min(hi - lo, _EVAL_CHUNK)
         # past one chunk a tile is one point, whose chunk products are reduced
         # in turn; buffers hold the rows actually used
-        step = 1 if len(starts) > 1 else max(1, _TILE_ELEMENTS // width)
-        rows = min(step, z.size)
-        num_buf = np.empty((rows, width), dtype=np.complex128)
-        den_buf = np.empty((rows, width), dtype=np.complex128)
-        parts = np.empty((1, len(starts)), dtype=np.complex128) if len(starts) > 1 else None
+        step = 1 if width > _EVAL_CHUNK else max(1, _TILE_ELEMENTS // width)
+        size = min(step, z.size) * min(width, _EVAL_CHUNK)
+        num_buf, den_buf = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
         with np.errstate(divide="ignore", invalid="ignore"):
             for at in range(0, z.size, step):
-                col = z[at:at + step, None]
-                k = col.shape[0]
-                dest = out[at:at + k, None] if parts is None else parts
-                for j, c in enumerate(starts):
-                    w = min(c + _EVAL_CHUNK, hi) - c
-                    num, den = num_buf[:k, :w], den_buf[:k, :w]
-                    np.multiply(rot[c:c + w], col, out=num)
-                    np.subtract(absa[c:c + w], num, out=num)
-                    np.multiply(conj_a[c:c + w], col, out=den)
+                rows = slice(at, at + step)
+                col, parts, top = z[rows, None], [], width if step > 1 else int(lengths[at])
+                for c in range(0, max(top, 1), _EVAL_CHUNK):
+                    w = min(_EVAL_CHUNK, top - c)
+                    num = num_buf[:col.size * w].reshape(col.size, w)
+                    den = den_buf[:col.size * w].reshape(col.size, w)
+                    np.multiply(rot[lo + c:lo + c + w], col, out=num)
+                    np.subtract(absa[lo + c:lo + c + w], num, out=num)
+                    np.multiply(conj_a[lo + c:lo + c + w], col, out=den)
                     np.subtract(1.0, den, out=den)
-                    np.multiply.reduce(np.divide(num, den, out=num), axis=1, out=dest[:, j])
-                if parts is not None:
-                    np.multiply.reduce(parts, axis=1, out=out[at:at + 1])
+                    ends = lengths[rows] - c if short < width else None
+                    parts.append(_row_products(np.divide(num, den, out=num), ends))
+                out[rows] = parts[0] if len(parts) == 1 else np.multiply.reduce(np.hstack(parts))
+            if short < 2:  # one factor: a (points x 1) tile would multiply down the column
+                one, col = lengths == 1, z[lengths == 1]
+                out[one] = (absa[lo] - _cmul(rot[lo], col)) / (1.0 - _cmul(conj_a[lo], col))
+                out[lengths == 0] = 1.0
         return out
 
     def _closed_forms(self, z: np.ndarray, k: int) -> np.ndarray:
@@ -193,41 +211,56 @@ class BlaschkeProduct:
             = e^(l_rho) expm1(l_r - l_rho + i psi) / expm1(l_rho + l_r + i psi),
         which keeps its relative accuracy where u^m is close to rho^m.
         """
-        m, s = self._block_m[:k], self._block_s[:k]
-        lrho = self._block_lrho[:k]
+        m, lrho = self._block_m[:k], self._block_lrho[:k]
         col = z[:, None]
         with np.errstate(divide="ignore"):
             lr = m * np.log(np.abs(col))
-        psi = m * np.mod(np.angle(col) - s, TWO_PI / m)
-        psi[psi > math.pi] -= TWO_PI
-        return np.exp(lrho) * _expm1j(lr - lrho, psi) / _expm1j(lrho + lr, psi)
+        psi = m * np.mod(np.arctan2(col.imag, col.real) - self._block_s[:k], self._block_period[:k])
+        psi -= TWO_PI * (psi > math.pi)
+        x = np.empty((2, *lr.shape))  # numerator and denominator share one expm1
+        np.subtract(lr, lrho, out=x[0])
+        np.add(lrho, lr, out=x[1])
+        e = _expm1j(x, np.sin(0.5 * psi), np.cos(psi), np.sin(psi))
+        return self._block_rho_m[:k] * e[0] / e[1]
 
-    def _value(self, z: np.ndarray, n: int) -> np.ndarray:
-        """Product of the first n factors at each point of z.
+    def _value(self, z: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Product of the first counts[i] factors at each point z[i].
 
-        Blocks lying inside [0, n) contribute one closed-form factor each,
-        in block order, and the factor ranges outside them one product each,
-        in index order.  These parts are multiplied row by row, left to
-        right (a reduction, so a value does not depend on the other points
-        in the call).  Without such blocks this is _products(z, 0, n).
+        Blocks lying inside a point's prefix contribute one closed-form
+        factor each, in block order, and the factor ranges outside them one
+        product each, in index order.  These parts are multiplied row by
+        row, left to right, each row up to its own last part (a reduction,
+        so a value does not depend on the other points in the call).
+        Points covering the same number of whole blocks are evaluated
+        together; without such blocks this is _products(z, 0, counts).
         """
-        k = bisect.bisect_right(self._block_ends, n)
+        if not self._block_ends.size:
+            return self._products(z, 0, counts)
+        covered = self._block_ends.searchsorted(counts, "right")
+        groups = set(covered.tolist())
+        if len(groups) > 1:
+            out = np.empty(z.size, dtype=np.complex128)
+            for k in groups:
+                at = (covered == k).nonzero()[0]
+                out[at] = self._value(z[at], counts[at])
+            return out
+        k = groups.pop() if groups else 0
         if k == 0:
-            return self._products(z, 0, n)
-        ranges, lo = [], 0
-        for b in self.zeros.blocks[:k]:
-            if b.start > lo:
-                ranges.append((lo, b.start))
-            lo = b.start + b.count
-        if n > lo:
-            ranges.append((lo, n))
+            return self._products(z, 0, counts)
+        lo = int(self._block_ends[k - 1])
+        ranges = [gap for gap in self._gaps if gap[1] < lo]
+        past = counts > lo  # a factor range after the last whole block
+        tail = bool(past.any())
         out = np.empty(z.size, dtype=np.complex128)
-        rows = max(1, _EVAL_CHUNK // (8 * k))
-        for at in range(0, z.size, rows):
-            part = z[at:at + rows]
-            columns = [self._closed_forms(part, k)]
-            columns += [self._products(part, lo, hi)[:, None] for lo, hi in ranges]
-            out[at:at + rows] = np.multiply.reduce(np.hstack(columns), axis=1)
+        step = max(1, _EVAL_CHUNK // (8 * k))
+        for at in range(0, z.size, step):
+            rows = slice(at, at + step)
+            columns = [self._closed_forms(z[rows], k)]
+            columns += [self._products(z[rows], a, b)[:, None] for a, b in ranges]
+            if tail:
+                columns.append(self._products(z[rows], lo, counts[rows])[:, None])
+            parts = np.hstack(columns) if len(columns) > 1 else columns[0]
+            out[rows] = _row_products(parts, parts.shape[1] - ~past[rows] if tail else None)
         return out
 
     def _phase_bounds(self, r: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -246,22 +279,19 @@ class BlaschkeProduct:
         Both terms take e = _PHASE_KAPPA ulp(2 pi) per zero; on the depth-12
         full circle the measured errors are below 0.8 and 1.4 of that unit.
         """
-        out = np.zeros(r.size, dtype=np.float64)
-        k = np.searchsorted(self._block_ends, counts, side="right")
-        if not k.any():
-            return out
-        m, log_rho, lrho = self._block_m, self._block_log_rho, self._block_lrho
+        k = self._block_ends.searchsorted(counts, "right")
         col = r[:, None]
         with np.errstate(divide="ignore"):
             log_r = np.log(col)
-        lr = m * log_r
-        one_minus_x = -np.expm1(lrho + lr)  # 1 - rho^m r^m
-        common = m * -np.expm1(2.0 * lrho) * np.exp(lr) / (one_minus_x * one_minus_x)
-        spread = (m * -np.expm1(2.0 * log_rho) * col * (2.0 - one_minus_x)
-                  / (-np.expm1(2.0 * (log_rho + log_r)) * one_minus_x))
+        lr = self._block_m * log_r
+        x_m = np.expm1(self._block_lrho + lr)  # rho^m r^m - 1; its sign cancels below
+        common = self._block_common * np.exp(lr) / (x_m * x_m)
+        spread = (self._block_spread * col * (2.0 + x_m)
+                  / (np.expm1(2.0 * (self._block_log_rho + log_r)) * x_m))
         terms = _PHASE_KAPPA * _ULP_2PI * (common + spread)
-        terms[np.arange(terms.shape[1]) >= k[:, None]] = 0.0
-        return np.sum(terms, axis=1, out=out)
+        if k.min(initial=terms.shape[1]) < terms.shape[1]:  # rows not covering every block
+            terms[np.arange(terms.shape[1]) >= k[:, None]] = 0.0
+        return terms.sum(axis=1)
 
     def eval_partial(self, n: int, z: complex) -> complex:
         """Product of the first n stored factors, in stored order.
@@ -280,7 +310,7 @@ class BlaschkeProduct:
                 f"insufficient prefix: {n} factors requested, {len(self)} stored"
             )
         z = complex(z)
-        acc = complex(self._value(np.array([z]), n)[0])
+        acc = complex(self._value(np.array([z]), np.array([n]))[0])
         if not cmath.isfinite(acc):
             self._factors(z, n)  # locates the pole and raises with its index
         return acc
@@ -289,93 +319,74 @@ class BlaschkeProduct:
         """Smallest N whose tail bound at radius r is <= tol, or -1 if none."""
         if not (0.0 <= r < 1.0):
             raise ValidationError(f"truncation requires |z| < 1, got radius {r!r}")
-        if tol <= 0.0:
-            raise ValidationError(f"tolerance must be positive, got {tol!r}")
-        growth = (1.0 + r) / (1.0 - r)
-        budget = tol / growth
-        seq = self.zeros
-        total = self._cumulative_mass[-1] if len(self) else 0.0
-        if seq.extension_mass > budget:
-            return -1
-        if total + seq.extension_mass <= budget:
-            return 0
-        # smallest N with total + ext - cumulative[N-1] <= budget
-        target = total + seq.extension_mass - budget
-        return int(np.searchsorted(self._cumulative_mass, target, side="left")) + 1
+        over, counts, _ = self._prefixes(np.array([r], dtype=np.float64), tol)
+        return -1 if over[0] else int(counts[0])
 
     def tail_bound(self, r: float, n: int) -> float:
         """Certified bound on |B - B_n| for |z| <= r (truncation only)."""
         if not (0.0 <= r < 1.0):
             raise ValidationError(f"tail bound requires radius < 1, got {r!r}")
-        seq = self.zeros
-        total = self._cumulative_mass[-1] if len(self) else 0.0
-        used = self._cumulative_mass[n - 1] if n > 0 else 0.0
-        return (1.0 + r) / (1.0 - r) * (total - used + seq.extension_mass)
+        return self._tail((1.0 + r) / (1.0 - r), max(n, 0))  # n <= 0: no factor used
 
-    def _exhausted(self, r: float, tol: float, achieved: float) -> PrefixExhaustedError:
-        return PrefixExhaustedError(
-            f"stored prefix of {len(self)} zeros cannot reach tolerance "
-            f"{tol:g} at |z| = {r:.6g} (achieved tail bound {achieved:.6g})",
-            tail_bound=achieved,
-        )
+    def _tail(self, growth, n):
+        """tail_bound from growth = (1 + r)/(1 - r), elementwise over arrays."""
+        return growth * (self._mass[-1] - self._mass[n] + self.zeros.extension_mass)
 
-    def _prefix(self, r: float, tol: float, strict: bool) -> tuple[int, float]:
-        """Factor count and truncation bound for |z| = r: certified, else the whole prefix."""
-        n = self.factors_needed(r, tol)
-        if n < 0:
-            if strict:
-                raise self._exhausted(r, tol, self.tail_bound(r, len(self)))
-            n = len(self)
-        return n, self.tail_bound(r, n)
+    def _prefixes(self, r: np.ndarray, tol: float):
+        """At each radius up to the first outside [0, 1): whether no count is
+        certified, the count used (the certified one, else the whole prefix)
+        and its tail bound, the truncation bound plus the phase bounds of the
+        closed-form blocks used (_phase_bounds)."""
+        if not r.max(initial=0.0) < 1.0:  # moduli are >= 0 or nan
+            r = r[:int((r < 1.0).argmin())]
+        if r.size and tol <= 0.0:
+            raise ValidationError(f"tolerance must be positive, got {tol!r}")
+        growth = (1.0 + r) / (1.0 - r)
+        budget = tol / growth
+        # smallest N with stored plus extension mass - _mass[N] <= budget
+        n = self._mass.searchsorted(self._mass[-1] + self.zeros.extension_mass - budget)
+        over = self.zeros.extension_mass > budget
+        counts = np.where(over, len(self), n)
+        bounds = self._tail(growth, counts)
+        if self._block_ends.size:
+            bounds += self._phase_bounds(r, counts)
+        return over, counts, bounds
 
     def eval_many(self, points, *, strict: bool, tol: float | None = None) -> BatchEval:
         """Value, factor count and tail bound at each point.
 
-        |z| is taken with Python's abs, the count chosen once per distinct
-        modulus, and the points sharing a count are evaluated together.  The
-        tail bound is the truncation bound plus, for each closed-form block
-        used, its phase bound (_phase_bounds); strict mode fails where that
-        sum exceeds tol.  A failure is raised as the first failing point in
-        input order raises it.  On a sequence without blocks every result is
-        bit for bit that of a one-point product of the chosen prefix.
+        |z| is np.hypot of z's parts, which has the bits of Python's abs.  The
+        counts and bounds of all points are chosen at once (_prefixes), and
+        all points are evaluated in one pass, each to its own count (_value).
+        The tail bound is the truncation bound plus, for each closed-form
+        block used, its phase bound; strict mode fails where that sum exceeds
+        tol.  A failure is raised as the first failing point in input order
+        raises it.  On a sequence without blocks every result is bit for bit
+        that of a one-point product of the chosen prefix.
         """
         tol = self.truncation_tolerance if tol is None else tol
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
-        moduli = [abs(p) for p in z.tolist()]
-        prefixes: dict[float, tuple[int, float]] = {}  # in order of first occurrence
-        failure = None
-        for r in moduli:
-            if r not in prefixes:
-                try:
-                    prefixes[r] = self._prefix(r, tol, strict)
-                except BoundaryLabError as exc:
-                    failure = exc  # points from its first occurrence on stay unevaluated
-                    break
-        counts = np.array([n for n, _ in prefixes.values()], dtype=np.int64)
-        bounds = np.array([b for _, b in prefixes.values()], dtype=np.float64)
-        if self._block_ends:
-            bounds += self._phase_bounds(np.fromiter(prefixes, np.float64, len(prefixes)), counts)
-            over = np.flatnonzero(bounds > tol) if strict else ()
-            if len(over):  # truncation plus phase exceeds tol at this modulus
-                r = list(prefixes)[over[0]]
-                failure = self._exhausted(r, tol, float(bounds[over[0]]))
-        stop = z.size if failure is None else moduli.index(r)
-        if len(prefixes) > 1:
-            slot = {r: i for i, r in enumerate(prefixes)}
-            where = np.fromiter(map(slot.__getitem__, moduli[:stop]), dtype=np.intp, count=stop)
-            counts, bounds = counts[where], bounds[where]
-        else:
-            counts, bounds = counts.repeat(stop), bounds.repeat(stop)
-        values = np.empty(stop, dtype=np.complex128)
-        distinct = set(counts.tolist())
-        for n in distinct:
-            at = np.flatnonzero(counts == n) if len(distinct) > 1 else slice(None)
-            values[at] = self._value(z[:stop][at], n)
-        if not np.isfinite(values).all():  # locate the first pole and raise with its index
-            first = int(np.argmin(np.isfinite(values)))
+        r = np.hypot(z.real, z.imag)
+        over, counts, bounds = self._prefixes(r, tol)
+        stop = over.size  # the first point outside [0, 1), if any
+        if strict and stop:
+            # with blocks, strict mode also fails where truncation plus phase exceeds tol
+            failed = over | (bounds > tol) if self._block_ends.size else over
+            stop = int(failed.argmax()) if failed.any() else stop
+        values = self._value(z[:stop], counts[:stop])
+        if not np.isfinite(values.sum()):  # |values| <= 1, so only a pole makes it infinite
+            first = int(np.argmin(np.isfinite(values)))  # raise with the first pole's index
             self._factors(complex(z[first]), int(counts[first]))
-        if failure is not None:
-            raise failure
+        if stop < z.size:
+            at = float(r[stop])
+            if stop == over.size:
+                self.factors_needed(at, tol)  # raises for a radius outside [0, 1)
+            achieved = self.tail_bound(at, len(self)) if over[stop] else float(bounds[stop])
+            raise PrefixExhaustedError(
+                f"stored prefix of {len(self)} zeros cannot reach tolerance "
+                f"{tol:g} at |z| = {at:.6g} (achieved tail bound {achieved:.6g})",
+                tail_bound=achieved,
+            )
         return BatchEval(values, counts, bounds)
 
     def eval_truncated(self, z: complex, tol: float | None = None) -> TruncatedEval:
@@ -583,9 +594,9 @@ def _chase_levels(product: BlaschkeProduct) -> list:
     else the complex zeros of the level inside the circle, in index order.
     Zeros whose deficit is below float resolution collapse onto the circle in
     complex form; they are not valid evaluation points, so the chain stops
-    before them.  The evaluator measures |z| with Python's abs, which can
-    round a modulus just below 1 up to 1.0 where numpy's does not, so zeros
-    within 2^-50 of the circle are rechecked with it.  A block's zeros lie
+    before them.  A zero is inside when its modulus, taken as the evaluator
+    takes it (np.hypot of the parts, the bits of Python's abs; numpy's
+    complex abs can round it up to 1), is below 1.  A block's zeros lie
     below 1 - 2^-50: fl(1 - d) is within eps/2 of 1 - d, and rounding e^(it),
     the product and the modulus adds at most 6 eps.
     """
@@ -599,10 +610,7 @@ def _chase_levels(product: BlaschkeProduct) -> list:
                 rest[b.start:b.start + b.count] = False
         idx = np.flatnonzero(rest)
         zs = _zeros_at(seq, idx)
-        modulus = np.abs(zs)
-        inside = modulus < 1.0
-        for j in np.flatnonzero(inside & (modulus > 1.0 - 2.0 ** -50)):
-            inside[j] = abs(complex(zs[j])) < 1.0
+        inside = np.hypot(zs.real, zs.imag) < 1.0
         idx, zs = idx[inside], zs[inside]
         order = np.argsort(-seq.deficits[idx], kind="stable")  # ties keep index order
         idx, zs = idx[order], zs[order]

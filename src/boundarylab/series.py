@@ -137,7 +137,7 @@ def eval_series(spec: SeriesSpec, z, tol: float | None = None) -> SeriesEvaluati
     if tol <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol!r}")
     used, bound = _truncation(spec, tol)
-    points = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    points = np.asarray(z, dtype=np.complex128).reshape(-1)
     value = np.zeros(points.shape, dtype=np.complex128)
     for term in spec.terms[:used]:
         value += term.weight * term.component.eval_many(points, tol)

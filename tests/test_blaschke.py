@@ -517,14 +517,26 @@ def test_eval_many_mixed_moduli_and_first_failure_in_input_order():
     _check_many(prod, [], strict=True)
 
 
+def _bypass_truncation(monkeypatch, prod, needed):
+    """Replace the truncation rule of prod, in eval_many and in the reference
+    loop, by needed(r) factors at every radius, the circle included, and
+    zero tail bounds."""
+    monkeypatch.setattr(prod, "factors_needed", lambda r, tol: needed(r))
+    monkeypatch.setattr(prod, "tail_bound", lambda r, n: 0.0)
+
+    def prefixes(r, tol):
+        n = np.array([needed(x) for x in r.tolist()], dtype=np.int64)
+        return n < 0, np.where(n < 0, len(prod), n), np.zeros(r.size)
+    monkeypatch.setattr(prod, "_prefixes", prefixes)
+
+
 def test_eval_many_poles_raise_like_the_per_point_loop(monkeypatch):
     # a deficit below float resolution puts the factor's pole at z = 1 (and at
     # 1 - 0j, which prints differently); the truncation rule is bypassed so
     # that points on the circle are evaluated
     seq = ZeroSequence(angles=[0.0, 0.0], deficits=[0.5, 2.0 ** -54])
     prod = BlaschkeProduct(seq)
-    monkeypatch.setattr(prod, "factors_needed", lambda r, tol: -1 if r == 0.75 else 2)
-    monkeypatch.setattr(prod, "tail_bound", lambda r, n: 0.0)
+    _bypass_truncation(monkeypatch, prod, lambda r: -1 if r == 0.75 else 2)
     for points in ([0.5, 1.0, 0.3], [0.75j, 1.0], [1.0, 0.75], [0.2, complex(1.0, -0.0), 1.0]):
         for strict in (True, False):
             got = _check_many(prod, points, strict)
@@ -805,10 +817,7 @@ def _reference_zero_chase(product, angle):
     seq = product.zeros
     zeta = cmath.exp(1j * angle)
     zs = seq.zeros
-    modulus = np.abs(zs)
-    inside = modulus < 1.0
-    for j in np.flatnonzero(inside & (modulus > 1.0 - 2.0 ** -50)):
-        inside[j] = abs(complex(zs[j])) < 1.0
+    inside = np.array([abs(z) < 1.0 for z in zs.tolist()], dtype=bool)  # the evaluator's rule
     dist = np.abs(zs - zeta)
     chain, best = [], math.inf
     for d in sorted(set(seq.deficits.tolist()), reverse=True):
@@ -900,7 +909,8 @@ def _untiled_products(self, z, lo, hi, chunk=_CHUNK):
 
 
 def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+    """Same shape and bit patterns: -0.0 differs from 0.0, and nan matches only itself."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _circle(count, r=0.9, seed=0):
@@ -949,7 +959,7 @@ def test_one_factor_ranges_keep_the_one_point_bits():
     prod = _product(FULL10)
     n = prod.zeros.blocks[3].start + prod.zeros.blocks[3].count + 1
     want = np.array([prod.eval_partial(n, p) for p in z.tolist()])
-    assert _same_bits(prod._value(z, n), want)
+    assert _same_bits(prod._value(z, np.full(z.size, n)), want)
 
 
 def test_products_allocate_only_the_rows_they_use(monkeypatch):
@@ -974,8 +984,7 @@ def test_boundary_pole_names_its_zero_at_any_tile(monkeypatch):
     deficits[17] = 2.0 ** -54  # |a| rounds to 1: a pole at z = 1
     prod = BlaschkeProduct(ZeroSequence(angles=angles, deficits=deficits))
     # every point, the pole on the circle included, takes all 40 factors
-    monkeypatch.setattr(prod, "factors_needed", lambda r, tol: 40)
-    monkeypatch.setattr(prod, "tail_bound", lambda r, n: 0.0)
+    _bypass_truncation(monkeypatch, prod, lambda r: 40)
     pole = 1.0 + 0.0j
     messages = {_outcome(lambda: prod.eval_many([pole], strict=False))[1]}
     for budget in (blaschke._TILE_ELEMENTS, 40, 80, 120):
@@ -1041,9 +1050,9 @@ def test_a_pole_rescan_reads_the_factor_arrays_with_the_eager_bits():
     assert _bits_equal(prod._factor_arrays, (absa, conj_a, rot))
 
 
-def test_zero_chase_rechecks_a_block_next_to_the_circle():
-    # a hand-built level of zeros within 2^-50 of the circle, some of whose
-    # moduli round to 1 or need Python's abs to decide
+def _near_circle_levels():
+    """A shallow full circle, then hand-built levels of zeros within 2^-50 of
+    the circle, some of whose numpy moduli round to 1."""
     shallow = gen_accumulation_sequence(
         ClosedSetSpec(kind="arc-union", arcs=((0.4, 0.4 + TWO_PI),)), 4)
     angles, deficits, blocks = [shallow.angles], [shallow.deficits], list(shallow.blocks)
@@ -1056,8 +1065,13 @@ def test_zero_chase_rechecks_a_block_next_to_the_circle():
         start += m
     seq = ZeroSequence(angles=np.concatenate(angles), deficits=np.concatenate(deficits),
                        blocks=blocks)
-    # the recheck runs on the band; some zeros round onto the circle
-    modulus = np.abs(seq.zeros[len(shallow):])
+    return len(shallow), seq
+
+
+def test_zero_chase_rechecks_a_block_next_to_the_circle():
+    shallow, seq = _near_circle_levels()
+    # zeros in the band next to the circle; some numpy moduli round onto it
+    modulus = np.abs(seq.zeros[shallow:])
     band = (modulus < 1.0) & (modulus > 1.0 - 2.0 ** -50)
     assert band.any() and (modulus >= 1.0).any()
     prod = BlaschkeProduct(seq)
@@ -1066,6 +1080,21 @@ def test_zero_chase_rechecks_a_block_next_to_the_circle():
         path = _zero_chase_path(prod, angle)
         want = _reference_zero_chase(prod, angle)
         assert (None if path is None else list(path.points)) == want
+
+
+def test_zero_chase_keeps_zeros_whose_numpy_modulus_rounds_to_one():
+    # numpy's complex abs rounds some of these zeros to 1 where Python's abs
+    # (the evaluator's modulus) keeps them inside; the chase ends at such a zero
+    _, seq = _near_circle_levels()
+    zs = seq.zeros
+    kept = [j for j in range(len(seq) - 997, len(seq))
+            if np.abs(zs[j]) >= 1.0 and abs(complex(zs[j])) < 1.0]
+    assert kept
+    prod = BlaschkeProduct(seq)
+    for j in kept[:5]:
+        path = _zero_chase_path(prod, float(seq.angles[j]))
+        assert path is not None and path.points[-1] == complex(zs[j])
+        assert prod.eval_best_effort(complex(zs[j])).factors_used == len(seq)
 
 
 def _traced_peak(call):
@@ -1096,3 +1125,136 @@ def test_full12_product_evaluation_and_probe_stay_small():
     _, peak, _ = _traced_peak(lambda: limit_probe(prod, theta, radii=default_radius_schedule()[30:]))
     assert peak <= 4 << 20
     assert "_factor_arrays" not in vars(prod)
+
+
+# --- one pass per call: per-point prefix ends ----------------------------------
+
+def _one_point_calls(prod, points, strict, tol=None):
+    """eval_many's outcome assembled from one-point calls in input order: the
+    stacked values, counts and bounds, or the first failing point's error."""
+    rows = []
+    for z in points:
+        got = _outcome(lambda z=z: prod.eval_many([z], strict=strict, tol=tol))
+        if isinstance(got[0], type):
+            return got
+        rows.append(got)
+    return tuple(np.concatenate(parts) for parts in zip(*rows))
+
+
+def _same_as_one_point_calls(prod, points, strict, tol=None):
+    points = np.asarray(points, dtype=np.complex128)
+    got = _outcome(lambda: prod.eval_many(points, strict=strict, tol=tol))
+    want = _one_point_calls(prod, points.tolist(), strict, tol)
+    if isinstance(want[0], type):
+        assert got == want
+    else:  # sign of zero included
+        assert _same_bits(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert _same_bits(got[2], want[2])
+    return got
+
+
+@pytest.mark.parametrize("spec", [RADIAL60, CANTOR8], ids=["radial60", "cantor8"])
+def test_mixed_prefix_ends_keep_the_one_point_bits(spec):
+    prod = _product(spec)
+    seq = prod.zeros
+    rng = np.random.default_rng(len(seq))
+    r = np.concatenate([1.0 - rng.uniform(0.0, 1.0, 100) ** 3, rng.uniform(0.0, 0.05, 20)])
+    points = np.concatenate([r * np.exp(1j * rng.uniform(0.0, TWO_PI, r.size)),
+                             seq.zeros[seq.deficits > 2.0 ** -50][::3], [0.0, -0.0]])
+    spread = set()
+    for tol in (None, 1e-4, 0.05, 0.6, 1.5):
+        got = _same_as_one_point_calls(prod, points, strict=False, tol=tol)
+        spread |= set(got[1].tolist())
+        _same_as_one_point_calls(prod, points[::-1], strict=False, tol=tol)
+    # empty, one- or two-factor and longer prefixes, many ends per call
+    assert 0 in spread and min(spread - {0}) <= 2 and len(spread) > 20
+
+
+def test_prefix_ends_inside_one_level_keep_the_one_point_bits():
+    prod = _product(FULL10)
+    ends = np.array([b.start + b.count for b in prod.zeros.blocks])
+    rng = np.random.default_rng(100)
+    points = rng.uniform(0.05, 0.95, 80) * np.exp(1j * rng.uniform(0.0, TWO_PI, 80))
+    for tol in (0.05, 0.01, 0.002):
+        counts = _same_as_one_point_calls(prod, points, strict=False, tol=tol)[1]
+        inside = counts[~np.isin(counts, ends)]
+        level = np.searchsorted(ends, inside, side="right")
+        # two or more different ends inside the same level in one call
+        assert max(len(set(inside[level == k].tolist())) for k in set(level.tolist())) > 1
+
+
+def test_an_empty_range_after_the_blocks_is_left_out_of_the_row():
+    prod = _product(FULL10)
+    seq = prod.zeros
+    end = seq.blocks[4].start + seq.blocks[4].count
+    # points on stored zeros of the whole blocks, where the product can be
+    # 0 - 0i (a factor 1 + 0i would make it 0 + 0i), and elsewhere; prefixes
+    # end at the last whole block or past it
+    rng = np.random.default_rng(4)
+    z = np.concatenate([seq.zeros[[18, 56, 121, 127]],
+                        0.9 * np.exp(1j * rng.uniform(0.0, TWO_PI, 8))])
+    counts = np.array([end, end + 1, end, end + 7, end, end + 300, end + 2, end, end, end + 1,
+                       end + 40, end])
+    want = np.array([prod.eval_partial(int(n), p) for n, p in zip(counts, z.tolist())])
+    assert np.signbit(want[[0, 2]].imag).all()
+    assert _same_bits(prod._value(z, counts), want)
+    assert _same_bits(prod._value(z, np.full(z.size, end)), np.array(
+        [prod.eval_partial(end, p) for p in z.tolist()]))
+
+
+def test_strict_failure_is_the_first_failing_point_in_input_order():
+    prod = _product(RADIAL60)
+    for points in ([0.5, 0.3j, 0.5, -0.2, 0.9999999999, 0.1, 0.99999999, 1.5],
+                   [0.1, 0.2, 0.2, 2.0, 0.9999999999], [0.3, 0.4, 0.9999999999j, 0.4]):
+        got = _same_as_one_point_calls(prod, points, strict=True)
+        assert isinstance(got[0], type)
+        assert prod.eval_many(points[:2], strict=True).values.size == 2
+    # with blocks, the phase bound fails a point that is not the first distinct modulus
+    prod = _full_circle(5)
+    z = 0.3 * cmath.exp(0.9j)
+    n = prod.factors_needed(0.3, 0.5)
+    tight = prod.tail_bound(0.3, n)
+    points = [0.01, 0.02j, 0.01, z, 0.05, 0.9999999]
+    assert prod.eval_many(points[:3], strict=True, tol=tight).values.size == 3
+    got = _same_as_one_point_calls(prod, points, strict=True, tol=tight)
+    assert got[0] is PrefixExhaustedError and "|z| = 0.3 " in got[1]
+
+
+def test_one_product_pass_and_one_prefix_choice_per_call(monkeypatch):
+    calls = {}
+    for name in ("_products", "_prefixes", "factors_needed"):
+        real = getattr(BlaschkeProduct, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(self, *args)
+        monkeypatch.setattr(BlaschkeProduct, name, counted)
+    prod = _product(RADIAL60)
+    radii = default_radius_schedule()[:30]
+    counts = prod.eval_many(radii * cmath.exp(1j), strict=False).factors_used
+    assert len(set(counts.tolist())) > 20
+    calls.clear()
+    radial_trace(prod, 1.0, radii=radii)
+    assert calls == {"_prefixes": 1, "_products": 1}
+    # a probe on a block-covered sequence takes whole prefixes: closed forms only
+    calls.clear()
+    limit_probe(_product(FULL10), 2.0, radii=default_radius_schedule()[30:])
+    assert calls == {"_prefixes": 1}
+
+
+def test_mixed_prefix_ends_past_one_chunk_and_between_blocks():
+    # counts on both sides of one chunk; past it, a point's chunks in turn
+    prod = _without_blocks(FULL10)
+    rng = np.random.default_rng(88)
+    points = rng.uniform(0.3, 0.99, 12) * np.exp(1j * rng.uniform(0.0, TWO_PI, 12))
+    counts = _same_as_one_point_calls(prod, points, strict=False, tol=0.01)[1]
+    assert counts.min() < _CHUNK < counts.max()
+    # each level one block plus zeros of the same deficit: ranges between blocks
+    target = ClosedSetSpec(kind="arc-union",
+                           arcs=((1.0, 1.0 + TWO_PI - 5e-10), (1.0 - 4e-10, 1.0 - 1e-10)))
+    prod = BlaschkeProduct(gen_accumulation_sequence(target, 5))
+    points = rng.uniform(0.05, 0.95, 40) * np.exp(1j * rng.uniform(0.0, TWO_PI, 40))
+    for tol in (0.3, 0.05, None):
+        counts = _same_as_one_point_calls(prod, points, strict=False, tol=tol)[1]
+        _same_as_one_point_calls(prod, points, strict=True, tol=tol)
+    assert len(prod.zeros.blocks) == 5 and counts.min() > prod.zeros.blocks[1].start

@@ -456,3 +456,24 @@ def test_non_finite_angles_exit_2(deep_zeros, capsys, subcommand, flag, value):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"boundarylab {subcommand}: angle must be finite, got {value}\n"
+
+
+def test_only_selftest_imports_the_acceptance_criteria():
+    # other commands start without importing boundarylab.acceptance;
+    # selftest imports it and passes, in a fresh interpreter
+    import os
+    import subprocess
+    import sys
+
+    import boundarylab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(boundarylab.__file__)))
+    script = ("import sys\n"
+              "import boundarylab.cli as cli\n"
+              "assert 'boundarylab.acceptance' not in sys.modules\n"
+              "sys.exit(cli.run(['selftest']))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("13/13 criteria passed")
