@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -48,10 +49,15 @@ _CELL_CHARS = " .#EK"
 _CHAR_CODES = np.frombuffer(_CELL_CHARS.encode("ascii"), dtype=np.uint8)
 _CODE_OF_CHAR = np.zeros(128, dtype=np.uint8)
 _CODE_OF_CHAR[_CHAR_CODES] = np.arange(len(_CELL_CHARS))
+_KNOWN_CHAR = np.zeros(128, dtype=bool)
+_KNOWN_CHAR[_CHAR_CODES] = True
 
 # Largest grid accepted (4096 x 4096); the parsers check it before allocating,
 # and it keeps every flat cell index within int32.
 MAX_GRID_CELLS = 1 << 24
+
+# Cells of one labeling canvas; masks past it are labeled in several calls.
+_CANVAS_CELLS = 1 << 18
 
 
 def _check_dimensions(width: int, height: int) -> None:
@@ -95,15 +101,8 @@ class GridPlane:
         return int(self.cells.shape[1])
 
     @property
-    def g_mask(self) -> np.ndarray:
-        return self.cells != CellClass.OUTSIDE_G
-
-    @property
     def outside_mask(self) -> np.ndarray:
         return self.cells == CellClass.OUTSIDE_G
-
-    def class_mask(self, cls: CellClass) -> np.ndarray:
-        return self.cells == cls
 
     def subject_mask(self, selector) -> np.ndarray:
         """Normalize a subject selector to a boolean mask inside G.
@@ -168,17 +167,20 @@ class GridPlane:
             raise ValidationError(f"expected {height} grid rows, found {len(body)}")
         if any(line.strip() for line in body[height:]):
             raise ValidationError(f"grid text has rows past the height {height}")
-        cells = np.zeros((height, width), dtype=np.uint8)
-        for r in range(height):
-            row = body[r]
-            if len(row) > width:
-                raise ValidationError(f"grid row {r} longer than width {width}")
-            unknown = set(row).difference(_CELL_CHARS)
-            if unknown:
-                ch = min(unknown, key=row.index)
-                raise ValidationError(f"unknown grid character {ch!r} at row {r}")
-            codes = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
-            cells[r, :len(row)] = _CODE_OF_CHAR[codes]
+        rows = body[:height]
+        too_long = np.fromiter(map(len, rows), dtype=np.intp, count=height) > width
+        n = int(too_long.argmax()) if too_long.any() else height
+        # the rows before the first long one, padded with spaces, in one string;
+        # a non-ASCII character turns into "?", which is no cell character either
+        flat = "".join(map(str.ljust, rows[:n], repeat(width)))
+        codes = np.frombuffer(flat.encode("ascii", "replace"), dtype=np.uint8)
+        unknown = np.flatnonzero(~_KNOWN_CHAR[codes])
+        if unknown.size:
+            ch, r = flat[unknown[0]], unknown[0] // width
+            raise ValidationError(f"unknown grid character {ch!r} at row {r}")
+        if n < height:
+            raise ValidationError(f"grid row {n} longer than width {width}")
+        cells = _CODE_OF_CHAR[codes].reshape(height, width)
         return cls(cells=cells, frame_is_unbounded=bool(unbounded))
 
     def format_text(self) -> str:
@@ -258,13 +260,16 @@ class GridMasks:
     def __init__(self, grid: GridPlane) -> None:
         self.outside = grid.outside_mask  # the complement of G
 
+    # Flat indices of the G cells 4- (rim_4) or 8-adjacent (rim_8) to the
+    # outside.  Outside cells carry no label, so label lookups near the
+    # outside need only these; the dilation holds the outside, so xor drops it.
     @cached_property
-    def near_outside(self) -> np.ndarray:  # outside G or 4-adjacent to it
-        return _dilate(self.outside, diagonal=False)
+    def rim_4(self) -> np.ndarray:
+        return np.flatnonzero(_dilate(self.outside, diagonal=False) ^ self.outside)
 
     @cached_property
-    def near_boundary(self) -> np.ndarray:  # outside G or 8-adjacent to it
-        return _dilate(self.outside, diagonal=True)
+    def rim_8(self) -> np.ndarray:
+        return np.flatnonzero(_dilate(self.outside, diagonal=True) ^ self.outside)
 
 
 def _subject(grid: GridPlane, masks: GridMasks, selector) -> np.ndarray:
@@ -285,9 +290,11 @@ def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
     its root (Shiloach & Vishkin, J. Algorithms 3, 1982).  So a component's
     root is its first run, and components number in row-major order.
     """
-    w = mask.shape[1]
+    h, w = mask.shape
     # a row's changes, with False on both sides, alternate start and stop
-    r, c = np.divmod(np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False)), w + 1)
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    r, c = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), w + 1)
     start, stop = (r * w + c).reshape(-1, 2).T
     edges = []
     # Cell (r, c) meets cell (r + 1, c + shift).  An edge is skipped when the
@@ -306,7 +313,7 @@ def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
         live = roots[0] != roots[1]
         edges, roots = edges[:, live], roots[:, live]
         np.minimum.at(parent, roots.max(axis=0), roots.min(axis=0))
-        while not np.array_equal(parent, jumped := parent[parent]):
+        while (parent != (jumped := parent[parent])).any():
             parent = jumped
     roots = parent == np.arange(start.size)
     return start, stop, (np.cumsum(roots, dtype=np.int32) - 1)[parent], start[roots]
@@ -330,40 +337,105 @@ class ComponentLabeling:
     components: tuple[Component, ...]
 
 
-def label_components(grid: GridPlane, subject, masks: GridMasks | None = None) -> ComponentLabeling:
+def _per_canvas(masks: GridMasks) -> int:
+    """How many masks of the grid's shape, or crops of them, one canvas holds."""
+    h, w = masks.outside.shape
+    return max(1, _CANVAS_CELLS // ((h + 1) * w))
+
+
+def _canvas(bands: list) -> np.ndarray:
+    """2-d masks as the row bands of one mask, one all-False row apart.
+
+    Bands narrower than the widest are padded with False.  No 4- or
+    8-connected component crosses an all-False row, so each band is labeled
+    exactly as it would be alone.  One band is its own canvas.
+    """
+    if len(bands) == 1:
+        return bands[0]
+    rows = np.cumsum([0] + [band.shape[0] + 1 for band in bands])
+    canvas = np.zeros((rows[-1], max(band.shape[1] for band in bands)), dtype=bool)
+    for band, top in zip(bands, rows):
+        canvas[top:top + band.shape[0], :band.shape[1]] = band
+    return canvas
+
+
+def _component_counts(bands: list, diagonal: bool, per: int) -> list[int]:
+    """The number of components of each 2-d mask, per masks to a _runs call."""
+    counts = []
+    for i in range(0, len(bands), per):
+        part = bands[i:i + per]
+        canvas, tops = _canvas(part), np.cumsum([0] + [band.shape[0] + 1 for band in part])
+        first = _runs(canvas, diagonal)[3]
+        counts += np.diff(np.searchsorted(first, tops * canvas.shape[1])).tolist()
+    return counts
+
+
+def _labeled(canvas: np.ndarray, k: int, masks: GridMasks) -> list[ComponentLabeling]:
+    """Labelings of the k bands of a canvas of complements of subjects."""
+    h, w = masks.outside.shape
+    stride = canvas.shape[0] // k  # rows per band, its separator included
+    start, stop, comp, first = _runs(canvas, diagonal=False)
+    n = first.size
+    row, start_col = np.divmod(start, w)
+    # the first cell lies in the top row of its component
+    row_min, first_col = np.divmod(first, w)
+    if k == 1:
+        ends, local = (0, n), comp
+    else:
+        # band b holds the components numbered ends[b] to ends[b + 1] - 1
+        ends = np.searchsorted(first, np.arange(k + 1) * (stride * w)).astype(np.int32)
+        local = comp - ends[row // stride]
+        row %= stride
+        row_min %= stride
+    labels = np.full(canvas.shape, -1, dtype=np.int32)
+    labels[canvas] = np.repeat(local, stop - start)
+    labels = labels.reshape(k, stride, w)
+    stop_col = (stop - 1) % w
+    touches = (row == 0) | (row == h - 1) | (start_col == 0) | (stop_col == w - 1)
+    rim_ids = labels.reshape(k, -1)[:, masks.rim_4]
+    near_outside_ids = (rim_ids if k == 1 else rim_ids + ends[:k, None])[rim_ids >= 0]
+    col_min, row_max, col_max = np.full(n, w), np.full(n, -1), np.full(n, -1)
+    np.minimum.at(col_min, comp, start_col)
+    np.maximum.at(row_max, comp, row)
+    np.maximum.at(col_max, comp, stop_col)
+    # per component, in Component field order after the id
+    facts = list(zip(
+        np.bincount(comp, weights=stop - start, minlength=n).astype(np.int64).tolist(),
+        (np.bincount(comp[touches], minlength=n) > 0).tolist(),
+        (np.bincount(near_outside_ids, minlength=n) > 0).tolist(),
+        zip(row_min.tolist(), col_min.tolist(), row_max.tolist(), col_max.tolist()),
+        zip(row_min.tolist(), first_col.tolist()),
+    ))
+    return [
+        ComponentLabeling(labels=labels[b, :h], components=tuple(
+            Component(cid, *fact) for cid, fact in enumerate(facts[ends[b]:ends[b + 1]])
+        ))
+        for b in range(k)
+    ]
+
+
+def label_components(
+    grid: GridPlane, subject, masks: GridMasks | None = None
+) -> ComponentLabeling | list[ComponentLabeling]:
     """4-connected components of G minus the subject.
 
     Components are numbered in row-major order of their first cells.  Each
     records its cell count, bounding box and contact with the window frame,
     all read off its runs, and its 4-adjacency to a cell outside G.  masks,
     when given, are GridMasks(grid).
+
+    A list of boolean masks is a list of subjects, labeled in one _runs call
+    per canvas; the list of their labelings is returned, each equal to the
+    one its subject gets alone.
     """
     masks = GridMasks(grid) if masks is None else masks
-    complement = ~(masks.outside | _subject(grid, masks, subject))
-    start, stop, comp, first = _runs(complement, diagonal=False)
-    labels = np.full(complement.shape, -1, dtype=np.int32)
-    labels[complement] = np.repeat(comp, stop - start)
-    (h, w), n = labels.shape, first.size
-    row, start_col = np.divmod(start, w)
-    stop_col = (stop - 1) % w
-    touches = (row == 0) | (row == h - 1) | (start_col == 0) | (stop_col == w - 1)
-    near_outside_ids = labels[masks.near_outside]
-    # the first cell lies in the top row of its component
-    row_min, first_col = np.divmod(first, w)
-    col_min, row_max, col_max = np.full(n, w), np.full(n, -1), np.full(n, -1)
-    np.minimum.at(col_min, comp, start_col)
-    np.maximum.at(row_max, comp, row)
-    np.maximum.at(col_max, comp, stop_col)
-    # per component, in Component field order after the id
-    facts = zip(
-        np.bincount(comp, weights=stop - start, minlength=n).astype(np.int64).tolist(),
-        (np.bincount(comp[touches], minlength=n) > 0).tolist(),
-        (np.bincount(near_outside_ids[near_outside_ids >= 0], minlength=n) > 0).tolist(),
-        zip(row_min.tolist(), col_min.tolist(), row_max.tolist(), col_max.tolist()),
-        zip(row_min.tolist(), first_col.tolist()),
-    )
-    components = tuple(Component(cid, *fact) for cid, fact in enumerate(facts))
-    return ComponentLabeling(labels=labels, components=components)
+    if not (isinstance(subject, list) and subject and isinstance(subject[0], np.ndarray)):
+        return _labeled(~(masks.outside | _subject(grid, masks, subject)), 1, masks)[0]
+    per, labelings = _per_canvas(masks), []
+    for i in range(0, len(subject), per):
+        bands = [~(masks.outside | _subject(grid, masks, s)) for s in subject[i:i + per]]
+        labelings += _labeled(_canvas(bands), len(bands), masks)
+    return labelings
 
 
 @dataclass(frozen=True)
@@ -413,41 +485,67 @@ class Probe:
     mask: np.ndarray
 
 
-def _connected(mask: np.ndarray, *, diagonal: bool) -> bool:
-    return _runs(mask, diagonal)[3].size <= 1
+def _checked(grid: GridPlane, masks: GridMasks, candidates: list, names: list) -> list:
+    """Each candidate mask's Probe, or the ValidationError that checking it alone raises.
+
+    The cell checks run per candidate, in order.  Connectivity is then decided
+    on the bounding-box crops of the candidates that pass them, one labeling
+    per connectivity and canvas.
+    """
+    checks, boxes = [], []
+    for mask, name in zip(candidates, names):
+        mask = mask.astype(bool)
+        if mask.shape != grid.cells.shape:
+            error = "mask shape does not match the grid"
+        elif not mask.any():
+            error = "empty probe mask"
+        elif np.any(mask & masks.outside):
+            error = "probe leaves G"
+        # 8-adjacency is symmetric: the probe meets the rim around the outside
+        elif mask.reshape(-1)[masks.rim_8].any():
+            error = "probe touches the boundary of G"
+        else:
+            rows = np.any(mask, axis=1).nonzero()[0]
+            cols = np.any(mask, axis=0).nonzero()[0]
+            boxes.append(mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1])
+            error = None
+        checks.append((name, mask, error))
+    per = _per_canvas(masks)
+    counts = iter(zip(_component_counts(boxes, True, per),
+                      _component_counts([~box for box in boxes], False, per)))
+    results = []
+    for name, mask, error in checks:
+        if error is None:
+            parts, gaps = next(counts)
+            if parts > 1:
+                error = "probe mask is disconnected"
+            elif gaps > 1:
+                error = ("probe complement splits inside its bounding box "
+                         "(boundary is not Jordan-like)")
+        results.append(Probe(name, mask) if error is None else ValidationError(f"{name}: {error}"))
+    return results
 
 
-def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe",
-                   masks: GridMasks | None = None) -> Probe:
+def validate_probe(grid: GridPlane, mask: np.ndarray | list, name: str | list = "probe",
+                   masks: GridMasks | None = None) -> Probe | list:
     """Probes must be nonempty, strictly inside G, 8-connected, with
     4-connected complement inside their bounding box (the raster stand-in for
     a compact with Jordan boundary).  Strictly inside means no cell is even
     8-adjacent to the complement of G: a compact subset of an open set keeps
     positive distance from its boundary, and on the raster two closed cell
     squares meet exactly when the cells are 8-adjacent.  masks, when given,
-    are GridMasks(grid)."""
+    are GridMasks(grid).
+
+    A list of masks, with a list of their names, is checked in one pass: the
+    result lists, in order, each mask's Probe or the ValidationError that
+    checking it alone raises."""
     masks = GridMasks(grid) if masks is None else masks
-    mask = mask.astype(bool)
-    if mask.shape != grid.cells.shape:
-        raise ValidationError(f"{name}: mask shape does not match the grid")
-    if not mask.any():
-        raise ValidationError(f"{name}: empty probe mask")
-    if np.any(mask & masks.outside):
-        raise ValidationError(f"{name}: probe leaves G")
-    # 8-adjacency is symmetric: the probe meets the band around the outside
-    if np.any(mask & masks.near_boundary):
-        raise ValidationError(f"{name}: probe touches the boundary of G")
-    if not _connected(mask, diagonal=True):
-        raise ValidationError(f"{name}: probe mask is disconnected")
-    rows = np.any(mask, axis=1).nonzero()[0]
-    cols = np.any(mask, axis=0).nonzero()[0]
-    box = mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    if not _connected(~box, diagonal=False):
-        raise ValidationError(
-            f"{name}: probe complement splits inside its bounding box "
-            "(boundary is not Jordan-like)"
-        )
-    return Probe(name=name, mask=mask)
+    if isinstance(mask, list):
+        return _checked(grid, masks, mask, name)
+    result = _checked(grid, masks, [mask], [name])[0]
+    if isinstance(result, ValidationError):
+        raise result
+    return result
 
 
 def auto_probes(grid: GridPlane, masks: GridMasks | None = None) -> list[Probe]:
@@ -461,38 +559,40 @@ def auto_probes(grid: GridPlane, masks: GridMasks | None = None) -> list[Probe]:
     h, w = grid.cells.shape
     # Chebyshev distance of every cell from the window's center cell
     distance = np.maximum(np.abs(np.arange(h)[:, None] - h // 2), np.abs(np.arange(w) - w // 2))
-    probes: list[Probe] = []
     max_radius = (min(h, w) - 1) // 2 - 1
-    radius = 2
-    index = 0
+    radii, radius = [], 2
     while radius <= max_radius:
-        ring = distance == radius
-        try:
-            probes.append(validate_probe(grid, ring, name=f"auto-ring-{index}", masks=masks))
-            index += 1
-        except ValidationError:
-            pass
+        radii.append(radius)
         radius = radius * 2 if radius * 2 <= max_radius else radius + max(1, max_radius // 4)
-        if index >= 4:
+    per, probes = _per_canvas(masks), []
+    # as many rings per call as one canvas holds, till four are valid
+    for i in range(0, len(radii), per):
+        rings = [distance == radius for radius in radii[i:i + per]]
+        for ring in validate_probe(grid, rings, [""] * len(rings), masks):
+            if isinstance(ring, Probe) and len(probes) < 4:
+                probes.append(Probe(f"auto-ring-{len(probes)}", ring.mask))
+        if len(probes) == 4:
             break
     return probes
 
 
 def _gather_probes(grid: GridPlane, masks: GridMasks, probes) -> list[Probe]:
     if probes is None or (isinstance(probes, str) and probes == "auto"):
-        family = auto_probes(grid, masks)
+        family, named = auto_probes(grid, masks), []
     elif isinstance(probes, str):
         raise ValidationError(f"unknown probe policy {probes!r}")
     else:
         family = []
-        for i, p in enumerate(probes):
-            if isinstance(p, Probe):
-                family.append(validate_probe(grid, p.mask, p.name, masks=masks))
-            else:
-                family.append(validate_probe(grid, np.asarray(p), name=f"probe-{i}", masks=masks))
-    marked = grid.class_mask(CellClass.K_PROBE)
+        named = [(p.name, p.mask) if isinstance(p, Probe) else (f"probe-{i}", np.asarray(p))
+                 for i, p in enumerate(probes)]
+    marked = grid.cells == CellClass.K_PROBE
     if marked.any():
-        family.append(validate_probe(grid, marked, name="grid-K", masks=masks))
+        named.append(("grid-K", marked))
+    if named:
+        family += validate_probe(grid, [m for _, m in named], [n for n, _ in named], masks)
+        error = next((p for p in family if isinstance(p, ValidationError)), None)
+        if error is not None:
+            raise error
     return family
 
 
@@ -536,17 +636,21 @@ def _verdict(
     if g_holes:
         return ArakeljanVerdict("fails", 1, g_holes, names)
     # Closed cell squares meet exactly when cells are 8-adjacent, so a hole
-    # with a cell in this band is the raster reading of "the hole's closure
+    # with a cell in rim_8 is the raster reading of "the hole's closure
     # meets the boundary of G".  4-adjacent contact cannot occur here: it
     # would have disqualified the component as a G-hole already.
-    for probe in family:
-        trapped = label_components(grid, subject_mask | probe.mask, masks)
-        reaching = set(trapped.labels[masks.near_boundary].tolist())
-        offenders = tuple(
-            rep for rep in _reports(grid, trapped) if rep.is_g_hole and rep.component_id in reaching
-        )
-        if offenders:
-            return ArakeljanVerdict("fails", 2, offenders, names, failing_probe=probe.name)
+    per = _per_canvas(masks)
+    for i in range(0, len(family), per):
+        probes = family[i:i + per]
+        unions = label_components(grid, [subject_mask | probe.mask for probe in probes], masks)
+        for probe, trapped in zip(probes, unions):
+            reaching = set(trapped.labels.reshape(-1)[masks.rim_8].tolist())
+            offenders = tuple(
+                rep for rep in _reports(grid, trapped)
+                if rep.is_g_hole and rep.component_id in reaching
+            )
+            if offenders:
+                return ArakeljanVerdict("fails", 2, offenders, names, failing_probe=probe.name)
     return ArakeljanVerdict("passes-probes", None, (), names)
 
 
@@ -582,7 +686,7 @@ def _labelings(grid: GridPlane, masks: GridMasks, e_mask: np.ndarray, f_mask: np
     """Labelings of G minus E, G minus F and G minus their union."""
     if np.any(e_mask & f_mask):
         raise ValidationError("E and F overlap; independence needs disjoint sets")
-    return tuple(label_components(grid, mask, masks) for mask in (e_mask, f_mask, e_mask | f_mask))
+    return tuple(label_components(grid, [e_mask, f_mask, e_mask | f_mask], masks))
 
 
 def _independence(

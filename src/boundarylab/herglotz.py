@@ -200,10 +200,6 @@ class SingularAtoms:
         object.__setattr__(self, "angles", norm)
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
 
-    @property
-    def total_mass(self) -> float:
-        return float(math.fsum(self.masses))
-
     def to_json(self) -> dict:
         return {"atoms": [[a, m] for a, m in zip(self.angles, self.masses)]}
 

@@ -151,11 +151,6 @@ class ZeroSequence:
         """Complex view of the stored zeros (lossy for tiny deficits)."""
         return (1.0 - self.deficits) * np.exp(1j * self.angles)
 
-    @property
-    def blaschke_sum(self) -> float:
-        """sum(1 - |a_k|) over the stored prefix."""
-        return float(np.sum(self.deficits))
-
     @classmethod
     def from_zeros(cls, zeros: Iterable[complex]) -> "ZeroSequence":
         """Build from explicit complex zeros; rejects modulus >= 1."""
@@ -362,15 +357,6 @@ class ClosedSetSpec:
             return list(self.arcs)
         return _cantor_subarcs(self.base_arc, self.cantor_level)
 
-    def angular_distance(self, theta: float) -> float:
-        """Distance (in angle) from theta to the closure."""
-        best = math.inf
-        for s, e in self.closure_arcs():
-            best = min(best, _distance_to_arc(theta, s, e))
-            if best == 0.0:
-                break
-        return best
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -440,13 +426,6 @@ def _check_arcs_disjoint(arcs: Sequence[tuple[float, float]]) -> None:
             raise ValidationError(
                 f"arcs overlap near angle {s2:.6g}; arc-union arcs must be disjoint"
             )
-
-
-def _distance_to_arc(theta: float, start: float, end: float) -> float:
-    t = start + ((theta - start) % TWO_PI)
-    if t <= end:
-        return 0.0
-    return min(t - end, start + TWO_PI - t)
 
 
 def _cantor_subarcs(base: tuple[float, float], level: int) -> list[tuple[float, float]]:

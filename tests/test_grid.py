@@ -85,6 +85,55 @@ def test_text_header_is_the_first_nonblank_line():
         GridPlane.parse_text("\ngrid 3 2 1\n.E.\n")
 
 
+def _row_by_row_cells(rows, width):
+    """The grid rows decoded one by one: the reference for parse_text's body."""
+    cells = np.zeros((len(rows), width), dtype=np.uint8)
+    for r, row in enumerate(rows):
+        if len(row) > width:
+            raise ValidationError(f"grid row {r} longer than width {width}")
+        unknown = set(row).difference(" .#EK")
+        if unknown:
+            ch = min(unknown, key=row.index)
+            raise ValidationError(f"unknown grid character {ch!r} at row {r}")
+        cells[r, :len(row)] = [" .#EK".index(ch) for ch in row]
+    return cells
+
+
+def _assert_body_matches_row_by_row(rows, width):
+    text = "\n".join([f"grid {width} {len(rows)} 0", *rows]) + "\n"
+    try:
+        want = _row_by_row_cells(rows, width)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            GridPlane.parse_text(text)
+        assert str(info.value) == str(exc)
+        return
+    if not np.any((want == CellClass.G_FREE) | (want == CellClass.F_SET)):
+        return  # refused by GridPlane itself
+    assert np.array_equal(GridPlane.parse_text(text).cells, want)
+
+
+def test_text_body_errors_match_row_by_row_decoding():
+    cases = [
+        ([".#", "xy"], 2), ([".\x00", ".."], 2), (["..", ". \x00"], 2), ([". é", "..."], 3),
+        (["..", "...x", ".☃"], 3), ([".", "☃", "...."], 3), (["\ud800.", ".."], 2),
+        ([".", "", " E"], 2), (["..K#E "], 6), (["#.", "E\x7f"], 2), (["..", "..\x80"], 2),
+        (["..", ".?é"], 3),
+    ]
+    for rows, width in cases:
+        _assert_body_matches_row_by_row(rows, width)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rows = st.lists(st.text(alphabet=" .#EKx?\x00é☃", max_size=7), min_size=1, max_size=6)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(rows=rows, width=st.integers(1, 6))
+    def check(rows, width):
+        _assert_body_matches_row_by_row(rows, width)
+
+    check()
+
+
 def test_json_round_trip():
     grid = punctured_disc_plane(32)
     back = GridPlane.from_json(grid.to_json())
@@ -369,7 +418,7 @@ def test_grid_size_limit_is_checked_before_allocating():
 
 def _bfs_labeling(grid, subject):
     """Per-cell breadth-first search: the labeler's reference implementation."""
-    complement = grid.g_mask & ~grid.subject_mask(subject)
+    complement = ~grid.outside_mask & ~grid.subject_mask(subject)
     outside = grid.outside_mask
     h, w = complement.shape
     labels = np.full((h, w), -1, dtype=np.int32)
@@ -445,7 +494,7 @@ def _assert_matches_references(grid, subject):
     assert got.labels.dtype == np.int32
     assert np.array_equal(got.labels, labels)
     assert got.components == components
-    complement = grid.g_mask & ~grid.subject_mask(subject)
+    complement = ~grid.outside_mask & ~grid.subject_mask(subject)
     assert np.array_equal(got.labels, _scipy_labels(complement))
 
 
@@ -523,7 +572,7 @@ def test_8_connected_labeler_matches_scipy():
         for subject in ("E", "F", "E+F", "none"):
             mask = grid.subject_mask(subject)
             _assert_8_connected_matches_scipy(mask)
-            _assert_8_connected_matches_scipy(grid.g_mask & ~mask)
+            _assert_8_connected_matches_scipy(~grid.outside_mask & ~mask)
     rng = np.random.default_rng(19)
     for density in (0.3, 0.4, 0.5, 0.6, 0.7):
         for _ in range(8):
@@ -535,43 +584,260 @@ def test_8_connected_labeler_matches_scipy():
 
 def test_connected_matches_reference():
     rng = np.random.default_rng(11)
-    for density in (0.3, 0.5, 0.7):
-        for _ in range(60):
-            shape = tuple(int(n) for n in rng.integers(1, 16, size=2))
-            mask = rng.random(shape) < density
-            for diagonal in (False, True):
-                assert grid_module._connected(mask, diagonal=diagonal) == \
-                    _bfs_connected(mask, diagonal)
+    masks = [rng.random(tuple(int(n) for n in rng.integers(1, 16, size=2))) < density
+             for density in (0.3, 0.5, 0.7) for _ in range(60)]
     stair = np.eye(6, dtype=bool)
-    assert grid_module._connected(stair, diagonal=True)
-    assert not grid_module._connected(stair, diagonal=False)
+    masks.append(stair)
+    for diagonal in (False, True):
+        counts = grid_module._component_counts(masks, diagonal, len(masks))
+        assert [count <= 1 for count in counts] == [_bfs_connected(m, diagonal) for m in masks]
+    assert grid_module._component_counts([stair], True, 1) == [1]
+    assert grid_module._component_counts([stair], False, 1) == [6]
+
+
+def _assert_stack_matches_single(grid, subjects):
+    stacked = label_components(grid, subjects)
+    assert len(stacked) == len(subjects)
+    for subject, got in zip(subjects, stacked):
+        want = label_components(grid, subject)
+        assert got.labels.dtype == np.int32
+        assert np.array_equal(got.labels, want.labels)
+        assert got.components == want.components
+        assert np.array_equal(got.labels, _scipy_labels(~grid.outside_mask & ~subject))
+
+
+def _band_cases(grid, rng):
+    """Subject masks whose complements end and start on a band's edge rows."""
+    inside = ~grid.outside_mask
+    last_row, first_row = inside.copy(), inside.copy()
+    last_row[-1], first_row[0] = False, False  # complements: the last and first rows
+    # complements on the last row and the first row of the next band, one
+    # column apart: diagonal neighbours but for the separator row
+    diagonal = inside.copy()
+    diagonal[-1, 0] = False
+    shifted = inside.copy()
+    shifted[0, 1:2] = False
+    return [
+        np.zeros(inside.shape, dtype=bool),  # the complement is all of G
+        inside.copy(),  # an empty complement: an all-False band
+        last_row, first_row, diagonal, shifted,
+        *[(rng.random(inside.shape) < density) & inside for density in (0.2, 0.45, 0.6, 0.8)],
+    ]
+
+
+def test_stacked_labelings_match_single_labelings():
+    rng = np.random.default_rng(29)
+    planes = [punctured_disc_plane(40), annulus_window_plane(24), *iter_random_pairs(3, 3, 48)]
+    for grid in planes:
+        _assert_stack_matches_single(grid, _band_cases(grid, rng))
+    for _ in range(20):
+        shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
+        cells = rng.choice(5, size=shape, p=[0.2, 0.35, 0.25, 0.1, 0.1]).astype(np.uint8)
+        cells.flat[0] = int(CellClass.G_FREE)
+        grid = GridPlane(cells=cells, frame_is_unbounded=bool(rng.integers(2)))
+        _assert_stack_matches_single(grid, _band_cases(grid, rng))
+
+
+def _assert_counts_match_alone(bands):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for diagonal in (False, True):
+        alone = [grid_module._runs(band, diagonal)[3].size for band in bands]
+        for per in (1, 2, len(bands)):
+            assert grid_module._component_counts(bands, diagonal, per) == alone
+        structure = np.ones((3, 3)) if diagonal else None
+        assert alone == [ndimage.label(band, structure=structure)[1] for band in bands]
+
+
+def test_stacked_counts_of_ragged_bands_match_counts_alone():
+    rng = np.random.default_rng(31)
+    corner = np.zeros((3, 4), dtype=bool)
+    corner[-1, -1] = True  # on a band's last row, diagonal to the next band's first cell
+    _assert_counts_match_alone([corner, np.eye(5, dtype=bool), np.zeros((2, 9), dtype=bool),
+                                np.ones((4, 2), dtype=bool), np.eye(1, 7, 6, dtype=bool)])
+    for _ in range(30):
+        bands = [rng.random(tuple(int(n) for n in rng.integers(1, 14, size=2))) < density
+                 for density in rng.uniform(0.2, 0.8, size=int(rng.integers(1, 7)))]
+        _assert_counts_match_alone(bands)
+
+
+def test_stacks_match_single_masks_on_drawn_masks():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("scipy.ndimage")
+    st = hypothesis.strategies
+    arrays = pytest.importorskip("hypothesis.extra.numpy").arrays
+    cells = st.integers(1, 7).flatmap(lambda h: st.integers(1, 7).flatmap(
+        lambda w: arrays(np.uint8, (h, w), elements=st.integers(0, 4))))
+    ragged = st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+        lambda shape: arrays(bool, shape)), min_size=1, max_size=6)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cells=cells, unbounded=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def check_labelings(cells, unbounded, seed):
+        cells = cells.copy()
+        cells.flat[0] = int(CellClass.G_FREE)
+        grid = GridPlane(cells=cells, frame_is_unbounded=unbounded)
+        _assert_stack_matches_single(grid, _band_cases(grid, np.random.default_rng(seed)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(bands=ragged)
+    def check_counts(bands):
+        _assert_counts_match_alone(bands)
+
+    check_labelings()
+    check_counts()
+
+
+def test_small_canvas_budget_splits_calls_and_keeps_results(monkeypatch):
+    grid = punctured_disc_plane(48)
+    wanted = [union_check(grid).to_json(), is_arakeljan(grid, "E").to_json(),
+              [p.name for p in auto_probes(grid)]]
+    labeling = label_components(grid, "F")
+    runs, shapes = grid_module._runs, []
+    monkeypatch.setattr(grid_module, "_runs", lambda mask, diagonal: shapes.append(mask.shape)
+                        or runs(mask, diagonal))
+    budget = 2 * 49 * 48
+    monkeypatch.setattr(grid_module, "_CANVAS_CELLS", budget)
+    assert [union_check(grid).to_json(), is_arakeljan(grid, "E").to_json(),
+            [p.name for p in auto_probes(grid)]] == wanted
+    # each canvas is within the budget
+    assert all(h * w <= budget for h, w in shapes) and len(shapes) > 10
+    shapes.clear()
+    stacked = label_components(grid, [grid.subject_mask("F")] * 5)
+    assert shapes == [(98, 48), (98, 48), (48, 48)]  # bands of two, two and one
+    for got in stacked:
+        assert np.array_equal(got.labels, labeling.labels)
+        assert got.components == labeling.components
+    monkeypatch.setattr(grid_module, "_CANVAS_CELLS", 1)
+    assert grid_module._component_counts([np.eye(3, dtype=bool)] * 2, False, 1) == [3, 3]
+    assert union_check(grid).to_json() == wanted[0]
+
+
+def test_probe_list_results_match_single_validations():
+    size = 21
+    cells = _all_plane(size)
+    cells[10, 10] = int(CellClass.OUTSIDE_G)
+    grid = GridPlane(cells=cells, frame_is_unbounded=False)
+    candidates = [np.zeros((size, size), dtype=bool), _ring_mask(size, 10, 4),
+                  np.zeros((3, 3), dtype=bool), _ring_mask(size, 10, 1), _ring_mask(size, 10, 8)]
+    split = np.zeros((size, size), dtype=bool)
+    split[2, 2] = split[2, 5] = True
+    cross = np.zeros((size, size), dtype=bool)
+    cross[4, 1:8] = cross[1:8, 4] = True
+    outside = np.zeros((size, size), dtype=bool)
+    outside[10, 10] = True
+    candidates += [split, cross, outside, np.ones((size, size), dtype=bool)]
+    names = [f"c{i}" for i in range(len(candidates))]
+    results = validate_probe(grid, candidates, names)
+    assert [type(r) for r in results].count(grid_module.Probe) == 2
+    for mask, name, result in zip(candidates, names, results):
+        try:
+            alone = validate_probe(grid, mask, name)
+        except ValidationError as exc:
+            assert isinstance(result, ValidationError) and str(result) == str(exc)
+        else:
+            assert result.name == alone.name and np.array_equal(result.mask, alone.mask)
+
+
+def test_probe_errors_follow_the_order_of_the_list():
+    cells = _all_plane(21)
+    cells[10, 10] = int(CellClass.OUTSIDE_G)
+    grid = GridPlane(cells=cells, frame_is_unbounded=False)
+    split = np.zeros(cells.shape, dtype=bool)
+    split[3, 3] = split[3, 6] = True
+    outside = grid.outside_mask
+    with pytest.raises(ValidationError, match="probe-0: probe mask is disconnected"):
+        is_arakeljan(grid, "F", probes=[split, outside])
+    with pytest.raises(ValidationError, match="probe-0: probe leaves G"):
+        is_arakeljan(grid, "F", probes=[outside, split])
+
+
+def test_condition_two_reads_diagonal_contact_and_keeps_the_first_failing_probe():
+    # F blocks the puncture's four neighbours, so a hole trapped around it
+    # meets the outside only at its diagonal cells
+    cells = _all_plane(21)
+    cells[10, 10] = int(CellClass.OUTSIDE_G)
+    for r, c in ((9, 10), (11, 10), (10, 9), (10, 11)):
+        cells[r, c] = int(CellClass.F_SET)
+    grid = GridPlane(cells=cells, frame_is_unbounded=True)
+    small = _ring_mask(21, 4, 1)  # traps one cell far from the puncture
+    probes = [small, _ring_mask(21, 10, 3), _ring_mask(21, 10, 4)]
+    verdict = is_arakeljan(grid, "F", probes=probes)
+    assert verdict.failed_condition == 2 and verdict.failing_probe == "probe-1"
+    (witness,) = verdict.witnesses
+    assert witness.is_g_hole and witness.cell_count == 20
+    assert is_arakeljan(grid, "F", probes=[small]).passed
+
+
+def test_empty_probe_family_passes_probes():
+    cells = np.full((5, 5), int(CellClass.G_FREE), dtype=np.uint8)
+    cells[1, 1], cells[3, 3] = int(CellClass.E_SET), int(CellClass.F_SET)
+    grid = GridPlane(cells=cells, frame_is_unbounded=True)
+    assert auto_probes(grid) == []
+    for subject in ("E", "F", "E+F", "none"):
+        verdict = is_arakeljan(grid, subject).to_json()
+        assert verdict["label"] == "passes-probes" and verdict["probes_tested"] == []
+    report = union_check(grid)
+    assert report.lemma_consistent and report.union_verdict.passed
+    assert report.union_verdict.probe_names == ()
+
+
+def _old_auto_probes(grid):
+    """Ring candidates validated one by one until four pass."""
+    h, w = grid.cells.shape
+    distance = np.maximum(np.abs(np.arange(h)[:, None] - h // 2), np.abs(np.arange(w) - w // 2))
+    probes, max_radius, radius = [], (min(h, w) - 1) // 2 - 1, 2
+    while radius <= max_radius and len(probes) < 4:
+        try:
+            probes.append(validate_probe(grid, distance == radius, f"auto-ring-{len(probes)}"))
+        except ValidationError:
+            pass
+        radius = radius * 2 if radius * 2 <= max_radius else radius + max(1, max_radius // 4)
+    return probes
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 18])
+def test_auto_probes_match_one_by_one_validation(monkeypatch, budget):
+    monkeypatch.setattr(grid_module, "_CANVAS_CELLS", budget)
+    planes = [punctured_disc_plane(96), annulus_window_plane(48), radial_segment_plane(64),
+              GridPlane(cells=_all_plane(200), frame_is_unbounded=True),
+              *iter_random_pairs(5, 4, 48)]
+    for grid in planes:
+        got, want = auto_probes(grid), _old_auto_probes(grid)
+        assert [p.name for p in got] == [p.name for p in want]
+        assert all(np.array_equal(a.mask, b.mask) for a, b in zip(got, want))
 
 
 def test_union_check_validates_probes_once_and_labels_each_subject_once(monkeypatch):
     grid = punctured_disc_plane(96)
-    calls = {"label": 0, "validate": 0}
+    calls = {"label": 0, "validate": 0, "label masks": 0, "validated masks": 0}
     label, validate = grid_module.label_components, grid_module.validate_probe
 
-    def counting_label(*args):
+    def counting_label(grid, subject, *args):
         calls["label"] += 1
-        return label(*args)
+        calls["label masks"] += len(subject) if isinstance(subject, list) else 1
+        return label(grid, subject, *args)
 
-    def counting_validate(*args, **kwargs):
+    def counting_validate(grid, mask, *args, **kwargs):
         calls["validate"] += 1
-        return validate(*args, **kwargs)
+        calls["validated masks"] += len(mask) if isinstance(mask, list) else 1
+        return validate(grid, mask, *args, **kwargs)
 
     monkeypatch.setattr(grid_module, "label_components", counting_label)
     monkeypatch.setattr(grid_module, "validate_probe", counting_validate)
     family = auto_probes(grid)
-    validations_per_family = calls["validate"]
-    calls.update(label=0, validate=0)
+    validated_per_family = calls["validated masks"]
+    assert calls["validate"] == 1
+    for key in calls:
+        calls[key] = 0
     report = union_check(grid)
-    assert calls["validate"] == validations_per_family
-    # E and F pass after one labeling plus one per probe; the union fails
-    # condition 1 on its own labeling
+    assert calls["validated masks"] == validated_per_family and calls["validate"] == 1
+    # E and F pass after their own labelings and one per probe; the union
+    # fails condition 1 on its own labeling
     assert report.e_verdict.passed and report.f_verdict.passed
     assert report.union_verdict.failed_condition == 1
-    assert calls["label"] == 3 + 2 * len(family)
+    assert calls["label masks"] == 3 + 2 * len(family)
+    # one call labels E, F and their union, and one per verdict its probes
+    assert calls["label"] == 3
 
 
 def _old_dilate(mask, diagonal):
@@ -593,21 +859,22 @@ def test_grid_masks_are_the_dilations_of_the_outside():
         masks = grid_module.GridMasks(grid)
         outside = grid.cells == CellClass.OUTSIDE_G
         assert np.array_equal(masks.outside, outside)
-        assert np.array_equal(masks.near_outside, _old_dilate(outside, diagonal=False))
-        assert np.array_equal(masks.near_boundary, _old_dilate(outside, diagonal=True))
+        # the rims are the G cells of the outside's 4- and 8-neighbourhoods
+        for rim, diagonal in ((masks.rim_4, False), (masks.rim_8, True)):
+            assert np.array_equal(rim, np.flatnonzero(_old_dilate(outside, diagonal) & ~outside))
 
 
 def test_probe_band_check_is_the_dilated_probe_check():
-    # a probe meets the 8-band around the outside exactly when its own
-    # 8-dilation meets the outside
+    # a probe inside G meets the 8-rim around the outside exactly when its
+    # own 8-dilation meets the outside
     rng = np.random.default_rng(11)
     grid = punctured_disc_plane(40)
     masks = grid_module.GridMasks(grid)
     seen = set()
     for _ in range(300):
-        mask = (rng.random(grid.cells.shape) < rng.uniform(0.001, 0.02)) & grid.g_mask
+        mask = (rng.random(grid.cells.shape) < rng.uniform(0.001, 0.02)) & ~grid.outside_mask
         touches = bool(np.any(_old_dilate(mask, diagonal=True) & masks.outside))
-        assert bool(np.any(mask & masks.near_boundary)) == touches
+        assert bool(mask.reshape(-1)[masks.rim_8].any()) == touches
         seen.add(touches)
     assert seen == {True, False}
 

@@ -131,7 +131,7 @@ def test_singular_atoms_validation():
     with pytest.raises(ValidationError):
         SingularAtoms(angles=(0.0,), masses=(0.0,))
     atoms = SingularAtoms(angles=(0.5, 2.5), masses=(0.25, 0.75))
-    assert atoms.total_mass == 1.0
+    assert math.fsum(atoms.masses) == 1.0
     back = SingularAtoms.from_json(atoms.to_json())
     assert back.angles == atoms.angles
     assert back.masses == atoms.masses
