@@ -53,6 +53,10 @@ _EVAL_CHUNK = 65536
 # bits do not depend on it.
 _TILE_ELEMENTS = 2 ** 14
 
+# No factor denominator 1 - conj(a) z rounds to 0 below this modulus: |conj(a)| <= 1 + 3 eps
+# and Re(conj(a) z) is within 3 eps of exact, so it stays below 1 for |z| < 1 - 8 eps.
+_POLE_FREE_RADIUS = 1.0 - 2.0 ** -48
+
 
 class TruncatedEval(NamedTuple):
     value: complex
@@ -134,6 +138,8 @@ class BlaschkeProduct:
             # m (1 - rho^2m) and m (1 - rho^2), the phase bounds' numerators
             self._block_common = m * -np.expm1(2.0 * lrho)
             self._block_spread = m * -np.expm1(2.0 * log_rho)
+        # the longest prefix of eval_many's scalar route: no block zero, one chunk
+        self._one_point_limit = min(_EVAL_CHUNK, seq.blocks[0].start if seq.blocks else len(seq))
         self._chase = None  # zero-chase levels, built on first use
 
     @functools.cached_property
@@ -316,7 +322,7 @@ class BlaschkeProduct:
         return acc
 
     def factors_needed(self, r: float, tol: float) -> int:
-        """Smallest N whose tail bound at radius r is <= tol, or -1 if none."""
+        """The count the prefix rule certifies at radius r for tol, or -1 if none."""
         if not (0.0 <= r < 1.0):
             raise ValidationError(f"truncation requires |z| < 1, got radius {r!r}")
         over, counts, _ = self._prefixes(np.array([r], dtype=np.float64), tol)
@@ -332,22 +338,26 @@ class BlaschkeProduct:
         """tail_bound from growth = (1 + r)/(1 - r), elementwise over arrays."""
         return growth * (self._mass[-1] - self._mass[n] + self.zeros.extension_mass)
 
-    def _prefixes(self, r: np.ndarray, tol: float):
-        """At each radius up to the first outside [0, 1): whether no count is
-        certified, the count used (the certified one, else the whole prefix)
-        and its tail bound, the truncation bound plus the phase bounds of the
-        closed-form blocks used (_phase_bounds)."""
-        if not r.max(initial=0.0) < 1.0:  # moduli are >= 0 or nan
-            r = r[:int((r < 1.0).argmin())]
-        if r.size and tol <= 0.0:
-            raise ValidationError(f"tolerance must be positive, got {tol!r}")
+    def _prefix_rule(self, r, tol: float):
+        """The prefix rule at a radius r in [0, 1), a float or an array of
+        them, for tol > 0: whether no count is certified, the count used (the
+        certified one, else the whole prefix) and its truncation bound."""
         growth = (1.0 + r) / (1.0 - r)
         budget = tol / growth
+        over = self.zeros.extension_mass > budget
         # smallest N with stored plus extension mass - _mass[N] <= budget
         n = self._mass.searchsorted(self._mass[-1] + self.zeros.extension_mass - budget)
-        over = self.zeros.extension_mass > budget
-        counts = np.where(over, len(self), n)
-        bounds = self._tail(growth, counts)
+        counts = n + over * (len(self) - n)  # the whole prefix where over
+        return over, counts, self._tail(growth, counts)
+
+    def _prefixes(self, r: np.ndarray, tol: float):
+        """_prefix_rule at each radius up to the first outside [0, 1), adding to its
+        bounds the phase bounds of the closed-form blocks used (_phase_bounds)."""
+        if not r.max(initial=0.0) < 1.0:  # moduli are >= 0 or nan
+            r = r[:int((r < 1.0).argmin())]
+        if r.size and not tol > 0.0:
+            raise ValidationError(f"tolerance must be positive, got {tol!r}")
+        over, counts, bounds = self._prefix_rule(r, tol)
         if self._block_ends.size:
             bounds += self._phase_bounds(r, counts)
         return over, counts, bounds
@@ -366,12 +376,21 @@ class BlaschkeProduct:
         """
         tol = self.truncation_tolerance if tol is None else tol
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
+        # One point whose prefix is 2.._one_point_limit factors (no block zero) takes
+        # the one-row tile of _products in the same ufuncs, so it has the same bits.
+        w = z.item() if z.size == 1 and self._one_point_limit > 1 else None
+        if w is not None and tol > 0.0 and abs(w) < _POLE_FREE_RADIUS:
+            over, n, bound = self._prefix_rule(abs(w), tol)  # abs has np.hypot's bits
+            if 2 <= n <= self._one_point_limit and not (strict and (over or bound > tol)):
+                absa, conj_a, rot = self._factor_arrays
+                value = np.multiply.reduce((absa[:n] - rot[:n] * w) / (1.0 - conj_a[:n] * w))
+                return BatchEval(np.array([value]), np.array([n]), np.array([bound]))
         r = np.hypot(z.real, z.imag)
         over, counts, bounds = self._prefixes(r, tol)
         stop = over.size  # the first point outside [0, 1), if any
         if strict and stop:
-            # with blocks, strict mode also fails where truncation plus phase exceeds tol
-            failed = over | (bounds > tol) if self._block_ends.size else over
+            # rounding in the tail mass can leave a certified count's bound above tol
+            failed = over | (bounds > tol)
             stop = int(failed.argmax()) if failed.any() else stop
         values = self._value(z[:stop], counts[:stop])
         if not np.isfinite(values.sum()):  # |values| <= 1, so only a pole makes it infinite

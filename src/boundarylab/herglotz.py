@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryLabError, PoleError, ResolutionError, ValidationError
-from .unitdisc import TWO_PI, _cmul, _require_number, normalize_angle
+from .unitdisc import TWO_PI, _cmul, _points, _require_number, normalize_angle
 
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
 _MIN_SAMPLE_COUNT = 16
@@ -366,16 +366,16 @@ def _adaptive_mean(
     )
 
 
-def _in_disc(z, message: str) -> np.ndarray:
-    """z as a 1-d complex array.  Its first point with |z| >= 1 raises
-    ValidationError(message) formatted with the point as z and |z| as r; |z|
-    is np.hypot of the parts, bit for bit Python's abs (np.abs is not)."""
-    points = np.asarray(z, dtype=np.complex128).reshape(-1)
-    outside = np.hypot(points.real, points.imag) >= 1.0
-    if np.count_nonzero(outside):
-        bad = complex(points[outside.argmax()])
+def _in_disc(z, message: str) -> tuple[np.ndarray, bool]:
+    """_points(z).  Its first point with |z| >= 1 raises ValidationError(message)
+    formatted with the point as z and |z| as r; |z| is Python's abs of one point
+    and else np.hypot of the parts, which has its bits (np.abs does not)."""
+    points, one = _points(z)
+    if (abs(points.item()) >= 1.0 if points.size == 1
+            else np.count_nonzero(np.hypot(points.real, points.imag) >= 1.0)):
+        bad = complex(points[(np.hypot(points.real, points.imag) >= 1.0).argmax()])
         raise ValidationError(message.format(z=bad, r=abs(bad)))
-    return points
+    return points, one
 
 
 def poisson_integral(f: BoundaryFunction, z: complex) -> complex:
@@ -384,10 +384,10 @@ def poisson_integral(f: BoundaryFunction, z: complex) -> complex:
     Exact up to rounding: the closed-form transform (H[f] + conj H[conj f]) / 2
     of _herglotz, for every boundary kind.
     """
-    points = _in_disc(complex(z), "Poisson integral needs |z| < 1, got |z| = {r}")
+    points, _ = _in_disc(complex(z), "Poisson integral needs |z| < 1, got |z| = {r}")
     if not isinstance(f, BoundaryFunction):
         raise ValidationError("boundary data must be a BoundaryFunction")
-    return complex(_herglotz(f, points, harmonic=True)[0])
+    return _herglotz(f, points, harmonic=True).item()
 
 
 def kernel_mass(r: float, *, tolerance: float | None = None) -> float:
@@ -437,11 +437,13 @@ def eval_singular_inner(atoms: SingularAtoms, z):
     """exp(-sum m_j (zeta_j + z)/(zeta_j - z)) for atoms (theta_j, m_j), summed in atom
     order at one point (a complex is returned) or at each point of a 1-d array."""
     zetas = [cmath.exp(1j * angle) for angle in atoms.angles]
-    points = np.asarray(z, dtype=np.complex128).reshape(-1)
-    poles = np.flatnonzero(np.isin(points, zetas))  # zeta - z is 0 exactly where z == zeta
-    _in_disc(points[:poles[0] + 1] if poles.size else points,  # moduli up to the first pole
+    points, one = _points(z)
+    # zeta - z is 0 exactly where z == zeta (np.isin costs about 15 us on one point)
+    poles = (([0] if points.item() in zetas else []) if points.size == 1
+             else np.flatnonzero(np.isin(points, zetas)).tolist())
+    _in_disc(points[:poles[0] + 1] if poles else points,  # moduli up to the first pole
              "singular inner functions are evaluated for |z| < 1, got {z!r}")
-    if poles.size:
+    if poles:
         bad = complex(points[poles[0]])
         raise PoleError(f"evaluation point {bad!r} coincides with the atom at angle "
                         f"{atoms.angles[zetas.index(bad)]}")
@@ -449,7 +451,7 @@ def eval_singular_inner(atoms: SingularAtoms, z):
     for zeta, mass in zip(zetas, atoms.masses):
         expo -= mass * (zeta + points) / (zeta - points)
     values = np.exp(expo)
-    return complex(values[0]) if np.ndim(z) == 0 else values
+    return values.item() if one else values
 
 
 def eval_outer(density: OuterDensity, z):
@@ -457,9 +459,10 @@ def eval_outer(density: OuterDensity, z):
 
     H[k] is the closed-form transform of _herglotz.
     """
-    points = _in_disc(z, "outer functions are evaluated for |z| < 1, got {z!r}")
-    values = _cmul(density.lam, np.exp(_herglotz(density.k, points, harmonic=False)))
-    return complex(values[0]) if np.ndim(z) == 0 else values
+    points, one = _in_disc(z, "outer functions are evaluated for |z| < 1, got {z!r}")
+    values = np.exp(_herglotz(density.k, points, harmonic=False))
+    # Python's complex product has _cmul's bits
+    return density.lam * values.item() if one else _cmul(density.lam, values)
 
 
 @dataclass

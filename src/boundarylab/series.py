@@ -22,7 +22,7 @@ from . import config
 from .blaschke import BlaschkeProduct
 from .errors import ValidationError
 from .herglotz import InnerFunctionSpec
-from .unitdisc import ClosedSetSpec, _require_number, gen_accumulation_sequence
+from .unitdisc import ClosedSetSpec, _points, _require_number, gen_accumulation_sequence
 
 _WEIGHT_RULES = ("inverse-square", "inverse-power-2", "custom")
 _PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -129,7 +129,8 @@ def eval_series(spec: SeriesSpec, z, tol: float | None = None) -> SeriesEvaluati
     the reported tail_bound (the unused mass, plus the weighted bounds of
     nested series, evaluated at the same tol) bounds the truncation error.
     z is one point, or a 1-d array of points for which ``value`` is an array.
-    Each component takes one eval_many call over all points.
+    Each component takes one eval_many call over all points; one point is
+    summed as a complex, with the bits of the array sum.
     """
     if not isinstance(spec, SeriesSpec):
         raise ValidationError("expected a SeriesSpec")
@@ -137,12 +138,11 @@ def eval_series(spec: SeriesSpec, z, tol: float | None = None) -> SeriesEvaluati
     if tol <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol!r}")
     used, bound = _truncation(spec, tol)
-    points = np.asarray(z, dtype=np.complex128).reshape(-1)
-    value = np.zeros(points.shape, dtype=np.complex128)
+    points, one = _points(z)
+    value = 0j if one else np.zeros(points.shape, dtype=np.complex128)
     for term in spec.terms[:used]:
-        value += term.weight * term.component.eval_many(points, tol)
-    if np.ndim(z) == 0:
-        value = complex(value[0])
+        part = term.component.eval_many(points, tol)
+        value += term.weight * (part.item() if one else part)
     return SeriesEvaluation(value=value, terms_used=used, tail_bound=bound)
 
 

@@ -64,6 +64,12 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
+def _points(z) -> tuple[np.ndarray, bool]:
+    """z as a 1-d complex array, and whether z is one point (0-d)."""
+    points = np.asarray(z, dtype=np.complex128)
+    return points.reshape(-1), points.ndim == 0
+
+
 def circular_gap(a: float, b: float) -> float:
     """Shortest angular distance between two angles."""
     d = abs(a - b) % TWO_PI

@@ -312,24 +312,25 @@ def _reference_eval(prod, z, strict, tol=None):
     tol = prod.truncation_tolerance if tol is None else tol
     r = abs(z)
     n = prod.factors_needed(r, tol)
-    if n < 0:
-        if strict:
-            achieved = prod.tail_bound(r, len(prod))
-            raise PrefixExhaustedError(
-                f"stored prefix of {len(prod)} zeros cannot reach tolerance "
-                f"{tol:g} at |z| = {r:.6g} (achieved tail bound {achieved:.6g})",
-                tail_bound=achieved,
-            )
-        n = len(prod)
-    return _reference_partial(prod, n, z), n, prod.tail_bound(r, n)
+    bound = prod.tail_bound(r, len(prod) if n < 0 else n)
+    # strict mode fails wherever the bound exceeds tol, also at a certified count
+    if strict and (n < 0 or bound > tol):
+        raise PrefixExhaustedError(
+            f"stored prefix of {len(prod)} zeros cannot reach tolerance "
+            f"{tol:g} at |z| = {r:.6g} (achieved tail bound {bound:.6g})",
+            tail_bound=bound,
+        )
+    n = len(prod) if n < 0 else n
+    return _reference_partial(prod, n, z), n, bound
 
 
 def _outcome(call):
-    """(values, factor counts, tail bounds) as arrays, or (type, message) of the failure."""
+    """(values, factor counts, tail bounds) as arrays, or the failure's type,
+    message and tail bound (None where it has none)."""
     try:
         values, counts, bounds = call()
     except BoundaryLabError as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "tail_bound", None)
     return (np.asarray(values, dtype=np.complex128), np.asarray(counts, dtype=np.int64),
             np.asarray(bounds, dtype=np.float64))
 
@@ -1258,3 +1259,158 @@ def test_mixed_prefix_ends_past_one_chunk_and_between_blocks():
         counts = _same_as_one_point_calls(prod, points, strict=False, tol=tol)[1]
         _same_as_one_point_calls(prod, points, strict=True, tol=tol)
     assert len(prod.zeros.blocks) == 5 and counts.min() > prod.zeros.blocks[1].start
+
+
+# --- one-point calls: the scalar route -----------------------------------------
+#
+# eval_many on one point whose prefix holds two or more factors and no block
+# takes a scalar route, without _prefixes; every outcome must be the batched one.
+
+_GAMMA = 5.590393700586497  # the Lohwater-Piranian targets of the lp6 series, rotated
+LP6_TERMS = [{"generator": {"kind": "accumulation", "depth": 6, "target": target}} for target in (
+    {"kind": "finite-points", "points": [_GAMMA]},
+    {"kind": "arc-union", "arcs": [[_GAMMA + math.pi / 3.0, _GAMMA + 2.0 * math.pi / 3.0]]},
+    {"kind": "cantor", "cantor_level": 3, "base_arc": [_GAMMA + math.pi, _GAMMA + 1.5 * math.pi]},
+)]
+
+
+def _count_scalar_routes(monkeypatch):
+    """A list that gains one entry per one-point eval_many call answered
+    without a call of _prefixes, the array route's prefix choice."""
+    taken, arrays = [], []
+    many, prefixes = BlaschkeProduct.eval_many, BlaschkeProduct._prefixes
+
+    def counted_prefixes(self, *args):
+        arrays.append(args)
+        return prefixes(self, *args)
+
+    def counted_many(self, points, **kwargs):
+        arrays.clear()
+        out = many(self, points, **kwargs)
+        if np.size(points) == 1 and not arrays:
+            taken.append(out)
+        return out
+    monkeypatch.setattr(BlaschkeProduct, "_prefixes", counted_prefixes)
+    monkeypatch.setattr(BlaschkeProduct, "eval_many", counted_many)
+    return taken
+
+
+def _as_one_and_batched(prod, z, strict, tol=None):
+    """The outcome at z alone, checked against the oracle and against the
+    rows of the batched call at [z, z]: values (signed zeros included), counts
+    and bounds, or the failure's type, message and tail bound."""
+    got = _same_as_one_point_calls(prod, [z, z], strict, tol)
+    if isinstance(got[0], type) or got[1][0] != 1:  # one factor: _cmul's bits, not the oracle's
+        _check_many(prod, [z], strict, tol)
+    return got
+
+
+_EDGE_POINTS = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.3),
+                complex(0.3, -0.0), 1.0, -1.0, 1.5j, 1.0 - 2.0 ** -49, complex(math.nan, 0.0),
+                complex(0.3, math.nan), complex(math.inf, 0.0), 0.9999999, 0.9999999j]
+
+
+@pytest.mark.parametrize("spec", [RADIAL30, RADIAL60, CANTOR8, *LP6_TERMS],
+                         ids=["radial30", "radial60", "cantor8", "lp6-1", "lp6-2", "lp6-3"])
+def test_one_point_calls_are_the_batched_rows(spec, monkeypatch):
+    prod = _product(spec)
+    assert not prod.zeros.blocks
+    seq = prod.zeros
+    rng = np.random.default_rng(len(seq) + 17)
+    r = np.concatenate([1.0 - rng.uniform(0.0, 1.0, 24) ** 3, rng.uniform(0.0, 0.05, 4)])
+    points = np.concatenate([r * np.exp(1j * rng.uniform(0.0, TWO_PI, r.size)),
+                             seq.zeros[seq.deficits > 2.0 ** -50][::5]]).tolist() + _EDGE_POINTS
+    taken = _count_scalar_routes(monkeypatch)
+    counts, failures = set(), set()
+    one_factor = 1.1 * prod.tail_bound(0.0, 1)  # certifies one factor near 0
+    for strict in (True, False):
+        for tol in (None, 1e-3, 1e-12, 0.6, one_factor, 5.0, 0.0, -1.0, math.nan):
+            for z in points:
+                got = _as_one_and_batched(prod, z, strict, tol)
+                if isinstance(got[0], type):
+                    failures.add(got[0])
+                else:
+                    counts.add(int(got[1][0]))
+    # empty, one-factor and longer prefixes; truncation, domain and tolerance failures
+    assert {0, 1, len(prod)} <= counts and len(counts) > 5
+    assert failures == {PrefixExhaustedError, ValidationError}
+    assert len(taken) > 200
+
+
+def test_one_point_calls_at_stored_zeros_and_poles(monkeypatch):
+    # at a stored zero the product vanishes up to rounding
+    prod = _product(RADIAL60)
+    taken = _count_scalar_routes(monkeypatch)
+    for z in prod.zeros.zeros[:40:3].tolist():
+        _as_one_and_batched(prod, z, strict=True)
+        assert abs(_as_one_and_batched(prod, z, strict=False)[0][0]) < 1e-6
+    assert taken
+    # a zero at the circle puts its factor's pole there; the pole error names it
+    prod = BlaschkeProduct(ZeroSequence(angles=[0.0, 0.0], deficits=[0.5, 2.0 ** -54]))
+    _bypass_truncation(monkeypatch, prod, lambda r: 2)
+    for z in (1.0, complex(1.0, -0.0)):
+        got = _as_one_and_batched(prod, z, strict=False)
+        assert got[0] is PoleError and "zero #1" in got[1]
+
+
+def test_strict_mode_fails_a_certified_count_whose_bound_exceeds_tol():
+    # the tail mass _mass[-1] - _mass[N] cancels: 53 factors are certified at
+    # tol 1e-9, yet their bound is 1.877e-9
+    prod = _product(RADIAL60)
+    r = 1.0 - 2.0 ** -23
+    z = r * cmath.exp(0.4j)
+    assert prod.factors_needed(r, 1e-9) == 53 and prod.tail_bound(r, 53) > 1e-9
+    for call in (lambda: prod.eval_truncated(z, 1e-9),
+                 lambda: prod.eval_many([0.5, z], strict=True, tol=1e-9)):
+        with pytest.raises(PrefixExhaustedError, match=r"achieved tail bound 1\.8772e-09") as info:
+            call()
+        assert info.value.tail_bound == prod.tail_bound(r, 53)
+    _as_one_and_batched(prod, z, strict=True, tol=1e-9)
+    # best effort keeps the certified count and reports its bound
+    got = _as_one_and_batched(prod, z, strict=False, tol=1e-9)
+    assert got[1][0] == 53 and got[2][0] == prod.tail_bound(r, 53)
+
+
+def test_one_point_calls_on_block_products_take_the_batched_route(monkeypatch):
+    taken = _count_scalar_routes(monkeypatch)
+    prod = _product(FULL10)
+    rng = np.random.default_rng(10)
+    points = rng.uniform(0.05, 0.999, 20) * np.exp(1j * rng.uniform(0.0, TWO_PI, 20))
+    for z in points.tolist():
+        for strict, tol in ((False, None), (False, 0.01), (True, 0.5)):
+            got = _same_as_one_point_calls(prod, [z, z], strict, tol)
+            if not isinstance(got[0], type):
+                assert got[1][0] >= prod.zeros.blocks[0].count
+    assert not taken
+    # radial zeros, then full-circle blocks: a prefix of two or more factors
+    # before the first block takes the scalar route
+    radial, circle = ZeroSequence.from_json(RADIAL30), _full_circle(3).zeros
+    prod = BlaschkeProduct(ZeroSequence(
+        angles=np.concatenate([radial.angles[:20], circle.angles]),
+        deficits=np.concatenate([radial.deficits[:20], circle.deficits]),
+        blocks=[b._replace(start=b.start + 20) for b in circle.blocks]))
+    first = prod.zeros.blocks[0].start
+    counts = set()
+    for z in points.tolist():
+        for tol in (2.0, 0.3, 1e-3, 1e-6, None):
+            before = len(taken)
+            n = int(_same_as_one_point_calls(prod, [z, z], strict=False, tol=tol)[1][0])
+            assert len(taken) - before == 2 * (2 <= n <= first)
+            counts.add(n)
+    assert min(counts) < 2 and any(2 <= n <= first for n in counts) and max(counts) > first
+
+
+def test_one_point_route_on_drawn_points():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    prods = [_product(spec) for spec in (RADIAL30, RADIAL60, CANTOR8, LP6_TERMS[1])]
+    parts = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-300, -5e-324])
+    tols = st.sampled_from([None, 1e-12, 1e-6, 1e-3, 0.3, 2.0])
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(k=st.integers(0, len(prods) - 1), re=parts, im=parts,
+                      strict=st.booleans(), tol=tols)
+    def check(k, re, im, strict, tol):
+        _as_one_and_batched(prods[k], complex(re, im), strict, tol)
+
+    check()
