@@ -33,7 +33,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ValidationError
-from .unitdisc import _require_number
+from .unitdisc import _require_number, _require_row
 
 
 class CellClass(IntEnum):
@@ -224,7 +224,7 @@ class GridPlane:
             cells=cells,
             frame_is_unbounded=bool(data["unbounded"]),
             cell_size=_require_number(data, "cell_size") if "cell_size" in data else 1.0,
-            origin=(_require_number(origin, 0, "origin"), _require_number(origin, 1, "origin")),
+            origin=_require_row(origin, 2, "origin"),
         )
 
 
@@ -338,36 +338,23 @@ class ComponentLabeling:
 
 
 def _per_canvas(masks: GridMasks) -> int:
-    """How many masks of the grid's shape, or crops of them, one canvas holds."""
+    """How many masks of the grid's shape one canvas holds."""
     h, w = masks.outside.shape
     return max(1, _CANVAS_CELLS // ((h + 1) * w))
 
 
 def _canvas(bands: list) -> np.ndarray:
-    """2-d masks as the row bands of one mask, one all-False row apart.
+    """Masks of one shape as the row bands of one mask, one all-False row apart.
 
-    Bands narrower than the widest are padded with False.  No 4- or
-    8-connected component crosses an all-False row, so each band is labeled
-    exactly as it would be alone.  One band is its own canvas.
+    No 4- or 8-connected component crosses an all-False row, so each band is
+    labeled exactly as it would be alone.  One band is its own canvas.
     """
     if len(bands) == 1:
         return bands[0]
-    rows = np.cumsum([0] + [band.shape[0] + 1 for band in bands])
-    canvas = np.zeros((rows[-1], max(band.shape[1] for band in bands)), dtype=bool)
-    for band, top in zip(bands, rows):
-        canvas[top:top + band.shape[0], :band.shape[1]] = band
-    return canvas
-
-
-def _component_counts(bands: list, diagonal: bool, per: int) -> list[int]:
-    """The number of components of each 2-d mask, per masks to a _runs call."""
-    counts = []
-    for i in range(0, len(bands), per):
-        part = bands[i:i + per]
-        canvas, tops = _canvas(part), np.cumsum([0] + [band.shape[0] + 1 for band in part])
-        first = _runs(canvas, diagonal)[3]
-        counts += np.diff(np.searchsorted(first, tops * canvas.shape[1])).tolist()
-    return counts
+    h, w = bands[0].shape
+    canvas = np.zeros((len(bands), h + 1, w), dtype=bool)
+    canvas[:, :h] = bands
+    return canvas.reshape(-1, w)
 
 
 def _labeled(canvas: np.ndarray, k: int, masks: GridMasks) -> list[ComponentLabeling]:
@@ -485,95 +472,66 @@ class Probe:
     mask: np.ndarray
 
 
-def _checked(grid: GridPlane, masks: GridMasks, candidates: list, names: list) -> list:
-    """Each candidate mask's Probe, or the ValidationError that checking it alone raises.
-
-    The cell checks run per candidate, in order.  Connectivity is then decided
-    on the bounding-box crops of the candidates that pass them, one labeling
-    per connectivity and canvas.
-    """
-    checks, boxes = [], []
-    for mask, name in zip(candidates, names):
-        mask = mask.astype(bool)
-        if mask.shape != grid.cells.shape:
-            error = "mask shape does not match the grid"
-        elif not mask.any():
-            error = "empty probe mask"
-        elif np.any(mask & masks.outside):
-            error = "probe leaves G"
-        # 8-adjacency is symmetric: the probe meets the rim around the outside
-        elif mask.reshape(-1)[masks.rim_8].any():
-            error = "probe touches the boundary of G"
-        else:
-            rows = np.any(mask, axis=1).nonzero()[0]
-            cols = np.any(mask, axis=0).nonzero()[0]
-            boxes.append(mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1])
-            error = None
-        checks.append((name, mask, error))
-    per = _per_canvas(masks)
-    counts = iter(zip(_component_counts(boxes, True, per),
-                      _component_counts([~box for box in boxes], False, per)))
-    results = []
-    for name, mask, error in checks:
-        if error is None:
-            parts, gaps = next(counts)
-            if parts > 1:
-                error = "probe mask is disconnected"
-            elif gaps > 1:
-                error = ("probe complement splits inside its bounding box "
-                         "(boundary is not Jordan-like)")
-        results.append(Probe(name, mask) if error is None else ValidationError(f"{name}: {error}"))
-    return results
-
-
-def validate_probe(grid: GridPlane, mask: np.ndarray | list, name: str | list = "probe",
-                   masks: GridMasks | None = None) -> Probe | list:
+def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe",
+                   masks: GridMasks | None = None) -> Probe:
     """Probes must be nonempty, strictly inside G, 8-connected, with
     4-connected complement inside their bounding box (the raster stand-in for
     a compact with Jordan boundary).  Strictly inside means no cell is even
     8-adjacent to the complement of G: a compact subset of an open set keeps
     positive distance from its boundary, and on the raster two closed cell
-    squares meet exactly when the cells are 8-adjacent.  masks, when given,
-    are GridMasks(grid).
-
-    A list of masks, with a list of their names, is checked in one pass: the
-    result lists, in order, each mask's Probe or the ValidationError that
-    checking it alone raises."""
+    squares meet exactly when the cells are 8-adjacent.  Connectivity is
+    decided on the mask's bounding-box crop.  masks, when given, are
+    GridMasks(grid)."""
     masks = GridMasks(grid) if masks is None else masks
-    if isinstance(mask, list):
-        return _checked(grid, masks, mask, name)
-    result = _checked(grid, masks, [mask], [name])[0]
-    if isinstance(result, ValidationError):
-        raise result
-    return result
+    mask = mask.astype(bool)
+    if mask.shape != grid.cells.shape:
+        raise ValidationError(f"{name}: mask shape does not match the grid")
+    if not mask.any():
+        raise ValidationError(f"{name}: empty probe mask")
+    if np.any(mask & masks.outside):
+        raise ValidationError(f"{name}: probe leaves G")
+    # 8-adjacency is symmetric: the probe meets the rim around the outside
+    if mask.reshape(-1)[masks.rim_8].any():
+        raise ValidationError(f"{name}: probe touches the boundary of G")
+    rows = np.any(mask, axis=1).nonzero()[0]
+    cols = np.any(mask, axis=0).nonzero()[0]
+    box = mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    if _runs(box, diagonal=True)[3].size > 1:
+        raise ValidationError(f"{name}: probe mask is disconnected")
+    if _runs(~box, diagonal=False)[3].size > 1:
+        raise ValidationError(
+            f"{name}: probe complement splits inside its bounding box "
+            "(boundary is not Jordan-like)"
+        )
+    return Probe(name, mask)
 
 
 def auto_probes(grid: GridPlane, masks: GridMasks | None = None) -> list[Probe]:
     """Expanding concentric square annuli centered on the window.
 
-    Candidates that leave G or fail probe validation are dropped, so domains
-    with punctures or narrow windows simply get a smaller family.  masks,
-    when given, are GridMasks(grid).
+    Each ring has radius at most (min(h, w) - 1) // 2 - 1, so it lies in
+    rows and columns 1 to n - 2 of the window: a full square ring, 4-connected,
+    whose box complement is a connected square of at least 3 x 3 cells.  Such
+    a ring fails validation only by leaving G or touching the boundary of G,
+    that is by a cell outside G or in rim_8.  Radii that hold such a cell are
+    skipped, so domains with punctures or narrow windows simply get a smaller
+    family; the first four others are kept.  masks, when given, are
+    GridMasks(grid).
     """
     masks = GridMasks(grid) if masks is None else masks
     h, w = grid.cells.shape
     # Chebyshev distance of every cell from the window's center cell
     distance = np.maximum(np.abs(np.arange(h)[:, None] - h // 2), np.abs(np.arange(w) - w // 2))
+    blocked = np.zeros(max(h, w), dtype=bool)  # indexed by distance
+    blocked[distance[masks.outside]] = True
+    blocked[distance.reshape(-1)[masks.rim_8]] = True
     max_radius = (min(h, w) - 1) // 2 - 1
     radii, radius = [], 2
-    while radius <= max_radius:
-        radii.append(radius)
+    while radius <= max_radius and len(radii) < 4:
+        if not blocked[radius]:
+            radii.append(radius)
         radius = radius * 2 if radius * 2 <= max_radius else radius + max(1, max_radius // 4)
-    per, probes = _per_canvas(masks), []
-    # as many rings per call as one canvas holds, till four are valid
-    for i in range(0, len(radii), per):
-        rings = [distance == radius for radius in radii[i:i + per]]
-        for ring in validate_probe(grid, rings, [""] * len(rings), masks):
-            if isinstance(ring, Probe) and len(probes) < 4:
-                probes.append(Probe(f"auto-ring-{len(probes)}", ring.mask))
-        if len(probes) == 4:
-            break
-    return probes
+    return [Probe(f"auto-ring-{i}", distance == radius) for i, radius in enumerate(radii)]
 
 
 def _gather_probes(grid: GridPlane, masks: GridMasks, probes) -> list[Probe]:
@@ -588,12 +546,7 @@ def _gather_probes(grid: GridPlane, masks: GridMasks, probes) -> list[Probe]:
     marked = grid.cells == CellClass.K_PROBE
     if marked.any():
         named.append(("grid-K", marked))
-    if named:
-        family += validate_probe(grid, [m for _, m in named], [n for n, _ in named], masks)
-        error = next((p for p in family if isinstance(p, ValidationError)), None)
-        if error is not None:
-            raise error
-    return family
+    return family + [validate_probe(grid, mask, name, masks) for name, mask in named]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryLabError, PoleError, ResolutionError, ValidationError
-from .unitdisc import TWO_PI, _cmul, _points, _require_number, normalize_angle
+from .unitdisc import TWO_PI, _cmul, _points, _require_number, _require_row, normalize_angle
 
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
 _MIN_SAMPLE_COUNT = 16
@@ -161,10 +161,8 @@ class BoundaryFunction:
             samples = data.get("samples")
             if not isinstance(samples, list) or not samples:
                 raise ValidationError("field 'samples' must be a nonempty list")
-            angles = [_require_number(row, 0, "sample") for row in samples]
-            values = [complex(_require_number(row, 1, "sample"), _require_number(row, 2, "sample"))
-                      for row in samples]
-            return cls.from_samples(angles, values)
+            rows = [_require_row(row, 3, "sample") for row in samples]
+            return cls.from_samples([a for a, _, _ in rows], [complex(x, y) for _, x, y in rows])
         if kind == "form":
             name = data.get("name")
             if not isinstance(name, str):
@@ -172,8 +170,7 @@ class BoundaryFunction:
             arc = data.get("arc")
             return cls.form(
                 name,
-                arc=None if arc is None else (_require_number(arc, 0, "arc"),
-                                              _require_number(arc, 1, "arc")),
+                arc=None if arc is None else _require_row(arc, 2, "arc"),
                 scale=_require_number(data, "scale") if "scale" in data else 1.0,
             )
         raise ValidationError(f"unknown boundary function kind {kind!r}")
@@ -207,9 +204,8 @@ class SingularAtoms:
     def from_json(cls, data: dict) -> "SingularAtoms":
         if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
             raise ValidationError("singular atoms JSON needs a list field 'atoms'")
-        rows = data["atoms"]
-        return cls(angles=tuple(_require_number(row, 0, "atom") for row in rows),
-                   masses=tuple(_require_number(row, 1, "atom") for row in rows))
+        rows = [_require_row(row, 2, "atom") for row in data["atoms"]]
+        return cls(angles=tuple(a for a, _ in rows), masses=tuple(m for _, m in rows))
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,21 @@ def _require_number(obj, key, where: str = "") -> float:
     return value
 
 
+def _require_row(row, size: int, where: str, shape_error: str = "") -> tuple[float, ...]:
+    """A JSON row of size numbers as floats; a longer list is refused.
+
+    With shape_error, every row but a list of size entries is refused with
+    that message.  Without it, a short or non-list row fails at its first
+    missing or non-numeric entry, as _require_number reports it.
+    """
+    is_list = isinstance(row, (list, tuple))
+    if shape_error and not (is_list and len(row) == size):
+        raise ValidationError(shape_error)
+    if is_list and len(row) > size:
+        raise ValidationError(f"{where} must have {size} entries, found {len(row)}")
+    return tuple(_require_number(row, k, where) for k in range(size))
+
+
 def _require_int(obj: dict, key: str) -> int:
     if key not in obj:
         raise ValidationError(f"missing field {key!r}")
@@ -380,22 +395,19 @@ class ClosedSetSpec:
         arcs = data.get("arcs", [])
         if not isinstance(points, list) or not isinstance(arcs, list):
             raise ValidationError("'points' and 'arcs' must be lists")
-        for k, arc in enumerate(arcs):
-            if not (isinstance(arc, (list, tuple)) and len(arc) == 2):
-                raise ValidationError(f"arcs[{k}] must be a [start, end] pair")
-        base = data.get("base_arc", [0.0, TWO_PI])
-        if not (isinstance(base, (list, tuple)) and len(base) == 2):
-            raise ValidationError("'base_arc' must be a [start, end] pair")
+        arcs = tuple(_require_row(arc, 2, f"arcs[{k}]", f"arcs[{k}] must be a [start, end] pair")
+                     for k, arc in enumerate(arcs))
+        base = _require_row(data.get("base_arc", [0.0, TWO_PI]), 2, "base_arc",
+                            "'base_arc' must be a [start, end] pair")
         level = data.get("cantor_level", 0)
         if isinstance(level, bool) or not isinstance(level, int):
             raise ValidationError("'cantor_level' must be an integer")
         return cls(
             kind=data["kind"],
             points=tuple(_require_number(points, k, "points") for k in range(len(points))),
-            arcs=tuple((_require_number(arc, 0, f"arcs[{k}]"),
-                        _require_number(arc, 1, f"arcs[{k}]")) for k, arc in enumerate(arcs)),
+            arcs=arcs,
             cantor_level=level,
-            base_arc=(_require_number(base, 0, "base_arc"), _require_number(base, 1, "base_arc")),
+            base_arc=base,
         )
 
 

@@ -219,6 +219,15 @@ def test_validate_probe_rules():
     solid[6:15, 6:15] = True
     probe = validate_probe(grid, solid)
     assert probe.mask.sum() == 81
+    # the probe is 8-connected through a diagonal, its box complement 4-connected
+    hooked = np.zeros((size, size), dtype=bool)
+    hooked[5, 5:9] = hooked[5:9, 5] = hooked[6, 6] = hooked[7, 7] = True
+    validate_probe(grid, hooked)
+    # a ring missing one corner leaves that corner and its center 8-adjacent only
+    notched = _ring_mask(size, 10, 1)
+    notched[11, 11] = False
+    with pytest.raises(ValidationError, match="complement splits"):
+        validate_probe(grid, notched)
 
 
 def test_probe_must_stay_off_boundary_of_g():
@@ -364,6 +373,15 @@ def test_json_rejects_malformed_fields():
             GridPlane.from_json({**good, **bad})
     for flag, unbounded in ((True, True), (False, False), (1, True), (0, False)):
         assert GridPlane.from_json({**good, "unbounded": flag}).frame_is_unbounded is unbounded
+
+
+def test_json_origin_rows_have_two_entries():
+    good = {"width": 2, "height": 1, "unbounded": 0, "cells": [1, 1]}
+    assert GridPlane.from_json({**good, "origin": [1, 2.5]}).origin == (1.0, 2.5)
+    with pytest.raises(ValidationError, match="^origin must have 2 entries, found 3$"):
+        GridPlane.from_json({**good, "origin": [1, 2, 3]})
+    with pytest.raises(ValidationError, match=r"^missing origin\[1\]$"):
+        GridPlane.from_json({**good, "origin": [1]})
 
 
 def test_parsers_raise_only_validation_errors():
@@ -589,10 +607,10 @@ def test_connected_matches_reference():
     stair = np.eye(6, dtype=bool)
     masks.append(stair)
     for diagonal in (False, True):
-        counts = grid_module._component_counts(masks, diagonal, len(masks))
+        counts = [grid_module._runs(m, diagonal)[3].size for m in masks]
         assert [count <= 1 for count in counts] == [_bfs_connected(m, diagonal) for m in masks]
-    assert grid_module._component_counts([stair], True, 1) == [1]
-    assert grid_module._component_counts([stair], False, 1) == [6]
+    assert grid_module._runs(stair, True)[3].size == 1
+    assert grid_module._runs(stair, False)[3].size == 6
 
 
 def _assert_stack_matches_single(grid, subjects):
@@ -638,26 +656,24 @@ def test_stacked_labelings_match_single_labelings():
         _assert_stack_matches_single(grid, _band_cases(grid, rng))
 
 
-def _assert_counts_match_alone(bands):
+def _assert_run_counts_match_scipy(masks):
     ndimage = pytest.importorskip("scipy.ndimage")
     for diagonal in (False, True):
-        alone = [grid_module._runs(band, diagonal)[3].size for band in bands]
-        for per in (1, 2, len(bands)):
-            assert grid_module._component_counts(bands, diagonal, per) == alone
         structure = np.ones((3, 3)) if diagonal else None
-        assert alone == [ndimage.label(band, structure=structure)[1] for band in bands]
+        assert [grid_module._runs(mask, diagonal)[3].size for mask in masks] == \
+            [ndimage.label(mask, structure=structure)[1] for mask in masks]
 
 
-def test_stacked_counts_of_ragged_bands_match_counts_alone():
+def test_run_counts_of_ragged_masks_match_scipy():
     rng = np.random.default_rng(31)
     corner = np.zeros((3, 4), dtype=bool)
-    corner[-1, -1] = True  # on a band's last row, diagonal to the next band's first cell
-    _assert_counts_match_alone([corner, np.eye(5, dtype=bool), np.zeros((2, 9), dtype=bool),
-                                np.ones((4, 2), dtype=bool), np.eye(1, 7, 6, dtype=bool)])
+    corner[-1, -1] = True
+    _assert_run_counts_match_scipy([corner, np.eye(5, dtype=bool), np.zeros((2, 9), dtype=bool),
+                                    np.ones((4, 2), dtype=bool), np.eye(1, 7, 6, dtype=bool)])
     for _ in range(30):
-        bands = [rng.random(tuple(int(n) for n in rng.integers(1, 14, size=2))) < density
+        masks = [rng.random(tuple(int(n) for n in rng.integers(1, 14, size=2))) < density
                  for density in rng.uniform(0.2, 0.8, size=int(rng.integers(1, 7)))]
-        _assert_counts_match_alone(bands)
+        _assert_run_counts_match_scipy(masks)
 
 
 def test_stacks_match_single_masks_on_drawn_masks():
@@ -679,9 +695,9 @@ def test_stacks_match_single_masks_on_drawn_masks():
         _assert_stack_matches_single(grid, _band_cases(grid, np.random.default_rng(seed)))
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(bands=ragged)
-    def check_counts(bands):
-        _assert_counts_match_alone(bands)
+    @hypothesis.given(masks=ragged)
+    def check_counts(masks):
+        _assert_run_counts_match_scipy(masks)
 
     check_labelings()
     check_counts()
@@ -699,8 +715,10 @@ def test_small_canvas_budget_splits_calls_and_keeps_results(monkeypatch):
     monkeypatch.setattr(grid_module, "_CANVAS_CELLS", budget)
     assert [union_check(grid).to_json(), is_arakeljan(grid, "E").to_json(),
             [p.name for p in auto_probes(grid)]] == wanted
-    # each canvas is within the budget
-    assert all(h * w <= budget for h, w in shapes) and len(shapes) > 10
+    # two bands to a canvas: E, F and the union take two calls, each passing
+    # verdict one for its two probes, and E's own labeling one
+    assert [p.name for p in auto_probes(grid)] == ["auto-ring-0", "auto-ring-1"]
+    assert shapes == [(98, 48), (48, 48), (98, 48), (98, 48), (48, 48), (98, 48)]
     shapes.clear()
     stacked = label_components(grid, [grid.subject_mask("F")] * 5)
     assert shapes == [(98, 48), (98, 48), (48, 48)]  # bands of two, two and one
@@ -708,34 +726,9 @@ def test_small_canvas_budget_splits_calls_and_keeps_results(monkeypatch):
         assert np.array_equal(got.labels, labeling.labels)
         assert got.components == labeling.components
     monkeypatch.setattr(grid_module, "_CANVAS_CELLS", 1)
-    assert grid_module._component_counts([np.eye(3, dtype=bool)] * 2, False, 1) == [3, 3]
+    shapes.clear()
     assert union_check(grid).to_json() == wanted[0]
-
-
-def test_probe_list_results_match_single_validations():
-    size = 21
-    cells = _all_plane(size)
-    cells[10, 10] = int(CellClass.OUTSIDE_G)
-    grid = GridPlane(cells=cells, frame_is_unbounded=False)
-    candidates = [np.zeros((size, size), dtype=bool), _ring_mask(size, 10, 4),
-                  np.zeros((3, 3), dtype=bool), _ring_mask(size, 10, 1), _ring_mask(size, 10, 8)]
-    split = np.zeros((size, size), dtype=bool)
-    split[2, 2] = split[2, 5] = True
-    cross = np.zeros((size, size), dtype=bool)
-    cross[4, 1:8] = cross[1:8, 4] = True
-    outside = np.zeros((size, size), dtype=bool)
-    outside[10, 10] = True
-    candidates += [split, cross, outside, np.ones((size, size), dtype=bool)]
-    names = [f"c{i}" for i in range(len(candidates))]
-    results = validate_probe(grid, candidates, names)
-    assert [type(r) for r in results].count(grid_module.Probe) == 2
-    for mask, name, result in zip(candidates, names, results):
-        try:
-            alone = validate_probe(grid, mask, name)
-        except ValidationError as exc:
-            assert isinstance(result, ValidationError) and str(result) == str(exc)
-        else:
-            assert result.name == alone.name and np.array_equal(result.mask, alone.mask)
+    assert set(shapes) == {(48, 48)}  # one mask to a call
 
 
 def test_probe_errors_follow_the_order_of_the_list():
@@ -795,21 +788,51 @@ def _old_auto_probes(grid):
     return probes
 
 
-@pytest.mark.parametrize("budget", [1, 1 << 18])
-def test_auto_probes_match_one_by_one_validation(monkeypatch, budget):
-    monkeypatch.setattr(grid_module, "_CANVAS_CELLS", budget)
-    planes = [punctured_disc_plane(96), annulus_window_plane(48), radial_segment_plane(64),
-              GridPlane(cells=_all_plane(200), frame_is_unbounded=True),
-              *iter_random_pairs(5, 4, 48)]
+def _assert_auto_probes_match_the_oracle(grid):
+    got, want = auto_probes(grid), _old_auto_probes(grid)
+    assert [p.name for p in got] == [p.name for p in want]
+    assert all(np.array_equal(a.mask, b.mask) for a, b in zip(got, want))
+    for probe in got:
+        validate_probe(grid, probe.mask, probe.name)
+
+
+def test_auto_probes_match_one_by_one_validation(monkeypatch):
+    planes = [get_fixture(name, size) for name in ("annulus", "punctured-disc", "radial-segment")
+              for size in (33, 64, 96, 192)]
+    planes += [GridPlane(cells=_all_plane(200), frame_is_unbounded=True),
+               *iter_random_pairs(5, 12, 48)]
     for grid in planes:
-        got, want = auto_probes(grid), _old_auto_probes(grid)
-        assert [p.name for p in got] == [p.name for p in want]
-        assert all(np.array_equal(a.mask, b.mask) for a, b in zip(got, want))
+        _assert_auto_probes_match_the_oracle(grid)
+    # the rings are built valid: auto_probes labels nothing and validates nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("auto_probes checked a ring")
+
+    monkeypatch.setattr(grid_module, "_runs", refuse)
+    monkeypatch.setattr(grid_module, "validate_probe", refuse)
+    for grid in planes:
+        auto_probes(grid)
+    monkeypatch.undo()
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(h=st.integers(1, 59), w=st.integers(1, 59), unbounded=st.booleans(),
+                      punctures=st.lists(st.tuples(st.integers(0, 58), st.integers(0, 58)),
+                                         max_size=6))
+    def check(h, w, unbounded, punctures):
+        cells = np.full((h, w), int(CellClass.G_FREE), dtype=np.uint8)
+        for r, c in punctures:
+            cells[r % h, c % w] = int(CellClass.OUTSIDE_G)
+        hypothesis.assume((cells == CellClass.G_FREE).any())
+        _assert_auto_probes_match_the_oracle(GridPlane(cells=cells, frame_is_unbounded=unbounded))
+
+    check()
 
 
 def test_union_check_validates_probes_once_and_labels_each_subject_once(monkeypatch):
     grid = punctured_disc_plane(96)
-    calls = {"label": 0, "validate": 0, "label masks": 0, "validated masks": 0}
+    calls = {"label": 0, "validate": 0, "label masks": 0}
     label, validate = grid_module.label_components, grid_module.validate_probe
 
     def counting_label(grid, subject, *args):
@@ -817,20 +840,16 @@ def test_union_check_validates_probes_once_and_labels_each_subject_once(monkeypa
         calls["label masks"] += len(subject) if isinstance(subject, list) else 1
         return label(grid, subject, *args)
 
-    def counting_validate(grid, mask, *args, **kwargs):
+    def counting_validate(*args, **kwargs):
         calls["validate"] += 1
-        calls["validated masks"] += len(mask) if isinstance(mask, list) else 1
-        return validate(grid, mask, *args, **kwargs)
+        return validate(*args, **kwargs)
 
     monkeypatch.setattr(grid_module, "label_components", counting_label)
     monkeypatch.setattr(grid_module, "validate_probe", counting_validate)
     family = auto_probes(grid)
-    validated_per_family = calls["validated masks"]
-    assert calls["validate"] == 1
-    for key in calls:
-        calls[key] = 0
     report = union_check(grid)
-    assert calls["validated masks"] == validated_per_family and calls["validate"] == 1
+    # auto rings are built valid and need no validation
+    assert calls["validate"] == 0
     # E and F pass after their own labelings and one per probe; the union
     # fails condition 1 on its own labeling
     assert report.e_verdict.passed and report.f_verdict.passed
@@ -838,6 +857,11 @@ def test_union_check_validates_probes_once_and_labels_each_subject_once(monkeypa
     assert calls["label masks"] == 3 + 2 * len(family)
     # one call labels E, F and their union, and one per verdict its probes
     assert calls["label"] == 3
+    # a probe marked on the grid is validated once for all three verdicts
+    cells = grid.cells.copy()
+    cells[family[0].mask] = int(CellClass.K_PROBE)
+    union_check(GridPlane(cells=cells, frame_is_unbounded=grid.frame_is_unbounded))
+    assert calls["validate"] == 1
 
 
 def _old_dilate(mask, diagonal):

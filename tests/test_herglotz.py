@@ -137,6 +137,14 @@ def test_singular_atoms_validation():
     assert back.masses == atoms.masses
 
 
+def test_atom_rows_have_two_entries():
+    assert SingularAtoms.from_json({"atoms": [[0.5, 1]]}).masses == (1.0,)
+    with pytest.raises(ValidationError, match="^atom must have 2 entries, found 3$"):
+        SingularAtoms.from_json({"atoms": [[0.5, 1.0], [1.5, 1.0, 9.0]]})
+    with pytest.raises(ValidationError, match=r"^missing atom\[1\]$"):
+        SingularAtoms.from_json({"atoms": [[0.5]]})
+
+
 def test_outer_constant_log_modulus():
     density = OuterDensity(k=BoundaryFunction.constant(math.log(2.0)))
     rng = np.random.default_rng(23)
@@ -209,6 +217,24 @@ def test_boundary_function_json_round_trip():
         BoundaryFunction.form("indicator-arc", arc=(1.0, 1.0))
     with pytest.raises(ValidationError):
         BoundaryFunction.form("tan")
+
+
+def test_arc_rows_have_two_entries():
+    form = {"kind": "form", "name": "indicator-arc"}
+    assert BoundaryFunction.from_json({**form, "arc": [0, 1]}).arc == (0.0, 1.0)
+    with pytest.raises(ValidationError, match="^arc must have 2 entries, found 3$"):
+        BoundaryFunction.from_json({**form, "arc": [0, 1, 7]})
+    with pytest.raises(ValidationError, match=r"^missing arc\[1\]$"):
+        BoundaryFunction.from_json({**form, "arc": [0]})
+
+
+def test_sample_rows_have_three_entries():
+    rows = [[TWO_PI * k / 16, math.cos(TWO_PI * k / 16), 0.0] for k in range(16)]
+    BoundaryFunction.from_json({"kind": "samples", "samples": rows})
+    with pytest.raises(ValidationError, match="^sample must have 3 entries, found 4$"):
+        BoundaryFunction.from_json({"kind": "samples", "samples": rows[:15] + [rows[15] + [1.0]]})
+    with pytest.raises(ValidationError, match=r"^missing sample\[2\]$"):
+        BoundaryFunction.from_json({"kind": "samples", "samples": rows[:15] + [rows[15][:2]]})
 
 
 def test_inner_function_spec_product():

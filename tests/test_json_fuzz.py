@@ -5,6 +5,7 @@ import math
 import pytest
 
 from boundarylab.errors import ValidationError
+from boundarylab.grid import GridPlane
 from boundarylab.herglotz import BoundaryFunction, InnerFunctionSpec, OuterDensity, SingularAtoms
 from boundarylab.series import SeriesSpec
 from boundarylab.unitdisc import TWO_PI, ClosedSetSpec, ZeroSequence
@@ -34,6 +35,8 @@ _SERIES = {"weight_rule": "inverse-power-2", "terms": [
     {"weight": 0.25, "component": {"series": {"terms": [
         {"weight": 0.5, "component": {"blaschke": _ZEROS[2]}}]}}},
 ]}
+_GRID = {"width": 3, "height": 2, "unbounded": True, "cell_size": 0.5, "origin": [1.0, -2.0],
+         "cells": [1, 2, 3, 0, 4, 1]}
 _PARSERS = {
     ZeroSequence: _ZEROS,
     ClosedSetSpec: _CLOSED_SETS,
@@ -42,6 +45,7 @@ _PARSERS = {
     OuterDensity: [_OUTER],
     InnerFunctionSpec: [_INNER],
     SeriesSpec: [_SERIES],
+    GridPlane: [_GRID],
 }
 
 

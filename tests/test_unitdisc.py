@@ -171,6 +171,18 @@ def test_closed_set_arcs():
         ClosedSetSpec(kind="arc-union", arcs=((0.0, 1.0), (0.5, 2.0)))
 
 
+def test_closed_set_json_pairs_keep_their_messages():
+    spec = {"kind": "arc-union", "arcs": [[0, 1]]}
+    assert ClosedSetSpec.from_json(spec).arcs == ((0.0, 1.0),)
+    for arcs in ([[0, 1], [2, 3, 4]], [[0, 1], [2]], [[0, 1], 2]):
+        with pytest.raises(ValidationError, match=r"^arcs\[1\] must be a \[start, end\] pair$"):
+            ClosedSetSpec.from_json({**spec, "arcs": arcs})
+    with pytest.raises(ValidationError, match=r"^arcs\[0\]\[1\] must be a number$"):
+        ClosedSetSpec.from_json({**spec, "arcs": [[0, "1"]]})
+    with pytest.raises(ValidationError, match=r"^'base_arc' must be a \[start, end\] pair$"):
+        ClosedSetSpec.from_json({"kind": "cantor", "base_arc": [0, 1, 2]})
+
+
 def test_closed_set_cantor():
     spec = ClosedSetSpec(kind="cantor", cantor_level=3, base_arc=(0.0, 1.0))
     arcs = spec.closure_arcs()
