@@ -794,9 +794,18 @@ def _assert_auto_probes_match_the_oracle(grid):
     assert all(np.array_equal(a.mask, b.mask) for a, b in zip(got, want))
     for probe in got:
         validate_probe(grid, probe.mask, probe.name)
+    # the family labeled as one list of subjects, on canvases of the current
+    # budget, is labeled as each ring alone
+    if got:
+        for probe, stacked in zip(got, label_components(grid, [p.mask for p in got])):
+            alone = label_components(grid, probe.mask)
+            assert np.array_equal(stacked.labels, alone.labels)
+            assert stacked.components == alone.components
 
 
-def test_auto_probes_match_one_by_one_validation(monkeypatch):
+@pytest.mark.parametrize("budget", [1, 1 << 18])
+def test_auto_probes_match_one_by_one_validation(monkeypatch, budget):
+    monkeypatch.setattr(grid_module, "_CANVAS_CELLS", budget)
     planes = [get_fixture(name, size) for name in ("annulus", "punctured-disc", "radial-segment")
               for size in (33, 64, 96, 192)]
     planes += [GridPlane(cells=_all_plane(200), frame_is_unbounded=True),
@@ -804,6 +813,8 @@ def test_auto_probes_match_one_by_one_validation(monkeypatch):
     for grid in planes:
         _assert_auto_probes_match_the_oracle(grid)
     # the rings are built valid: auto_probes labels nothing and validates nothing
+    runs, validate = grid_module._runs, grid_module.validate_probe
+
     def refuse(*args, **kwargs):
         raise AssertionError("auto_probes checked a ring")
 
@@ -811,7 +822,8 @@ def test_auto_probes_match_one_by_one_validation(monkeypatch):
     monkeypatch.setattr(grid_module, "validate_probe", refuse)
     for grid in planes:
         auto_probes(grid)
-    monkeypatch.undo()
+    monkeypatch.setattr(grid_module, "_runs", runs)
+    monkeypatch.setattr(grid_module, "validate_probe", validate)
 
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
