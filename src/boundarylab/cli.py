@@ -258,7 +258,7 @@ def _cmd_series(args: argparse.Namespace, cfg: dict) -> int:
     tol = cfg["series_tolerance"]
     if args.at is not None:
         z = complex(args.at[0], args.at[1])
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise ValidationError(f"--at point must lie inside the unit disc, got |z| = {abs(z)}")
         ev = eval_series(spec, z, tol=tol)
         payload = {

@@ -33,7 +33,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ValidationError
-from .unitdisc import _require_number, _require_row
+from .unitdisc import _require_number, _require_object, _require_row
 
 
 class CellClass(IntEnum):
@@ -190,20 +190,9 @@ class GridPlane:
 
     # --- JSON format ------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "unbounded": self.frame_is_unbounded,
-            "cell_size": float(self.cell_size),
-            "origin": [float(self.origin[0]), float(self.origin[1])],
-            "cells": self.cells.reshape(-1).tolist(),
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "GridPlane":
-        if not isinstance(data, dict):
-            raise ValidationError("grid JSON must be an object")
+        _require_object(data, "grid JSON must be an object")
         for key in ("width", "height", "unbounded", "cells"):
             if key not in data:
                 raise ValidationError(f"grid JSON missing field {key!r}")

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryLabError, PoleError, ResolutionError, ValidationError
-from .unitdisc import TWO_PI, _cmul, _points, _require_number, _require_row, normalize_angle
+from .unitdisc import (TWO_PI, ZeroSequence, _cmul, _points, _require_complex, _require_number,
+                       _require_object, _require_row, normalize_angle)
 
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
 _MIN_SAMPLE_COUNT = 16
@@ -132,31 +133,12 @@ class BoundaryFunction:
             return bool(np.all(self.sample_values.imag == 0.0))
         return True
 
-    def to_json(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "re": self.value.real, "im": self.value.imag}
-        if self.kind == "samples":
-            n = self.sample_values.size
-            grid = TWO_PI * np.arange(n) / n
-            return {
-                "kind": "samples",
-                "samples": [
-                    [float(a), float(v.real), float(v.imag)]
-                    for a, v in zip(grid, self.sample_values)
-                ],
-            }
-        out = {"kind": "form", "name": self.form_name, "scale": float(self.scale)}
-        if self.form_name == "indicator-arc":
-            out["arc"] = [float(self.arc[0]), float(self.arc[1])]
-        return out
-
     @classmethod
     def from_json(cls, data: dict) -> "BoundaryFunction":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValidationError("boundary function JSON must be an object with a 'kind'")
+        _require_object(data, "boundary function JSON must be an object with a 'kind'", "kind")
         kind = data["kind"]
         if kind == "constant":
-            return cls.constant(complex(_require_number(data, "re"), _require_number(data, "im")))
+            return cls.constant(_require_complex(data))
         if kind == "samples":
             samples = data.get("samples")
             if not isinstance(samples, list) or not samples:
@@ -197,9 +179,6 @@ class SingularAtoms:
         object.__setattr__(self, "angles", norm)
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
 
-    def to_json(self) -> dict:
-        return {"atoms": [[a, m] for a, m in zip(self.angles, self.masses)]}
-
     @classmethod
     def from_json(cls, data: dict) -> "SingularAtoms":
         if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
@@ -226,20 +205,12 @@ class OuterDensity:
             )
         object.__setattr__(self, "lam", complex(self.lam))
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k.to_json(),
-            "lambda": {"re": self.lam.real, "im": self.lam.imag},
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "OuterDensity":
-        if not isinstance(data, dict) or "k" not in data:
-            raise ValidationError("outer density JSON needs field 'k'")
-        lam = data.get("lambda", {"re": 1.0, "im": 0.0})
+        _require_object(data, "outer density JSON needs field 'k'", "k")
         return cls(
             k=BoundaryFunction.from_json(data["k"]),
-            lam=complex(_require_number(lam, "re", "lambda"), _require_number(lam, "im", "lambda")),
+            lam=_require_complex(data["lambda"], "lambda") if "lambda" in data else 1.0,
         )
 
 
@@ -363,13 +334,13 @@ def _adaptive_mean(
 
 
 def _in_disc(z, message: str) -> tuple[np.ndarray, bool]:
-    """_points(z).  Its first point with |z| >= 1 raises ValidationError(message)
+    """_points(z).  Its first point with |z| >= 1 or nan raises ValidationError(message)
     formatted with the point as z and |z| as r; |z| is Python's abs of one point
     and else np.hypot of the parts, which has its bits (np.abs does not)."""
     points, one = _points(z)
-    if (abs(points.item()) >= 1.0 if points.size == 1
-            else np.count_nonzero(np.hypot(points.real, points.imag) >= 1.0)):
-        bad = complex(points[(np.hypot(points.real, points.imag) >= 1.0).argmax()])
+    if (not abs(points.item()) < 1.0 if points.size == 1
+            else not np.all(np.hypot(points.real, points.imag) < 1.0)):
+        bad = complex(points[(~(np.hypot(points.real, points.imag) < 1.0)).argmax()])
         raise ValidationError(message.format(z=bad, r=abs(bad)))
     return points, one
 
@@ -535,34 +506,15 @@ class InnerFunctionSpec:
     def eval(self, z: complex) -> complex:
         return self.eval_many(complex(z)).item()
 
-    def to_json(self) -> dict:
-        return {
-            "blaschke": None if self.blaschke is None else self.blaschke.zeros.to_json(),
-            "atoms": None if self.atoms is None else self.atoms.to_json(),
-            "outer": None if self.outer is None else self.outer.to_json(),
-            "series": None if self.series is None else self.series.to_json(),
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "InnerFunctionSpec":
-        if not isinstance(data, dict):
-            raise ValidationError("inner-outer spec JSON must be an object")
+        _require_object(data, "inner-outer spec JSON must be an object")
         from .blaschke import BlaschkeProduct
-        from .unitdisc import ZeroSequence
+        from .series import SeriesSpec
 
-        blaschke = None
-        if data.get("blaschke") is not None:
-            blaschke = BlaschkeProduct(ZeroSequence.from_json(data["blaschke"]))
-        atoms = None
-        if data.get("atoms") is not None:
-            atoms = SingularAtoms.from_json(data["atoms"])
-        outer = None
-        if data.get("outer") is not None:
-            outer = OuterDensity.from_json(data["outer"])
-        series = None
-        if data.get("series") is not None:
-            from .series import SeriesSpec
-
-            series = SeriesSpec.from_json(data["series"])
-        return cls(blaschke=blaschke, atoms=atoms, outer=outer, series=series)
+        parsers = (("blaschke", lambda part: BlaschkeProduct(ZeroSequence.from_json(part))),
+                   ("atoms", SingularAtoms.from_json), ("outer", OuterDensity.from_json),
+                   ("series", SeriesSpec.from_json))
+        return cls(**{field: None if data.get(field) is None else parse(data[field])
+                      for field, parse in parsers})
 

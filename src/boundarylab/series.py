@@ -22,7 +22,8 @@ from . import config
 from .blaschke import BlaschkeProduct
 from .errors import ValidationError
 from .herglotz import InnerFunctionSpec
-from .unitdisc import ClosedSetSpec, _points, _require_number, gen_accumulation_sequence
+from .unitdisc import (ClosedSetSpec, _points, _require_number, _require_object,
+                       gen_accumulation_sequence)
 
 _WEIGHT_RULES = ("inverse-square", "inverse-power-2", "custom")
 _PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -73,29 +74,16 @@ class SeriesSpec:
     def total_weight(self) -> float:
         return float(math.fsum(t.weight for t in self.terms))
 
-    def to_json(self) -> dict:
-        return {
-            "weight_rule": self.weight_rule,
-            "terms": [
-                {"weight": t.weight, "component": t.component.to_json()}
-                for t in self.terms
-            ],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "SeriesSpec":
         if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
             raise ValidationError("series JSON needs a list field 'terms'")
         terms = []
         for i, entry in enumerate(data["terms"]):
-            if not isinstance(entry, dict) or "weight" not in entry or "component" not in entry:
-                raise ValidationError(f"terms[{i}] must have 'weight' and 'component'")
-            terms.append(
-                SeriesTerm(
-                    _require_number(entry, "weight", f"terms[{i}]"),
-                    InnerFunctionSpec.from_json(entry["component"]),
-                )
-            )
+            _require_object(entry, f"terms[{i}] must have 'weight' and 'component'",
+                            "weight", "component")
+            terms.append(SeriesTerm(_require_number(entry, "weight", f"terms[{i}]"),
+                                    InnerFunctionSpec.from_json(entry["component"])))
         return cls(terms=tuple(terms), weight_rule=data.get("weight_rule", "custom"))
 
 

@@ -179,22 +179,13 @@ class ZeroSequence:
             raise ValidationError(f"prefix length {n} outside [0, {len(self)}]")
         return ZeroSequence(angles=self.angles[:n].copy(), deficits=self.deficits[:n].copy())
 
-    def to_json(self) -> dict:
-        return {
-            "zeros": [
-                {"re": float(z.real), "im": float(z.imag)} for z in self.zeros
-            ]
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "ZeroSequence":
         """Accept {"zeros": [...]} or the generator form {"generator": {...}}."""
-        if not isinstance(data, dict):
-            raise ValidationError("zero sequence JSON must be an object")
+        _require_object(data, "zero sequence JSON must be an object")
         if "generator" in data:
-            gen = data["generator"]
-            if not isinstance(gen, dict) or "kind" not in gen:
-                raise ValidationError("field 'generator' must be an object with a 'kind'")
+            gen = _require_object(data["generator"],
+                                  "field 'generator' must be an object with a 'kind'", "kind")
             kind = gen["kind"]
             if kind == "radial":
                 return gen_radial_sequence(
@@ -203,24 +194,20 @@ class ZeroSequence:
                     _require_int(gen, "count"),
                 )
             if kind == "accumulation":
-                if "target" not in gen:
-                    raise ValidationError("accumulation generator needs a 'target'")
+                _require_object(gen, "accumulation generator needs a 'target'", "target")
                 return gen_accumulation_sequence(
                     ClosedSetSpec.from_json(gen["target"]),
                     _require_int(gen, "depth"),
                 )
             raise ValidationError(f"unknown generator kind {kind!r}")
-        if "zeros" not in data:
-            raise ValidationError("zero sequence JSON needs field 'zeros'")
-        zeros = data["zeros"]
+        zeros = _require_object(data, "zero sequence JSON needs field 'zeros'", "zeros")["zeros"]
         if not isinstance(zeros, list):
             raise ValidationError("field 'zeros' must be a list")
         out = []
         for k, entry in enumerate(zeros):
-            if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
-                raise ValidationError(f"zeros[{k}] must be an object with 're' and 'im'")
-            out.append(complex(_require_number(entry, "re", f"zeros[{k}]"),
-                               _require_number(entry, "im", f"zeros[{k}]")))
+            where = f"zeros[{k}]"
+            _require_object(entry, f"{where} must be an object with 're' and 'im'", "re", "im")
+            out.append(_require_complex(entry, where))
         return cls.from_zeros(out)
 
 
@@ -273,6 +260,18 @@ def _require_row(row, size: int, where: str, shape_error: str = "") -> tuple[flo
     if is_list and len(row) > size:
         raise ValidationError(f"{where} must have {size} entries, found {len(row)}")
     return tuple(_require_number(row, k, where) for k in range(size))
+
+
+def _require_object(data, message: str, *keys: str) -> dict:
+    """data if it is a dict holding every key, else ValidationError(message)."""
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise ValidationError(message)
+    return data
+
+
+def _require_complex(obj, where: str = "") -> complex:
+    """obj's 're' and 'im' fields as a complex, each read by _require_number."""
+    return complex(_require_number(obj, "re", where), _require_number(obj, "im", where))
 
 
 def _require_int(obj: dict, key: str) -> int:
@@ -378,19 +377,9 @@ class ClosedSetSpec:
             return list(self.arcs)
         return _cantor_subarcs(self.base_arc, self.cantor_level)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "points": [float(p) for p in self.points],
-            "arcs": [[float(s), float(e)] for (s, e) in self.arcs],
-            "cantor_level": int(self.cantor_level),
-            "base_arc": [float(self.base_arc[0]), float(self.base_arc[1])],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "ClosedSetSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValidationError("closed-set JSON must be an object with a 'kind'")
+        _require_object(data, "closed-set JSON must be an object with a 'kind'", "kind")
         points = data.get("points", [])
         arcs = data.get("arcs", [])
         if not isinstance(points, list) or not isinstance(arcs, list):

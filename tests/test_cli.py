@@ -458,6 +458,82 @@ def test_non_finite_angles_exit_2(deep_zeros, capsys, subcommand, flag, value):
     assert err == f"boundarylab {subcommand}: angle must be finite, got {value}\n"
 
 
+_ATOMS_SERIES = {"terms": [{"weight": 0.5, "component": {"atoms": {"atoms": [[0.0, 1.0]]}}}]}
+
+
+@pytest.mark.parametrize("at", [["nan", "0"], ["0.1", "nan"], ["inf", "0"]])
+def test_series_at_a_point_off_the_disc_exits_2(tmp_path, capsys, at):
+    spec = _write(tmp_path, "spec.json", _ATOMS_SERIES)
+    assert run(["series", "--spec", spec, "--at", *at]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    modulus = "inf" if "inf" in at else "nan"
+    assert err == ("boundarylab series: --at point must lie inside the unit disc, "
+                   f"got |z| = {modulus}\n")
+
+
+# Flag values drawn by the argv fuzz: non-finite, zero, negative, valid and
+# too-large numbers; every count past a cap is refused before it allocates.
+_REALS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "0.1", "0.5", "0.999", "1", "2", "4"]
+_POSITIVE = ["nan", "inf", "0", "-1", "1e-300", "1e-9", "0.05", "1e3"]
+_SETTINGS = {
+    "--truncation-tolerance": _POSITIVE, "--verdict-tolerance": _POSITIVE,
+    "--delta": _POSITIVE, "--divergence-threshold": _POSITIVE,
+    "--cauchy-tolerance": _POSITIVE, "--series-tolerance": _POSITIVE,
+    "--radius-levels": ["-1", "0", "1", "8", "53", "54", "1000000"],
+    "--window": ["-1", "0", "1", "32", "1000000"],
+    "--growth-window": ["-1", "0", "1", "4", "1000000"],
+}
+_ANGLE_COUNTS = ["-1", "0", "1", "16", "100", str(MAX_ANGLES + 1)]
+_RAY = ("--angle", "--radius-levels", "--window", "--verdict-tolerance", "--truncation-tolerance")
+
+
+def test_argv_fuzz_exits_0_1_or_2_with_a_diagnostic(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    zeros = _write(tmp_path, "zeros.json", _RADIAL)
+    spec = _write(tmp_path, "spec.json", _ATOMS_SERIES)
+    grid = _write(tmp_path, "grid.txt", punctured_disc_plane(12).format_text())
+    values = {**_SETTINGS, "--angle": _REALS, "--theta": _REALS, "--r": _REALS,
+              "--angles": _ANGLE_COUNTS, "--at": [f"{x} {y}" for x in _REALS for y in _REALS],
+              "--subject": ["F", "E", "E+F", "none", "X", ""],
+              "--independence": ["E F", "F none", "E X"]}
+    commands = {
+        "scan": (["--zeros", zeros], ("--r", "--angles", "--delta", "--truncation-tolerance")),
+        "trace": (["--zeros", zeros], _RAY),
+        "probe": (["--zeros", zeros], _RAY),
+        "frostman": (["--zeros", zeros], ("--theta", "--angles", "--divergence-threshold",
+                                          "--growth-window", "--cauchy-tolerance")),
+        "series": (["--spec", spec], ("--at", "--r", "--angles", "--series-tolerance")),
+        "arakeljan": (["--grid", grid], ("--subject", "--independence", "--union")),
+        "kernels": ([], ("--r", "--delta")),
+    }
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(commands)))
+        required, flags = commands[command]
+        argv = [command, *required]
+        for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
+            if flag == "--union":
+                argv.append(flag)
+                continue
+            drawn = _REALS if flag == "--delta" and command == "kernels" else values[flag]
+            argv += [flag, *draw(st.sampled_from(drawn)).split(" ")]
+        return argv
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(argv=argvs())
+    def check(argv):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert f"boundarylab {argv[0]}: " in err, (argv, err)
+
+    check()
+
+
 def test_only_selftest_imports_the_acceptance_criteria():
     # other commands start without importing boundarylab.acceptance;
     # selftest imports it and passes, in a fresh interpreter

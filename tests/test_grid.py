@@ -135,11 +135,19 @@ def test_text_body_errors_match_row_by_row_decoding():
 
 
 def test_json_round_trip():
-    grid = punctured_disc_plane(32)
-    back = GridPlane.from_json(grid.to_json())
-    assert np.array_equal(back.cells, grid.cells)
-    assert back.frame_is_unbounded == grid.frame_is_unbounded
-    assert back.cell_size == grid.cell_size
+    cases = [
+        ({"width": 3, "height": 2, "unbounded": True, "cell_size": 0.5, "origin": [1, -2.0],
+          "cells": [1, 2, 3, 0, 4, 1]},
+         GridPlane(cells=np.array([[1, 2, 3], [0, 4, 1]]), frame_is_unbounded=True,
+                   cell_size=0.5, origin=(1.0, -2.0))),
+        ({"width": 1, "height": 2, "unbounded": 0, "cells": [1, 0]},
+         GridPlane(cells=np.array([[1], [0]]), frame_is_unbounded=False)),
+    ]
+    for doc, grid in cases:
+        back = GridPlane.from_json(doc)
+        assert np.array_equal(back.cells, grid.cells) and back.cells.dtype == grid.cells.dtype
+        assert back.frame_is_unbounded is grid.frame_is_unbounded
+        assert (back.cell_size, back.origin) == (grid.cell_size, grid.origin)
     with pytest.raises(ValidationError):
         GridPlane.from_json({"width": 2, "height": 1, "unbounded": 0, "cells": [0, 9]})
     with pytest.raises(ValidationError):

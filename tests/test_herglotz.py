@@ -132,9 +132,8 @@ def test_singular_atoms_validation():
         SingularAtoms(angles=(0.0,), masses=(0.0,))
     atoms = SingularAtoms(angles=(0.5, 2.5), masses=(0.25, 0.75))
     assert math.fsum(atoms.masses) == 1.0
-    back = SingularAtoms.from_json(atoms.to_json())
-    assert back.angles == atoms.angles
-    assert back.masses == atoms.masses
+    assert SingularAtoms.from_json({"atoms": [[0.5, 0.25], [2.5, 0.75]]}) == atoms
+    assert SingularAtoms.from_json({"atoms": [[2.5, 1]]}).masses == (1.0,)
 
 
 def test_atom_rows_have_two_entries():
@@ -169,8 +168,10 @@ def test_outer_density_validation():
     with pytest.raises(ValidationError):
         OuterDensity(k=BoundaryFunction.constant(1.0), lam=2.0)
     density = OuterDensity(k=BoundaryFunction.constant(0.5), lam=1j)
-    back = OuterDensity.from_json(density.to_json())
-    assert back.lam == 1j
+    k = {"kind": "constant", "re": 0.5, "im": 0}
+    back = OuterDensity.from_json({"k": k, "lambda": {"re": 0, "im": 1.0}})
+    assert back.lam == density.lam and back.k.value == density.k.value
+    assert OuterDensity.from_json({"k": k}).lam == OuterDensity(k=density.k).lam == 1.0
 
 
 def test_approx_identity_report():
@@ -209,10 +210,18 @@ def test_boundary_function_json_round_trip():
         BoundaryFunction.form("cos", scale=0.5),
         BoundaryFunction.form("indicator-arc", arc=(0.25, 1.5), scale=math.log(3.0)),
     ]
+    docs = [
+        {"kind": "constant", "re": 1.0, "im": -2},
+        {"kind": "samples", "samples": [[a, math.sin(a), 0.0] for a in angles.tolist()]},
+        {"kind": "form", "name": "cos", "scale": 0.5},
+        {"kind": "form", "name": "indicator-arc", "arc": [0.25, 1.5], "scale": math.log(3.0)},
+    ]
     ts = np.linspace(0.0, TWO_PI, 37)
-    for f in cases:
-        back = BoundaryFunction.from_json(f.to_json())
-        assert np.allclose(back.evaluate(ts), f.evaluate(ts), atol=1e-15)
+    for doc, f in zip(docs, cases):
+        back = BoundaryFunction.from_json(doc)
+        assert (back.kind, back.form_name, back.arc, back.scale) == (f.kind, f.form_name, f.arc,
+                                                                     f.scale)
+        assert np.array_equal(back.evaluate(ts), f.evaluate(ts))
     with pytest.raises(ValidationError):
         BoundaryFunction.form("indicator-arc", arc=(1.0, 1.0))
     with pytest.raises(ValidationError):
@@ -263,9 +272,16 @@ def test_inner_function_spec_json_round_trip():
     prod = BlaschkeProduct(gen_radial_sequence(1.0, 0.5, 12))
     atoms = SingularAtoms(angles=(2.0,), masses=(0.25,))
     spec = InnerFunctionSpec(blaschke=prod, atoms=atoms)
-    back = InnerFunctionSpec.from_json(spec.to_json())
+    back = InnerFunctionSpec.from_json({
+        "blaschke": {"generator": {"kind": "radial", "angle": 1.0, "rate": 0.5, "count": 12}},
+        "atoms": {"atoms": [[2.0, 0.25]]},
+        "outer": None,
+    })
+    assert back.outer is None and back.series is None
+    assert np.array_equal(back.blaschke.zeros.deficits, prod.zeros.deficits)
+    assert back.atoms == atoms
     z = 0.4 - 0.2j
-    assert abs(back.eval(z) - spec.eval(z)) < 1e-12
+    assert back.eval(z) == spec.eval(z)
     with pytest.raises(ValidationError):
         InnerFunctionSpec()
 
@@ -733,6 +749,18 @@ def test_failures_name_the_first_bad_point_in_input_order():
         poisson_integral(_DENSITIES["cos"], 1j)
     with pytest.raises(ValidationError, match="truncation requires"):
         _specs()["mixed"].eval_many([0.5, 1.0])
+
+
+@pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.5, math.nan)])
+def test_nan_points_are_outside_the_disc(nan):
+    atoms = SingularAtoms(angles=(0.0,), masses=(1.0,))
+    density = OuterDensity(k=_DENSITIES["arc"])
+    for evaluate in (lambda z: eval_singular_inner(atoms, z), lambda z: eval_outer(density, z)):
+        for z in (nan, np.array([0.1, nan, 2.0])):
+            with pytest.raises(ValidationError, match=re.escape(f"got {nan!r}")):
+                evaluate(z)
+    with pytest.raises(ValidationError, match=re.escape("|z| = nan")):
+        poisson_integral(_DENSITIES["cos"], nan)
 
 
 def test_spec_failures_are_the_first_failing_points_not_the_first_failing_parts():

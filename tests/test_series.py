@@ -114,14 +114,18 @@ def test_degenerate_truncation():
 
 def test_json_round_trip():
     spec = build_bgh_sum(_targets(2), 3)
-    data = spec.to_json()
-    assert data["weight_rule"] == "inverse-power-2"
-    assert len(data["terms"]) == 2
-    back = SeriesSpec.from_json(data)
+    back = SeriesSpec.from_json({"weight_rule": "inverse-power-2", "terms": [
+        {"weight": weight, "component": {"blaschke": {"generator": {
+            "kind": "accumulation", "depth": 3,
+            "target": {"kind": "arc-union", "arcs": [[s, s + 0.5]]}}}}}
+        for weight, s in ((0.5, 0.0), (0.25, math.pi))
+    ]})
     assert back.weight_rule == spec.weight_rule
-    assert len(back.terms) == len(spec.terms)
+    assert [t.weight for t in back.terms] == [t.weight for t in spec.terms]
     z = 0.3 - 0.4j
-    assert abs(eval_series(back, z, 1e-12).value - eval_series(spec, z, 1e-12).value) < 1e-12
+    assert eval_series(back, z, 1e-12) == eval_series(spec, z, 1e-12)
+    assert SeriesSpec.from_json({"terms": [{"weight": 1, "component": {
+        "atoms": {"atoms": [[0.0, 1.0]]}}}]}).weight_rule == "custom"
     with pytest.raises(ValidationError):
         SeriesSpec.from_json({"terms": [{"weight": 0.5}]})
 

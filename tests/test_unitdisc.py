@@ -101,11 +101,12 @@ def test_prefix_is_standalone():
 
 def test_zero_sequence_json_round_trip():
     seq = ZeroSequence.from_zeros([0.5, -0.25j, 0.1 + 0.2j])
-    data = seq.to_json()
-    assert set(data.keys()) == {"zeros"}
-    assert data["zeros"][0] == {"re": 0.5, "im": 0.0}
-    back = ZeroSequence.from_json(data)
-    assert np.allclose(back.zeros, seq.zeros, atol=1e-15)
+    back = ZeroSequence.from_json(
+        {"zeros": [{"re": 0.5, "im": 0}, {"re": 0.0, "im": -0.25}, {"re": 0.1, "im": 0.2}]}
+    )
+    assert np.array_equal(back.angles, seq.angles)
+    assert np.array_equal(back.deficits, seq.deficits)
+    assert back.blocks == seq.blocks and back.extension_mass == seq.extension_mass == 0.0
 
 
 def test_zero_sequence_generator_json():
@@ -196,12 +197,17 @@ def test_closed_set_cantor():
 
 
 def test_closed_set_json_round_trip():
-    spec = ClosedSetSpec(kind="cantor", cantor_level=2, base_arc=(0.5, 2.5))
-    data = spec.to_json()
-    assert data["kind"] == "cantor"
-    assert data["cantor_level"] == 2
-    back = ClosedSetSpec.from_json(data)
-    assert back == spec
+    cases = [
+        ({"kind": "cantor", "cantor_level": 2, "base_arc": [0.5, 2.5]},
+         ClosedSetSpec(kind="cantor", cantor_level=2, base_arc=(0.5, 2.5))),
+        ({"kind": "cantor"}, ClosedSetSpec(kind="cantor")),
+        ({"kind": "arc-union", "arcs": [[1, 2], [3.0, 6.5]]},
+         ClosedSetSpec(kind="arc-union", arcs=((1.0, 2.0), (3.0, 6.5)))),
+        ({"kind": "finite-points", "points": [0.5, 2]},
+         ClosedSetSpec(kind="finite-points", points=(0.5, 2.0))),
+    ]
+    for doc, spec in cases:
+        assert ClosedSetSpec.from_json(doc) == spec
     with pytest.raises(ValidationError):
         ClosedSetSpec.from_json({"points": [1.0]})
 
@@ -432,7 +438,9 @@ def test_block_angles_are_checked_in_chunks_with_the_whole_block_decisions():
 def test_generation_peaks_at_most_two_and_a_quarter_times_what_it_keeps():
     import tracemalloc
 
-    spec = {"generator": {"kind": "accumulation", "depth": 12, "target": _FULL12.to_json()}}
+    target = {"kind": "arc-union", "arcs": [[0.10384619671527331, 6.3870315038948595]]}
+    assert ClosedSetSpec.from_json(target) == _FULL12
+    spec = {"generator": {"kind": "accumulation", "depth": 12, "target": target}}
     tracemalloc.start()
     try:
         seq = ZeroSequence.from_json(spec)
