@@ -487,6 +487,19 @@ class RadialTrace:
         write_values(handle, "radius", self.radii, self.values)
 
 
+def _radius_schedule(radii: Sequence[float] | None) -> np.ndarray:
+    """The radii as an array (default_radius_schedule() if None): nonempty,
+    strictly increasing and inside (0, 1), so nan is refused too."""
+    r = default_radius_schedule() if radii is None else np.asarray(radii, dtype=np.float64)
+    if r.size == 0:
+        raise ValidationError("radial trace needs at least one radius")
+    if not np.all((r > 0.0) & (r < 1.0)):
+        raise ValidationError("trace radii must lie in (0, 1)")
+    if np.any(np.diff(r) <= 0.0):
+        raise ValidationError("trace radii must be strictly increasing")
+    return r
+
+
 def radial_trace(
     fn,
     angle: float,
@@ -497,13 +510,7 @@ def radial_trace(
     strict: bool = False,
 ) -> RadialTrace:
     """Sample fn along the ray of the given angle and judge the radial limit."""
-    radii_arr = default_radius_schedule() if radii is None else np.asarray(radii, dtype=np.float64)
-    if radii_arr.size == 0:
-        raise ValidationError("radial trace needs at least one radius")
-    if np.any(radii_arr <= 0.0) or np.any(radii_arr >= 1.0):
-        raise ValidationError("trace radii must lie in (0, 1)")
-    if np.any(np.diff(radii_arr) <= 0.0):
-        raise ValidationError("trace radii must be strictly increasing")
+    radii_arr = _radius_schedule(radii)
     tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
     win = config.DEFAULTS["oscillation_window"] if window is None else window
     angle = normalize_angle(angle)
@@ -739,7 +746,7 @@ def limit_probe(
             raise ValidationError(
                 "path family must include a radial path and at least two tangential paths"
             )
-    radii_arr = default_radius_schedule() if radii is None else np.asarray(radii, dtype=np.float64)
+    radii_arr = _radius_schedule(radii)
     tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
     win = config.DEFAULTS["oscillation_window"] if window is None else window
 

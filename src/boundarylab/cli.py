@@ -150,12 +150,18 @@ def _read_text(path: str) -> str:
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _read_json(path: str) -> dict:
-    text = _read_text(path)
+def _parse_json(path: str, text: str, failure: str):
+    """The JSON document in text; a syntax error is ValidationError(f"{path}: {failure}: ...")."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+        raise ValidationError(f"{path}: {failure}: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the parser's stack
+        raise ValidationError(f"{path}: invalid JSON: nested too deeply") from exc
+
+
+def _read_json(path: str) -> dict:
+    return _parse_json(path, _read_text(path), "invalid JSON")
 
 
 @contextlib.contextmanager
@@ -183,13 +189,8 @@ def _load_grid(path: str) -> GridPlane:
     # a text grid's first word is "grid", as GridPlane.parse_text reads its header
     if text.split(None, 1)[:1] == ["grid"]:
         return GridPlane.parse_text(text)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: neither a 'grid <w> <h> <unbounded>' text file nor JSON: {exc}"
-        ) from exc
-    return GridPlane.from_json(data)
+    return GridPlane.from_json(_parse_json(
+        path, text, "neither a 'grid <w> <h> <unbounded>' text file nor JSON"))
 
 
 def _cmd_scan(args: argparse.Namespace, cfg: dict) -> int:

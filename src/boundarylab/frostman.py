@@ -469,30 +469,16 @@ def _range_sums(stored: np.ndarray, theta: np.ndarray, start: np.ndarray, count:
     return total + runs[..., 0] + runs[..., 1]
 
 
-def frostman_profile(
-    seq: ZeroSequence,
-    angle_count: int,
-    prefix_schedule: Sequence[int] | None = None,
-    policy: FrostmanPolicy | None = None,
-) -> FrostmanProfile:
-    """Classify every angle of a uniform grid.
+def frostman_profile(seq: ZeroSequence, angle_count: int, *,
+                     policy: FrostmanPolicy | None = None) -> FrostmanProfile:
+    """Classify every angle of a uniform grid over doubling_schedule(len(seq)).
 
     The partial sums are frostman_classify's, row for row and bit for bit: the
     block route on a full-circle sequence, term by term on any other.
     """
     angles = uniform_angles(angle_count)
     policy = FrostmanPolicy() if policy is None else policy
-    if prefix_schedule is None:
-        schedule = doubling_schedule(len(seq))
-    else:
-        schedule = tuple(int(n) for n in prefix_schedule)
-        if not schedule:
-            raise ValidationError("prefix schedule must be nonempty")
-        for n in schedule:
-            if n < 0 or n > len(seq):
-                raise ValidationError(f"schedule entry {n} outside [0, {len(seq)}]")
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ValidationError("prefix schedule must be strictly increasing")
+    schedule = doubling_schedule(len(seq))
 
     sums = _schedule_sums(seq, angles, schedule)
     classifications = tuple(_classify_sums(row, policy)[0] for row in sums.tolist())

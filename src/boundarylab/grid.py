@@ -52,6 +52,14 @@ _CODE_OF_CHAR[_CHAR_CODES] = np.arange(len(_CELL_CHARS))
 _KNOWN_CHAR = np.zeros(128, dtype=bool)
 _KNOWN_CHAR[_CHAR_CODES] = True
 
+# cell classes of each subject spelling, keyed in lower case
+_SUBJECT_CLASSES = {
+    "f": (CellClass.F_SET,),
+    "e": (CellClass.E_SET,),
+    "e+f": (CellClass.E_SET, CellClass.F_SET),
+    "none": (),
+}
+
 # Largest grid accepted (4096 x 4096); the parsers check it before allocating,
 # and it keeps every flat cell index within int32.
 MAX_GRID_CELLS = 1 << 24
@@ -107,29 +115,15 @@ class GridPlane:
     def subject_mask(self, selector) -> np.ndarray:
         """Normalize a subject selector to a boolean mask inside G.
 
-        Accepts "F", "E", "E+F" (or "union"), "none", an iterable of
-        CellClass codes, or a boolean mask (which must stay inside G).
+        Accepts "F", "E", "E+F" or "none" in any case, or a boolean mask
+        (which must stay inside G).
         """
         if isinstance(selector, np.ndarray):
             return _inside_g(selector, self.outside_mask)
-        if isinstance(selector, str):
-            key = selector.strip().lower()
-            classes = {
-                "f": (CellClass.F_SET,),
-                "e": (CellClass.E_SET,),
-                "e+f": (CellClass.E_SET, CellClass.F_SET),
-                "f+e": (CellClass.E_SET, CellClass.F_SET),
-                "ef": (CellClass.E_SET, CellClass.F_SET),
-                "union": (CellClass.E_SET, CellClass.F_SET),
-                "none": (),
-            }.get(key)
-            if classes is None:
-                raise ValidationError(f"unknown subject selector {selector!r}")
-        else:
-            try:
-                classes = tuple(CellClass(c) for c in selector)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"bad subject selector {selector!r}") from exc
+        key = selector.strip().lower() if isinstance(selector, str) else None
+        classes = _SUBJECT_CLASSES.get(key)
+        if classes is None:
+            raise ValidationError(f"unknown subject selector {selector!r}")
         mask = np.zeros(self.cells.shape, dtype=bool)
         for cls in classes:
             mask |= self.cells == cls
@@ -443,11 +437,6 @@ def _reports(grid: GridPlane, labeling: ComponentLabeling) -> list[HoleReport]:
             is_strict_hole=disqualified,
         ))
     return reports
-
-
-def classify_holes(grid: GridPlane, subject) -> list[HoleReport]:
-    """Classify every complement component as G-hole or strict hole."""
-    return _reports(grid, label_components(grid, subject))
 
 
 # --- probes ---------------------------------------------------------------

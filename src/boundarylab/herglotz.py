@@ -357,16 +357,15 @@ def poisson_integral(f: BoundaryFunction, z: complex) -> complex:
     return _herglotz(f, points, harmonic=True).item()
 
 
-def kernel_mass(r: float, *, tolerance: float | None = None) -> float:
+def kernel_mass(r: float) -> float:
     """Mean of the Poisson kernel over the circle (should be 1), by quadrature.
 
     The grid doubles from QUAD_MIN_POINTS until two refinements agree within
-    the tolerance (default QUAD_TOLERANCE), at most QUAD_MAX_POINTS points;
-    the quadrature itself is what this measures.
+    QUAD_TOLERANCE, at most QUAD_MAX_POINTS points; the quadrature itself is
+    what this measures.
     """
-    tol = QUAD_TOLERANCE if tolerance is None else tolerance
-    mean = _adaptive_mean(lambda t: poisson_kernel(r, t) + 0.0j, QUAD_MIN_POINTS, tol,
-                          QUAD_MAX_POINTS)
+    mean = _adaptive_mean(lambda t: poisson_kernel(r, t) + 0.0j, QUAD_MIN_POINTS,
+                          QUAD_TOLERANCE, QUAD_MAX_POINTS)
     return mean.real
 
 
@@ -502,9 +501,6 @@ class InnerFunctionSpec:
                 self.eval_many(point, tol)
             raise
         return functools.reduce(_cmul, parts)
-
-    def eval(self, z: complex) -> complex:
-        return self.eval_many(complex(z)).item()
 
     @classmethod
     def from_json(cls, data: dict) -> "InnerFunctionSpec":

@@ -5,9 +5,10 @@ weighted sum is bounded by the remaining weight mass, so truncation is exact
 bookkeeping: stop once the unused weights total at most the tolerance and
 report that total as the tail bound.
 
-Two stock builders target boundary sets: inverse-square weights (sum bounded
-by pi^2/6) and dyadic weights (sum bounded by 1), each term a Blaschke product
-whose zeros accumulate exactly on one prescribed closed set.
+The stock builder targets boundary sets: inverse-square weights (sum bounded
+by pi^2/6), each term a Blaschke product whose zeros accumulate exactly on one
+prescribed closed set.  Specs read from JSON may also carry dyadic
+(inverse-power-2, sum bounded by 1) or custom weights.
 """
 
 from __future__ import annotations
@@ -134,12 +135,6 @@ def eval_series(spec: SeriesSpec, z, tol: float | None = None) -> SeriesEvaluati
     return SeriesEvaluation(value=value, terms_used=used, tail_bound=bound)
 
 
-def _blaschke_term(target: ClosedSetSpec, depth: int) -> InnerFunctionSpec:
-    return InnerFunctionSpec(
-        blaschke=BlaschkeProduct(gen_accumulation_sequence(target, depth))
-    )
-
-
 def build_lohwater_piranian(
     targets: Sequence[ClosedSetSpec], depth: int
 ) -> SeriesSpec:
@@ -147,18 +142,8 @@ def build_lohwater_piranian(
     if not targets:
         raise ValidationError("need at least one target set")
     terms = tuple(
-        SeriesTerm(1.0 / (i * i), _blaschke_term(target, depth))
+        SeriesTerm(1.0 / (i * i), InnerFunctionSpec(
+            blaschke=BlaschkeProduct(gen_accumulation_sequence(target, depth))))
         for i, target in enumerate(targets, start=1)
     )
     return SeriesSpec(terms=terms, weight_rule="inverse-square")
-
-
-def build_bgh_sum(targets: Sequence[ClosedSetSpec], depth: int) -> SeriesSpec:
-    """sum_n B_n / 2^n with the n-th zeros accumulating on the n-th target."""
-    if not targets:
-        raise ValidationError("need at least one target set")
-    terms = tuple(
-        SeriesTerm(2.0 ** -n, _blaschke_term(target, depth))
-        for n, target in enumerate(targets, start=1)
-    )
-    return SeriesSpec(terms=terms, weight_rule="inverse-power-2")

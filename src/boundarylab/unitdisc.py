@@ -70,12 +70,6 @@ def _points(z) -> tuple[np.ndarray, bool]:
     return points.reshape(-1), points.ndim == 0
 
 
-def circular_gap(a: float, b: float) -> float:
-    """Shortest angular distance between two angles."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
 # Largest offset, measured in float64, that a full-circle block's stored angles
 # may have from angle + 2*pi*j/count; the generator's are within 1.4 ulp of
 # the exact angles, and the closed form's error bound assumes a few ulps.
@@ -102,21 +96,16 @@ class ZeroSequence:
     """A finite prefix of a disc zero sequence, stored in polar form.
 
     angles[k] and deficits[k] describe a_k = (1 - deficits[k]) * e^(i*angles[k]).
-    ``convergent`` records whether the infinite extension is known to satisfy
-    the Blaschke condition; ``tail_guarantee`` is True when the sequence came
-    from a generator with an analytic tail formula, in which case
-    ``extension_mass`` bounds sum(1 - |a_k|) over the unmaterialized tail.
-    Explicit finite lists have extension_mass 0 and no guarantee flag, so
-    convergence questions about their hypothetical extension fall back to a
-    heuristic (see blaschke_condition_sum).  ``blocks`` lists the full-circle
-    levels (LevelBlock, in index order) that gen_accumulation_sequence
-    records; every other sequence has none.
+    ``extension_mass`` bounds sum(1 - |a_k|) over the unmaterialized tail,
+    which certifies the Blaschke condition for the infinite extension; the
+    generators set it from their analytic tail formulas, every truncation
+    bound reads it, and explicit finite lists have 0.  ``blocks`` lists the
+    full-circle levels (LevelBlock, in index order) that
+    gen_accumulation_sequence records; every other sequence has none.
     """
 
     angles: np.ndarray
     deficits: np.ndarray
-    convergent: bool = True
-    tail_guarantee: bool = False
     extension_mass: float = 0.0
     blocks: tuple[LevelBlock, ...] = ()
 
@@ -172,12 +161,6 @@ class ZeroSequence:
                     f"zero #{k} = {zs[k]!r} has modulus {m} >= 1"
                 )
         return cls(angles=angles, deficits=1.0 - moduli)
-
-    def prefix(self, n: int) -> "ZeroSequence":
-        """First n zeros as a standalone (explicit, guarantee-free) sequence."""
-        if not 0 <= n <= len(self):
-            raise ValidationError(f"prefix length {n} outside [0, {len(self)}]")
-        return ZeroSequence(angles=self.angles[:n].copy(), deficits=self.deficits[:n].copy())
 
     @classmethod
     def from_json(cls, data: dict) -> "ZeroSequence":
@@ -281,43 +264,6 @@ def _require_int(obj: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"field {key!r} must be an integer")
     return value
-
-
-class ConditionSum(NamedTuple):
-    """Result of blaschke_condition_sum.
-
-    ``heuristic`` is True when ``convergent`` came from a trend test on the
-    stored prefix rather than from a generator's analytic guarantee.
-    """
-
-    sum: float
-    convergent: bool
-    heuristic: bool
-
-
-# Below this many stored zeros the doubling-tail heuristic has no trend to
-# read, so short explicit lists are reported convergent (they are finite).
-_HEURISTIC_MIN_TERMS = 16
-_HEURISTIC_TAIL_RATIO = 0.05
-
-
-def blaschke_condition_sum(seq: ZeroSequence) -> ConditionSum:
-    """Deficit sum of the stored prefix plus a convergence verdict.
-
-    When the sequence carries a generator guarantee the verdict is exact.
-    Otherwise the verdict extrapolates the stored trend: if the second half
-    of the prefix still contributes at least 5% of the total, the tail looks
-    divergent (harmonic-like decay keeps doubling windows heavy; geometric
-    decay does not).  The heuristic flag is always set in that branch.
-    """
-    total = float(math.fsum(seq.deficits.tolist()))
-    if seq.tail_guarantee:
-        return ConditionSum(total, seq.convergent, False)
-    n = len(seq)
-    if n < _HEURISTIC_MIN_TERMS or total == 0.0:
-        return ConditionSum(total, True, True)
-    half = float(np.sum(seq.deficits[n // 2:]))
-    return ConditionSum(total, (half / total) < _HEURISTIC_TAIL_RATIO, True)
 
 
 _CLOSED_SET_KINDS = ("finite-points", "arc-union", "cantor")
@@ -470,13 +416,7 @@ def gen_radial_sequence(angle: float, rate: float, count: int) -> ZeroSequence:
     deficits = np.power(rate, k)
     angles = np.full(count, normalize_angle(angle), dtype=np.float64)
     tail = rate ** (count + 1) / (1.0 - rate)
-    return ZeroSequence(
-        angles=angles,
-        deficits=deficits,
-        convergent=True,
-        tail_guarantee=True,
-        extension_mass=tail,
-    )
+    return ZeroSequence(angles=angles, deficits=deficits, extension_mass=tail)
 
 
 def _spaced(runs: list[tuple[float, float, int, bool]]) -> np.ndarray:
@@ -514,6 +454,17 @@ def _level_runs(target: ClosedSetSpec, level: int) -> list[tuple[float, float, i
     return runs
 
 
+def _least_level_size(target: ClosedSetSpec) -> int:
+    """Fewest zeros any generator level puts on the target, known before it is
+    built: 2 on each of a Cantor target's 2^c subarcs (1 if too short for its
+    ends to differ in float64); 0 for the few, cheap arcs of other targets."""
+    if target.kind != "cantor":
+        return 0
+    s, e = target.base_arc
+    per = 2 if (e - s) * 3.0 ** -target.cantor_level >= 2.0 * math.ulp(2.0 * TWO_PI) else 1
+    return per << target.cantor_level
+
+
 def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence:
     """Zeros whose accumulation set on the circle is exactly the target closure.
 
@@ -535,9 +486,11 @@ def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence
     level_deficits: list[float] = []
     full: list[tuple[int, int, float]] = []  # (start, count, deficit) of full-circle runs
     total = 0
+    least = _least_level_size(target)
     for level in range(1, depth + 1):
-        level_runs = _level_runs(target, level)
-        n = sum(m for _, _, m, _ in level_runs)
+        # a level that cannot fit is refused before its runs are built
+        level_runs = _level_runs(target, level) if total + least <= MAX_GENERATED_ZEROS else []
+        n = max(least, sum(m for _, _, m, _ in level_runs))
         if total + n > MAX_GENERATED_ZEROS:
             raise ValidationError(
                 f"level {level} pushes the zero count past {MAX_GENERATED_ZEROS}; "
@@ -559,8 +512,6 @@ def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence
     return ZeroSequence(
         angles=angles,
         deficits=np.repeat(np.array(level_deficits, dtype=np.float64), sizes),
-        convergent=True,
-        tail_guarantee=True,
         extension_mass=2.0 ** -depth,
         blocks=tuple(LevelBlock(at, m, float(angles[at]), d) for at, m, d in full),
     )

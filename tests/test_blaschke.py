@@ -179,6 +179,23 @@ def test_radial_trace_limit_and_oscillation():
         radial_trace(prod, 0.0, [0.5, 1.0], verdict_tolerance=1e-3, window=4)
 
 
+@pytest.mark.parametrize("radii,message", [
+    ([], "radial trace needs at least one radius"),
+    ([0.5, 0.5], "trace radii must be strictly increasing"),
+    ([0.9, 0.5], "trace radii must be strictly increasing"),
+    ([-0.5], r"trace radii must lie in \(0, 1\)"),
+    ([0.0, 0.5], r"trace radii must lie in \(0, 1\)"),
+    ([0.5, 1.0], r"trace radii must lie in \(0, 1\)"),
+    ([0.5, math.nan], r"trace radii must lie in \(0, 1\)"),
+    ([math.nan], r"trace radii must lie in \(0, 1\)"),
+], ids=["empty", "repeated", "decreasing", "negative", "zero", "one", "nan-last", "nan"])
+@pytest.mark.parametrize("entry", ["radial_trace", "limit_probe"])
+def test_radius_schedules_are_checked_by_both_entry_points(entry, radii, message):
+    prod = BlaschkeProduct(gen_radial_sequence(0.0, 0.5, 30))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        getattr(blaschke, entry)(prod, 0.0, radii=radii)
+
+
 def test_boundary_scan_report():
     import io
 
@@ -436,7 +453,7 @@ def _without_blocks(spec):
     """The generated zeros of spec as an explicit sequence, evaluated factor by factor."""
     seq = ZeroSequence.from_json(spec)
     return BlaschkeProduct(ZeroSequence(angles=seq.angles, deficits=seq.deficits,
-                                        tail_guarantee=True, extension_mass=seq.extension_mass))
+                                        extension_mass=seq.extension_mass))
 
 
 def test_eval_many_past_one_chunk():

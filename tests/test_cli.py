@@ -417,6 +417,20 @@ def test_numeric_strings_are_not_numbers(tmp_path, capsys, subcommand, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("subcommand,flag", [
+    ("scan", "--zeros"), ("trace", "--zeros"), ("probe", "--zeros"), ("frostman", "--zeros"),
+    ("series", "--spec"), ("arakeljan", "--grid"),
+])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, subcommand, flag):
+    # nesting past the parser's stack raises RecursionError, not JSONDecodeError
+    path = _write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    assert run([subcommand, flag, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"boundarylab {subcommand}: {path}: invalid JSON: nested too deeply\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name,text", [
     ("g.json", json.dumps({**_GRID, "unbounded": "false"})),
     ("g.json", json.dumps({**_GRID, "unbounded": 2})),

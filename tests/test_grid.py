@@ -18,7 +18,6 @@ from boundarylab.grid import (
     Component,
     GridPlane,
     auto_probes,
-    classify_holes,
     hole_independence,
     is_arakeljan,
     label_components,
@@ -185,7 +184,7 @@ def test_label_components_empty_subject():
 def test_hole_dichotomy():
     for grid in (annulus_window_plane(48), punctured_disc_plane(48)):
         for subject in ("E", "F", "e+f"):
-            for rep in classify_holes(grid, subject):
+            for rep in grid_module._reports(grid, label_components(grid, subject)):
                 assert rep.is_g_hole != rep.is_strict_hole
 
 
@@ -197,7 +196,7 @@ def test_punctured_disc_union_components():
 
 def test_classify_holes_annulus():
     grid = annulus_window_plane(64)
-    reports = classify_holes(grid, "F")
+    reports = grid_module._reports(grid, label_components(grid, "F"))
     assert len(reports) == 2
     holes = [r for r in reports if r.is_g_hole]
     strict = [r for r in reports if r.is_strict_hole]

@@ -12,11 +12,11 @@ from boundarylab.herglotz import BoundaryFunction, InnerFunctionSpec, OuterDensi
 from boundarylab.series import (
     SeriesSpec,
     SeriesTerm,
-    build_bgh_sum,
     build_lohwater_piranian,
     eval_series,
 )
-from boundarylab.unitdisc import TWO_PI, ClosedSetSpec, ZeroSequence, gen_radial_sequence
+from boundarylab.unitdisc import (TWO_PI, ClosedSetSpec, ZeroSequence, gen_accumulation_sequence,
+                                  gen_radial_sequence)
 
 
 def _targets(n):
@@ -31,16 +31,13 @@ def test_builder_weights():
     lp = build_lohwater_piranian(_targets(4), 3)
     assert [t.weight for t in lp.terms] == [1.0, 0.25, 1.0 / 9.0, 0.0625]
     assert lp.weight_rule == "inverse-square"
-    bgh = build_bgh_sum(_targets(4), 3)
-    assert [t.weight for t in bgh.terms] == [0.5, 0.25, 0.125, 0.0625]
-    assert bgh.weight_rule == "inverse-power-2"
     with pytest.raises(ValidationError):
         build_lohwater_piranian([], 3)
 
 
 def test_component_zeros_live_on_targets():
     targets = _targets(3)
-    spec = build_bgh_sum(targets, 4)
+    spec = build_lohwater_piranian(targets, 4)
     for term, target in zip(spec.terms, targets):
         seq = term.component.blaschke.zeros
         for a in seq.angles:
@@ -103,7 +100,7 @@ def test_truncation_honesty():
 
 
 def test_degenerate_truncation():
-    spec = build_bgh_sum(_targets(2), 3)
+    spec = build_lohwater_piranian(_targets(2), 3)
     got = eval_series(spec, 0.1 + 0.1j, spec.total_weight)
     assert got.terms_used == 0
     assert got.value == 0.0
@@ -113,7 +110,10 @@ def test_degenerate_truncation():
 
 
 def test_json_round_trip():
-    spec = build_bgh_sum(_targets(2), 3)
+    spec = SeriesSpec(terms=tuple(
+        SeriesTerm(2.0 ** -n, InnerFunctionSpec(
+            blaschke=BlaschkeProduct(gen_accumulation_sequence(target, 3))))
+        for n, target in enumerate(_targets(2), start=1)), weight_rule="inverse-power-2")
     back = SeriesSpec.from_json({"weight_rule": "inverse-power-2", "terms": [
         {"weight": weight, "component": {"blaschke": {"generator": {
             "kind": "accumulation", "depth": 3,

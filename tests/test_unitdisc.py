@@ -12,8 +12,6 @@ from boundarylab.unitdisc import (
     LevelBlock,
     ZeroSequence,
     _require_number,
-    blaschke_condition_sum,
-    circular_gap,
     gen_accumulation_sequence,
     gen_radial_sequence,
     normalize_angle,
@@ -48,18 +46,6 @@ def test_generators_refuse_deficits_that_underflow():
         ZeroSequence(angles=[0.0, 0.0], deficits=[0.5, 0.0])
 
 
-def test_circular_gap():
-    assert circular_gap(0.1, 0.1) == 0.0
-    assert abs(circular_gap(0.0, math.pi) - math.pi) < 1e-15
-    # wraps the short way around
-    assert abs(circular_gap(0.1, TWO_PI - 0.1) - 0.2) < 1e-12
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        a, b = rng.uniform(0.0, TWO_PI, size=2)
-        assert circular_gap(a, b) == circular_gap(b, a)
-        assert circular_gap(a, b) <= math.pi + 1e-15
-
-
 def test_zero_sequence_from_zeros_round_trip():
     zs = [0.5 + 0.0j, -0.25j, 0.1 + 0.2j]
     seq = ZeroSequence.from_zeros(zs)
@@ -88,17 +74,6 @@ def test_polar_storage_keeps_tiny_deficits():
     assert abs(seq.zeros[0]) == 1.0  # the complex view is lossy here
 
 
-def test_prefix_is_standalone():
-    seq = gen_radial_sequence(0.0, 0.5, 10)
-    pre = seq.prefix(4)
-    assert len(pre) == 4
-    assert pre.extension_mass == 0.0
-    assert not pre.tail_guarantee
-    assert np.array_equal(pre.deficits, seq.deficits[:4])
-    with pytest.raises(ValidationError):
-        seq.prefix(11)
-
-
 def test_zero_sequence_json_round_trip():
     seq = ZeroSequence.from_zeros([0.5, -0.25j, 0.1 + 0.2j])
     back = ZeroSequence.from_json(
@@ -114,33 +89,11 @@ def test_zero_sequence_generator_json():
         {"generator": {"kind": "radial", "angle": 0.0, "rate": 0.5, "count": 8}}
     )
     assert len(seq) == 8
-    assert seq.tail_guarantee
+    assert seq.extension_mass == 2.0 ** -8  # the geometric tail of the generator
     with pytest.raises(ValidationError):
         ZeroSequence.from_json({"generator": {"kind": "mystery"}})
     with pytest.raises(ValidationError):
         ZeroSequence.from_json({"generator": {"kind": "radial", "angle": 0.0}})
-
-
-def test_condition_sum_generator_guarantee():
-    seq = gen_radial_sequence(0.0, 0.5, 20)
-    cs = blaschke_condition_sum(seq)
-    assert cs.convergent
-    assert not cs.heuristic
-    assert abs(cs.sum - (1.0 - 2.0 ** -20)) < 1e-15
-
-
-def test_condition_sum_heuristic_trend():
-    # harmonic-like deficits: the second half keeps contributing
-    n = 256
-    slow = ZeroSequence(angles=np.zeros(n), deficits=1.0 / (10.0 + np.arange(n)))
-    cs = blaschke_condition_sum(slow)
-    assert cs.heuristic
-    assert not cs.convergent
-    # geometric deficits: the tail is negligible
-    fast = ZeroSequence(angles=np.zeros(40), deficits=np.power(0.5, np.arange(1, 41)))
-    cs = blaschke_condition_sum(fast)
-    assert cs.heuristic
-    assert cs.convergent
 
 
 def _angular_distance(spec, theta):
@@ -216,7 +169,6 @@ def test_gen_radial_sequence_geometry():
     seq = gen_radial_sequence(1.0, 0.5, 60)
     assert np.all(seq.angles == 1.0)
     assert np.allclose(seq.deficits, np.power(0.5, np.arange(1, 61)), rtol=0.0)
-    assert seq.tail_guarantee and seq.convergent
     assert abs(seq.extension_mass - 2.0 ** -60) < 1e-25
     with pytest.raises(ValidationError):
         gen_radial_sequence(0.0, 1.0, 5)
@@ -228,8 +180,8 @@ def _max_gap_to_zeros(target, seq):
     worst = 0.0
     for s, e in target.closure_arcs():
         for t in np.linspace(s, e, 50):
-            gaps = [circular_gap(float(t), float(a)) for a in seq.angles]
-            worst = max(worst, min(gaps))
+            d = np.abs(t - seq.angles) % TWO_PI
+            worst = max(worst, float(np.min(np.minimum(d, TWO_PI - d))))
     return worst
 
 
@@ -247,7 +199,6 @@ def test_gen_accumulation_sequence_pins_target():
         # every target angle is approached at the deepest level's resolution
         assert _max_gap_to_zeros(target, seq) <= TWO_PI * 3.0 ** -depth + 1e-12
         assert seq.extension_mass == 2.0 ** -depth
-        assert blaschke_condition_sum(seq).convergent
 
 
 def test_gen_accumulation_level_mass_is_summable():
@@ -321,7 +272,7 @@ def test_full_circle_levels_are_recorded_as_blocks():
     assert start == len(seq)
     # only generated full-circle levels are blocks
     others = [
-        seq.prefix(1000),
+        ZeroSequence(angles=seq.angles[:1000], deficits=seq.deficits[:1000]),
         ZeroSequence(angles=seq.angles, deficits=seq.deficits),
         ZeroSequence.from_zeros([0.5, 0.25j]),
         gen_radial_sequence(1.0, 0.5, 20),
@@ -449,3 +400,29 @@ def test_generation_peaks_at_most_two_and_a_quarter_times_what_it_keeps():
         tracemalloc.stop()
     assert len(seq) == 797163 and kept >= seq.angles.nbytes + seq.deficits.nbytes
     assert peak <= 2.25 * kept
+
+
+def test_cantor_levels_past_the_cap_are_refused_before_they_are_built():
+    import tracemalloc
+
+    for level in (19, 20):
+        # 2^level subarcs of at least 2 zeros each pass the 10^6 cap at level 1
+        spec = {"generator": {"kind": "accumulation", "depth": 1,
+                              "target": {"kind": "cantor", "cantor_level": level}}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError,
+                               match="^level 1 pushes the zero count past 1000000; "):
+                ZeroSequence.from_json(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+    # the floor is a level's size where subarcs get 2 zeros, and where they
+    # are too short to differ from their starts and get 1
+    for target, per in ((ClosedSetSpec(kind="cantor", cantor_level=6), 2),
+                        (ClosedSetSpec(kind="cantor", cantor_level=4, base_arc=(3.0, 3.0 + 1e-14)), 1)):
+        least = unitdisc._least_level_size(target)
+        assert least == per * 2 ** target.cantor_level == len(gen_accumulation_sequence(target, 1))
+        sizes = np.diff([len(gen_accumulation_sequence(target, d)) for d in range(1, 6)])
+        assert np.all(sizes >= least)
