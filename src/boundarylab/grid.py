@@ -4,8 +4,8 @@ A grid window samples a domain G: cells are outside G, free G cells, members
 of one or two closed sets (F and E), or probe cells.  Complement components of
 a subject set within G are 4-connected; the subject itself is treated with
 8-connectivity where adjacency of the set matters (the standard dual pairing,
-so thin diagonal curves still separate).  One array routine, ``_runs``,
-finds the components for both connectivities by joining horizontal runs.
+so thin diagonal curves still separate).  One routine, ``_runs``, finds the
+components for both connectivities by union-find on horizontal runs.
 
 A component of G minus the subject is a G-hole when it could be enclosed in a
 compact subset of G at raster fidelity: it must not touch the window frame
@@ -91,11 +91,12 @@ class GridPlane:
         if cells.ndim != 2 or cells.size == 0:
             raise ValidationError("grid cells must form a nonempty 2-d array")
         _check_dimensions(cells.shape[1], cells.shape[0])
-        if not np.all((cells >= 0) & (cells <= 4)):
+        # a fractional code is in range but differs from its (truncating) cast
+        if not (np.all((cells >= 0) & (cells <= 4)) and np.all(cells.astype(np.uint8) == cells)):
             raise ValidationError("grid cells must carry class codes 0..4")
         self.cells = cells.astype(np.uint8)
-        if self.cell_size <= 0.0:
-            raise ValidationError("cell_size must be positive")
+        if not 0.0 < self.cell_size < np.inf:
+            raise ValidationError("cell_size must be positive and finite")
         counts = np.bincount(self.cells.reshape(-1), minlength=5)
         if counts[CellClass.G_FREE] + counts[CellClass.F_SET] == 0:
             raise ValidationError("grid must contain at least one G_FREE or F_SET cell")
@@ -149,10 +150,10 @@ class GridPlane:
             raise ValidationError(
                 "grid header must be 'grid <width> <height> <unbounded:0|1>'"
             )
-        try:
-            width, height, unbounded = int(head[1]), int(head[2]), int(head[3])
-        except ValueError as exc:
-            raise ValidationError("grid header fields must be integers") from exc
+        # int() would also take signs, underscores and non-ASCII digits
+        if not all(field.isascii() and field.isdigit() for field in head[1:]):
+            raise ValidationError("grid header fields must be integers")
+        width, height, unbounded = map(int, head[1:])
         _check_dimensions(width, height)
         if unbounded not in (0, 1):
             raise ValidationError("unbounded flag must be 0 or 1")
@@ -267,11 +268,11 @@ def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
 
     Per maximal horizontal run of mask cells, in row-major order: the flat
     indices of its first cell and one past its last, and its component; then
-    each component's first flat index.  Union-find joins runs holding vertical
-    (or diagonal) neighbours: each round hooks the larger root of every edge
-    still joining two trees onto the smaller one and jumps every pointer to
-    its root (Shiloach & Vishkin, J. Algorithms 3, 1982).  So a component's
-    root is its first run, and components number in row-major order.
+    each component's first flat index.  One sequential union-find pass over
+    runs holding vertical (or diagonal) neighbours halves paths and hooks the
+    larger root under the smaller (Tarjan & van Leeuwen, J. ACM 31, 1984; He,
+    Chao & Suzuki, IEEE TIP 17, 2008), so a component's root is its first run
+    and one increasing pass numbers components in row-major order.
     """
     h, w = mask.shape
     # a row's changes, with False on both sides, alternate start and stop
@@ -290,16 +291,25 @@ def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
         edges.append(r * w + c + lo + np.array([[0], [w + shift]]))
     # the run of a cell is the last run starting at or before it
     edges = np.searchsorted(start, np.concatenate(edges, axis=1), side="right") - 1
-    parent = np.arange(start.size)
-    while edges.size:
-        roots = parent[edges]
-        live = roots[0] != roots[1]
-        edges, roots = edges[:, live], roots[:, live]
-        np.minimum.at(parent, roots.max(axis=0), roots.min(axis=0))
-        while (parent != (jumped := parent[parent])).any():
-            parent = jumped
-    roots = parent == np.arange(start.size)
-    return start, stop, (np.cumsum(roots, dtype=np.int32) - 1)[parent], start[roots]
+    parent = list(range(start.size))
+    for a, b in zip(*edges.tolist()):
+        while a != (up := parent[a]):
+            parent[a] = a = parent[up]
+        while b != (up := parent[b]):
+            parent[b] = b = parent[up]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # in place: parent[i] <= i, so comp[parent[i]] is final when run i is reached
+    comp, roots = parent, []
+    for i, p in enumerate(parent):
+        if i == p:
+            comp[i] = len(roots)
+            roots.append(i)
+        else:
+            comp[i] = comp[p]
+    return start, stop, np.array(comp, dtype=np.int32), start[roots]
 
 
 @dataclass(frozen=True)
@@ -360,18 +370,18 @@ def _labeled(canvas: np.ndarray, k: int, masks: GridMasks) -> list[ComponentLabe
     labels = np.full(canvas.shape, -1, dtype=np.int32)
     labels[canvas] = np.repeat(local, stop - start)
     labels = labels.reshape(k, stride, w)
-    stop_col = (stop - 1) % w
-    touches = (row == 0) | (row == h - 1) | (start_col == 0) | (stop_col == w - 1)
     rim_ids = labels.reshape(k, -1)[:, masks.rim_4]
     near_outside_ids = (rim_ids if k == 1 else rim_ids + ends[:k, None])[rim_ids >= 0]
     col_min, row_max, col_max = np.full(n, w), np.full(n, -1), np.full(n, -1)
     np.minimum.at(col_min, comp, start_col)
     np.maximum.at(row_max, comp, row)
-    np.maximum.at(col_max, comp, stop_col)
+    np.maximum.at(col_max, comp, (stop - 1) % w)
+    # a component meets the window frame exactly where its bounding box does
+    touches = (row_min == 0) | (row_max == h - 1) | (col_min == 0) | (col_max == w - 1)
     # per component, in Component field order after the id
     facts = list(zip(
         np.bincount(comp, weights=stop - start, minlength=n).astype(np.int64).tolist(),
-        (np.bincount(comp[touches], minlength=n) > 0).tolist(),
+        touches.tolist(),
         (np.bincount(near_outside_ids, minlength=n) > 0).tolist(),
         zip(row_min.tolist(), col_min.tolist(), row_max.tolist(), col_max.tolist()),
         zip(row_min.tolist(), first_col.tolist()),

@@ -391,6 +391,64 @@ def test_json_origin_rows_have_two_entries():
         GridPlane.from_json({**good, "origin": [1]})
 
 
+_BAD_CELLS = "grid cells must carry class codes 0..4"
+_BAD_CELL_SIZE = "cell_size must be positive and finite"
+
+
+@pytest.mark.parametrize("cells, cell_size, message", [
+    (np.array([[1.5, 2.7]]), 1.0, _BAD_CELLS),
+    (np.array([[1.0, 0.5]]), 1.0, _BAD_CELLS),
+    (np.array([[1.0, np.nan]]), 1.0, _BAD_CELLS),
+    (np.array([[1.0, np.inf]]), 1.0, _BAD_CELLS),
+    (np.array([[1, 5]]), 1.0, _BAD_CELLS),
+    (np.array([[1, -1]]), 1.0, _BAD_CELLS),
+    (np.array([[1, 257]]), 1.0, _BAD_CELLS),  # 1 after a uint8 cast
+    (np.array([[1, 2]]), float("nan"), _BAD_CELL_SIZE),
+    (np.array([[1, 2]]), float("inf"), _BAD_CELL_SIZE),
+    (np.array([[1, 2]]), -float("inf"), _BAD_CELL_SIZE),
+    (np.array([[1, 2]]), 0.0, _BAD_CELL_SIZE),
+    (np.array([[1, 2]]), -1.0, _BAD_CELL_SIZE),
+])
+def test_grid_plane_refuses_invalid_cells_and_cell_sizes(cells, cell_size, message):
+    with pytest.raises(ValidationError) as info:
+        GridPlane(cells=cells, frame_is_unbounded=True, cell_size=cell_size)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cells", [
+    np.array([[1, 2, 0, 4]]), np.array([[1, 3]], dtype=np.int8),
+    np.array([[1, 3]], dtype=np.uint64), np.array([[True, False]]), np.array([[1.0, 4.0]]),
+])
+def test_grid_plane_accepts_integral_codes(cells):
+    grid = GridPlane(cells=cells, frame_is_unbounded=True, cell_size=2)
+    assert grid.cells.dtype == np.uint8
+    assert np.array_equal(grid.cells, cells)
+
+
+_BAD_HEADER = "grid header must be 'grid <width> <height> <unbounded:0|1>'"
+_NOT_INTEGERS = "grid header fields must be integers"
+
+
+@pytest.mark.parametrize("head, message", [
+    ("mesh 2 1 0", _BAD_HEADER),
+    ("grid 2 1", _BAD_HEADER),
+    ("grid x 1 0", _NOT_INTEGERS),
+    ("grid 1_0 1 0", _NOT_INTEGERS),
+    ("grid \uff12 1 0", _NOT_INTEGERS),  # fullwidth digit two
+    ("grid 2 1 \uff10", _NOT_INTEGERS),
+    ("grid \u00b2 1 0", _NOT_INTEGERS),  # superscript two
+    ("grid +2 1 0", _NOT_INTEGERS),
+    ("grid -2 1 0", _NOT_INTEGERS),
+    ("grid 2.0 1 0", _NOT_INTEGERS),
+    ("grid 0 1 0", "grid dimensions must be positive"),
+    ("grid 2 1 7", "unbounded flag must be 0 or 1"),
+])
+def test_text_header_messages(head, message):
+    with pytest.raises(ValidationError) as info:
+        GridPlane.parse_text(head + "\n..\n")
+    assert str(info.value) == message
+
+
 def test_parsers_raise_only_validation_errors():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -580,15 +638,18 @@ def test_labeler_on_serpentine_and_spiral():
     _assert_matches_references(spiral, "none")
 
 
-def _assert_8_connected_matches_scipy(mask):
-    start, stop, comp, first = grid_module._runs(mask, diagonal=True)
+def _assert_runs_match_scipy(mask, diagonal):
+    """_runs against scipy's labels; returns the counts of runs and components."""
+    start, stop, comp, first = grid_module._runs(mask, diagonal)
+    assert comp.dtype == np.int32
+    assert start.dtype == stop.dtype == first.dtype == np.intp
     labels = np.full(mask.shape, -1, dtype=np.int32)
     labels[mask] = np.repeat(comp, stop - start)
-    want = _scipy_labels(mask, diagonal=True)
+    want = _scipy_labels(mask, diagonal)
     values, first_cells = np.unique(want, return_index=True)
-    assert labels.dtype == np.int32
     assert np.array_equal(labels, want)
     assert np.array_equal(first, first_cells[values >= 0])
+    return start.size, first.size
 
 
 def test_8_connected_labeler_matches_scipy():
@@ -596,15 +657,64 @@ def test_8_connected_labeler_matches_scipy():
         grid = get_fixture(name, 192)
         for subject in ("E", "F", "E+F", "none"):
             mask = grid.subject_mask(subject)
-            _assert_8_connected_matches_scipy(mask)
-            _assert_8_connected_matches_scipy(~grid.outside_mask & ~mask)
+            _assert_runs_match_scipy(mask, diagonal=True)
+            _assert_runs_match_scipy(~grid.outside_mask & ~mask, diagonal=True)
     rng = np.random.default_rng(19)
     for density in (0.3, 0.4, 0.5, 0.6, 0.7):
         for _ in range(8):
             shape = tuple(int(n) for n in rng.integers(1, 201, size=2))
-            _assert_8_connected_matches_scipy(rng.random(shape) < density)
+            _assert_runs_match_scipy(rng.random(shape) < density, diagonal=True)
     for mask in (np.zeros((5, 7), dtype=bool), np.ones((7, 5), dtype=bool), np.eye(9, dtype=bool)):
-        _assert_8_connected_matches_scipy(mask)
+        _assert_runs_match_scipy(mask, diagonal=True)
+
+
+def _comb(size):
+    """A full top row (the spine) and a tooth down every even column."""
+    mask = np.zeros((size, size), dtype=bool)
+    mask[0] = True
+    mask[1:, ::2] = True
+    return mask
+
+
+def _checkerboard(height, width):
+    return (np.arange(height)[:, None] + np.arange(width)) % 2 == 0
+
+
+def test_runs_match_scipy_on_adversarial_masks():
+    comb = _comb(512)
+    # spine on top, then at the bottom: there each tooth is its own tree until the last row
+    for mask in (comb, comb[::-1]):
+        for diagonal in (False, True):
+            assert _assert_runs_match_scipy(mask, diagonal) == (130_817, 1)
+    board = _checkerboard(33, 40)
+    cells = int(board.sum())
+    assert _assert_runs_match_scipy(board, diagonal=False) == (cells, cells)
+    assert _assert_runs_match_scipy(board, diagonal=True) == (cells, 1)
+    # the corridors between the walls of the serpentine and spiral fixtures
+    snake = ~_serpentine_plane(96).subject_mask("F")
+    spiral = ~_spiral_plane(96).subject_mask("F")
+    rng = np.random.default_rng(41)
+    for mask in (snake, spiral, ~spiral, rng.random((1, 300)) < 0.5, rng.random((300, 1)) < 0.5,
+                 np.zeros((6, 9), dtype=bool), np.ones((9, 6), dtype=bool)):
+        for diagonal in (False, True):
+            _assert_runs_match_scipy(mask, diagonal)
+    assert _assert_runs_match_scipy(snake, diagonal=False)[1] == 1
+    assert _assert_runs_match_scipy(spiral, diagonal=False)[1] == 1
+
+
+def test_three_adversarial_bands_match_single_labelings(monkeypatch):
+    grid = GridPlane(cells=_all_plane(64), frame_is_unbounded=True)
+    snake = ~_serpentine_plane(64).subject_mask("F")
+    # subjects whose complements are a comb, a checkerboard and a snake
+    subjects = [~_comb(64), ~_checkerboard(64, 64), ~snake]
+    runs, shapes = grid_module._runs, []
+    monkeypatch.setattr(grid_module, "_runs", lambda mask, diagonal: shapes.append(mask.shape)
+                        or runs(mask, diagonal))
+    stacked = label_components(grid, subjects)
+    assert shapes == [(3 * 65, 64)]
+    monkeypatch.setattr(grid_module, "_runs", runs)
+    assert [len(lab.components) for lab in stacked] == [1, 32 * 64, 1]
+    _assert_stack_matches_single(grid, subjects)
 
 
 def test_connected_matches_reference():
