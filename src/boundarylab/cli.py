@@ -113,12 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="raster hole checks: verdict, independence, union law (JSON)")
     p.add_argument("--grid", metavar="FILE", required=True,
                    help="grid file (text format or JSON)")
-    p.add_argument("--subject", default="F", metavar="SEL",
+    p.add_argument("--subject", metavar="SEL",
                    help="subject selector: F, E, E+F or none (default F)")
-    p.add_argument("--independence", nargs=2, metavar=("E_SEL", "F_SEL"),
-                   help="report hole independence of two subjects instead")
-    p.add_argument("--union", action="store_true",
-                   help="report the full union-law check for E and F instead")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--independence", nargs=2, metavar=("E_SEL", "F_SEL"),
+                      help="report hole independence of two subjects instead")
+    mode.add_argument("--union", action="store_true",
+                      help="report the full union-law check for E and F instead")
 
     p = sub.add_parser("kernels", parents=[common],
                        help="Poisson kernel mass and concentration numbers (JSON)")
@@ -282,14 +283,16 @@ def _cmd_series(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_arakeljan(args: argparse.Namespace, cfg: dict) -> int:
+    if args.subject is not None and (args.union or args.independence is not None):
+        raise ValidationError("--subject applies to the verdict only, "
+                              "not to --union or --independence")
     grid = _load_grid(args.grid)
     if args.independence is not None:
-        report = hole_independence(grid, args.independence[0], args.independence[1])
-        payload = report.to_json()
+        payload = hole_independence(grid, *args.independence).to_json()
     elif args.union:
         payload = union_check(grid, "e", "f").to_json()
     else:
-        payload = is_arakeljan(grid, args.subject).to_json()
+        payload = is_arakeljan(grid, "F" if args.subject is None else args.subject).to_json()
     with _out_handle(args.out) as fh:
         fh.write(json_text(payload))
     return 0

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +53,15 @@ _CODE_OF_CHAR[_CHAR_CODES] = np.arange(len(_CELL_CHARS))
 _KNOWN_CHAR = np.zeros(128, dtype=bool)
 _KNOWN_CHAR[_CHAR_CODES] = True
 
-# cell classes of each subject spelling, keyed in lower case
-_SUBJECT_CLASSES = {
-    "f": (CellClass.F_SET,),
-    "e": (CellClass.E_SET,),
-    "e+f": (CellClass.E_SET, CellClass.F_SET),
-    "none": (),
+
+# bit c of a spelling's table is set when class c is in the subject
+_SUBJECT_BITS = {
+    "f": 1 << CellClass.F_SET,
+    "e": 1 << CellClass.E_SET,
+    "e+f": 1 << CellClass.E_SET | 1 << CellClass.F_SET,
+    "none": 0,
 }
+_G_BITS = sum(1 << c for c in CellClass if c != CellClass.OUTSIDE_G)
 
 # Largest grid accepted (4096 x 4096); the parsers check it before allocating,
 # and it keeps every flat cell index within int32.
@@ -77,9 +80,18 @@ def _check_dimensions(width: int, height: int) -> None:
         )
 
 
-@dataclass(eq=False)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class GridPlane:
-    """A rectangular window of cells sampling the domain G."""
+    """A rectangular window of cells sampling the domain G.
+
+    Frozen, with a read-only copy of the cells, so it keeps the masks derived
+    from them: each is built on first use.
+    """
 
     cells: np.ndarray
     frame_is_unbounded: bool
@@ -94,7 +106,8 @@ class GridPlane:
         # a fractional code is in range but differs from its (truncating) cast
         if not (np.all((cells >= 0) & (cells <= 4)) and np.all(cells.astype(np.uint8) == cells)):
             raise ValidationError("grid cells must carry class codes 0..4")
-        self.cells = cells.astype(np.uint8)
+        # astype copies, so later writes to the caller's array miss the plane
+        object.__setattr__(self, "cells", _read_only(cells.astype(np.uint8)))
         if not 0.0 < self.cell_size < np.inf:
             raise ValidationError("cell_size must be positive and finite")
         counts = np.bincount(self.cells.reshape(-1), minlength=5)
@@ -109,9 +122,23 @@ class GridPlane:
     def width(self) -> int:
         return int(self.cells.shape[1])
 
-    @property
+    @cached_property
     def outside_mask(self) -> np.ndarray:
-        return self.cells == CellClass.OUTSIDE_G
+        """The complement of G, read-only."""
+        return _read_only(self.cells == CellClass.OUTSIDE_G)
+
+    # Flat indices of the G cells 4- (rim_4) or 8-adjacent (rim_8) to the
+    # outside, read-only.  Outside cells carry no label, so label lookups near
+    # the outside need only these; the dilation holds the outside, so xor drops it.
+    @cached_property
+    def rim_4(self) -> np.ndarray:
+        outside = self.outside_mask
+        return _read_only(np.flatnonzero(_dilate(outside, diagonal=False) ^ outside))
+
+    @cached_property
+    def rim_8(self) -> np.ndarray:
+        outside = self.outside_mask
+        return _read_only(np.flatnonzero(_dilate(outside, diagonal=True) ^ outside))
 
     def subject_mask(self, selector) -> np.ndarray:
         """Normalize a subject selector to a boolean mask inside G.
@@ -120,15 +147,13 @@ class GridPlane:
         (which must stay inside G).
         """
         if isinstance(selector, np.ndarray):
-            return _inside_g(selector, self.outside_mask)
-        key = selector.strip().lower() if isinstance(selector, str) else None
-        classes = _SUBJECT_CLASSES.get(key)
-        if classes is None:
-            raise ValidationError(f"unknown subject selector {selector!r}")
-        mask = np.zeros(self.cells.shape, dtype=bool)
-        for cls in classes:
-            mask |= self.cells == cls
-        return mask
+            mask = selector.astype(bool)
+            if mask.shape != self.cells.shape:
+                raise ValidationError("subject mask shape does not match the grid")
+            if np.any(mask & self.outside_mask):
+                raise ValidationError("subject mask leaves G")
+            return mask
+        return _lookup(_subject_bits(selector), self.cells)
 
     # --- text format ------------------------------------------------------
 
@@ -223,44 +248,28 @@ def _dilate(mask: np.ndarray, diagonal: bool) -> np.ndarray:
     return out
 
 
-def _inside_g(selector: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """A boolean subject mask, refused if it has the wrong shape or leaves G."""
-    mask = selector.astype(bool)
-    if mask.shape != outside.shape:
-        raise ValidationError("subject mask shape does not match the grid")
-    if np.any(mask & outside):
-        raise ValidationError("subject mask leaves G")
-    return mask
+def _subject_bits(selector) -> int:
+    key = selector.strip().lower() if isinstance(selector, str) else None
+    bits = _SUBJECT_BITS.get(key)
+    if bits is None:
+        raise ValidationError(f"unknown subject selector {selector!r}")
+    return bits
 
 
-class GridMasks:
-    """Masks fixed by a grid's cells, for one public call.
-
-    Each is built on first use and then shared by every labeling, probe and
-    verdict of the call.  GridPlane is mutable, so they are not cached on it;
-    a caller that passes them along must not change the cells in between.
-    """
-
-    def __init__(self, grid: GridPlane) -> None:
-        self.outside = grid.outside_mask  # the complement of G
-
-    # Flat indices of the G cells 4- (rim_4) or 8-adjacent (rim_8) to the
-    # outside.  Outside cells carry no label, so label lookups near the
-    # outside need only these; the dilation holds the outside, so xor drops it.
-    @cached_property
-    def rim_4(self) -> np.ndarray:
-        return np.flatnonzero(_dilate(self.outside, diagonal=False) ^ self.outside)
-
-    @cached_property
-    def rim_8(self) -> np.ndarray:
-        return np.flatnonzero(_dilate(self.outside, diagonal=True) ^ self.outside)
+def _lookup(bits: int, cells: np.ndarray) -> np.ndarray:
+    """The cells whose class code c has bit c set in the table."""
+    # one shift reads the table for every cell; indexing a bool table with the
+    # uint8 cells would widen them to intp first (10x slower at 192 x 192)
+    found = np.right_shift(np.uint8(bits), cells)
+    found &= 1
+    return found.view(bool)
 
 
-def _subject(grid: GridPlane, masks: GridMasks, selector) -> np.ndarray:
-    """grid.subject_mask(selector), checking a mask selector against masks.outside."""
-    if isinstance(selector, np.ndarray):
-        return _inside_g(selector, masks.outside)
-    return grid.subject_mask(selector)
+def _complement(grid: GridPlane, subject) -> np.ndarray:
+    """G minus the subject, the mask that labeling reads."""
+    if isinstance(subject, np.ndarray):
+        return ~(grid.outside_mask | grid.subject_mask(subject))
+    return _lookup(_G_BITS & ~_subject_bits(subject), grid.cells)
 
 
 def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
@@ -278,17 +287,19 @@ def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
     # a row's changes, with False on both sides, alternate start and stop
     padded = np.zeros((h, w + 2), dtype=bool)
     padded[:, 1:-1] = mask
-    r, c = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), w + 1)
-    start, stop = (r * w + c).reshape(-1, 2).T
+    change = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    # change r * (w + 1) + c is flat cell r * w + c
+    start, stop = (change - change // (w + 1)).reshape(-1, 2).T
     edges = []
-    # Cell (r, c) meets cell (r + 1, c + shift).  An edge is skipped when the
-    # left neighbours of its cells form one too: both link the same two runs.
+    # Cell (r, c) meets cell (r + 1, c + shift) where both[r, c], whose flat
+    # index is the upper cell's.  An edge is skipped when the left neighbours
+    # of its cells form one too: both link the same two runs.
     for shift in (0, 1, -1) if diagonal else (0,):
         lo, hi = max(0, -shift), w - max(0, shift)
-        both = mask[:-1, lo:hi] & mask[1:, lo + shift:hi + shift]
+        both = np.zeros((h - 1, w), dtype=bool)
+        np.logical_and(mask[:-1, lo:hi], mask[1:, lo + shift:hi + shift], out=both[:, lo:hi])
         both[:, 1:] &= ~both[:, :-1]
-        r, c = np.divmod(np.flatnonzero(both), hi - lo)
-        edges.append(r * w + c + lo + np.array([[0], [w + shift]]))
+        edges.append(np.flatnonzero(both) + np.array([[0], [w + shift]]))
     # the run of a cell is the last run starting at or before it
     edges = np.searchsorted(start, np.concatenate(edges, axis=1), side="right") - 1
     parent = list(range(start.size))
@@ -312,8 +323,7 @@ def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
     return start, stop, np.array(comp, dtype=np.int32), start[roots]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One 4-connected component of G minus the subject."""
 
     component_id: int
@@ -330,9 +340,9 @@ class ComponentLabeling:
     components: tuple[Component, ...]
 
 
-def _per_canvas(masks: GridMasks) -> int:
+def _per_canvas(grid: GridPlane) -> int:
     """How many masks of the grid's shape one canvas holds."""
-    h, w = masks.outside.shape
+    h, w = grid.cells.shape
     return max(1, _CANVAS_CELLS // ((h + 1) * w))
 
 
@@ -350,9 +360,9 @@ def _canvas(bands: list) -> np.ndarray:
     return canvas.reshape(-1, w)
 
 
-def _labeled(canvas: np.ndarray, k: int, masks: GridMasks) -> list[ComponentLabeling]:
+def _labeled(grid: GridPlane, canvas: np.ndarray, k: int) -> list[ComponentLabeling]:
     """Labelings of the k bands of a canvas of complements of subjects."""
-    h, w = masks.outside.shape
+    h, w = grid.cells.shape
     stride = canvas.shape[0] // k  # rows per band, its separator included
     start, stop, comp, first = _runs(canvas, diagonal=False)
     n = first.size
@@ -370,51 +380,49 @@ def _labeled(canvas: np.ndarray, k: int, masks: GridMasks) -> list[ComponentLabe
     labels = np.full(canvas.shape, -1, dtype=np.int32)
     labels[canvas] = np.repeat(local, stop - start)
     labels = labels.reshape(k, stride, w)
-    rim_ids = labels.reshape(k, -1)[:, masks.rim_4]
-    near_outside_ids = (rim_ids if k == 1 else rim_ids + ends[:k, None])[rim_ids >= 0]
+    rim_ids = labels.reshape(k, -1)[:, grid.rim_4]
+    # components with a cell in rim_4; label -1 marks the spare last entry
+    near = np.zeros(n + 1, dtype=bool)
+    near[rim_ids if k == 1 else np.where(rim_ids < 0, -1, rim_ids + ends[:k, None])] = True
     col_min, row_max, col_max = np.full(n, w), np.full(n, -1), np.full(n, -1)
     np.minimum.at(col_min, comp, start_col)
     np.maximum.at(row_max, comp, row)
     np.maximum.at(col_max, comp, (stop - 1) % w)
     # a component meets the window frame exactly where its bounding box does
     touches = (row_min == 0) | (row_max == h - 1) | (col_min == 0) | (col_max == w - 1)
-    # per component, in Component field order after the id
-    facts = list(zip(
+    # per component, the Component fields after the id
+    columns = (
         np.bincount(comp, weights=stop - start, minlength=n).astype(np.int64).tolist(),
         touches.tolist(),
-        (np.bincount(near_outside_ids, minlength=n) > 0).tolist(),
-        zip(row_min.tolist(), col_min.tolist(), row_max.tolist(), col_max.tolist()),
-        zip(row_min.tolist(), first_col.tolist()),
-    ))
+        near[:n].tolist(),
+        list(zip(row_min.tolist(), col_min.tolist(), row_max.tolist(), col_max.tolist())),
+        list(zip(row_min.tolist(), first_col.tolist())),
+    )
     return [
         ComponentLabeling(labels=labels[b, :h], components=tuple(
-            Component(cid, *fact) for cid, fact in enumerate(facts[ends[b]:ends[b + 1]])
+            map(Component, range(hi - lo), *(column[lo:hi] for column in columns))
         ))
-        for b in range(k)
+        for b, (lo, hi) in enumerate(zip(ends, ends[1:]))
     ]
 
 
-def label_components(
-    grid: GridPlane, subject, masks: GridMasks | None = None
-) -> ComponentLabeling | list[ComponentLabeling]:
+def label_components(grid: GridPlane, subject) -> ComponentLabeling | list[ComponentLabeling]:
     """4-connected components of G minus the subject.
 
     Components are numbered in row-major order of their first cells.  Each
     records its cell count, bounding box and contact with the window frame,
-    all read off its runs, and its 4-adjacency to a cell outside G.  masks,
-    when given, are GridMasks(grid).
+    all read off its runs, and its 4-adjacency to a cell outside G.
 
     A list of boolean masks is a list of subjects, labeled in one _runs call
     per canvas; the list of their labelings is returned, each equal to the
     one its subject gets alone.
     """
-    masks = GridMasks(grid) if masks is None else masks
     if not (isinstance(subject, list) and subject and isinstance(subject[0], np.ndarray)):
-        return _labeled(~(masks.outside | _subject(grid, masks, subject)), 1, masks)[0]
-    per, labelings = _per_canvas(masks), []
+        return _labeled(grid, _complement(grid, subject), 1)[0]
+    per, labelings = _per_canvas(grid), []
     for i in range(0, len(subject), per):
-        bands = [~(masks.outside | _subject(grid, masks, s)) for s in subject[i:i + per]]
-        labelings += _labeled(_canvas(bands), len(bands), masks)
+        bands = [_complement(grid, s) for s in subject[i:i + per]]
+        labelings += _labeled(grid, _canvas(bands), len(bands))
     return labelings
 
 
@@ -438,14 +446,9 @@ def _reports(grid: GridPlane, labeling: ComponentLabeling) -> list[HoleReport]:
     for comp in labeling.components:
         disqualified = (grid.frame_is_unbounded and comp.touches_frame) or \
             comp.adjacent_to_boundary_of_g
-        reports.append(HoleReport(
-            component_id=comp.component_id,
-            cell_count=comp.cell_count,
-            touches_frame=comp.touches_frame,
-            adjacent_to_boundary_of_g=comp.adjacent_to_boundary_of_g,
-            is_g_hole=not disqualified,
-            is_strict_hole=disqualified,
-        ))
+        # a Component's first four fields are those of its HoleReport
+        reports.append(HoleReport(*comp[:4], is_g_hole=not disqualified,
+                                  is_strict_hole=disqualified))
     return reports
 
 
@@ -460,26 +463,23 @@ class Probe:
     mask: np.ndarray
 
 
-def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe",
-                   masks: GridMasks | None = None) -> Probe:
+def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe") -> Probe:
     """Probes must be nonempty, strictly inside G, 8-connected, with
     4-connected complement inside their bounding box (the raster stand-in for
     a compact with Jordan boundary).  Strictly inside means no cell is even
     8-adjacent to the complement of G: a compact subset of an open set keeps
     positive distance from its boundary, and on the raster two closed cell
     squares meet exactly when the cells are 8-adjacent.  Connectivity is
-    decided on the mask's bounding-box crop.  masks, when given, are
-    GridMasks(grid)."""
-    masks = GridMasks(grid) if masks is None else masks
+    decided on the mask's bounding-box crop."""
     mask = mask.astype(bool)
     if mask.shape != grid.cells.shape:
         raise ValidationError(f"{name}: mask shape does not match the grid")
     if not mask.any():
         raise ValidationError(f"{name}: empty probe mask")
-    if np.any(mask & masks.outside):
+    if np.any(mask & grid.outside_mask):
         raise ValidationError(f"{name}: probe leaves G")
     # 8-adjacency is symmetric: the probe meets the rim around the outside
-    if mask.reshape(-1)[masks.rim_8].any():
+    if mask.reshape(-1)[grid.rim_8].any():
         raise ValidationError(f"{name}: probe touches the boundary of G")
     rows = np.any(mask, axis=1).nonzero()[0]
     cols = np.any(mask, axis=0).nonzero()[0]
@@ -494,7 +494,7 @@ def validate_probe(grid: GridPlane, mask: np.ndarray, name: str = "probe",
     return Probe(name, mask)
 
 
-def auto_probes(grid: GridPlane, masks: GridMasks | None = None) -> list[Probe]:
+def auto_probes(grid: GridPlane) -> list[Probe]:
     """Expanding concentric square annuli centered on the window.
 
     Each ring has radius at most (min(h, w) - 1) // 2 - 1, so it lies in
@@ -503,16 +503,14 @@ def auto_probes(grid: GridPlane, masks: GridMasks | None = None) -> list[Probe]:
     a ring fails validation only by leaving G or touching the boundary of G,
     that is by a cell outside G or in rim_8.  Radii that hold such a cell are
     skipped, so domains with punctures or narrow windows simply get a smaller
-    family; the first four others are kept.  masks, when given, are
-    GridMasks(grid).
+    family; the first four others are kept.
     """
-    masks = GridMasks(grid) if masks is None else masks
     h, w = grid.cells.shape
     # Chebyshev distance of every cell from the window's center cell
     distance = np.maximum(np.abs(np.arange(h)[:, None] - h // 2), np.abs(np.arange(w) - w // 2))
     blocked = np.zeros(max(h, w), dtype=bool)  # indexed by distance
-    blocked[distance[masks.outside]] = True
-    blocked[distance.reshape(-1)[masks.rim_8]] = True
+    blocked[distance[grid.outside_mask]] = True
+    blocked[distance.reshape(-1)[grid.rim_8]] = True
     max_radius = (min(h, w) - 1) // 2 - 1
     radii, radius = [], 2
     while radius <= max_radius and len(radii) < 4:
@@ -522,9 +520,9 @@ def auto_probes(grid: GridPlane, masks: GridMasks | None = None) -> list[Probe]:
     return [Probe(f"auto-ring-{i}", distance == radius) for i, radius in enumerate(radii)]
 
 
-def _gather_probes(grid: GridPlane, masks: GridMasks, probes) -> list[Probe]:
+def _gather_probes(grid: GridPlane, probes) -> list[Probe]:
     if probes is None or (isinstance(probes, str) and probes == "auto"):
-        family, named = auto_probes(grid, masks), []
+        family, named = auto_probes(grid), []
     elif isinstance(probes, str):
         raise ValidationError(f"unknown probe policy {probes!r}")
     else:
@@ -534,7 +532,7 @@ def _gather_probes(grid: GridPlane, masks: GridMasks, probes) -> list[Probe]:
     marked = grid.cells == CellClass.K_PROBE
     if marked.any():
         named.append(("grid-K", marked))
-    return family + [validate_probe(grid, mask, name, masks) for name, mask in named]
+    return family + [validate_probe(grid, mask, name) for name, mask in named]
 
 
 @dataclass(frozen=True)
@@ -568,8 +566,7 @@ class ArakeljanVerdict:
 
 
 def _verdict(
-    grid: GridPlane, masks: GridMasks, subject_mask: np.ndarray, labeling: ComponentLabeling,
-    family: list[Probe],
+    grid: GridPlane, subject_mask: np.ndarray, labeling: ComponentLabeling, family: list[Probe],
 ) -> ArakeljanVerdict:
     """Both hole conditions, given the subject's own labeling and its probes."""
     names = tuple(p.name for p in family)
@@ -580,12 +577,12 @@ def _verdict(
     # with a cell in rim_8 is the raster reading of "the hole's closure
     # meets the boundary of G".  4-adjacent contact cannot occur here: it
     # would have disqualified the component as a G-hole already.
-    per = _per_canvas(masks)
+    per = _per_canvas(grid)
     for i in range(0, len(family), per):
         probes = family[i:i + per]
-        unions = label_components(grid, [subject_mask | probe.mask for probe in probes], masks)
+        unions = label_components(grid, [subject_mask | probe.mask for probe in probes])
         for probe, trapped in zip(probes, unions):
-            reaching = set(trapped.labels.reshape(-1)[masks.rim_8].tolist())
+            reaching = set(trapped.labels.reshape(-1)[grid.rim_8].tolist())
             offenders = tuple(
                 rep for rep in _reports(grid, trapped)
                 if rep.is_g_hole and rep.component_id in reaching
@@ -597,10 +594,9 @@ def _verdict(
 
 def is_arakeljan(grid: GridPlane, subject, probes="auto") -> ArakeljanVerdict:
     """Check both hole conditions for the subject set at raster fidelity."""
-    masks = GridMasks(grid)
-    subject_mask = _subject(grid, masks, subject)
-    family = _gather_probes(grid, masks, probes)
-    return _verdict(grid, masks, subject_mask, label_components(grid, subject_mask, masks), family)
+    subject_mask = grid.subject_mask(subject)
+    family = _gather_probes(grid, probes)
+    return _verdict(grid, subject_mask, label_components(grid, subject_mask), family)
 
 
 # --- independence and the union law ----------------------------------------
@@ -623,11 +619,11 @@ class IndependenceReport:
         }
 
 
-def _labelings(grid: GridPlane, masks: GridMasks, e_mask: np.ndarray, f_mask: np.ndarray) -> tuple:
+def _labelings(grid: GridPlane, e_mask: np.ndarray, f_mask: np.ndarray) -> tuple:
     """Labelings of G minus E, G minus F and G minus their union."""
     if np.any(e_mask & f_mask):
         raise ValidationError("E and F overlap; independence needs disjoint sets")
-    return tuple(label_components(grid, [e_mask, f_mask, e_mask | f_mask], masks))
+    return tuple(label_components(grid, [e_mask, f_mask, e_mask | f_mask]))
 
 
 def _independence(
@@ -657,10 +653,9 @@ def hole_independence(grid: GridPlane, e_subject="E", f_subject="F") -> Independ
     G-hole while sitting inside strict holes of both E and F is a witness of
     dependence.
     """
-    masks = GridMasks(grid)
-    e_mask = _subject(grid, masks, e_subject)
-    f_mask = _subject(grid, masks, f_subject)
-    return _independence(grid, *_labelings(grid, masks, e_mask, f_mask))
+    e_mask = grid.subject_mask(e_subject)
+    f_mask = grid.subject_mask(f_subject)
+    return _independence(grid, *_labelings(grid, e_mask, f_mask))
 
 
 @dataclass(frozen=True)
@@ -692,15 +687,14 @@ class UnionCheckReport:
 
 def union_check(grid: GridPlane, e_subject="E", f_subject="F", probes="auto") -> UnionCheckReport:
     """Verdicts for E, F and E union F from one probe family and one labeling each."""
-    masks = GridMasks(grid)
-    e_mask = _subject(grid, masks, e_subject)
-    family = _gather_probes(grid, masks, probes)
-    f_mask = _subject(grid, masks, f_subject)
-    lab_e, lab_f, lab_union = _labelings(grid, masks, e_mask, f_mask)
-    e_verdict = _verdict(grid, masks, e_mask, lab_e, family)
-    f_verdict = _verdict(grid, masks, f_mask, lab_f, family)
+    e_mask = grid.subject_mask(e_subject)
+    family = _gather_probes(grid, probes)
+    f_mask = grid.subject_mask(f_subject)
+    lab_e, lab_f, lab_union = _labelings(grid, e_mask, f_mask)
+    e_verdict = _verdict(grid, e_mask, lab_e, family)
+    f_verdict = _verdict(grid, f_mask, lab_f, family)
     independence = _independence(grid, lab_e, lab_f, lab_union)
-    union_verdict = _verdict(grid, masks, e_mask | f_mask, lab_union, family)
+    union_verdict = _verdict(grid, e_mask | f_mask, lab_union, family)
     premises = e_verdict.passed and f_verdict.passed and independence.independent
     consistent = (not premises) or union_verdict.passed
     note = None if consistent else (

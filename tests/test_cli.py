@@ -293,6 +293,21 @@ def test_arakeljan_subcommands(tmp_path, capsys):
     assert union["union"]["failed_condition"] == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--union", "--independence", "E", "F"], "argument --independence: not allowed with"),
+    (["--independence", "E", "F", "--union"], "argument --union: not allowed with"),
+    (["--union", "--subject", "E"], "--subject applies to the verdict only"),
+    (["--subject", "F", "--independence", "E", "F"], "--subject applies to the verdict only"),
+], ids=["union-independence", "independence-union", "union-subject", "independence-subject"])
+def test_arakeljan_refuses_conflicting_modes(tmp_path, capsys, flags, message):
+    path = tmp_path / "remark3.grid"
+    path.write_text(punctured_disc_plane(12).format_text())
+    assert run(["arakeljan", "--grid", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "boundarylab arakeljan: " in captured.err and message in captured.err
+
+
 def test_text_grid_after_blank_lines(tmp_path, capsys):
     text = punctured_disc_plane(48).format_text()
     outputs = []

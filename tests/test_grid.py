@@ -1,4 +1,6 @@
+import dataclasses
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -423,6 +425,18 @@ def test_grid_plane_accepts_integral_codes(cells):
     grid = GridPlane(cells=cells, frame_is_unbounded=True, cell_size=2)
     assert grid.cells.dtype == np.uint8
     assert np.array_equal(grid.cells, cells)
+
+
+def test_grid_plane_is_frozen_and_keeps_its_own_cells():
+    for given in (np.array([[1, 2], [0, 3]]), np.array([[1, 2], [0, 3]], dtype=np.uint8)):
+        grid = GridPlane(cells=given, frame_is_unbounded=True)
+        with pytest.raises(ValueError):
+            grid.cells[0, 0] = int(CellClass.OUTSIDE_G)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.cells = np.ones((2, 2), dtype=np.uint8)
+        # the plane holds a copy: writes to the caller's array miss it
+        given[0, 0] = int(CellClass.E_SET)
+        assert grid.cells.tolist() == [[1, 2], [0, 3]]
 
 
 _BAD_HEADER = "grid header must be 'grid <width> <height> <unbounded:0|1>'"
@@ -1009,12 +1023,16 @@ def _old_dilate(mask, diagonal):
 
 def test_grid_masks_are_the_dilations_of_the_outside():
     for grid in (punctured_disc_plane(48), annulus_window_plane(40), radial_segment_plane(32)):
-        masks = grid_module.GridMasks(grid)
         outside = grid.cells == CellClass.OUTSIDE_G
-        assert np.array_equal(masks.outside, outside)
+        assert np.array_equal(grid.outside_mask, outside)
         # the rims are the G cells of the outside's 4- and 8-neighbourhoods
-        for rim, diagonal in ((masks.rim_4, False), (masks.rim_8, True)):
+        for rim, diagonal in ((grid.rim_4, False), (grid.rim_8, True)):
             assert np.array_equal(rim, np.flatnonzero(_old_dilate(outside, diagonal) & ~outside))
+        # the plane hands out its masks read-only
+        for mask in (grid.outside_mask, grid.rim_4, grid.rim_8):
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[...] = 0
 
 
 def test_probe_band_check_is_the_dilated_probe_check():
@@ -1022,14 +1040,41 @@ def test_probe_band_check_is_the_dilated_probe_check():
     # own 8-dilation meets the outside
     rng = np.random.default_rng(11)
     grid = punctured_disc_plane(40)
-    masks = grid_module.GridMasks(grid)
+    assert not (grid.outside_mask.flags.writeable or grid.rim_8.flags.writeable)
     seen = set()
     for _ in range(300):
         mask = (rng.random(grid.cells.shape) < rng.uniform(0.001, 0.02)) & ~grid.outside_mask
-        touches = bool(np.any(_old_dilate(mask, diagonal=True) & masks.outside))
-        assert bool(mask.reshape(-1)[masks.rim_8].any()) == touches
+        touches = bool(np.any(_old_dilate(mask, diagonal=True) & grid.outside_mask))
+        assert bool(mask.reshape(-1)[grid.rim_8].any()) == touches
         seen.add(touches)
     assert seen == {True, False}
+
+
+def test_subject_lookup_matches_the_class_by_class_masks():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    arrays = pytest.importorskip("hypothesis.extra.numpy").arrays
+    classes = {"F": (CellClass.F_SET,), " e ": (CellClass.E_SET,),
+               "E+F": (CellClass.E_SET, CellClass.F_SET), "none": ()}
+    shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+    cells = shapes.flatmap(lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 4)))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cells=cells)
+    def check(cells):
+        hypothesis.assume(np.isin(cells, (CellClass.G_FREE, CellClass.F_SET)).any())
+        grid = GridPlane(cells=cells, frame_is_unbounded=True)
+        for selector, members in classes.items():
+            want = np.zeros(cells.shape, dtype=bool)
+            for cls in members:
+                want |= cells == cls
+            subject = grid.subject_mask(selector)
+            assert subject.dtype == bool and np.array_equal(subject, want)
+            complement = grid_module._complement(grid, selector)
+            assert complement.dtype == bool
+            assert np.array_equal(complement, ~(grid.outside_mask | want))
+
+    check()
 
 
 @pytest.mark.parametrize("call", [
@@ -1042,10 +1087,9 @@ def test_probe_band_check_is_the_dilated_probe_check():
     lambda g: auto_probes(g),
 ], ids=["label", "label-mask", "arakeljan", "arakeljan-mask", "independence", "union", "probes"])
 def test_public_calls_build_the_grid_masks_once(monkeypatch, call):
-    grid = punctured_disc_plane(96)
-    want = call(grid)
+    want = call(punctured_disc_plane(96))
     counts = {"outside": 0, False: 0, True: 0}
-    outside, dilate = GridPlane.outside_mask.fget, grid_module._dilate
+    outside, dilate = vars(GridPlane)["outside_mask"].func, grid_module._dilate
 
     def counting_outside(self):
         counts["outside"] += 1
@@ -1055,11 +1099,18 @@ def test_public_calls_build_the_grid_masks_once(monkeypatch, call):
         counts[diagonal] += 1
         return dilate(mask, diagonal)
 
-    monkeypatch.setattr(GridPlane, "outside_mask", property(counting_outside))
+    counted = cached_property(counting_outside)
+    counted.__set_name__(GridPlane, "outside_mask")
+    monkeypatch.setattr(GridPlane, "outside_mask", counted)
     monkeypatch.setattr(grid_module, "_dilate", counting_dilate)
+    grid = punctured_disc_plane(96)
     got = call(grid)
     # each mask at most once, and only the masks the call reads
     assert counts["outside"] == 1 and counts[False] <= 1 and counts[True] <= 1
+    # the plane keeps them: the next call builds none
+    built = dict(counts)
+    again = call(grid)
+    assert counts == built
 
     def summary(result):
         if isinstance(result, list):
@@ -1068,4 +1119,4 @@ def test_public_calls_build_the_grid_masks_once(monkeypatch, call):
             return result.to_json()
         return result.components, result.labels.tolist()
 
-    assert summary(got) == summary(want)
+    assert summary(got) == summary(want) == summary(again)
