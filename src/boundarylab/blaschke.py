@@ -28,7 +28,6 @@ import numpy as np
 
 from . import config
 from .errors import PoleError, PrefixExhaustedError, ValidationError
-from .herglotz import InnerFunctionSpec
 from .textio import write_values
 from .unitdisc import (
     TWO_PI,
@@ -422,20 +421,10 @@ class BlaschkeProduct:
         return TruncatedEval(values.item(), counts.item(), bounds.item())
 
 
-def evaluate_points(fn, points, *, strict: bool = False) -> np.ndarray:
-    """Values of fn at the points, as a complex array.
-
-    A BlaschkeProduct or InnerFunctionSpec is evaluated in one eval_many
-    call (the spec's Blaschke part best effort), a plain callable point by point.
-    """
-    if isinstance(fn, BlaschkeProduct):
-        return fn.eval_many(points, strict=strict).values
-    if isinstance(fn, InnerFunctionSpec):
-        return fn.eval_many(points)
-    if not callable(fn):
-        raise ValidationError(f"cannot evaluate object of type {type(fn).__name__}")
-    zs = np.asarray(points, dtype=np.complex128).reshape(-1).tolist()
-    return np.array([fn(z) for z in zs], dtype=np.complex128)
+def _require_product(product) -> None:
+    if not isinstance(product, BlaschkeProduct):
+        raise ValidationError(f"cannot evaluate object of type {type(product).__name__}; "
+                              "expected a BlaschkeProduct")
 
 
 def default_radius_schedule(levels: int | None = None) -> np.ndarray:
@@ -470,18 +459,23 @@ def _late_window(values: np.ndarray, window: int, tol: float):
 
 @dataclass(frozen=True, eq=False)
 class RadialTrace:
-    """Samples of a function along a ray toward e^(i*angle).
+    """Samples of a Blaschke product along a ray toward e^(i*angle).
 
-    ``oscillation`` is the diameter (max pairwise distance) of the last
-    min(window, len) samples; ``limit_estimate`` is their mean when the
-    oscillation is below the verdict tolerance, else None.
+    ``samples`` is the eval_many record of the ray's points (value, factor
+    count and tail bound per radius).  ``oscillation`` is the diameter (max
+    pairwise distance) of the last min(window, len) values; ``limit_estimate``
+    is their mean when the oscillation is below the verdict tolerance, else None.
     """
 
     angle: float
     radii: np.ndarray
-    values: np.ndarray
+    samples: BatchEval
     limit_estimate: complex | None
     oscillation: float
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.samples.values
 
     def write_csv(self, handle: TextIO) -> None:
         write_values(handle, "radius", self.radii, self.values)
@@ -501,7 +495,7 @@ def _radius_schedule(radii: Sequence[float] | None) -> np.ndarray:
 
 
 def radial_trace(
-    fn,
+    product: BlaschkeProduct,
     angle: float,
     radii: Sequence[float] | None = None,
     *,
@@ -509,65 +503,64 @@ def radial_trace(
     window: int | None = None,
     strict: bool = False,
 ) -> RadialTrace:
-    """Sample fn along the ray of the given angle and judge the radial limit."""
+    """Sample the product along the ray of the given angle and judge the radial limit."""
+    _require_product(product)
     radii_arr = _radius_schedule(radii)
     tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
     win = config.DEFAULTS["oscillation_window"] if window is None else window
     angle = normalize_angle(angle)
-    values = evaluate_points(fn, radii_arr * cmath.exp(1j * angle), strict=strict)
-    _, osc, estimate = _late_window(values, win, tol)
-    return RadialTrace(angle=angle, radii=radii_arr, values=values,
+    samples = product.eval_many(radii_arr * cmath.exp(1j * angle), strict=strict)
+    _, osc, estimate = _late_window(samples.values, win, tol)
+    return RadialTrace(angle=angle, radii=radii_arr, samples=samples,
                        limit_estimate=estimate, oscillation=osc)
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryScan:
-    """Uniform-angle samples of a function on the circle of radius r."""
+    """Uniform-angle samples of a Blaschke product on the circle of radius r,
+    with the eval_many record (value, factor count and tail bound per angle)."""
 
     r: float
     delta: float
     angles: np.ndarray
-    values: np.ndarray
+    samples: BatchEval
     modulus_min: float
     modulus_max: float
     modulus_mean: float
     fraction_near_one: float
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.samples.values
 
     def write_csv(self, handle: TextIO) -> None:
         write_values(handle, "angle", self.angles, self.values)
 
 
 def boundary_scan(
-    fn,
+    product: BlaschkeProduct,
     r: float,
     angle_count: int,
     *,
     delta: float | None = None,
     strict: bool = True,
 ) -> BoundaryScan:
-    """Scan fn on |z| = r at angle_count uniform angles.
+    """Scan the product on |z| = r at angle_count uniform angles.
 
     fraction_near_one counts samples with modulus above 1 - delta.  Truncation
     failures propagate (pass strict=False for best-effort sampling).
     """
+    _require_product(product)
     if not (0.0 < r < 1.0):
         raise ValidationError(f"scan radius must lie in (0, 1), got {r!r}")
     angles = uniform_angles(angle_count)
     delta = config.DEFAULTS["scan_delta"] if delta is None else delta
     if not (0.0 < delta < 1.0):
         raise ValidationError(f"delta must lie in (0, 1), got {delta!r}")
-    values = evaluate_points(fn, circle_points(r, angles), strict=strict)
-    moduli = np.abs(values)
-    return BoundaryScan(
-        r=r,
-        delta=delta,
-        angles=angles,
-        values=values,
-        modulus_min=float(moduli.min()),
-        modulus_max=float(moduli.max()),
-        modulus_mean=float(moduli.mean()),
-        fraction_near_one=float(np.mean(moduli > 1.0 - delta)),
-    )
+    samples = product.eval_many(circle_points(r, angles), strict=strict)
+    moduli = np.abs(samples.values)
+    return BoundaryScan(r, delta, angles, samples, float(moduli.min()), float(moduli.max()),
+                        float(moduli.mean()), float(np.mean(moduli > 1.0 - delta)))
 
 
 @dataclass(frozen=True)
@@ -684,20 +677,26 @@ class PathLimit(NamedTuple):
     oscillation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitProbeReport:
     """Per-path limit verdicts at one boundary angle plus a cluster estimate.
 
+    ``samples`` is the eval_many record of all paths' points in family order
+    (value, factor count and tail bound per point); path i holds entries
+    path_ends[i - 1] (0 for the first) to path_ends[i].
     cluster_diameter_estimate is the diameter of the pooled late-window
-    samples of all paths; it is a lower bound for the true cluster set
-    diameter and always at least the max pairwise distance between per-path
-    limit estimates.
+    values of all paths, at least the max pairwise distance between per-path
+    limit estimates.  It is the diameter of the sampled values only, not a
+    bound on the cluster set's: finite radii are not limit points, and each
+    value is off the true product by up to its tail bound in ``samples``.
     """
 
     angle: float
     path_limits: tuple[PathLimit, ...]
     cluster_diameter_estimate: float
     radial_exists: bool
+    samples: BatchEval
+    path_ends: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -717,7 +716,7 @@ class LimitProbeReport:
 
 
 def limit_probe(
-    fn,
+    product: BlaschkeProduct,
     angle: float,
     paths: Sequence[ApproachPath] | None = None,
     *,
@@ -725,20 +724,19 @@ def limit_probe(
     verdict_tolerance: float | None = None,
     window: int | None = None,
 ) -> LimitProbeReport:
-    """Probe the boundary behaviour of fn at e^(i*angle) along several paths.
+    """Probe the boundary behaviour of the product at e^(i*angle) along several paths.
 
-    The default family is the standard five paths plus, for Blaschke
-    products whose zeros approach the point, a discrete path through those
-    zeros.  Custom families must include a radial path and at least two
-    tangential paths.
+    The default family is the standard five paths plus, where the product's
+    zeros approach the point, a discrete path through those zeros.  Custom
+    families must include a radial path and at least two tangential paths.
     """
+    _require_product(product)
     angle = normalize_angle(angle)
     if paths is None:
         family = standard_paths()
-        if isinstance(fn, BlaschkeProduct):
-            chase = _zero_chase_path(fn, angle)
-            if chase is not None:
-                family.append(chase)
+        chase = _zero_chase_path(product, angle)
+        if chase is not None:
+            family.append(chase)
     else:
         family = list(paths)
         roles = [p.role for p in family]
@@ -751,20 +749,16 @@ def limit_probe(
     win = config.DEFAULTS["oscillation_window"] if window is None else window
 
     points = [path.sample_points(angle, radii_arr) for path in family]
-    values = evaluate_points(fn, np.concatenate(points), strict=False)
+    samples = product.eval_many(np.concatenate(points), strict=False)
     ends = np.cumsum([p.size for p in points]).tolist()
     path_limits: list[PathLimit] = []
     pooled: list[complex] = []
     radial_exists = False
     for path, lo, hi in zip(family, [0] + ends, ends):
-        tail, osc, estimate = _late_window(values[lo:hi], win, tol)
+        tail, osc, estimate = _late_window(samples.values[lo:hi], win, tol)
         path_limits.append(PathLimit(path.name, estimate, osc))
         pooled.extend(tail)
         if path.role == "radial":
             radial_exists = radial_exists or osc < tol
-    return LimitProbeReport(
-        angle=angle,
-        path_limits=tuple(path_limits),
-        cluster_diameter_estimate=_max_pairwise_distance(pooled),
-        radial_exists=radial_exists,
-    )
+    return LimitProbeReport(angle, tuple(path_limits), _max_pairwise_distance(pooled),
+                            radial_exists, samples, tuple(ends))

@@ -266,9 +266,10 @@ def _lookup(bits: int, cells: np.ndarray) -> np.ndarray:
 
 
 def _complement(grid: GridPlane, subject) -> np.ndarray:
-    """G minus the subject, the mask that labeling reads."""
+    """G minus the subject, the mask that labeling reads.  A mask subject is
+    taken as it is: the public entries check it (GridPlane.subject_mask)."""
     if isinstance(subject, np.ndarray):
-        return ~(grid.outside_mask | grid.subject_mask(subject))
+        return ~(grid.outside_mask | subject)
     return _lookup(_G_BITS & ~_subject_bits(subject), grid.cells)
 
 
@@ -417,11 +418,19 @@ def label_components(grid: GridPlane, subject) -> ComponentLabeling | list[Compo
     per canvas; the list of their labelings is returned, each equal to the
     one its subject gets alone.
     """
-    if not (isinstance(subject, list) and subject and isinstance(subject[0], np.ndarray)):
-        return _labeled(grid, _complement(grid, subject), 1)[0]
+    if isinstance(subject, list) and subject and isinstance(subject[0], np.ndarray):
+        return _label_masks(grid, [grid.subject_mask(s) for s in subject])
+    if isinstance(subject, np.ndarray):
+        subject = grid.subject_mask(subject)
+    return _labeled(grid, _complement(grid, subject), 1)[0]
+
+
+def _label_masks(grid: GridPlane, masks: list) -> list[ComponentLabeling]:
+    """Labelings of G minus each of the boolean masks, which must lie inside G
+    already (they are not checked again), in one _runs call per canvas."""
     per, labelings = _per_canvas(grid), []
-    for i in range(0, len(subject), per):
-        bands = [_complement(grid, s) for s in subject[i:i + per]]
+    for i in range(0, len(masks), per):
+        bands = [_complement(grid, m) for m in masks[i:i + per]]
         labelings += _labeled(grid, _canvas(bands), len(bands))
     return labelings
 
@@ -580,7 +589,7 @@ def _verdict(
     per = _per_canvas(grid)
     for i in range(0, len(family), per):
         probes = family[i:i + per]
-        unions = label_components(grid, [subject_mask | probe.mask for probe in probes])
+        unions = _label_masks(grid, [subject_mask | probe.mask for probe in probes])
         for probe, trapped in zip(probes, unions):
             reaching = set(trapped.labels.reshape(-1)[grid.rim_8].tolist())
             offenders = tuple(
@@ -596,7 +605,7 @@ def is_arakeljan(grid: GridPlane, subject, probes="auto") -> ArakeljanVerdict:
     """Check both hole conditions for the subject set at raster fidelity."""
     subject_mask = grid.subject_mask(subject)
     family = _gather_probes(grid, probes)
-    return _verdict(grid, subject_mask, label_components(grid, subject_mask), family)
+    return _verdict(grid, subject_mask, _label_masks(grid, [subject_mask])[0], family)
 
 
 # --- independence and the union law ----------------------------------------
@@ -623,7 +632,7 @@ def _labelings(grid: GridPlane, e_mask: np.ndarray, f_mask: np.ndarray) -> tuple
     """Labelings of G minus E, G minus F and G minus their union."""
     if np.any(e_mask & f_mask):
         raise ValidationError("E and F overlap; independence needs disjoint sets")
-    return tuple(label_components(grid, [e_mask, f_mask, e_mask | f_mask]))
+    return tuple(_label_masks(grid, [e_mask, f_mask, e_mask | f_mask]))
 
 
 def _independence(

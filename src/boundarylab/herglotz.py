@@ -18,15 +18,14 @@ the Poisson kernel at radius r its error decays like r^n on n points.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryLabError, PoleError, ResolutionError, ValidationError
-from .unitdisc import (TWO_PI, ZeroSequence, _cmul, _points, _require_complex, _require_number,
-                       _require_object, _require_row, normalize_angle)
+from .errors import PoleError, ResolutionError, ValidationError
+from .unitdisc import (TWO_PI, _cmul, _points, _require_complex, _require_number, _require_object,
+                       _require_row, normalize_angle)
 
 _FORM_NAMES = ("cos", "sin", "indicator-arc")
 _MIN_SAMPLE_COUNT = 16
@@ -429,88 +428,3 @@ def eval_outer(density: OuterDensity, z):
     values = np.exp(_herglotz(density.k, points, harmonic=False))
     # Python's complex product has _cmul's bits
     return density.lam * values.item() if one else _cmul(density.lam, values)
-
-
-@dataclass
-class InnerFunctionSpec:
-    """A bounded analytic function assembled from optional parts.
-
-    The value at z is the product of the parts present: a Blaschke product
-    over a zero sequence, a singular inner factor from atomic masses, an
-    outer factor from a boundary log-modulus density, and a weighted series
-    of such specs.  Inner-only specs (no outer part, series weight at most 1)
-    are bounded by modulus 1 on the disc.
-    """
-
-    blaschke: "object | None" = None   # BlaschkeProduct
-    atoms: SingularAtoms | None = None
-    outer: OuterDensity | None = None
-    series: "object | None" = None     # SeriesSpec
-
-    def __post_init__(self) -> None:
-        from .blaschke import BlaschkeProduct  # cycle-free at runtime
-
-        if self.blaschke is not None and not isinstance(self.blaschke, BlaschkeProduct):
-            raise ValidationError("field 'blaschke' must be a BlaschkeProduct")
-        if self.atoms is not None and not isinstance(self.atoms, SingularAtoms):
-            raise ValidationError("field 'atoms' must be SingularAtoms")
-        if self.outer is not None and not isinstance(self.outer, OuterDensity):
-            raise ValidationError("field 'outer' must be an OuterDensity")
-        if self.series is not None:
-            from .series import SeriesSpec
-
-            if not isinstance(self.series, SeriesSpec):
-                raise ValidationError("field 'series' must be a SeriesSpec")
-        if all(part is None for part in (self.blaschke, self.atoms, self.outer, self.series)):
-            raise ValidationError("inner-outer spec needs at least one part")
-
-    def is_unit_bounded(self) -> bool:
-        """True when the spec is certainly bounded by modulus 1 on the disc."""
-        if self.outer is not None:
-            return False
-        if self.series is not None:
-            spec = self.series
-            if spec.total_weight > 1.0 + 1e-12:
-                return False
-            if not all(term.component.is_unit_bounded() for term in spec.terms):
-                return False
-        return True
-
-    def eval_many(self, points, tol: float | None = None) -> np.ndarray:
-        """Values at each point, bit for bit those of one-point calls.
-
-        Each part present is evaluated once over all points (the Blaschke
-        product best effort, a nested series at tolerance tol) and the parts
-        are multiplied in field order; a failure is the first failing point's.
-        """
-        z = np.asarray(points, dtype=np.complex128).reshape(-1)
-        parts = []
-        try:
-            if self.blaschke is not None:
-                parts.append(self.blaschke.eval_many(z, strict=False).values)
-            if self.atoms is not None:
-                parts.append(eval_singular_inner(self.atoms, z))
-            if self.outer is not None:
-                parts.append(eval_outer(self.outer, z))
-            if self.series is not None:
-                from .series import eval_series
-
-                parts.append(eval_series(self.series, z, tol).value)
-        except BoundaryLabError:  # a later part may fail first at an earlier point
-            for point in z.tolist() if z.size > 1 else ():
-                self.eval_many(point, tol)
-            raise
-        return functools.reduce(_cmul, parts)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "InnerFunctionSpec":
-        _require_object(data, "inner-outer spec JSON must be an object")
-        from .blaschke import BlaschkeProduct
-        from .series import SeriesSpec
-
-        parsers = (("blaschke", lambda part: BlaschkeProduct(ZeroSequence.from_json(part))),
-                   ("atoms", SingularAtoms.from_json), ("outer", OuterDensity.from_json),
-                   ("series", SeriesSpec.from_json))
-        return cls(**{field: None if data.get(field) is None else parse(data[field])
-                      for field, parse in parsers})
-

@@ -1,4 +1,8 @@
-"""Weighted series of inner functions with certified truncation.
+"""Inner-function specs and weighted series of them with certified truncation.
+
+An InnerFunctionSpec multiplies optional parts (a Blaschke product, singular
+atoms, an outer factor, a nested series), so it and SeriesSpec refer to each
+other and live in one module.
 
 Because every component is bounded by modulus 1 on the disc, the tail of a
 weighted sum is bounded by the remaining weight mass, so truncation is exact
@@ -13,6 +17,7 @@ prescribed closed set.  Specs read from JSON may also carry dyadic
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -21,13 +26,82 @@ import numpy as np
 
 from . import config
 from .blaschke import BlaschkeProduct
-from .errors import ValidationError
-from .herglotz import InnerFunctionSpec
-from .unitdisc import (ClosedSetSpec, _points, _require_number, _require_object,
-                       gen_accumulation_sequence)
+from .errors import BoundaryLabError, ValidationError
+from .herglotz import OuterDensity, SingularAtoms, eval_outer, eval_singular_inner
+from .unitdisc import (ClosedSetSpec, ZeroSequence, _cmul, _points, _require_number,
+                       _require_object, gen_accumulation_sequence)
 
 _WEIGHT_RULES = ("inverse-square", "inverse-power-2", "custom")
 _PI2_OVER_6 = math.pi * math.pi / 6.0
+
+
+@dataclass
+class InnerFunctionSpec:
+    """A bounded analytic function assembled from optional parts.
+
+    The value at z is the product of the parts present: a Blaschke product
+    over a zero sequence, a singular inner factor from atomic masses, an
+    outer factor from a boundary log-modulus density, and a weighted series
+    of such specs.  Inner-only specs (no outer part, series weight at most 1)
+    are bounded by modulus 1 on the disc.
+    """
+
+    blaschke: BlaschkeProduct | None = None
+    atoms: SingularAtoms | None = None
+    outer: OuterDensity | None = None
+    series: SeriesSpec | None = None
+
+    def __post_init__(self) -> None:
+        if self.blaschke is not None and not isinstance(self.blaschke, BlaschkeProduct):
+            raise ValidationError("field 'blaschke' must be a BlaschkeProduct")
+        if self.atoms is not None and not isinstance(self.atoms, SingularAtoms):
+            raise ValidationError("field 'atoms' must be SingularAtoms")
+        if self.outer is not None and not isinstance(self.outer, OuterDensity):
+            raise ValidationError("field 'outer' must be an OuterDensity")
+        if self.series is not None and not isinstance(self.series, SeriesSpec):
+            raise ValidationError("field 'series' must be a SeriesSpec")
+        if all(part is None for part in (self.blaschke, self.atoms, self.outer, self.series)):
+            raise ValidationError("inner-outer spec needs at least one part")
+
+    def is_unit_bounded(self) -> bool:
+        """True when the spec is certainly bounded by modulus 1 on the disc."""
+        spec = self.series
+        return self.outer is None and (spec is None or (
+            spec.total_weight <= 1.0 + 1e-12
+            and all(term.component.is_unit_bounded() for term in spec.terms)))
+
+    def eval_many(self, points, tol: float | None = None) -> np.ndarray:
+        """Values at each point, bit for bit those of one-point calls.
+
+        Each part present is evaluated once over all points (the Blaschke
+        product best effort, a nested series at tolerance tol) and the parts
+        are multiplied in field order; a failure is the first failing point's.
+        """
+        z = np.asarray(points, dtype=np.complex128).reshape(-1)
+        parts = []
+        try:
+            if self.blaschke is not None:
+                parts.append(self.blaschke.eval_many(z, strict=False).values)
+            if self.atoms is not None:
+                parts.append(eval_singular_inner(self.atoms, z))
+            if self.outer is not None:
+                parts.append(eval_outer(self.outer, z))
+            if self.series is not None:
+                parts.append(eval_series(self.series, z, tol).value)
+        except BoundaryLabError:  # a later part may fail first at an earlier point
+            for point in z.tolist() if z.size > 1 else ():
+                self.eval_many(point, tol)
+            raise
+        return functools.reduce(_cmul, parts)
+
+    @classmethod
+    def from_json(cls, data: dict) -> "InnerFunctionSpec":
+        _require_object(data, "inner-outer spec JSON must be an object")
+        parsers = (("blaschke", lambda part: BlaschkeProduct(ZeroSequence.from_json(part))),
+                   ("atoms", SingularAtoms.from_json), ("outer", OuterDensity.from_json),
+                   ("series", SeriesSpec.from_json))
+        return cls(**{field: None if data.get(field) is None else parse(data[field])
+                      for field, parse in parsers})
 
 
 class SeriesTerm(NamedTuple):

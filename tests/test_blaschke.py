@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boundarylab import blaschke
+from boundarylab import blaschke, config
 from boundarylab.blaschke import (
+    BatchEval,
     BlaschkeProduct,
     _zero_chase_path,
     boundary_scan,
@@ -19,7 +20,7 @@ from boundarylab.blaschke import (
 )
 from boundarylab.cli import run
 from boundarylab.errors import BoundaryLabError, PoleError, PrefixExhaustedError, ValidationError
-from boundarylab.series import SeriesSpec
+from boundarylab.series import InnerFunctionSpec, SeriesSpec
 from boundarylab.textio import json_text, write_csv
 from boundarylab.unitdisc import (
     MAX_ANGLES,
@@ -433,6 +434,33 @@ def _probe_family(prod, angle):
     return family + ([chase] if chase is not None else [])
 
 
+def _reference_probe(prod, angle, family, tol=None):
+    """The samples, path ends and JSON that limit_probe(prod, angle) should give
+    on this family: one-point reference evaluations, then a copy of the
+    late-window rule at verdict tolerance tol (default from config) and the
+    default window and radii."""
+    angle = normalize_angle(angle)
+    points = [path.sample_points(angle, default_radius_schedule()) for path in family]
+    ends = np.cumsum([p.size for p in points]).tolist()
+    samples = _reference_many(prod, np.concatenate(points).tolist(), False)
+    tol = config.DEFAULTS["verdict_tolerance"] if tol is None else tol
+    window = config.DEFAULTS["oscillation_window"]
+    paths, pooled, radial = [], [], False
+    for path, lo, hi in zip(family, [0] + ends, ends):
+        tail = samples[0][max(lo, hi - window):hi]
+        osc = float(np.abs(tail[:, None] - tail[None, :]).max()) if tail.size > 1 else 0.0
+        mean = complex(np.mean(tail))
+        paths.append({"name": path.name,
+                      "estimate": {"re": mean.real, "im": mean.imag} if osc < tol else None,
+                      "oscillation": osc})
+        pooled.append(tail)
+        radial = radial or (path.role == "radial" and osc < tol)
+    pooled = np.concatenate(pooled)
+    diameter = float(np.abs(pooled[:, None] - pooled[None, :]).max())
+    return samples, ends, {"angle": angle, "paths": paths, "cluster_diameter_estimate": diameter,
+                           "radial_exists": radial}
+
+
 @_THREE_SETS
 def test_eval_many_matches_the_per_point_loop_on_probe_paths(spec):
     prod = _product(spec)
@@ -444,9 +472,55 @@ def test_eval_many_matches_the_per_point_loop_on_probe_paths(spec):
             assert family[-1].name == "zero-chase"
         points = np.concatenate([p.sample_points(normalize_angle(angle), radii) for p in family])
         _check_many(prod, points, strict=False)
-        # the report equals one built point by point from the reference loop
-        reference = limit_probe(lambda z: _reference_eval(prod, z, False)[0], angle, paths=family)
-        assert json_text(limit_probe(prod, angle).to_json()) == json_text(reference.to_json())
+        # the report's samples and verdicts equal those built from the reference
+        # loop, at tolerances from the default up to where some paths' late
+        # windows pass and others fail
+        for tol in (None, 1e-3, 1e-2, 0.1, 0.5):
+            samples, ends, want = _reference_probe(prod, angle, family, tol)
+            report = limit_probe(prod, angle, verdict_tolerance=tol)
+            _assert_same(tuple(report.samples), samples)
+            assert list(report.path_ends) == ends
+            assert json_text(report.to_json()) == json_text(want)
+
+
+@pytest.mark.parametrize("spec", [RADIAL30, RADIAL60, CANTOR8, FULL10],
+                         ids=["radial30", "radial60", "cantor8", "full10"])
+def test_reports_keep_the_record_of_one_eval_many_call(spec):
+    prod = _product(spec)
+    angle = float(prod.zeros.angles[0])
+    radii = default_radius_schedule()
+    pairs = []  # (report's record, one eval_many call on the report's points)
+    # strict scans of cantor8 and full10 fail wherever they are taken: both raise alike
+    for strict, r in ((True, 0.99), (False, 0.999)):
+        pairs.append((_outcome(lambda: boundary_scan(prod, r, 512, strict=strict).samples),
+                      _outcome(lambda: prod.eval_many(circle_points(r, uniform_angles(512)),
+                                                      strict=strict))))
+    trace = radial_trace(prod, angle)
+    assert type(trace.samples) is BatchEval and trace.values is trace.samples.values
+    pairs.append((trace.samples,
+                  prod.eval_many(radii * cmath.exp(1j * normalize_angle(angle)), strict=False)))
+    report = limit_probe(prod, angle)
+    points = [p.sample_points(normalize_angle(angle), radii) for p in _probe_family(prod, angle)]
+    assert list(report.path_ends) == np.cumsum([p.size for p in points]).tolist()
+    pairs.append((report.samples, prod.eval_many(np.concatenate(points), strict=False)))
+    for got, want in pairs:
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert len(got) == len(want) == 3
+            assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("call", [
+    lambda fn: boundary_scan(fn, 0.9, 16),
+    lambda fn: radial_trace(fn, 0.0),
+    lambda fn: limit_probe(fn, 0.0),
+], ids=["scan", "trace", "probe"])
+def test_reports_take_only_blaschke_products(call):
+    spec = InnerFunctionSpec(blaschke=_product(RADIAL30))
+    for fn, name in ((spec, "InnerFunctionSpec"), (lambda z: z, "function"), (None, "NoneType")):
+        with pytest.raises(ValidationError, match=f"cannot evaluate object of type {name}; "):
+            call(fn)
 
 
 def _without_blocks(spec):
@@ -632,9 +706,7 @@ def test_cli_output_matches_the_reference_loop(tmp_path, capsys):
     for name, prod, angle in (("radial60", radial60, angle), ("cantor8", cantor8, 0.3)):
         code, out, _ = _cli(capsys, ["probe", "--zeros", str(files[name]), "--angle", repr(angle)])
         assert code == 0
-        reference = limit_probe(lambda z, p=prod: _reference_eval(p, z, False)[0], angle,
-                                paths=_probe_family(prod, angle))
-        assert out == json_text(reference.to_json())
+        assert out == json_text(_reference_probe(prod, angle, _probe_family(prod, angle))[2])
 
     series = {"weight_rule": "inverse-square", "terms": [
         {"weight": w, "component": {"blaschke": spec, "atoms": None, "outer": None, "series": None}}

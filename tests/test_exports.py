@@ -1,4 +1,10 @@
+import ast
+import graphlib
+from pathlib import Path
+
 import boundarylab
+
+_PACKAGE = Path(boundarylab.__file__).parent
 
 
 def test_star_import_provides_every_export_once():
@@ -6,3 +12,42 @@ def test_star_import_provides_every_export_once():
     exec("from boundarylab import *", namespace)
     assert len(set(boundarylab.__all__)) == len(boundarylab.__all__)
     assert set(boundarylab.__all__) <= set(namespace)
+
+
+def _package_imports(path):
+    """(module, inside a function) for each boundarylab module the file imports."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom):
+                parts = ("." * child.level + (child.module or "")).split(".")
+                if child.level == 1 or parts[0] == "boundarylab":
+                    rest = [p for p in parts[1:] if p]
+                    names = rest[:1] or [alias.name for alias in child.names]
+                    found.extend((name, in_function) for name in names)
+            elif isinstance(child, ast.Import):
+                found.extend((alias.name.split(".")[1], in_function) for alias in child.names
+                             if alias.name.startswith("boundarylab."))
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                             ast.Lambda)))
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), False)
+    return found
+
+
+_IMPORTS = {path.stem: _package_imports(path) for path in sorted(_PACKAGE.glob("*.py"))}
+
+
+def test_the_evaluation_layers_do_not_import_each_other():
+    assert {"herglotz", "series"}.isdisjoint(name for name, _ in _IMPORTS["blaschke"])
+    assert {"blaschke", "series"}.isdisjoint(name for name, _ in _IMPORTS["herglotz"])
+
+
+def test_only_cli_defers_an_import_and_the_rest_form_a_dag():
+    deferred = {(module, name) for module, found in _IMPORTS.items()
+                for name, in_function in found if in_function}
+    assert deferred == {("cli", "acceptance")}
+    graph = {module: {name for name, _ in found if name != module}
+             for module, found in _IMPORTS.items()}
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

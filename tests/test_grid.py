@@ -976,18 +976,18 @@ def test_auto_probes_match_one_by_one_validation(monkeypatch, budget):
 def test_union_check_validates_probes_once_and_labels_each_subject_once(monkeypatch):
     grid = punctured_disc_plane(96)
     calls = {"label": 0, "validate": 0, "label masks": 0}
-    label, validate = grid_module.label_components, grid_module.validate_probe
+    label, validate = grid_module._label_masks, grid_module.validate_probe
 
-    def counting_label(grid, subject, *args):
+    def counting_label(grid, masks):
         calls["label"] += 1
-        calls["label masks"] += len(subject) if isinstance(subject, list) else 1
-        return label(grid, subject, *args)
+        calls["label masks"] += len(masks)
+        return label(grid, masks)
 
     def counting_validate(*args, **kwargs):
         calls["validate"] += 1
         return validate(*args, **kwargs)
 
-    monkeypatch.setattr(grid_module, "label_components", counting_label)
+    monkeypatch.setattr(grid_module, "_label_masks", counting_label)
     monkeypatch.setattr(grid_module, "validate_probe", counting_validate)
     family = auto_probes(grid)
     report = union_check(grid)
@@ -1120,3 +1120,28 @@ def test_public_calls_build_the_grid_masks_once(monkeypatch, call):
         return result.components, result.labels.tolist()
 
     assert summary(got) == summary(want) == summary(again)
+
+
+# each public entry that takes a caller's subject masks, fed the mask under test
+_MASK_ENTRIES = {
+    "label": lambda g, m: label_components(g, m),
+    "label-list": lambda g, m: label_components(g, [g.subject_mask("F"), m]),
+    "arakeljan": lambda g, m: is_arakeljan(g, m),
+    "independence-e": lambda g, m: hole_independence(g, m, "F"),
+    "independence-f": lambda g, m: hole_independence(g, "E", m),
+    "union-e": lambda g, m: union_check(g, m, "F"),
+    "union-f": lambda g, m: union_check(g, "E", m),
+}
+
+
+@pytest.mark.parametrize("entry", list(_MASK_ENTRIES.values()), ids=list(_MASK_ENTRIES))
+def test_public_entries_check_a_callers_mask(entry):
+    # internal masks are labeled unchecked, so the check at the entry is the only one
+    grid = punctured_disc_plane(48)
+    leaving = grid.subject_mask("F")
+    leaving.reshape(-1)[np.flatnonzero(grid.outside_mask)[0]] = True  # one cell outside G
+    with pytest.raises(ValidationError, match="subject mask leaves G"):
+        entry(grid, leaving)
+    with pytest.raises(ValidationError, match="subject mask shape does not match the grid"):
+        entry(grid, np.zeros((grid.height, grid.width + 1), dtype=bool))
+    entry(grid, np.zeros(grid.cells.shape, dtype=bool))  # an empty mask inside G is accepted

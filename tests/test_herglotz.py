@@ -16,7 +16,6 @@ from boundarylab.herglotz import (
     _adaptive_mean,
     _herglotz,
     _li2,
-    InnerFunctionSpec,
     OuterDensity,
     SingularAtoms,
     approx_identity_report,
@@ -26,7 +25,7 @@ from boundarylab.herglotz import (
     poisson_integral,
     poisson_kernel,
 )
-from boundarylab.series import SeriesSpec, SeriesTerm, build_lohwater_piranian
+from boundarylab.series import InnerFunctionSpec, SeriesSpec, SeriesTerm, build_lohwater_piranian
 from boundarylab.unitdisc import TWO_PI, ClosedSetSpec, ZeroSequence, gen_radial_sequence
 
 

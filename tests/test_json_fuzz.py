@@ -6,8 +6,8 @@ import pytest
 
 from boundarylab.errors import ValidationError
 from boundarylab.grid import GridPlane
-from boundarylab.herglotz import BoundaryFunction, InnerFunctionSpec, OuterDensity, SingularAtoms
-from boundarylab.series import SeriesSpec
+from boundarylab.herglotz import BoundaryFunction, OuterDensity, SingularAtoms
+from boundarylab.series import InnerFunctionSpec, SeriesSpec
 from boundarylab.unitdisc import TWO_PI, ClosedSetSpec, ZeroSequence
 
 # One valid document per schema (and per kind), small enough that no

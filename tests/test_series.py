@@ -8,8 +8,9 @@ import pytest
 from boundarylab.blaschke import BlaschkeProduct
 from boundarylab.cli import run
 from boundarylab.errors import ValidationError
-from boundarylab.herglotz import BoundaryFunction, InnerFunctionSpec, OuterDensity
+from boundarylab.herglotz import BoundaryFunction, OuterDensity
 from boundarylab.series import (
+    InnerFunctionSpec,
     SeriesSpec,
     SeriesTerm,
     build_lohwater_piranian,
