@@ -22,10 +22,11 @@ import numpy as np
 
 from . import fixtures
 from .blaschke import (
+    _PATH_NAMES,
     BlaschkeProduct,
+    _path_offsets,
     default_radius_schedule,
     limit_probe,
-    standard_paths,
 )
 from .frostman import CONVERGENT, DIVERGENT, frostman_classify, frostman_partial, frostman_profile
 from .grid import is_arakeljan, union_check
@@ -130,12 +131,12 @@ def _criterion_kernel_mass(rng: np.random.Generator) -> tuple[bool, str]:
     return worst < 1e-8, f"max |mass - 1| = {worst:.3e} at r in {{0.5, 0.9, 0.99}} (need < 1e-8)"
 
 
-def _path_point_at_chord(path, angle: float, chord: float) -> complex:
-    """Point of an offset approach path at the given chord distance."""
+def _path_point_at_chord(path: int, angle: float, chord: float) -> complex:
+    """Point of offset path number `path` of the limit probe at the given chord distance."""
     zeta = cmath.exp(1j * angle)
 
     def point(s: float) -> complex:
-        return (1.0 - s) * cmath.exp(1j * (angle + path.offset(s)))
+        return (1.0 - s) * cmath.exp(1j * (angle + float(_path_offsets(s)[path])))
 
     lo, hi = 0.0, 0.25
     for _ in range(100):
@@ -159,7 +160,7 @@ def _criterion_fatou_paths(rng: np.random.Generator) -> tuple[bool, str]:
     theta0 = 1.0
     target = math.cos(theta0)
     worst_path = 0.0
-    for path in standard_paths():
+    for path in range(len(_PATH_NAMES)):
         z = _path_point_at_chord(path, theta0, 1e-3)
         worst_path = max(worst_path, abs(poisson_integral(f, z) - target))
     ok = worst_interior < 1e-8 and worst_path < 1e-3

@@ -22,7 +22,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -139,7 +139,6 @@ class BlaschkeProduct:
             self._block_spread = m * -np.expm1(2.0 * log_rho)
         # the longest prefix of eval_many's scalar route: no block zero, one chunk
         self._one_point_limit = min(_EVAL_CHUNK, seq.blocks[0].start if seq.blocks else len(seq))
-        self._chase = None  # zero-chase levels, built on first use
 
     @functools.cached_property
     def _factor_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,6 +149,38 @@ class BlaschkeProduct:
         with np.errstate(invalid="ignore", divide="ignore"):
             rot = np.where(absa > 0.0, conj_a / np.where(absa > 0.0, absa, 1.0), -1.0)
         return absa, conj_a, rot
+
+    @functools.cached_property
+    def _chase_levels(self) -> list:
+        """The deficit levels of the stored zeros, deepest last, for the zero chase.
+
+        A level is a LevelBlock when it is exactly one block of deficit d >= 2^-48,
+        else the complex zeros of the level inside the circle, in index order.
+        Zeros whose deficit is below float resolution collapse onto the circle in
+        complex form; they are not valid evaluation points, so the chain stops
+        before them.  A zero is inside when its modulus, taken as the evaluator
+        takes it (np.hypot of the parts, the bits of Python's abs; numpy's
+        complex abs can round it up to 1), is below 1.  A block's zeros lie
+        below 1 - 2^-50: fl(1 - d) is within eps/2 of 1 - d, and rounding e^(it),
+        the product and the modulus adds at most 6 eps.
+        """
+        seq = self.zeros
+        levels: dict[float, object] = {}
+        rest = np.ones(len(seq), dtype=bool)
+        for b in seq.blocks:
+            if b.deficit >= 2.0 ** -48 and np.count_nonzero(seq.deficits == b.deficit) == b.count:
+                levels[b.deficit] = b
+                rest[b.start:b.start + b.count] = False
+        idx = np.flatnonzero(rest)
+        zs = _zeros_at(seq, idx)
+        inside = np.hypot(zs.real, zs.imag) < 1.0
+        idx, zs = idx[inside], zs[inside]
+        order = np.argsort(-seq.deficits[idx], kind="stable")  # ties keep index order
+        idx, zs = idx[order], zs[order]
+        cuts = np.flatnonzero(np.diff(seq.deficits[idx])) + 1
+        for group, level in zip(np.split(idx, cuts), np.split(zs, cuts)) if idx.size else ():
+            levels[float(seq.deficits[group[0]])] = level
+        return [levels[d] for d in sorted(levels, reverse=True)]
 
     def __len__(self) -> int:
         return len(self.zeros)
@@ -494,6 +525,18 @@ def _radius_schedule(radii: Sequence[float] | None) -> np.ndarray:
     return r
 
 
+def _verdict_settings(verdict_tolerance, window) -> tuple[float, int]:
+    """The verdict tolerance, finite and positive, and the oscillation window,
+    a positive int, each from config where None."""
+    tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
+    win = config.DEFAULTS["oscillation_window"] if window is None else window
+    if isinstance(win, bool) or not isinstance(win, int) or win < 1:
+        raise ValidationError(f"window must be a positive integer, got {win!r}")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < math.inf:
+        raise ValidationError(f"verdict_tolerance must be finite and positive, got {tol!r}")
+    return tol, win
+
+
 def radial_trace(
     product: BlaschkeProduct,
     angle: float,
@@ -501,15 +544,13 @@ def radial_trace(
     *,
     verdict_tolerance: float | None = None,
     window: int | None = None,
-    strict: bool = False,
 ) -> RadialTrace:
     """Sample the product along the ray of the given angle and judge the radial limit."""
     _require_product(product)
     radii_arr = _radius_schedule(radii)
-    tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
-    win = config.DEFAULTS["oscillation_window"] if window is None else window
+    tol, win = _verdict_settings(verdict_tolerance, window)
     angle = normalize_angle(angle)
-    samples = product.eval_many(radii_arr * cmath.exp(1j * angle), strict=strict)
+    samples = product.eval_many(radii_arr * cmath.exp(1j * angle), strict=False)
     _, osc, estimate = _late_window(samples.values, win, tol)
     return RadialTrace(angle=angle, radii=radii_arr, samples=samples,
                        limit_estimate=estimate, oscillation=osc)
@@ -563,39 +604,16 @@ def boundary_scan(
                         float(moduli.mean()), float(np.mean(moduli > 1.0 - delta)))
 
 
-@dataclass(frozen=True)
-class ApproachPath:
-    """A within-disc approach to a boundary point.
-
-    Offset paths visit (1-s) e^(i(angle + offset(s))) over the radius
-    schedule, where s = 1 - r; discrete paths carry explicit points (late
-    entries closest to the boundary point).  ``role`` is one of "radial",
-    "nontangential", "tangential", "discrete".
-    """
-
-    name: str
-    role: str
-    offset: Callable[[float], float] | None = None
-    points: tuple[complex, ...] | None = None
-
-    def sample_points(self, angle: float, radii: np.ndarray) -> np.ndarray:
-        if self.points is not None:
-            return np.asarray(self.points, dtype=np.complex128)
-        assert self.offset is not None
-        sigma = 1.0 - radii
-        offsets = np.array([self.offset(s) for s in sigma], dtype=np.float64)
-        return radii * np.exp(1j * (angle + offsets))
+# The probe family's offset paths, in family order: the radial ray, the
+# nontangential pair (slope 1) and the tangential pair (0.1 sqrt s).
+_PATH_NAMES = ("radial", "nontangential+", "nontangential-", "tangential+", "tangential-")
 
 
-def standard_paths() -> list[ApproachPath]:
-    """Radial ray, nontangential pair (slope 1), tangential pair (0.1 sqrt s)."""
-    return [
-        ApproachPath("radial", "radial", offset=lambda s: 0.0),
-        ApproachPath("nontangential+", "nontangential", offset=lambda s: s),
-        ApproachPath("nontangential-", "nontangential", offset=lambda s: -s),
-        ApproachPath("tangential+", "tangential", offset=lambda s: 0.1 * math.sqrt(s)),
-        ApproachPath("tangential-", "tangential", offset=lambda s: -0.1 * math.sqrt(s)),
-    ]
+def _path_offsets(s):
+    """Angular offsets of the five offset paths, one row per path, where the
+    path visits (1 - s) e^(i(angle + offset)); s is a float or an array."""
+    t = 0.1 * np.sqrt(s)
+    return np.array([np.zeros_like(t), s, -s, t, -t])
 
 
 # A zero-chase path is dropped unless it ends within this chord distance of
@@ -609,41 +627,7 @@ def _zeros_at(seq: ZeroSequence, idx) -> np.ndarray:
     return (1.0 - seq.deficits[idx]) * np.exp(1j * seq.angles[idx])
 
 
-def _chase_levels(product: BlaschkeProduct) -> list:
-    """The deficit levels of the stored zeros, deepest last, built once per product.
-
-    A level is a LevelBlock when it is exactly one block of deficit d >= 2^-48,
-    else the complex zeros of the level inside the circle, in index order.
-    Zeros whose deficit is below float resolution collapse onto the circle in
-    complex form; they are not valid evaluation points, so the chain stops
-    before them.  A zero is inside when its modulus, taken as the evaluator
-    takes it (np.hypot of the parts, the bits of Python's abs; numpy's
-    complex abs can round it up to 1), is below 1.  A block's zeros lie
-    below 1 - 2^-50: fl(1 - d) is within eps/2 of 1 - d, and rounding e^(it),
-    the product and the modulus adds at most 6 eps.
-    """
-    if product._chase is None:
-        seq = product.zeros
-        levels: dict[float, object] = {}
-        rest = np.ones(len(seq), dtype=bool)
-        for b in seq.blocks:
-            if b.deficit >= 2.0 ** -48 and np.count_nonzero(seq.deficits == b.deficit) == b.count:
-                levels[b.deficit] = b
-                rest[b.start:b.start + b.count] = False
-        idx = np.flatnonzero(rest)
-        zs = _zeros_at(seq, idx)
-        inside = np.hypot(zs.real, zs.imag) < 1.0
-        idx, zs = idx[inside], zs[inside]
-        order = np.argsort(-seq.deficits[idx], kind="stable")  # ties keep index order
-        idx, zs = idx[order], zs[order]
-        cuts = np.flatnonzero(np.diff(seq.deficits[idx])) + 1
-        for group, level in zip(np.split(idx, cuts), np.split(zs, cuts)) if idx.size else ():
-            levels[float(seq.deficits[group[0]])] = level
-        product._chase = [levels[d] for d in sorted(levels, reverse=True)]
-    return product._chase
-
-
-def _zero_chase_path(product: BlaschkeProduct, angle: float) -> ApproachPath | None:
+def _zero_chase_path(product: BlaschkeProduct, angle: float) -> list[complex] | None:
     """Chain of stored zeros with strictly decreasing distance to e^(i*angle).
 
     One candidate per deficit level (generated sequences share one deficit per
@@ -656,7 +640,7 @@ def _zero_chase_path(product: BlaschkeProduct, angle: float) -> ApproachPath | N
     chain: list[complex] = []
     best = math.inf
     # descending deficit = shallow levels first, so the chain walks outward
-    for zs in _chase_levels(product):
+    for zs in product._chase_levels:
         if isinstance(zs, LevelBlock):
             m = zs.count
             j = round((angle - zs.angle) / (TWO_PI / m))
@@ -668,7 +652,7 @@ def _zero_chase_path(product: BlaschkeProduct, angle: float) -> ApproachPath | N
             chain.append(complex(zs[k]))
     if len(chain) < 2 or best > _ZERO_CHASE_REACH:
         return None
-    return ApproachPath("zero-chase", "discrete", points=tuple(chain))
+    return chain
 
 
 class PathLimit(NamedTuple):
@@ -718,7 +702,6 @@ class LimitProbeReport:
 def limit_probe(
     product: BlaschkeProduct,
     angle: float,
-    paths: Sequence[ApproachPath] | None = None,
     *,
     radii: Sequence[float] | None = None,
     verdict_tolerance: float | None = None,
@@ -726,39 +709,29 @@ def limit_probe(
 ) -> LimitProbeReport:
     """Probe the boundary behaviour of the product at e^(i*angle) along several paths.
 
-    The default family is the standard five paths plus, where the product's
-    zeros approach the point, a discrete path through those zeros.  Custom
-    families must include a radial path and at least two tangential paths.
+    The family is the five offset paths of _path_offsets over the radius
+    schedule plus, where the product's zeros approach the point, a discrete
+    path through those zeros.  The radial limit exists when the radial
+    path's late window oscillates less than the verdict tolerance.
     """
     _require_product(product)
     angle = normalize_angle(angle)
-    if paths is None:
-        family = standard_paths()
-        chase = _zero_chase_path(product, angle)
-        if chase is not None:
-            family.append(chase)
-    else:
-        family = list(paths)
-        roles = [p.role for p in family]
-        if "radial" not in roles or roles.count("tangential") < 2:
-            raise ValidationError(
-                "path family must include a radial path and at least two tangential paths"
-            )
     radii_arr = _radius_schedule(radii)
-    tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
-    win = config.DEFAULTS["oscillation_window"] if window is None else window
-
-    points = [path.sample_points(angle, radii_arr) for path in family]
-    samples = product.eval_many(np.concatenate(points), strict=False)
-    ends = np.cumsum([p.size for p in points]).tolist()
+    tol, win = _verdict_settings(verdict_tolerance, window)
+    points = radii_arr * np.exp(1j * (angle + _path_offsets(1.0 - radii_arr)))
+    names = list(_PATH_NAMES)
+    ends = [radii_arr.size * k for k in range(1, len(names) + 1)]
+    chase = _zero_chase_path(product, angle)
+    if chase is not None:
+        points = np.append(points, chase)
+        names.append("zero-chase")
+        ends.append(points.size)
+    samples = product.eval_many(points, strict=False)
     path_limits: list[PathLimit] = []
     pooled: list[complex] = []
-    radial_exists = False
-    for path, lo, hi in zip(family, [0] + ends, ends):
+    for name, lo, hi in zip(names, [0] + ends, ends):
         tail, osc, estimate = _late_window(samples.values[lo:hi], win, tol)
-        path_limits.append(PathLimit(path.name, estimate, osc))
+        path_limits.append(PathLimit(name, estimate, osc))
         pooled.extend(tail)
-        if path.role == "radial":
-            radial_exists = radial_exists or osc < tol
     return LimitProbeReport(angle, tuple(path_limits), _max_pairwise_distance(pooled),
-                            radial_exists, samples, tuple(ends))
+                            path_limits[0].oscillation < tol, samples, tuple(ends))

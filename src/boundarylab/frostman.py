@@ -110,20 +110,6 @@ class FrostmanPolicy:
             raise ValidationError("cauchy_tolerance must be positive")
 
 
-def frostman_terms(seq: ZeroSequence, theta: float | np.ndarray) -> np.ndarray:
-    """Per-zero summands (1 - |a_k|) / |e^(i theta) - a_k| in stored order.
-
-    An array of angles in [0, 2 pi) gives one row per angle.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim == 0:
-        theta = np.asarray(normalize_angle(float(theta)))
-    theta = theta[..., None]
-    a, d = seq.angles, seq.deficits
-    return _fill_terms(a, d, 2.0 * np.sqrt(1.0 - d), theta,
-                       np.empty(np.broadcast_shapes(theta.shape, a.shape)))
-
-
 def _fill_terms(angles: np.ndarray, d: np.ndarray, scale: np.ndarray, theta: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
     """out = d / hypot(d, scale sin(0.5 (angles - theta))) in place, scale = 2 sqrt(1 - d).

@@ -15,11 +15,12 @@ escapes toward the boundary of G or to infinity).
 
 The first Arakeljan condition is the absence of G-holes.  The second
 (no compact K may trap an uncontainable family of holes) is only
-semi-decidable on a finite raster: we union a family of probe compacts onto
-the subject and fail if some resulting G-hole's closure reaches the boundary
-of G.  Two closed cell squares meet exactly when the cells are 8-adjacent,
-so the closure test is 8-adjacency of hole cells to cells outside G (plain
-4-adjacency already disqualifies a component from being a G-hole at all).
+semi-decidable on a finite raster: we union a family of probe compacts (the
+auto rings and the grid's K cells) onto the subject and fail if some
+resulting G-hole's closure reaches the boundary of G.  Two closed cell
+squares meet exactly when the cells are 8-adjacent, so the closure test is
+8-adjacency of hole cells to cells outside G (plain 4-adjacency already
+disqualifies a component from being a G-hole at all).
 A clean run is reported as "passes-probes", never as a proof.
 """
 
@@ -407,19 +408,13 @@ def _labeled(grid: GridPlane, canvas: np.ndarray, k: int) -> list[ComponentLabel
     ]
 
 
-def label_components(grid: GridPlane, subject) -> ComponentLabeling | list[ComponentLabeling]:
+def label_components(grid: GridPlane, subject) -> ComponentLabeling:
     """4-connected components of G minus the subject.
 
     Components are numbered in row-major order of their first cells.  Each
     records its cell count, bounding box and contact with the window frame,
     all read off its runs, and its 4-adjacency to a cell outside G.
-
-    A list of boolean masks is a list of subjects, labeled in one _runs call
-    per canvas; the list of their labelings is returned, each equal to the
-    one its subject gets alone.
     """
-    if isinstance(subject, list) and subject and isinstance(subject[0], np.ndarray):
-        return _label_masks(grid, [grid.subject_mask(s) for s in subject])
     if isinstance(subject, np.ndarray):
         subject = grid.subject_mask(subject)
     return _labeled(grid, _complement(grid, subject), 1)[0]
@@ -529,19 +524,14 @@ def auto_probes(grid: GridPlane) -> list[Probe]:
     return [Probe(f"auto-ring-{i}", distance == radius) for i, radius in enumerate(radii)]
 
 
-def _gather_probes(grid: GridPlane, probes) -> list[Probe]:
-    if probes is None or (isinstance(probes, str) and probes == "auto"):
-        family, named = auto_probes(grid), []
-    elif isinstance(probes, str):
-        raise ValidationError(f"unknown probe policy {probes!r}")
-    else:
-        family = []
-        named = [(p.name, p.mask) if isinstance(p, Probe) else (f"probe-{i}", np.asarray(p))
-                 for i, p in enumerate(probes)]
+def _gather_probes(grid: GridPlane) -> list[Probe]:
+    """The auto rings, then the grid's K cells as the validated probe "grid-K"
+    where it marks any."""
+    family = auto_probes(grid)
     marked = grid.cells == CellClass.K_PROBE
     if marked.any():
-        named.append(("grid-K", marked))
-    return family + [validate_probe(grid, mask, name) for name, mask in named]
+        family.append(validate_probe(grid, marked, "grid-K"))
+    return family
 
 
 @dataclass(frozen=True)
@@ -601,10 +591,10 @@ def _verdict(
     return ArakeljanVerdict("passes-probes", None, (), names)
 
 
-def is_arakeljan(grid: GridPlane, subject, probes="auto") -> ArakeljanVerdict:
+def is_arakeljan(grid: GridPlane, subject) -> ArakeljanVerdict:
     """Check both hole conditions for the subject set at raster fidelity."""
     subject_mask = grid.subject_mask(subject)
-    family = _gather_probes(grid, probes)
+    family = _gather_probes(grid)
     return _verdict(grid, subject_mask, _label_masks(grid, [subject_mask])[0], family)
 
 
@@ -694,10 +684,10 @@ class UnionCheckReport:
         }
 
 
-def union_check(grid: GridPlane, e_subject="E", f_subject="F", probes="auto") -> UnionCheckReport:
+def union_check(grid: GridPlane, e_subject="E", f_subject="F") -> UnionCheckReport:
     """Verdicts for E, F and E union F from one probe family and one labeling each."""
     e_mask = grid.subject_mask(e_subject)
-    family = _gather_probes(grid, probes)
+    family = _gather_probes(grid)
     f_mask = grid.subject_mask(f_subject)
     lab_e, lab_f, lab_union = _labelings(grid, e_mask, f_mask)
     e_verdict = _verdict(grid, e_mask, lab_e, family)

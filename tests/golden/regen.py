@@ -70,12 +70,15 @@ CASES: dict[str, list[str]] = {
                                "--independence", "E", "F"],
     "arakeljan-union": ["arakeljan", "--grid", "{in}/grid48.txt", "--union"],
     "arakeljan-union-192": ["arakeljan", "--grid", "{in}/grid192.txt", "--union"],
+    "arakeljan-k-ring": ["arakeljan", "--grid", "{in}/grid48k.txt"],
+    "arakeljan-k-ring-union": ["arakeljan", "--grid", "{in}/grid48k.txt", "--union"],
     "kernels-default": ["kernels"],
     "kernels-flags": ["kernels", "--r", "0.9", "--delta", "0.5"],
     "selftest-seed": ["selftest", "--only", "2,5", "--seed", "3"],
     "bad-truncation-tolerance": ["scan", "--zeros", "{in}/radial60.json",
                                  "--truncation-tolerance", "-1"],
     "bad-kernels-delta": ["kernels", "--delta", "-1"],
+    "bad-k-probe-touches": ["arakeljan", "--grid", "{in}/grid-k-touch.txt"],
 }
 
 

@@ -3,6 +3,8 @@ import io
 import json
 import math
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from boundarylab.blaschke import (
     default_radius_schedule,
     limit_probe,
     radial_trace,
-    standard_paths,
 )
 from boundarylab.cli import run
 from boundarylab.errors import BoundaryLabError, PoleError, PrefixExhaustedError, ValidationError
@@ -221,33 +222,17 @@ def test_boundary_scan_report():
 
 
 def test_standard_paths_shapes():
-    paths = standard_paths()
-    assert len(paths) == 5
-    roles = [p.role for p in paths]
-    assert roles.count("radial") == 1
-    assert roles.count("tangential") == 2
     radii = np.array([0.5, 0.9, 0.99])
-    for p in paths:
-        pts = p.sample_points(0.7, radii)
-        assert np.all(np.abs(pts) < 1.0)
-        assert np.allclose(np.abs(pts), radii)
+    pts = radii * np.exp(1j * (0.7 + blaschke._path_offsets(1.0 - radii)))
+    assert pts.shape == (5, 3)
+    assert np.all(np.abs(pts) < 1.0)
+    assert np.allclose(np.abs(pts), radii)
     # radial path heads straight at the boundary point
-    radial = next(p for p in paths if p.role == "radial")
-    pts = radial.sample_points(0.7, radii)
-    assert np.allclose(np.angle(pts), 0.7)
-
-
-def test_limit_probe_custom_family_validation():
-    seq = gen_radial_sequence(0.0, 0.5, 40)
-    prod = BlaschkeProduct(seq)
-    radial = [p for p in standard_paths() if p.role == "radial"]
-    tangential = [p for p in standard_paths() if p.role == "tangential"]
-    with pytest.raises(ValidationError):
-        limit_probe(prod, 0.0, paths=radial)  # no tangential companions
-    with pytest.raises(ValidationError):
-        limit_probe(prod, 0.0, paths=tangential)  # no radial spine
-    report = limit_probe(prod, 0.0, paths=radial + tangential)
-    assert len(report.path_limits) == 3
+    assert np.allclose(np.angle(pts[0]), 0.7)
+    report = limit_probe(BlaschkeProduct(gen_radial_sequence(0.0, 0.5, 40)), 0.7, radii=radii)
+    assert [p.name for p in report.path_limits] == ["radial", "nontangential+", "nontangential-",
+                                                    "tangential+", "tangential-"]
+    assert report.path_ends == (3, 6, 9, 12, 15)
 
 
 def test_limit_probe_zero_chase_path():
@@ -419,68 +404,89 @@ def test_eval_many_matches_the_per_point_loop_on_traces(spec):
         old_points = [r * direction for r in radii]
         assert np.array_equal((radii * direction).view(np.uint8),
                               np.array(old_points, dtype=np.complex128).view(np.uint8))
-        for strict in (True, False):
-            got = _check_many(prod, old_points, strict)
-            trace = _outcome(lambda: (radial_trace(prod, angle, strict=strict).values, [], []))
-            if isinstance(got[0], type):
-                assert trace == got
-            else:
-                assert np.array_equal(trace[0].view(np.uint8), got[0].view(np.uint8))
+        _check_many(prod, old_points, strict=True)
+        got = _check_many(prod, old_points, strict=False)
+        trace = radial_trace(prod, angle).values
+        assert np.array_equal(trace.view(np.uint8), got[0].view(np.uint8))
 
 
-def _probe_family(prod, angle):
-    family = standard_paths()
-    chase = _zero_chase_path(prod, normalize_angle(angle))
-    return family + ([chase] if chase is not None else [])
+# The offset paths of the probe family as they were written before the offset
+# table: one offset function of s = 1 - r per path, sampled radius by radius.
+_FORMER_PATHS = (
+    ("radial", lambda s: 0.0),
+    ("nontangential+", lambda s: s),
+    ("nontangential-", lambda s: -s),
+    ("tangential+", lambda s: 0.1 * math.sqrt(s)),
+    ("tangential-", lambda s: -0.1 * math.sqrt(s)),
+)
 
 
-def _reference_probe(prod, angle, family, tol=None):
-    """The samples, path ends and JSON that limit_probe(prod, angle) should give
-    on this family: one-point reference evaluations, then a copy of the
-    late-window rule at verdict tolerance tol (default from config) and the
-    default window and radii."""
+class _ReferenceProbe(NamedTuple):
+    offsets: np.ndarray  # (offset paths, radii)
+    names: list
+    points: np.ndarray  # every path's points in family order
+    ends: list
+    samples: tuple
+    json: dict
+
+
+def _reference_probe(prod, angle, tol=None, evaluate=None):
+    """What limit_probe(prod, angle) should use and give at the default window
+    and radii: the offset paths sampled through _FORMER_PATHS, then the zero
+    chase; samples from evaluate(points) (default: one-point reference
+    evaluations); then a copy of the late-window rule at verdict tolerance
+    tol (default from config)."""
     angle = normalize_angle(angle)
-    points = [path.sample_points(angle, default_radius_schedule()) for path in family]
+    radii = default_radius_schedule()
+    offsets = np.array([[offset(s) for s in 1.0 - radii] for _, offset in _FORMER_PATHS],
+                       dtype=np.float64)
+    names = [name for name, _ in _FORMER_PATHS]
+    points = [radii * np.exp(1j * (angle + row)) for row in offsets]
+    chase = _zero_chase_path(prod, angle)
+    if chase is not None:
+        names.append("zero-chase")
+        points.append(np.asarray(chase, dtype=np.complex128))
     ends = np.cumsum([p.size for p in points]).tolist()
-    samples = _reference_many(prod, np.concatenate(points).tolist(), False)
+    points = np.concatenate(points)
+    if evaluate is None:
+        samples = _reference_many(prod, points.tolist(), False)
+    else:
+        samples = tuple(evaluate(points))
     tol = config.DEFAULTS["verdict_tolerance"] if tol is None else tol
     window = config.DEFAULTS["oscillation_window"]
-    paths, pooled, radial = [], [], False
-    for path, lo, hi in zip(family, [0] + ends, ends):
+    paths, pooled = [], []
+    for name, lo, hi in zip(names, [0] + ends, ends):
         tail = samples[0][max(lo, hi - window):hi]
         osc = float(np.abs(tail[:, None] - tail[None, :]).max()) if tail.size > 1 else 0.0
         mean = complex(np.mean(tail))
-        paths.append({"name": path.name,
+        paths.append({"name": name,
                       "estimate": {"re": mean.real, "im": mean.imag} if osc < tol else None,
                       "oscillation": osc})
         pooled.append(tail)
-        radial = radial or (path.role == "radial" and osc < tol)
     pooled = np.concatenate(pooled)
     diameter = float(np.abs(pooled[:, None] - pooled[None, :]).max())
-    return samples, ends, {"angle": angle, "paths": paths, "cluster_diameter_estimate": diameter,
-                           "radial_exists": radial}
+    return _ReferenceProbe(offsets, names, points, ends, samples, {
+        "angle": angle, "paths": paths, "cluster_diameter_estimate": diameter,
+        "radial_exists": paths[0]["estimate"] is not None})
 
 
 @_THREE_SETS
 def test_eval_many_matches_the_per_point_loop_on_probe_paths(spec):
     prod = _product(spec)
-    radii = default_radius_schedule()
     angles = [float(prod.zeros.angles[0]), float(prod.zeros.angles[-1]), 2.0, 4.5]
     for angle in angles:
-        family = _probe_family(prod, angle)
-        if angle == prod.zeros.angles[0] and spec is not RADIAL30:
-            assert family[-1].name == "zero-chase"
-        points = np.concatenate([p.sample_points(normalize_angle(angle), radii) for p in family])
-        _check_many(prod, points, strict=False)
         # the report's samples and verdicts equal those built from the reference
         # loop, at tolerances from the default up to where some paths' late
         # windows pass and others fail
         for tol in (None, 1e-3, 1e-2, 0.1, 0.5):
-            samples, ends, want = _reference_probe(prod, angle, family, tol)
+            want = _reference_probe(prod, angle, tol)
+            if angle == prod.zeros.angles[0] and spec is not RADIAL30:
+                assert want.names[-1] == "zero-chase"
             report = limit_probe(prod, angle, verdict_tolerance=tol)
-            _assert_same(tuple(report.samples), samples)
-            assert list(report.path_ends) == ends
-            assert json_text(report.to_json()) == json_text(want)
+            _assert_same(tuple(report.samples), want.samples)
+            assert list(report.path_ends) == want.ends
+            assert json_text(report.to_json()) == json_text(want.json)
+        _check_many(prod, want.points, strict=False)
 
 
 @pytest.mark.parametrize("spec", [RADIAL30, RADIAL60, CANTOR8, FULL10],
@@ -500,15 +506,33 @@ def test_reports_keep_the_record_of_one_eval_many_call(spec):
     pairs.append((trace.samples,
                   prod.eval_many(radii * cmath.exp(1j * normalize_angle(angle)), strict=False)))
     report = limit_probe(prod, angle)
-    points = [p.sample_points(normalize_angle(angle), radii) for p in _probe_family(prod, angle)]
-    assert list(report.path_ends) == np.cumsum([p.size for p in points]).tolist()
-    pairs.append((report.samples, prod.eval_many(np.concatenate(points), strict=False)))
+    ref = _reference_probe(prod, angle, evaluate=partial(prod.eval_many, strict=False))
+    assert list(report.path_ends) == ref.ends
+    pairs.append((report.samples, ref.samples))
     for got, want in pairs:
         if isinstance(want[0], type):
             assert got == want
         else:
             assert len(got) == len(want) == 3
             assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("spec", [RADIAL30, RADIAL60, CANTOR8, FULL10],
+                         ids=["radial30", "radial60", "cantor8", "full10"])
+def test_probe_paths_have_the_bits_of_the_former_path_functions(spec):
+    prod = _product(spec)
+    offsets = blaschke._path_offsets(1.0 - default_radius_schedule())
+    angles = [float(prod.zeros.angles[0]), float(prod.zeros.angles[-1]), 2.0, 4.5,
+              float(np.random.default_rng(len(prod)).uniform(0.0, TWO_PI))]
+    for angle in angles:
+        report = limit_probe(prod, angle)
+        want = _reference_probe(prod, angle, evaluate=partial(prod.eval_many, strict=False))
+        # the offset table holds the former offset functions' values, bit for bit
+        assert _same_bits(offsets, want.offsets)
+        assert [p.name for p in report.path_limits] == want.names
+        assert list(report.path_ends) == want.ends
+        assert all(_same_bits(a, b) for a, b in zip(report.samples, want.samples))
+        assert json_text(report.to_json()) == json_text(want.json)
 
 
 @pytest.mark.parametrize("call", [
@@ -521,6 +545,36 @@ def test_reports_take_only_blaschke_products(call):
     for fn, name in ((spec, "InnerFunctionSpec"), (lambda z: z, "function"), (None, "NoneType")):
         with pytest.raises(ValidationError, match=f"cannot evaluate object of type {name}; "):
             call(fn)
+
+
+# verdict settings refused by radial_trace and limit_probe, with their messages
+_BAD_VERDICT_SETTINGS = [
+    ({"window": 0}, "window must be a positive integer, got 0"),
+    ({"window": -3}, "window must be a positive integer, got -3"),
+    ({"window": 2.5}, "window must be a positive integer, got 2.5"),
+    ({"window": True}, "window must be a positive integer, got True"),
+    ({"window": "8"}, "window must be a positive integer, got '8'"),
+    ({"verdict_tolerance": math.nan}, "verdict_tolerance must be finite and positive, got nan"),
+    ({"verdict_tolerance": math.inf}, "verdict_tolerance must be finite and positive, got inf"),
+    ({"verdict_tolerance": -1e-3},
+     "verdict_tolerance must be finite and positive, got -0.001"),
+    ({"verdict_tolerance": 0.0}, "verdict_tolerance must be finite and positive, got 0.0"),
+    ({"verdict_tolerance": False}, "verdict_tolerance must be finite and positive, got False"),
+    ({"verdict_tolerance": "1e-3"},
+     "verdict_tolerance must be finite and positive, got '1e-3'"),
+]
+
+
+@pytest.mark.parametrize("call", [radial_trace, limit_probe], ids=["trace", "probe"])
+def test_verdict_settings_are_refused_with_their_message(call):
+    prod = _product(RADIAL30)
+    for kwargs, message in _BAD_VERDICT_SETTINGS:
+        with pytest.raises(ValidationError) as info:
+            call(prod, 1.0, **kwargs)
+        assert str(info.value) == message
+    # the smallest window and an integral tolerance are accepted
+    report = call(prod, 1.0, window=1, verdict_tolerance=1)
+    assert report.limit_estimate is not None if call is radial_trace else report.radial_exists
 
 
 def _without_blocks(spec):
@@ -706,7 +760,7 @@ def test_cli_output_matches_the_reference_loop(tmp_path, capsys):
     for name, prod, angle in (("radial60", radial60, angle), ("cantor8", cantor8, 0.3)):
         code, out, _ = _cli(capsys, ["probe", "--zeros", str(files[name]), "--angle", repr(angle)])
         assert code == 0
-        assert out == json_text(_reference_probe(prod, angle, _probe_family(prod, angle))[2])
+        assert out == json_text(_reference_probe(prod, angle).json)
 
     series = {"weight_rule": "inverse-square", "terms": [
         {"weight": w, "component": {"blaschke": spec, "atoms": None, "outer": None, "series": None}}
@@ -943,7 +997,7 @@ def test_zero_chase_reads_the_blocks(spec, count):
     for angle in angles.tolist():
         path = _zero_chase_path(prod, angle)
         want = _reference_zero_chase(prod, angle)
-        assert (None if path is None else list(path.points)) == want
+        assert path == want
 
 
 def test_mixed_levels_chase_like_the_scan():
@@ -957,7 +1011,7 @@ def test_mixed_levels_chase_like_the_scan():
     for angle in np.linspace(0.0, TWO_PI, 40, endpoint=False).tolist() + [1.0, 1.0 - 2e-10]:
         path = _zero_chase_path(prod, angle)
         want = _reference_zero_chase(prod, angle)
-        assert (None if path is None else list(path.points)) == want
+        assert path == want
 
 
 def test_reference_product_at_zero_is_the_rational_product():
@@ -1169,7 +1223,7 @@ def test_zero_chase_rechecks_a_block_next_to_the_circle():
     for angle in rng.uniform(0.0, TWO_PI, 60).tolist() + seq.angles[-40:].tolist():
         path = _zero_chase_path(prod, angle)
         want = _reference_zero_chase(prod, angle)
-        assert (None if path is None else list(path.points)) == want
+        assert path == want
 
 
 def test_zero_chase_keeps_zeros_whose_numpy_modulus_rounds_to_one():
@@ -1183,7 +1237,7 @@ def test_zero_chase_keeps_zeros_whose_numpy_modulus_rounds_to_one():
     prod = BlaschkeProduct(seq)
     for j in kept[:5]:
         path = _zero_chase_path(prod, float(seq.angles[j]))
-        assert path is not None and path.points[-1] == complex(zs[j])
+        assert path is not None and path[-1] == complex(zs[j])
         assert prod.eval_best_effort(complex(zs[j])).factors_used == len(seq)
 
 

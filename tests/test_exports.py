@@ -1,8 +1,12 @@
 import ast
 import graphlib
+import inspect
 from pathlib import Path
 
+import pytest
+
 import boundarylab
+from boundarylab import GridPlane, ValidationError
 
 _PACKAGE = Path(boundarylab.__file__).parent
 
@@ -51,3 +55,14 @@ def test_only_cli_defers_an_import_and_the_rest_form_a_dag():
     graph = {module: {name for name, _ in found if name != module}
              for module, found in _IMPORTS.items()}
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_probes_and_hole_checks_take_no_family_or_strictness_knob():
+    for name in ("ApproachPath", "standard_paths", "frostman_terms"):
+        assert not hasattr(boundarylab, name) and name not in boundarylab.__all__
+    for fn in (boundarylab.limit_probe, boundarylab.is_arakeljan, boundarylab.union_check,
+               boundarylab.radial_trace):
+        assert {"paths", "probes", "strict"}.isdisjoint(inspect.signature(fn).parameters)
+    grid = GridPlane.parse_text("grid 3 3 1\n...\n.#.\n...\n")
+    with pytest.raises(ValidationError, match="unknown subject selector"):
+        boundarylab.label_components(grid, [grid.subject_mask("F")])

@@ -15,7 +15,6 @@ from boundarylab.frostman import (
     frostman_classify,
     frostman_partial,
     frostman_profile,
-    frostman_terms,
 )
 from boundarylab.unitdisc import (
     BLOCK_ANGLE_SLACK,
@@ -35,14 +34,21 @@ def _naive_terms(seq, theta):
     return np.array(out)
 
 
+def _terms(seq, theta):
+    """The summands d_k / |e^(i theta) - a_k| with the classifier's bits: the law
+    of cosines in polar form, |e^(i theta) - a| = hypot(d, 2 sqrt(1 - d) sin(gap / 2))."""
+    d = seq.deficits
+    return d / np.hypot(d, 2.0 * np.sqrt(1.0 - d) * np.abs(np.sin(0.5 * (seq.angles - theta))))
+
+
 def test_terms_match_naive_formula():
     rng = np.random.default_rng(31)
     angles = rng.uniform(0.0, TWO_PI, size=50)
     deficits = rng.uniform(1e-6, 0.5, size=50)
     seq = ZeroSequence(angles=angles, deficits=deficits)
     for theta in rng.uniform(0.0, TWO_PI, size=10):
-        got = frostman_terms(seq, float(theta))
-        want = _naive_terms(seq, float(theta))
+        got = [frostman_partial(seq, float(theta), n) for n in range(1, len(seq) + 1)]
+        want = np.cumsum(_naive_terms(seq, float(theta)))
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -50,8 +56,8 @@ def test_terms_survive_tiny_deficits():
     # the stable form keeps the on-ray term equal to 1 even when the complex
     # chord |zeta - a| would round to 0
     seq = ZeroSequence(angles=[0.0], deficits=[2.0 ** -80])
-    assert frostman_terms(seq, 0.0)[0] == 1.0
-    off = frostman_terms(seq, 1.0)[0]
+    assert frostman_partial(seq, 0.0, 1) == 1.0
+    off = frostman_partial(seq, 1.0, 1)
     assert 0.0 < off < 1e-15
 
 
@@ -93,7 +99,7 @@ def test_partial_sums_build_only_the_first_n_terms(monkeypatch):
     rng = np.random.default_rng(12)
     seq = ZeroSequence(angles=rng.uniform(0.0, TWO_PI, 5000),
                        deficits=rng.uniform(1e-9, 1e-2, 5000))
-    terms = frostman_terms(seq, 1.0)
+    terms = _terms(seq, 1.0)
     spy = _CountingNumpy()
     monkeypatch.setattr(frostman, "np", spy)
     running = np.concatenate(([0.0], np.cumsum(terms)))
@@ -169,12 +175,10 @@ def test_classify_and_profile_share_their_sums(monkeypatch):
     monkeypatch.setattr(frostman, "_TILE_ELEMENTS", 3000)
     profile = frostman_profile(seq, 16)
     assert profile.schedule == doubling_schedule(len(seq))
-    rows = frostman_terms(seq, profile.angles)
     for i, theta in enumerate(profile.angles.tolist()):
         report = frostman_classify(seq, theta)
         assert report.partial_sums == tuple(profile.partial_sums[i].tolist())
         assert frostman_partial(seq, theta, 0) == 0.0
-        assert np.array_equal(rows[i], frostman_terms(seq, theta))
     assert frostman_profile(ZeroSequence(angles=[], deficits=[]), 4).partial_sums.tolist() == \
         [[0.0]] * 4
 
@@ -279,9 +283,7 @@ def test_tiled_sums_match_whole_row_cumsum_bit_for_bit(monkeypatch):
                     (name, angle_count, schedule)
         if count:
             theta = float(seq.angles[0])
-            want = seq.deficits / np.hypot(seq.deficits, 2.0 * np.sqrt(1.0 - seq.deficits)
-                                           * np.abs(np.sin(0.5 * (seq.angles - theta))))
-            assert np.array_equal(frostman_terms(seq, theta), want)
+            assert frostman_partial(seq, theta, count) == np.cumsum(_terms(seq, theta))[-1]
 
 
 def test_partial_has_the_bits_of_the_classifier_sums():

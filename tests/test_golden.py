@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from boundarylab.cli import run
+
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("golden_regen", _GOLDEN / "regen.py")
 regen = importlib.util.module_from_spec(_spec)
@@ -27,3 +29,10 @@ def test_cli_output_matches_the_recording(name):
     expected = (regen.EXPECTED / f"{name}.out").read_bytes()
     assert code == _CODES[name]
     assert text.encode("utf-8") == expected
+
+
+def test_a_k_cell_touching_the_outside_is_refused_by_the_probe_name(capsys):
+    argv = [arg.replace("{in}", str(regen.INPUTS)) for arg in regen.CASES["bad-k-probe-touches"]]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == \
+        "boundarylab arakeljan: grid-K: probe touches the boundary of G\n"

@@ -724,7 +724,7 @@ def test_three_adversarial_bands_match_single_labelings(monkeypatch):
     runs, shapes = grid_module._runs, []
     monkeypatch.setattr(grid_module, "_runs", lambda mask, diagonal: shapes.append(mask.shape)
                         or runs(mask, diagonal))
-    stacked = label_components(grid, subjects)
+    stacked = grid_module._label_masks(grid, subjects)
     assert shapes == [(3 * 65, 64)]
     monkeypatch.setattr(grid_module, "_runs", runs)
     assert [len(lab.components) for lab in stacked] == [1, 32 * 64, 1]
@@ -745,7 +745,7 @@ def test_connected_matches_reference():
 
 
 def _assert_stack_matches_single(grid, subjects):
-    stacked = label_components(grid, subjects)
+    stacked = grid_module._label_masks(grid, subjects)
     assert len(stacked) == len(subjects)
     for subject, got in zip(subjects, stacked):
         want = label_components(grid, subject)
@@ -851,7 +851,7 @@ def test_small_canvas_budget_splits_calls_and_keeps_results(monkeypatch):
     assert [p.name for p in auto_probes(grid)] == ["auto-ring-0", "auto-ring-1"]
     assert shapes == [(98, 48), (48, 48), (98, 48), (98, 48), (48, 48), (98, 48)]
     shapes.clear()
-    stacked = label_components(grid, [grid.subject_mask("F")] * 5)
+    stacked = grid_module._label_masks(grid, [grid.subject_mask("F")] * 5)
     assert shapes == [(98, 48), (98, 48), (48, 48)]  # bands of two, two and one
     for got in stacked:
         assert np.array_equal(got.labels, labeling.labels)
@@ -862,34 +862,62 @@ def test_small_canvas_budget_splits_calls_and_keeps_results(monkeypatch):
     assert set(shapes) == {(48, 48)}  # one mask to a call
 
 
-def test_probe_errors_follow_the_order_of_the_list():
+def test_grid_k_probe_errors_name_the_probe():
     cells = _all_plane(21)
     cells[10, 10] = int(CellClass.OUTSIDE_G)
-    grid = GridPlane(cells=cells, frame_is_unbounded=False)
-    split = np.zeros(cells.shape, dtype=bool)
+    split, touching, cross = (np.zeros(cells.shape, dtype=bool) for _ in range(3))
     split[3, 3] = split[3, 6] = True
-    outside = grid.outside_mask
-    with pytest.raises(ValidationError, match="probe-0: probe mask is disconnected"):
-        is_arakeljan(grid, "F", probes=[split, outside])
-    with pytest.raises(ValidationError, match="probe-0: probe leaves G"):
-        is_arakeljan(grid, "F", probes=[outside, split])
+    touching[9, 9] = True  # diagonal to the outside cell
+    cross[4, 3:6] = cross[3:6, 4] = True
+    cases = [
+        (split, "grid-K: probe mask is disconnected"),
+        (touching, "grid-K: probe touches the boundary of G"),
+        (cross, "grid-K: probe complement splits inside its bounding box"),
+    ]
+    for marked, message in cases:
+        with_k = cells.copy()
+        with_k[marked] = int(CellClass.K_PROBE)
+        grid = GridPlane(cells=with_k, frame_is_unbounded=False)
+        for call in (lambda g: is_arakeljan(g, "F"), union_check):
+            with pytest.raises(ValidationError, match=message):
+                call(grid)
+
+
+def _punctured_plane(puncture):
+    """A 41 x 41 unbounded window with one cell outside G, F on its four
+    neighbours and a ring of K cells at Chebyshev distance 2 around it.  The
+    four diagonal neighbours meet the outside cell only at a corner."""
+    r, c = puncture
+    rows, cols = np.ogrid[:41, :41]
+    distance = np.maximum(np.abs(rows - r), np.abs(cols - c))
+    cells = _all_plane(41)
+    cells[distance == 2] = int(CellClass.K_PROBE)
+    cells[(distance == 1) & ((rows == r) | (cols == c))] = int(CellClass.F_SET)
+    cells[r, c] = int(CellClass.OUTSIDE_G)
+    return cells, distance
 
 
 def test_condition_two_reads_diagonal_contact_and_keeps_the_first_failing_probe():
-    # F blocks the puncture's four neighbours, so a hole trapped around it
-    # meets the outside only at its diagonal cells
-    cells = _all_plane(21)
-    cells[10, 10] = int(CellClass.OUTSIDE_G)
-    for r, c in ((9, 10), (11, 10), (10, 9), (10, 11)):
-        cells[r, c] = int(CellClass.F_SET)
-    grid = GridPlane(cells=cells, frame_is_unbounded=True)
-    small = _ring_mask(21, 4, 1)  # traps one cell far from the puncture
-    probes = [small, _ring_mask(21, 10, 3), _ring_mask(21, 10, 4)]
-    verdict = is_arakeljan(grid, "F", probes=probes)
-    assert verdict.failed_condition == 2 and verdict.failing_probe == "probe-1"
+    rings = ("auto-ring-0", "auto-ring-1", "auto-ring-2", "auto-ring-3")
+    # six cells right of the center: rings 0 and 1 (radius 2 and 4) trap
+    # nothing near the puncture, ring 2 (radius 8) traps a hole reaching it at
+    # the diagonal cells, and ring 3 and the K ring would trap one too
+    cells, distance = _punctured_plane((20, 26))
+    verdict = is_arakeljan(GridPlane(cells=cells, frame_is_unbounded=True), "F")
+    assert verdict.probe_names == (*rings, "grid-K")
+    assert verdict.failed_condition == 2 and verdict.failing_probe == "auto-ring-2"
     (witness,) = verdict.witnesses
-    assert witness.is_g_hole and witness.cell_count == 20
-    assert is_arakeljan(grid, "F", probes=[small]).passed
+    assert witness.is_g_hole and witness.cell_count == 15 * 15 - 5
+    # F on the diagonal cells too: no trapped hole reaches the outside cell
+    cells[distance == 1] = int(CellClass.F_SET)
+    assert is_arakeljan(GridPlane(cells=cells, frame_is_unbounded=True), "F").passed
+    # eighteen cells right of the center no ring reaches the puncture, and the
+    # K ring, last in the family, traps the four diagonal cells
+    cells, _ = _punctured_plane((20, 38))
+    verdict = is_arakeljan(GridPlane(cells=cells, frame_is_unbounded=True), "F")
+    assert verdict.probe_names == (*rings, "grid-K")
+    assert verdict.failed_condition == 2 and verdict.failing_probe == "grid-K"
+    assert [(w.cell_count, w.is_g_hole) for w in verdict.witnesses] == [(1, True)] * 4
 
 
 def test_empty_probe_family_passes_probes():
@@ -928,7 +956,7 @@ def _assert_auto_probes_match_the_oracle(grid):
     # the family labeled as one list of subjects, on canvases of the current
     # budget, is labeled as each ring alone
     if got:
-        for probe, stacked in zip(got, label_components(grid, [p.mask for p in got])):
+        for probe, stacked in zip(got, grid_module._label_masks(grid, [p.mask for p in got])):
             alone = label_components(grid, probe.mask)
             assert np.array_equal(stacked.labels, alone.labels)
             assert stacked.components == alone.components
@@ -1125,7 +1153,6 @@ def test_public_calls_build_the_grid_masks_once(monkeypatch, call):
 # each public entry that takes a caller's subject masks, fed the mask under test
 _MASK_ENTRIES = {
     "label": lambda g, m: label_components(g, m),
-    "label-list": lambda g, m: label_components(g, [g.subject_mask("F"), m]),
     "arakeljan": lambda g, m: is_arakeljan(g, m),
     "independence-e": lambda g, m: hole_independence(g, m, "F"),
     "independence-f": lambda g, m: hole_independence(g, "E", m),
