@@ -64,6 +64,8 @@ CASES: dict[str, list[str]] = {
     "series-nested-point": ["series", "--spec", "{in}/nested.json", "--at", "0.35", "0.6"],
     "series-nested-circle": ["series", "--spec", "{in}/nested.json", "--r", "0.95",
                              "--angles", "64"],
+    "series-atoms-point": ["series", "--spec", "{in}/atoms.json", "--at", "0.3", "-0.2"],
+    "series-atoms-circle": ["series", "--spec", "{in}/atoms.json", "--r", "0.9", "--angles", "16"],
     "arakeljan-f": ["arakeljan", "--grid", "{in}/grid48.txt"],
     "arakeljan-e-plus-f": ["arakeljan", "--grid", "{in}/grid48.txt", "--subject", "E+F"],
     "arakeljan-independence": ["arakeljan", "--grid", "{in}/grid48.txt",
@@ -72,6 +74,8 @@ CASES: dict[str, list[str]] = {
     "arakeljan-union-192": ["arakeljan", "--grid", "{in}/grid192.txt", "--union"],
     "arakeljan-k-ring": ["arakeljan", "--grid", "{in}/grid48k.txt"],
     "arakeljan-k-ring-union": ["arakeljan", "--grid", "{in}/grid48k.txt", "--union"],
+    "arakeljan-json-f": ["arakeljan", "--grid", "{in}/grid48.json"],
+    "arakeljan-json-union": ["arakeljan", "--grid", "{in}/grid48.json", "--union"],
     "kernels-default": ["kernels"],
     "kernels-flags": ["kernels", "--r", "0.9", "--delta", "0.5"],
     "selftest-seed": ["selftest", "--only", "2,5", "--seed", "3"],
@@ -79,6 +83,7 @@ CASES: dict[str, list[str]] = {
                                  "--truncation-tolerance", "-1"],
     "bad-kernels-delta": ["kernels", "--delta", "-1"],
     "bad-k-probe-touches": ["arakeljan", "--grid", "{in}/grid-k-touch.txt"],
+    "bad-series-outer": ["series", "--spec", "{in}/series-outer.json", "--at", "0.1", "0.1"],
 }
 
 

@@ -36,3 +36,19 @@ def test_a_k_cell_touching_the_outside_is_refused_by_the_probe_name(capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err == \
         "boundarylab arakeljan: grid-K: probe touches the boundary of G\n"
+
+
+@pytest.mark.parametrize("json_case, text_case", [
+    ("arakeljan-json-f", "arakeljan-f"), ("arakeljan-json-union", "arakeljan-union"),
+])
+def test_a_json_grid_reads_as_the_text_grid_with_its_cells(json_case, text_case):
+    assert (regen.EXPECTED / f"{json_case}.out").read_bytes() == \
+        (regen.EXPECTED / f"{text_case}.out").read_bytes()
+
+
+def test_a_series_component_with_an_outer_part_is_refused(capsys):
+    argv = [arg.replace("{in}", str(regen.INPUTS)) for arg in regen.CASES["bad-series-outer"]]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "boundarylab series: terms[0] component is not certainly bounded by modulus 1; "
+        "series components must be inner\n")
