@@ -34,6 +34,8 @@ from .unitdisc import (
     LevelBlock,
     ZeroSequence,
     _cmul,
+    _positive_finite,
+    _positive_int,
     circle_points,
     normalize_angle,
     uniform_angles,
@@ -98,9 +100,11 @@ def _row_products(tile: np.ndarray, lengths: np.ndarray | None = None) -> np.nda
     return np.multiply.reduceat(tile.reshape(-1)[:cuts[-1] + max(lengths[-1], 1)], cuts)[::2]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlaschkeProduct:
     """A Blaschke product over a stored zero prefix.
+
+    Frozen, so the arrays it derives from its zeros and tolerance stay theirs.
 
     Evaluation inside the disc picks the shortest prefix whose certified tail
     bound (including the sequence's extension mass) is below the tolerance.
@@ -121,24 +125,29 @@ class BlaschkeProduct:
             raise ValidationError(
                 f"truncation_tolerance must lie in (0, 1), got {self.truncation_tolerance!r}"
             )
-        seq = self.zeros
-        self._mass = np.zeros(len(seq) + 1)  # _mass[n]: deficit sum of the first n zeros
-        np.cumsum(seq.deficits, out=self._mass[1:])
-        self._block_ends = np.array([b.start + b.count for b in seq.blocks], dtype=np.int64)
-        self._gaps = [(lo, b.start) for lo, b in zip([0, *self._block_ends.tolist()], seq.blocks)
-                      if b.start > lo]  # factor ranges before a block
+        # frozen: the arrays derived from the zeros are written past __setattr__
+        seq, state = self.zeros, vars(self)
+        state["_mass"] = mass = np.zeros(len(seq) + 1)  # mass[n]: deficit sum of the first n
+        np.cumsum(seq.deficits, out=mass[1:])
+        state["_block_ends"] = ends = np.array([b.start + b.count for b in seq.blocks],
+                                               dtype=np.int64)
+        state["_gaps"] = [(lo, b.start) for lo, b in zip([0, *ends.tolist()], seq.blocks)
+                          if b.start > lo]  # factor ranges before a block
         if seq.blocks:  # count m, start angle s, log rho and m log rho, rho = fl(1 - d)
-            m = self._block_m = np.array([b.count for b in seq.blocks], dtype=np.float64)
-            self._block_s = np.array([b.angle for b in seq.blocks], dtype=np.float64)
+            m = np.array([b.count for b in seq.blocks], dtype=np.float64)
             rho = 1.0 - seq.deficits[[b.start for b in seq.blocks]]
-            log_rho = self._block_log_rho = np.log1p(-(1.0 - rho))
-            lrho = self._block_lrho = m * log_rho
-            self._block_period, self._block_rho_m = TWO_PI / m, np.exp(lrho)
-            # m (1 - rho^2m) and m (1 - rho^2), the phase bounds' numerators
-            self._block_common = m * -np.expm1(2.0 * lrho)
-            self._block_spread = m * -np.expm1(2.0 * log_rho)
+            log_rho = np.log1p(-(1.0 - rho))
+            lrho = m * log_rho
+            state.update(
+                _block_m=m, _block_s=np.array([b.angle for b in seq.blocks], dtype=np.float64),
+                _block_log_rho=log_rho, _block_lrho=lrho,
+                _block_period=TWO_PI / m, _block_rho_m=np.exp(lrho),
+                # m (1 - rho^2m) and m (1 - rho^2), the phase bounds' numerators
+                _block_common=m * -np.expm1(2.0 * lrho), _block_spread=m * -np.expm1(2.0 * log_rho),
+            )
         # the longest prefix of eval_many's scalar route: no block zero, one chunk
-        self._one_point_limit = min(_EVAL_CHUNK, seq.blocks[0].start if seq.blocks else len(seq))
+        state["_one_point_limit"] = min(_EVAL_CHUNK,
+                                        seq.blocks[0].start if seq.blocks else len(seq))
 
     @functools.cached_property
     def _factor_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -528,13 +537,10 @@ def _radius_schedule(radii: Sequence[float] | None) -> np.ndarray:
 def _verdict_settings(verdict_tolerance, window) -> tuple[float, int]:
     """The verdict tolerance, finite and positive, and the oscillation window,
     a positive int, each from config where None."""
+    win = _positive_int(config.DEFAULTS["oscillation_window"] if window is None else window,
+                        "window")
     tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
-    win = config.DEFAULTS["oscillation_window"] if window is None else window
-    if isinstance(win, bool) or not isinstance(win, int) or win < 1:
-        raise ValidationError(f"window must be a positive integer, got {win!r}")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < math.inf:
-        raise ValidationError(f"verdict_tolerance must be finite and positive, got {tol!r}")
-    return tol, win
+    return _positive_finite(tol, "verdict_tolerance"), win
 
 
 def radial_trace(

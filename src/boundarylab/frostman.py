@@ -86,7 +86,8 @@ import numpy as np
 from . import config
 from .errors import ValidationError
 from .textio import write_csv
-from .unitdisc import TWO_PI, ZeroSequence, normalize_angle, uniform_angles
+from .unitdisc import (TWO_PI, ZeroSequence, _positive_finite, _positive_int, normalize_angle,
+                       uniform_angles)
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -95,19 +96,17 @@ UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class FrostmanPolicy:
-    """Thresholds for the three-way classification."""
+    """Thresholds for the three-way classification: finite and positive, and a
+    positive int window."""
 
     divergence_threshold: float = config.DEFAULTS["frostman_divergence_threshold"]
     growth_window: int = config.DEFAULTS["frostman_growth_window"]
     cauchy_tolerance: float = config.DEFAULTS["frostman_cauchy_tolerance"]
 
     def __post_init__(self) -> None:
-        if self.divergence_threshold <= 0.0:
-            raise ValidationError("divergence_threshold must be positive")
-        if self.growth_window < 1:
-            raise ValidationError("growth_window must be at least 1")
-        if self.cauchy_tolerance <= 0.0:
-            raise ValidationError("cauchy_tolerance must be positive")
+        _positive_finite(self.divergence_threshold, "divergence_threshold")
+        _positive_int(self.growth_window, "growth_window")
+        _positive_finite(self.cauchy_tolerance, "cauchy_tolerance")
 
 
 def _fill_terms(angles: np.ndarray, d: np.ndarray, scale: np.ndarray, theta: np.ndarray,

@@ -26,11 +26,11 @@ A clean run is reported as "passes-probes", never as a proof.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -109,6 +109,10 @@ class GridPlane:
             raise ValidationError("grid cells must carry class codes 0..4")
         # astype copies, so later writes to the caller's array miss the plane
         object.__setattr__(self, "cells", _read_only(cells.astype(np.uint8)))
+        # a string such as "false" would be truthy
+        if not isinstance(self.frame_is_unbounded, (bool, np.bool_)):
+            raise ValidationError("frame_is_unbounded must be True or False")
+        object.__setattr__(self, "frame_is_unbounded", bool(self.frame_is_unbounded))
         if not 0.0 < self.cell_size < np.inf:
             raise ValidationError("cell_size must be positive and finite")
         counts = np.bincount(self.cells.reshape(-1), minlength=5)
@@ -142,18 +146,8 @@ class GridPlane:
         return _read_only(np.flatnonzero(_dilate(outside, diagonal=True) ^ outside))
 
     def subject_mask(self, selector) -> np.ndarray:
-        """Normalize a subject selector to a boolean mask inside G.
-
-        Accepts "F", "E", "E+F" or "none" in any case, or a boolean mask
-        (which must stay inside G).
-        """
-        if isinstance(selector, np.ndarray):
-            mask = selector.astype(bool)
-            if mask.shape != self.cells.shape:
-                raise ValidationError("subject mask shape does not match the grid")
-            if np.any(mask & self.outside_mask):
-                raise ValidationError("subject mask leaves G")
-            return mask
+        """The boolean mask of a subject selector: "F", "E", "E+F" or "none",
+        in any case.  Anything else, a mask included, is refused."""
         return _lookup(_subject_bits(selector), self.cells)
 
     # --- text format ------------------------------------------------------
@@ -267,11 +261,12 @@ def _lookup(bits: int, cells: np.ndarray) -> np.ndarray:
 
 
 def _complement(grid: GridPlane, subject) -> np.ndarray:
-    """G minus the subject, the mask that labeling reads.  A mask subject is
-    taken as it is: the public entries check it (GridPlane.subject_mask)."""
+    """G minus the subject, the mask that labeling reads.  The subject is a
+    selector's bits (_subject_bits) or a mask inside G built from selectors and
+    probes, which is taken as it is."""
     if isinstance(subject, np.ndarray):
         return ~(grid.outside_mask | subject)
-    return _lookup(_G_BITS & ~_subject_bits(subject), grid.cells)
+    return _lookup(_G_BITS & ~subject, grid.cells)
 
 
 def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
@@ -326,7 +321,8 @@ def _runs(mask: np.ndarray, diagonal: bool) -> tuple:
 
 
 class Component(NamedTuple):
-    """One 4-connected component of G minus the subject."""
+    """One 4-connected component of G minus the subject, and its hole class:
+    a G-hole, or else a strict hole (see the module docstring)."""
 
     component_id: int
     cell_count: int
@@ -334,18 +330,27 @@ class Component(NamedTuple):
     adjacent_to_boundary_of_g: bool
     bbox: tuple[int, int, int, int]  # (row_min, col_min, row_max, col_max)
     first_cell: tuple[int, int]
+    is_g_hole: bool
+
+    @property
+    def is_strict_hole(self) -> bool:
+        return not self.is_g_hole
+
+    def to_json(self) -> dict:
+        return {
+            "component_id": self.component_id,
+            "cell_count": self.cell_count,
+            "touches_frame": self.touches_frame,
+            "adjacent_to_boundary_of_g": self.adjacent_to_boundary_of_g,
+            "is_g_hole": self.is_g_hole,
+            "is_strict_hole": self.is_strict_hole,
+        }
 
 
 @dataclass(frozen=True, eq=False)
 class ComponentLabeling:
     labels: np.ndarray  # int32, -1 where not in the complement
     components: tuple[Component, ...]
-
-
-def _per_canvas(grid: GridPlane) -> int:
-    """How many masks of the grid's shape one canvas holds."""
-    h, w = grid.cells.shape
-    return max(1, _CANVAS_CELLS // ((h + 1) * w))
 
 
 def _canvas(bands: list) -> np.ndarray:
@@ -392,13 +397,15 @@ def _labeled(grid: GridPlane, canvas: np.ndarray, k: int) -> list[ComponentLabel
     np.maximum.at(col_max, comp, (stop - 1) % w)
     # a component meets the window frame exactly where its bounding box does
     touches = (row_min == 0) | (row_max == h - 1) | (col_min == 0) | (col_max == w - 1)
+    near = near[:n]
     # per component, the Component fields after the id
     columns = (
         np.bincount(comp, weights=stop - start, minlength=n).astype(np.int64).tolist(),
         touches.tolist(),
-        near[:n].tolist(),
+        near.tolist(),
         list(zip(row_min.tolist(), col_min.tolist(), row_max.tolist(), col_max.tolist())),
         list(zip(row_min.tolist(), first_col.tolist())),
+        (~(near | (touches & grid.frame_is_unbounded))).tolist(),
     )
     return [
         ComponentLabeling(labels=labels[b, :h], components=tuple(
@@ -409,51 +416,25 @@ def _labeled(grid: GridPlane, canvas: np.ndarray, k: int) -> list[ComponentLabel
 
 
 def label_components(grid: GridPlane, subject) -> ComponentLabeling:
-    """4-connected components of G minus the subject.
+    """4-connected components of G minus the subject, a selector.
 
     Components are numbered in row-major order of their first cells.  Each
     records its cell count, bounding box and contact with the window frame,
-    all read off its runs, and its 4-adjacency to a cell outside G.
+    all read off its runs, its 4-adjacency to a cell outside G, and its hole
+    class.
     """
-    if isinstance(subject, np.ndarray):
-        subject = grid.subject_mask(subject)
-    return _labeled(grid, _complement(grid, subject), 1)[0]
+    return _labeled(grid, _complement(grid, _subject_bits(subject)), 1)[0]
 
 
-def _label_masks(grid: GridPlane, masks: list) -> list[ComponentLabeling]:
+def _label_masks(grid: GridPlane, masks: list) -> Iterator[ComponentLabeling]:
     """Labelings of G minus each of the boolean masks, which must lie inside G
-    already (they are not checked again), in one _runs call per canvas."""
-    per, labelings = _per_canvas(grid), []
+    already (they are not checked again), one _runs call per canvas.  A canvas
+    is labeled when the first of its labelings is asked for."""
+    h, w = grid.cells.shape
+    per = max(1, _CANVAS_CELLS // ((h + 1) * w))  # masks of the grid's shape per canvas
     for i in range(0, len(masks), per):
         bands = [_complement(grid, m) for m in masks[i:i + per]]
-        labelings += _labeled(grid, _canvas(bands), len(bands))
-    return labelings
-
-
-@dataclass(frozen=True)
-class HoleReport:
-    """G-hole / strict-hole classification of one complement component."""
-
-    component_id: int
-    cell_count: int
-    touches_frame: bool
-    adjacent_to_boundary_of_g: bool
-    is_g_hole: bool
-    is_strict_hole: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def _reports(grid: GridPlane, labeling: ComponentLabeling) -> list[HoleReport]:
-    reports = []
-    for comp in labeling.components:
-        disqualified = (grid.frame_is_unbounded and comp.touches_frame) or \
-            comp.adjacent_to_boundary_of_g
-        # a Component's first four fields are those of its HoleReport
-        reports.append(HoleReport(*comp[:4], is_g_hole=not disqualified,
-                                  is_strict_hole=disqualified))
-    return reports
+        yield from _labeled(grid, _canvas(bands), len(bands))
 
 
 # --- probes ---------------------------------------------------------------
@@ -546,7 +527,7 @@ class ArakeljanVerdict:
 
     label: str
     failed_condition: int | None
-    witnesses: tuple[HoleReport, ...]
+    witnesses: tuple[Component, ...]
     probe_names: tuple[str, ...]
     failing_probe: str | None = None
 
@@ -569,25 +550,22 @@ def _verdict(
 ) -> ArakeljanVerdict:
     """Both hole conditions, given the subject's own labeling and its probes."""
     names = tuple(p.name for p in family)
-    g_holes = tuple(rep for rep in _reports(grid, labeling) if rep.is_g_hole)
+    g_holes = tuple(comp for comp in labeling.components if comp.is_g_hole)
     if g_holes:
         return ArakeljanVerdict("fails", 1, g_holes, names)
     # Closed cell squares meet exactly when cells are 8-adjacent, so a hole
     # with a cell in rim_8 is the raster reading of "the hole's closure
     # meets the boundary of G".  4-adjacent contact cannot occur here: it
     # would have disqualified the component as a G-hole already.
-    per = _per_canvas(grid)
-    for i in range(0, len(family), per):
-        probes = family[i:i + per]
-        unions = _label_masks(grid, [subject_mask | probe.mask for probe in probes])
-        for probe, trapped in zip(probes, unions):
-            reaching = set(trapped.labels.reshape(-1)[grid.rim_8].tolist())
-            offenders = tuple(
-                rep for rep in _reports(grid, trapped)
-                if rep.is_g_hole and rep.component_id in reaching
-            )
-            if offenders:
-                return ArakeljanVerdict("fails", 2, offenders, names, failing_probe=probe.name)
+    # The unions are labeled one canvas at a time: a return leaves later ones unlabeled.
+    unions = _label_masks(grid, [subject_mask | probe.mask for probe in family])
+    for probe, trapped in zip(family, unions):
+        reaching = set(trapped.labels.reshape(-1)[grid.rim_8].tolist())
+        offenders = tuple(
+            comp for comp in trapped.components if comp.is_g_hole and comp.component_id in reaching
+        )
+        if offenders:
+            return ArakeljanVerdict("fails", 2, offenders, names, failing_probe=probe.name)
     return ArakeljanVerdict("passes-probes", None, (), names)
 
 
@@ -595,7 +573,7 @@ def is_arakeljan(grid: GridPlane, subject) -> ArakeljanVerdict:
     """Check both hole conditions for the subject set at raster fidelity."""
     subject_mask = grid.subject_mask(subject)
     family = _gather_probes(grid)
-    return _verdict(grid, subject_mask, _label_masks(grid, [subject_mask])[0], family)
+    return _verdict(grid, subject_mask, next(_label_masks(grid, [subject_mask])), family)
 
 
 # --- independence and the union law ----------------------------------------
@@ -606,7 +584,7 @@ class IndependenceReport:
     """Whether strict holes of E and F intersect in a G-hole."""
 
     independent: bool
-    witness: HoleReport | None
+    witness: Component | None
     witness_pair: tuple[int, int] | None  # (E component id, F component id)
 
     def to_json(self) -> dict:
@@ -626,19 +604,17 @@ def _labelings(grid: GridPlane, e_mask: np.ndarray, f_mask: np.ndarray) -> tuple
 
 
 def _independence(
-    grid: GridPlane, lab_e: ComponentLabeling, lab_f: ComponentLabeling, lab_u: ComponentLabeling
+    lab_e: ComponentLabeling, lab_f: ComponentLabeling, lab_u: ComponentLabeling
 ) -> IndependenceReport:
-    strict_e = [rep.is_strict_hole for rep in _reports(grid, lab_e)]
-    strict_f = [rep.is_strict_hole for rep in _reports(grid, lab_f)]
-    for comp, rep in zip(lab_u.components, _reports(grid, lab_u)):
-        if not rep.is_g_hole:
+    for comp in lab_u.components:
+        if not comp.is_g_hole:
             continue
         # a union component lies inside one component of each complement
         e_id = int(lab_e.labels[comp.first_cell])
         f_id = int(lab_f.labels[comp.first_cell])
-        if strict_e[e_id] and strict_f[f_id]:
+        if lab_e.components[e_id].is_strict_hole and lab_f.components[f_id].is_strict_hole:
             return IndependenceReport(
-                independent=False, witness=rep, witness_pair=(e_id, f_id)
+                independent=False, witness=comp, witness_pair=(e_id, f_id)
             )
     return IndependenceReport(independent=True, witness=None, witness_pair=None)
 
@@ -654,7 +630,7 @@ def hole_independence(grid: GridPlane, e_subject="E", f_subject="F") -> Independ
     """
     e_mask = grid.subject_mask(e_subject)
     f_mask = grid.subject_mask(f_subject)
-    return _independence(grid, *_labelings(grid, e_mask, f_mask))
+    return _independence(*_labelings(grid, e_mask, f_mask))
 
 
 @dataclass(frozen=True)
@@ -692,7 +668,7 @@ def union_check(grid: GridPlane, e_subject="E", f_subject="F") -> UnionCheckRepo
     lab_e, lab_f, lab_union = _labelings(grid, e_mask, f_mask)
     e_verdict = _verdict(grid, e_mask, lab_e, family)
     f_verdict = _verdict(grid, f_mask, lab_f, family)
-    independence = _independence(grid, lab_e, lab_f, lab_union)
+    independence = _independence(lab_e, lab_f, lab_union)
     union_verdict = _verdict(grid, e_mask | f_mask, lab_union, family)
     premises = e_verdict.passed and f_verdict.passed and independence.independent
     consistent = (not premises) or union_verdict.passed

@@ -230,6 +230,20 @@ def _require_number(obj, key, where: str = "") -> float:
     return value
 
 
+def _positive_int(value, name: str) -> int:
+    """value, when it is a positive int (a bool is refused)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _positive_finite(value, name: str) -> float:
+    """value, when it is a finite positive int or float (nan and bools are refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
+        raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 def _require_row(row, size: int, where: str, shape_error: str = "") -> tuple[float, ...]:
     """A JSON row of size numbers as floats; a longer list is refused.
 

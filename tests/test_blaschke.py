@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import io
 import json
 import math
@@ -96,6 +97,24 @@ def test_factors_needed_and_exhaustion():
     got = prod.eval_best_effort(0.9999999 + 0.0j)
     assert got.factors_used == 30
     assert abs(got.value) <= 1.0 + 1e-12
+
+
+def test_product_is_frozen_and_keeps_the_arrays_of_its_zeros():
+    seq = gen_radial_sequence(0.0, 0.5, 60)
+    prod = BlaschkeProduct(seq)
+    z = 0.3 + 0.0j
+    want = prod.eval_best_effort(z)
+    # a product whose zeros or tolerance were swapped after construction would
+    # evaluate with arrays and a tolerance check of its former ones
+    for field, value in (("zeros", gen_radial_sequence(0.0, 0.9, 10)),
+                         ("truncation_tolerance", 7.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(prod, field, value)
+    assert prod.zeros is seq and tuple(prod.eval_best_effort(z)) == tuple(want)
+    # equality is unchanged: the same zeros object and tolerance
+    assert prod == BlaschkeProduct(seq)
+    assert prod != BlaschkeProduct(seq, truncation_tolerance=1e-6)
+    assert prod != BlaschkeProduct(gen_radial_sequence(0.0, 0.5, 60))
 
 
 def test_riesz_mean_square_identity():
@@ -664,16 +683,17 @@ def test_eval_many_mixed_moduli_and_first_failure_in_input_order():
 
 
 def _bypass_truncation(monkeypatch, prod, needed):
-    """Replace the truncation rule of prod, in eval_many and in the reference
-    loop, by needed(r) factors at every radius, the circle included, and
-    zero tail bounds."""
-    monkeypatch.setattr(prod, "factors_needed", lambda r, tol: needed(r))
-    monkeypatch.setattr(prod, "tail_bound", lambda r, n: 0.0)
+    """Replace the truncation rule of BlaschkeProduct for the test, in eval_many
+    and in the reference loop, by needed(r) factors at every radius, the circle
+    included, and zero tail bounds; prod is frozen, so its class is patched."""
+    cls = type(prod)
+    monkeypatch.setattr(cls, "factors_needed", lambda self, r, tol: needed(r))
+    monkeypatch.setattr(cls, "tail_bound", lambda self, r, n: 0.0)
 
-    def prefixes(r, tol):
+    def prefixes(self, r, tol):
         n = np.array([needed(x) for x in r.tolist()], dtype=np.int64)
-        return n < 0, np.where(n < 0, len(prod), n), np.zeros(r.size)
-    monkeypatch.setattr(prod, "_prefixes", prefixes)
+        return n < 0, np.where(n < 0, len(self), n), np.zeros(r.size)
+    monkeypatch.setattr(cls, "_prefixes", prefixes)
 
 
 def test_eval_many_poles_raise_like_the_per_point_loop(monkeypatch):

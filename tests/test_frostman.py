@@ -155,6 +155,30 @@ def test_policy_validation():
     assert frostman_classify(seq, math.pi, strict).classification == DIVERGENT
 
 
+_POSITIVE = "must be finite and positive, got"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"divergence_threshold": math.nan}, f"divergence_threshold {_POSITIVE} nan"),
+    ({"divergence_threshold": math.inf}, f"divergence_threshold {_POSITIVE} inf"),
+    ({"divergence_threshold": 0.0}, f"divergence_threshold {_POSITIVE} 0.0"),
+    ({"divergence_threshold": True}, f"divergence_threshold {_POSITIVE} True"),
+    ({"cauchy_tolerance": math.nan}, f"cauchy_tolerance {_POSITIVE} nan"),
+    ({"cauchy_tolerance": -math.inf}, f"cauchy_tolerance {_POSITIVE} -inf"),
+    ({"cauchy_tolerance": "1e-3"}, f"cauchy_tolerance {_POSITIVE} '1e-3'"),
+    ({"growth_window": 2.5}, "growth_window must be a positive integer, got 2.5"),
+    ({"growth_window": True}, "growth_window must be a positive integer, got True"),
+    ({"growth_window": 0}, "growth_window must be a positive integer, got 0"),
+    ({"growth_window": "4"}, "growth_window must be a positive integer, got '4'"),
+])
+def test_policy_refuses_bad_thresholds_and_windows_with_their_message(kwargs, message):
+    # a nan threshold or tolerance would turn a divergent or convergent angle
+    # undecided, and a float window would fail inside frostman_classify
+    with pytest.raises(ValidationError) as info:
+        FrostmanPolicy(**kwargs)
+    assert str(info.value) == message
+
+
 def test_profile_grid():
     seq = gen_radial_sequence(0.0, 0.5, 1050)
     profile = frostman_profile(seq, 64)

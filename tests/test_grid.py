@@ -186,8 +186,8 @@ def test_label_components_empty_subject():
 def test_hole_dichotomy():
     for grid in (annulus_window_plane(48), punctured_disc_plane(48)):
         for subject in ("E", "F", "e+f"):
-            for rep in grid_module._reports(grid, label_components(grid, subject)):
-                assert rep.is_g_hole != rep.is_strict_hole
+            for comp in label_components(grid, subject).components:
+                assert comp.is_strict_hole is (not comp.is_g_hole)
 
 
 def test_punctured_disc_union_components():
@@ -198,7 +198,7 @@ def test_punctured_disc_union_components():
 
 def test_classify_holes_annulus():
     grid = annulus_window_plane(64)
-    reports = grid_module._reports(grid, label_components(grid, "F"))
+    reports = label_components(grid, "F").components
     assert len(reports) == 2
     holes = [r for r in reports if r.is_g_hole]
     strict = [r for r in reports if r.is_strict_hole]
@@ -284,6 +284,8 @@ def test_is_arakeljan_fixture_verdicts():
     assert verdict.failed_condition == 1
     assert len(verdict.witnesses) == 1
     assert verdict.witnesses[0].is_g_hole
+    # a witness is the labeling's own component
+    assert verdict.witnesses[0] in label_components(annulus, "F").components
 
     empty = is_arakeljan(segment, "none")
     assert empty.passed
@@ -417,6 +419,23 @@ def test_grid_plane_refuses_invalid_cells_and_cell_sizes(cells, cell_size, messa
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("flag", [
+    "false", "true", "", 0, 1, 1.0, None, np.int64(1), np.array(True), [True],
+])
+def test_grid_plane_refuses_a_frame_flag_that_is_not_a_bool(flag):
+    cells = np.ones((9, 9), dtype=np.uint8)
+    cells[_ring_mask(9, 4, 2)] = int(CellClass.F_SET)
+    with pytest.raises(ValidationError) as info:
+        GridPlane(cells=cells, frame_is_unbounded=flag)
+    assert str(info.value) == "frame_is_unbounded must be True or False"
+
+
+def test_grid_plane_stores_a_numpy_frame_flag_as_a_bool():
+    for flag in (np.True_, np.False_, True, False):
+        grid = GridPlane(cells=np.ones((3, 3)), frame_is_unbounded=flag)
+        assert type(grid.frame_is_unbounded) is bool and grid.frame_is_unbounded == flag
+
+
 @pytest.mark.parametrize("cells", [
     np.array([[1, 2, 0, 4]]), np.array([[1, 3]], dtype=np.int8),
     np.array([[1, 3]], dtype=np.uint64), np.array([[True, False]]), np.array([[1.0, 4.0]]),
@@ -513,9 +532,10 @@ def test_grid_size_limit_is_checked_before_allocating():
 # --- the array labeler against a breadth-first reference and scipy ----------
 
 
-def _bfs_labeling(grid, subject):
-    """Per-cell breadth-first search: the labeler's reference implementation."""
-    complement = ~grid.outside_mask & ~grid.subject_mask(subject)
+def _bfs_labeling(grid, mask):
+    """Per-cell breadth-first search of G minus a subject mask: the labeler's
+    reference implementation."""
+    complement = ~grid.outside_mask & ~mask
     outside = grid.outside_mask
     h, w = complement.shape
     labels = np.full((h, w), -1, dtype=np.int32)
@@ -550,6 +570,7 @@ def _bfs_labeling(grid, subject):
                 adjacent_to_boundary_of_g=adjacent,
                 bbox=(rmin, cmin, rmax, cmax),
                 first_cell=(r0, c0),
+                is_g_hole=not ((grid.frame_is_unbounded and touches) or adjacent),
             ))
     return labels, tuple(components)
 
@@ -586,12 +607,16 @@ def _scipy_labels(mask, diagonal=False):
 
 
 def _assert_matches_references(grid, subject):
-    got = label_components(grid, subject)
-    labels, components = _bfs_labeling(grid, subject)
+    """A selector is labeled by label_components, a mask inside G by _label_masks."""
+    if isinstance(subject, str):
+        got, mask = label_components(grid, subject), grid.subject_mask(subject)
+    else:
+        got, mask = next(grid_module._label_masks(grid, [subject])), subject
+    labels, components = _bfs_labeling(grid, mask)
     assert got.labels.dtype == np.int32
     assert np.array_equal(got.labels, labels)
     assert got.components == components
-    complement = ~grid.outside_mask & ~grid.subject_mask(subject)
+    complement = ~grid.outside_mask & ~mask
     assert np.array_equal(got.labels, _scipy_labels(complement))
 
 
@@ -724,7 +749,7 @@ def test_three_adversarial_bands_match_single_labelings(monkeypatch):
     runs, shapes = grid_module._runs, []
     monkeypatch.setattr(grid_module, "_runs", lambda mask, diagonal: shapes.append(mask.shape)
                         or runs(mask, diagonal))
-    stacked = grid_module._label_masks(grid, subjects)
+    stacked = list(grid_module._label_masks(grid, subjects))
     assert shapes == [(3 * 65, 64)]
     monkeypatch.setattr(grid_module, "_runs", runs)
     assert [len(lab.components) for lab in stacked] == [1, 32 * 64, 1]
@@ -745,10 +770,10 @@ def test_connected_matches_reference():
 
 
 def _assert_stack_matches_single(grid, subjects):
-    stacked = grid_module._label_masks(grid, subjects)
+    stacked = list(grid_module._label_masks(grid, subjects))
     assert len(stacked) == len(subjects)
     for subject, got in zip(subjects, stacked):
-        want = label_components(grid, subject)
+        want = next(grid_module._label_masks(grid, [subject]))
         assert got.labels.dtype == np.int32
         assert np.array_equal(got.labels, want.labels)
         assert got.components == want.components
@@ -852,6 +877,9 @@ def test_small_canvas_budget_splits_calls_and_keeps_results(monkeypatch):
     assert shapes == [(98, 48), (48, 48), (98, 48), (98, 48), (48, 48), (98, 48)]
     shapes.clear()
     stacked = grid_module._label_masks(grid, [grid.subject_mask("F")] * 5)
+    first = next(stacked)
+    assert shapes == [(98, 48)]  # a canvas is labeled when its first labeling is asked for
+    stacked = [first, *stacked]
     assert shapes == [(98, 48), (98, 48), (48, 48)]  # bands of two, two and one
     for got in stacked:
         assert np.array_equal(got.labels, labeling.labels)
@@ -957,7 +985,7 @@ def _assert_auto_probes_match_the_oracle(grid):
     # budget, is labeled as each ring alone
     if got:
         for probe, stacked in zip(got, grid_module._label_masks(grid, [p.mask for p in got])):
-            alone = label_components(grid, probe.mask)
+            alone = next(grid_module._label_masks(grid, [probe.mask]))
             assert np.array_equal(stacked.labels, alone.labels)
             assert stacked.components == alone.components
 
@@ -1098,7 +1126,7 @@ def test_subject_lookup_matches_the_class_by_class_masks():
                 want |= cells == cls
             subject = grid.subject_mask(selector)
             assert subject.dtype == bool and np.array_equal(subject, want)
-            complement = grid_module._complement(grid, selector)
+            complement = grid_module._complement(grid, grid_module._subject_bits(selector))
             assert complement.dtype == bool
             assert np.array_equal(complement, ~(grid.outside_mask | want))
 
@@ -1107,13 +1135,11 @@ def test_subject_lookup_matches_the_class_by_class_masks():
 
 @pytest.mark.parametrize("call", [
     lambda g: label_components(g, "F"),
-    lambda g: label_components(g, g.cells == CellClass.F_SET),
     lambda g: is_arakeljan(g, "E"),
-    lambda g: is_arakeljan(g, g.cells == CellClass.E_SET),
     lambda g: hole_independence(g, "E", "F"),
     lambda g: union_check(g),
     lambda g: auto_probes(g),
-], ids=["label", "label-mask", "arakeljan", "arakeljan-mask", "independence", "union", "probes"])
+], ids=["label", "arakeljan", "independence", "union", "probes"])
 def test_public_calls_build_the_grid_masks_once(monkeypatch, call):
     want = call(punctured_disc_plane(96))
     counts = {"outside": 0, False: 0, True: 0}
@@ -1150,8 +1176,9 @@ def test_public_calls_build_the_grid_masks_once(monkeypatch, call):
     assert summary(got) == summary(want) == summary(again)
 
 
-# each public entry that takes a caller's subject masks, fed the mask under test
+# each public entry that takes a caller's subject, fed the mask under test
 _MASK_ENTRIES = {
+    "subject": lambda g, m: g.subject_mask(m),
     "label": lambda g, m: label_components(g, m),
     "arakeljan": lambda g, m: is_arakeljan(g, m),
     "independence-e": lambda g, m: hole_independence(g, m, "F"),
@@ -1163,12 +1190,12 @@ _MASK_ENTRIES = {
 
 @pytest.mark.parametrize("entry", list(_MASK_ENTRIES.values()), ids=list(_MASK_ENTRIES))
 def test_public_entries_check_a_callers_mask(entry):
-    # internal masks are labeled unchecked, so the check at the entry is the only one
+    # subjects are selectors only: internal masks are labeled unchecked, so
+    # no mask of a caller's reaches them, not even one inside G
     grid = punctured_disc_plane(48)
     leaving = grid.subject_mask("F")
     leaving.reshape(-1)[np.flatnonzero(grid.outside_mask)[0]] = True  # one cell outside G
-    with pytest.raises(ValidationError, match="subject mask leaves G"):
-        entry(grid, leaving)
-    with pytest.raises(ValidationError, match="subject mask shape does not match the grid"):
-        entry(grid, np.zeros((grid.height, grid.width + 1), dtype=bool))
-    entry(grid, np.zeros(grid.cells.shape, dtype=bool))  # an empty mask inside G is accepted
+    for mask in (grid.subject_mask("F"), np.zeros(grid.cells.shape, dtype=bool), leaving,
+                 np.zeros((grid.height, grid.width + 1), dtype=bool)):
+        with pytest.raises(ValidationError, match="unknown subject selector"):
+            entry(grid, mask)
