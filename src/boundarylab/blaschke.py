@@ -504,7 +504,9 @@ class RadialTrace:
     ``samples`` is the eval_many record of the ray's points (value, factor
     count and tail bound per radius).  ``oscillation`` is the diameter (max
     pairwise distance) of the last min(window, len) values; ``limit_estimate``
-    is their mean when the oscillation is below the verdict tolerance, else None.
+    is their mean when the oscillation is below the verdict tolerance, else
+    None.  The window and tolerance are the config defaults
+    ``oscillation_window`` and ``verdict_tolerance``.
     """
 
     angle: float
@@ -534,30 +536,19 @@ def _radius_schedule(radii: Sequence[float] | None) -> np.ndarray:
     return r
 
 
-def _verdict_settings(verdict_tolerance, window) -> tuple[float, int]:
-    """The verdict tolerance, finite and positive, and the oscillation window,
-    a positive int, each from config where None."""
-    win = _positive_int(config.DEFAULTS["oscillation_window"] if window is None else window,
-                        "window")
-    tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
-    return _positive_finite(tol, "verdict_tolerance"), win
-
-
 def radial_trace(
     product: BlaschkeProduct,
     angle: float,
     radii: Sequence[float] | None = None,
-    *,
-    verdict_tolerance: float | None = None,
-    window: int | None = None,
 ) -> RadialTrace:
-    """Sample the product along the ray of the given angle and judge the radial limit."""
+    """Sample the product along the ray of the given angle and judge the
+    radial limit with the config defaults."""
     _require_product(product)
     radii_arr = _radius_schedule(radii)
-    tol, win = _verdict_settings(verdict_tolerance, window)
     angle = normalize_angle(angle)
     samples = product.eval_many(radii_arr * cmath.exp(1j * angle), strict=False)
-    _, osc, estimate = _late_window(samples.values, win, tol)
+    _, osc, estimate = _late_window(samples.values, config.DEFAULTS["oscillation_window"],
+                                    config.DEFAULTS["verdict_tolerance"])
     return RadialTrace(angle=angle, radii=radii_arr, samples=samples,
                        limit_estimate=estimate, oscillation=osc)
 
@@ -568,13 +559,10 @@ class BoundaryScan:
     with the eval_many record (value, factor count and tail bound per angle)."""
 
     r: float
-    delta: float
     angles: np.ndarray
     samples: BatchEval
     modulus_min: float
     modulus_max: float
-    modulus_mean: float
-    fraction_near_one: float
 
     @property
     def values(self) -> np.ndarray:
@@ -589,25 +577,19 @@ def boundary_scan(
     r: float,
     angle_count: int,
     *,
-    delta: float | None = None,
     strict: bool = True,
 ) -> BoundaryScan:
     """Scan the product on |z| = r at angle_count uniform angles.
 
-    fraction_near_one counts samples with modulus above 1 - delta.  Truncation
-    failures propagate (pass strict=False for best-effort sampling).
+    Truncation failures propagate (pass strict=False for best-effort sampling).
     """
     _require_product(product)
     if not (0.0 < r < 1.0):
         raise ValidationError(f"scan radius must lie in (0, 1), got {r!r}")
     angles = uniform_angles(angle_count)
-    delta = config.DEFAULTS["scan_delta"] if delta is None else delta
-    if not (0.0 < delta < 1.0):
-        raise ValidationError(f"delta must lie in (0, 1), got {delta!r}")
     samples = product.eval_many(circle_points(r, angles), strict=strict)
     moduli = np.abs(samples.values)
-    return BoundaryScan(r, delta, angles, samples, float(moduli.min()), float(moduli.max()),
-                        float(moduli.mean()), float(np.mean(moduli > 1.0 - delta)))
+    return BoundaryScan(r, angles, samples, float(moduli.min()), float(moduli.max()))
 
 
 # The probe family's offset paths, in family order: the radial ray, the
@@ -718,12 +700,16 @@ def limit_probe(
     The family is the five offset paths of _path_offsets over the radius
     schedule plus, where the product's zeros approach the point, a discrete
     path through those zeros.  The radial limit exists when the radial
-    path's late window oscillates less than the verdict tolerance.
+    path's late window oscillates less than the verdict tolerance.  The
+    window and the tolerance come from config where None.
     """
     _require_product(product)
     angle = normalize_angle(angle)
     radii_arr = _radius_schedule(radii)
-    tol, win = _verdict_settings(verdict_tolerance, window)
+    win = _positive_int(config.DEFAULTS["oscillation_window"] if window is None else window,
+                        "window")
+    tol = config.DEFAULTS["verdict_tolerance"] if verdict_tolerance is None else verdict_tolerance
+    tol = _positive_finite(tol, "verdict_tolerance")
     points = radii_arr * np.exp(1j * (angle + _path_offsets(1.0 - radii_arr)))
     names = list(_PATH_NAMES)
     ends = [radii_arr.size * k for k in range(1, len(names) + 1)]

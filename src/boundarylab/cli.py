@@ -63,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     ray.add_argument("--angle", type=float, default=0.0,
                      help="boundary angle in radians (default 0.0)")
     _setting(ray, "--radius-levels", "radius_levels", "N", "radii 1 - 2^-n for n = 1..N")
-    _setting(ray, "--window", "oscillation_window", "N", "trailing samples judged for oscillation")
-    _setting(ray, "--verdict-tolerance", "verdict_tolerance", "TOL",
-             "oscillation below this counts as a limit")
 
     parser = argparse.ArgumentParser(
         prog="boundarylab",
@@ -78,11 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.999, help="scan radius in (0, 1) (default 0.999)")
     p.add_argument("--angles", type=int, default=4096,
                    help="number of uniform sample angles (default 4096)")
-    _setting(p, "--delta", "scan_delta", "X", "'near modulus one' means modulus > 1 - X")
     sub.add_parser("trace", parents=[common, zeros, ray, truncation],
                    help="sample a Blaschke product along one radial ray (CSV)")
-    sub.add_parser("probe", parents=[common, zeros, ray, truncation],
-                   help="boundary-limit probe along several approach paths (JSON)")
+    p = sub.add_parser("probe", parents=[common, zeros, ray, truncation],
+                       help="boundary-limit probe along several approach paths (JSON)")
+    _setting(p, "--window", "oscillation_window", "N", "trailing samples judged for oscillation")
+    _setting(p, "--verdict-tolerance", "verdict_tolerance", "TOL",
+             "oscillation below this counts as a limit")
 
     p = sub.add_parser("frostman", parents=[common, zeros],
                        help="Frostman sum classification at one angle (JSON) or a grid (CSV)")
@@ -196,7 +195,7 @@ def _load_grid(path: str) -> GridPlane:
 
 def _cmd_scan(args: argparse.Namespace, cfg: dict) -> int:
     product = _load_product(args, cfg)
-    kwargs = dict(r=args.r, angle_count=args.angles, delta=cfg["scan_delta"])
+    kwargs = dict(r=args.r, angle_count=args.angles)
     code = 0
     try:
         scan = boundary_scan(product, strict=True, **kwargs)
@@ -210,21 +209,19 @@ def _cmd_scan(args: argparse.Namespace, cfg: dict) -> int:
     return code
 
 
-def _ray_settings(cfg: dict) -> dict:
-    return dict(radii=default_radius_schedule(cfg["radius_levels"]),
-                verdict_tolerance=cfg["verdict_tolerance"],
-                window=cfg["oscillation_window"])
-
-
 def _cmd_trace(args: argparse.Namespace, cfg: dict) -> int:
-    trace = radial_trace(_load_product(args, cfg), args.angle, **_ray_settings(cfg))
+    trace = radial_trace(_load_product(args, cfg), args.angle,
+                         default_radius_schedule(cfg["radius_levels"]))
     with _out_handle(args.out) as fh:
         trace.write_csv(fh)
     return 0
 
 
 def _cmd_probe(args: argparse.Namespace, cfg: dict) -> int:
-    report = limit_probe(_load_product(args, cfg), args.angle, **_ray_settings(cfg))
+    report = limit_probe(_load_product(args, cfg), args.angle,
+                         radii=default_radius_schedule(cfg["radius_levels"]),
+                         verdict_tolerance=cfg["verdict_tolerance"],
+                         window=cfg["oscillation_window"])
     with _out_handle(args.out) as fh:
         fh.write(json_text(report.to_json()))
     return 0

@@ -22,8 +22,6 @@ DEFAULTS: dict[str, Any] = {
     "radius_levels": 40,            # schedule r_n = 1 - 2^-n, n = 1..radius_levels
     "oscillation_window": 32,       # samples examined at the end of a trace
     "verdict_tolerance": 1e-4,      # oscillation below this => "limit exists"
-    # boundary scans
-    "scan_delta": 0.05,             # "near modulus one" means modulus > 1 - delta
     # Frostman classifier policy
     "frostman_divergence_threshold": 1e3,
     "frostman_growth_window": 4,    # prefix doublings inspected for the tail

@@ -32,16 +32,11 @@ def annulus_window_plane(resolution: int = 64) -> GridPlane:
     a hole of F that no compact subset of the plane lets escape: the first
     hole condition fails with that disc as witness.
     """
-    xx, yy, cell = _center_coords(resolution, 3.0)
+    xx, yy, _ = _center_coords(resolution, 3.0)
     rho = np.hypot(xx, yy)
     cells = np.full(rho.shape, int(CellClass.G_FREE), dtype=np.uint8)
     cells[(rho >= 0.5) & (rho <= 2.0)] = int(CellClass.F_SET)
-    return GridPlane(
-        cells=cells,
-        frame_is_unbounded=True,
-        cell_size=cell,
-        origin=(-3.0, -3.0),
-    )
+    return GridPlane(cells=cells, frame_is_unbounded=True)
 
 
 def punctured_disc_plane(resolution: int = 96) -> GridPlane:
@@ -60,12 +55,7 @@ def punctured_disc_plane(resolution: int = 96) -> GridPlane:
     band = 0.75 * cell
     cells[np.abs(rho - 0.5) <= band] = int(CellClass.E_SET)
     cells[np.abs(rho - 0.25) <= band] = int(CellClass.F_SET)
-    return GridPlane(
-        cells=cells,
-        frame_is_unbounded=False,
-        cell_size=cell,
-        origin=(-1.1, -1.1),
-    )
+    return GridPlane(cells=cells, frame_is_unbounded=False)
 
 
 def radial_segment_plane(resolution: int = 64) -> GridPlane:
@@ -78,12 +68,7 @@ def radial_segment_plane(resolution: int = 64) -> GridPlane:
     band = 0.75 * cell
     segment = (np.abs(yy) <= band) & (xx >= -band) & (rho < 1.0 + cell)
     cells[segment & (cells != int(CellClass.OUTSIDE_G))] = int(CellClass.F_SET)
-    return GridPlane(
-        cells=cells,
-        frame_is_unbounded=False,
-        cell_size=cell,
-        origin=(-1.1, -1.1),
-    )
+    return GridPlane(cells=cells, frame_is_unbounded=False)
 
 
 _FIXTURES = {
@@ -185,7 +170,7 @@ def random_pair_plane(rng: np.random.Generator, size: int = 48) -> GridPlane:
     cells = np.full((size, size), int(CellClass.G_FREE), dtype=np.uint8)
     cells[e_mask] = int(CellClass.E_SET)
     cells[f_mask] = int(CellClass.F_SET)
-    return GridPlane(cells=cells, frame_is_unbounded=True, cell_size=1.0)
+    return GridPlane(cells=cells, frame_is_unbounded=True)
 
 
 def iter_random_pairs(seed: int, count: int, size: int = 48):

@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .unitdisc import _require_number, _require_object, _require_row
+from .unitdisc import _require_object
 
 
 class CellClass(IntEnum):
@@ -96,8 +96,6 @@ class GridPlane:
 
     cells: np.ndarray
     frame_is_unbounded: bool
-    cell_size: float = 1.0
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cells)
@@ -113,8 +111,6 @@ class GridPlane:
         if not isinstance(self.frame_is_unbounded, (bool, np.bool_)):
             raise ValidationError("frame_is_unbounded must be True or False")
         object.__setattr__(self, "frame_is_unbounded", bool(self.frame_is_unbounded))
-        if not 0.0 < self.cell_size < np.inf:
-            raise ValidationError("cell_size must be positive and finite")
         counts = np.bincount(self.cells.reshape(-1), minlength=5)
         if counts[CellClass.G_FREE] + counts[CellClass.F_SET] == 0:
             raise ValidationError("grid must contain at least one G_FREE or F_SET cell")
@@ -223,13 +219,7 @@ class GridPlane:
         if type(data["unbounded"]) not in (bool, int) or data["unbounded"] not in (0, 1):
             raise ValidationError("grid 'unbounded' must be true, false, 0 or 1")
         cells = np.asarray(flat).reshape(height, width)
-        origin = data.get("origin", [0.0, 0.0])
-        return cls(
-            cells=cells,
-            frame_is_unbounded=bool(data["unbounded"]),
-            cell_size=_require_number(data, "cell_size") if "cell_size" in data else 1.0,
-            origin=_require_row(origin, 2, "origin"),
-        )
+        return cls(cells=cells, frame_is_unbounded=bool(data["unbounded"]))
 
 
 def _dilate(mask: np.ndarray, diagonal: bool) -> np.ndarray:

@@ -81,16 +81,16 @@ def write_values(handle: TextIO, first: str, xs: Sequence[float],
               (np.asarray(xs, dtype=np.float64), values.real, values.imag, modulus))
 
 
-def json_text(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON, formatting every float with fmt_float."""
+def json_text(obj: Any) -> str:
+    """Serialize to JSON, indented by 2, formatting every float with fmt_float."""
     pieces: list[str] = []
-    _emit(obj, pieces, indent, 0)
+    _emit(obj, pieces, 0)
     return "".join(pieces) + "\n"
 
 
-def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
-    pad = " " * (indent * depth)
-    inner = " " * (indent * (depth + 1))
+def _emit(obj: Any, out: list[str], depth: int) -> None:
+    pad = "  " * depth
+    inner = "  " * (depth + 1)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -110,7 +110,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(inner + json.dumps(key, ensure_ascii=False) + ": ")
-            _emit(value, out, indent, depth + 1)
+            _emit(value, out, depth + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -121,7 +121,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
         out.append("[\n")
         for i, value in enumerate(seq):
             out.append(inner)
-            _emit(value, out, indent, depth + 1)
+            _emit(value, out, depth + 1)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(pad + "]")
     else:

@@ -33,7 +33,7 @@ def normalize_angle(theta: float) -> float:
     """Map an angle to [0, 2*pi); a non-finite angle is a ValidationError."""
     if not math.isfinite(theta):
         raise ValidationError(f"angle must be finite, got {theta}")
-    t = math.fmod(theta, TWO_PI)
+    t = math.fmod(theta, TWO_PI) + 0.0  # -0.0 + 0.0 is 0.0, so -0 and 0 print alike
     if t < 0.0:
         t += TWO_PI
     return 0.0 if t >= TWO_PI else t
@@ -41,8 +41,7 @@ def normalize_angle(theta: float) -> float:
 
 def uniform_angles(count: int) -> np.ndarray:
     """The grid 2*pi*k/count, k = 0..count-1; the count is checked before allocating."""
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ValidationError(f"angle_count must be a positive integer, got {count!r}")
+    _positive_int(count, "angle_count")
     if count > MAX_ANGLES:
         raise ValidationError(f"angle_count {count} exceeds the {MAX_ANGLES} angle cap")
     return TWO_PI * np.arange(count, dtype=np.float64) / count
@@ -416,8 +415,7 @@ def gen_radial_sequence(angle: float, rate: float, count: int) -> ZeroSequence:
     """
     if not (0.0 < rate < 1.0):
         raise ValidationError(f"rate must lie in (0, 1), got {rate!r}")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ValidationError(f"count must be a positive integer, got {count!r}")
+    _positive_int(count, "count")
     if count > MAX_GENERATED_ZEROS:
         raise ValidationError(
             f"count {count} exceeds the {MAX_GENERATED_ZEROS} generated-zero cap"
@@ -493,8 +491,7 @@ def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence
     level of a full-circle arc (its count need not be 3^l: the count is
     rounded up) is recorded as a LevelBlock.
     """
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
-        raise ValidationError(f"depth must be a positive integer, got {depth!r}")
+    _positive_int(depth, "depth")
     runs: list[tuple[float, float, int, bool]] = []
     sizes: list[int] = []
     level_deficits: list[float] = []

@@ -28,15 +28,14 @@ CASES: dict[str, list[str]] = {
     "scan-radial30-partial": ["scan", "--zeros", "{in}/radial30.json", "--r", "0.999",
                               "--angles", "16", "--out", "-"],
     "scan-cantor8-flags": ["scan", "--zeros", "{in}/cantor8.json", "--r", "0.5", "--angles", "16",
-                           "--delta", "0.2", "--truncation-tolerance", "1e-6"],
+                           "--truncation-tolerance", "1e-6"],
     "scan-cantor8-512": ["scan", "--zeros", "{in}/cantor8.json", "--r", "0.9", "--angles", "512"],
     "scan-config": ["scan", "--zeros", "{in}/cantor8.json", "--r", "0.5", "--angles", "8",
                     "--config", "{in}/settings.conf"],
     "trace-radial60": ["trace", "--zeros", "{in}/radial60.json", "--angle", "1.6951199159934145",
                        "--radius-levels", "20"],
     "trace-cantor8-flags": ["trace", "--zeros", "{in}/cantor8.json", "--angle", "0.5",
-                            "--radius-levels", "12", "--window", "4", "--verdict-tolerance",
-                            "1e-3", "--truncation-tolerance", "1e-6"],
+                            "--radius-levels", "12", "--truncation-tolerance", "1e-6"],
     "probe-radial60": ["probe", "--zeros", "{in}/radial60.json", "--angle", "1.6951199159934145"],
     "probe-cantor8-flags": ["probe", "--zeros", "{in}/cantor8.json", "--angle", "0.3",
                             "--radius-levels", "16", "--window", "8", "--verdict-tolerance", "1e-3"],

@@ -184,20 +184,31 @@ def test_radial_trace_limit_and_oscillation():
     prod = BlaschkeProduct(seq)
     radii = default_radius_schedule(30)
     # at the antipode the product converges: every factor is (a+1)/(1+a) = 1
-    # at z = -1, so the trace settles near B(-1) = 1
-    tr = radial_trace(prod, math.pi, radii, verdict_tolerance=1e-3, window=8)
-    assert tr.limit_estimate is not None
-    assert abs(tr.limit_estimate - 1.0) < 1e-3
-    assert tr.oscillation < 1e-3
-    # midpoint radii interleave the zeros, so the trace keeps swinging
+    # at z = -1, so the radial path settles near B(-1) = 1
+    radial = limit_probe(prod, math.pi, radii=radii, verdict_tolerance=1e-3,
+                         window=8).path_limits[0]
+    assert radial.name == "radial"
+    assert radial.estimate is not None
+    assert abs(radial.estimate - 1.0) < 1e-3
+    assert radial.oscillation < 1e-3
+    # midpoint radii interleave the zeros, so the radial path keeps swinging
     mids = 1.0 - 1.5 * np.power(0.5, np.arange(1, 31))
-    tr = radial_trace(prod, 0.0, mids, verdict_tolerance=1e-3, window=8)
+    radial = limit_probe(prod, 0.0, radii=mids, verdict_tolerance=1e-3, window=8).path_limits[0]
+    assert radial.oscillation > 1e-3
+    assert radial.estimate is None
+    # radial_trace judges with the config defaults (the last 32 samples, 1e-4):
+    # at radii 1 - 2^-n for n = 20..53 the antipode's samples are within 2^-20 of 1
+    tr = radial_trace(prod, math.pi, default_radius_schedule(53)[19:])
+    assert tr.limit_estimate is not None
+    assert abs(tr.limit_estimate - 1.0) < 1e-4
+    assert tr.oscillation < config.DEFAULTS["verdict_tolerance"]
+    tr = radial_trace(prod, 0.0, mids)
     assert tr.oscillation > 1e-3
     assert tr.limit_estimate is None
     with pytest.raises(ValidationError):
-        radial_trace(prod, 0.0, [0.5, 0.5], verdict_tolerance=1e-3, window=4)
+        radial_trace(prod, 0.0, [0.5, 0.5])
     with pytest.raises(ValidationError):
-        radial_trace(prod, 0.0, [0.5, 1.0], verdict_tolerance=1e-3, window=4)
+        radial_trace(prod, 0.0, [0.5, 1.0])
 
 
 @pytest.mark.parametrize("radii,message", [
@@ -222,12 +233,11 @@ def test_boundary_scan_report():
 
     seq = gen_radial_sequence(0.0, 0.5, 60)
     prod = BlaschkeProduct(seq)
-    scan = boundary_scan(prod, 0.99, 128, delta=0.05)
+    scan = boundary_scan(prod, 0.99, 128)
     assert len(scan.angles) == 128
     assert len(scan.values) == 128
-    assert 0.0 <= scan.fraction_near_one <= 1.0
-    assert scan.fraction_near_one > 0.5
-    assert scan.modulus_min <= scan.modulus_mean <= scan.modulus_max
+    moduli = np.abs(scan.values)
+    assert (scan.modulus_min, scan.modulus_max) == (moduli.min(), moduli.max())
     buf = io.StringIO()
     scan.write_csv(buf)
     lines = buf.getvalue().splitlines()
@@ -566,7 +576,7 @@ def test_reports_take_only_blaschke_products(call):
             call(fn)
 
 
-# verdict settings refused by radial_trace and limit_probe, with their messages
+# verdict settings refused by limit_probe, with their messages
 _BAD_VERDICT_SETTINGS = [
     ({"window": 0}, "window must be a positive integer, got 0"),
     ({"window": -3}, "window must be a positive integer, got -3"),
@@ -584,16 +594,14 @@ _BAD_VERDICT_SETTINGS = [
 ]
 
 
-@pytest.mark.parametrize("call", [radial_trace, limit_probe], ids=["trace", "probe"])
-def test_verdict_settings_are_refused_with_their_message(call):
+def test_verdict_settings_are_refused_with_their_message():
     prod = _product(RADIAL30)
     for kwargs, message in _BAD_VERDICT_SETTINGS:
         with pytest.raises(ValidationError) as info:
-            call(prod, 1.0, **kwargs)
+            limit_probe(prod, 1.0, **kwargs)
         assert str(info.value) == message
     # the smallest window and an integral tolerance are accepted
-    report = call(prod, 1.0, window=1, verdict_tolerance=1)
-    assert report.limit_estimate is not None if call is radial_trace else report.radial_exists
+    assert limit_probe(prod, 1.0, window=1, verdict_tolerance=1).radial_exists
 
 
 def _without_blocks(spec):

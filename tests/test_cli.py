@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -84,11 +85,16 @@ def test_validation_failures_exit_2(tmp_path, deep_zeros):
 
 def test_settings_are_range_checked(tmp_path, deep_zeros):
     assert run(["selftest", "--seed", "-1", "--only", "2"]) == 2
-    assert run(["trace", "--zeros", deep_zeros, "--verdict-tolerance", "0"]) == 2
-    assert run(["trace", "--zeros", deep_zeros, "--threads", "2"]) == 2  # removed flag
+    assert run(["probe", "--zeros", deep_zeros, "--verdict-tolerance", "0"]) == 2
+    # removed flags
+    assert run(["trace", "--zeros", deep_zeros, "--threads", "2"]) == 2
+    assert run(["trace", "--zeros", deep_zeros, "--window", "8"]) == 2
+    assert run(["trace", "--zeros", deep_zeros, "--verdict-tolerance", "1e-3"]) == 2
+    assert run(["scan", "--zeros", deep_zeros, "--delta", "0.2"]) == 2
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("threads = 2\n")  # removed key
-    assert run(["trace", "--zeros", deep_zeros, "--config", str(cfg)]) == 2
+    for removed_key in ("threads = 2\n", "scan_delta = 0.2\n"):
+        cfg.write_text(removed_key)
+        assert run(["trace", "--zeros", deep_zeros, "--config", str(cfg)]) == 2
     cfg.write_text("verdict_tolerance = abc\n")
     assert run(["trace", "--zeros", deep_zeros, "--config", str(cfg)]) == 2
 
@@ -98,11 +104,14 @@ _INPUT_DESTS = {"help", "subcommand", "config", "out", "zeros", "spec", "grid", 
                 "angles", "theta", "at", "subject", "independence", "union", "delta", "only"}
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_setting_is_one_flag_whose_dest_is_its_key():
     owners, types = {}, {}
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name, sub in subparsers.choices.items():
+    for name, sub in _subcommands().items():
         for action in sub._actions:
             owners.setdefault(action.dest, []).append(name)
             types.setdefault(action.dest, set()).add(action.type)
@@ -111,6 +120,60 @@ def test_every_setting_is_one_flag_whose_dest_is_its_key():
     for key in settings:
         assert types[key] == {type(config.DEFAULTS[key])}
     assert owners["seed"] == ["selftest"]
+
+
+_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+# (subcommand, flag) of every flag whose destination is a config key
+_SETTING_FLAGS = [(name, action.option_strings[0]) for name, sub in _subcommands().items()
+                  for action in sub._actions if action.dest in config.DEFAULTS]
+_TRACE = ["--zeros", str(_INPUTS / "radial60.json"), "--angle", "1.0"]
+_PROBE = ["--zeros", str(_INPUTS / "radial30.json"), "--angle", "1.0"]
+_FROSTMAN = ["--zeros", str(_INPUTS / "cantor8.json"), "--theta", "0.7"]
+# (subcommand, flag) -> (a run on golden inputs, another valid value of the flag)
+_SETTING_CHANGES = {
+    ("scan", "--truncation-tolerance"):
+        (["--zeros", str(_INPUTS / "radial60.json"), "--r", "0.9", "--angles", "32"], "1e-3"),
+    ("trace", "--radius-levels"): (_TRACE, "8"),
+    ("trace", "--truncation-tolerance"): (_TRACE, "1e-3"),
+    ("probe", "--radius-levels"): (_PROBE, "8"),
+    ("probe", "--window"): (_PROBE, "4"),
+    ("probe", "--verdict-tolerance"): (_PROBE, "0.5"),
+    ("probe", "--truncation-tolerance"): (_PROBE, "1e-3"),
+    ("frostman", "--divergence-threshold"): (_FROSTMAN, "1"),
+    ("frostman", "--growth-window"): (_FROSTMAN, "2"),
+    ("frostman", "--cauchy-tolerance"): (_FROSTMAN, "1e3"),
+    ("series", "--series-tolerance"): (["--spec", str(_INPUTS / "lp6.json"), "--at", "0.1", "0.2"],
+                                       "0.5"),
+    ("selftest", "--seed"): (["--only", "3"], "1"),
+}
+
+
+@pytest.mark.parametrize("command,flag", _SETTING_FLAGS,
+                         ids=[f"{command} {flag}" for command, flag in _SETTING_FLAGS])
+def test_every_setting_changes_stdout(capsys, command, flag):
+    # a setting that changes no output is a knob to delete, not one to document
+    assert (command, flag) in _SETTING_CHANGES, "no run shows what this setting changes"
+    base, value = _SETTING_CHANGES[command, flag]
+    outputs = []
+    for argv in ([command, *base], [command, *base, flag, value]):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["frostman", "--zeros", str(_INPUTS / "cantor8.json"), "--theta"],
+    ["probe", "--zeros", str(_INPUTS / "radial30.json"), "--angle"],
+    ["trace", "--zeros", str(_INPUTS / "radial30.json"), "--angle"],
+], ids=["frostman", "probe", "trace"])
+def test_minus_zero_angle_prints_as_zero(capsys, argv):
+    outputs = []
+    for angle in ("-0", "0"):
+        assert run([*argv, angle]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("line,key", [
@@ -143,8 +206,10 @@ def test_bad_config_file_values_exit_2_naming_the_key(tmp_path, capsys, line, ke
     ("--radius-levels", "1000000", "radius_levels must lie in 1..53"),
 ])
 def test_bad_flag_values_exit_2_naming_the_key(deep_zeros, capsys, flag, value, message):
-    assert run(["trace", "--zeros", deep_zeros, flag, value]) == 2
-    assert message in capsys.readouterr().err
+    # trace takes the ray's radii but not the verdict flags, which only probe reads
+    for command in ("trace", "probe") if flag == "--radius-levels" else ("probe",):
+        assert run([command, "--zeros", deep_zeros, flag, value]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_probe_refuses_radius_levels_past_53(deep_zeros, capsys):
@@ -406,24 +471,14 @@ def test_malformed_evaluation_inputs_exit_2(tmp_path, capsys, subcommand, text):
 _GRID = {"width": 2, "height": 2, "unbounded": 0, "cells": [1, 1, 1, 1]}
 
 
-@pytest.mark.parametrize("extra", [{"cell_size": "x"}, {"origin": 5}],
-                         ids=["cell-size-string", "origin-number"])
-def test_malformed_grid_geometry_exits_2(tmp_path, capsys, extra):
-    assert run(["arakeljan", "--grid", _write(tmp_path, "g.json", {**_GRID, **extra})]) == 2
-    assert capsys.readouterr().err.startswith("boundarylab arakeljan: ")
-
-
 @pytest.mark.parametrize("subcommand,data", [
     ("scan", {"zeros": [{"re": "0.5", "im": 0.1}]}),
     ("scan", {"zeros": [{"re": 0.5, "im": "0.1"}]}),
     ("scan", {"generator": {"kind": "radial", "angle": 0.0, "rate": "0.5", "count": 4}}),
     ("series", _series_of(_RADIAL, weight="0.5")),
-    ("arakeljan", {**_GRID, "cell_size": "2"}),
-    ("arakeljan", {**_GRID, "origin": ["0", 0.0]}),
-    ("arakeljan", {**_GRID, "origin": [0.0, "0"]}),
-], ids=["re", "im", "rate", "weight", "cell-size", "origin-x", "origin-y"])
+], ids=["re", "im", "rate", "weight"])
 def test_numeric_strings_are_not_numbers(tmp_path, capsys, subcommand, data):
-    flag = {"scan": "--zeros", "series": "--spec", "arakeljan": "--grid"}[subcommand]
+    flag = {"scan": "--zeros", "series": "--spec"}[subcommand]
     assert run([subcommand, flag, _write(tmp_path, "input.json", data)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -507,14 +562,14 @@ _REALS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "0.1", "0.5", "0.999", "1",
 _POSITIVE = ["nan", "inf", "0", "-1", "1e-300", "1e-9", "0.05", "1e3"]
 _SETTINGS = {
     "--truncation-tolerance": _POSITIVE, "--verdict-tolerance": _POSITIVE,
-    "--delta": _POSITIVE, "--divergence-threshold": _POSITIVE,
+    "--divergence-threshold": _POSITIVE,
     "--cauchy-tolerance": _POSITIVE, "--series-tolerance": _POSITIVE,
     "--radius-levels": ["-1", "0", "1", "8", "53", "54", "1000000"],
     "--window": ["-1", "0", "1", "32", "1000000"],
     "--growth-window": ["-1", "0", "1", "4", "1000000"],
 }
 _ANGLE_COUNTS = ["-1", "0", "1", "16", "100", str(MAX_ANGLES + 1)]
-_RAY = ("--angle", "--radius-levels", "--window", "--verdict-tolerance", "--truncation-tolerance")
+_RAY = ("--angle", "--radius-levels", "--truncation-tolerance")
 
 
 def test_argv_fuzz_exits_0_1_or_2_with_a_diagnostic(tmp_path, capsys):
@@ -523,14 +578,14 @@ def test_argv_fuzz_exits_0_1_or_2_with_a_diagnostic(tmp_path, capsys):
     zeros = _write(tmp_path, "zeros.json", _RADIAL)
     spec = _write(tmp_path, "spec.json", _ATOMS_SERIES)
     grid = _write(tmp_path, "grid.txt", punctured_disc_plane(12).format_text())
-    values = {**_SETTINGS, "--angle": _REALS, "--theta": _REALS, "--r": _REALS,
+    values = {**_SETTINGS, "--angle": _REALS, "--theta": _REALS, "--r": _REALS, "--delta": _REALS,
               "--angles": _ANGLE_COUNTS, "--at": [f"{x} {y}" for x in _REALS for y in _REALS],
               "--subject": ["F", "E", "E+F", "none", "X", ""],
               "--independence": ["E F", "F none", "E X"]}
     commands = {
-        "scan": (["--zeros", zeros], ("--r", "--angles", "--delta", "--truncation-tolerance")),
+        "scan": (["--zeros", zeros], ("--r", "--angles", "--truncation-tolerance")),
         "trace": (["--zeros", zeros], _RAY),
-        "probe": (["--zeros", zeros], _RAY),
+        "probe": (["--zeros", zeros], (*_RAY, "--window", "--verdict-tolerance")),
         "frostman": (["--zeros", zeros], ("--theta", "--angles", "--divergence-threshold",
                                           "--growth-window", "--cauchy-tolerance")),
         "series": (["--spec", spec], ("--at", "--r", "--angles", "--series-tolerance")),
@@ -547,8 +602,7 @@ def test_argv_fuzz_exits_0_1_or_2_with_a_diagnostic(tmp_path, capsys):
             if flag == "--union":
                 argv.append(flag)
                 continue
-            drawn = _REALS if flag == "--delta" and command == "kernels" else values[flag]
-            argv += [flag, *draw(st.sampled_from(drawn)).split(" ")]
+            argv += [flag, *draw(st.sampled_from(values[flag])).split(" ")]
         return argv
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)

@@ -137,10 +137,10 @@ def test_text_body_errors_match_row_by_row_decoding():
 
 def test_json_round_trip():
     cases = [
-        ({"width": 3, "height": 2, "unbounded": True, "cell_size": 0.5, "origin": [1, -2.0],
+        # unknown keys, such as an old file's cell_size and origin, are ignored
+        ({"width": 3, "height": 2, "unbounded": True, "cell_size": "x", "origin": 5,
           "cells": [1, 2, 3, 0, 4, 1]},
-         GridPlane(cells=np.array([[1, 2, 3], [0, 4, 1]]), frame_is_unbounded=True,
-                   cell_size=0.5, origin=(1.0, -2.0))),
+         GridPlane(cells=np.array([[1, 2, 3], [0, 4, 1]]), frame_is_unbounded=True)),
         ({"width": 1, "height": 2, "unbounded": 0, "cells": [1, 0]},
          GridPlane(cells=np.array([[1], [0]]), frame_is_unbounded=False)),
     ]
@@ -148,7 +148,6 @@ def test_json_round_trip():
         back = GridPlane.from_json(doc)
         assert np.array_equal(back.cells, grid.cells) and back.cells.dtype == grid.cells.dtype
         assert back.frame_is_unbounded is grid.frame_is_unbounded
-        assert (back.cell_size, back.origin) == (grid.cell_size, grid.origin)
     with pytest.raises(ValidationError):
         GridPlane.from_json({"width": 2, "height": 1, "unbounded": 0, "cells": [0, 9]})
     with pytest.raises(ValidationError):
@@ -386,37 +385,19 @@ def test_json_rejects_malformed_fields():
         assert GridPlane.from_json({**good, "unbounded": flag}).frame_is_unbounded is unbounded
 
 
-def test_json_origin_rows_have_two_entries():
-    good = {"width": 2, "height": 1, "unbounded": 0, "cells": [1, 1]}
-    assert GridPlane.from_json({**good, "origin": [1, 2.5]}).origin == (1.0, 2.5)
-    with pytest.raises(ValidationError, match="^origin must have 2 entries, found 3$"):
-        GridPlane.from_json({**good, "origin": [1, 2, 3]})
-    with pytest.raises(ValidationError, match=r"^missing origin\[1\]$"):
-        GridPlane.from_json({**good, "origin": [1]})
-
-
-_BAD_CELLS = "grid cells must carry class codes 0..4"
-_BAD_CELL_SIZE = "cell_size must be positive and finite"
-
-
-@pytest.mark.parametrize("cells, cell_size, message", [
-    (np.array([[1.5, 2.7]]), 1.0, _BAD_CELLS),
-    (np.array([[1.0, 0.5]]), 1.0, _BAD_CELLS),
-    (np.array([[1.0, np.nan]]), 1.0, _BAD_CELLS),
-    (np.array([[1.0, np.inf]]), 1.0, _BAD_CELLS),
-    (np.array([[1, 5]]), 1.0, _BAD_CELLS),
-    (np.array([[1, -1]]), 1.0, _BAD_CELLS),
-    (np.array([[1, 257]]), 1.0, _BAD_CELLS),  # 1 after a uint8 cast
-    (np.array([[1, 2]]), float("nan"), _BAD_CELL_SIZE),
-    (np.array([[1, 2]]), float("inf"), _BAD_CELL_SIZE),
-    (np.array([[1, 2]]), -float("inf"), _BAD_CELL_SIZE),
-    (np.array([[1, 2]]), 0.0, _BAD_CELL_SIZE),
-    (np.array([[1, 2]]), -1.0, _BAD_CELL_SIZE),
+@pytest.mark.parametrize("cells", [
+    np.array([[1.5, 2.7]]),
+    np.array([[1.0, 0.5]]),
+    np.array([[1.0, np.nan]]),
+    np.array([[1.0, np.inf]]),
+    np.array([[1, 5]]),
+    np.array([[1, -1]]),
+    np.array([[1, 257]]),  # 1 after a uint8 cast
 ])
-def test_grid_plane_refuses_invalid_cells_and_cell_sizes(cells, cell_size, message):
+def test_grid_plane_refuses_invalid_cells(cells):
     with pytest.raises(ValidationError) as info:
-        GridPlane(cells=cells, frame_is_unbounded=True, cell_size=cell_size)
-    assert str(info.value) == message
+        GridPlane(cells=cells, frame_is_unbounded=True)
+    assert str(info.value) == "grid cells must carry class codes 0..4"
 
 
 @pytest.mark.parametrize("flag", [
@@ -441,7 +422,7 @@ def test_grid_plane_stores_a_numpy_frame_flag_as_a_bool():
     np.array([[1, 3]], dtype=np.uint64), np.array([[True, False]]), np.array([[1.0, 4.0]]),
 ])
 def test_grid_plane_accepts_integral_codes(cells):
-    grid = GridPlane(cells=cells, frame_is_unbounded=True, cell_size=2)
+    grid = GridPlane(cells=cells, frame_is_unbounded=True)
     assert grid.cells.dtype == np.uint8
     assert np.array_equal(grid.cells, cells)
 
@@ -489,8 +470,7 @@ def test_parsers_raise_only_validation_errors():
         | st.text(max_size=3)
     json_values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=6), max_leaves=12)
     # a valid grid with some fields replaced by arbitrary JSON values or left out
-    good = {"width": 2, "height": 2, "unbounded": 0, "cells": [1, 2, 0, 1],
-            "cell_size": 1.5, "origin": [0.0, 1.0]}
+    good = {"width": 2, "height": 2, "unbounded": 0, "cells": [1, 2, 0, 1]}
     grids = st.builds(
         lambda changed, dropped: {k: v for k, v in {**good, **changed}.items() if k not in dropped},
         st.dictionaries(st.sampled_from(sorted(good)), json_values, max_size=2),

@@ -35,8 +35,7 @@ _SERIES = {"weight_rule": "inverse-power-2", "terms": [
     {"weight": 0.25, "component": {"series": {"terms": [
         {"weight": 0.5, "component": {"blaschke": _ZEROS[2]}}]}}},
 ]}
-_GRID = {"width": 3, "height": 2, "unbounded": True, "cell_size": 0.5, "origin": [1.0, -2.0],
-         "cells": [1, 2, 3, 0, 4, 1]}
+_GRID = {"width": 3, "height": 2, "unbounded": True, "cells": [1, 2, 3, 0, 4, 1]}
 _PARSERS = {
     ZeroSequence: _ZEROS,
     ClosedSetSpec: _CLOSED_SETS,
@@ -196,9 +195,6 @@ _MESSAGES = [
     (GridPlane, {**_GRID, "cells": [1, 2, 3, 0, 4, 1.0]},
      "grid 'cells' must be integer class codes"),
     (GridPlane, {**_GRID, "unbounded": 2}, "grid 'unbounded' must be true, false, 0 or 1"),
-    (GridPlane, {**_GRID, "cell_size": "0.5"}, "field 'cell_size' must be a number"),
-    (GridPlane, {**_GRID, "origin": [1.0, -2.0, 0.0]}, "origin must have 2 entries, found 3"),
-    (GridPlane, {**_GRID, "origin": [1.0]}, "missing origin[1]"),
 ]
 
 

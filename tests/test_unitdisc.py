@@ -21,6 +21,7 @@ from boundarylab.unitdisc import (
 def test_normalize_angle():
     assert normalize_angle(0.0) == 0.0
     assert normalize_angle(TWO_PI) == 0.0
+    assert math.copysign(1.0, normalize_angle(-0.0)) == 1.0  # -0.0 maps to 0.0, not -0.0
     assert abs(normalize_angle(-0.5) - (TWO_PI - 0.5)) < 1e-15
     assert abs(normalize_angle(7.0) - (7.0 - TWO_PI)) < 1e-15
     for t in np.linspace(-20.0, 20.0, 101):
