@@ -115,12 +115,12 @@ def _criterion_truncation_bound(rng: np.random.Generator) -> tuple[bool, str]:
 
 def _criterion_infinite_product(rng: np.random.Generator) -> tuple[bool, str]:
     """Truncated value at 0 matches the frozen 200-factor reference."""
-    product = BlaschkeProduct(gen_radial_sequence(0.0, 0.5, 60))
-    result = product.eval_truncated(0.0, tol=1e-6)
-    err = abs(result.value - REFERENCE_PRODUCT_AT_ZERO)
-    ok = err < 1e-6 and result.tail_bound <= 1e-6
+    product = BlaschkeProduct(gen_radial_sequence(0.0, 0.5, 60), truncation_tolerance=1e-6)
+    value, count, bound = (x.item() for x in product.eval_many([0.0], strict=True))
+    err = abs(value - REFERENCE_PRODUCT_AT_ZERO)
+    ok = err < 1e-6 and bound <= 1e-6
     return ok, (
-        f"B(0) = {result.value.real:.10f} from {result.factors_used} factors, "
+        f"B(0) = {value.real:.10f} from {count} factors, "
         f"|error| = {err:.3e} (need < 1e-6)"
     )
 

@@ -107,7 +107,7 @@ class BlaschkeProduct:
     Frozen, so the arrays it derives from its zeros and tolerance stay theirs.
 
     Evaluation inside the disc picks the shortest prefix whose certified tail
-    bound (including the sequence's extension mass) is below the tolerance.
+    bound (including the sequence's extension mass) is below truncation_tolerance.
 
     The zeros of a full-circle block (ZeroSequence.blocks) are m equally
     spaced zeros rho e^(i(s + 2 pi j/m)); with u = z e^(-is) their factors
@@ -194,16 +194,14 @@ class BlaschkeProduct:
     def __len__(self) -> int:
         return len(self.zeros)
 
-    def _factors(self, z: complex, n: int) -> np.ndarray:
-        absa, conj_a, rot = self._factor_arrays
-        num = absa[:n] - rot[:n] * z
-        den = 1.0 - conj_a[:n] * z
+    def _check_pole(self, z: complex, n: int) -> None:
+        """Raise PoleError if z is the pole of one of the first n factors."""
+        den = 1.0 - self._factor_arrays[1][:n] * z
         if np.any(den == 0.0):
             k = int(np.argmin(np.abs(den)))
             raise PoleError(
                 f"evaluation point {z!r} is the pole of the factor at zero #{k}"
             )
-        return num / den
 
     def _products(self, z: np.ndarray, lo: int, hi) -> np.ndarray:
         """Product of factors lo..hi[i]-1 at each point z[i] (hi an array, or
@@ -357,15 +355,15 @@ class BlaschkeProduct:
         z = complex(z)
         acc = complex(self._value(np.array([z]), np.array([n]))[0])
         if not cmath.isfinite(acc):
-            self._factors(z, n)  # locates the pole and raises with its index
+            self._check_pole(z, n)  # locates the pole and raises with its index
         return acc
 
     def factors_needed(self, r: float, tol: float) -> int:
         """The count the prefix rule certifies at radius r for tol, or -1 if none."""
         if not (0.0 <= r < 1.0):
             raise ValidationError(f"truncation requires |z| < 1, got radius {r!r}")
-        over, counts, _ = self._prefixes(np.array([r], dtype=np.float64), tol)
-        return -1 if over[0] else int(counts[0])
+        over, count, _ = self._prefix_rule(r, tol)
+        return -1 if over else int(count)
 
     def tail_bound(self, r: float, n: int) -> float:
         """Certified bound on |B - B_n| for |z| <= r (truncation only)."""
@@ -389,74 +387,60 @@ class BlaschkeProduct:
         counts = n + over * (len(self) - n)  # the whole prefix where over
         return over, counts, self._tail(growth, counts)
 
-    def _prefixes(self, r: np.ndarray, tol: float):
-        """_prefix_rule at each radius up to the first outside [0, 1), adding to its
-        bounds the phase bounds of the closed-form blocks used (_phase_bounds)."""
-        if not r.max(initial=0.0) < 1.0:  # moduli are >= 0 or nan
-            r = r[:int((r < 1.0).argmin())]
-        if r.size and not tol > 0.0:
-            raise ValidationError(f"tolerance must be positive, got {tol!r}")
-        over, counts, bounds = self._prefix_rule(r, tol)
-        if self._block_ends.size:
-            bounds += self._phase_bounds(r, counts)
-        return over, counts, bounds
-
-    def eval_many(self, points, *, strict: bool, tol: float | None = None) -> BatchEval:
+    def eval_many(self, points, *, strict: bool) -> BatchEval:
         """Value, factor count and tail bound at each point.
 
         |z| is np.hypot of z's parts, which has the bits of Python's abs.  The
-        counts and bounds of all points are chosen at once (_prefixes), and
-        all points are evaluated in one pass, each to its own count (_value).
-        The tail bound is the truncation bound plus, for each closed-form
-        block used, its phase bound; strict mode fails where that sum exceeds
-        tol.  A failure is raised as the first failing point in input order
-        raises it.  On a sequence without blocks, a prefix of two or more
-        factors gives np.multiply.reduce of its factors at the point, bit for
-        bit; a one-factor prefix gives that factor with _cmul's unfused
-        products, whose rounding differs from numpy's product at about two
-        points in five.  Batched and one-point calls agree bit for bit.
+        counts and bounds of the points before the first one outside [0, 1)
+        are chosen at once (_prefix_rule), and those points are evaluated in
+        one pass, each to its own count (_value).  The tail bound is the
+        truncation bound plus, for each closed-form block used, its phase
+        bound; strict mode fails where that sum exceeds truncation_tolerance.
+        A failure is raised as the first failing point in input order raises
+        it, a strict one with the point's recorded bound.  On a sequence
+        without blocks, a prefix of two or more factors gives
+        np.multiply.reduce of its factors at the point, bit for bit; a
+        one-factor prefix gives that factor with _cmul's unfused products,
+        whose rounding differs from numpy's product at about two points in
+        five.  Batched and one-point calls agree bit for bit.
         """
-        tol = self.truncation_tolerance if tol is None else tol
+        tol = self.truncation_tolerance
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
         # One point whose prefix is 2.._one_point_limit factors (no block zero) takes
         # the one-row tile of _products in the same ufuncs, so it has the same bits.
         w = z.item() if z.size == 1 and self._one_point_limit > 1 else None
-        if w is not None and tol > 0.0 and abs(w) < _POLE_FREE_RADIUS:
+        if w is not None and abs(w) < _POLE_FREE_RADIUS:
             over, n, bound = self._prefix_rule(abs(w), tol)  # abs has np.hypot's bits
             if 2 <= n <= self._one_point_limit and not (strict and (over or bound > tol)):
                 absa, conj_a, rot = self._factor_arrays
                 value = np.multiply.reduce((absa[:n] - rot[:n] * w) / (1.0 - conj_a[:n] * w))
                 return BatchEval(np.array([value]), np.array([n]), np.array([bound]))
         r = np.hypot(z.real, z.imag)
-        over, counts, bounds = self._prefixes(r, tol)
-        stop = over.size  # the first point outside [0, 1), if any
-        if strict and stop:
+        stop = z.size if r.max(initial=0.0) < 1.0 else int((r < 1.0).argmin())  # r >= 0 or nan
+        over, counts, bounds = self._prefix_rule(r[:stop], tol)
+        if self._block_ends.size:
+            bounds += self._phase_bounds(r[:stop], counts)
+        if strict:
             # rounding in the tail mass can leave a certified count's bound above tol
             failed = over | (bounds > tol)
             stop = int(failed.argmax()) if failed.any() else stop
         values = self._value(z[:stop], counts[:stop])
         if not np.isfinite(values.sum()):  # |values| <= 1, so only a pole makes it infinite
             first = int(np.argmin(np.isfinite(values)))  # raise with the first pole's index
-            self._factors(complex(z[first]), int(counts[first]))
+            self._check_pole(complex(z[first]), int(counts[first]))
         if stop < z.size:
             at = float(r[stop])
-            if stop == over.size:
-                self.factors_needed(at, tol)  # raises for a radius outside [0, 1)
-            achieved = self.tail_bound(at, len(self)) if over[stop] else float(bounds[stop])
+            if stop == bounds.size:
+                raise ValidationError(f"truncation requires |z| < 1, got radius {at!r}")
             raise PrefixExhaustedError(
                 f"stored prefix of {len(self)} zeros cannot reach tolerance "
-                f"{tol:g} at |z| = {at:.6g} (achieved tail bound {achieved:.6g})",
-                tail_bound=achieved,
+                f"{tol:g} at |z| = {at:.6g} (achieved tail bound {bounds[stop]:.6g})",
+                tail_bound=float(bounds[stop]),
             )
         return BatchEval(values, counts, bounds)
 
-    def eval_truncated(self, z: complex, tol: float | None = None) -> TruncatedEval:
-        """Evaluate with a certified tail bound below tol, or fail loudly."""
-        values, counts, bounds = self.eval_many([complex(z)], strict=True, tol=tol)
-        return TruncatedEval(values.item(), counts.item(), bounds.item())
-
     def eval_best_effort(self, z: complex) -> TruncatedEval:
-        """Like eval_truncated, but falls back to the full stored prefix."""
+        """eval_many at one point, falling back to the full stored prefix."""
         values, counts, bounds = self.eval_many([complex(z)], strict=False)
         return TruncatedEval(values.item(), counts.item(), bounds.item())
 
@@ -558,7 +542,6 @@ class BoundaryScan:
     """Uniform-angle samples of a Blaschke product on the circle of radius r,
     with the eval_many record (value, factor count and tail bound per angle)."""
 
-    r: float
     angles: np.ndarray
     samples: BatchEval
     modulus_min: float
@@ -589,7 +572,7 @@ def boundary_scan(
     angles = uniform_angles(angle_count)
     samples = product.eval_many(circle_points(r, angles), strict=strict)
     moduli = np.abs(samples.values)
-    return BoundaryScan(r, angles, samples, float(moduli.min()), float(moduli.max()))
+    return BoundaryScan(angles, samples, float(moduli.min()), float(moduli.max()))
 
 
 # The probe family's offset paths, in family order: the radial ray, the
@@ -611,7 +594,7 @@ _ZERO_CHASE_REACH = 0.05
 
 
 def _zeros_at(seq: ZeroSequence, idx) -> np.ndarray:
-    """The stored zeros at the given indices, with the bits of seq.zeros."""
+    """The stored zeros at the given indices as complex numbers (lossy for tiny deficits)."""
     return (1.0 - seq.deficits[idx]) * np.exp(1j * seq.angles[idx])
 
 

@@ -86,8 +86,8 @@ import numpy as np
 from . import config
 from .errors import ValidationError
 from .textio import write_csv
-from .unitdisc import (TWO_PI, ZeroSequence, _positive_finite, _positive_int, normalize_angle,
-                       uniform_angles)
+from .unitdisc import (MAX_ANGLES, TWO_PI, ZeroSequence, _positive_finite, _positive_int,
+                       normalize_angle, uniform_angles)
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -459,11 +459,15 @@ def frostman_profile(seq: ZeroSequence, angle_count: int, *,
     """Classify every angle of a uniform grid over doubling_schedule(len(seq)).
 
     The partial sums are frostman_classify's, row for row and bit for bit: the
-    block route on a full-circle sequence, term by term on any other.
+    block route on a full-circle sequence, term by term on any other.  The grid
+    has one CSV row per angle and schedule entry, at most MAX_ANGLES in all.
     """
     angles = uniform_angles(angle_count)
     policy = FrostmanPolicy() if policy is None else policy
     schedule = doubling_schedule(len(seq))
+    if angle_count * len(schedule) > MAX_ANGLES:
+        raise ValidationError(f"{angle_count} angles x {len(schedule)} schedule entries exceed "
+                              f"the {MAX_ANGLES} row cap of the frostman grid")
 
     sums = _schedule_sums(seq, angles, schedule)
     classifications = tuple(_classify_sums(row, policy)[0] for row in sums.tolist())

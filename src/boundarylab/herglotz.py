@@ -104,27 +104,6 @@ class BoundaryFunction:
             return cls(kind="form", form_name=name, arc=(s, e), scale=float(scale))
         return cls(kind="form", form_name=name, scale=float(scale))
 
-    def evaluate(self, theta) -> np.ndarray:
-        """Values at the given angles (array in, complex array out)."""
-        t = np.asarray(theta, dtype=np.float64)
-        if self.kind == "constant":
-            return np.full(t.shape, self.value, dtype=np.complex128)
-        if self.kind == "samples":
-            vals = self.sample_values
-            n = vals.size
-            pos = (np.mod(t, TWO_PI)) * n / TWO_PI
-            i0 = np.floor(pos).astype(np.int64) % n
-            frac = pos - np.floor(pos)
-            i1 = (i0 + 1) % n
-            return vals[i0] * (1.0 - frac) + vals[i1] * frac
-        if self.form_name == "cos":
-            return (self.scale * np.cos(t)).astype(np.complex128)
-        if self.form_name == "sin":
-            return (self.scale * np.sin(t)).astype(np.complex128)
-        s, e = self.arc
-        lifted = s + np.mod(t - s, TWO_PI)
-        return (self.scale * (lifted <= e)).astype(np.complex128)
-
     def is_real(self) -> bool:
         if self.kind == "constant":
             return self.value.imag == 0.0

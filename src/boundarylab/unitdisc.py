@@ -140,11 +140,6 @@ class ZeroSequence:
     def __len__(self) -> int:
         return int(self.angles.size)
 
-    @property
-    def zeros(self) -> np.ndarray:
-        """Complex view of the stored zeros (lossy for tiny deficits)."""
-        return (1.0 - self.deficits) * np.exp(1j * self.angles)
-
     @classmethod
     def from_zeros(cls, zeros: Iterable[complex]) -> "ZeroSequence":
         """Build from explicit complex zeros; rejects modulus >= 1."""

@@ -57,6 +57,16 @@ CASES: dict[str, list[str]] = {
     "frostman-grid-cantor8-mixed": ["frostman", "--zeros", "{in}/cantor8.json", "--angles", "48",
                                     "--divergence-threshold", "1", "--growth-window", "2",
                                     "--cauchy-tolerance", "1e-2"],
+    # full8: one full-circle generator, 9,842 zeros in closed-form blocks of 3 to 6,561
+    "scan-full8-partial": ["scan", "--zeros", "{in}/full8.json", "--r", "0.999",
+                           "--angles", "16"],
+    "scan-full8-flags": ["scan", "--zeros", "{in}/full8.json", "--r", "0.5", "--angles", "16",
+                         "--truncation-tolerance", "0.05"],
+    "trace-full8": ["trace", "--zeros", "{in}/full8.json", "--angle", "0.3",
+                    "--radius-levels", "20"],
+    "probe-full8": ["probe", "--zeros", "{in}/full8.json", "--angle", "0.3"],
+    "frostman-grid-full8": ["frostman", "--zeros", "{in}/full8.json", "--angles", "16"],
+    "frostman-theta-full8": ["frostman", "--zeros", "{in}/full8.json", "--theta", "0.3"],
     "series-point": ["series", "--spec", "{in}/lp6.json", "--at", "0.1", "0.2"],
     "series-circle-flags": ["series", "--spec", "{in}/lp6.json", "--r", "0.9", "--angles", "16",
                             "--series-tolerance", "1e-6"],

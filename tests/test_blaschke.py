@@ -15,6 +15,7 @@ from boundarylab.blaschke import (
     BatchEval,
     BlaschkeProduct,
     _zero_chase_path,
+    _zeros_at,
     boundary_scan,
     default_radius_schedule,
     limit_probe,
@@ -41,6 +42,11 @@ def _one_factor(a):
     return BlaschkeProduct(ZeroSequence.from_zeros([a]))
 
 
+def _with_tol(prod, tol):
+    """prod with truncation tolerance tol (prod itself for None)."""
+    return prod if tol is None else dataclasses.replace(prod, truncation_tolerance=tol)
+
+
 def test_eval_factor_basics():
     a = 0.3 + 0.4j
     factor = _one_factor(a)
@@ -63,10 +69,10 @@ def test_product_at_zero_matches_rational_oracle():
     assert oracle == 0.28878809508660242
 
     seq = gen_radial_sequence(0.0, 0.5, 60)
-    prod = BlaschkeProduct(seq)
-    got = prod.eval_truncated(0.0, 1e-12)
-    assert abs(got.value - oracle) <= 2e-12
-    assert got.tail_bound <= 1e-12
+    prod = BlaschkeProduct(seq, truncation_tolerance=1e-12)
+    got = prod.eval_many([0.0], strict=True)
+    assert abs(got.values[0] - oracle) <= 2e-12
+    assert got.tail_bounds[0] <= 1e-12
 
 
 def test_truncation_bound_is_honest():
@@ -93,7 +99,7 @@ def test_factors_needed_and_exhaustion():
     # the generator tail alone exceeds a tolerance this tight at r close to 1
     assert prod.factors_needed(0.9999999, 1e-12) == -1
     with pytest.raises(PrefixExhaustedError):
-        prod.eval_truncated(0.9999999, 1e-12)
+        _with_tol(prod, 1e-12).eval_many([0.9999999], strict=True)
     got = prod.eval_best_effort(0.9999999 + 0.0j)
     assert got.factors_used == 30
     assert abs(got.value) <= 1.0 + 1e-12
@@ -137,7 +143,7 @@ def test_riesz_mean_square_identity():
 def test_zeros_are_interpolated():
     seq = ZeroSequence.from_zeros([0.5, -0.3 + 0.4j, 0.1j])
     prod = BlaschkeProduct(seq)
-    for z in seq.zeros:
+    for z in _zeros_at(seq, slice(None)):
         assert abs(prod.eval_partial(3, complex(z))) < 1e-12
 
 
@@ -163,7 +169,8 @@ def test_chunked_eval_matches_direct_product():
     prod = BlaschkeProduct(seq)
     z = 0.3 + 0.1j
     got = prod.eval_partial(n, z)
-    direct = complex(np.multiply.reduce(prod._factors(z, n)))
+    absa, rot, conj_a = _eager_arrays(seq)
+    direct = complex(np.multiply.reduce((absa - rot * z) / (1.0 - conj_a * z)))
     assert abs(got - direct) <= 1e-9 * max(1.0, abs(direct))
     assert abs(got) <= 1.0
     # same call twice gives the identical float
@@ -339,9 +346,9 @@ def _reference_partial(prod, n, z):
     return acc
 
 
-def _reference_eval(prod, z, strict, tol=None):
+def _reference_eval(prod, z, strict):
     z = complex(z)
-    tol = prod.truncation_tolerance if tol is None else tol
+    tol = prod.truncation_tolerance
     r = abs(z)
     n = prod.factors_needed(r, tol)
     bound = prod.tail_bound(r, len(prod) if n < 0 else n)
@@ -367,9 +374,9 @@ def _outcome(call):
             np.asarray(bounds, dtype=np.float64))
 
 
-def _reference_many(prod, points, strict, tol=None):
+def _reference_many(prod, points, strict):
     def call():
-        rows = [_reference_eval(prod, z, strict, tol) for z in points]
+        rows = [_reference_eval(prod, z, strict) for z in points]
         return tuple(zip(*rows)) if rows else ([], [], [])
     return _outcome(call)
 
@@ -385,9 +392,9 @@ def _assert_same(got, want):
 
 
 def _check_many(prod, points, strict, tol=None):
-    points = np.asarray(points, dtype=np.complex128)
-    got = _outcome(lambda: prod.eval_many(points, strict=strict, tol=tol))
-    want = _reference_many(prod, points.tolist(), strict, tol)
+    prod, points = _with_tol(prod, tol), np.asarray(points, dtype=np.complex128)
+    got = _outcome(lambda: prod.eval_many(points, strict=strict))
+    want = _reference_many(prod, points.tolist(), strict)
     _assert_same(got, want)
     return got
 
@@ -637,16 +644,16 @@ def test_eval_many_block_footprint():
     scan_points = circle_points(0.995, uniform_angles(4096))
     ring = circle_points(0.9, uniform_angles(64))
     assert len(cantor8) * scan_points.size > 32 * _CHUNK
-    counts = full10.eval_many(ring, strict=False, tol=0.03).factors_used
+    loose = _with_tol(full10, 0.03)
+    counts = loose.eval_many(ring, strict=False).factors_used
     assert np.all((counts > _CHUNK // 2) & (counts <= _CHUNK))
     assert counts.size * counts[0] > 32 * _CHUNK
     tracemalloc.start()
     try:
-        for prod, points, tol in ((cantor8, scan_points, None), (full10, ring, 0.03),
-                                  (full10, ring, None)):
+        for prod, points in ((cantor8, scan_points), (loose, ring), (full10, ring)):
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
-            prod.eval_many(points, strict=False, tol=tol)
+            prod.eval_many(points, strict=False)
             _, peak = tracemalloc.get_traced_memory()
             assert peak - base < 8 * _CHUNK * 16
     finally:
@@ -657,7 +664,7 @@ def test_eval_many_near_zeros_and_at_the_origin_factor():
     prod = _product(RADIAL60)
     eps = np.finfo(np.float64).eps
     points = []
-    for a in prod.zeros.zeros[:50:7]:
+    for a in _zeros_at(prod.zeros, slice(0, 50, 7)):
         for k in (-3, -1, 0, 1, 3):
             points += [a * (1.0 + k * eps), a + k * eps, a + 1j * k * eps]
     for strict in (True, False):
@@ -693,15 +700,20 @@ def test_eval_many_mixed_moduli_and_first_failure_in_input_order():
 def _bypass_truncation(monkeypatch, prod, needed):
     """Replace the truncation rule of BlaschkeProduct for the test, in eval_many
     and in the reference loop, by needed(r) factors at every radius, the circle
-    included, and zero tail bounds; prod is frozen, so its class is patched."""
+    included, and zero tail bounds; prod is frozen, so its class is patched.
+    eval_many refuses |z| >= 1 before the rule, so np.hypot (its modulus) is
+    clamped to 1 - 2^-53 for the test, which lets circle points through."""
     cls = type(prod)
     monkeypatch.setattr(cls, "factors_needed", lambda self, r, tol: needed(r))
     monkeypatch.setattr(cls, "tail_bound", lambda self, r, n: 0.0)
 
-    def prefixes(self, r, tol):
-        n = np.array([needed(x) for x in r.tolist()], dtype=np.int64)
-        return n < 0, np.where(n < 0, len(self), n), np.zeros(r.size)
-    monkeypatch.setattr(cls, "_prefixes", prefixes)
+    def rule(self, r, tol):
+        n = np.array([needed(x) for x in np.atleast_1d(r).tolist()], dtype=np.int64)
+        over, counts, bounds = n < 0, np.where(n < 0, len(self), n), np.zeros(n.size)
+        return (over, counts, bounds) if np.ndim(r) else (over[0], counts[0], bounds[0])
+    monkeypatch.setattr(cls, "_prefix_rule", rule)
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda x, y: np.minimum(hypot(x, y), 1.0 - 2.0 ** -53))
 
 
 def test_eval_many_poles_raise_like_the_per_point_loop(monkeypatch):
@@ -723,10 +735,11 @@ def test_one_point_calls_match_the_reference():
     for z in (0.0, 0.3 + 0.4j, 0.999j, -0.5):
         want = _reference_eval(prod, z, False)
         assert tuple(prod.eval_best_effort(z)) == want
-        assert _outcome(lambda: prod.eval_truncated(z)) == _reference_many(prod, [z], True)
+        _check_many(prod, [z], strict=True)
     prod = _product(RADIAL60)
     for z in (0.0, 0.3 + 0.4j, 0.999j, -0.5):
-        assert tuple(prod.eval_truncated(z)) == _reference_eval(prod, z, True)
+        got = tuple(x.item() for x in prod.eval_many([z], strict=True))
+        assert got == _reference_eval(prod, z, True)
         assert prod.eval_partial(7, z) == _reference_partial(prod, 7, complex(z))
 
 
@@ -872,7 +885,7 @@ def test_prefixes_ending_inside_a_level_mix_blocks_and_factors():
     ends = [b.start + b.count for b in prod.zeros.blocks]
     inside = 0
     for tol in (0.3, 0.05, 0.01, 0.002):
-        got = prod.eval_many(points, strict=False, tol=tol)
+        got = _with_tol(prod, tol).eval_many(points, strict=False)
         for z, value, n, bound in zip(points.tolist(), got.values.tolist(),
                                       got.factors_used.tolist(), got.tail_bounds.tolist()):
             inside += n not in ends
@@ -912,7 +925,7 @@ def test_blocks_then_a_range_past_one_chunk_keep_the_per_point_bits():
     angles = np.random.default_rng(5).uniform(0.0, TWO_PI, 16)
     for tol, r in ((1e-3, 0.5), (3e-4, 0.05)):
         points = r * np.exp(1j * angles)
-        got = prod.eval_many(points, strict=True, tol=tol)
+        got = _with_tol(prod, tol).eval_many(points, strict=True)
         n = int(got.factors_used[0])
         k = sum(end <= n for end in ends)
         # whole blocks, then more than four chunks of the next level
@@ -965,30 +978,47 @@ def test_phase_terms_enter_the_tail_bounds_and_strict_mode():
     assert 0 < n < len(prod)
     phase = _phase(prod, z, n)
     assert phase > 0.0
-    got = prod.eval_truncated(z, 0.5)
-    assert got.factors_used == n
-    assert got.tail_bound == prod.tail_bound(0.3, n) + phase
+    got = _with_tol(prod, 0.5).eval_many([z], strict=True)
+    assert got.factors_used[0] == n
+    assert got.tail_bounds[0] == prod.tail_bound(0.3, n) + phase
     # a tolerance that the truncation bound meets but truncation plus phase does not
     tight = prod.tail_bound(0.3, n)
     assert prod.factors_needed(0.3, tight) == n
+    prod = _with_tol(prod, tight)
     with pytest.raises(PrefixExhaustedError) as info:
-        prod.eval_truncated(z, tight)
-    assert info.value.tail_bound == got.tail_bound
-    assert prod.eval_many([z], strict=False, tol=tight).tail_bounds[0] == got.tail_bound
+        prod.eval_many([z], strict=True)
+    assert info.value.tail_bound == got.tail_bounds[0]
+    assert prod.eval_many([z], strict=False).tail_bounds[0] == got.tail_bounds[0]
     # later points are not evaluated; the first failing point in input order raises
     with pytest.raises(PrefixExhaustedError, match=r"\|z\| = 0\.3 "):
-        prod.eval_many([0.1, z, 0.9999999], strict=True, tol=tight)
+        prod.eval_many([0.1, z, 0.9999999], strict=True)
     # the phase term grows with |z| and vanishes at the origin
     radii = np.array([0.0, 0.5, 0.9, 0.999, 1.0 - 2.0 ** -40])
     bounds = prod._phase_bounds(radii, np.full(radii.size, len(prod)))
     assert bounds[0] == 0.0 and np.all(np.diff(bounds) > 0.0)
 
 
+# the golden input full8.json: 9,842 zeros in full-circle blocks of 3 to 6,561
+FULL8 = {"generator": {"kind": "accumulation", "depth": 8, "target": {
+    "kind": "arc-union", "arcs": [[0.0, 6.283185307179586]]}}}
+
+
+def test_a_strict_failure_reports_the_bound_of_the_record():
+    # no count is certified at |z| = 0.999; the failure's bound is the best-effort
+    # record's, whose block phase bounds the truncation bound alone leaves out
+    prod = _product(FULL8)
+    want = prod.eval_many([0.999], strict=False)
+    assert want.factors_used[0] == len(prod) == 9842
+    with pytest.raises(PrefixExhaustedError) as info:
+        prod.eval_many([0.999], strict=True)
+    assert info.value.tail_bound == want.tail_bounds[0] > prod.tail_bound(0.999, len(prod))
+
+
 def _reference_zero_chase(product, angle):
     """The zero-chase chain as it was built before blocks: every level scanned."""
     seq = product.zeros
     zeta = cmath.exp(1j * angle)
-    zs = seq.zeros
+    zs = _zeros_at(seq, slice(None))
     inside = np.array([abs(z) < 1.0 for z in zs.tolist()], dtype=bool)  # the evaluator's rule
     dist = np.abs(zs - zeta)
     chain, best = [], math.inf
@@ -1192,7 +1222,8 @@ def test_factor_arrays_are_built_on_first_read_with_the_eager_bits():
     points = rng.uniform(0.05, 0.9, 24) * np.exp(1j * rng.uniform(0.0, TWO_PI, 24))
     inside = 0
     for tol in (0.3, 0.05, 0.01, 0.002):
-        got = prod.eval_many(points, strict=False, tol=tol)
+        loose = _with_tol(prod, tol)
+        got = loose.eval_many(points, strict=False)
         for z, value, n in zip(points.tolist(), got.values.tolist(), got.factors_used.tolist()):
             k = sum(end <= n for end in ends)
             if n in ends or k == 0:
@@ -1203,7 +1234,7 @@ def test_factor_arrays_are_built_on_first_read_with_the_eager_bits():
                                _untiled_products(prod, col, ends[k - 1], n)[:, None]])
             want = complex(np.multiply.reduce(parts, axis=1)[0])
             assert _bits_equal([value, prod.eval_partial(n, z)], [want, want])
-            assert prod.eval_truncated(z, tol).value == value
+            assert loose.eval_many([z], strict=True).values[0] == value
     assert inside > 10
     assert _bits_equal(prod._factor_arrays, (absa, conj_a, rot))
 
@@ -1243,7 +1274,7 @@ def _near_circle_levels():
 def test_zero_chase_rechecks_a_block_next_to_the_circle():
     shallow, seq = _near_circle_levels()
     # zeros in the band next to the circle; some numpy moduli round onto it
-    modulus = np.abs(seq.zeros[shallow:])
+    modulus = np.abs(_zeros_at(seq, slice(shallow, None)))
     band = (modulus < 1.0) & (modulus > 1.0 - 2.0 ** -50)
     assert band.any() and (modulus >= 1.0).any()
     prod = BlaschkeProduct(seq)
@@ -1258,7 +1289,7 @@ def test_zero_chase_keeps_zeros_whose_numpy_modulus_rounds_to_one():
     # numpy's complex abs rounds some of these zeros to 1 where Python's abs
     # (the evaluator's modulus) keeps them inside; the chase ends at such a zero
     _, seq = _near_circle_levels()
-    zs = seq.zeros
+    zs = _zeros_at(seq, slice(None))
     kept = [j for j in range(len(seq) - 997, len(seq))
             if np.abs(zs[j]) >= 1.0 and abs(complex(zs[j])) < 1.0]
     assert kept
@@ -1301,12 +1332,12 @@ def test_full12_product_evaluation_and_probe_stay_small():
 
 # --- one pass per call: per-point prefix ends ----------------------------------
 
-def _one_point_calls(prod, points, strict, tol=None):
+def _one_point_calls(prod, points, strict):
     """eval_many's outcome assembled from one-point calls in input order: the
     stacked values, counts and bounds, or the first failing point's error."""
     rows = []
     for z in points:
-        got = _outcome(lambda z=z: prod.eval_many([z], strict=strict, tol=tol))
+        got = _outcome(lambda z=z: prod.eval_many([z], strict=strict))
         if isinstance(got[0], type):
             return got
         rows.append(got)
@@ -1314,9 +1345,9 @@ def _one_point_calls(prod, points, strict, tol=None):
 
 
 def _same_as_one_point_calls(prod, points, strict, tol=None):
-    points = np.asarray(points, dtype=np.complex128)
-    got = _outcome(lambda: prod.eval_many(points, strict=strict, tol=tol))
-    want = _one_point_calls(prod, points.tolist(), strict, tol)
+    prod, points = _with_tol(prod, tol), np.asarray(points, dtype=np.complex128)
+    got = _outcome(lambda: prod.eval_many(points, strict=strict))
+    want = _one_point_calls(prod, points.tolist(), strict)
     if isinstance(want[0], type):
         assert got == want
     else:  # sign of zero included
@@ -1332,14 +1363,15 @@ def test_mixed_prefix_ends_keep_the_one_point_bits(spec):
     rng = np.random.default_rng(len(seq))
     r = np.concatenate([1.0 - rng.uniform(0.0, 1.0, 100) ** 3, rng.uniform(0.0, 0.05, 20)])
     points = np.concatenate([r * np.exp(1j * rng.uniform(0.0, TWO_PI, r.size)),
-                             seq.zeros[seq.deficits > 2.0 ** -50][::3], [0.0, -0.0]])
+                             _zeros_at(seq, seq.deficits > 2.0 ** -50)[::3], [0.0, -0.0]])
     spread = set()
-    for tol in (None, 1e-4, 0.05, 0.6, 1.5):
+    for tol in (None, 1e-4, 0.05, 0.6, 0.99):
         got = _same_as_one_point_calls(prod, points, strict=False, tol=tol)
         spread |= set(got[1].tolist())
         _same_as_one_point_calls(prod, points[::-1], strict=False, tol=tol)
-    # empty, one- or two-factor and longer prefixes, many ends per call
-    assert 0 in spread and min(spread - {0}) <= 2 and len(spread) > 20
+    # one- or two-factor and longer prefixes, many ends per call (the whole
+    # mass is at least 1, so no tolerance below 1 certifies the empty prefix)
+    assert min(spread) in (1, 2) and len(spread) > 20
 
 
 def test_prefix_ends_inside_one_level_keep_the_one_point_bits():
@@ -1363,7 +1395,7 @@ def test_an_empty_range_after_the_blocks_is_left_out_of_the_row():
     # 0 - 0i (a factor 1 + 0i would make it 0 + 0i), and elsewhere; prefixes
     # end at the last whole block or past it
     rng = np.random.default_rng(4)
-    z = np.concatenate([seq.zeros[[18, 56, 121, 127]],
+    z = np.concatenate([_zeros_at(seq, [18, 56, 121, 127]),
                         0.9 * np.exp(1j * rng.uniform(0.0, TWO_PI, 8))])
     counts = np.array([end, end + 1, end, end + 7, end, end + 300, end + 2, end, end, end + 1,
                        end + 40, end])
@@ -1387,14 +1419,14 @@ def test_strict_failure_is_the_first_failing_point_in_input_order():
     n = prod.factors_needed(0.3, 0.5)
     tight = prod.tail_bound(0.3, n)
     points = [0.01, 0.02j, 0.01, z, 0.05, 0.9999999]
-    assert prod.eval_many(points[:3], strict=True, tol=tight).values.size == 3
+    assert _with_tol(prod, tight).eval_many(points[:3], strict=True).values.size == 3
     got = _same_as_one_point_calls(prod, points, strict=True, tol=tight)
     assert got[0] is PrefixExhaustedError and "|z| = 0.3 " in got[1]
 
 
 def test_one_product_pass_and_one_prefix_choice_per_call(monkeypatch):
     calls = {}
-    for name in ("_products", "_prefixes", "factors_needed"):
+    for name in ("_products", "_prefix_rule", "factors_needed"):
         real = getattr(BlaschkeProduct, name)
 
         def counted(self, *args, _real=real, _name=name):
@@ -1407,11 +1439,11 @@ def test_one_product_pass_and_one_prefix_choice_per_call(monkeypatch):
     assert len(set(counts.tolist())) > 20
     calls.clear()
     radial_trace(prod, 1.0, radii=radii)
-    assert calls == {"_prefixes": 1, "_products": 1}
+    assert calls == {"_prefix_rule": 1, "_products": 1}
     # a probe on a block-covered sequence takes whole prefixes: closed forms only
     calls.clear()
     limit_probe(_product(FULL10), 2.0, radii=default_radius_schedule()[30:])
-    assert calls == {"_prefixes": 1}
+    assert calls == {"_prefix_rule": 1}
 
 
 def test_mixed_prefix_ends_past_one_chunk_and_between_blocks():
@@ -1435,7 +1467,8 @@ def test_mixed_prefix_ends_past_one_chunk_and_between_blocks():
 # --- one-point calls: the scalar route -----------------------------------------
 #
 # eval_many on one point whose prefix holds two or more factors and no block
-# takes a scalar route, without _prefixes; every outcome must be the batched one.
+# takes a scalar route, with _prefix_rule at a float radius; every outcome
+# must be the batched one.
 
 _GAMMA = 5.590393700586497  # the Lohwater-Piranian targets of the lp6 series, rotated
 LP6_TERMS = [{"generator": {"kind": "accumulation", "depth": 6, "target": target}} for target in (
@@ -1447,13 +1480,14 @@ LP6_TERMS = [{"generator": {"kind": "accumulation", "depth": 6, "target": target
 
 def _count_scalar_routes(monkeypatch):
     """A list that gains one entry per one-point eval_many call answered
-    without a call of _prefixes, the array route's prefix choice."""
+    without a call of _prefix_rule on an array, the array route's prefix choice."""
     taken, arrays = [], []
-    many, prefixes = BlaschkeProduct.eval_many, BlaschkeProduct._prefixes
+    many, rule = BlaschkeProduct.eval_many, BlaschkeProduct._prefix_rule
 
-    def counted_prefixes(self, *args):
-        arrays.append(args)
-        return prefixes(self, *args)
+    def counted_rule(self, r, tol):
+        if np.ndim(r):
+            arrays.append(r)
+        return rule(self, r, tol)
 
     def counted_many(self, points, **kwargs):
         arrays.clear()
@@ -1461,7 +1495,7 @@ def _count_scalar_routes(monkeypatch):
         if np.size(points) == 1 and not arrays:
             taken.append(out)
         return out
-    monkeypatch.setattr(BlaschkeProduct, "_prefixes", counted_prefixes)
+    monkeypatch.setattr(BlaschkeProduct, "_prefix_rule", counted_rule)
     monkeypatch.setattr(BlaschkeProduct, "eval_many", counted_many)
     return taken
 
@@ -1490,20 +1524,24 @@ def test_one_point_calls_are_the_batched_rows(spec, monkeypatch):
     rng = np.random.default_rng(len(seq) + 17)
     r = np.concatenate([1.0 - rng.uniform(0.0, 1.0, 24) ** 3, rng.uniform(0.0, 0.05, 4)])
     points = np.concatenate([r * np.exp(1j * rng.uniform(0.0, TWO_PI, r.size)),
-                             seq.zeros[seq.deficits > 2.0 ** -50][::5]]).tolist() + _EDGE_POINTS
+                             _zeros_at(seq, seq.deficits > 2.0 ** -50)[::5]]).tolist()
+    points += _EDGE_POINTS
     taken = _count_scalar_routes(monkeypatch)
     counts, failures = set(), set()
     one_factor = 1.1 * prod.tail_bound(0.0, 1)  # certifies one factor near 0
+    tols = [tol for tol in (None, 1e-3, 1e-12, 0.6, 0.99, one_factor) if tol is None or tol < 1.0]
     for strict in (True, False):
-        for tol in (None, 1e-3, 1e-12, 0.6, one_factor, 5.0, 0.0, -1.0, math.nan):
+        for tol in tols:
             for z in points:
                 got = _as_one_and_batched(prod, z, strict, tol)
                 if isinstance(got[0], type):
                     failures.add(got[0])
                 else:
                     counts.add(int(got[1][0]))
-    # empty, one-factor and longer prefixes; truncation, domain and tolerance failures
-    assert {0, 1, len(prod)} <= counts and len(counts) > 5
+    # one-factor and longer prefixes, and the empty one where the whole mass is
+    # below 0.99; truncation and domain failures
+    assert {1, len(prod)} <= counts and len(counts) > 5
+    assert (0 in counts) == (prod.tail_bound(0.0, 0) < 0.99)
     assert failures == {PrefixExhaustedError, ValidationError}
     assert len(taken) > 200
 
@@ -1512,7 +1550,7 @@ def test_one_point_calls_at_stored_zeros_and_poles(monkeypatch):
     # at a stored zero the product vanishes up to rounding
     prod = _product(RADIAL60)
     taken = _count_scalar_routes(monkeypatch)
-    for z in prod.zeros.zeros[:40:3].tolist():
+    for z in _zeros_at(prod.zeros, slice(0, 40, 3)).tolist():
         _as_one_and_batched(prod, z, strict=True)
         assert abs(_as_one_and_batched(prod, z, strict=False)[0][0]) < 1e-6
     assert taken
@@ -1531,8 +1569,9 @@ def test_strict_mode_fails_a_certified_count_whose_bound_exceeds_tol():
     r = 1.0 - 2.0 ** -23
     z = r * cmath.exp(0.4j)
     assert prod.factors_needed(r, 1e-9) == 53 and prod.tail_bound(r, 53) > 1e-9
-    for call in (lambda: prod.eval_truncated(z, 1e-9),
-                 lambda: prod.eval_many([0.5, z], strict=True, tol=1e-9)):
+    tight = _with_tol(prod, 1e-9)
+    for call in (lambda: tight.eval_many([z], strict=True),
+                 lambda: tight.eval_many([0.5, z], strict=True)):
         with pytest.raises(PrefixExhaustedError, match=r"achieved tail bound 1\.8772e-09") as info:
             call()
         assert info.value.tail_bound == prod.tail_bound(r, 53)
@@ -1562,13 +1601,15 @@ def test_one_point_calls_on_block_products_take_the_batched_route(monkeypatch):
         blocks=[b._replace(start=b.start + 20) for b in circle.blocks]))
     first = prod.zeros.blocks[0].start
     counts = set()
-    for z in points.tolist():
-        for tol in (2.0, 0.3, 1e-3, 1e-6, None):
+    # points near 0 certify prefixes before the first block at tolerance 0.99
+    near = 0.04 * np.exp(1j * rng.uniform(0.0, TWO_PI, 4))
+    for z in points.tolist() + near.tolist():
+        for tol in (0.99, 0.3, 1e-3, 1e-6, None):
             before = len(taken)
             n = int(_same_as_one_point_calls(prod, [z, z], strict=False, tol=tol)[1][0])
             assert len(taken) - before == 2 * (2 <= n <= first)
             counts.add(n)
-    assert min(counts) < 2 and any(2 <= n <= first for n in counts) and max(counts) > first
+    assert any(2 <= n <= first for n in counts) and max(counts) > first
 
 
 def test_one_point_route_on_drawn_points():
@@ -1576,7 +1617,7 @@ def test_one_point_route_on_drawn_points():
     st = hypothesis.strategies
     prods = [_product(spec) for spec in (RADIAL30, RADIAL60, CANTOR8, LP6_TERMS[1])]
     parts = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-300, -5e-324])
-    tols = st.sampled_from([None, 1e-12, 1e-6, 1e-3, 0.3, 2.0])
+    tols = st.sampled_from([None, 1e-12, 1e-6, 1e-3, 0.3, 0.99])
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
     @hypothesis.given(k=st.integers(0, len(prods) - 1), re=parts, im=parts,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from boundarylab import config
+from boundarylab import config, frostman
 from boundarylab.cli import build_parser, run
 from boundarylab.fixtures import punctured_disc_plane
 from boundarylab.unitdisc import MAX_ANGLES
@@ -528,6 +528,17 @@ def test_angle_counts_above_the_cap_exit_2(tmp_path, capsys):
     assert run(["series", "--spec", spec, "--angles", "0"]) == 2
     err = capsys.readouterr().err
     assert err.count(f"exceeds the {MAX_ANGLES} angle cap") == 4
+
+
+def test_frostman_grid_rows_above_the_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # the cap patched down to 64 rows; 40 zeros have 7 schedule entries
+    monkeypatch.setattr(frostman, "MAX_ANGLES", 64)
+    zeros = _write(tmp_path, "zeros.json", _RADIAL)
+    assert run(["frostman", "--zeros", zeros, "--angles", "9"]) == 0
+    capsys.readouterr()
+    assert run(["frostman", "--zeros", zeros, "--angles", "10"]) == 2
+    assert capsys.readouterr() == ("", "boundarylab frostman: 10 angles x 7 schedule entries "
+                                       "exceed the 64 row cap of the frostman grid\n")
 
 
 @pytest.mark.parametrize("subcommand,flag,value", [

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import graphlib
 import inspect
 from pathlib import Path
@@ -66,3 +67,12 @@ def test_probes_and_hole_checks_take_no_family_or_strictness_knob():
     grid = GridPlane.parse_text("grid 3 3 1\n...\n.#.\n...\n")
     with pytest.raises(ValidationError, match="unknown subject selector"):
         boundarylab.label_components(grid, [grid.subject_mask("F")])
+
+
+def test_products_certify_against_their_own_tolerance_only():
+    assert not hasattr(boundarylab.BlaschkeProduct, "eval_truncated")
+    assert "tol" not in inspect.signature(boundarylab.BlaschkeProduct.eval_many).parameters
+    assert not hasattr(boundarylab.ZeroSequence, "zeros")
+    assert not hasattr(boundarylab.BoundaryFunction, "evaluate")
+    fields = {f.name for f in dataclasses.fields(boundarylab.BoundaryScan)}
+    assert fields == {"angles", "samples", "modulus_min", "modulus_max"}

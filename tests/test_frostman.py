@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from boundarylab import frostman
+from boundarylab.blaschke import _zeros_at
 from boundarylab.errors import ValidationError
 from boundarylab.frostman import (
     CONVERGENT,
@@ -29,7 +30,7 @@ from boundarylab.unitdisc import (
 def _naive_terms(seq, theta):
     zeta = complex(math.cos(theta), math.sin(theta))
     out = []
-    for z, d in zip(seq.zeros, seq.deficits):
+    for z, d in zip(_zeros_at(seq, slice(None)), seq.deficits):
         out.append(d / abs(zeta - complex(z)))
     return np.array(out)
 
@@ -234,6 +235,20 @@ def test_profile_refuses_too_many_angles_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_profile_refuses_more_grid_rows_than_the_cap_before_allocating(monkeypatch):
+    # with the cap patched down to 64 rows, 30 zeros (6 schedule entries) allow
+    # 10 angles and refuse 11 before any partial sum is computed
+    seq = gen_radial_sequence(0.0, 0.5, 30)
+    assert len(doubling_schedule(len(seq))) == 6
+    monkeypatch.setattr(frostman, "MAX_ANGLES", 64)
+    assert frostman_profile(seq, 10).partial_sums.shape == (10, 6)
+    monkeypatch.setattr(frostman, "_schedule_sums", None)
+    with pytest.raises(ValidationError) as info:
+        frostman_profile(seq, 11)
+    assert str(info.value) == \
+        "11 angles x 6 schedule entries exceed the 64 row cap of the frostman grid"
 
 
 def _generated(generator):
