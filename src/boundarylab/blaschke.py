@@ -83,8 +83,8 @@ def _expm1j(x: np.ndarray, half: np.ndarray, cos: np.ndarray, sin: np.ndarray) -
     """e^(x + iy) - 1 with relative accuracy, from half = sin(y/2), cos y and
     sin y (broadcast against x): expm1(x) cos y - 2 half^2 + i e^x sin y."""
     out = np.empty(x.shape, dtype=np.complex128)
-    out.real = np.expm1(x) * cos - 2.0 * half * half
-    out.imag = np.exp(x) * sin
+    np.subtract(np.expm1(x) * cos, 2.0 * half * half, out=out.real)
+    np.multiply(np.exp(x), sin, out=out.imag)
     return out
 
 
@@ -141,11 +141,12 @@ class BlaschkeProduct:
             state.update(
                 _block_m=m, _block_s=np.array([b.angle for b in seq.blocks], dtype=np.float64),
                 _block_log_rho=log_rho, _block_lrho=lrho,
+                _block_lrho_pair=np.array([-lrho, lrho])[:, None, :],  # (2, 1, blocks)
                 _block_period=TWO_PI / m, _block_rho_m=np.exp(lrho),
                 # m (1 - rho^2m) and m (1 - rho^2), the phase bounds' numerators
                 _block_common=m * -np.expm1(2.0 * lrho), _block_spread=m * -np.expm1(2.0 * log_rho),
             )
-        # the longest prefix of eval_many's scalar route: no block zero, one chunk
+        # the longest prefix eval_many multiplies out inline: no block zero, one chunk
         state["_one_point_limit"] = min(_EVAL_CHUNK,
                                         seq.blocks[0].start if seq.blocks else len(seq))
 
@@ -254,16 +255,19 @@ class BlaschkeProduct:
             = e^(l_rho) expm1(l_r - l_rho + i psi) / expm1(l_rho + l_r + i psi),
         which keeps its relative accuracy where u^m is close to rho^m.
         """
-        m, lrho = self._block_m[:k], self._block_lrho[:k]
+        m = self._block_m[:k]
         col = z[:, None]
-        with np.errstate(divide="ignore"):
-            lr = m * np.log(np.abs(col))
+        mod = np.abs(col)
+        if np.count_nonzero(mod) == mod.size:  # no log 0; an errstate costs about a log
+            lr = m * np.log(mod)
+        else:
+            with np.errstate(divide="ignore"):
+                lr = m * np.log(mod)
         psi = m * np.mod(np.arctan2(col.imag, col.real) - self._block_s[:k], self._block_period[:k])
-        psi -= TWO_PI * (psi > math.pi)
-        x = np.empty((2, *lr.shape))  # numerator and denominator share one expm1
-        np.subtract(lr, lrho, out=x[0])
-        np.add(lrho, lr, out=x[1])
-        e = _expm1j(x, np.sin(0.5 * psi), np.cos(psi), np.sin(psi))
+        np.subtract(psi, TWO_PI, out=psi, where=psi > math.pi)
+        # numerator and denominator share one expm1: lr + (-l_rho) is lr - l_rho exactly
+        e = _expm1j(lr + self._block_lrho_pair[..., :k], np.sin(0.5 * psi), np.cos(psi),
+                    np.sin(psi))
         return self._block_rho_m[:k] * e[0] / e[1]
 
     def _value(self, z: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -275,39 +279,41 @@ class BlaschkeProduct:
         row, left to right, each row up to its own last part (a reduction,
         so a value does not depend on the other points in the call).
         Points covering the same number of whole blocks are evaluated
-        together; without such blocks this is _products(z, 0, counts).
+        together (_covering); without such blocks this is _products(z, 0, counts).
         """
         if not self._block_ends.size:
             return self._products(z, 0, counts)
         covered = self._block_ends.searchsorted(counts, "right")
         groups = set(covered.tolist())
-        if len(groups) > 1:
-            out = np.empty(z.size, dtype=np.complex128)
-            for k in groups:
-                at = (covered == k).nonzero()[0]
-                out[at] = self._value(z[at], counts[at])
-            return out
-        k = groups.pop() if groups else 0
-        if k == 0:
-            return self._products(z, 0, counts)
-        lo = int(self._block_ends[k - 1])
-        ranges = [gap for gap in self._gaps if gap[1] < lo]
-        past = counts > lo  # a factor range after the last whole block
-        tail = bool(past.any())
+        if len(groups) < 2:
+            return self._covering(z, counts, groups.pop() if groups else 0)
         out = np.empty(z.size, dtype=np.complex128)
-        step = max(1, _EVAL_CHUNK // (8 * k))
-        for at in range(0, z.size, step):
-            rows = slice(at, at + step)
-            columns = [self._closed_forms(z[rows], k)]
-            columns += [self._products(z[rows], a, b)[:, None] for a, b in ranges]
-            if tail:
-                columns.append(self._products(z[rows], lo, counts[rows])[:, None])
-            parts = np.hstack(columns) if len(columns) > 1 else columns[0]
-            out[rows] = _row_products(parts, parts.shape[1] - ~past[rows] if tail else None)
+        for k in groups:
+            at = (covered == k).nonzero()[0]
+            out[at] = self._covering(z[at], counts[at], k)
         return out
 
-    def _phase_bounds(self, r: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Error bound of the closed-form blocks inside [0, counts[i]) at |z| = r[i].
+    def _covering(self, z: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+        """_value at points whose prefixes all cover exactly the first k blocks."""
+        if k == 0:
+            return self._products(z, 0, counts)
+        step = max(1, _EVAL_CHUNK // (8 * k))  # rows per tile
+        if z.size > step:
+            return np.concatenate([self._covering(z[at:at + step], counts[at:at + step], k)
+                                   for at in range(0, z.size, step)])
+        lo = int(self._block_ends[k - 1])
+        columns = [self._closed_forms(z, k)]
+        columns += [self._products(z, a, b)[:, None] for a, b in self._gaps if b < lo]
+        # a factor range after the last whole block, in the rows whose prefix reaches it
+        if lo < len(self) and np.count_nonzero(past := counts > lo):
+            columns.append(self._products(z, lo, counts)[:, None])
+            parts = np.hstack(columns)
+            return np.ascontiguousarray(_row_products(parts, parts.shape[1] - ~past))
+        return np.multiply.reduce(np.hstack(columns) if len(columns) > 1 else columns[0], axis=1)
+
+    def _phase_bounds(self, r: np.ndarray, k) -> np.ndarray:
+        """Error bound of the first k[i] closed-form blocks at |z| = r[i] (k an
+        array, or one int for every row).
 
         For block (m, rho) at |z| = r, with c = rho^m and w = u^m: an error e
         in log w (in psi or in m log r) moves (c - w)/(1 - cw) by at most
@@ -322,19 +328,26 @@ class BlaschkeProduct:
         Both terms take e = _PHASE_KAPPA ulp(2 pi) per zero; on the depth-12
         full circle the measured errors are below 0.8 and 1.4 of that unit.
         """
-        k = self._block_ends.searchsorted(counts, "right")
         col = r[:, None]
-        with np.errstate(divide="ignore"):
+        if np.count_nonzero(r) == r.size:  # no log 0; an errstate costs about a log
             log_r = np.log(col)
+        else:
+            with np.errstate(divide="ignore"):
+                log_r = np.log(col)
         lr = self._block_m * log_r
         x_m = np.expm1(self._block_lrho + lr)  # rho^m r^m - 1; its sign cancels below
         common = self._block_common * np.exp(lr) / (x_m * x_m)
         spread = (self._block_spread * col * (2.0 + x_m)
                   / (np.expm1(2.0 * (self._block_log_rho + log_r)) * x_m))
         terms = _PHASE_KAPPA * _ULP_2PI * (common + spread)
-        if k.min(initial=terms.shape[1]) < terms.shape[1]:  # rows not covering every block
-            terms[np.arange(terms.shape[1]) >= k[:, None]] = 0.0
-        return terms.sum(axis=1)
+        # the uncovered blocks' terms are zeroed, not cut, so every row sums all columns
+        blocks = terms.shape[1]
+        if np.ndim(k):
+            if k.min(initial=blocks) < blocks:
+                terms[np.arange(blocks) >= k[:, None]] = 0.0
+        elif k < blocks:
+            terms[:, k:] = 0.0
+        return np.add.reduce(terms, axis=1)
 
     def eval_partial(self, n: int, z: complex) -> complex:
         """Product of the first n stored factors, in stored order.
@@ -402,24 +415,37 @@ class BlaschkeProduct:
         np.multiply.reduce of its factors at the point, bit for bit; a
         one-factor prefix gives that factor with _cmul's unfused products,
         whose rounding differs from numpy's product at about two points in
-        five.  Batched and one-point calls agree bit for bit.
+        five.  One point with |z| < 1 - 2^-48 that does not fail skips the
+        array bookkeeping: the rule at a float radius, then _phase_bounds and
+        the kernels of _value on one-element rows.  Batched and one-point
+        calls agree bit for bit.
         """
         tol = self.truncation_tolerance
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
-        # One point whose prefix is 2.._one_point_limit factors (no block zero) takes
-        # the one-row tile of _products in the same ufuncs, so it has the same bits.
-        w = z.item() if z.size == 1 and self._one_point_limit > 1 else None
+        # One point below _POLE_FREE_RADIUS (so no pole) that does not fail:
+        # the array route's kernels on one-element rows, and for a prefix of
+        # 2.._one_point_limit factors (no block zero) the one-row tile of
+        # _products inline; the same ufuncs, so the same bits.
+        w = z.item() if z.size == 1 else None
         if w is not None and abs(w) < _POLE_FREE_RADIUS:
-            over, n, bound = self._prefix_rule(abs(w), tol)  # abs has np.hypot's bits
-            if 2 <= n <= self._one_point_limit and not (strict and (over or bound > tol)):
-                absa, conj_a, rot = self._factor_arrays
-                value = np.multiply.reduce((absa[:n] - rot[:n] * w) / (1.0 - conj_a[:n] * w))
-                return BatchEval(np.array([value]), np.array([n]), np.array([bound]))
+            at = abs(w)  # np.hypot's bits
+            over, n, bound = self._prefix_rule(at, tol)
+            k = int(self._block_ends.searchsorted(n, "right")) if n > self._one_point_limit else 0
+            if k:
+                bound += self._phase_bounds(np.array([at]), k)[0]
+            if not (strict and (over or bound > tol)):
+                if 2 <= n <= self._one_point_limit:
+                    absa, conj_a, rot = self._factor_arrays
+                    values = np.array([np.multiply.reduce(
+                        (absa[:n] - rot[:n] * w) / (1.0 - conj_a[:n] * w))])
+                else:
+                    values = self._covering(z, np.array([n]), k)
+                return BatchEval(values, np.array([n]), np.array([bound]))
         r = np.hypot(z.real, z.imag)
         stop = z.size if r.max(initial=0.0) < 1.0 else int((r < 1.0).argmin())  # r >= 0 or nan
         over, counts, bounds = self._prefix_rule(r[:stop], tol)
         if self._block_ends.size:
-            bounds += self._phase_bounds(r[:stop], counts)
+            bounds += self._phase_bounds(r[:stop], self._block_ends.searchsorted(counts, "right"))
         if strict:
             # rounding in the tail mass can leave a certified count's bound above tol
             failed = over | (bounds > tol)

@@ -851,7 +851,9 @@ def _full_circle(depth, start=0.4):
 
 
 def _phase(prod, z, n):
-    return float(prod._phase_bounds(np.array([abs(z)]), np.array([n]))[0])
+    """The phase bound of the blocks inside the first n factors at |z|."""
+    return float(prod._phase_bounds(np.array([abs(z)]),
+                                    prod._block_ends.searchsorted([n], "right"))[0])
 
 
 def _direct_slack(plain, z, n):
@@ -994,7 +996,7 @@ def test_phase_terms_enter_the_tail_bounds_and_strict_mode():
         prod.eval_many([0.1, z, 0.9999999], strict=True)
     # the phase term grows with |z| and vanishes at the origin
     radii = np.array([0.0, 0.5, 0.9, 0.999, 1.0 - 2.0 ** -40])
-    bounds = prod._phase_bounds(radii, np.full(radii.size, len(prod)))
+    bounds = prod._phase_bounds(radii, np.full(radii.size, len(prod.zeros.blocks)))
     assert bounds[0] == 0.0 and np.all(np.diff(bounds) > 0.0)
 
 
@@ -1425,12 +1427,14 @@ def test_strict_failure_is_the_first_failing_point_in_input_order():
 
 
 def test_one_product_pass_and_one_prefix_choice_per_call(monkeypatch):
-    calls = {}
-    for name in ("_products", "_prefix_rule", "factors_needed"):
+    calls, radii_kinds = {}, []
+    for name in ("_products", "_prefix_rule", "factors_needed", "_closed_forms"):
         real = getattr(BlaschkeProduct, name)
 
         def counted(self, *args, _real=real, _name=name):
             calls[_name] = calls.get(_name, 0) + 1
+            if _name == "_prefix_rule":
+                radii_kinds.append(np.ndim(args[0]))
             return _real(self, *args)
         monkeypatch.setattr(BlaschkeProduct, name, counted)
     prod = _product(RADIAL60)
@@ -1442,8 +1446,23 @@ def test_one_product_pass_and_one_prefix_choice_per_call(monkeypatch):
     assert calls == {"_prefix_rule": 1, "_products": 1}
     # a probe on a block-covered sequence takes whole prefixes: closed forms only
     calls.clear()
-    limit_probe(_product(FULL10), 2.0, radii=default_radius_schedule()[30:])
-    assert calls == {"_prefix_rule": 1}
+    full10 = _product(FULL10)
+    limit_probe(full10, 2.0, radii=default_radius_schedule()[30:])
+    assert calls == {"_prefix_rule": 1, "_closed_forms": 1}
+    # a one-point call chooses its prefix at a float radius and evaluates its
+    # whole blocks in one closed-form call, plus one product where the prefix
+    # ends inside a level
+    inside = set()
+    for z in (0.9 * cmath.exp(1j), 0.3 * cmath.exp(2j), 0.999 * cmath.exp(4j)):
+        for tol in (None, 0.01):
+            calls.clear()
+            radii_kinds.clear()
+            n = _with_tol(full10, tol).eval_many([z], strict=False).factors_used[0]
+            inside.add(n not in full10._block_ends)
+            assert calls == {"_prefix_rule": 1, "_closed_forms": 1, **(
+                {"_products": 1} if n not in full10._block_ends else {})}
+            assert radii_kinds == [0]
+    assert inside == {False, True}
 
 
 def test_mixed_prefix_ends_past_one_chunk_and_between_blocks():
@@ -1464,11 +1483,11 @@ def test_mixed_prefix_ends_past_one_chunk_and_between_blocks():
     assert len(prod.zeros.blocks) == 5 and counts.min() > prod.zeros.blocks[1].start
 
 
-# --- one-point calls: the scalar route -----------------------------------------
+# --- one-point calls: the one-point route --------------------------------------
 #
-# eval_many on one point whose prefix holds two or more factors and no block
-# takes a scalar route, with _prefix_rule at a float radius; every outcome
-# must be the batched one.
+# eval_many on one point with |z| < 1 - 2^-48 that does not fail takes a
+# one-point route, with _prefix_rule at a float radius and the kernels on
+# one-element rows; every outcome must be the batched one.
 
 _GAMMA = 5.590393700586497  # the Lohwater-Piranian targets of the lp6 series, rotated
 LP6_TERMS = [{"generator": {"kind": "accumulation", "depth": 6, "target": target}} for target in (
@@ -1478,7 +1497,7 @@ LP6_TERMS = [{"generator": {"kind": "accumulation", "depth": 6, "target": target
 )]
 
 
-def _count_scalar_routes(monkeypatch):
+def _count_one_point_routes(monkeypatch):
     """A list that gains one entry per one-point eval_many call answered
     without a call of _prefix_rule on an array, the array route's prefix choice."""
     taken, arrays = [], []
@@ -1501,10 +1520,13 @@ def _count_scalar_routes(monkeypatch):
 
 
 def _as_one_and_batched(prod, z, strict, tol=None):
-    """The outcome at z alone, checked against the oracle and against the
-    rows of the batched call at [z, z]: values (signed zeros included), counts
-    and bounds, or the failure's type, message and tail bound."""
+    """The outcome at z alone, checked against the rows of the batched call at
+    [z, z] (values, signed zeros included, counts and bounds, or the failure's
+    type, message and tail bound) and, on a sequence without blocks, against
+    the oracle, which multiplies factor by factor and knows no phase bound."""
     got = _same_as_one_point_calls(prod, [z, z], strict, tol)
+    if prod.zeros.blocks:
+        return got
     if isinstance(got[0], type) or got[1][0] != 1:  # one factor: _cmul's bits, not the oracle's
         _check_many(prod, [z], strict, tol)
     return got
@@ -1515,18 +1537,33 @@ _EDGE_POINTS = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0
                 complex(0.3, math.nan), complex(math.inf, 0.0), 0.9999999, 0.9999999j]
 
 
-@pytest.mark.parametrize("spec", [RADIAL30, RADIAL60, CANTOR8, *LP6_TERMS],
-                         ids=["radial30", "radial60", "cantor8", "lp6-1", "lp6-2", "lp6-3"])
+def _deep_points(rng, count):
+    """count points with |z| drawn out to 1 - 2^-40, then 1 - 2^-48 (where the
+    one-point route ends) and its float neighbours, on the real axis and rotated."""
+    r = 1.0 - 2.0 ** -rng.uniform(1.0, 40.0, count)
+    edge = blaschke._POLE_FREE_RADIUS
+    edge = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
+    return [*(r * np.exp(1j * rng.uniform(0.0, TWO_PI, count))).tolist(),
+            *edge.tolist(), *(edge * cmath.exp(2.5j)).tolist()]
+
+
+@pytest.mark.parametrize("spec", [RADIAL30, RADIAL60, CANTOR8, *LP6_TERMS, FULL10,
+                                  partial(_full_circle, 5)],
+                         ids=["radial30", "radial60", "cantor8", "lp6-1", "lp6-2", "lp6-3",
+                              "full10", "full5"])
 def test_one_point_calls_are_the_batched_rows(spec, monkeypatch):
-    prod = _product(spec)
-    assert not prod.zeros.blocks
+    prod = spec() if callable(spec) else _product(spec)
     seq = prod.zeros
     rng = np.random.default_rng(len(seq) + 17)
     r = np.concatenate([1.0 - rng.uniform(0.0, 1.0, 24) ** 3, rng.uniform(0.0, 0.05, 4)])
+    if seq.blocks:  # four stored zeros of each block
+        stored = [b.start + j * b.count // 4 for b in seq.blocks for j in range(4)]
+    else:
+        stored = np.flatnonzero(seq.deficits > 2.0 ** -50)[::5]
     points = np.concatenate([r * np.exp(1j * rng.uniform(0.0, TWO_PI, r.size)),
-                             _zeros_at(seq, seq.deficits > 2.0 ** -50)[::5]]).tolist()
-    points += _EDGE_POINTS
-    taken = _count_scalar_routes(monkeypatch)
+                             _zeros_at(seq, stored)]).tolist()
+    points += _EDGE_POINTS + _deep_points(rng, 8)
+    taken = _count_one_point_routes(monkeypatch)
     counts, failures = set(), set()
     one_factor = 1.1 * prod.tail_bound(0.0, 1)  # certifies one factor near 0
     tols = [tol for tol in (None, 1e-3, 1e-12, 0.6, 0.99, one_factor) if tol is None or tol < 1.0]
@@ -1549,7 +1586,7 @@ def test_one_point_calls_are_the_batched_rows(spec, monkeypatch):
 def test_one_point_calls_at_stored_zeros_and_poles(monkeypatch):
     # at a stored zero the product vanishes up to rounding
     prod = _product(RADIAL60)
-    taken = _count_scalar_routes(monkeypatch)
+    taken = _count_one_point_routes(monkeypatch)
     for z in _zeros_at(prod.zeros, slice(0, 40, 3)).tolist():
         _as_one_and_batched(prod, z, strict=True)
         assert abs(_as_one_and_batched(prod, z, strict=False)[0][0]) < 1e-6
@@ -1581,48 +1618,63 @@ def test_strict_mode_fails_a_certified_count_whose_bound_exceeds_tol():
     assert got[1][0] == 53 and got[2][0] == prod.tail_bound(r, 53)
 
 
-def test_one_point_calls_on_block_products_take_the_batched_route(monkeypatch):
-    taken = _count_scalar_routes(monkeypatch)
+def test_one_point_calls_on_block_products_take_the_one_point_route(monkeypatch):
+    taken = _count_one_point_routes(monkeypatch)
     prod = _product(FULL10)
     rng = np.random.default_rng(10)
     points = rng.uniform(0.05, 0.999, 20) * np.exp(1j * rng.uniform(0.0, TWO_PI, 20))
+    failed = 0
     for z in points.tolist():
-        for strict, tol in ((False, None), (False, 0.01), (True, 0.5)):
+        for strict, tol in ((False, None), (False, 0.01), (True, 0.5), (True, 0.01)):
+            before = len(taken)
             got = _same_as_one_point_calls(prod, [z, z], strict, tol)
-            if not isinstance(got[0], type):
+            # both one-point calls take the one-point route unless they fail
+            ok = not isinstance(got[0], type)
+            assert len(taken) - before == 2 * ok
+            failed += not ok
+            if ok:
                 assert got[1][0] >= prod.zeros.blocks[0].count
-    assert not taken
-    # radial zeros, then full-circle blocks: a prefix of two or more factors
-    # before the first block takes the scalar route
+    assert 0 < failed < 20
+    # radial zeros, full-circle blocks, radial zeros: prefixes before the
+    # first block, inside a level, at a block's end and past the last block
     radial, circle = ZeroSequence.from_json(RADIAL30), _full_circle(3).zeros
     prod = BlaschkeProduct(ZeroSequence(
-        angles=np.concatenate([radial.angles[:20], circle.angles]),
-        deficits=np.concatenate([radial.deficits[:20], circle.deficits]),
+        angles=np.concatenate([radial.angles[:20], circle.angles, radial.angles[20:]]),
+        deficits=np.concatenate([radial.deficits[:20], circle.deficits, radial.deficits[20:]]),
         blocks=[b._replace(start=b.start + 20) for b in circle.blocks]))
-    first = prod.zeros.blocks[0].start
-    counts = set()
+    first, ends = prod.zeros.blocks[0].start, prod._block_ends.tolist()
+    kinds = set()
     # points near 0 certify prefixes before the first block at tolerance 0.99
     near = 0.04 * np.exp(1j * rng.uniform(0.0, TWO_PI, 4))
     for z in points.tolist() + near.tolist():
         for tol in (0.99, 0.3, 1e-3, 1e-6, None):
             before = len(taken)
             n = int(_same_as_one_point_calls(prod, [z, z], strict=False, tol=tol)[1][0])
-            assert len(taken) - before == 2 * (2 <= n <= first)
-            counts.add(n)
-    assert any(2 <= n <= first for n in counts) and max(counts) > first
+            assert len(taken) - before == 2
+            kinds.add("before" if n <= first else "end" if n in ends else
+                      "past" if n > ends[-1] else "inside")
+    assert kinds == {"before", "inside", "end", "past"}
 
 
 def test_one_point_route_on_drawn_points():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    prods = [_product(spec) for spec in (RADIAL30, RADIAL60, CANTOR8, LP6_TERMS[1])]
+    prods = [_product(spec) for spec in (RADIAL30, RADIAL60, CANTOR8, LP6_TERMS[1], FULL10)]
+    prods.append(_full_circle(5))
     parts = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-300, -5e-324])
+    edge = blaschke._POLE_FREE_RADIUS
+    radii = st.floats(0.0, 1.0 - 2.0 ** -40) | st.sampled_from(
+        [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
+    stored = [complex(z) for prod in prods[-2:]
+              for z in _zeros_at(prod.zeros, [b.start + b.count // 3 for b in prod.zeros.blocks])]
+    points = (st.builds(complex, parts, parts)
+              | st.builds(lambda r, t: r * cmath.exp(1j * t), radii, st.floats(0.0, TWO_PI))
+              | st.sampled_from(_EDGE_POINTS + stored))
     tols = st.sampled_from([None, 1e-12, 1e-6, 1e-3, 0.3, 0.99])
 
-    @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(k=st.integers(0, len(prods) - 1), re=parts, im=parts,
-                      strict=st.booleans(), tol=tols)
-    def check(k, re, im, strict, tol):
-        _as_one_and_batched(prods[k], complex(re, im), strict, tol)
+    @hypothesis.settings(max_examples=250, deadline=None, database=None)
+    @hypothesis.given(k=st.integers(0, len(prods) - 1), z=points, strict=st.booleans(), tol=tols)
+    def check(k, z, strict, tol):
+        _as_one_and_batched(prods[k], z, strict, tol)
 
     check()
