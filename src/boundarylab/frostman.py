@@ -38,10 +38,12 @@ Gregory's end-corrected trapezoid rule of order p = len(_GREGORY) (Fornberg,
 
 F(u | -c) = int_0^u dt / sqrt(1 + c sin^2 t) being the incomplete elliptic
 integral of the first kind, from Carlson's R_F. Ranges of at most _FRAME terms
-and blocks of at most _FRAME zeros are summed term by term. A range costs
-O(K + p) terms whatever m is, so an angle costs O(K + p) per level instead of
-O(zeros). A block's modulus 1 - d is below 1 in floating point, so d >= 2^-54
-and c < 2^110: d^2 does not underflow and c does not overflow.
+and blocks of at most _FRAME zeros are summed term by term. Whatever m is, an
+angle costs per block one frame of _FRAME terms (two if the block has ranges
+of both kinds) and one complete integral K(-c), shared by the block's ranges,
+and per range O(K + p) masked terms, run nodes and run ends: O(K + p) per level
+instead of O(zeros). A block's modulus 1 - d is below 1 in floating point, so
+d >= 2^-54 and c < 2^110: d^2 does not underflow and c does not overflow.
 
 Error bound of a range sum against the sum over the stored angles. Let
 tau = 2 / (h sqrt(c)) = d / (h sqrt(1 - d)), about the term at index distance
@@ -308,40 +310,39 @@ def _carlson_rf(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     _RF_SPREAD and then stops, so its bits do not depend on the other
     elements.
     """
-    x, y, z = (np.array(v, dtype=np.float64).reshape(-1) for v in np.broadcast_arrays(x, y, z))
-    a = (x + y + z) / 3.0
+    v = np.array(np.broadcast_arrays(x, y, z), dtype=np.float64).reshape(3, -1)  # rows x, y, z
+    a = (v[0] + v[1] + v[2]) / 3.0
     todo = np.arange(a.size)
-    xs, ys, zs, at = x, y, z, a  # the elements still going
+    vs, at = v, a  # the elements still going
     while True:
-        spread = np.maximum(np.maximum(np.abs(at - xs), np.abs(at - ys)), np.abs(at - zs))
-        going = spread > _RF_SPREAD * at
+        going = np.abs(at - vs).max(axis=0) > _RF_SPREAD * at
         if not going.all():
-            x[todo], y[todo], a[todo] = xs, ys, at
-            todo, xs, ys, zs, at = todo[going], xs[going], ys[going], zs[going], at[going]
+            v[:, todo], a[todo] = vs, at
+            todo, vs, at = todo[going], vs[:, going], at[going]
             if not todo.size:
                 break
-        sx, sy, sz = np.sqrt(xs), np.sqrt(ys), np.sqrt(zs)
-        lam = sx * sy + sy * sz + sz * sx
-        xs, ys, zs, at = 0.25 * (xs + lam), 0.25 * (ys + lam), 0.25 * (zs + lam), 0.25 * (at + lam)
-    dx, dy = (a - x) / a, (a - y) / a
+        s = np.sqrt(vs)
+        lam = s[0] * s[1] + s[1] * s[2] + s[2] * s[0]
+        vs, at = 0.25 * (vs + lam), 0.25 * (at + lam)
+    dx, dy = (a - v[0]) / a, (a - v[1]) / a
     dz = -(dx + dy)
     e2, e3 = dx * dy - dz * dz, dx * dy * dz
     return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a)
 
 
-def _ellipf(u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """F(u | -c) = int_0^u dt / sqrt(1 + c sin^2 t) for real u.
+def _ellipf(u: np.ndarray, c: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """F(u | -c[which]) = int_0^u dt / sqrt(1 + c[which] sin^2 t) for real u.
 
     F(u | -c) = sin u R_F(cos^2 u, 1 + c sin^2 u, 1) on [-pi/2, pi/2], and
-    F(u + k pi) = F(u) + 2 k K(-c) with K(-c) = R_F(0, 1 + c, 1); both R_F
-    go through one duplication loop.
+    F(u + k pi) = F(u) + 2 k K(-c) with K(-c) = R_F(0, 1 + c, 1), taken once
+    per entry of c; all R_F go through one duplication loop.
     """
     k = np.round(u / np.pi)
     r = u - k * np.pi
     sin = np.sin(r)
-    rf = _carlson_rf(np.concatenate([np.cos(r) ** 2, np.zeros(u.size)]),
-                     np.concatenate([1.0 + c * sin * sin, 1.0 + c]), 1.0)
-    return sin * rf[:u.size] + 2.0 * k * rf[u.size:]
+    rf = _carlson_rf(np.concatenate([np.cos(r) ** 2, np.zeros(c.size)]),
+                     np.concatenate([1.0 + c[which] * sin * sin, 1.0 + c]), 1.0)
+    return sin * rf[:u.size] + 2.0 * k * rf[u.size:][which]
 
 
 def _block_sums(seq: ZeroSequence, angles: np.ndarray, ends: np.ndarray,
@@ -354,10 +355,11 @@ def _block_sums(seq: ZeroSequence, angles: np.ndarray, ends: np.ndarray,
     the sum of the whole segments before n's segment, prefix-summed once per
     angle, plus the range [0, q) of n's segment (q = n - its start), unless q
     is the whole segment. A run of small blocks is summed term by term
-    (_tiled_sums), a large block by _range_sums. Every range sum depends only
-    on its angle and range, so f_n does not depend on what else is in the
-    batch. The angles are tiled so that each tile's work arrays hold at most
-    about _TILE_ELEMENTS elements.
+    (_tiled_sums), a large block's ranges by _range_sums from the block's
+    frames, planned once per call. Every range sum depends only on its angle
+    and range, so f_n does not depend on what else is in the batch. The angles
+    are tiled so that each tile's work arrays hold at most about
+    _TILE_ELEMENTS elements.
     """
     blocks = seq.blocks
     big = [b.count > _FRAME for b in blocks]
@@ -370,28 +372,34 @@ def _block_sums(seq: ZeroSequence, angles: np.ndarray, ends: np.ndarray,
     nwhole = int(at[-1]) + int(whole[-1])  # segments 0..nwhole-1 are summed whole
     rs = np.concatenate([np.arange(nwhole), at[~whole]])  # each range's segment
     rq = np.concatenate([stops[:nwhole] - first[:nwhole], q[~whole]])
-    gregory = np.array([big[heads[k]] for k in rs.tolist()], dtype=bool)
-    plain = []  # (zeros, columns by increasing q) of each segment summed term by term
-    for k in np.unique(rs[~gregory]).tolist():
-        cols = np.flatnonzero(rs == k)
-        plain.append((slice(first[k], stops[k]), cols[np.argsort(rq[cols])]))
-    cols = np.flatnonzero(gregory)
-    if cols.size:
-        blk = [blocks[heads[k]] for k in rs[cols].tolist()]
-        start, count, angle, deficit = map(np.array, zip(*blk))
+    plain: dict[int, list[int]] = {}  # segment summed term by term -> its columns by q
+    framed: dict[tuple[int, bool], int] = {}  # (segment, q <= _FRAME) -> frame number
+    cols, fr = [], []  # the Gregory columns, and each one's frame
+    segs, lengths = rs.tolist(), rq.tolist()
+    for col in sorted(range(rs.size), key=lengths.__getitem__):
+        k = segs[col]
+        if big[heads[k]]:
+            cols.append(col)
+            fr.append(framed.setdefault((k, lengths[col] <= _FRAME), len(framed)))
+        else:
+            plain.setdefault(k, []).append(col)
+    if framed:
+        segment, zero = map(np.array, zip(*framed))
+        frames = (*map(np.array, zip(*[blocks[heads[k]] for k in segment])), zero)
+    cols, fr = np.array(cols, dtype=np.int64), np.array(fr, dtype=np.int64)
     width = _TILE_ELEMENTS // _FRAME  # ranges per _range_sums call
     step = max(1, _TILE_ELEMENTS // (_FRAME * rs.size))
     for r0 in range(0, angles.size, step):
         theta = angles[r0:r0 + step]
         sums = np.empty((theta.size, rs.size))
-        for span, c in plain:
-            part = np.empty((theta.size, c.size))
-            _tiled_sums(seq.angles[span], seq.deficits[span], theta, rq[c] - 1, part)
+        for k, c in plain.items():
+            part = np.empty((theta.size, len(c)))
+            _tiled_sums(seq.angles[first[k]:stops[k]], seq.deficits[first[k]:stops[k]], theta,
+                        rq[c] - 1, part)
             sums[:, c] = part
         for c0 in range(0, cols.size, width):
             c = slice(c0, c0 + width)
-            sums[:, cols[c]] = _range_sums(seq.angles, theta, start[c], count[c], rq[cols[c]],
-                                           angle[c], deficit[c])
+            sums[:, cols[c]] = _range_sums(seq.angles, theta, frames, fr[c], rq[cols[c]])
         prefix = np.cumsum(np.concatenate([np.zeros((theta.size, 1)), sums[:, :nwhole]], axis=1),
                            axis=1)
         rows = out[r0:r0 + step]
@@ -399,23 +407,38 @@ def _block_sums(seq: ZeroSequence, angles: np.ndarray, ends: np.ndarray,
         rows[:, ~whole] = prefix[:, at[~whole]] + sums[:, nwhole:]
 
 
-def _range_sums(stored: np.ndarray, theta: np.ndarray, start: np.ndarray, count: np.ndarray,
-                q: np.ndarray, angle: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Sum of the terms of zeros start..start+q-1 of each range (columns) of a
-    block of more than _FRAME zeros, at each angle (rows); stored holds the
-    sequence's angles.
+def _range_sums(stored: np.ndarray, theta: np.ndarray, frames: tuple, fr: np.ndarray,
+                q: np.ndarray) -> np.ndarray:
+    """Sum of the terms of zeros 0..q-1 of a block of more than _FRAME zeros for
+    each range (columns), at each angle (rows); stored holds the sequence's
+    angles.
 
     A range of more than _FRAME terms sums the indices within _WINDOW of
     theta's position, and runs shorter than _RUN_MIN next to them, directly;
     each longer run goes by Gregory's rule. A shorter range is summed directly.
+    frames holds (start, count, angle, deficit, zero) of each direct frame:
+    _FRAME indices of a block from its window's start less a short run, or
+    from 0 (zero set) for the shorter ranges. Range i masks and sums its own
+    copy of frame fr[i]'s terms, zeros included, which keeps its bits.
     """
+    start, count, angle, d, zero = frames
     greg = q > _FRAME
     theta = theta[:, None]
     h = TWO_PI / count
-    # the window [w0, w1] around the index nearest theta's position, possibly
-    # wrapping past 0 or count - 1; the rest of [0, q) is at most two runs [lo, hi)
     j0 = np.mod((theta - angle) / h, count)
     jc = np.floor(j0 + 0.5).astype(np.int64)
+    # each frame's first index, wrapped into [0, count) by one add; the later
+    # indices then wrap by one subtract, as count > _FRAME
+    lead = np.where(zero, 0, jc - (_WINDOW + _RUN_MIN - 1))
+    lead += count * (lead < 0)
+    pos = np.arange(_FRAME)
+    idx = lead[..., None] + pos
+    idx -= count[:, None] * (idx >= count[:, None])
+    terms = stored[start[:, None] + idx]
+    _fill_terms(terms, d[:, None], 2.0 * np.sqrt(1.0 - d)[:, None], theta[..., None], terms)
+    # the window [w0, w1] around the index nearest theta's position, possibly
+    # wrapping past 0 or count - 1; the rest of [0, q) is at most two runs [lo, hi)
+    j0, jc, count = j0[:, fr], jc[:, fr], count[fr]
     w0, w1 = jc - _WINDOW, jc + _WINDOW
     left, right = w0 < 0, w1 >= count
     lo = np.stack([np.where(left, w1 + 1, np.where(right, w1 - count + 1, 0)),
@@ -423,15 +446,11 @@ def _range_sums(stored: np.ndarray, theta: np.ndarray, start: np.ndarray, count:
     hi = np.stack([np.minimum(np.where(left, w0 + count, w0), q),
                    np.broadcast_to(q, jc.shape)], axis=-1)
     long = greg[:, None] & (hi - lo >= _RUN_MIN)
-    # the direct frame: from the window's start less a short run, or from 0
-    pos = np.arange(_FRAME)
-    first = np.where(greg, w0 - (_RUN_MIN - 1), 0)
-    idx = np.mod(first[..., None] + pos, count[:, None])
-    keep = (idx < q[:, None]) & (pos < q[:, None])
+    idx = idx[:, fr]
+    keep = idx < q[:, None]
     for r in (0, 1):
         keep &= ~(long[..., r, None] & (idx >= lo[..., r, None]) & (idx < hi[..., r, None]))
-    terms = stored[start[:, None] + idx]
-    _fill_terms(terms, d[:, None], 2.0 * np.sqrt(1.0 - d)[:, None], theta[..., None], terms)
+    terms = terms[:, fr]
     terms *= keep
     total = terms.sum(axis=-1)
     if not long.any():
@@ -440,15 +459,19 @@ def _range_sums(stored: np.ndarray, theta: np.ndarray, start: np.ndarray, count:
     a, b = lo[row, col, side], hi[row, col, side] - 1
     p = np.arange(_RUN_MIN)
     nodes = np.concatenate([a[:, None] + p, b[:, None] - p], axis=1)
-    hr, dr = h[col][:, None], d[col][:, None]
+    frame = fr[col]
+    hr, dr = h[frame][:, None], d[frame][:, None]
     # half the angle from theta to the closed-form angle of each node; j - j0
     # is exact near j0, so the rounding of u does not vary from node to node
     u = (0.5 * hr) * (nodes - j0[row, col][:, None])
     g = dr / np.hypot(dr, 2.0 * np.sqrt(1.0 - dr) * np.sin(u))
     ends = ((g[:, :_RUN_MIN] * _END_WEIGHTS).sum(axis=1)
             + (g[:, _RUN_MIN:] * _END_WEIGHTS).sum(axis=1))
-    c = 4.0 * (1.0 - d[col]) / (d[col] * d[col])
-    f = _ellipf(np.concatenate([u[:, 0], u[:, _RUN_MIN]]), np.tile(c, 2))
+    # one K(-c) per block: c of each window frame, the only frames with runs
+    window = ~zero
+    dw = d[window]
+    f = _ellipf(np.concatenate([u[:, 0], u[:, _RUN_MIN]]), 4.0 * (1.0 - dw) / (dw * dw),
+                np.tile(np.cumsum(window)[frame] - 1, 2))
     runs = np.zeros(long.shape)
     runs[row, col, side] = (2.0 / hr[:, 0]) * (f[a.size:] - f[:a.size]) + ends
     return total + runs[..., 0] + runs[..., 1]

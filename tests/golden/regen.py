@@ -7,6 +7,15 @@ Each case in CASES runs ``boundarylab.cli.run`` in process on the inputs in
 change and commit the diff:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+A few outputs differ in their last digits between the SIMD code numpy
+dispatches to (its ``exp``, ``log`` and ``arctan2``, among others, round
+differently with AVX-512 than with AVX2).  So the cases are replayed again
+at every lower dispatch level this host has, with the higher targets
+disabled through ``NPY_DISABLE_CPU_FEATURES``; an output that differs there
+is written to ``<name>@<level>.out``.  ``dispatch_levels.json`` maps each
+recorded level to its cases with an own file.  A host whose level was never
+recorded has no expected output, so its replay fails.
 """
 
 from __future__ import annotations
@@ -14,6 +23,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from boundarylab.cli import run
@@ -104,13 +116,57 @@ def replay(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def dispatch_levels() -> list[str]:
+    """The targets of numpy's SIMD dispatch that this process has, lowest first."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def dispatch_level() -> str:
+    """The highest dispatch target this process has, "baseline" if none."""
+    return (dispatch_levels() or ["baseline"])[-1]
+
+
+def expected_file(name: str) -> Path:
+    """The recording of case `name` at this process's dispatch level."""
+    level = dispatch_level()
+    levels = json.loads((EXPECTED / "dispatch_levels.json").read_text())
+    if level not in levels:
+        raise LookupError(f"no recording at numpy dispatch level {level}; "
+                          "rerun regen.py on a host that has it")
+    return EXPECTED / (f"{name}@{level}.out" if name in levels[level] else f"{name}.out")
+
+
 def main() -> None:
+    if sys.argv[1:] == ["--json"]:  # every case's (exit code, output) at this level
+        json.dump({name: replay(argv) for name, argv in CASES.items()}, sys.stdout)
+        return
     EXPECTED.mkdir(exist_ok=True)
-    codes = {}
-    for name, argv in CASES.items():
-        codes[name], text = replay(argv)
+    for stale in EXPECTED.glob("*@*.out"):
+        stale.unlink()
+    outputs = {name: replay(argv) for name, argv in CASES.items()}
+    for name, (_, text) in outputs.items():
         (EXPECTED / f"{name}.out").write_text(text, encoding="utf-8", newline="")
+    codes = {name: code for name, (code, _) in outputs.items()}
     (EXPECTED / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+    enabled = dispatch_levels()
+    levels: dict[str, list[str]] = {dispatch_level(): []}
+    for i, level in enumerate(enabled[:-1]):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled[i + 1:]))
+        there = json.loads(subprocess.run([sys.executable, __file__, "--json"], env=env,
+                                          check=True, capture_output=True, text=True).stdout)
+        levels[level] = []
+        for name, (code, text) in there.items():
+            if code != codes[name]:
+                raise SystemExit(f"{name} exits with {code} at level {level}, {codes[name]} here")
+            if text != outputs[name][1]:
+                levels[level].append(name)
+                (EXPECTED / f"{name}@{level}.out").write_text(text, encoding="utf-8", newline="")
+    levels_text = json.dumps(levels, indent=1, sort_keys=True) + "\n"
+    (EXPECTED / "dispatch_levels.json").write_text(levels_text)
 
 
 if __name__ == "__main__":

@@ -400,6 +400,45 @@ def test_block_route_sums_do_not_depend_on_the_batch(monkeypatch):
             assert np.float64(got).tobytes() == batch[i, schedule.index(n)].tobytes()
 
 
+def test_block_route_computes_each_frame_and_k_once_per_block(monkeypatch):
+    seq = _full_circle(10)
+    ends = _block_ends(seq)
+    mids = [e - 1 for e in ends[5:]] + [e + 300 for e in ends[5:-1]]
+    schedule = tuple(sorted(set(doubling_schedule(len(seq))) | set(ends) | set(mids)))
+    frame_terms, k_args, calls = [], [], []
+    fill, rf, range_sums = frostman._fill_terms, frostman._carlson_rf, frostman._range_sums
+
+    def fill_spy(angles, d, scale, theta, out):
+        if out.ndim == 3:  # the block route's (angles, frames, _FRAME) terms
+            frame_terms.append(out.size)
+        return fill(angles, d, scale, theta, out)
+
+    def rf_spy(x, y, z):
+        x, y = np.broadcast_arrays(x, y)
+        k_args.append(sorted(y[x == 0.0].tolist()))  # R_F(0, 1 + c, 1) = K(-c)
+        return rf(x, y, z)
+
+    def range_spy(*args):
+        calls.append(args[1].size)
+        return range_sums(*args)
+    monkeypatch.setattr(frostman, "_fill_terms", fill_spy)
+    monkeypatch.setattr(frostman, "_carlson_rf", rf_spy)
+    monkeypatch.setattr(frostman, "_range_sums", range_spy)
+    frostman._schedule_sums(seq, uniform_angles(64), schedule)
+    frames, ranges = set(), 0
+    for start, stop, gregory in _segments(seq):
+        qs = [min(n, stop) - start for n in schedule if n > start]
+        if gregory:
+            frames |= {(start, q <= frostman._FRAME) for q in qs}
+            ranges += len(set(qs))
+    assert len(calls) > 1 and sum(calls) == 64  # several angle tiles
+    assert len(frames) < ranges
+    assert sum(frame_terms) == 64 * len(frames) * frostman._FRAME
+    ks = sorted(1.0 + 4.0 * (1.0 - b.deficit) / (b.deficit * b.deficit)
+                for b in seq.blocks if b.count > frostman._FRAME)
+    assert len(ks) == 6 and k_args == [ks] * len(calls)
+
+
 def _segments(seq):
     """(start, stop, gregory?) of the block route's segments."""
     big = [b.count > frostman._FRAME for b in seq.blocks]
@@ -508,7 +547,7 @@ def test_elliptic_integral_is_within_the_stated_accuracy():
                         [math.pi / 2, -math.pi / 2, 1e-9, 0.0]])
     # a block's deficit is at least 2^-54, so c = 4 (1 - d) / d^2 < 2^110
     c = 10.0 ** rng.uniform(-1.0, 33.0, u.size)
-    got = frostman._ellipf(u, c)
+    got = frostman._ellipf(u, c, np.arange(u.size))
     with mpmath.workdps(30):
         for ui, ci, g in zip(u.tolist(), c.tolist(), got.tolist()):
             kc = mpmath.ellipk(-ci)

@@ -1,6 +1,8 @@
 """Replay the recorded CLI runs in tests/golden byte for byte.
 
 An intentional output change is recorded with ``tests/golden/regen.py``.
+Each run is compared with its recording at numpy's SIMD dispatch level in
+this process; a level that was never recorded fails.
 """
 
 import importlib.util
@@ -23,10 +25,17 @@ def test_every_case_is_recorded():
     assert set(_CODES) == set(regen.CASES)
 
 
+def test_every_dispatch_level_recording_is_a_case_file():
+    levels = json.loads((regen.EXPECTED / "dispatch_levels.json").read_text())
+    own = {f"{name}@{level}.out" for level, names in levels.items() for name in names}
+    assert {p.name for p in regen.EXPECTED.glob("*@*.out")} == own
+    assert all(name in regen.CASES for names in levels.values() for name in names)
+
+
 @pytest.mark.parametrize("name", sorted(regen.CASES))
 def test_cli_output_matches_the_recording(name):
     code, text = regen.replay(regen.CASES[name])
-    expected = (regen.EXPECTED / f"{name}.out").read_bytes()
+    expected = regen.expected_file(name).read_bytes()
     assert code == _CODES[name]
     assert text.encode("utf-8") == expected
 
