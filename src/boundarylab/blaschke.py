@@ -492,19 +492,24 @@ def default_radius_schedule(levels: int | None = None) -> np.ndarray:
     return 1.0 - np.power(2.0, -n)
 
 
-def _max_pairwise_distance(samples: Sequence[complex]) -> float:
-    arr = np.asarray(samples, dtype=np.complex128)
-    if arr.size < 2:
-        return 0.0
-    diff = np.abs(arr[:, None] - arr[None, :])
-    return float(diff.max())
+def _late_windows(values: np.ndarray, ends: Sequence[int], window: int, tol: float):
+    """Judge the last `window` values of each path: path i is values[ends[i - 1]:ends[i]]
+    (from 0 for the first).
 
-
-def _late_window(values: np.ndarray, window: int, tol: float):
-    """The last `window` values, their diameter, and their mean if that is below tol."""
-    tail = values[len(values) - min(window, len(values)):].tolist()
-    osc = _max_pairwise_distance(tail)
-    return tail, osc, (complex(np.mean(tail)) if osc < tol else None)
+    One matrix of |v_i - v_j| over the pooled windows gives each window's
+    diameter (its diagonal block) and the diameter of all of them. Returns
+    [(diameter, mean or None), ...] per path, the mean given when the diameter
+    is below tol, and the pooled diameter.
+    """
+    bounds = [(max(lo, hi - window), hi) for lo, hi in zip([0, *ends], ends)]
+    pooled = np.concatenate([values[lo:hi] for lo, hi in bounds])
+    dist = np.abs(pooled[:, None] - pooled[None, :])
+    judged, at = [], 0
+    for lo, hi in bounds:
+        osc = float(dist[at:at + hi - lo, at:at + hi - lo].max())
+        judged.append((osc, complex(np.mean(values[lo:hi])) if osc < tol else None))
+        at += hi - lo
+    return judged, float(dist.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -557,8 +562,9 @@ def radial_trace(
     radii_arr = _radius_schedule(radii)
     angle = normalize_angle(angle)
     samples = product.eval_many(radii_arr * cmath.exp(1j * angle), strict=False)
-    _, osc, estimate = _late_window(samples.values, config.DEFAULTS["oscillation_window"],
-                                    config.DEFAULTS["verdict_tolerance"])
+    [(osc, estimate)], _ = _late_windows(samples.values, [radii_arr.size],
+                                         config.DEFAULTS["oscillation_window"],
+                                         config.DEFAULTS["verdict_tolerance"])
     return RadialTrace(angle=angle, radii=radii_arr, samples=samples,
                        limit_estimate=estimate, oscillation=osc)
 
@@ -630,26 +636,34 @@ def _zero_chase_path(product: BlaschkeProduct, angle: float) -> list[complex] | 
     One candidate per deficit level (generated sequences share one deficit per
     level), the nearest first, ties to the lowest index; in a full-circle
     block only the arithmetic nearest zero and its two neighbours can be
-    nearest.  Blaschke products vanish at their zeros, so when zeros
-    accumulate at the boundary point this path pins 0 into the cluster set.
+    nearest, and the candidates of all blocks are built together. Blaschke
+    products vanish at their zeros, so when zeros accumulate at the boundary
+    point this path pins 0 into the cluster set.
     """
-    zeta = cmath.exp(1j * angle)
-    chain: list[complex] = []
-    best = math.inf
-    # descending deficit = shallow levels first, so the chain walks outward
-    for zs in product._chase_levels:
-        if isinstance(zs, LevelBlock):
-            m = zs.count
-            j = round((angle - zs.angle) / (TWO_PI / m))
-            zs = _zeros_at(product.zeros, sorted({zs.start + (j + i) % m for i in (-1, 0, 1)}))
-        dist = np.abs(zs - zeta)
-        k = int(np.argmin(dist))
-        if dist[k] < best:
-            best = float(dist[k])
-            chain.append(complex(zs[k]))
-    if len(chain) < 2 or best > _ZERO_CHASE_REACH:
+    levels = product._chase_levels
+    if not levels:
         return None
-    return chain
+    picks = []  # each block level's arithmetic nearest zero and its neighbours
+    for level in levels:
+        if isinstance(level, LevelBlock):
+            j = round((angle - level.angle) / (TWO_PI / level.count))
+            picks.append(sorted({level.start + (j + i) % level.count for i in (-1, 0, 1)}))
+    near = iter(np.split(_zeros_at(product.zeros, [i for p in picks for i in p]),
+                         np.cumsum([len(p) for p in picks[:-1]], dtype=np.int64)))
+    zs = [next(near) if isinstance(level, LevelBlock) else level for level in levels]
+    sizes = [z.size for z in zs]
+    starts = np.cumsum([0, *sizes[:-1]])
+    zs = np.concatenate(zs)
+    dist = np.abs(zs - cmath.exp(1j * angle))
+    # descending deficit = shallow levels first, so the chain walks outward; a
+    # level joins when its nearest zero is nearer than every shallower level's
+    low = np.minimum.reduceat(dist, starts)
+    chain = np.flatnonzero(low < np.minimum.accumulate(np.append(math.inf, low[:-1])))
+    if chain.size < 2 or low[chain[-1]] > _ZERO_CHASE_REACH:
+        return None
+    # the first zero of each level at the level's least distance: ties go to the lowest index
+    first = np.flatnonzero(dist == np.repeat(low, sizes))
+    return zs[first[np.searchsorted(first, starts[chain])]].tolist()
 
 
 class PathLimit(NamedTuple):
@@ -710,7 +724,9 @@ def limit_probe(
     schedule plus, where the product's zeros approach the point, a discrete
     path through those zeros.  The radial limit exists when the radial
     path's late window oscillates less than the verdict tolerance.  The
-    window and the tolerance come from config where None.
+    window and the tolerance come from config where None.  Every path's
+    oscillation, and the cluster diameter, come from one matrix of pairwise
+    distances over the pooled late windows (_late_windows).
     """
     _require_product(product)
     angle = normalize_angle(angle)
@@ -728,11 +744,8 @@ def limit_probe(
         names.append("zero-chase")
         ends.append(points.size)
     samples = product.eval_many(points, strict=False)
-    path_limits: list[PathLimit] = []
-    pooled: list[complex] = []
-    for name, lo, hi in zip(names, [0] + ends, ends):
-        tail, osc, estimate = _late_window(samples.values[lo:hi], win, tol)
-        path_limits.append(PathLimit(name, estimate, osc))
-        pooled.extend(tail)
-    return LimitProbeReport(angle, tuple(path_limits), _max_pairwise_distance(pooled),
-                            path_limits[0].oscillation < tol, samples, tuple(ends))
+    judged, diameter = _late_windows(samples.values, ends, win, tol)
+    path_limits = tuple(PathLimit(name, estimate, osc)
+                        for name, (osc, estimate) in zip(names, judged))
+    return LimitProbeReport(angle, path_limits, diameter, path_limits[0].oscillation < tol,
+                            samples, tuple(ends))

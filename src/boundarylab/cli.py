@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -342,8 +343,12 @@ _HANDLERS = {
 }
 
 
+# run's parser: parse_args leaves a parser as it was, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

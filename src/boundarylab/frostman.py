@@ -40,9 +40,11 @@ F(u | -c) = int_0^u dt / sqrt(1 + c sin^2 t) being the incomplete elliptic
 integral of the first kind, from Carlson's R_F. Ranges of at most _FRAME terms
 and blocks of at most _FRAME zeros are summed term by term. Whatever m is, an
 angle costs per block one frame of _FRAME terms (two if the block has ranges
-of both kinds) and one complete integral K(-c), shared by the block's ranges,
-and per range O(K + p) masked terms, run nodes and run ends: O(K + p) per level
-instead of O(zeros). A block's modulus 1 - d is below 1 in floating point, so
+of both kinds), and per range O(K + p) masked terms, run nodes and run ends:
+O(K + p) per level instead of O(zeros). The segment, range and frame plan and
+each block's complete integral K(-c) depend only on the blocks and the
+schedule, so they are computed once per (blocks, schedule) and cached, not per
+call, block or tile. A block's modulus 1 - d is below 1 in floating point, so
 d >= 2^-54 and c < 2^110: d^2 does not underflow and c does not overflow.
 
 Error bound of a range sum against the sum over the stored angles. Let
@@ -79,6 +81,8 @@ term-by-term sums at rounding level.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
@@ -301,71 +305,82 @@ _END_WEIGHTS = np.array([(i == 0) / 2 + (-1) ** i * math.fsum(
 # Carlson's duplication stops when max |A - x| <= (3 r)^(1/6) A, r the unit roundoff:
 # the series R_F = A^(-1/2) (1 - E2/10 + E3/14 + E2^2/24 - 3 E2 E3/44) is then within r
 _RF_SPREAD = (3.0 * 2.0 ** -53) ** (1.0 / 6.0)
+_FRAME_POS, _END_POS = np.arange(_FRAME), np.arange(_RUN_MIN)
 
 
 def _carlson_rf(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Carlson's R_F(x, y, z) elementwise (Carlson, Numer. Algorithms 10, 1995).
 
-    Each element runs the duplication steps until its own spread is below
-    _RF_SPREAD and then stops, so its bits do not depend on the other
-    elements.
+    The duplication steps run on one state array [x, y, z, A], all elements
+    together, until each element's spread max |A - v| has been at most
+    _RF_SPREAD A; each element keeps the state of its own first such step, so
+    its bits do not depend on the other elements. In exact arithmetic a step
+    divides every A - v by 4 and does not raise A, so no element meets the
+    test within log4(min spread / (_RF_SPREAD A)) steps of the start (by a
+    factor of 4 that rounding cannot close); those steps skip it. An empty
+    input returns at once.
     """
-    v = np.array(np.broadcast_arrays(x, y, z), dtype=np.float64).reshape(3, -1)  # rows x, y, z
-    a = (v[0] + v[1] + v[2]) / 3.0
-    todo = np.arange(a.size)
-    vs, at = v, a  # the elements still going
-    while True:
-        going = np.abs(at - vs).max(axis=0) > _RF_SPREAD * at
-        if not going.all():
-            v[:, todo], a[todo] = vs, at
-            todo, vs, at = todo[going], vs[:, going], at[going]
-            if not todo.size:
+    state = np.empty((4, *np.broadcast(x, y, z).shape))
+    state[0], state[1], state[2] = x, y, z
+    state[3] = (state[0] + state[1] + state[2]) / 3.0
+    last = np.empty_like(state)
+    done = np.zeros(state.shape[1:], dtype=bool)
+    ratio = float(np.min(np.abs(state[3] - state[:3]).max(axis=0) / state[3],
+                         initial=math.inf)) / _RF_SPREAD
+    skip = int(math.log(ratio, 4.0)) if 1.0 < ratio < math.inf else 0
+    for step in itertools.count():
+        if step >= skip:
+            fresh = ~((np.abs(state[3] - state[:3]).max(axis=0) > _RF_SPREAD * state[3]) | done)
+            np.copyto(last, state, where=fresh)
+            done |= fresh
+            if done.all():
                 break
-        s = np.sqrt(vs)
-        lam = s[0] * s[1] + s[1] * s[2] + s[2] * s[0]
-        vs, at = 0.25 * (vs + lam), 0.25 * (at + lam)
-    dx, dy = (a - v[0]) / a, (a - v[1]) / a
+        s = np.sqrt(state[:3])
+        state += s[0] * s[1] + s[1] * s[2] + s[2] * s[0]
+        state *= 0.25
+    a = last[3]
+    dx, dy = (a - last[0]) / a, (a - last[1]) / a
     dz = -(dx + dy)
     e2, e3 = dx * dy - dz * dz, dx * dy * dz
     return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a)
 
 
-def _ellipf(u: np.ndarray, c: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """F(u | -c[which]) = int_0^u dt / sqrt(1 + c[which] sin^2 t) for real u.
+def _ellipf(u: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """F(u | -c) = int_0^u dt / sqrt(1 + c sin^2 t) for real u, given k = K(-c) =
+    R_F(0, 1 + c, 1); c and k broadcast against u.
 
     F(u | -c) = sin u R_F(cos^2 u, 1 + c sin^2 u, 1) on [-pi/2, pi/2], and
-    F(u + k pi) = F(u) + 2 k K(-c) with K(-c) = R_F(0, 1 + c, 1), taken once
-    per entry of c; all R_F go through one duplication loop.
+    F(u + j pi) = F(u) + 2 j K(-c).
     """
-    k = np.round(u / np.pi)
-    r = u - k * np.pi
+    j = np.round(u / np.pi)
+    r = u - j * np.pi
     sin = np.sin(r)
-    rf = _carlson_rf(np.concatenate([np.cos(r) ** 2, np.zeros(c.size)]),
-                     np.concatenate([1.0 + c[which] * sin * sin, 1.0 + c]), 1.0)
-    return sin * rf[:u.size] + 2.0 * k * rf[u.size:][which]
+    return sin * _carlson_rf(np.cos(r) ** 2, 1.0 + c * sin * sin, 1.0) + 2.0 * j * k
 
 
-def _block_sums(seq: ZeroSequence, angles: np.ndarray, ends: np.ndarray,
-                out: np.ndarray) -> None:
-    """out[i, c] = f_n at angle i for n = ends[c] (n >= 1), on a sequence its
-    blocks cover.
+@functools.lru_cache(maxsize=64)
+def _block_plan(blocks: tuple, size: int, ends: tuple) -> tuple:
+    """The part of _block_sums that depends only on the blocks, the zero count
+    and the schedule ends, built once per (blocks, size, ends); every array is
+    read-only.
 
     The blocks are grouped into segments: each block of more than _FRAME zeros
     is a segment, and so is each longest run of the other blocks. Each f_n is
-    the sum of the whole segments before n's segment, prefix-summed once per
-    angle, plus the range [0, q) of n's segment (q = n - its start), unless q
-    is the whole segment. A run of small blocks is summed term by term
-    (_tiled_sums), a large block's ranges by _range_sums from the block's
-    frames, planned once per call. Every range sum depends only on its angle
-    and range, so f_n does not depend on what else is in the batch. The angles
-    are tiled so that each tile's work arrays hold at most about
-    _TILE_ELEMENTS elements.
+    the sum of the whole segments before n's segment (the first nwhole are
+    summed whole), plus the range [0, q) of n's segment, unless q is the whole
+    segment. Returns (whole, part, nwhole, take, rq, plain, cols, fr, frames):
+    the ends that end a segment and the others; the prefix column each end
+    reads (its segment's for a partial end); the length of each range; the
+    (start, stop, columns) of each run of small blocks, summed term by term;
+    the columns of the large blocks' ranges, shortest first, and each one's
+    frame; and the frames as (start, count, angle, d, zero, h, 2 sqrt(1 - d),
+    c, K(-c)), K computed for the window frames only (0 for the others).
     """
-    blocks = seq.blocks
     big = [b.count > _FRAME for b in blocks]
     heads = [k for k in range(len(blocks)) if k == 0 or big[k] or big[k - 1]]
     first = np.array([blocks[k].start for k in heads], dtype=np.int64)  # segment starts
-    stops = np.append(first[1:], len(seq))
+    stops = np.append(first[1:], size)
+    ends = np.array(ends, dtype=np.int64)
     at = np.searchsorted(stops, ends)  # the segment holding zero n - 1
     q = ends - first[at]
     whole = q == stops[at] - first[at]
@@ -383,28 +398,56 @@ def _block_sums(seq: ZeroSequence, angles: np.ndarray, ends: np.ndarray,
             fr.append(framed.setdefault((k, lengths[col] <= _FRAME), len(framed)))
         else:
             plain.setdefault(k, []).append(col)
+    frames = ()
     if framed:
         segment, zero = map(np.array, zip(*framed))
-        frames = (*map(np.array, zip(*[blocks[heads[k]] for k in segment])), zero)
-    cols, fr = np.array(cols, dtype=np.int64), np.array(fr, dtype=np.int64)
+        start, count, angle, d = map(np.array, zip(*[blocks[heads[k]] for k in segment]))
+        c = 4.0 * (1.0 - d) / (d * d)
+        kc = np.zeros(c.size)
+        kc[~zero] = _carlson_rf(0.0, 1.0 + c[~zero], 1.0)
+        frames = (start, count, angle, d, zero, TWO_PI / count, 2.0 * np.sqrt(1.0 - d), c, kc)
+    runs = tuple((int(first[k]), int(stops[k]), np.array(c)) for k, c in plain.items())
+    plan = (whole, ~whole, nwhole, at + whole, rq, runs, np.array(cols, dtype=np.int64),
+            np.array(fr, dtype=np.int64), frames)
+    for x in (*plan, *frames, *(c for *_, c in runs)):
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    return plan
+
+
+def _block_sums(seq: ZeroSequence, angles: np.ndarray, ends: np.ndarray,
+                out: np.ndarray) -> None:
+    """out[i, c] = f_n at angle i for n = ends[c] (n >= 1), on a sequence its
+    blocks cover.
+
+    The segments, ranges and frames come from _block_plan. Whole segments are
+    prefix-summed once per angle; a run of small blocks is summed term by
+    term (_tiled_sums), a large block's ranges by _range_sums from the block's
+    frames. Every range sum depends only on its angle and range, so f_n does
+    not depend on what else is in the batch, nor on which sequence built the
+    plan: the stored angles and deficits are read at call time. The angles
+    are tiled so that each tile's work arrays hold at most about
+    _TILE_ELEMENTS elements.
+    """
+    whole, part, nwhole, take, rq, plain, cols, fr, frames = _block_plan(
+        seq.blocks, len(seq), tuple(ends.tolist()))
     width = _TILE_ELEMENTS // _FRAME  # ranges per _range_sums call
-    step = max(1, _TILE_ELEMENTS // (_FRAME * rs.size))
+    step = max(1, _TILE_ELEMENTS // (_FRAME * rq.size))
     for r0 in range(0, angles.size, step):
         theta = angles[r0:r0 + step]
-        sums = np.empty((theta.size, rs.size))
-        for k, c in plain.items():
-            part = np.empty((theta.size, len(c)))
-            _tiled_sums(seq.angles[first[k]:stops[k]], seq.deficits[first[k]:stops[k]], theta,
-                        rq[c] - 1, part)
-            sums[:, c] = part
+        sums = np.empty((theta.size, rq.size))
+        for lo, hi, c in plain:
+            run = np.empty((theta.size, c.size))
+            _tiled_sums(seq.angles[lo:hi], seq.deficits[lo:hi], theta, rq[c] - 1, run)
+            sums[:, c] = run
         for c0 in range(0, cols.size, width):
-            c = slice(c0, c0 + width)
-            sums[:, cols[c]] = _range_sums(seq.angles, theta, frames, fr[c], rq[cols[c]])
+            c = cols[c0:c0 + width]
+            sums[:, c] = _range_sums(seq.angles, theta, frames, fr[c0:c0 + width], rq[c])
         prefix = np.cumsum(np.concatenate([np.zeros((theta.size, 1)), sums[:, :nwhole]], axis=1),
                            axis=1)
         rows = out[r0:r0 + step]
-        rows[:, whole] = prefix[:, at[whole] + 1]
-        rows[:, ~whole] = prefix[:, at[~whole]] + sums[:, nwhole:]
+        rows[:, whole] = prefix[:, take[whole]]
+        rows[:, part] = prefix[:, take[part]] + sums[:, nwhole:]
 
 
 def _range_sums(stored: np.ndarray, theta: np.ndarray, frames: tuple, fr: np.ndarray,
@@ -416,65 +459,60 @@ def _range_sums(stored: np.ndarray, theta: np.ndarray, frames: tuple, fr: np.nda
     A range of more than _FRAME terms sums the indices within _WINDOW of
     theta's position, and runs shorter than _RUN_MIN next to them, directly;
     each longer run goes by Gregory's rule. A shorter range is summed directly.
-    frames holds (start, count, angle, deficit, zero) of each direct frame:
-    _FRAME indices of a block from its window's start less a short run, or
-    from 0 (zero set) for the shorter ranges. Range i masks and sums its own
+    frames holds the direct frames from _block_plan: _FRAME indices of a block
+    from its window's start less a short run, or from 0 (zero set) for the
+    shorter ranges, with the block's constants. Range i masks and sums its own
     copy of frame fr[i]'s terms, zeros included, which keeps its bits.
     """
-    start, count, angle, d, zero = frames
+    start, count, angle, d, zero, h, scale, c, kc = frames
     greg = q > _FRAME
     theta = theta[:, None]
-    h = TWO_PI / count
     j0 = np.mod((theta - angle) / h, count)
     jc = np.floor(j0 + 0.5).astype(np.int64)
     # each frame's first index, wrapped into [0, count) by one add; the later
     # indices then wrap by one subtract, as count > _FRAME
     lead = np.where(zero, 0, jc - (_WINDOW + _RUN_MIN - 1))
     lead += count * (lead < 0)
-    pos = np.arange(_FRAME)
-    idx = lead[..., None] + pos
+    idx = lead[..., None] + _FRAME_POS
     idx -= count[:, None] * (idx >= count[:, None])
     terms = stored[start[:, None] + idx]
-    _fill_terms(terms, d[:, None], 2.0 * np.sqrt(1.0 - d)[:, None], theta[..., None], terms)
+    _fill_terms(terms, d[:, None], scale[:, None], theta[..., None], terms)
     # the window [w0, w1] around the index nearest theta's position, possibly
-    # wrapping past 0 or count - 1; the rest of [0, q) is at most two runs [lo, hi)
+    # wrapping past 0 or count - 1; the rest of [0, q) is at most two runs
+    # [lo, hi): [0, w0) and [w1 + 1, q), or the gap between the window's two
+    # parts when it wraps (and an empty run)
     j0, jc, count = j0[:, fr], jc[:, fr], count[fr]
     w0, w1 = jc - _WINDOW, jc + _WINDOW
-    left, right = w0 < 0, w1 >= count
-    lo = np.stack([np.where(left, w1 + 1, np.where(right, w1 - count + 1, 0)),
-                   np.where(left | right, q, w1 + 1)], axis=-1)
-    hi = np.stack([np.minimum(np.where(left, w0 + count, w0), q),
-                   np.broadcast_to(q, jc.shape)], axis=-1)
-    long = greg[:, None] & (hi - lo >= _RUN_MIN)
+    wrap = (w0 < 0) | (w1 >= count)
+    lo, hi = np.empty((2, 2, *jc.shape), dtype=np.int64)
+    lo[0], lo[1] = (w1 + 1) % count * wrap, np.where(wrap, q, w1 + 1)
+    hi[0], hi[1] = np.minimum(w0 % count, q), q
+    long = greg & (hi - lo >= _RUN_MIN)
     idx = idx[:, fr]
     keep = idx < q[:, None]
     for r in (0, 1):
-        keep &= ~(long[..., r, None] & (idx >= lo[..., r, None]) & (idx < hi[..., r, None]))
+        keep &= ~(long[r, ..., None] & (idx >= lo[r, ..., None]) & (idx < hi[r, ..., None]))
     terms = terms[:, fr]
     terms *= keep
     total = terms.sum(axis=-1)
     if not long.any():
         return total
-    row, col, side = np.nonzero(long)
-    a, b = lo[row, col, side], hi[row, col, side] - 1
-    p = np.arange(_RUN_MIN)
-    nodes = np.concatenate([a[:, None] + p, b[:, None] - p], axis=1)
-    frame = fr[col]
-    hr, dr = h[frame][:, None], d[frame][:, None]
+    side, row, col = np.nonzero(long)
+    a, b = lo[side, row, col], hi[side, row, col] - 1
+    nodes = np.concatenate([a[:, None] + _END_POS, b[:, None] - _END_POS], axis=1)
+    frame = fr[col][:, None]
+    hr, dr = h[frame], d[frame]
     # half the angle from theta to the closed-form angle of each node; j - j0
     # is exact near j0, so the rounding of u does not vary from node to node
     u = (0.5 * hr) * (nodes - j0[row, col][:, None])
-    g = dr / np.hypot(dr, 2.0 * np.sqrt(1.0 - dr) * np.sin(u))
+    g = dr / np.hypot(dr, scale[frame] * np.sin(u))
     ends = ((g[:, :_RUN_MIN] * _END_WEIGHTS).sum(axis=1)
             + (g[:, _RUN_MIN:] * _END_WEIGHTS).sum(axis=1))
-    # one K(-c) per block: c of each window frame, the only frames with runs
-    window = ~zero
-    dw = d[window]
-    f = _ellipf(np.concatenate([u[:, 0], u[:, _RUN_MIN]]), 4.0 * (1.0 - dw) / (dw * dw),
-                np.tile(np.cumsum(window)[frame] - 1, 2))
+    # F at the run's two ends, a and b
+    f = _ellipf(u[:, ::_RUN_MIN], c[frame], kc[frame])
     runs = np.zeros(long.shape)
-    runs[row, col, side] = (2.0 / hr[:, 0]) * (f[a.size:] - f[:a.size]) + ends
-    return total + runs[..., 0] + runs[..., 1]
+    runs[side, row, col] = (2.0 / hr[:, 0]) * (f[:, 1] - f[:, 0]) + ends
+    return total + runs[0] + runs[1]
 
 
 def frostman_profile(seq: ZeroSequence, angle_count: int, *,

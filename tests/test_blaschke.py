@@ -571,6 +571,58 @@ def test_probe_paths_have_the_bits_of_the_former_path_functions(spec):
         assert json_text(report.to_json()) == json_text(want.json)
 
 
+FULL12 = {"generator": {"kind": "accumulation", "depth": 12, "target": {
+    "kind": "arc-union", "arcs": [[0.10384619671527331, 6.3870315038948595]]}}}
+
+
+def _former_late_window(values, window, tol):
+    """The late-window rule as it was applied path by path before the windows
+    were pooled: the last `window` values as a list, their diameter (max
+    pairwise distance) and their mean if the diameter is below tol."""
+    tail = values[len(values) - min(window, len(values)):].tolist()
+    arr = np.asarray(tail, dtype=np.complex128)
+    osc = float(np.abs(arr[:, None] - arr[None, :]).max()) if arr.size >= 2 else 0.0
+    return tail, osc, (complex(np.mean(tail)) if osc < tol else None)
+
+
+def _hex(x):
+    if x is None:
+        return None
+    return (x.real.hex(), x.imag.hex()) if isinstance(x, complex) else x.hex()
+
+
+@pytest.mark.parametrize("spec", [FULL10, FULL12, RADIAL30, RADIAL60, CANTOR8],
+                         ids=["full10", "full12", "radial30", "radial60", "cantor8"])
+def test_probe_and_trace_windows_have_the_bits_of_the_per_path_rule(spec):
+    prod = _product(spec)
+    rng = np.random.default_rng(len(prod))
+    stored = prod.zeros.angles
+    angles = ([float(stored[0]), float(stored[-1])]
+              + stored[rng.integers(0, stored.size, 2)].tolist()
+              + rng.uniform(0.0, TWO_PI, 3).tolist())
+    default = (config.DEFAULTS["verdict_tolerance"], config.DEFAULTS["oscillation_window"])
+    for radii in (None, default_radius_schedule()[30:]):
+        for angle in angles:
+            for tol, window in (default, (0.5, 3)):
+                report = limit_probe(prod, angle, radii=radii, verdict_tolerance=tol,
+                                     window=window)
+                want, pooled = [], []
+                for lo, hi in zip((0, *report.path_ends), report.path_ends):
+                    tail, osc, estimate = _former_late_window(report.samples.values[lo:hi],
+                                                              window, tol)
+                    want.append((osc.hex(), _hex(estimate)))
+                    pooled.extend(tail)
+                _, diameter, _ = _former_late_window(np.array(pooled), len(pooled), 0.0)
+                assert [(p.oscillation.hex(), _hex(p.estimate))
+                        for p in report.path_limits] == want
+                assert report.cluster_diameter_estimate.hex() == diameter.hex()
+                assert report.radial_exists == (float.fromhex(want[0][0]) < tol)
+            trace = radial_trace(prod, angle, radii)
+            _, osc, estimate = _former_late_window(trace.values, *default[::-1])
+            assert (trace.oscillation.hex(), _hex(trace.limit_estimate)) == \
+                (osc.hex(), _hex(estimate))
+
+
 @pytest.mark.parametrize("call", [
     lambda fn: boundary_scan(fn, 0.9, 16),
     lambda fn: radial_trace(fn, 0.0),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from boundarylab import config, frostman
+from boundarylab import cli, config, frostman
 from boundarylab.cli import build_parser, run
 from boundarylab.fixtures import punctured_disc_plane
 from boundarylab.unitdisc import MAX_ANGLES
@@ -265,6 +265,32 @@ def test_probe_json_output(deep_zeros, capsys):
         "angle", "paths", "cluster_diameter_estimate", "radial_exists",
     }
     assert data["radial_exists"] is True
+
+
+def test_repeated_runs_in_one_process_print_the_same_bytes(deep_zeros, capsys):
+    """run parses with one parser per process; parse errors between runs
+    leave it as it was, so every run prints what the first one printed."""
+    argvs = [
+        ["probe", "--zeros", deep_zeros, "--angle", "0.5", "--window", "8"],
+        ["frostman", "--zeros", deep_zeros, "--theta", "0.0"],
+        ["probe", "--zeros", deep_zeros, "--window", "many"],  # a bad flag value
+        ["trace", "--zeros", deep_zeros, "--radius-levels", "12"],
+        ["arakeljan", "--union"],  # a missing required flag
+        ["nosuch"],
+        [],  # no subcommand: the help on stderr
+        ["scan", "--zeros", deep_zeros, "--r", "0.9", "--angles", "8"],
+    ]
+    first = []
+    for argv in argvs:
+        code = run(argv)
+        first.append((code, *capsys.readouterr()))
+    assert [f[0] for f in first] == [0, 0, 2, 0, 2, 2, 2, 0]
+    assert all(f[2] for f in first if f[0] == 2) and all(f[1] for f in first if f[0] == 0)
+    for _ in range(2):
+        for argv, want in zip(argvs, first):
+            code = run(argv)
+            assert (code, *capsys.readouterr()) == want, argv
+    assert cli._parser() is cli._parser()
 
 
 def test_config_file_loses_to_flags(deep_zeros, tmp_path, capsys):

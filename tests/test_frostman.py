@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -401,6 +402,8 @@ def test_block_route_sums_do_not_depend_on_the_batch(monkeypatch):
 
 
 def test_block_route_computes_each_frame_and_k_once_per_block(monkeypatch):
+    """Each tile fills each block frame once; K(-c) of each block is computed
+    once per (blocks, schedule), however many calls and tiles use it."""
     seq = _full_circle(10)
     ends = _block_ends(seq)
     mids = [e - 1 for e in ends[5:]] + [e + 300 for e in ends[5:-1]]
@@ -414,8 +417,8 @@ def test_block_route_computes_each_frame_and_k_once_per_block(monkeypatch):
         return fill(angles, d, scale, theta, out)
 
     def rf_spy(x, y, z):
-        x, y = np.broadcast_arrays(x, y)
-        k_args.append(sorted(y[x == 0.0].tolist()))  # R_F(0, 1 + c, 1) = K(-c)
+        if np.all(np.asarray(x) == 0.0):  # R_F(0, 1 + c, 1) = K(-c)
+            k_args.append(sorted(np.ravel(y).tolist()))
         return rf(x, y, z)
 
     def range_spy(*args):
@@ -424,19 +427,22 @@ def test_block_route_computes_each_frame_and_k_once_per_block(monkeypatch):
     monkeypatch.setattr(frostman, "_fill_terms", fill_spy)
     monkeypatch.setattr(frostman, "_carlson_rf", rf_spy)
     monkeypatch.setattr(frostman, "_range_sums", range_spy)
-    frostman._schedule_sums(seq, uniform_angles(64), schedule)
+    frostman._block_plan.cache_clear()
+    first = frostman._schedule_sums(seq, uniform_angles(64), schedule)
+    again = frostman._schedule_sums(seq, uniform_angles(64), schedule)
+    assert again.tobytes() == first.tobytes()
     frames, ranges = set(), 0
     for start, stop, gregory in _segments(seq):
         qs = [min(n, stop) - start for n in schedule if n > start]
         if gregory:
             frames |= {(start, q <= frostman._FRAME) for q in qs}
             ranges += len(set(qs))
-    assert len(calls) > 1 and sum(calls) == 64  # several angle tiles
+    assert len(calls) > 2 and sum(calls) == 2 * 64  # several angle tiles per call
     assert len(frames) < ranges
-    assert sum(frame_terms) == 64 * len(frames) * frostman._FRAME
+    assert sum(frame_terms) == 2 * 64 * len(frames) * frostman._FRAME
     ks = sorted(1.0 + 4.0 * (1.0 - b.deficit) / (b.deficit * b.deficit)
                 for b in seq.blocks if b.count > frostman._FRAME)
-    assert len(ks) == 6 and k_args == [ks] * len(calls)
+    assert len(ks) == 6 and k_args == [ks]
 
 
 def _segments(seq):
@@ -547,7 +553,7 @@ def test_elliptic_integral_is_within_the_stated_accuracy():
                         [math.pi / 2, -math.pi / 2, 1e-9, 0.0]])
     # a block's deficit is at least 2^-54, so c = 4 (1 - d) / d^2 < 2^110
     c = 10.0 ** rng.uniform(-1.0, 33.0, u.size)
-    got = frostman._ellipf(u, c, np.arange(u.size))
+    got = frostman._ellipf(u, c, frostman._carlson_rf(0.0, 1.0 + c, 1.0))
     with mpmath.workdps(30):
         for ui, ci, g in zip(u.tolist(), c.tolist(), got.tolist()):
             kc = mpmath.ellipk(-ci)
@@ -555,6 +561,81 @@ def test_elliptic_integral_is_within_the_stated_accuracy():
             # 48 units of 2^-53 of K(-c), plus the rounding of u - k pi moving the argument
             slope = 1.0 / math.sqrt(1.0 + ci * math.sin(ui) ** 2)
             assert abs(g - want) <= 48.0 * UNIT * kc + slope * 2.0 * math.ulp(TWO_PI)
+
+
+def _former_carlson_rf(x, y, z):
+    """R_F(x, y, z) of one element, its duplication stopping at the first step
+    whose spread is at most _RF_SPREAD A: the loop each element ran on its own
+    before the elements were stepped together."""
+    a = (x + y + z) / 3.0
+    while max(abs(a - x), abs(a - y), abs(a - z)) > frostman._RF_SPREAD * a:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        x, y, z, a = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25, (a + lam) * 0.25
+    dx, dy = (a - x) / a, (a - y) / a
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
+
+
+def test_carlson_rf_has_the_bits_of_the_one_element_loop():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(1, 50))
+        r = rng.uniform(-math.pi / 2, math.pi / 2, n)
+        c = 2.0 ** rng.uniform(-5.0, 110.0, n) if trial % 2 else 10.0 ** rng.uniform(2, 4, n)
+        x, y = np.cos(r) ** 2, 1.0 + c * np.sin(r) ** 2
+        if trial % 3 == 0:  # complete integrals, the slowest elements
+            x, y = np.zeros(n), 1.0 + c
+        if trial % 5 == 0:  # one element that meets the test at once
+            x[0] = y[0] = 1.0
+        got = frostman._carlson_rf(x, y, 1.0)
+        want = [_former_carlson_rf(*v, 1.0) for v in zip(x.tolist(), y.tolist())]
+        assert got.tobytes() == np.array(want).tobytes(), trial
+
+
+def test_carlson_rf_returns_on_an_empty_input_and_a_schedule_without_a_window_frame():
+    assert frostman._carlson_rf(np.zeros(0), np.zeros(0), 1.0).shape == (0,)
+    assert frostman._carlson_rf(np.zeros((0, 2)), 1.0, 1.0).shape == (0, 2)
+    # n within the first _FRAME zeros of the first large block: every range is
+    # summed directly, so the plan computes K(-c) of no block
+    seq = _full_circle(10)
+    big = next(b for b in seq.blocks if b.count > frostman._FRAME)
+    frostman._block_plan.cache_clear()
+    for n in (big.start + 1, big.start + frostman._FRAME):
+        frames = frostman._block_plan(seq.blocks, len(seq), (n,))[-1]
+        assert frames[4].all() and not frames[-1].any()  # zero frames only, no K
+        for theta in (1.0, float(seq.angles[n - 1]), float(big.angle)):
+            got = frostman_partial(seq, theta, n)
+            want = math.fsum(_terms(seq, theta)[:n].tolist())
+            assert abs(got - want) <= (n + 4) * UNIT * want, (n, theta)
+
+
+def test_the_block_plan_is_shared_by_sequences_with_equal_blocks():
+    """Two sequences with equal blocks, whose stored angles differ within
+    BLOCK_ANGLE_SLACK, share one plan; each sums bit for bit as with a cleared
+    cache (a fresh process), in either order."""
+    seq = _full_circle(10)
+    moved = np.nextafter(seq.angles, TWO_PI)  # one ulp up, far inside the slack
+    other = ZeroSequence(angles=moved, deficits=seq.deficits, blocks=seq.blocks)
+    assert other.blocks == seq.blocks and not np.array_equal(other.angles, seq.angles)
+    angles = np.concatenate([uniform_angles(8), seq.angles[-2:], other.angles[-2:]])
+    schedule = tuple(sorted(set(doubling_schedule(len(seq))) | set(_block_ends(seq))))
+    sums = {}
+    for order in ((seq, other), (other, seq)):
+        frostman._block_plan.cache_clear()
+        for s in order:
+            sums.setdefault(id(s), []).append(frostman._schedule_sums(s, angles, schedule).tobytes())
+        assert frostman._block_plan.cache_info().hits == 1
+    for got in sums.values():
+        assert got[0] == got[1]
+    assert sums[id(seq)][0] != sums[id(other)][0]  # the stored angles are read per call
+    for theta in (2.0, float(seq.angles[-1])):
+        frostman._block_plan.cache_clear()
+        cold = frostman_classify(seq, theta)
+        warm = frostman_classify(seq, theta)
+        assert frostman._block_plan.cache_info().hits == 1
+        assert pickle.dumps(cold) == pickle.dumps(warm)
 
 
 def _hand_built(levels, start):
