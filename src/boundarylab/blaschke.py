@@ -19,6 +19,7 @@ fails loudly with the best bound it could achieve.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -108,6 +109,11 @@ class BlaschkeProduct:
 
     Evaluation inside the disc picks the shortest prefix whose certified tail
     bound (including the sequence's extension mass) is below truncation_tolerance.
+    Construction keeps per-block scalars only; the per-zero arrays are built
+    on first use.  The factor arrays are built for the first factor range or
+    pole rescan.  The deficit prefix sums (_mass) are built for a tail bound
+    short of the whole prefix, and for the prefix rule at a tolerance at
+    least the extension mass, the only case where a count can certify.
 
     The zeros of a full-circle block (ZeroSequence.blocks) are m equally
     spaced zeros rho e^(i(s + 2 pi j/m)); with u = z e^(-is) their factors
@@ -127,8 +133,6 @@ class BlaschkeProduct:
             )
         # frozen: the arrays derived from the zeros are written past __setattr__
         seq, state = self.zeros, vars(self)
-        state["_mass"] = mass = np.zeros(len(seq) + 1)  # mass[n]: deficit sum of the first n
-        np.cumsum(seq.deficits, out=mass[1:])
         state["_block_ends"] = ends = np.array([b.start + b.count for b in seq.blocks],
                                                dtype=np.int64)
         state["_gaps"] = [(lo, b.start) for lo, b in zip([0, *ends.tolist()], seq.blocks)
@@ -151,6 +155,13 @@ class BlaschkeProduct:
                                         seq.blocks[0].start if seq.blocks else len(seq))
 
     @functools.cached_property
+    def _mass(self) -> np.ndarray:
+        """mass[n]: the deficit sum of the first n zeros."""
+        mass = np.zeros(len(self.zeros) + 1)
+        np.cumsum(self.zeros.deficits, out=mass[1:])
+        return mass
+
+    @functools.cached_property
     def _factor_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """|a|, conj(a) and rot = conj(a)/|a| per zero, built for the first factor range
         or pole rescan; rot is -1 at |a| = 0, where (|a| - rot z)/(1 - conj(a) z) is z."""
@@ -166,6 +177,8 @@ class BlaschkeProduct:
 
         A level is a LevelBlock when it is exactly one block of deficit d >= 2^-48,
         else the complex zeros of the level inside the circle, in index order.
+        Which blocks are levels is read from the blocks and the zeros in no
+        block, so the zeros of level blocks are never visited.
         Zeros whose deficit is below float resolution collapse onto the circle in
         complex form; they are not valid evaluation points, so the chain stops
         before them.  A zero is inside when its modulus, taken as the evaluator
@@ -175,13 +188,20 @@ class BlaschkeProduct:
         the product and the modulus adds at most 6 eps.
         """
         seq = self.zeros
+        end = int(self._block_ends[-1]) if seq.blocks else 0
+        rest = [*self._gaps, (end, len(seq))]  # the ranges in no block (the last may be empty)
+        # a block is a level when no other zero shares its deficit: no other
+        # block's, and none of the zeros in no block
+        shared = collections.Counter(b.deficit for b in seq.blocks)
+        if seq.blocks:
+            shared.update(set(np.concatenate([seq.deficits[lo:hi] for lo, hi in rest]).tolist()))
         levels: dict[float, object] = {}
-        rest = np.ones(len(seq), dtype=bool)
         for b in seq.blocks:
-            if b.deficit >= 2.0 ** -48 and np.count_nonzero(seq.deficits == b.deficit) == b.count:
+            if b.deficit >= 2.0 ** -48 and shared[b.deficit] == 1:
                 levels[b.deficit] = b
-                rest[b.start:b.start + b.count] = False
-        idx = np.flatnonzero(rest)
+            else:
+                rest.append((b.start, b.start + b.count))
+        idx = np.concatenate([np.arange(lo, hi) for lo, hi in sorted(rest)])
         zs = _zeros_at(seq, idx)
         inside = np.hypot(zs.real, zs.imag) < 1.0
         idx, zs = idx[inside], zs[inside]
@@ -375,14 +395,18 @@ class BlaschkeProduct:
         """The count the prefix rule certifies at radius r for tol, or -1 if none."""
         if not (0.0 <= r < 1.0):
             raise ValidationError(f"truncation requires |z| < 1, got radius {r!r}")
-        over, count, _ = self._prefix_rule(r, tol)
+        over, count, _ = self._prefix_rule(r, _positive_finite(tol, "tol"))
         return -1 if over else int(count)
 
     def tail_bound(self, r: float, n: int) -> float:
-        """Certified bound on |B - B_n| for |z| <= r (truncation only)."""
+        """Certified bound on |B - B_n| for |z| <= r (truncation only); n <= 0
+        means no factor used."""
         if not (0.0 <= r < 1.0):
             raise ValidationError(f"tail bound requires radius < 1, got {r!r}")
-        return self._tail((1.0 + r) / (1.0 - r), max(n, 0))  # n <= 0: no factor used
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n > len(self):
+            raise ValidationError(
+                f"factor count must be an integer of at most {len(self)}, got {n!r}")
+        return self._tail((1.0 + r) / (1.0 - r), max(n, 0))
 
     def _tail(self, growth, n):
         """tail_bound from growth = (1 + r)/(1 - r), elementwise over arrays."""
@@ -391,12 +415,23 @@ class BlaschkeProduct:
     def _prefix_rule(self, r, tol: float):
         """The prefix rule at a radius r in [0, 1), a float or an array of
         them, for tol > 0: whether no count is certified, the count used (the
-        certified one, else the whole prefix) and its truncation bound."""
+        certified one, else the whole prefix) and its truncation bound.
+
+        _mass is built on the first call where the extension mass is at most
+        tol.  Where it exceeds tol no radius certifies a count, as the budget
+        tol/growth is at most tol (growth >= 1 in floating point), and the
+        rule returns the whole prefix and growth times the extension mass:
+        the bits of the mass formula, whose stored part is then exactly 0.
+        """
         growth = (1.0 + r) / (1.0 - r)
         budget = tol / growth
-        over = self.zeros.extension_mass > budget
+        ext = self.zeros.extension_mass
+        over = ext > budget
+        if ext > tol:  # over everywhere
+            counts = np.full(r.shape, len(self)) if isinstance(r, np.ndarray) else len(self)
+            return over, counts, growth * ext
         # smallest N with stored plus extension mass - _mass[N] <= budget
-        n = self._mass.searchsorted(self._mass[-1] + self.zeros.extension_mass - budget)
+        n = self._mass.searchsorted(self._mass[-1] + ext - budget)
         counts = n + over * (len(self) - n)  # the whole prefix where over
         return over, counts, self._tail(growth, counts)
 

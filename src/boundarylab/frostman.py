@@ -305,7 +305,7 @@ _END_WEIGHTS = np.array([(i == 0) / 2 + (-1) ** i * math.fsum(
 # Carlson's duplication stops when max |A - x| <= (3 r)^(1/6) A, r the unit roundoff:
 # the series R_F = A^(-1/2) (1 - E2/10 + E3/14 + E2^2/24 - 3 E2 E3/44) is then within r
 _RF_SPREAD = (3.0 * 2.0 ** -53) ** (1.0 / 6.0)
-_FRAME_POS, _END_POS = np.arange(_FRAME), np.arange(_RUN_MIN)
+_FRAME_POS, _END_POS = np.arange(_FRAME, dtype=np.int32), np.arange(_RUN_MIN)
 
 
 def _carlson_rf(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -402,6 +402,8 @@ def _block_plan(blocks: tuple, size: int, ends: tuple) -> tuple:
     if framed:
         segment, zero = map(np.array, zip(*framed))
         start, count, angle, d = map(np.array, zip(*[blocks[heads[k]] for k in segment]))
+        # int32 frame indices: a start or count past 2^31 would take 32 GiB of zeros
+        start, count = start.astype(np.int32), count.astype(np.int32)
         c = 4.0 * (1.0 - d) / (d * d)
         kc = np.zeros(c.size)
         kc[~zero] = _carlson_rf(0.0, 1.0 + c[~zero], 1.0)
@@ -468,7 +470,7 @@ def _range_sums(stored: np.ndarray, theta: np.ndarray, frames: tuple, fr: np.nda
     greg = q > _FRAME
     theta = theta[:, None]
     j0 = np.mod((theta - angle) / h, count)
-    jc = np.floor(j0 + 0.5).astype(np.int64)
+    jc = np.floor(j0 + 0.5).astype(np.int32)
     # each frame's first index, wrapped into [0, count) by one add; the later
     # indices then wrap by one subtract, as count > _FRAME
     lead = np.where(zero, 0, jc - (_WINDOW + _RUN_MIN - 1))

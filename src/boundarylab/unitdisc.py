@@ -108,9 +108,11 @@ class ZeroSequence:
     extension_mass: float = 0.0
     blocks: tuple[LevelBlock, ...] = ()
 
-    def __post_init__(self) -> None:
-        angles = np.array(self.angles, dtype=np.float64, copy=True).reshape(-1)
-        deficits = np.array(self.deficits, dtype=np.float64, copy=True).reshape(-1)
+    def __post_init__(self, copy: bool = True) -> None:
+        # explicit inputs are copied, so changing the caller's arrays leaves the sequence
+        # alone; only _adopt passes copy=False
+        angles = np.array(self.angles, dtype=np.float64, copy=copy).reshape(-1)
+        deficits = np.array(self.deficits, dtype=np.float64, copy=copy).reshape(-1)
         if angles.shape != deficits.shape:
             raise ValidationError(
                 f"angles and deficits disagree in length: {angles.size} vs {deficits.size}"
@@ -136,6 +138,17 @@ class ZeroSequence:
         for b in self.blocks:
             _check_block(b, end, angles, deficits)
             end = b.start + b.count
+
+    @classmethod
+    def _adopt(cls, angles: np.ndarray, deficits: np.ndarray, extension_mass: float,
+               blocks: tuple[LevelBlock, ...] = ()) -> "ZeroSequence":
+        """A sequence that takes over a generator's fresh 1-d float64 arrays:
+        __post_init__ checks them and reduces the angles in place, without a copy."""
+        seq = object.__new__(cls)
+        vars(seq).update(angles=angles, deficits=deficits, extension_mass=extension_mass,
+                         blocks=blocks)  # frozen: written past __setattr__
+        seq.__post_init__(copy=False)
+        return seq
 
     def __len__(self) -> int:
         return int(self.angles.size)
@@ -423,7 +436,7 @@ def gen_radial_sequence(angle: float, rate: float, count: int) -> ZeroSequence:
     deficits = np.power(rate, k)
     angles = np.full(count, normalize_angle(angle), dtype=np.float64)
     tail = rate ** (count + 1) / (1.0 - rate)
-    return ZeroSequence(angles=angles, deficits=deficits, extension_mass=tail)
+    return ZeroSequence._adopt(angles, deficits, tail)
 
 
 def _spaced(runs: list[tuple[float, float, int, bool]]) -> np.ndarray:
@@ -515,9 +528,7 @@ def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence
         sizes.append(n)
         level_deficits.append(d)
     angles = _spaced(runs)
-    return ZeroSequence(
-        angles=angles,
-        deficits=np.repeat(np.array(level_deficits, dtype=np.float64), sizes),
-        extension_mass=2.0 ** -depth,
-        blocks=tuple(LevelBlock(at, m, float(angles[at]), d) for at, m, d in full),
+    return ZeroSequence._adopt(
+        angles, np.repeat(np.array(level_deficits, dtype=np.float64), sizes), 2.0 ** -depth,
+        tuple(LevelBlock(at, m, float(angles[at]), d) for at, m, d in full),
     )

@@ -29,6 +29,7 @@ from boundarylab.unitdisc import (
     MAX_ANGLES,
     TWO_PI,
     ClosedSetSpec,
+    LevelBlock,
     ZeroSequence,
     circle_points,
     gen_accumulation_sequence,
@@ -1370,18 +1371,20 @@ def _traced_peak(call):
 
 def test_full12_product_evaluation_and_probe_stay_small():
     seq = ZeroSequence.from_json(FULL12)
-    # construction keeps the deficit cumsum (6.1 MiB) and block scalars only
+    # construction keeps block scalars only; no per-zero array
     prod, peak, _ = _traced_peak(lambda: BlaschkeProduct(seq))
-    assert peak <= 7 << 20
+    assert peak <= 64 << 10
     theta = 2.2
 
     def evaluate():
         return [prod.eval_best_effort(r * cmath.exp(1j * theta)) for r in DEEP_RADII]
     values, peak, _ = _traced_peak(evaluate)
     assert peak <= 4 << 20 and all(v.factors_used == len(prod) for v in values)
+    # the first probe decides the chase levels from the blocks, with no per-zero scratch
     _, peak, _ = _traced_peak(lambda: limit_probe(prod, theta, radii=default_radius_schedule()[30:]))
-    assert peak <= 4 << 20
-    assert "_factor_arrays" not in vars(prod)
+    assert peak <= 1 << 19
+    # extension mass 2^-12 > tol: no count certifies, and the deficit prefix sums are never built
+    assert "_factor_arrays" not in vars(prod) and "_mass" not in vars(prod)
 
 
 # --- one pass per call: per-point prefix ends ----------------------------------
@@ -1730,3 +1733,126 @@ def test_one_point_route_on_drawn_points():
         _as_one_and_batched(prods[k], z, strict, tol)
 
     check()
+
+
+# --- the prefix rule's arguments and bits --------------------------------------
+
+def test_tail_bound_and_factors_needed_refuse_bad_arguments():
+    prod = _product(RADIAL30)
+    for n in (31, 2.0, 3.5, True, False, None, "3"):
+        with pytest.raises(ValidationError, match="factor count must be an integer of at most 30"):
+            prod.tail_bound(0.5, n)
+    for tol in (math.nan, math.inf, 0.0, -1e-9, True, None):
+        with pytest.raises(ValidationError, match="tol must be finite and positive"):
+            prod.factors_needed(0.5, tol)
+    # n <= 0 still means no factor used; a numpy count is an integer
+    assert prod.tail_bound(0.5, -3) == prod.tail_bound(0.5, 0) > prod.tail_bound(0.5, 1)
+    assert prod.tail_bound(0.5, np.int64(30)) == prod.tail_bound(0.5, 30)
+
+
+def _cumsum_rule(seq, r, tol):
+    """The prefix rule from a deficit cumsum built here, the formula every
+    product read before the mass array was built on first use: (no count
+    certified, the count used, the truncation bound of each count in 0..len)."""
+    mass = np.zeros(len(seq) + 1)
+    np.cumsum(seq.deficits, out=mass[1:])
+    ext = seq.extension_mass
+    growth = (1.0 + r) / (1.0 - r)
+    budget = tol / growth
+    over = ext > budget
+    n = len(seq) if over else int(mass.searchsorted(mass[-1] + ext - budget))
+    return over, n, growth * (mass[-1] - mass + ext)
+
+
+_RULE_SETS = {"radial30": RADIAL30, "radial60": RADIAL60, "cantor8": CANTOR8,
+              "full8": FULL8, "full10": FULL10}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.5])
+@pytest.mark.parametrize("name", [*_RULE_SETS, "explicit"])
+def test_prefix_rule_keeps_the_bits_of_the_cumsum_formula(name, tol):
+    # at tol 1e-9 the extension mass of cantor8, full8 and full10 exceeds tol:
+    # no count is certified and the mass array is never built; at 0.5 some
+    # counts certify on every set
+    if name == "explicit":
+        seq = ZeroSequence.from_zeros([0.5, -0.3j, 0.9 * cmath.exp(2j), 0.99, 0.999j, -0.7 + 0.1j])
+    else:
+        seq = ZeroSequence.from_json(_RULE_SETS[name])
+    hexes = np.vectorize(float.hex)
+    lazy = seq.extension_mass > tol
+    certified = set()  # whether a count certifies, per radius
+    for r in (0.0, 0.5, 0.99, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -40):
+        over, n, tails = _cumsum_rule(seq, r, tol)
+        certified.add(not over)
+        # a fresh product per radius: only the calls below build its mass array
+        prod = BlaschkeProduct(seq, tol)
+        assert prod.factors_needed(r, tol) == (-1 if over else n)
+        assert ("_mass" in vars(prod)) != lazy
+        # the rule reads |z| as np.hypot gives it, which can differ from r by an ulp
+        points = r * np.exp(1j * np.linspace(0.3, 5.9, 4))
+        rules = [_cumsum_rule(seq, abs(z), tol) for z in points.tolist()]
+        counts = np.array([rule[1] for rule in rules])
+        want = np.array([rule[2][rule[1]] for rule in rules])
+        if seq.blocks:
+            want += [_phase(prod, z, k) for z, k in zip(points, counts)]
+        batched = prod.eval_many(points, strict=False)
+        for k, got in enumerate([batched] + [prod.eval_many([z], strict=False) for z in points]):
+            at = slice(None) if k == 0 else slice(k - 1, k)
+            assert np.array_equal(got.factors_used, counts[at])
+            assert list(hexes(got.tail_bounds)) == list(hexes(want[at]))
+        values = np.array([prod.eval_partial(int(k), complex(z)) for z, k in zip(points, counts)])
+        assert _same_bits(batched.values, values)
+        assert ("_mass" in vars(prod)) != lazy
+        # tail_bound at every count, first on a product whose mass was never built
+        fresh = BlaschkeProduct(seq, tol)
+        assert fresh.tail_bound(r, len(seq) // 2).hex() == tails[len(seq) // 2].hex()
+        assert "_mass" in vars(fresh)
+        got = [float(fresh.tail_bound(r, k)).hex() for k in range(len(seq) + 1)]
+        assert got == list(hexes(tails))
+    assert (True in certified) != lazy  # a count certifies where ext <= tol
+
+
+def _mask_chase_levels(seq):
+    """The chase levels as a per-zero mask decides them: a block is a level
+    when its deficit is >= 2^-48 and no zero outside it shares that deficit;
+    returned as (deficit, block or the level's indices) pairs."""
+    levels, rest = {}, np.ones(len(seq), dtype=bool)
+    for b in seq.blocks:
+        if b.deficit >= 2.0 ** -48 and np.count_nonzero(seq.deficits == b.deficit) == b.count:
+            levels[b.deficit] = b
+            rest[b.start:b.start + b.count] = False
+    idx = np.flatnonzero(rest)
+    zs = _zeros_at(seq, idx)
+    idx = idx[np.hypot(zs.real, zs.imag) < 1.0]
+    for d in np.unique(seq.deficits[idx]):
+        levels[float(d)] = idx[seq.deficits[idx] == d]
+    return sorted(levels.items(), key=lambda item: -item[0])
+
+
+def test_chase_levels_are_read_from_the_blocks():
+    radial, circle = ZeroSequence.from_json(RADIAL30), _full_circle(3).zeros
+    b0, b1, b2 = circle.blocks
+
+    def joined(parts, blocks):
+        angles, deficits = map(np.concatenate, zip(*parts))
+        return ZeroSequence(angles=angles, deficits=deficits, blocks=blocks)
+    shift = [b._replace(start=b.start + 20) for b in circle.blocks]
+    seqs = [ZeroSequence.from_json(spec) for spec in (FULL10, CANTOR8, RADIAL60)] + [
+        # radial zeros before, between and after the blocks
+        joined([(radial.angles[:20], radial.deficits[:20]), (circle.angles, circle.deficits),
+                (radial.angles[20:], radial.deficits[20:])], shift),
+        # a loose zero shares the deficit of the first block, so that block is no level
+        joined([(circle.angles, circle.deficits), ([1.0], [b0.deficit])], circle.blocks),
+        # two blocks share a deficit: neither is a level
+        joined([(circle.angles[:b0.count], circle.deficits[:b0.count])] * 2,
+               [b0, b0._replace(start=b0.count)]),
+    ]
+    for seq in seqs:
+        got = BlaschkeProduct(seq)._chase_levels
+        want = _mask_chase_levels(seq)
+        assert len(got) == len(want)
+        for level, (d, ref) in zip(got, want):
+            if isinstance(ref, LevelBlock):
+                assert level == ref
+            else:
+                assert _same_bits(level, _zeros_at(seq, ref))
