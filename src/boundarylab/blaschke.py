@@ -22,6 +22,7 @@ import cmath
 import collections
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, TextIO
 
@@ -34,7 +35,6 @@ from .unitdisc import (
     TWO_PI,
     LevelBlock,
     ZeroSequence,
-    _cmul,
     _positive_finite,
     _positive_int,
     circle_points,
@@ -45,14 +45,8 @@ from .unitdisc import (
 # Radius schedules stop at 1 - 2^-53, the float just below 1.
 MAX_RADIUS_LEVELS = 53
 
-# Factor block size for long products: one chunk evaluates strictly in
-# sequence, and chunk boundaries are fixed, so values never depend on timing
-# or thread count.
-_EVAL_CHUNK = 65536
-
-# Complex elements per (points x factors) tile of _products (256 KiB per
-# buffer).  The tile only sets how many rows are evaluated together; a row's
-# bits do not depend on it.
+# Complex elements per (factors x points) tile of _products, 256 KiB per
+# buffer; a value's bits do not depend on it.
 _TILE_ELEMENTS = 2 ** 14
 
 # No factor denominator 1 - conj(a) z rounds to 0 below this modulus: |conj(a)| <= 1 + 3 eps
@@ -150,9 +144,6 @@ class BlaschkeProduct:
                 # m (1 - rho^2m) and m (1 - rho^2), the phase bounds' numerators
                 _block_common=m * -np.expm1(2.0 * lrho), _block_spread=m * -np.expm1(2.0 * log_rho),
             )
-        # the longest prefix eval_many multiplies out inline: no block zero, one chunk
-        state["_one_point_limit"] = min(_EVAL_CHUNK,
-                                        seq.blocks[0].start if seq.blocks else len(seq))
 
     @functools.cached_property
     def _mass(self) -> np.ndarray:
@@ -226,45 +217,60 @@ class BlaschkeProduct:
 
     def _products(self, z: np.ndarray, lo: int, hi) -> np.ndarray:
         """Product of factors lo..hi[i]-1 at each point z[i] (hi an array, or
-        one end for all), with a one-point product's bits: each chunk of at
-        most _EVAL_CHUNK factors is evaluated as (points x factors) tiles of
-        about _TILE_ELEMENTS elements, each row reduced left to right up to
-        its own end, and past one chunk a point's chunk products are reduced
-        left to right in turn.  A pole leaves a non-finite value.
+        one end for all): per point a strictly left-to-right chain, every
+        complex multiply rounded as numpy's SIMD multiply rounds it, whatever
+        the tile size and the other points.  A pole leaves a non-finite value.
+
+        Factors are evaluated in (factors x points) tiles, points contiguous,
+        with each point's running product in the row ahead of its next factor,
+        and reduced down the columns with initial=None (never times 1 + 0i,
+        which can flip the sign of a zero part).  Points are stable-sorted by
+        end, and each segment up to the next distinct end is one reduce on the
+        points still running.  A one-column reduce would take numpy's unfused
+        loop: one point is reduced twice, a last one beside a finished one.
         """
+        one = z.size == 1
+        z = np.repeat(z, 2) if one else z
         lengths = np.subtract(hi, lo, out=np.zeros(z.size, dtype=np.int64))
-        out = np.empty(z.size, dtype=np.complex128)
         width = int(lengths.max(initial=0))
-        if width == 0:
-            out.fill(1.0)
-            return out
-        short = int(lengths.min())
-        absa, conj_a, rot = self._factor_arrays
-        # past one chunk a tile is one point, whose chunk products are reduced
-        # in turn; buffers hold the rows actually used
-        step = 1 if width > _EVAL_CHUNK else max(1, _TILE_ELEMENTS // width)
-        size = min(step, z.size) * min(width, _EVAL_CHUNK)
+        order = None if lengths.min(initial=width) == width else lengths.argsort(kind="stable")
+        z, lengths = (z, lengths) if order is None else (z[order], lengths[order])
+        firsts = np.flatnonzero(np.diff(lengths, prepend=-1))  # each distinct end's first point
+        firsts, stops = firsts.tolist(), lengths[firsts].tolist()
+        acc = np.ones(z.size, dtype=np.complex128)  # before the buffers: they free the heap top
+        size = min(max(_TILE_ELEMENTS, z.size) + z.size, (width + 1) * z.size)
         num_buf, den_buf = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+        j, c, last = stops.count(0), 0, z.size - 2  # stops[j]: the next end
         with np.errstate(divide="ignore", invalid="ignore"):
-            for at in range(0, z.size, step):
-                rows = slice(at, at + step)
-                col, parts, top = z[rows, None], [], width if step > 1 else int(lengths[at])
-                for c in range(0, max(top, 1), _EVAL_CHUNK):
-                    w = min(_EVAL_CHUNK, top - c)
-                    num = num_buf[:col.size * w].reshape(col.size, w)
-                    den = den_buf[:col.size * w].reshape(col.size, w)
-                    np.multiply(rot[lo + c:lo + c + w], col, out=num)
-                    np.subtract(absa[lo + c:lo + c + w], num, out=num)
-                    np.multiply(conj_a[lo + c:lo + c + w], col, out=den)
-                    np.subtract(1.0, den, out=den)
-                    ends = lengths[rows] - c if short < width else None
-                    parts.append(_row_products(np.divide(num, den, out=num), ends))
-                out[rows] = parts[0] if len(parts) == 1 else np.multiply.reduce(np.hstack(parts))
-            if short < 2:  # one factor: a (points x 1) tile would multiply down the column
-                one, col = lengths == 1, z[lengths == 1]
-                out[one] = (absa[lo] - _cmul(rot[lo], col)) / (1.0 - _cmul(conj_a[lo], col))
-                out[lengths == 0] = 1.0
-        return out
+            while c < width:  # one tile: row 0 spare, rows 1.. factors c..top-1
+                absa, conj_a, rot = self._factor_arrays
+                s = min(firsts[j], last)  # no reduce starts past column `last`
+                col = z[s:]
+                top = min(width, c + max(1, _TILE_ELEMENTS // col.size))
+                num = num_buf[:(top - c + 1) * col.size].reshape(-1, col.size)
+                den = den_buf[:num.size].reshape(num.shape)
+                f, rows = slice(lo + c, lo + top), slice(1, None)
+                np.multiply(rot[f, None], col, out=num[rows])
+                np.subtract(absa[f, None], num[rows], out=num[rows])
+                np.multiply(conj_a[f, None], col, out=den[rows])
+                np.subtract(1.0, den[rows], out=den[rows])
+                np.divide(num[rows], den[rows], out=num[rows])
+                at = c
+                while at < top:  # one segment: factors at..b-1 on the points from k on
+                    b, k, k0 = min(stops[j], top), firsts[j], min(firsts[j], last)
+                    if at and b - at == 1:  # one factor: one binary multiply, not in place
+                        acc[k:] = (acc[k0:] * num[b - c, k0 - s:])[k - k0:]
+                    else:
+                        if at:  # the running products, in the row of factor at - 1 or the spare row
+                            num[at - c, k0 - s:] = acc[k0:]
+                        part = num[at - c + (at == 0):b - c + 1, k0 - s:]
+                        acc[k:] = np.multiply.reduce(part, axis=0, initial=None)[k - k0:]
+                    j += b == stops[j]
+                    at = b
+                c = top
+        if order is not None:
+            acc[order] = acc.copy()
+        return acc[:1] if one else acc
 
     def _closed_forms(self, z: np.ndarray, k: int) -> np.ndarray:
         """Product over each of the first k blocks at each point, (points x k).
@@ -317,7 +323,7 @@ class BlaschkeProduct:
         """_value at points whose prefixes all cover exactly the first k blocks."""
         if k == 0:
             return self._products(z, 0, counts)
-        step = max(1, _EVAL_CHUNK // (8 * k))  # rows per tile
+        step = max(1, _TILE_ELEMENTS // (2 * k))  # rows per tile
         if z.size > step:
             return np.concatenate([self._covering(z[at:at + step], counts[at:at + step], k)
                                    for at in range(0, z.size, step)])
@@ -372,9 +378,8 @@ class BlaschkeProduct:
     def eval_partial(self, n: int, z: complex) -> complex:
         """Product of the first n stored factors, in stored order.
 
-        Factors are consumed left to right in fixed-size chunks, so results
-        are deterministic run to run; prefixes up to one chunk reduce in
-        strictly sequential order.  Full-circle blocks inside the prefix are
+        Factors are multiplied strictly left to right (_products), so
+        results are deterministic run to run.  Full-circle blocks inside the prefix are
         evaluated in closed form.  Every factor has modulus at most 1 on the
         closed disc, so the accumulator cannot overflow; a non-finite result
         can only mean a boundary pole, which is rescanned for a diagnostic.
@@ -393,19 +398,20 @@ class BlaschkeProduct:
 
     def factors_needed(self, r: float, tol: float) -> int:
         """The count the prefix rule certifies at radius r for tol, or -1 if none."""
-        if not (0.0 <= r < 1.0):
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 <= r < 1.0:
             raise ValidationError(f"truncation requires |z| < 1, got radius {r!r}")
-        over, count, _ = self._prefix_rule(r, _positive_finite(tol, "tol"))
+        over, count, _ = self._prefix_rule(float(r), _positive_finite(tol, "tol"))
         return -1 if over else int(count)
 
     def tail_bound(self, r: float, n: int) -> float:
         """Certified bound on |B - B_n| for |z| <= r (truncation only); n <= 0
         means no factor used."""
-        if not (0.0 <= r < 1.0):
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 <= r < 1.0:
             raise ValidationError(f"tail bound requires radius < 1, got {r!r}")
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n > len(self):
             raise ValidationError(
                 f"factor count must be an integer of at most {len(self)}, got {n!r}")
+        r = float(r)
         return self._tail((1.0 + r) / (1.0 - r), max(n, 0))
 
     def _tail(self, growth, n):
@@ -445,34 +451,27 @@ class BlaschkeProduct:
         truncation bound plus, for each closed-form block used, its phase
         bound; strict mode fails where that sum exceeds truncation_tolerance.
         A failure is raised as the first failing point in input order raises
-        it, a strict one with the point's recorded bound.  On a sequence
-        without blocks, a prefix of two or more factors gives
-        np.multiply.reduce of its factors at the point, bit for bit; a
-        one-factor prefix gives that factor with _cmul's unfused products,
-        whose rounding differs from numpy's product at about two points in
-        five.  One point with |z| < 1 - 2^-48 that does not fail skips the
-        array bookkeeping: the rule at a float radius, then _phase_bounds and
-        the kernels of _value on one-element rows.  Batched and one-point
-        calls agree bit for bit.
+        it, a strict one with the point's recorded bound.  One point with
+        |z| < 1 - 2^-48 that does not fail skips the array bookkeeping: the
+        rule at a float radius, then _phase_bounds and the kernels of _value
+        on one-element rows, or for a prefix covering no whole block the chain
+        of _products inline.  Batched and one-point calls agree bit for bit.
         """
         tol = self.truncation_tolerance
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
-        # One point below _POLE_FREE_RADIUS (so no pole) that does not fail:
-        # the array route's kernels on one-element rows, and for a prefix of
-        # 2.._one_point_limit factors (no block zero) the one-row tile of
-        # _products inline; the same ufuncs, so the same bits.
+        # one point below _POLE_FREE_RADIUS (no pole) that does not fail: the array route's ufuncs
         w = z.item() if z.size == 1 else None
         if w is not None and abs(w) < _POLE_FREE_RADIUS:
             at = abs(w)  # np.hypot's bits
             over, n, bound = self._prefix_rule(at, tol)
-            k = int(self._block_ends.searchsorted(n, "right")) if n > self._one_point_limit else 0
+            k = int(self._block_ends.searchsorted(n, "right")) if self._block_ends.size else 0
             if k:
                 bound += self._phase_bounds(np.array([at]), k)[0]
             if not (strict and (over or bound > tol)):
-                if 2 <= n <= self._one_point_limit:
+                if not k and 0 < n <= _TILE_ELEMENTS // 2:  # one tile: the point as two columns
                     absa, conj_a, rot = self._factor_arrays
-                    values = np.array([np.multiply.reduce(
-                        (absa[:n] - rot[:n] * w) / (1.0 - conj_a[:n] * w))])
+                    factors = np.repeat((absa[:n] - rot[:n] * w) / (1.0 - conj_a[:n] * w), 2)
+                    values = np.multiply.reduce(factors.reshape(n, 2), axis=0, initial=None)[:1]
                 else:
                     values = self._covering(z, np.array([n]), k)
                 return BatchEval(values, np.array([n]), np.array([bound]))

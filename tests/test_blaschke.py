@@ -161,7 +161,7 @@ def test_default_radius_schedule():
 
 
 def test_chunked_eval_matches_direct_product():
-    # one more zero than the chunk size forces the two-chunk path
+    # a product over many tiles of factors, against one reduce of the same factors
     n = 65537
     rng = np.random.default_rng(3)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
@@ -291,11 +291,11 @@ def test_limit_probe_zero_chase_path():
 
 # --- eval_many against the per-point loop it replaced ------------------------
 #
-# _reference_eval is the one-point evaluation as it was before eval_many:
-# every batched value must carry exactly its bits, and every failure its
-# exception type and message.
+# _reference_eval is the one-point evaluation as it was before eval_many, with
+# the product's bits from _chain: every batched value must carry exactly its
+# bits, and every failure its exception type and message.
 
-_CHUNK = 65536
+_CHUNK = 65536  # a size unit of the long-product tests: 1 MiB of complex values
 
 RADIAL30 = {"generator": {"kind": "radial", "angle": 4.002148315014479, "rate": 0.4, "count": 30}}
 RADIAL60 = {"generator": {"kind": "radial", "angle": 1.6951199159934145, "rate": 0.5, "count": 60}}
@@ -324,27 +324,48 @@ def _eager_arrays(seq):
     return absa, rot, conj_a
 
 
-def _reference_partial(prod, n, z):
-    if n == 0:
-        return 1.0 + 0.0j
+def _chain(factors):
+    """The one reference for product bits: the rows of factors (factors x
+    points; a 1-d array is one point) multiplied strictly left to right, each
+    step one numpy binary complex multiply of the running products by the
+    next row, on arrays of at least one element.  No row gives 1 + 0i, one
+    row gives itself.  Each step writes a new array: a one-element multiply
+    written over its own input is run by numpy's unfused reduce loop."""
+    factors = np.asarray(factors, dtype=np.complex128)
+    factors = factors[:, None] if factors.ndim == 1 else factors
+    if not factors.shape[0]:
+        return np.ones(factors.shape[1], dtype=np.complex128)
+    acc = factors[0]
+    for row in factors[1:]:
+        acc = np.multiply(acc, row)
+    return acc.copy()
+
+
+def _range_products(prod, z, lo, hi):
+    """Factors lo..hi-1 of prod at each point z[i], chained (_chain) over
+    blocks of at most 4,096 factors, each block's first row the running
+    products.  A point's factors are one vector at the scalar point, which
+    has the bits of a column of a tile of two or more points; a (1 x 1)
+    broadcast product does not."""
     absa, rot, conj_a = _eager_arrays(prod.zeros)
-    if n <= _CHUNK:
-        num = absa[:n] - rot[:n] * z
-        den = 1.0 - conj_a[:n] * z
-        if np.any(den == 0.0):
-            k = int(np.argmin(np.abs(den)))
-            raise PoleError(f"evaluation point {z!r} is the pole of the factor at zero #{k}")
-        return complex(np.multiply.reduce(num / den))
-    acc = 1.0 + 0.0j
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        num = absa[lo:hi] - rot[lo:hi] * z
-        den = 1.0 - conj_a[lo:hi] * z
-        with np.errstate(divide="ignore", invalid="ignore"):
-            acc *= complex(np.multiply.reduce(num / den))
-    if not cmath.isfinite(acc):
-        _reference_partial(prod, min(n, _CHUNK), z)
-    return acc
+    points = np.asarray(z, dtype=np.complex128).reshape(-1).tolist()
+    acc = np.empty((0, len(points)), dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(lo, hi, 4096) if points else ():
+            f = slice(c, min(c + 4096, hi))
+            rows = np.column_stack([(absa[f] - rot[f] * w) / (1.0 - conj_a[f] * w) for w in points])
+            acc = _chain(np.concatenate([acc, rows]))[None]
+    return acc.reshape(-1) if acc.size else np.ones(len(points), dtype=np.complex128)
+
+
+def _reference_partial(prod, n, z):
+    absa, rot, conj_a = _eager_arrays(prod.zeros)
+    num = absa[:n] - rot[:n] * z
+    den = 1.0 - conj_a[:n] * z
+    if np.any(den == 0.0):
+        k = int(np.argmin(np.abs(den)))
+        raise PoleError(f"evaluation point {z!r} is the pole of the factor at zero #{k}")
+    return complex(_chain(num / den)[0])
 
 
 def _reference_eval(prod, z, strict):
@@ -675,11 +696,11 @@ def test_eval_many_past_one_chunk():
     prod = _without_blocks(FULL10)
     assert len(prod) == 88575 and not prod.zeros.blocks
     theta = 0.7
-    # the whole prefix (88,575 factors) goes point by point, chunk by chunk
+    # the whole prefix (88,575 factors): each point's chain runs across many tiles
     points = [r * cmath.exp(1j * theta) for r in (0.5, 0.99, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -40)]
     got = _check_many(prod, points, strict=False)
     assert set(got[1].tolist()) == {88575}
-    # looser tolerances certify prefixes of one, a few and many rows per block
+    # looser tolerances certify short and long prefixes, ending at different counts
     for tol in (0.5, 0.03, 0.01, 0.003):
         pts = [r * cmath.exp(1j * (theta + k)) for k, r in enumerate((0.1, 0.5, 0.5, 0.7, 0.9))]
         got = _check_many(prod, pts, strict=True, tol=tol)
@@ -689,8 +710,8 @@ def test_eval_many_past_one_chunk():
 
 
 def test_eval_many_block_footprint():
-    # one (points x factors) block holds at most 65,536 complex elements (1 MiB);
-    # the unblocked products below would need over 32 MiB per temporary
+    # factor tiles keep the temporaries small: the untiled products below
+    # would need over 32 MiB per temporary
     import tracemalloc
 
     cantor8, full10 = _product(CANTOR8), _product(FULL10)
@@ -912,10 +933,11 @@ def _phase(prod, z, n):
 def _direct_slack(plain, z, n):
     """A factor-by-factor product's rounding slack, as the benchmark's oracle takes it."""
     conj_a = plain._factor_arrays[1][:n]
-    near_zero = float(np.sum(1.0 / np.abs(z - np.conj(conj_a))))
+    with np.errstate(divide="ignore"):  # at a stored zero: near_zero inf, relative nan
+        near_zero = float(np.sum(1.0 / np.abs(z - np.conj(conj_a))))
     near_pole = float(np.sum(1.0 / np.abs(1.0 - conj_a * z)))
-    value = plain.eval_partial(n, z)
-    return 16.0 * _EPS * min((n + 4.0 * near_zero) * abs(value), n + 4.0 * near_pole) + 64.0 * _EPS
+    relative = (n + 4.0 * near_zero) * abs(plain.eval_partial(n, z))
+    return 16.0 * _EPS * float(np.fmin(relative, n + 4.0 * near_pole)) + 64.0 * _EPS
 
 
 def test_full12_stays_within_the_direct_products_slack():
@@ -951,29 +973,6 @@ def test_prefixes_ending_inside_a_level_mix_blocks_and_factors():
     assert inside > 20
 
 
-def _chunkwise_products(self, z, lo, hi):
-    """The factor-range product as it was written with a per-point loop past one chunk."""
-    n = hi - lo
-    absa, rot, conj_a = (x[lo:hi] for x in _eager_arrays(self.zeros))
-    out = np.empty(z.size, dtype=np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if n <= _CHUNK:
-            rows = _CHUNK // max(n, 1)
-            for at in range(0, z.size, rows):
-                col = z[at:at + rows, None]
-                block = (absa - rot * col) / (1.0 - conj_a * col)
-                out[at:at + rows] = np.multiply.reduce(block, axis=1)
-            return out
-        for i, zi in enumerate(z.tolist()):
-            acc = 1.0 + 0.0j
-            for c in range(0, n, _CHUNK):
-                num = absa[c:c + _CHUNK] - rot[c:c + _CHUNK] * zi
-                den = 1.0 - conj_a[c:c + _CHUNK] * zi
-                acc *= complex(np.multiply.reduce(num / den))
-            out[i] = acc
-    return out
-
-
 def test_blocks_then_a_range_past_one_chunk_keep_the_per_point_bits():
     prod = _product(FULL12)
     ends = [b.start + b.count for b in prod.zeros.blocks]
@@ -983,11 +982,11 @@ def test_blocks_then_a_range_past_one_chunk_keep_the_per_point_bits():
         got = _with_tol(prod, tol).eval_many(points, strict=True)
         n = int(got.factors_used[0])
         k = sum(end <= n for end in ends)
-        # whole blocks, then more than four chunks of the next level
+        # whole blocks, then more than 4 x 65,536 factors of the next level
         assert n - ends[k - 1] > 4 * _CHUNK
         # each block's closed form, then the range's product as one column
         parts = np.hstack([prod._closed_forms(points, k),
-                           _chunkwise_products(prod, points, ends[k - 1], n)[:, None]])
+                           _range_products(prod, points, ends[k - 1], n)[:, None]])
         want = np.multiply.reduce(parts, axis=1)
         assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
 
@@ -1141,30 +1140,6 @@ def test_reference_product_at_zero_is_the_rational_product():
 
 # --- tiled factor products --------------------------------------------------
 
-def _untiled_products(self, z, lo, hi, chunk=_CHUNK):
-    """The factor-range product as it was written before the row tiles: blocks
-    of chunk // width rows, two fresh temporaries per block.  A one-factor
-    range takes one point per block, since a (points x 1) block multiplies
-    down the column and loses the one-point bits."""
-    rows = 1 if hi - lo == 1 else chunk // max(min(hi - lo, chunk), 1)
-    absa, rot, conj_a = _eager_arrays(self.zeros)
-    out = np.empty(z.size, dtype=np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for at in range(0, z.size, rows):
-            col = z[at:at + rows, None]
-            parts = []
-            for c in range(lo, max(hi, lo + 1), chunk):
-                span = slice(c, min(c + chunk, hi))
-                num = rot[span] * col
-                np.subtract(absa[span], num, out=num)
-                den = conj_a[span] * col
-                np.subtract(1.0, den, out=den)
-                parts.append(np.multiply.reduce(np.divide(num, den, out=num), axis=1))
-            out[at:at + rows] = parts[0] if len(parts) == 1 else \
-                np.multiply.reduce(np.stack(parts, axis=1), axis=1)
-    return out
-
-
 def _same_bits(a, b):
     """Same shape and bit patterns: -0.0 differs from 0.0, and nan matches only itself."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -1177,36 +1152,131 @@ def _circle(count, r=0.9, seed=0):
 def test_products_keep_their_bits_across_tile_edges(monkeypatch):
     prod = _product(CANTOR8)
     n = len(prod)
-    assert blaschke._TILE_ELEMENTS // n == 28  # rows per default tile of the full range
     ranges = ((0, n), (3, n - 5), (0, 1), (7, 9), (4, 4))
-    # the default tile, then tiles of 3 rows of the full range
-    for budget in (blaschke._TILE_ELEMENTS, 3 * n):
+    # the default tile, then tiles of 3, 2 and 1 factors per row of 28 points
+    for budget in (blaschke._TILE_ELEMENTS, 3 * 28, 2 * 28 + 1, 28):
         monkeypatch.setattr(blaschke, "_TILE_ELEMENTS", budget)
         for count in (0, 1, 2, 3, 4, 5, 6, 7, 28, 29, 513):
             z = _circle(count, seed=count)
             for lo, hi in ranges:
-                assert _same_bits(prod._products(z, lo, hi), _untiled_products(prod, z, lo, hi))
+                assert _same_bits(prod._products(z, lo, hi), _range_products(prod, z, lo, hi))
 
 
-def test_products_across_two_factor_chunks(monkeypatch):
-    prod = _product(CANTOR8)
+def test_products_carry_each_point_across_tiles(monkeypatch):
+    # a long range: each point's running product is the first row of its next tile
+    prod = _without_blocks(FULL10)
     n = len(prod)
-    for chunk in (300, 567, 64):
-        monkeypatch.setattr(blaschke, "_EVAL_CHUNK", chunk)
-        for count in (0, 1, 5):
-            z = _circle(count, r=0.97, seed=chunk)
-            for lo, hi in ((0, n), (n - chunk - 1, n), (1, 1 + chunk)):
-                want = _untiled_products(prod, z, lo, hi, chunk)
-                assert _same_bits(prod._products(z, lo, hi), want)
-    # past one chunk every point has its one-point product's bits
-    z = _circle(6, r=0.97, seed=1)
+    z = _circle(5, r=0.97, seed=1)
+    for budget in (blaschke._TILE_ELEMENTS, 5 * 600, 7):
+        monkeypatch.setattr(blaschke, "_TILE_ELEMENTS", budget)
+        for lo, hi in ((0, 20_000), (n - 3_001, n), (1, 1 + 4_099)):
+            if budget > 7 or hi - lo < 5_000:
+                assert _same_bits(prod._products(z, lo, hi), _range_products(prod, z, lo, hi))
+    # every point has its one-point product's bits
     got = prod._products(z, 0, n)
-    assert _same_bits(got, np.array([prod._products(z[i:i + 1], 0, n)[0] for i in range(6)]))
+    assert _same_bits(got, np.array([prod._products(z[i:i + 1], 0, n)[0] for i in range(5)]))
+    assert _same_bits(got, _range_products(prod, z, 0, n))
+
+
+def _mixed_ends(spec, seed):
+    """A product and points with many prefix ends: circle points, a radial
+    schedule, stored zeros (where zero parts carry signs) and both zeros,
+    with random ends; a quarter of the points end at the whole prefix, and
+    the last one alone past every other."""
+    prod = _product(spec)
+    seq = prod.zeros
+    rng = np.random.default_rng(seed)
+    z = np.concatenate([_circle(30, r=0.99, seed=seed), default_radius_schedule()[:30] * cmath.exp(0.4j),
+                        _zeros_at(seq, np.flatnonzero(seq.deficits > 2.0 ** -50)[::9]), [0.0, -0.0]])
+    ends = rng.integers(0, len(prod), z.size)
+    ends[::4] = len(prod)
+    ends[-1], ends[:-1] = len(prod), np.minimum(ends[:-1], len(prod) - 3)
+    return prod, z, ends
+
+
+@pytest.mark.parametrize("budget", [2, 3, 64, 2 ** 14])
+def test_chain_values_do_not_depend_on_the_tile_size(budget, monkeypatch):
+    monkeypatch.setattr(blaschke, "_TILE_ELEMENTS", budget)
+    for spec in (CANTOR8, RADIAL60):
+        prod, z, ends = _mixed_ends(spec, budget)
+        want = np.array([_range_products(prod, [w], 0, n)[0] for w, n in zip(z.tolist(), ends)])
+        assert _same_bits(prod._products(z, 0, ends), want)
+        assert _same_bits(prod._products(z, 0, len(prod)), _range_products(prod, z, 0, len(prod)))
+        assert _same_bits(prod._products(z, 5, 6), _range_products(prod, z, 5, 6))
+    # full-circle blocks, then ranges inside a level, batched and one point at a time
+    prod = _full_circle(6)
+    points = _circle(24, r=0.6, seed=budget)
+    for tol in (0.3, 0.05):
+        got = _with_tol(prod, tol).eval_many(points, strict=False)
+        want = [prod.eval_partial(int(n), w) for n, w in zip(got.factors_used, points.tolist())]
+        assert _same_bits(got.values, np.array(want))
+        monkeypatch.setattr(blaschke, "_TILE_ELEMENTS", 2 ** 14)
+        assert _same_bits(got.values, _with_tol(prod, tol).eval_many(points, strict=False).values)
+        monkeypatch.setattr(blaschke, "_TILE_ELEMENTS", budget)
+
+
+def test_chain_values_do_not_depend_on_the_other_points():
+    for spec in (CANTOR8, RADIAL60):
+        prod, z, ends = _mixed_ends(spec, 7)
+        every = prod._products(z, 0, ends)
+        rng = np.random.default_rng(len(prod))
+        # subsets in any order: alone, with a point ending earlier or later,
+        # the one point running past all others, and the whole set reversed
+        subsets = [[i] for i in range(0, z.size, 5)] + [[z.size - 1, 0], [3, z.size - 1, 1]]
+        subsets += [rng.permutation(z.size)[:size].tolist() for size in (2, 3, 17, 40)]
+        subsets.append(list(range(z.size))[::-1])
+        for at in subsets:
+            assert _same_bits(prod._products(z[at], 0, ends[at]), every[at])
+        # one-point calls and the batched call of the public route
+        counts = set()
+        for tol in (None, 0.6, 0.99):
+            loose = _with_tol(prod, tol)
+            batched = loose.eval_many(z, strict=False)
+            counts |= set(batched.factors_used.tolist())
+            one = [loose.eval_many([w], strict=False).values for w in z.tolist()]
+            assert _same_bits(batched.values, np.concatenate(one))
+        assert len(counts) > 10
+
+
+def test_chain_values_are_within_the_rounding_allowance_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    named = [_product(spec) for spec in (RADIAL30, RADIAL60, CANTOR8)]
+    drawn = st.lists(st.tuples(st.floats(0.0, TWO_PI, exclude_max=True),
+                               st.floats(2.0 ** -40, 0.999) | st.sampled_from([0.5, 2.0 ** -30])),
+                     min_size=1, max_size=40).map(lambda rows: BlaschkeProduct(ZeroSequence(
+                         angles=[t for t, _ in rows], deficits=[d for _, d in rows])))
+    radii = st.floats(0.0, 1.0 - 2.0 ** -30) | st.sampled_from([0.5, 0.99, 1.0 - 2.0 ** -20])
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None)
+    @hypothesis.given(prod=st.sampled_from(named) | drawn, r=radii, t=st.floats(0.0, TWO_PI),
+                      share=st.floats(0.0, 1.0), on_zero=st.booleans())
+    def check(prod, r, t, share, on_zero):
+        seq = prod.zeros
+        n = round(share * len(prod))
+        zeros = _zeros_at(seq, slice(None))
+        z = complex(zeros[min(n, len(prod) - 1)]) if on_zero else r * cmath.exp(1j * t)
+        hypothesis.assume(abs(z) < 1.0)
+        w = mp.mpc(z.real, z.imag)
+        exact = mp.mpc(1)
+        for rho, theta in zip((1.0 - seq.deficits[:n]).tolist(), seq.angles[:n].tolist()):
+            turn = mp.expj(-mp.mpf(theta))
+            exact *= (mp.mpf(rho) - turn * w) / (1 - mp.mpf(rho) * turn * w)
+        value = prod.eval_partial(n, z)
+        assert float(abs(mp.mpc(value.real, value.imag) - exact)) <= _direct_slack(prod, z, n)
+        one = prod.eval_many([z], strict=False)  # the one-point route, at its own count
+        m = int(one.factors_used[0])
+        if m == n:
+            assert _same_bits(one.values, np.array([value]))
+
+    check()
 
 
 def test_one_factor_ranges_keep_the_one_point_bits():
-    # a (points x 1) tile used to multiply down the column with numpy's
-    # vectorized complex loop, which rounds differently from a one-point call
+    # a one-factor range is its factor as the tile computes it, batched or alone
     rng = np.random.default_rng(8)
     z = (1.0 - rng.uniform(0.0, 1.0, 1000) ** 4) * np.exp(1j * rng.uniform(0.0, TWO_PI, 1000))
     one = _one_factor(0.3 - 0.4j)
@@ -1230,8 +1300,8 @@ def test_products_allocate_only_the_rows_they_use(monkeypatch):
 
     monkeypatch.setattr(blaschke.np, "empty", spy_empty)
     prod._products(z, 0, len(prod))
-    # the output and two one-row buffers of the factor range
-    assert sorted(sizes) == [1, len(prod), len(prod)]
+    # two buffers of the whole range and the running products, the point twice
+    assert sorted(sizes) == [2 * (len(prod) + 1)] * 2
 
 
 def test_boundary_pole_names_its_zero_at_any_tile(monkeypatch):
@@ -1286,7 +1356,7 @@ def test_factor_arrays_are_built_on_first_read_with_the_eager_bits():
             inside += 1
             col = np.array([z])
             parts = np.hstack([prod._closed_forms(col, k),
-                               _untiled_products(prod, col, ends[k - 1], n)[:, None]])
+                               _range_products(prod, col, ends[k - 1], n)[:, None]])
             want = complex(np.multiply.reduce(parts, axis=1)[0])
             assert _bits_equal([value, prod.eval_partial(n, z)], [want, want])
             assert loose.eval_many([z], strict=True).values[0] == value
@@ -1521,7 +1591,7 @@ def test_one_product_pass_and_one_prefix_choice_per_call(monkeypatch):
 
 
 def test_mixed_prefix_ends_past_one_chunk_and_between_blocks():
-    # counts on both sides of one chunk; past it, a point's chunks in turn
+    # counts on both sides of 65,536 factors, ending at different counts
     prod = _without_blocks(FULL10)
     rng = np.random.default_rng(88)
     points = rng.uniform(0.3, 0.99, 12) * np.exp(1j * rng.uniform(0.0, TWO_PI, 12))
@@ -1582,8 +1652,7 @@ def _as_one_and_batched(prod, z, strict, tol=None):
     got = _same_as_one_point_calls(prod, [z, z], strict, tol)
     if prod.zeros.blocks:
         return got
-    if isinstance(got[0], type) or got[1][0] != 1:  # one factor: _cmul's bits, not the oracle's
-        _check_many(prod, [z], strict, tol)
+    _check_many(prod, [z], strict, tol)
     return got
 
 
@@ -1748,6 +1817,16 @@ def test_tail_bound_and_factors_needed_refuse_bad_arguments():
     # n <= 0 still means no factor used; a numpy count is an integer
     assert prod.tail_bound(0.5, -3) == prod.tail_bound(0.5, 0) > prod.tail_bound(0.5, 1)
     assert prod.tail_bound(0.5, np.int64(30)) == prod.tail_bound(0.5, 30)
+    # a radius is one real number in [0, 1): arrays, bools, strings and nan are refused
+    for r in (np.array([0.5, 0.6]), np.array(0.5), [0.5], True, "0.5", None, math.nan, -0.1, 1.0,
+              0.5 + 0j):
+        with pytest.raises(ValidationError, match="tail bound requires radius < 1"):
+            prod.tail_bound(r, 3)
+        with pytest.raises(ValidationError, match="truncation requires .z. < 1"):
+            prod.factors_needed(r, 1e-6)
+    for r in (0, 0.3, np.float64(0.3), np.float32(0.3), np.int64(0)):
+        assert prod.tail_bound(r, 3) == prod.tail_bound(float(r), 3)
+        assert prod.factors_needed(r, 1e-6) == prod.factors_needed(float(r), 1e-6)
 
 
 def _cumsum_rule(seq, r, tol):
