@@ -83,18 +83,6 @@ def _expm1j(x: np.ndarray, half: np.ndarray, cos: np.ndarray, sin: np.ndarray) -
     return out
 
 
-def _row_products(tile: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
-    """Each row of a C-contiguous tile multiplied left to right, over its first
-    min(lengths[i], width) >= 1 entries where lengths are given.  A shorter
-    row is never padded with 1 instead: x (1 + 0i) can flip the sign of a zero part."""
-    rows, width = tile.shape
-    if lengths is None or lengths.min() >= width:
-        return np.multiply.reduce(tile, axis=1)
-    cuts = np.arange(rows) * width  # each row's start, then its end
-    cuts = np.column_stack([cuts, cuts + lengths]).reshape(-1)[:-1]
-    return np.multiply.reduceat(tile.reshape(-1)[:cuts[-1] + max(lengths[-1], 1)], cuts)[::2]
-
-
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """A Blaschke product over a stored zero prefix.
@@ -330,11 +318,14 @@ class BlaschkeProduct:
         lo = int(self._block_ends[k - 1])
         columns = [self._closed_forms(z, k)]
         columns += [self._products(z, a, b)[:, None] for a, b in self._gaps if b < lo]
-        # a factor range after the last whole block, in the rows whose prefix reaches it
+        # a factor range after the last whole block, in the rows whose prefix reaches it;
+        # the other rows leave its column out (x (1 + 0i) can flip the sign of a zero part)
         if lo < len(self) and np.count_nonzero(past := counts > lo):
             columns.append(self._products(z, lo, counts)[:, None])
             parts = np.hstack(columns)
-            return np.ascontiguousarray(_row_products(parts, parts.shape[1] - ~past))
+            out = np.multiply.reduce(parts[:, :-1], axis=1)
+            out[past] = np.multiply.reduce(parts[past], axis=1)
+            return out
         return np.multiply.reduce(np.hstack(columns) if len(columns) > 1 else columns[0], axis=1)
 
     def _phase_bounds(self, r: np.ndarray, k) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,7 +81,8 @@ class LevelBlock(NamedTuple):
     Zeros ``start`` to ``start + count - 1`` have deficit ``deficit`` and
     angles ``angle + 2*pi*j/count`` (j = 0..count-1, reduced to [0, 2*pi)),
     up to BLOCK_ANGLE_SLACK.  Their product is one Blaschke factor in z^count,
-    which BlaschkeProduct evaluates in closed form.
+    which BlaschkeProduct evaluates in closed form.  Only
+    gen_accumulation_sequence makes them.
     """
 
     start: int
@@ -100,13 +101,14 @@ class ZeroSequence:
     generators set it from their analytic tail formulas, every truncation
     bound reads it, and explicit finite lists have 0.  ``blocks`` lists the
     full-circle levels (LevelBlock, in index order) that
-    gen_accumulation_sequence records; every other sequence has none.
+    gen_accumulation_sequence records; it is not a constructor argument, and
+    every other sequence has none.
     """
 
     angles: np.ndarray
     deficits: np.ndarray
     extension_mass: float = 0.0
-    blocks: tuple[LevelBlock, ...] = ()
+    blocks: tuple[LevelBlock, ...] = field(default=(), init=False)
 
     def __post_init__(self, copy: bool = True) -> None:
         # explicit inputs are copied, so changing the caller's arrays leaves the sequence
@@ -133,17 +135,13 @@ class ZeroSequence:
         object.__setattr__(self, "deficits", deficits)
         if self.extension_mass < 0.0 or not math.isfinite(self.extension_mass):
             raise ValidationError("extension_mass must be finite and >= 0")
-        object.__setattr__(self, "blocks", tuple(LevelBlock(*b) for b in self.blocks))
-        end = 0
-        for b in self.blocks:
-            _check_block(b, end, angles, deficits)
-            end = b.start + b.count
 
     @classmethod
     def _adopt(cls, angles: np.ndarray, deficits: np.ndarray, extension_mass: float,
                blocks: tuple[LevelBlock, ...] = ()) -> "ZeroSequence":
         """A sequence that takes over a generator's fresh 1-d float64 arrays:
-        __post_init__ checks them and reduces the angles in place, without a copy."""
+        __post_init__ checks them and reduces the angles in place, without a copy.
+        The generator's blocks are its own record and are not checked again."""
         seq = object.__new__(cls)
         vars(seq).update(angles=angles, deficits=deficits, extension_mass=extension_mass,
                          blocks=blocks)  # frozen: written past __setattr__
@@ -199,23 +197,6 @@ class ZeroSequence:
             _require_object(entry, f"{where} must be an object with 're' and 'im'", "re", "im")
             out.append(_require_complex(entry, where))
         return cls.from_zeros(out)
-
-
-def _check_block(b: LevelBlock, end: int, angles: np.ndarray, deficits: np.ndarray) -> None:
-    """A block must follow the previous one (ending at ``end``) and describe its zeros."""
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in (b.start, b.count)):
-        raise ValidationError(f"{b} needs integer start and count")
-    if b.start < end or b.count < 1 or b.start + b.count > angles.size:
-        raise ValidationError(f"{b} overlaps another block or lies outside the sequence")
-    span = slice(b.start, b.start + b.count)
-    if not 0.0 < 1.0 - b.deficit < 1.0 or np.any(deficits[span] != b.deficit):
-        raise ValidationError(f"{b} has a deficit outside (0, 1) or unlike its zeros'")
-    for lo in range(0, b.count, 2 ** 14):  # in chunks, with temporaries of 128 KiB
-        j = np.arange(lo, min(lo + 2 ** 14, b.count))
-        offset = angles[b.start + lo:b.start + lo + j.size] - (b.angle + j * (TWO_PI / b.count))
-        offset -= TWO_PI * np.round(offset / TWO_PI)
-        if not np.max(np.abs(offset)) <= BLOCK_ANGLE_SLACK:
-            raise ValidationError(f"{b} does not match its zeros' angles")
 
 
 def _require_number(obj, key, where: str = "") -> float:
@@ -298,7 +279,8 @@ class ClosedSetSpec:
 
     kind "finite-points": the listed angles.
     kind "arc-union": a union of closed arcs [start, end] (end may wrap past
-    2*pi; overlap of positive length between listed arcs is rejected).
+    2*pi, and a span of a turn or more is the whole circle; overlap of
+    positive length between listed arcs is rejected).
     kind "cantor": the level-n middle-thirds prefigure of base_arc, i.e. the
     union of 2^n closed subarcs each a 3^-n fraction of the base arc.
     """
@@ -368,18 +350,19 @@ class ClosedSetSpec:
 
 
 def _normalize_arc(start: float, end: float) -> tuple[float, float]:
-    """Normalize to (s, s + length) with s in [0, 2*pi) and 0 < length <= 2*pi."""
+    """Normalize to (s, s + length) with s in [0, 2*pi) and 0 < length <= 2*pi.
+
+    An end below the start wraps past 2*pi; a span of a turn or more is the
+    whole circle, one turn from s."""
     length = end - start
     if not math.isfinite(length):  # also finite endpoints whose difference overflows
         raise ValidationError("arc endpoints must be finite, with a finite difference")
-    if length <= 0.0 or length > TWO_PI:
-        length = length % TWO_PI
     if length == 0.0:
-        if end == start:
-            raise ValidationError("zero-length arc; use finite-points for single angles")
-        length = TWO_PI
+        raise ValidationError("zero-length arc; use finite-points for single angles")
+    if length < 0.0:
+        length = length % TWO_PI or TWO_PI
     s = normalize_angle(start)
-    return (s, s + length)
+    return (s, s + min(length, TWO_PI))
 
 
 def _arc_segments(arc: tuple[float, float]) -> list[tuple[float, float]]:
@@ -440,25 +423,20 @@ def gen_radial_sequence(angle: float, rate: float, count: int) -> ZeroSequence:
 
 
 def _spaced(runs: list[tuple[float, float, int, bool]]) -> np.ndarray:
-    """normalize_angle(s + j*step) for j = 0..m-1 of each run (s, step, m, _),
-    one run after another, with the same bits; each run is written in place."""
+    """s + j*step for j = 0..m-1 of each run (s, step, m, _), one run after
+    another, each written in place; ZeroSequence reduces them to [0, 2*pi)."""
     t = np.empty(sum(m for _, _, m, _ in runs), dtype=np.float64)
     at = 0
     for s, step, m, _ in runs:
         run = t[at:at + m]
-        np.multiply(np.arange(m, dtype=np.float64), step, out=run)
-        np.fmod(np.add(s, run, out=run), TWO_PI, out=run)
+        np.add(s, np.multiply(np.arange(m, dtype=np.float64), step, out=run), out=run)
         at += m
-    t[t < 0.0] += TWO_PI
-    t[t >= TWO_PI] = 0.0
     return t
 
 
 def _level_runs(target: ClosedSetSpec, level: int) -> list[tuple[float, float, int, bool]]:
     """One generator level as runs (start, step, count, full circle?), one per
     arc, with angular gap at most 2*pi*3^-level on each arc."""
-    if target.kind == "finite-points":
-        return [(p, 0.0, 1, False) for p in target.points]
     gap = TWO_PI * (3.0 ** -level)
     runs = []
     for s, e in target.closure_arcs():
@@ -497,13 +475,14 @@ def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence
     angular distance 2*pi*3^-l, which pins the accumulation set to the target
     closure and nothing else (all zero angles lie on the target).  Each
     level of a full-circle arc (its count need not be 3^l: the count is
-    rounded up) is recorded as a LevelBlock.
+    rounded up) is recorded as a LevelBlock; this is the one writer of
+    ZeroSequence.blocks.
     """
     _positive_int(depth, "depth")
     runs: list[tuple[float, float, int, bool]] = []
     sizes: list[int] = []
     level_deficits: list[float] = []
-    full: list[tuple[int, int, float]] = []  # (start, count, deficit) of full-circle runs
+    blocks: list[LevelBlock] = []
     total = 0
     least = _least_level_size(target)
     for level in range(1, depth + 1):
@@ -520,15 +499,14 @@ def gen_accumulation_sequence(target: ClosedSetSpec, depth: int) -> ZeroSequence
             raise ValidationError(
                 f"depth {depth} is too deep: the level-{level} deficit underflows to 0"
             )
-        for _, _, m, full_circle in level_runs:
+        for s, _, m, full_circle in level_runs:
             if full_circle:
-                full.append((total, m, d))
+                blocks.append(LevelBlock(total, m, s, d))
             total += m
         runs += level_runs
         sizes.append(n)
         level_deficits.append(d)
-    angles = _spaced(runs)
     return ZeroSequence._adopt(
-        angles, np.repeat(np.array(level_deficits, dtype=np.float64), sizes), 2.0 ** -depth,
-        tuple(LevelBlock(at, m, float(angles[at]), d) for at, m, d in full),
+        _spaced(runs), np.repeat(np.array(level_deficits, dtype=np.float64), sizes),
+        2.0 ** -depth, tuple(blocks),
     )

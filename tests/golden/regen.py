@@ -79,6 +79,12 @@ CASES: dict[str, list[str]] = {
     "probe-full8": ["probe", "--zeros", "{in}/full8.json", "--angle", "0.3"],
     "frostman-grid-full8": ["frostman", "--zeros", "{in}/full8.json", "--angles", "16"],
     "frostman-theta-full8": ["frostman", "--zeros", "{in}/full8.json", "--theta", "0.3"],
+    # sliver: a full circle short by 1e-10 and an arc in the sliver, whose two zeros
+    # a level share the level's deficit and sit between the blocks
+    "trace-sliver-flags": ["trace", "--zeros", "{in}/sliver.json", "--angle", "0.3",
+                           "--radius-levels", "20", "--truncation-tolerance", "0.1"],
+    "probe-sliver": ["probe", "--zeros", "{in}/sliver.json", "--angle", "0.3"],
+    "frostman-grid-sliver": ["frostman", "--zeros", "{in}/sliver.json", "--angles", "16"],
     "series-point": ["series", "--spec", "{in}/lp6.json", "--at", "0.1", "0.2"],
     "series-circle-flags": ["series", "--spec", "{in}/lp6.json", "--r", "0.9", "--angles", "16",
                             "--series-tolerance", "1e-6"],

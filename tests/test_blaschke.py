@@ -1364,12 +1364,19 @@ def test_factor_arrays_are_built_on_first_read_with_the_eager_bits():
     assert _bits_equal(prod._factor_arrays, (absa, conj_a, rot))
 
 
+def _with_blocks(angles, deficits, blocks):
+    """A sequence on fresh copies of angles and deficits with hand-built blocks,
+    for layouts the generator does not make; nothing checks the blocks."""
+    return ZeroSequence._adopt(np.array(angles, dtype=np.float64),
+                               np.array(deficits, dtype=np.float64), 0.0,
+                               tuple(LevelBlock(*b) for b in blocks))
+
+
 def test_a_pole_rescan_reads_the_factor_arrays_with_the_eager_bits():
     # a block-covered sequence and one zero whose modulus rounds to 1: z = 1 is its pole
     full = _product(FULL10).zeros
     n = len(full)
-    seq = ZeroSequence(angles=np.append(full.angles, 0.0), deficits=np.append(full.deficits, 2.0 ** -54),
-                       blocks=full.blocks)
+    seq = _with_blocks(np.append(full.angles, 0.0), np.append(full.deficits, 2.0 ** -54), full.blocks)
     prod = BlaschkeProduct(seq)
     assert "_factor_arrays" not in vars(prod)
     with pytest.raises(PoleError, match=f"zero #{n}$"):
@@ -1391,8 +1398,7 @@ def _near_circle_levels():
         deficits.append(np.full(m, d))
         blocks.append((start, m, float(angles[-1][0]), d))
         start += m
-    seq = ZeroSequence(angles=np.concatenate(angles), deficits=np.concatenate(deficits),
-                       blocks=blocks)
+    seq = _with_blocks(np.concatenate(angles), np.concatenate(deficits), blocks)
     return len(shallow), seq
 
 
@@ -1762,10 +1768,10 @@ def test_one_point_calls_on_block_products_take_the_one_point_route(monkeypatch)
     # radial zeros, full-circle blocks, radial zeros: prefixes before the
     # first block, inside a level, at a block's end and past the last block
     radial, circle = ZeroSequence.from_json(RADIAL30), _full_circle(3).zeros
-    prod = BlaschkeProduct(ZeroSequence(
-        angles=np.concatenate([radial.angles[:20], circle.angles, radial.angles[20:]]),
-        deficits=np.concatenate([radial.deficits[:20], circle.deficits, radial.deficits[20:]]),
-        blocks=[b._replace(start=b.start + 20) for b in circle.blocks]))
+    prod = BlaschkeProduct(_with_blocks(
+        np.concatenate([radial.angles[:20], circle.angles, radial.angles[20:]]),
+        np.concatenate([radial.deficits[:20], circle.deficits, radial.deficits[20:]]),
+        [b._replace(start=b.start + 20) for b in circle.blocks]))
     first, ends = prod.zeros.blocks[0].start, prod._block_ends.tolist()
     kinds = set()
     # points near 0 certify prefixes before the first block at tolerance 0.99
@@ -1914,7 +1920,7 @@ def test_chase_levels_are_read_from_the_blocks():
 
     def joined(parts, blocks):
         angles, deficits = map(np.concatenate, zip(*parts))
-        return ZeroSequence(angles=angles, deficits=deficits, blocks=blocks)
+        return _with_blocks(angles, deficits, blocks)
     shift = [b._replace(start=b.start + 20) for b in circle.blocks]
     seqs = [ZeroSequence.from_json(spec) for spec in (FULL10, CANTOR8, RADIAL60)] + [
         # radial zeros before, between and after the blocks

@@ -70,7 +70,7 @@ def test_scan_partial_report_on_exhausted_prefix(shallow_zeros, tmp_path, capsys
     assert len(lines) == 17
 
 
-def test_validation_failures_exit_2(tmp_path, deep_zeros):
+def test_validation_failures_exit_2(tmp_path, deep_zeros, capsys):
     assert run(["warp", "--zeros", deep_zeros]) == 2  # unknown subcommand
     assert run(["scan", "--zeros", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -81,6 +81,20 @@ def test_validation_failures_exit_2(tmp_path, deep_zeros):
     cfg.write_text("mystery = 1\n")
     assert run(["scan", "--zeros", deep_zeros, "--config", str(cfg)]) == 2
     assert run([]) == 2  # no subcommand
+    capsys.readouterr()
+    cfg.write_text("verdict_tolerance 1e-3\n")  # no '='
+    for argv, message in (
+        (["scan", "--zeros", deep_zeros, "--config", str(tmp_path / "missing.conf")],
+         "cannot read config file"),
+        (["scan", "--zeros", deep_zeros, "--config", str(cfg)], "expected 'key = value'"),
+        (["scan", "--zeros", deep_zeros, "--r", "0.5", "--out", str(tmp_path / "no" / "x.csv")],
+         "cannot write"),
+        (["selftest", "--only", ","], "--only selected no criteria"),
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"boundarylab {argv[0]}: ") and message in err, err
+        assert "Traceback" not in err
 
 
 def test_settings_are_range_checked(tmp_path, deep_zeros):
@@ -465,33 +479,48 @@ def _series_of(blaschke, weight=0.5):
 _RADIAL = {"generator": {"kind": "radial", "angle": 0.0, "rate": 0.5, "count": 40}}
 
 
-@pytest.mark.parametrize("subcommand,text", [
-    ("scan", json.dumps({"zeros": [{"re": "x", "im": 0.0}]})),
-    ("scan", json.dumps({"zeros": [{"re": 0.1, "im": 0.2}, {"re": None, "im": 0.0}]})),
-    ("scan", '{"generator": {"kind": "radial", "angle": 1e999, "rate": 0.5, "count": 4}}'),
-    ("scan", json.dumps({"generator": {"kind": "accumulation", "depth": 3, "target": {
-        "kind": "finite-points", "points": [0.5, "x"]}}})),
-    ("series", json.dumps(_series_of({"zeros": [{"re": "x", "im": 0.0}]}))),
-    ("series", json.dumps(_series_of(_RADIAL, weight="half"))),
+_ACCUMULATION = {"kind": "accumulation", "depth": 3}
+
+
+@pytest.mark.parametrize("subcommand,text,message", [
+    ("scan", json.dumps({"zeros": [{"re": "x", "im": 0.0}]}), "zeros[0] field 're' must be a number"),
+    ("scan", json.dumps({"zeros": [{"re": 0.1, "im": 0.2}, {"re": None, "im": 0.0}]}),
+     "zeros[1] field 're' must be a number"),
+    ("scan", '{"generator": {"kind": "radial", "angle": 1e999, "rate": 0.5, "count": 4}}',
+     "field 'angle' must be finite"),
+    ("scan", json.dumps({"generator": {**_ACCUMULATION, "target": {
+        "kind": "finite-points", "points": [0.5, "x"]}}}), "points[1] must be a number"),
+    ("series", json.dumps(_series_of({"zeros": [{"re": "x", "im": 0.0}]})),
+     "zeros[0] field 're' must be a number"),
+    ("series", json.dumps(_series_of(_RADIAL, weight="half")),
+     "terms[0] field 'weight' must be a number"),
     ("scan", json.dumps({"generator": {"kind": "radial", "angle": True, "rate": 0.5,
-                                       "count": 4}})),
-    ("scan", json.dumps({"zeros": [{"re": False, "im": 0.5}]})),
-    ("scan", json.dumps({"generator": {"kind": "accumulation", "depth": 100000, "target": {
-        "kind": "finite-points", "points": [0.5]}}})),
+                                       "count": 4}}), "field 'angle' must be a number"),
+    ("scan", json.dumps({"zeros": [{"re": False, "im": 0.5}]}),
+     "zeros[0] field 're' must be a number"),
+    ("scan", json.dumps({"generator": {**_ACCUMULATION, "depth": 100000, "target": {
+        "kind": "finite-points", "points": [0.5]}}}), "depth 100000 is too deep"),
     ("scan", json.dumps({"generator": {"kind": "radial", "angle": 0.0, "rate": 0.5,
-                                       "count": 2000}})),
+                                       "count": 2000}}), "count 2000 is too large for rate 0.5"),
+    ("scan", json.dumps({"generator": {**_ACCUMULATION, "target": {
+        "kind": "cantor", "cantor_level": 21}}}), "cantor_level must lie in [0, 20]"),
+    ("scan", json.dumps({"generator": {"kind": "radial", "angle": 0.0, "rate": 0.5,
+                                       "count": 2_000_000}}),
+     "count 2000000 exceeds the 1000000 generated-zero cap"),
+    ("series", json.dumps(_series_of(_RADIAL, weight=0)), "terms[0] weight must be finite and positive"),
+    ("series", json.dumps(_series_of(_RADIAL, weight=-0.5)),
+     "terms[0] weight must be finite and positive"),
 ], ids=["re-string", "re-null", "infinite-angle", "finite-points-string", "series-zeros",
-        "series-weight", "angle-true", "re-false", "depth-underflow", "count-underflow"])
-def test_malformed_evaluation_inputs_exit_2(tmp_path, capsys, subcommand, text):
+        "series-weight", "angle-true", "re-false", "depth-underflow", "count-underflow",
+        "cantor-level-21", "count-cap", "series-weight-zero", "series-weight-negative"])
+def test_malformed_evaluation_inputs_exit_2(tmp_path, capsys, subcommand, text, message):
     path = _write(tmp_path, "input.json", text)
     flag = "--zeros" if subcommand == "scan" else "--spec"
     assert run([subcommand, flag, path, "--angles", "8"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"boundarylab {subcommand}: ")
+    assert err.startswith(f"boundarylab {subcommand}: {message}")
     assert "Traceback" not in err
     assert "np." not in err
-    if "true" in text or "false" in text:
-        assert "must be a number" in err
 
 
 _GRID = {"width": 2, "height": 2, "unbounded": 0, "cells": [1, 1, 1, 1]}

@@ -73,6 +73,8 @@ def test_products_certify_against_their_own_tolerance_only():
     assert not hasattr(boundarylab.BlaschkeProduct, "eval_truncated")
     assert "tol" not in inspect.signature(boundarylab.BlaschkeProduct.eval_many).parameters
     assert not hasattr(boundarylab.ZeroSequence, "zeros")
+    # full-circle blocks are the generator's own record, never a caller's
+    assert "blocks" not in inspect.signature(boundarylab.ZeroSequence).parameters
     assert not hasattr(boundarylab.BoundaryFunction, "evaluate")
     fields = {f.name for f in dataclasses.fields(boundarylab.BoundaryScan)}
     assert fields == {"angles", "samples", "modulus_min", "modulus_max"}

@@ -22,6 +22,7 @@ from boundarylab.unitdisc import (
     BLOCK_ANGLE_SLACK,
     MAX_ANGLES,
     TWO_PI,
+    LevelBlock,
     ZeroSequence,
     gen_radial_sequence,
     uniform_angles,
@@ -611,13 +612,21 @@ def test_carlson_rf_returns_on_an_empty_input_and_a_schedule_without_a_window_fr
             assert abs(got - want) <= (n + 4) * UNIT * want, (n, theta)
 
 
+def _with_blocks(angles, deficits, blocks):
+    """A sequence on fresh copies of angles and deficits with hand-built blocks,
+    for layouts the generator does not make; nothing checks the blocks."""
+    return ZeroSequence._adopt(np.array(angles, dtype=np.float64),
+                               np.array(deficits, dtype=np.float64), 0.0,
+                               tuple(LevelBlock(*b) for b in blocks))
+
+
 def test_the_block_plan_is_shared_by_sequences_with_equal_blocks():
     """Two sequences with equal blocks, whose stored angles differ within
     BLOCK_ANGLE_SLACK, share one plan; each sums bit for bit as with a cleared
     cache (a fresh process), in either order."""
     seq = _full_circle(10)
     moved = np.nextafter(seq.angles, TWO_PI)  # one ulp up, far inside the slack
-    other = ZeroSequence(angles=moved, deficits=seq.deficits, blocks=seq.blocks)
+    other = _with_blocks(moved, seq.deficits, seq.blocks)
     assert other.blocks == seq.blocks and not np.array_equal(other.angles, seq.angles)
     angles = np.concatenate([uniform_angles(8), seq.angles[-2:], other.angles[-2:]])
     schedule = tuple(sorted(set(doubling_schedule(len(seq))) | set(_block_ends(seq))))
@@ -648,7 +657,7 @@ def _hand_built(levels, start):
         blocks.append((len(angles), count, float(t[0]), deficit))
         angles += t.tolist()
         deficits += [deficit] * count
-    return ZeroSequence(angles=angles, deficits=deficits, blocks=blocks)
+    return _with_blocks(angles, deficits, blocks)
 
 
 def test_block_route_agrees_with_the_kernel_on_hand_built_blocks():
@@ -664,11 +673,8 @@ def test_block_route_agrees_with_the_kernel_on_hand_built_blocks():
         on_zero=st.booleans())
     def check(levels, start, where, on_zero):
         levels = [(m, 10.0 ** e) for m, e in levels]
-        if any(1.0 - d == 1.0 for _, d in levels):
-            # a block at modulus 1 is refused, so the route never sees d < 2^-54
-            with pytest.raises(ValidationError, match="deficit"):
-                _hand_built(levels, start)
-            levels = [(m, max(d, 2.0 ** -53)) for m, d in levels]
+        # the generator records no block at modulus 1, so the route never sees d < 2^-54
+        levels = [(m, max(d, 2.0 ** -53)) for m, d in levels]
         seq = _hand_built(levels, start)
         theta = float(seq.angles[int(where * (len(seq) - 1))]) if on_zero else where * TWO_PI
         theta = np.array([theta % TWO_PI])
@@ -680,8 +686,7 @@ def test_block_route_agrees_with_the_kernel_on_hand_built_blocks():
             # the bound, and the kernel's own left-to-right rounding
             assert abs(g - w) <= _route_bound(seq, n, w) + (n + 4) * UNIT * w, (n, g, w)
         # blocks that leave a zero uncovered: the term-by-term kernel, bit for bit
-        extra = ZeroSequence(angles=np.append(seq.angles, 1.0),
-                             deficits=np.append(seq.deficits, 0.25), blocks=seq.blocks)
+        extra = _with_blocks(np.append(seq.angles, 1.0), np.append(seq.deficits, 0.25), seq.blocks)
         schedule = doubling_schedule(len(extra))
         assert np.array_equal(frostman._schedule_sums(extra, theta, schedule),
                               _whole_row_sums(extra, theta, schedule))
