@@ -45,9 +45,15 @@ from .unitdisc import (
 # Radius schedules stop at 1 - 2^-53, the float just below 1.
 MAX_RADIUS_LEVELS = 53
 
-# Complex elements per (factors x points) tile of _products, 256 KiB per
-# buffer; a value's bits do not depend on it.
+# Factor rows times points per tile of _products: 256 KiB of numerators, as
+# much of denominators and of the points spread over the rows; a value's bits
+# do not depend on it.
 _TILE_ELEMENTS = 2 ** 14
+
+# Factors per group of _products: one complex division per group and point.
+# Below _POLE_FREE_RADIUS each factor's |a| |1 - conj(a) z| is at least 2^-55, so
+# a group's scaled denominator stays above 2^(-55 G) = 2^-880, a normal float.
+_GROUP = 16
 
 # No factor denominator 1 - conj(a) z rounds to 0 below this modulus: |conj(a)| <= 1 + 3 eps
 # and Re(conj(a) z) is within 3 eps of exact, so it stays below 1 for |z| < 1 - 8 eps.
@@ -141,14 +147,19 @@ class BlaschkeProduct:
         return mass
 
     @functools.cached_property
-    def _factor_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """|a|, conj(a) and rot = conj(a)/|a| per zero, built for the first factor range
-        or pole rescan; rot is -1 at |a| = 0, where (|a| - rot z)/(1 - conj(a) z) is z."""
+    def _factor_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """|a|^2, conj(a) and the scale |a| per zero, all complex, built for the
+        first factor range or pole rescan, each followed by _GROUP neutral
+        entries (0, 0 and 1) that let a tile end on a whole group; and the
+        indices of the zeros at the origin, whose scale is 1 and whose
+        numerator the tile sets to z."""
         absa = 1.0 - self.zeros.deficits
         conj_a = np.conj(absa * np.exp(1j * self.zeros.angles))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rot = np.where(absa > 0.0, conj_a / np.where(absa > 0.0, absa, 1.0), -1.0)
-        return absa, conj_a, rot
+        pad = np.zeros(_GROUP)
+        return (np.concatenate([absa * absa, pad]).astype(np.complex128),
+                np.concatenate([conj_a, pad]),
+                np.concatenate([np.where(absa > 0.0, absa, 1.0), pad + 1.0]).astype(np.complex128),
+                np.flatnonzero(absa == 0.0))
 
     @functools.cached_property
     def _chase_levels(self) -> list:
@@ -205,60 +216,192 @@ class BlaschkeProduct:
 
     def _products(self, z: np.ndarray, lo: int, hi) -> np.ndarray:
         """Product of factors lo..hi[i]-1 at each point z[i] (hi an array, or
-        one end for all): per point a strictly left-to-right chain, every
-        complex multiply rounded as numpy's SIMD multiply rounds it, whatever
-        the tile size and the other points.  A pole leaves a non-finite value.
+        one end for all).  A value depends only on z[i], lo and its end, not
+        on the tile size or the other points.  A pole leaves a non-finite value.
 
-        Factors are evaluated in (factors x points) tiles, points contiguous,
-        with each point's running product in the row ahead of its next factor,
-        and reduced down the columns with initial=None (never times 1 + 0i,
-        which can flip the sign of a zero part).  Points are stable-sorted by
-        end, and each segment up to the next distinct end is one reduce on the
-        points still running.  A one-column reduce would take numpy's unfused
-        loop: one point is reduced twice, a last one beside a finished one.
+        A factor is (|a|^2 - w) / (|a| (1 - w)) with w = conj(a) z, and z / 1
+        for a zero at the origin (scale 1).  The factors are taken in groups
+        of _GROUP counted from lo; the group in which a point's range ends is
+        padded with exact ones past its end.  Per group and point the
+        numerators and the denominators are chained apart, strictly left to
+        right with every complex multiply rounded as numpy's SIMD multiply
+        rounds it; the denominator product times the group's |a| product (a
+        complex multiply by |a| + 0i, each part rounded as by a real one) is
+        divided into the numerator product once; and the quotients are
+        chained left to right into the value.  In a 32 x 512 tile a division
+        per factor took about 70 of 170 us, and the group quotients take 5 us
+        (shared 2-vCPU Xeon with AVX-512, numpy 2.4.6; _fill has the rest).
+
+        Range: below _POLE_FREE_RADIUS, fl(Re w) < 1, so Re(1 - w), exact by
+        Sterbenz near 1, is at least 2^-53; where |a| <= 1/2 it is at least
+        1/2 - 3 eps, and |a| >= 2^-53 for a zero off the origin.  So each
+        factor has |a| |1 - w| >= 2^-55, and a group's scaled denominator is
+        at least 2^(-55 _GROUP) = 2^-880 (up to 2 _GROUP eps): a normal float,
+        so a numerator that underflows moves its quotient by under 2^-190, and
+        nothing overflows (|a|^2, |w| and |1 - w| stay below 2.01).  The case
+        this does not cover is a real part that rounds to exactly 0, which
+        needs fl(Re w) = 1 and so |z| >= _POLE_FREE_RADIUS; such points are
+        chained in groups of one, a division per factor.  _GROUP = 16 keeps
+        880 below 1022 with a margin of 2^142; 32 would not.
+
+        One point is _point.  More points are evaluated in tiles of whole
+        groups in factor order, points contiguous, at most _TILE_ELEMENTS //
+        _GROUP points per pass.  Points are stable-sorted by end; per tile,
+        each distinct last group is one reduce of the group quotients on the
+        points still running, with their running products in the row ahead.
+        A one-column reduce would take numpy's unfused loop: a last running
+        point is reduced beside a finished one whose result is dropped.
         """
-        one = z.size == 1
-        z = np.repeat(z, 2) if one else z
         lengths = np.subtract(hi, lo, out=np.zeros(z.size, dtype=np.int64))
+        near = np.hypot(z.real, z.imag) >= _POLE_FREE_RADIUS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if not near.any():
+                return self._chain(z, lo, lengths, _GROUP)
+            out = np.empty(z.size, dtype=np.complex128)
+            for group, at in ((_GROUP, ~near), (1, near)):
+                out[at] = self._chain(z[at], lo, lengths[at], group)
+        return out
+
+    def _fill(self, num: np.ndarray, den: np.ndarray, f0: int, zs: np.ndarray) -> None:
+        """Numerators and denominators of factors f0.. at the points zs[0] into
+        the rows of num and den (factors, points); zs holds the points in every
+        row.  numpy's loops over two whole arrays run about 2.5 times faster
+        than with one operand broadcast along a row (a 32 x 512 complex
+        multiply: 10 against 25 us), so each factor's coefficient is first
+        spread over its row of num."""
+        absa2, conj_a, _, origins = self._factor_arrays
+        f = slice(f0, f0 + num.shape[0])
+        np.copyto(num, conj_a[f, None])
+        np.multiply(num, zs, out=den)
+        np.copyto(num, absa2[f, None])
+        np.subtract(num, den, out=num)
+        np.subtract(1.0, den, out=den)
+        if origins.size:
+            num[origins[(origins >= f.start) & (origins < f.stop)] - f0] = zs[0]
+
+    def _coefficients(self, f0: int, groups: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """[conj(a), conj(a), 0] and [|a|^2, 1, scale] of the factors in the
+        given groups of g from factor f0, as (g, groups, 3) arrays with factor
+        f0 + i g + r at [r, i]: one multiply by z and one subtract give the
+        three columns of a _point tile."""
+        absa2, conj_a, scale, _ = self._factor_arrays
+        f = slice(f0, f0 + g * groups)
+        conj = np.zeros((g, groups, 3), dtype=np.complex128)
+        coef = np.ones((g, groups, 3), dtype=np.complex128)
+        conj[..., 0] = conj[..., 1] = conj_a[f].reshape(groups, g).T
+        coef[..., 0] = absa2[f].reshape(groups, g).T
+        coef[..., 2] = scale[f].reshape(groups, g).T
+        return conj, coef
+
+    @functools.cached_property
+    def _point_tiles(self) -> tuple[np.ndarray, np.ndarray]:
+        """_coefficients of the one-point route: groups of _GROUP from factor 0,
+        up to the first whole block and at most one tile."""
+        end = int(self._block_ends[0]) if self._block_ends.size else len(self)
+        return self._coefficients(0, min(-(-end // _GROUP), max(1, _TILE_ELEMENTS // (3 * _GROUP))),
+                                  _GROUP)
+
+    def _point(self, z: complex, lo: int, n: int, g: int) -> np.ndarray:
+        """_products at the one point z over factors lo..lo+n-1, n > 0, in groups
+        of g.  Its numerators, denominators and scales are the three columns of
+        a (g, groups, 3) tile (_coefficients), so one reduce over the first
+        axis chains all three for every group (a complex multiply of real
+        scales is the real one in its parts); its quotients are chained as
+        two equal columns."""
+        origins = self._factor_arrays[3]
+        count = -(-n // g)
+        step = max(1, _TILE_ELEMENTS // (3 * g))  # groups per tile
+        cached = lo == 0 and g == _GROUP and count <= self._point_tiles[0].shape[1]
+        nd = np.empty((count, 3), dtype=np.complex128)
+        for i in range(0, count, step):
+            size, f0 = min(step, count - i), lo + i * g
+            conj, coef = ([c[:, i:i + size] for c in self._point_tiles] if cached
+                          else self._coefficients(f0, size, g))
+            t = np.multiply(conj, z)
+            np.subtract(coef, t, out=t)
+            if origins.size:
+                for k in (origins[(origins >= f0) & (origins < f0 + g * size)] - f0).tolist():
+                    t[k % g, k // g, 0] = z
+            if n < (i + size) * g:  # the last group is padded with ones past factor n
+                t[n - (i + size - 1) * g:, size - 1] = 1.0
+            np.multiply.reduce(t, axis=0, initial=None, out=nd[i:i + size])
+        q = np.divide(nd[:, :1], nd[:, 1:2] * nd[:, 2:], out=np.empty((count, 2), dtype=np.complex128))
+        return q[0, :1] if count == 1 else np.multiply.reduce(q, axis=0, initial=None)[:1]
+
+    def _chain(self, z: np.ndarray, lo: int, lengths: np.ndarray, g: int) -> np.ndarray:
+        """_products over factors lo..lo+lengths[i]-1 in groups of g."""
+        if z.size < 2:
+            return self._point(z.item(), lo, int(lengths[0]), g) if z.size and lengths[0] \
+                else np.ones(z.size, dtype=np.complex128)
+        step = max(2, _TILE_ELEMENTS // g)  # points per call: a tile of one group at most
+        if z.size > step:
+            return np.concatenate([self._chain(z[i:i + step], lo, lengths[i:i + step], g)
+                                   for i in range(0, z.size, step)])
         width = int(lengths.max(initial=0))
         order = None if lengths.min(initial=width) == width else lengths.argsort(kind="stable")
         z, lengths = (z, lengths) if order is None else (z[order], lengths[order])
-        firsts = np.flatnonzero(np.diff(lengths, prepend=-1))  # each distinct end's first point
-        firsts, stops = firsts.tolist(), lengths[firsts].tolist()
         acc = np.ones(z.size, dtype=np.complex128)  # before the buffers: they free the heap top
-        size = min(max(_TILE_ELEMENTS, z.size) + z.size, (width + 1) * z.size)
-        num_buf, den_buf = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
-        j, c, last = stops.count(0), 0, z.size - 2  # stops[j]: the next end
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while c < width:  # one tile: row 0 spare, rows 1.. factors c..top-1
-                absa, conj_a, rot = self._factor_arrays
-                s = min(firsts[j], last)  # no reduce starts past column `last`
-                col = z[s:]
-                top = min(width, c + max(1, _TILE_ELEMENTS // col.size))
-                num = num_buf[:(top - c + 1) * col.size].reshape(-1, col.size)
-                den = den_buf[:num.size].reshape(num.shape)
-                f, rows = slice(lo + c, lo + top), slice(1, None)
-                np.multiply(rot[f, None], col, out=num[rows])
-                np.subtract(absa[f, None], num[rows], out=num[rows])
-                np.multiply(conj_a[f, None], col, out=den[rows])
-                np.subtract(1.0, den[rows], out=den[rows])
-                np.divide(num[rows], den[rows], out=num[rows])
-                at = c
-                while at < top:  # one segment: factors at..b-1 on the points from k on
-                    b, k, k0 = min(stops[j], top), firsts[j], min(firsts[j], last)
-                    if at and b - at == 1:  # one factor: one binary multiply, not in place
-                        acc[k:] = (acc[k0:] * num[b - c, k0 - s:])[k - k0:]
-                    else:
-                        if at:  # the running products, in the row of factor at - 1 or the spare row
-                            num[at - c, k0 - s:] = acc[k0:]
-                        part = num[at - c + (at == 0):b - c + 1, k0 - s:]
-                        acc[k:] = np.multiply.reduce(part, axis=0, initial=None)[k - k0:]
-                    j += b == stops[j]
-                    at = b
-                c = top
+        size = min(max(step, z.size), -(-width // g) * z.size)  # groups x points
+        t_buf = np.empty(2 * g * size, dtype=np.complex128)
+        z_buf = np.empty(g * size, dtype=np.complex128)  # the tile's points in every row
+        q_buf = np.empty(size + z.size, dtype=np.complex128)
+        spread = (0, 0)  # the first point and the rows in z_buf
+        scale = self._factor_arrays[2]
+        # run: the first point still running at factor c
+        run, c, last = int(lengths.searchsorted(0, "right")), 0, z.size - 2
+        while c < width:  # one tile: groups from factor c, quotient row 0 spare
+            s = min(run, last)  # no reduce starts past column `last`
+            col = z[s:]
+            count = min(max(1, _TILE_ELEMENTS // (g * col.size)), -(-(width - c) // g))
+            t = t_buf[:2 * g * count * col.size].reshape(2, g * count, col.size)
+            q = q_buf[:(count + 1) * col.size].reshape(count + 1, col.size)
+            if spread[0] != s or spread[1] < g * count:
+                spread = (s, g * count)
+                np.copyto(z_buf[:g * count * col.size].reshape(-1, col.size), col)
+            self._fill(t[0], t[1], lo + c, z_buf[:g * count * col.size].reshape(-1, col.size))
+            f = slice(lo + c, lo + c + g * count)
+            if lengths[run] >= c + g * count:  # no point ends here: one segment
+                scales = np.multiply.reduce(scale[f].reshape(count, g), axis=1)[:, None]
+                firsts, rows = [0], [count]
+            else:  # a point ending here has its last group padded with ones
+                left = lengths[s:] - c  # factors left per point
+                first = int(left[run - s])  # rows from `first` on are some point's padding
+                table = np.ones((count, g + 1), dtype=np.complex128)  # |a| products of first k
+                np.multiply.accumulate(scale[f].reshape(count, g), axis=1, out=table[:, 1:])
+                if first == left[-1]:  # the points running here all end at `first`
+                    t[:, first:] = 1.0
+                    row = -(-first // g)
+                    table[row - 1, g] = table[row - 1, first - g * (row - 1)]
+                    scales, firsts, rows = table[:, g:], [0], [row]
+                else:
+                    np.copyto(t[:, first:], 1.0, where=np.arange(first, g * count)[:, None] >= left)
+                    used = left - g * np.arange(count)[:, None]  # factors used of each group
+                    np.minimum(np.maximum(used, 0, out=used), g, out=used)
+                    scales = table[np.arange(count)[:, None], used]
+                    rows = np.minimum(-(-left[run - s:] // g), count)  # each point's last group
+                    firsts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()]
+                    rows = rows[firsts].tolist()
+            nd = np.multiply.reduce(t.reshape(2, count, g, col.size), axis=2, initial=None)
+            np.divide(nd[0], nd[1] * scales, out=q[1:])
+            # one reduce per distinct last group, on the points from k on, their
+            # running products in the row ahead (once one is started)
+            prev = 0
+            for i, row in zip(firsts, rows):
+                k, started = run + i, c or prev
+                k0 = min(k, last)
+                if started and row - prev == 1:  # one row: one binary multiply, not in place
+                    acc[k:] = (acc[k0:] * q[row, k0 - s:])[k - k0:]
+                else:
+                    if started:
+                        q[prev, k0 - s:] = acc[k0:]
+                    part = q[prev + (not started):row + 1, k0 - s:]
+                    acc[k:] = np.multiply.reduce(part, axis=0, initial=None)[k - k0:]
+                prev = row
+            c += g * count
+            run = int(lengths.searchsorted(c, "right"))
         if order is not None:
             acc[order] = acc.copy()
-        return acc[:1] if one else acc
+        return acc
 
     def _closed_forms(self, z: np.ndarray, k: int) -> np.ndarray:
         """Product over each of the first k blocks at each point, (points x k).
@@ -369,8 +512,8 @@ class BlaschkeProduct:
     def eval_partial(self, n: int, z: complex) -> complex:
         """Product of the first n stored factors, in stored order.
 
-        Factors are multiplied strictly left to right (_products), so
-        results are deterministic run to run.  Full-circle blocks inside the prefix are
+        Factors are chained in fixed groups (_products), so results are
+        deterministic run to run.  Full-circle blocks inside the prefix are
         evaluated in closed form.  Every factor has modulus at most 1 on the
         closed disc, so the accumulator cannot overflow; a non-finite result
         can only mean a boundary pole, which is rescanned for a diagnostic.
@@ -445,8 +588,9 @@ class BlaschkeProduct:
         it, a strict one with the point's recorded bound.  One point with
         |z| < 1 - 2^-48 that does not fail skips the array bookkeeping: the
         rule at a float radius, then _phase_bounds and the kernels of _value
-        on one-element rows, or for a prefix covering no whole block the chain
-        of _products inline.  Batched and one-point calls agree bit for bit.
+        on one-element rows, or for a prefix covering no whole block _point,
+        whose tile is one multiply and one subtract on cached coefficients.
+        Batched and one-point calls agree bit for bit.
         """
         tol = self.truncation_tolerance
         z = np.asarray(points, dtype=np.complex128).reshape(-1)
@@ -459,10 +603,8 @@ class BlaschkeProduct:
             if k:
                 bound += self._phase_bounds(np.array([at]), k)[0]
             if not (strict and (over or bound > tol)):
-                if not k and 0 < n <= _TILE_ELEMENTS // 2:  # one tile: the point as two columns
-                    absa, conj_a, rot = self._factor_arrays
-                    factors = np.repeat((absa[:n] - rot[:n] * w) / (1.0 - conj_a[:n] * w), 2)
-                    values = np.multiply.reduce(factors.reshape(n, 2), axis=0, initial=None)[:1]
+                if not k and n:  # no block: the point's own chain, in groups of _GROUP
+                    values = self._point(w, 0, int(n), _GROUP)
                 else:
                     values = self._covering(z, np.array([n]), k)
                 return BatchEval(values, np.array([n]), np.array([bound]))

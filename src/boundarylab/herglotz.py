@@ -304,7 +304,12 @@ def _adaptive_mean(
                 return current
         prev = current
         n *= 2
-    raise ResolutionError(
+    raise _unresolved(tolerance, max_points, achieved)
+
+
+def _unresolved(tolerance: float, max_points: int, achieved: float) -> ResolutionError:
+    """The failure of a refinement that stalled at `achieved` above `tolerance`."""
+    return ResolutionError(
         f"quadrature did not stabilize within {tolerance:g} below {max_points} points "
         f"(last refinement moved {achieved:.3g})",
         achieved=achieved,
@@ -340,8 +345,16 @@ def kernel_mass(r: float) -> float:
 
     The grid doubles from QUAD_MIN_POINTS until two refinements agree within
     QUAD_TOLERANCE, at most QUAD_MAX_POINTS points; the quadrature itself is
-    what this measures.
+    what this measures.  The mean on n nodes is exactly (1 + r^n)/(1 - r^n),
+    so doubling n moves it by 2 r^n/(1 - r^2n).  Where that move still exceeds
+    QUAD_TOLERANCE from QUAD_MAX_POINTS to twice as many nodes, the loop would
+    stop two doublings past its cap at the earliest: the radius is refused at
+    once, with the move of the loop's last refinement, before any grid is built.
     """
+    if 0.0 <= r < 1.0:
+        x = r ** (QUAD_MAX_POINTS // 2)  # r^n at the last refinement's coarse grid
+        if 2.0 * x * x > QUAD_TOLERANCE * (1.0 - x ** 4):
+            raise _unresolved(QUAD_TOLERANCE, QUAD_MAX_POINTS, 2.0 * x / (1.0 - x * x))
     mean = _adaptive_mean(lambda t: poisson_kernel(r, t) + 0.0j, QUAD_MIN_POINTS,
                           QUAD_TOLERANCE, QUAD_MAX_POINTS)
     return mean.real

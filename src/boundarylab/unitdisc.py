@@ -403,6 +403,9 @@ def gen_radial_sequence(angle: float, rate: float, count: int) -> ZeroSequence:
 
     The deficit sum is geometric, so the Blaschke condition holds for the
     infinite extension; extension_mass carries the exact geometric tail.
+    The deficits rate^k are Python's float powers (libm pow), not numpy's,
+    whose SIMD loops round differently at each dispatch level, so one spec
+    defines the same zeros on every host.
     """
     if not (0.0 < rate < 1.0):
         raise ValidationError(f"rate must lie in (0, 1), got {rate!r}")
@@ -415,8 +418,7 @@ def gen_radial_sequence(angle: float, rate: float, count: int) -> ZeroSequence:
         raise ValidationError(
             f"count {count} is too large for rate {rate!r}: the deficit rate^count underflows to 0"
         )
-    k = np.arange(1, count + 1, dtype=np.float64)
-    deficits = np.power(rate, k)
+    deficits = np.array(list(map(float(rate).__pow__, range(1, count + 1))), dtype=np.float64)
     angles = np.full(count, normalize_angle(angle), dtype=np.float64)
     tail = rate ** (count + 1) / (1.0 - rate)
     return ZeroSequence._adopt(angles, deficits, tail)

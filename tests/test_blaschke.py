@@ -292,8 +292,9 @@ def test_limit_probe_zero_chase_path():
 # --- eval_many against the per-point loop it replaced ------------------------
 #
 # _reference_eval is the one-point evaluation as it was before eval_many, with
-# the product's bits from _chain: every batched value must carry exactly its
-# bits, and every failure its exception type and message.
+# the product's bits from the grouped chain (_range_products): every batched
+# value must carry exactly its bits, and every failure its exception type and
+# message.
 
 _CHUNK = 65536  # a size unit of the long-product tests: 1 MiB of complex values
 
@@ -314,14 +315,26 @@ def _product(spec):
 
 
 def _eager_arrays(seq):
-    """|a|, rot = conj(a)/|a| and conj(a) of every zero, as the product built
-    them at construction before they were built on first read."""
+    """|a|, rot = conj(a)/|a| and conj(a) of every zero, the per-zero arrays
+    of the factor (|a| - rot z)/(1 - conj(a) z) (rot -1 at the origin)."""
     absa = 1.0 - seq.deficits
     a = absa * np.exp(1j * seq.angles)
     conj_a = np.conj(a)
     with np.errstate(invalid="ignore", divide="ignore"):
         rot = np.where(absa > 0.0, conj_a / np.where(absa > 0.0, absa, 1.0), -1.0)
     return absa, rot, conj_a
+
+
+def _built_arrays(seq):
+    """The product's factor arrays, built from the zeros directly: |a|^2 (as
+    complex), conj(a) and the scale |a| (1 at the origin), each followed by _GROUP
+    neutral entries, and the indices of the zeros at the origin."""
+    absa, _, conj_a = _eager_arrays(seq)
+    pad = np.zeros(blaschke._GROUP)
+    return (np.concatenate([absa * absa, pad]).astype(np.complex128),
+            np.concatenate([conj_a, pad]),
+            np.concatenate([np.where(absa > 0.0, absa, 1.0), pad + 1.0]).astype(np.complex128),
+            np.flatnonzero(absa == 0.0))
 
 
 def _chain(factors):
@@ -341,31 +354,45 @@ def _chain(factors):
     return acc.copy()
 
 
+def _group_size(w):
+    """Factors per group at the point w: one within 2^-48 of the circle."""
+    return 1 if abs(w) >= blaschke._POLE_FREE_RADIUS else blaschke._GROUP
+
+
 def _range_products(prod, z, lo, hi):
-    """Factors lo..hi-1 of prod at each point z[i], chained (_chain) over
-    blocks of at most 4,096 factors, each block's first row the running
-    products.  A point's factors are one vector at the scalar point, which
-    has the bits of a column of a tile of two or more points; a (1 x 1)
-    broadcast product does not."""
-    absa, rot, conj_a = _eager_arrays(prod.zeros)
-    points = np.asarray(z, dtype=np.complex128).reshape(-1).tolist()
-    acc = np.empty((0, len(points)), dtype=np.complex128)
+    """Factors lo..hi-1 of prod at each point z[i], as the grouped chain
+    defines them, one point at a time.  Groups of _group_size factors count
+    from lo; the last, cut at hi, is padded with exact ones.  Per group, the
+    numerators |a|^2 - w and denominators 1 - w (w = conj(a) z, numerator z
+    at a zero at the origin) are chained apart (_chain), the denominator
+    product is multiplied part by part by the |a| product (1 at the origin)
+    of the group's factors taken left to right, one numpy division gives the
+    quotient, and the quotients are chained."""
+    absa, _, conj_a = _eager_arrays(prod.zeros)
+    values = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c in range(lo, hi, 4096) if points else ():
-            f = slice(c, min(c + 4096, hi))
-            rows = np.column_stack([(absa[f] - rot[f] * w) / (1.0 - conj_a[f] * w) for w in points])
-            acc = _chain(np.concatenate([acc, rows]))[None]
-    return acc.reshape(-1) if acc.size else np.ones(len(points), dtype=np.complex128)
+        for w in np.asarray(z, dtype=np.complex128).reshape(-1).tolist():
+            quotients, g = [], _group_size(w)
+            for a in range(lo, hi, g):
+                f = slice(a, min(a + g, hi))
+                pad = np.ones(a + g - f.stop, dtype=np.complex128)
+                num = absa[f] * absa[f] - conj_a[f] * w
+                num[absa[f] == 0.0] = w
+                num = np.concatenate([num, pad])
+                den = np.concatenate([1.0 - conj_a[f] * w, pad])
+                scale = math.prod(np.where(absa[f] > 0.0, absa[f], 1.0).tolist())
+                quotients.append(np.divide(_chain(num), _chain(den) * complex(scale))[0])
+            values.append(_chain(quotients)[0] if quotients else 1.0 + 0.0j)
+    return np.array(values, dtype=np.complex128)
 
 
 def _reference_partial(prod, n, z):
-    absa, rot, conj_a = _eager_arrays(prod.zeros)
-    num = absa[:n] - rot[:n] * z
+    conj_a = _eager_arrays(prod.zeros)[2]
     den = 1.0 - conj_a[:n] * z
     if np.any(den == 0.0):
         k = int(np.argmin(np.abs(den)))
         raise PoleError(f"evaluation point {z!r} is the pole of the factor at zero #{k}")
-    return complex(_chain(num / den)[0])
+    return complex(_range_products(prod, [z], 0, n)[0])
 
 
 def _reference_eval(prod, z, strict):
@@ -1003,7 +1030,7 @@ def test_closed_form_is_within_its_bound_of_an_mpmath_product():
         prod = _full_circle(depth)
         seq = prod.zeros
         # the stored zeros exactly: modulus fl(1 - d) (the evaluator's) and the stored angle
-        rho = [mp.mpf(float(x)) for x in prod._factor_arrays[0]]
+        rho = [mp.mpf(float(x)) for x in 1.0 - seq.deficits]
         turn = [mp.expj(-mp.mpf(float(t))) for t in seq.angles]
         points = [r * cmath.exp(1j * t) for t in rng.uniform(0.0, TWO_PI, thetas) for r in radii]
         for j in rng.integers(0, len(seq), near):
@@ -1275,6 +1302,89 @@ def test_chain_values_are_within_the_rounding_allowance_of_mpmath():
     check()
 
 
+def _group_edges():
+    """An explicit product of three groups and a part (53 zeros) for the edges
+    of the grouped chain: zeros at the origin, deficits below 2^-53 whose
+    moduli round to 1 (#8 at angle 0, so z = 1 is its pole), ordinary zeros."""
+    rng = np.random.default_rng(36)
+    angles = rng.uniform(0.0, TWO_PI, 53)
+    deficits = rng.uniform(0.001, 0.9, 53)
+    deficits[[3, 20]] = 1.0
+    tiny = [7, 8, 30, 31, 44]
+    deficits[tiny] = [2.0 ** -54, 2.0 ** -60, 2.0 ** -54, 2.0 ** -70, 2.0 ** -56]
+    angles[8] = 0.0
+    return BlaschkeProduct(ZeroSequence(angles=angles, deficits=deficits)), tiny
+
+
+def _group_edge_points(prod, tiny):
+    """Points inside, at |z| = 1 - 2^-53 next to the zeros whose moduli round
+    to 1 and elsewhere, and at and next to ordinary zeros."""
+    seq, rng = prod.zeros, np.random.default_rng(53)
+    edge = 1.0 - 2.0 ** -53
+    points = (rng.uniform(0.0, 0.99, 6) * np.exp(1j * rng.uniform(0.0, TWO_PI, 6))).tolist()
+    points += [edge * cmath.exp(1j * (seq.angles[k] + s)) for k in tiny for s in (0.0, 1e-9)]
+    points += [edge * cmath.exp(1j * t) for t in rng.uniform(0.0, TWO_PI, 3)]
+    points += [complex(z) for z in _zeros_at(seq, [0, 17, 33])]
+    points += [complex(z) * cmath.exp(1e-9j) for z in _zeros_at(seq, [5, 40])]
+    assert all(abs(z) < 1.0 for z in points)
+    return points
+
+
+def test_grouped_chain_edges_are_within_the_rounding_allowance_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    prod, tiny = _group_edges()
+    seq, g = prod.zeros, blaschke._GROUP
+    points = _group_edge_points(prod, tiny)
+    assert any(abs(z) >= blaschke._POLE_FREE_RADIUS for z in points)
+    for z in points:
+        w, exact = mp.mpc(z.real, z.imag), [mp.mpc(1)]
+        for rho, theta in zip((1.0 - seq.deficits).tolist(), seq.angles.tolist()):
+            turn = mp.expj(-mp.mpf(theta))
+            factor = w if rho == 0.0 else (mp.mpf(rho) - turn * w) / (1 - mp.mpf(rho) * turn * w)
+            exact.append(exact[-1] * factor)
+        # prefixes ending at every offset of every group; no accepted point is
+        # a pole here, so every value is finite
+        for n in range(len(prod) + 1):
+            value = prod.eval_partial(n, z)
+            assert cmath.isfinite(value)
+            error = float(abs(mp.mpc(value.real, value.imag) - exact[n]))
+            assert error <= _direct_slack(prod, z, n)
+
+
+def test_grouped_chain_counts_groups_from_the_range_start():
+    # a range from lo has the bits of the prefix of the product whose zeros start at lo
+    prod, tiny = _group_edges()
+    seq = prod.zeros
+    z = np.array(_group_edge_points(prod, tiny))
+    for lo in (1, 5, 17, 31):
+        tail = BlaschkeProduct(ZeroSequence(angles=seq.angles[lo:], deficits=seq.deficits[lo:]))
+        for hi in range(lo, len(prod) + 1, 3):
+            got = prod._products(z, lo, hi)
+            assert _same_bits(got, tail._products(z, 0, hi - lo))
+            assert _same_bits(got, _range_products(prod, z, lo, hi))
+            assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("budget", [blaschke._TILE_ELEMENTS, 16, 40, 17 * 16, 3])
+def test_grouped_chain_names_the_same_pole_at_any_tile(budget, monkeypatch):
+    # z = 1 is the pole of zero #8 (modulus 1, angle 0), inside the first group;
+    # the pole is chained factor by factor, and the error names #8 wherever the
+    # point sits among others and whatever the tile
+    prod, tiny = _group_edges()
+    monkeypatch.setattr(blaschke, "_TILE_ELEMENTS", budget)
+    points = _group_edge_points(prod, tiny)
+    for n in (9, 16, 17, 40, len(prod)):
+        for at in (0, 3, len(points)):
+            z = np.array(points[:at] + [1.0] + points[at:])
+            got = prod._products(z, 0, n)
+            assert not np.isfinite(got[at]) and np.isfinite(np.delete(got, at)).all()
+        with pytest.raises(PoleError, match=r"zero #8$"):
+            prod.eval_partial(n, 1.0)
+    assert prod.eval_partial(8, 1.0) == prod._products(np.array([1.0]), 0, 8)[0]
+
+
 def test_one_factor_ranges_keep_the_one_point_bits():
     # a one-factor range is its factor as the tile computes it, batched or alone
     rng = np.random.default_rng(8)
@@ -1298,10 +1408,21 @@ def test_products_allocate_only_the_rows_they_use(monkeypatch):
         sizes.append(int(np.prod(shape)))
         return real_empty(shape, *args, **kwargs)
 
+    prod._point_tiles  # the one-point route's coefficients, built once per product
     monkeypatch.setattr(blaschke.np, "empty", spy_empty)
     prod._products(z, 0, len(prod))
-    # two buffers of the whole range and the running products, the point twice
-    assert sorted(sizes) == [2 * (len(prod) + 1)] * 2
+    # one point: the group products of its three columns (numerators,
+    # denominators and scales) and its group quotients as two columns
+    g = blaschke._GROUP
+    groups = -(-len(prod) // g)
+    assert sorted(sizes) == [2 * groups, 3 * groups]
+    # points that all end at the last factor: the tile of whole groups
+    # (numerators and denominators), the points spread over its rows, the group
+    # quotients with their spare row, and arrays of one entry per point
+    sizes.clear()
+    prod._products(_circle(3), 0, len(prod))
+    assert sorted(sizes)[-3:] == [3 * (groups + 1), g * 3 * groups, 2 * g * 3 * groups]
+    assert max(sorted(sizes)[:-3]) <= 3
 
 
 def test_boundary_pole_names_its_zero_at_any_tile(monkeypatch):
@@ -1336,7 +1457,7 @@ def _bits_equal(got, want):
 
 def test_factor_arrays_are_built_on_first_read_with_the_eager_bits():
     prod = _product(FULL10)
-    absa, rot, conj_a = _eager_arrays(prod.zeros)
+    built = _built_arrays(prod.zeros)
     # whole-prefix evaluations and probes read only the blocks
     prod.eval_many(circle_points(0.9, uniform_angles(64)), strict=False)
     limit_probe(prod, 1.0, radii=default_radius_schedule()[30:])
@@ -1361,7 +1482,7 @@ def test_factor_arrays_are_built_on_first_read_with_the_eager_bits():
             assert _bits_equal([value, prod.eval_partial(n, z)], [want, want])
             assert loose.eval_many([z], strict=True).values[0] == value
     assert inside > 10
-    assert _bits_equal(prod._factor_arrays, (absa, conj_a, rot))
+    assert _bits_equal(prod._factor_arrays, built)
 
 
 def _with_blocks(angles, deficits, blocks):
@@ -1381,8 +1502,7 @@ def test_a_pole_rescan_reads_the_factor_arrays_with_the_eager_bits():
     assert "_factor_arrays" not in vars(prod)
     with pytest.raises(PoleError, match=f"zero #{n}$"):
         prod.eval_partial(n + 1, 1.0 + 0.0j)
-    absa, rot, conj_a = _eager_arrays(seq)
-    assert _bits_equal(prod._factor_arrays, (absa, conj_a, rot))
+    assert _bits_equal(prod._factor_arrays, _built_arrays(seq))
 
 
 def _near_circle_levels():

@@ -442,6 +442,33 @@ def test_kernels_report(capsys):
     assert abs(data["sup_outside_delta"] - 1.0 / 3.0) < 1e-12
 
 
+def test_kernels_refuses_a_radius_beyond_the_grid_cap_before_allocating():
+    # the refinement moves of the trapezoid mean are known in closed form, so a
+    # radius whose loop could only stop two doublings past the cap is refused
+    # before any grid is built: exit 1 and a peak RSS within 10 MB of the
+    # imports, where the loop itself peaks near 200 MB
+    import os
+    import subprocess
+    import sys
+
+    import boundarylab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(boundarylab.__file__)))
+    script = ("import resource, sys\n"
+              "import boundarylab.cli as cli\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "code = cli.run(['kernels', '--r', '0.9999999'])\n"
+              "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "print(code, after - before)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    code, grown_kib = map(int, proc.stdout.split())
+    assert code == 1 and grown_kib < 10 * 1024
+    assert proc.stderr == ("boundarylab kernels: quadrature did not stabilize within 1e-10 "
+                           "below 4194304 points (last refinement moved 4.73)\n")
+
+
 def test_selftest_subset(capsys):
     code = run(["selftest", "--only", "2,5"])
     assert code == 0

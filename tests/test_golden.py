@@ -30,6 +30,10 @@ def test_every_dispatch_level_recording_is_a_case_file():
     own = {f"{name}@{level}.out" for level, names in levels.items() for name in names}
     assert {p.name for p in regen.EXPECTED.glob("*@*.out")} == own
     assert all(name in regen.CASES for names in levels.values() for name in names)
+    # a level's own file differs from the default recording, or it is redundant
+    same = [p.name for p in regen.EXPECTED.glob("*@*.out")
+            if p.read_bytes() == (regen.EXPECTED / f"{p.name.partition('@')[0]}.out").read_bytes()]
+    assert same == []
 
 
 @pytest.mark.parametrize("name", sorted(regen.CASES))

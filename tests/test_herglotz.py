@@ -385,11 +385,15 @@ def test_adaptive_mean_reuses_the_grid_bit_for_bit():
     tol, low, cap = QUAD_TOLERANCE, QUAD_MIN_POINTS, QUAD_MAX_POINTS
     want = _full_recompute_mean(lambda t: poisson_kernel(0.99, t) + 0.0j, low, tol, cap)
     assert _same(complex(kernel_mass(0.99)), complex(want.real))
+    # a radius whose refinement could stop only two doublings past the cap is
+    # refused before any grid, with the loop's message and the move of its last
+    # refinement from the closed form 2 r^n / (1 - r^2n) of the trapezoid means
     with pytest.raises(ResolutionError) as exc:
         kernel_mass(0.9999999999)
     want = _mean_outcome(_full_recompute_mean, lambda t: poisson_kernel(0.9999999999, t) + 0.0j,
                          low, tol, cap)
-    assert (str(exc.value), exc.value.achieved) == want
+    assert str(exc.value) == want[0]
+    assert math.isclose(exc.value.achieved, want[1], rel_tol=1e-9)
 
 
 # --- closed-form transforms against 30-digit mpmath -----------------------
